@@ -2,7 +2,8 @@
 
 Subcommands: invariants, minimise, level, construct, convert, oracle.
 Model files are JSON documents {"kind": ..., "coeffs": [...]} with decimal
-string coefficients (integers or rationals) in the documented index order.
+string coefficients in the documented index order: integers or rationals for
+quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
 
 Exit codes: 0 success, 2 parse error, 3 kind mismatch or unsupported
 operation for the kind, 4 singular model, 5 factorisation failure.
@@ -24,7 +25,7 @@ from .invariants import (
     hypercube_invariants, quartic_invariants,
 )
 from .minimise import FactorizationError, minimise, minimise_global
-from .models import group_element_to_dict, model_from_dict, model_to_dict
+from .models import group_element_to_dict, is_integral, model_from_dict, model_to_dict
 from .weierstrass import level
 
 EXIT_OK = 0
@@ -32,6 +33,9 @@ EXIT_PARSE = 2
 EXIT_KIND = 3
 EXIT_SINGULAR = 4
 EXIT_FACTOR = 5
+
+# kinds whose model files must have integral coefficients
+_INTEGRAL_KINDS = ("form22", "cube", "hypercube")
 
 
 class _CliError(Exception):
@@ -49,9 +53,13 @@ def _load_model(path):
     except json.JSONDecodeError as e:
         raise _CliError(EXIT_PARSE, f"invalid JSON in {path}: {e}")
     try:
-        return model_from_dict(doc)
+        m = model_from_dict(doc)
     except (ValueError, TypeError, ArithmeticError) as e:
         raise _CliError(EXIT_PARSE, f"bad model file {path}: {e}")
+    # the invariant formulas of these kinds divide exactly only on integral models
+    if m.kind in _INTEGRAL_KINDS and not is_integral(m):
+        raise _CliError(EXIT_PARSE, "model must be integral")
+    return m
 
 
 def _emit(doc, args, text_lines):
@@ -269,7 +277,7 @@ def cmd_oracle(args):
         raise _CliError(EXIT_KIND, f"the minimality oracle works on form22 models, got {m.kind}")
     ctx = _prime_context(args)
     try:
-        verdict = oracle_minimality_22(m, ctx, depth=args.depth)
+        verdict = oracle_minimality_22(m, ctx)
     except ValueError as e:
         code = EXIT_SINGULAR if "singular" in str(e) else EXIT_PARSE
         raise _CliError(code, str(e))
@@ -330,7 +338,6 @@ def build_parser():
     p_m22 = orsub.add_parser("min22", help="exhaustive (2,2) minimality check")
     p_m22.add_argument("model")
     p_m22.add_argument("--prime", type=int, required=True)
-    p_m22.add_argument("--depth", type=int, default=2)
     p_m22.add_argument("--json", action="store_true")
     p_m22.set_defaults(fn=cmd_oracle)
 

@@ -13,9 +13,9 @@ import random
 
 import numpy as np
 
-from .exactnum import LocalContext, valuation
+from .exactnum import LocalContext, identity_matrix, valuation
 from .invariants import discriminant
-from .models import Cube, GroupElement, Hypercube, TwoTwoForm, act, is_integral
+from .models import SPECS, Cube, GroupElement, Hypercube, TwoTwoForm, act, is_integral
 from .weierstrass import WeierstrassCurve
 
 
@@ -198,8 +198,6 @@ def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
 
 
 def _random_unimodular(n, rng, bound=2):
-    from .exactnum import identity_matrix
-
     m = [list(r) for r in identity_matrix(n)]
     for _ in range(n + rng.randrange(3)):
         i, j = rng.randrange(n), rng.randrange(n)
@@ -220,8 +218,7 @@ def inflate(m, ctx, seed_or_rng, moves=3):
     p = ctx.p
     rng = _rng(seed_or_rng)
     kind = m.kind
-    sizes = {"quartic": (2,), "form22": (2, 2), "cube": (3, 3, 3),
-             "hypercube": (2, 2, 2, 2)}[kind]
+    sizes = SPECS[kind].matrix_sizes
     total = GroupElement.identity(kind)
     cur = m
     for _ in range(moves):
@@ -229,19 +226,18 @@ def inflate(m, ctx, seed_or_rng, moves=3):
         g = GroupElement(kind, 1, tuple(mats))
         which = rng.randrange(len(sizes) + 1)
         if which == len(sizes):
-            scalar = Fraction(p) if kind != "quartic" else Fraction(p)
-            stretch = GroupElement.scaling(kind, scalar)
+            stretch = GroupElement.scaling(kind, Fraction(p))
         else:
             n = sizes[which]
             diag = tuple(tuple((p if (i == j == n - 1) else (1 if i == j else 0))
                                for j in range(n)) for i in range(n))
-            dm = [tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-                  for k in sizes]
+            dm = [identity_matrix(k) for k in sizes]
             dm[which] = diag
             stretch = GroupElement(kind, 1, tuple(dm))
         g = stretch.compose(g)
         cur = act(g, cur)
-        assert is_integral(cur)
+        if not is_integral(cur):
+            raise AssertionError("a level-raising move produced a non-integral model")
         total = g.compose(total)
     return cur, total
 
@@ -382,13 +378,6 @@ def _stretch_classes(p, a):
     return tuple(complete_primitive_row(_lift_primitive_mod(w, q, p)) for w in reps)
 
 
-def _sym2t(A):
-    from .models import sym2_matrix
-
-    s = sym2_matrix(A)
-    return tuple(tuple(s[r][c] for r in range(3)) for c in range(3))
-
-
 def _oracle_reducer(F, p):
     """A substitution pair (U, V) and weight pair making the stretched form
     integral (hence of smaller discriminant valuation), or None.
@@ -401,10 +390,11 @@ def _oracle_reducer(F, p):
     the pairs (2, 1) and (1, 2).
     """
     from .exactnum import mat_mul
+    from .models import sym_power_matrix
 
     rows = F.rows
     classes = {k: _stretch_classes(p, k) for k in (0, 1, 2)}
-    syms = {k: [_sym2t(U) for U in classes[k]] for k in (0, 1, 2)}
+    syms = {k: [sym_power_matrix(U, 2) for U in classes[k]] for k in (0, 1, 2)}
     for a, b in ORACLE_WEIGHT_PAIRS:
         thresholds = [(r, c, a * (1 - r) + b * (1 - c) + 1)
                       for r in range(3) for c in range(3)
@@ -419,34 +409,21 @@ def _oracle_reducer(F, p):
     return None
 
 
-def oracle_minimality_22(F, ctx, depth=2):
+def oracle_minimality_22(F, ctx):
     """Exhaustive minimality check for a (2,2)-form, independent of the
     minimisation algorithm.
 
     Searches every residue substitution pair in GL2(F_p)^2 followed by each
     admissible diagonal weight pair; any hit is an integral model with
-    discriminant valuation smaller by 12.  Compositions are explored through
-    integral intermediate models, up to `depth` rounds (the verdict is already
-    decided by the first round).  Restricted to small primes by cost.
+    discriminant valuation smaller by 12, so the first round decides the
+    verdict.  Restricted to small primes by cost.
     """
     ctx = LocalContext(ctx) if isinstance(ctx, int) else ctx
     p = ctx.p
     if p > ORACLE_PRIME_BOUND:
         raise ValueError(f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
-    if depth < 1 or depth > 2:
-        raise ValueError("depth must be 1 or 2")
     if not is_integral(F):
         raise ValueError("model must be integral")
     if discriminant(F) == 0:
         raise ValueError("singular model")
-    hit = _oracle_reducer(F, p)
-    if hit is None:
-        return True
-    if depth >= 2:
-        U, V, (a, b) = hit
-        g = GroupElement("form22", Fraction(1, p ** (a + b + 1)),
-                         (((1, 0), (0, p ** a)), ((1, 0), (0, p ** b))))
-        reduced = act(g.compose(GroupElement("form22", 1, (U, V))), F)
-        assert is_integral(reduced)
-        oracle_minimality_22(reduced, ctx, depth - 1)  # chase one more round
-    return False
+    return _oracle_reducer(F, p) is None

@@ -265,8 +265,8 @@ def complete_primitive_row(vec):
     if work[0] == -1:
         work[0] = 1
         inv_rows[0] = [-x for x in inv_rows[0]]
-    assert work[0] == 1 and all(x == 0 for x in work[1:])
-    assert inv_rows[0] == list(vec)
+    if work[0] != 1 or any(work[1:]) or inv_rows[0] != list(vec):
+        raise AssertionError(f"unimodular completion of {vec} failed")
     return tuple(tuple(r) for r in inv_rows)
 
 
@@ -290,7 +290,8 @@ def lift_primitive(vec, p):
     k = (j + 1) % len(lifted)
     t = (1 - cand[k]) * fp_inv(p % a, a) % a if a > 1 else 0
     cand[k] += t * p
-    assert _gcd_vector(cand) == 1
+    if _gcd_vector(cand) != 1:
+        raise AssertionError(f"failed to lift {vec} to a primitive vector")
     return tuple(cand)
 
 

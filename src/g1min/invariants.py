@@ -13,18 +13,16 @@ weight-2/3 invariants u = 12 xi + b2 and v = 2 eta + a1 xi + a3 satisfying
     (108 v)^2 = (3 u)^3 - 27 c4 (3 u) - 54 c6.
 
 a4 and a6 are recovered from c4 and c6 by exact divisions that double as
-integrality checks; a division failure signals an implementation bug, never
-bad input.
+integrality checks; on an integral model a division failure signals an
+implementation bug (the CLI rejects non-integral (2,2)-forms, cubes and
+hypercubes before computing invariants).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import det_matrix, mat_mul
-from .models import (
-    BinaryQuartic, Cube, Hypercube, TernaryCubic, TwoTwoForm,
-    HYPERCUBE_PAIRS, cubics_of_cube, forms_of_hypercube, quartics_of_22,
-)
+from .models import HYPERCUBE_PAIRS, cubics_of_cube, forms_of_hypercube, quartics_of_22
 
 
 def _exact_div(num, den, what):
@@ -357,19 +355,25 @@ def hypercube_invariants(H):
     return HypercubeInvariants(base.c4, base.c6, base.disc, tuple(pair_sets))
 
 
+def _form22_discriminant(F):
+    g1, _ = quartics_of_22(F)
+    i1, j1, _ = quartic_invariants(g1)
+    c6 = _exact_div(j1, 2, "(2,2) second invariant")
+    return _exact_div(i1 ** 3 - c6 ** 2, 1728, "(2,2) discriminant")
+
+
+_DISCRIMINANTS = {
+    "quartic": lambda m: quartic_invariants(m)[2],
+    "form22": _form22_discriminant,
+    "cubic": lambda m: cubic_invariants(m)[2],
+    "cube": lambda m: cubic_invariants(cubics_of_cube(m)[0])[2],
+    "hypercube": lambda m: _form22_discriminant(forms_of_hypercube(m)[(0, 1)]),
+}
+
+
 def discriminant(m):
     """Delta of any model kind."""
-    if isinstance(m, BinaryQuartic):
-        return quartic_invariants(m)[2]
-    if isinstance(m, TwoTwoForm):
-        g1, _ = quartics_of_22(m)
-        i1, j1, _ = quartic_invariants(g1)
-        c6 = _exact_div(j1, 2, "(2,2) second invariant")
-        return _exact_div(i1 ** 3 - c6 ** 2, 1728, "(2,2) discriminant")
-    if isinstance(m, TernaryCubic):
-        return cubic_invariants(m)[2]
-    if isinstance(m, Cube):
-        return cubic_invariants(cubics_of_cube(m)[0])[2]
-    if isinstance(m, Hypercube):
-        return discriminant(forms_of_hypercube(m)[(0, 1)])
-    raise TypeError(f"not a model: {m!r}")
+    fn = _DISCRIMINANTS.get(getattr(m, "kind", None))
+    if fn is None:
+        raise TypeError(f"not a model: {m!r}")
+    return fn(m)

@@ -92,12 +92,13 @@ class _Driver:
         self.v_initial = self.v
         self.records = []  # (Step, model, transformation, v_after)
 
-    def apply(self, move, label, detail=(), expect_drop=None, merge=False):
-        """Apply one move.  With merge=True the move is folded into the last
-        recorded step (used for multi-move procedures that must appear as a
-        single step with non-increasing v(Delta))."""
+    def apply(self, move, label, detail=(), expect_drop=None, merge=False, model=None):
+        """Apply one move; `model` is act(move, cur) when the caller already
+        has it from candidate().  With merge=True the move is folded into the
+        last recorded step (used for multi-move procedures that must appear
+        as a single step with non-increasing v(Delta))."""
         v_before = self.v
-        new_model = act(move, self.cur)
+        new_model = act(move, self.cur) if model is None else model
         if not is_integral(new_model):
             raise AssertionError(f"step {label} produced a non-integral model")
         v_new = self.v + 12 * valuation(move.chi(), self.p)
@@ -182,9 +183,10 @@ def minimise_quartic(G, ctx):
         if root is None or chain >= 2:
             break
         move = GroupElement("quartic", Fraction(1, p), (mat_mul(_diag(1, p), _row_move(root, p)),))
-        if not is_integral(d.candidate(move)):
+        moved = d.candidate(move)
+        if not is_integral(moved):
             break
-        d.apply(move, "multiple-root", detail=(root,), expect_drop=0)
+        d.apply(move, "multiple-root", detail=(root,), expect_drop=0, model=moved)
         chain += 1
         max_chain = max(max_chain, chain)
     return d.report(max_chain)
@@ -225,8 +227,9 @@ def minimise_22(F, ctx):
                 stretch = GroupElement("form22", la,
                                        (_diag(1, p) if sx else _I2, _diag(1, p) if sy else _I2))
                 move = stretch.compose(norm)
-                if is_integral(d.candidate(move)):
-                    d.apply(move, "slender-pair", detail=(idx + 1,), expect_drop=12)
+                moved = d.candidate(move)
+                if is_integral(moved):
+                    d.apply(move, "slender-pair", detail=(idx + 1,), expect_drop=12, model=moved)
                     chain = 0
                     applied = True
                     break
@@ -253,9 +256,10 @@ def minimise_22(F, ctx):
             move = GroupElement("form22", Fraction(1, p * p),
                                 (mat_mul(_diag(1, p), _row_move(xr, p)),
                                  mat_mul(_diag(1, p), _row_move(yr, p))))
-            if not is_integral(d.candidate(move)):
+            moved = d.candidate(move)
+            if not is_integral(moved):
                 break  # only non-minimal forms admit this move integrally
-            d.apply(move, "singular-point", detail=(cls.point,), expect_drop=0)
+            d.apply(move, "singular-point", detail=(cls.point,), expect_drop=0, model=moved)
             chain += 1
             max_chain = max(max_chain, chain)
             continue
@@ -283,8 +287,7 @@ def _absorb_axis(d, axis, label):
     """Absorb p from dependent slices along one axis until independent."""
     p = d.p
     while True:
-        rows = [tuple(x for row in sl for x in row) for sl in d.cur.slices(axis)]
-        ker = fp_left_kernel_vector(rows, p)
+        ker = fp_left_kernel_vector(d.cur.axis_slices(axis), p)
         if ker is None:
             return
         u = unimodular_with_row(lift_primitive(ker, p), p, 2)

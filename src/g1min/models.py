@@ -1,24 +1,37 @@
 """The five model kinds, their group actions, and derived-form maps.
 
-Coefficient layouts (fixed once, used by the JSON format as well):
+Every model stores one flat coefficient tuple `coeffs`, in the order the JSON
+format uses as well:
 
 * binary quartic   -- (a, b, c, d, e) for a*x1^4 + b*x1^3*x2 + ... + e*x2^4
-* (2,2)-form       -- 3x3 matrix a[r][c], row r <-> x1^(2-r) x2^r,
+* (2,2)-form       -- 3x3 matrix a[r][c] row-major, row r <-> x1^(2-r) x2^r,
                       column c <-> y1^(2-c) y2^c
 * ternary cubic    -- 10 coefficients in the monomial order CUBIC_MONOMIALS
-* cube             -- 3x3x3 array s[i][j][k] (trilinear form sum s_ijk x_i y_j z_k)
-* hypercube        -- 2x2x2x2 array h[i][j][k][l]
+* cube             -- 3x3x3 array s[i][j][k], i outermost (trilinear form
+                      sum s_ijk x_i y_j z_k)
+* hypercube        -- 2x2x2x2 array h[i][j][k][l], i outermost
+
+The constructors take the nested layouts; `rows`, `entries`, `at`, `slices`,
+`x_quadratics` and `y_quadratics` are views that index the flat tuple.
 
 Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a scalar, one
 matrix per tensor factor, and (for hypercubes only) a permutation of the four
-factors.  Actions may produce Fraction coefficients; `scalar_clear` returns an
-integral primitive copy together with the multiplier used.
+factors.  Each kind with a group action is a tensor space on which the group
+acts one factor at a time, so one routine, `act`, serves them all; the
+per-kind entry in SPECS records the tensor shape, the matrix sizes, the
+matrix each group matrix induces on its tensor axis (Sym^4 or Sym^2 of it for
+quartics and (2,2)-forms, the matrix itself for cubes and hypercubes) and the
+powers of the scalar in `act` and in `chi`.  Actions may produce Fraction
+coefficients; `scalar_clear` returns an integral primitive copy together with
+the multiplier used.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
+from math import comb, gcd, lcm, prod
 
 from .exactnum import det_matrix, identity_matrix, mat_inv, mat_mul, valuation, INFINITY
 
@@ -35,52 +48,87 @@ def _parse_coeff(s):
     return _num(f)
 
 
+def _flatten(nested, shape, kind):
+    """The entries of a nested layout of the given shape, outermost index first."""
+    if len(nested) != shape[0]:
+        raise ValueError(f"{kind} needs a {'x'.join(map(str, shape))} coefficient array")
+    if len(shape) == 1:
+        return tuple(nested)
+    return tuple(x for part in nested for x in _flatten(part, shape[1:], kind))
+
+
+def _nest(flat, dims):
+    if len(dims) == 1:
+        return tuple(flat)
+    step = prod(dims[1:])
+    return tuple(_nest(flat[i * step:(i + 1) * step], dims[1:]) for i in range(dims[0]))
+
+
 # ---------------------------------------------------------------------------
 # model kinds
 
 
-@dataclass(frozen=True)
-class BinaryQuartic:
-    coeffs: tuple  # (a, b, c, d, e)
+@dataclass(frozen=True, init=False)
+class _Model:
+    """A model of one kind: its coefficients as one flat tuple."""
 
-    kind = "quartic"
+    coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_num(c) for c in self.coeffs))
-        if len(self.coeffs) != 5:
-            raise ValueError("binary quartic needs 5 coefficients")
+    kind = None
+
+    def __init__(self, nested):
+        flat = _flatten(nested, SPECS[self.kind].shape, self.kind)
+        object.__setattr__(self, "coeffs", tuple(_num(c) for c in flat))
+
+    @classmethod
+    def from_coeffs(cls, coeffs):
+        """The model with the given coefficients in the flat order."""
+        m = object.__new__(cls)
+        coeffs = tuple(_num(c) for c in coeffs)
+        if len(coeffs) != SPECS[cls.kind].size:
+            raise ValueError(f"{cls.kind} needs {SPECS[cls.kind].size} coefficients")
+        object.__setattr__(m, "coeffs", coeffs)
+        return m
 
     def coefficients(self):
         return self.coeffs
 
+    def axis_slices(self, axis):
+        """The slices along one tensor axis, each flattened outermost index first."""
+        c = self.coeffs
+        return tuple(tuple(c[n] for n in sl) for sl in SPECS[self.kind].slices[axis])
 
-@dataclass(frozen=True)
-class TwoTwoForm:
-    rows: tuple  # 3x3, rows[r][c]
+
+class BinaryQuartic(_Model):
+    """BinaryQuartic((a, b, c, d, e))."""
+
+    kind = "quartic"
+
+
+class TwoTwoForm(_Model):
+    """TwoTwoForm(rows) with rows[r][c] the 3x3 coefficient matrix."""
 
     kind = "form22"
 
-    def __post_init__(self):
-        rows = tuple(tuple(_num(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("(2,2)-form needs a 3x3 coefficient matrix")
-
-    def coefficients(self):
-        return tuple(x for row in self.rows for x in row)
+    @property
+    def rows(self):
+        c = self.coeffs
+        return (c[0:3], c[3:6], c[6:9])
 
     def entry(self, r, c):
-        return self.rows[r][c]
+        return self.coeffs[3 * r + c]
 
     def x_quadratics(self):
         """(F1, F2, F3) with F = F1(x) y1^2 + F2(x) y1 y2 + F3(x) y2^2."""
-        return tuple(tuple(self.rows[r][c] for r in range(3)) for c in range(3))
+        c = self.coeffs
+        return (c[0::3], c[1::3], c[2::3])
 
     def y_quadratics(self):
-        return tuple(tuple(self.rows[r][c] for c in range(3)) for r in range(3))
+        return self.rows
 
     def transpose(self):
-        return TwoTwoForm(tuple(tuple(self.rows[c][r] for c in range(3)) for r in range(3)))
+        c = self.coeffs
+        return TwoTwoForm.from_coeffs(c[0::3] + c[1::3] + c[2::3])
 
 
 CUBIC_MONOMIALS = (
@@ -90,19 +138,10 @@ CUBIC_MONOMIALS = (
 _CUBIC_INDEX = {e: i for i, e in enumerate(CUBIC_MONOMIALS)}
 
 
-@dataclass(frozen=True)
-class TernaryCubic:
-    coeffs: tuple  # 10 coefficients in CUBIC_MONOMIALS order
+class TernaryCubic(_Model):
+    """TernaryCubic(coeffs) with 10 coefficients in CUBIC_MONOMIALS order."""
 
     kind = "cubic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_num(c) for c in self.coeffs))
-        if len(self.coeffs) != 10:
-            raise ValueError("ternary cubic needs 10 coefficients")
-
-    def coefficients(self):
-        return self.coeffs
 
     @classmethod
     def from_dict(cls, d):
@@ -112,76 +151,113 @@ class TernaryCubic:
         return {e: c for e, c in zip(CUBIC_MONOMIALS, self.coeffs) if c != 0}
 
 
-@dataclass(frozen=True)
-class Cube:
-    entries: tuple  # s[i][j][k], 3x3x3
+class Cube(_Model):
+    """Cube(entries) with entries[i][j][k] a 3x3x3 array."""
 
     kind = "cube"
 
-    def __post_init__(self):
-        s = tuple(tuple(tuple(_num(x) for x in r) for r in pl) for pl in self.entries)
-        object.__setattr__(self, "entries", s)
-        if len(s) != 3 or any(len(pl) != 3 or any(len(r) != 3 for r in pl) for pl in s):
-            raise ValueError("cube needs a 3x3x3 array")
-
-    def coefficients(self):
-        return tuple(x for pl in self.entries for r in pl for x in r)
+    @property
+    def entries(self):
+        return _nest(self.coeffs, (3, 3, 3))
 
     def slices(self, axis):
         """The three 3x3 slices along the given axis (0, 1 or 2)."""
-        s = self.entries
-        if axis == 0:
-            return tuple(s[m] for m in range(3))
-        if axis == 1:
-            return tuple(tuple(s[i][m] for i in range(3)) for m in range(3))
-        return tuple(
-            tuple(tuple(s[i][j][m] for j in range(3)) for i in range(3)) for m in range(3)
-        )
+        return tuple(_nest(sl, (3, 3)) for sl in self.axis_slices(axis))
 
 
-@dataclass(frozen=True)
-class Hypercube:
-    entries: tuple  # h[i][j][k][l], 2x2x2x2
+class Hypercube(_Model):
+    """Hypercube(entries) with entries[i][j][k][l] a 2x2x2x2 array."""
 
     kind = "hypercube"
 
-    def __post_init__(self):
-        h = tuple(
-            tuple(tuple(tuple(_num(x) for x in r) for r in pl) for pl in blk)
-            for blk in self.entries
-        )
-        object.__setattr__(self, "entries", h)
-        flat = self.coefficients()
-        if len(flat) != 16:
-            raise ValueError("hypercube needs a 2x2x2x2 array")
-
-    def coefficients(self):
-        return tuple(
-            self.entries[i][j][k][l]
-            for i in range(2) for j in range(2) for k in range(2) for l in range(2)
-        )
+    @property
+    def entries(self):
+        return _nest(self.coeffs, (2, 2, 2, 2))
 
     def at(self, i, j, k, l):
-        return self.entries[i][j][k][l]
-
-    def slice_pair(self, axis):
-        """The two 2x2x2 slices along the given axis, flattened to 8-tuples."""
-        out = []
-        for m in range(2):
-            vals = []
-            for idx in product(range(2), repeat=4):
-                if idx[axis] == m:
-                    vals.append(self.at(*idx))
-            out.append(tuple(vals))
-        return tuple(out)
+        return self.coeffs[8 * i + 4 * j + 2 * k + l]
 
 
-MODEL_KINDS = {
-    "quartic": BinaryQuartic,
-    "form22": TwoTwoForm,
-    "cubic": TernaryCubic,
-    "cube": Cube,
-    "hypercube": Hypercube,
+# ---------------------------------------------------------------------------
+# binary substitutions
+
+
+def _binary_power(u, v, k):
+    """Coefficients of (u*x1 + v*x2)^k, descending in x1."""
+    return [comb(k, i) * u ** (k - i) * v ** i for i in range(k + 1)]
+
+
+def _binary_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sym_power_matrix(A, k):
+    """Matrix of f -> f((x1, x2) A) on the coefficient vectors (descending in
+    x1) of binary forms of degree k: column i is the image of x1^(k-i) x2^i."""
+    cols = [_binary_mul(_binary_power(A[0][0], A[1][0], k - i),
+                        _binary_power(A[0][1], A[1][1], i)) for i in range(k + 1)]
+    return tuple(zip(*cols))
+
+
+def binary_form_substitute(coeffs, A):
+    """Substitute (x1, x2) -> (x1, x2) A into a binary form."""
+    return [sum(x * c for x, c in zip(row, coeffs))
+            for row in sym_power_matrix(A, len(coeffs) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# the per-kind spec
+
+
+class KindSpec:
+    """How one model kind is stored and acted on.
+
+    model         -- the model class
+    shape         -- tensor shape of the flat coefficient tuple, outermost first
+    matrix_sizes  -- sizes of a group element's matrices, one per tensor axis
+                     (None: the kind has no group action)
+    axis_matrix   -- group matrix -> the matrix applied along its tensor axis
+                     (None: the group matrix itself)
+    act_power     -- act multiplies every coefficient by scalar ** act_power
+    chi_power     -- chi(g) = scalar ** chi_power * product of the determinants
+    permutes_axes -- group elements also permute the tensor axes
+    """
+
+    def __init__(self, model, shape, matrix_sizes=None, axis_matrix=None,
+                 act_power=1, chi_power=1, permutes_axes=False):
+        self.model, self.shape, self.matrix_sizes = model, shape, matrix_sizes
+        self.axis_matrix, self.act_power, self.chi_power = axis_matrix, act_power, chi_power
+        self.permutes_axes = permutes_axes
+        self.size = prod(shape)
+        index = list(product(*(range(d) for d in shape)))  # multi-index of each flat position
+        # slices[a][m]: flat positions with index m on axis a, in flat order
+        self.slices = tuple(
+            tuple(tuple(n for n, idx in enumerate(index) if idx[a] == m) for m in range(d))
+            for a, d in enumerate(shape))
+        # fibres[a]: position tuples along which axis a varies alone
+        self.fibres = tuple(tuple(zip(*sl)) for sl in self.slices)
+        # perm_index[perm][n]: source position of (perm . T) at position n, where
+        # (perm . T)[j_0, ..., j_{d-1}] = T[j_perm[0], ..., j_perm[d-1]]
+        position = {idx: n for n, idx in enumerate(index)}
+        self.perm_index = {
+            perm: tuple(position[tuple(idx[a] for a in perm)] for idx in index)
+            for perm in (permutations(range(len(shape))) if permutes_axes else ())}
+
+
+SPECS = {
+    "quartic": KindSpec(BinaryQuartic, (5,), (2,), partial(sym_power_matrix, k=4),
+                        act_power=2),
+    "form22": KindSpec(TwoTwoForm, (3, 3), (2, 2), partial(sym_power_matrix, k=2)),
+    "cubic": KindSpec(TernaryCubic, (10,)),
+    "cube": KindSpec(Cube, (3, 3, 3), (3, 3, 3), chi_power=3),
+    "hypercube": KindSpec(Hypercube, (2, 2, 2, 2), (2, 2, 2, 2), chi_power=2,
+                          permutes_axes=True),
 }
 
 
@@ -194,13 +270,13 @@ def coefficients(m):
 
 
 def is_integral(m):
-    return all(not isinstance(c, Fraction) for c in m.coefficients())
+    return all(not isinstance(c, Fraction) for c in m.coeffs)
 
 
 def content_valuation(m, p):
     """min_p-valuation over the coefficients (INFINITY for the zero model)."""
     v = INFINITY
-    for c in m.coefficients():
+    for c in m.coeffs:
         w = valuation(c, p)
         if w is INFINITY:
             continue
@@ -211,22 +287,7 @@ def content_valuation(m, p):
 
 def scalar_multiply(m, c):
     c = Fraction(c)
-    if isinstance(m, BinaryQuartic):
-        return BinaryQuartic(tuple(c * x for x in m.coeffs))
-    if isinstance(m, TwoTwoForm):
-        return TwoTwoForm(tuple(tuple(c * x for x in row) for row in m.rows))
-    if isinstance(m, TernaryCubic):
-        return TernaryCubic(tuple(c * x for x in m.coeffs))
-    if isinstance(m, Cube):
-        return Cube(tuple(tuple(tuple(c * x for x in r) for r in pl) for pl in m.entries))
-    if isinstance(m, Hypercube):
-        return Hypercube(
-            tuple(
-                tuple(tuple(tuple(c * x for x in r) for r in pl) for pl in blk)
-                for blk in m.entries
-            )
-        )
-    raise TypeError(f"not a model: {m!r}")
+    return type(m).from_coeffs([c * x for x in m.coeffs])
 
 
 def scalar_clear(m):
@@ -235,11 +296,9 @@ def scalar_clear(m):
     This is ingestion-level normalisation; mu need not be realisable inside
     the model's transformation group (for quartics only square scalings are).
     """
-    coeffs = [Fraction(c) for c in m.coefficients()]
+    coeffs = [Fraction(c) for c in m.coeffs]
     if all(c == 0 for c in coeffs):
         return m, Fraction(1)
-    from math import gcd, lcm
-
     den = 1
     for c in coeffs:
         den = lcm(den, c.denominator)
@@ -261,14 +320,6 @@ def _perm_inverse(perm):
     return tuple(inv)
 
 
-_MATRIX_SHAPE = {
-    "quartic": (2,),
-    "form22": (2, 2),
-    "cube": (3, 3, 3),
-    "hypercube": (2, 2, 2, 2),
-}
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A transformation: scalar, one matrix per tensor factor, and for
@@ -280,16 +331,16 @@ class GroupElement:
     perm: tuple = None
 
     def __post_init__(self):
+        spec = SPECS[self.kind]
         object.__setattr__(self, "scalar", Fraction(self.scalar))
         mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in m) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
-        shape = _MATRIX_SHAPE[self.kind]
-        if tuple(len(m) for m in mats) != shape:
+        if tuple(len(m) for m in mats) != spec.matrix_sizes:
             raise ValueError(f"wrong matrix sizes for kind {self.kind}")
         for m in mats:
             if det_matrix(m) == 0:
                 raise ValueError("singular matrix in group element")
-        if self.kind != "hypercube":
+        if not spec.permutes_axes:
             if self.perm is not None:
                 raise ValueError("permutations only apply to hypercubes")
         else:
@@ -300,9 +351,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, kind):
-        shape = _MATRIX_SHAPE[kind]
-        return cls(kind, Fraction(1), tuple(identity_matrix(n) for n in shape),
-                   (0, 1, 2, 3) if kind == "hypercube" else None)
+        return cls(kind, Fraction(1), tuple(identity_matrix(n) for n in SPECS[kind].matrix_sizes))
 
     @classmethod
     def scaling(cls, kind, scalar):
@@ -311,19 +360,16 @@ class GroupElement:
 
     def chi(self):
         """The character: Delta(act(g, m)) = chi(g)^12 * Delta(m)."""
-        dets = [det_matrix(m) for m in self.matrices]
-        prod = Fraction(1)
-        for d in dets:
-            prod *= d
-        la = self.scalar
-        power = {"quartic": 1, "form22": 1, "cube": 3, "hypercube": 2}[self.kind]
-        return la ** power * prod
+        prod_det = Fraction(1)
+        for m in self.matrices:
+            prod_det *= det_matrix(m)
+        return self.scalar ** SPECS[self.kind].chi_power * prod_det
 
     def compose(self, other):
         """Element acting as self after other: act(result, m) = act(self, act(other, m))."""
         if self.kind != other.kind:
             raise ValueError("kind mismatch")
-        if self.kind == "hypercube":
+        if self.perm is not None:
             s2, s1 = self.perm, other.perm
             perm = tuple(s2[s1[a]] for a in range(4))
             inv2 = _perm_inverse(s2)
@@ -333,7 +379,7 @@ class GroupElement:
         return GroupElement(self.kind, self.scalar * other.scalar, mats)
 
     def inverse(self):
-        if self.kind == "hypercube":
+        if self.perm is not None:
             inv_perm = _perm_inverse(self.perm)
             mats = tuple(mat_inv(self.matrices[self.perm[a]]) for a in range(4))
             return GroupElement(self.kind, 1 / self.scalar, mats, inv_perm)
@@ -344,142 +390,34 @@ class GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# actions
+# the action
 
 
-def _binary_power(u, v, k):
-    """Coefficients of (u*x1 + v*x2)^k, descending in x1."""
-    out = [0] * (k + 1)
-    from math import comb
-
-    for i in range(k + 1):
-        out[i] = comb(k, i) * u ** (k - i) * v ** i
+def _mode_product(t, M, fibres):
+    """Multiply every fibre of the flat tensor t along one axis by M."""
+    rows = [[(n, _num(x)) for n, x in enumerate(row) if x] for row in M]
+    out = [0] * len(t)
+    for fibre in fibres:
+        vals = [t[n] for n in fibre]
+        for pos, row in zip(fibre, rows):
+            out[pos] = sum(x * vals[n] for n, x in row)
     return out
-
-
-def _binary_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def binary_form_substitute(coeffs, A):
-    """Substitute (x1, x2) -> (x1, x2) A into a binary form."""
-    n = len(coeffs) - 1
-    out = [0] * (n + 1)
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = _binary_mul(
-            _binary_power(A[0][0], A[1][0], n - i), _binary_power(A[0][1], A[1][1], i)
-        )
-        for j, t in enumerate(term):
-            out[j] += c * t
-    return out
-
-
-def sym2_matrix(A):
-    """3x3 matrix S with m((x) A) = S m(x) for m(x) = (x1^2, x1x2, x2^2)^T."""
-    a, b = A[0][0], A[0][1]
-    c, d = A[1][0], A[1][1]
-    return (
-        (a * a, 2 * a * c, c * c),
-        (a * b, a * d + b * c, c * d),
-        (b * b, 2 * b * d, d * d),
-    )
-
-
-def _mode_apply(tensor, M, axis, ndim):
-    """Mode product: combine the slices along `axis` by the rows of M."""
-    dims = _tensor_dims(tensor, ndim)
-
-    def get(idx):
-        v = tensor
-        for i in idx:
-            v = v[i]
-        return v
-
-    def build(idx):
-        tot = 0
-        for n in range(dims[axis]):
-            src = list(idx)
-            src[axis] = n
-            tot += M[idx[axis]][n] * get(src)
-        return tot
-
-    return _nest([build(idx) for idx in product(*(range(d) for d in dims))], dims)
-
-
-def _tensor_dims(tensor, ndim):
-    dims = []
-    v = tensor
-    for _ in range(ndim):
-        dims.append(len(v))
-        v = v[0]
-    return tuple(dims)
-
-
-def _nest(flat, dims):
-    if len(dims) == 1:
-        return tuple(flat)
-    step = 1
-    for d in dims[1:]:
-        step *= d
-    return tuple(_nest(flat[i * step:(i + 1) * step], dims[1:]) for i in range(dims[0]))
-
-
-def _permute_axes(tensor, perm, ndim):
-    """(perm . T)[j_0, ..., j_{n-1}] = T[j_perm[0], ..., j_perm[n-1]]."""
-    dims = _tensor_dims(tensor, ndim)
-    new_dims = tuple(dims[perm[a]] for a in range(ndim))
-
-    def get(idx):
-        v = tensor
-        for i in idx:
-            v = v[i]
-        return v
-
-    flat = []
-    for idx in product(*(range(d) for d in new_dims)):
-        flat.append(get([idx[perm[a]] for a in range(ndim)]))
-    return _nest(flat, new_dims)
 
 
 def act(g, m):
-    """Apply a group element to a model, exactly."""
+    """Apply a group element to a model, exactly: permute the tensor axes
+    (hypercubes), apply each factor's matrix along its axis, then scale."""
     if g.kind != m.kind:
         raise ValueError(f"group element for {g.kind} applied to {m.kind}")
-    la = g.scalar
-    if isinstance(m, BinaryQuartic):
-        coeffs = binary_form_substitute(m.coeffs, g.matrices[0])
-        return BinaryQuartic(tuple(la * la * c for c in coeffs))
-    if isinstance(m, TwoTwoForm):
-        sa = sym2_matrix(g.matrices[0])
-        sb = sym2_matrix(g.matrices[1])
-        sat = tuple(tuple(sa[r][c] for r in range(3)) for c in range(3))
-        rows = mat_mul(mat_mul(sat, m.rows), sb)
-        return TwoTwoForm(tuple(tuple(la * x for x in row) for row in rows))
-    if isinstance(m, Cube):
-        t = m.entries
-        for axis in range(3):
-            t = _mode_apply(t, g.matrices[axis], axis, 3)
-        return Cube(_scale_tensor(t, la, 3))
-    if isinstance(m, Hypercube):
-        t = _permute_axes(m.entries, g.perm, 4)
-        for axis in range(4):
-            t = _mode_apply(t, g.matrices[axis], axis, 4)
-        return Hypercube(_scale_tensor(t, la, 4))
-    raise TypeError(f"cannot act on {m!r}")
-
-
-def _scale_tensor(t, c, ndim):
-    if ndim == 0:
-        return c * t
-    return tuple(_scale_tensor(x, c, ndim - 1) for x in t)
+    spec = SPECS[m.kind]
+    t = m.coeffs
+    if g.perm is not None:
+        t = [t[n] for n in spec.perm_index[g.perm]]
+    for fibres, A in zip(spec.fibres, g.matrices):
+        A = tuple(tuple(_num(x) for x in row) for row in A)
+        t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
+    la = _num(g.scalar ** spec.act_power)
+    return spec.model.from_coeffs([la * x for x in t])
 
 
 def ternary_substitute(F, A):
@@ -636,11 +574,9 @@ def quartics_of_hypercube(H):
 # ---------------------------------------------------------------------------
 # JSON-facing serialisation
 
-_COEFF_COUNT = {"quartic": 5, "form22": 9, "cube": 27, "hypercube": 16, "cubic": 10}
-
 
 def model_to_dict(m, meta=None):
-    d = {"kind": m.kind, "coeffs": [str(c) for c in m.coefficients()]}
+    d = {"kind": m.kind, "coeffs": [str(c) for c in m.coeffs]}
     if meta:
         d["meta"] = meta
     return d
@@ -648,34 +584,13 @@ def model_to_dict(m, meta=None):
 
 def model_from_dict(d):
     kind = d.get("kind")
-    if kind not in MODEL_KINDS:
+    if kind not in SPECS:
         raise ValueError(f"unknown model kind: {kind!r}")
+    size = SPECS[kind].size
     raw = d.get("coeffs")
-    if not isinstance(raw, list) or len(raw) != _COEFF_COUNT[kind]:
-        raise ValueError(f"kind {kind} expects {_COEFF_COUNT[kind]} coefficients")
-    coeffs = [_parse_coeff(str(s)) for s in raw]
-    if kind == "quartic":
-        return BinaryQuartic(tuple(coeffs))
-    if kind == "cubic":
-        return TernaryCubic(tuple(coeffs))
-    if kind == "form22":
-        return TwoTwoForm(tuple(tuple(coeffs[3 * r + c] for c in range(3)) for r in range(3)))
-    if kind == "cube":
-        return Cube(
-            tuple(
-                tuple(tuple(coeffs[9 * i + 3 * j + k] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
-    return Hypercube(
-        tuple(
-            tuple(
-                tuple(tuple(coeffs[8 * i + 4 * j + 2 * k + l] for l in range(2)) for k in range(2))
-                for j in range(2)
-            )
-            for i in range(2)
-        )
-    )
+    if not isinstance(raw, list) or len(raw) != size:
+        raise ValueError(f"kind {kind} expects {size} coefficients")
+    return SPECS[kind].model.from_coeffs([_parse_coeff(str(s)) for s in raw])
 
 
 def group_element_to_dict(g):
@@ -684,7 +599,7 @@ def group_element_to_dict(g):
         "scalar": str(g.scalar),
         "matrices": [[[str(x) for x in row] for row in m] for m in g.matrices],
     }
-    if g.kind == "hypercube":
+    if g.perm is not None:
         d["perm"] = list(g.perm)
     return d
 

@@ -10,8 +10,8 @@ variable: (p+1)^2 points for P^1 x P^1 and p^2+p+1 for P^2 enumerations.
 import os
 from dataclasses import dataclass
 
-from .exactnum import fp_inv, fp_left_kernel_vector
-from .models import Cube, Hypercube, CUBIC_MONOMIALS
+from .exactnum import fp_inv, fp_left_kernel_vector, fp_rank
+from .models import CUBIC_MONOMIALS, SPECS
 
 P1P1_DEFAULT_BOUND = 1 << 16
 P2_DEFAULT_BOUND = 1 << 10
@@ -111,7 +111,8 @@ def _is_square_form(coeffs, p):
         return False
     if d == 2:
         return False  # rootless quadratics are irreducible, hence separable
-    assert d == 4
+    if d != 4:
+        raise AssertionError(f"rootless binary form of degree {d}")
     if p == 2:
         return coeffs[1] % 2 == 0 and coeffs[3] % 2 == 0
     lead = coeffs[0] % p
@@ -224,7 +225,7 @@ def classify_22_residue(F, ctx):
     rows = _form22_residue_rows(F, p)
     if all(x == 0 for row in rows for x in row):
         return Residue22Class(TAG_ZERO)
-    rank = _rank3(rows, p)
+    rank = fp_rank(rows, p)
     if rank == 1:
         # f = g(x) h(y): witnesses from any nonzero row/column
         r0 = next(r for r in range(3) if any(rows[r]))
@@ -246,12 +247,6 @@ def classify_22_residue(F, ctx):
     if len(sing) == 1:
         return Residue22Class(TAG_UNIQUE_SINGULAR, point=sing[0])
     return Residue22Class(TAG_OTHER)
-
-
-def _rank3(rows, p):
-    from .exactnum import fp_rank
-
-    return fp_rank(rows, p)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +307,10 @@ def ternary_divide_linear(fdict, ell, p, degree):
     return {e: v for e, v in q.items() if v % p}
 
 
-def projective_linear_forms(p):
-    return projective_plane_points(p)
-
-
 def _linear_factors(fdict, p, degree):
     """All rational linear factors with multiplicities."""
     out = []
-    for ell in projective_linear_forms(p):
+    for ell in projective_plane_points(p):
         cur = fdict
         deg = degree
         mult = 0
@@ -389,7 +380,8 @@ def classify_cubic_residue(F, ctx):
         if not _linear_factors(conic, p, 2):  # conic irreducible over F_p
             vertex = _conic_singular_point(conic, p)
             if vertex is not None:
-                assert vertex == pt, "rational singular point differs from the conic vertex"
+                if vertex != pt:
+                    raise AssertionError("rational singular point differs from the conic vertex")
                 if _eval_trivariate({(1, 0, 0): ell[0], (0, 1, 0): ell[1], (0, 0, 1): ell[2]}, pt, p):
                     return ResidueCubicClass(TAG_OTHER)
     return ResidueCubicClass(TAG_UNIQUE_SINGULAR, point=pt)
@@ -411,19 +403,10 @@ def _conic_singular_point(conic, p):
 
 def saturation_defect(m, ctx):
     """(axis, residue kernel vector) witnessing slice dependence, or None."""
-    p = ctx.p
-    if isinstance(m, Cube):
-        for axis in range(3):
-            rows = [tuple(x for row in sl for x in row) for sl in m.slices(axis)]
-            ker = fp_left_kernel_vector(rows, p)
-            if ker is not None:
-                return axis, ker
-        return None
-    if isinstance(m, Hypercube):
-        for axis in range(4):
-            rows = m.slice_pair(axis)
-            ker = fp_left_kernel_vector(rows, p)
-            if ker is not None:
-                return axis, ker
-        return None
-    raise TypeError("saturation is defined for cubes and hypercubes")
+    if m.kind not in ("cube", "hypercube"):
+        raise TypeError("saturation is defined for cubes and hypercubes")
+    for axis in range(len(SPECS[m.kind].shape)):
+        ker = fp_left_kernel_vector(m.axis_slices(axis), ctx.p)
+        if ker is not None:
+            return axis, ker
+    return None

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .exactnum import INFINITY, LocalContext, fp_inv, fp_sqrt, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
-from .models import Cube, Hypercube, TwoTwoForm
 
 
 @dataclass(frozen=True)
@@ -260,8 +259,9 @@ def _step6_normalize(E, p):
     t = (-E1.a3 * fp_inv(2, p * p)) % (p * p)
     m = _translate(E, 0, s, 0).then(_translate(E1, 0, 0, t))
     cand = m.apply(E)
-    assert (cand.a1 % p == 0 and cand.a2 % p == 0 and cand.a3 % p ** 2 == 0
-            and cand.a4 % p ** 2 == 0 and cand.a6 % p ** 3 == 0), "step-6 normalisation failed"
+    if not (cand.a1 % p == 0 and cand.a2 % p == 0 and cand.a3 % p ** 2 == 0
+            and cand.a4 % p ** 2 == 0 and cand.a6 % p ** 3 == 0):
+        raise AssertionError("step-6 normalisation failed")
     return m
 
 
@@ -329,7 +329,8 @@ def tate_minimal(E, p):
         # non-minimal: rescale by u = p and restart
         m = CurveMap(Fraction(p), Fraction(0), Fraction(0), Fraction(0))
         cur = m.apply(cur)
-        assert cur.is_integral()
+        if not cur.is_integral():
+            raise AssertionError("rescaling by u = p left a non-integral curve")
         total = total.then(m)
 
 
@@ -384,7 +385,8 @@ def kappa(P, E, ctx):
     vy = valuation(Fraction(Pm.y), ctx.p)
     if (vx is INFINITY or vx >= 0) and (vy is INFINITY or vy >= 0):
         return 0
-    assert vx < 0 and vx % 2 == 0 and vy == 3 * (vx // 2), "point denominators are not (-2r, -3r)"
+    if not (vx < 0 and vx % 2 == 0 and vy == 3 * (vx // 2)):
+        raise AssertionError("point denominators are not (-2r, -3r)")
     return -(vx // 2)
 
 
@@ -396,19 +398,23 @@ class LevelReport:
     level: int
 
 
+# the InvariantSets of a model kind, one per marked point
+_MARKED_INVARIANTS = {
+    "form22": lambda m: [form22_invariants(m)],
+    "cube": lambda m: [cube_invariants(m)],
+    "hypercube": lambda m: list(hypercube_invariants(m).pair_invariants),
+}
+
+
 def level(m, ctx):
     """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube."""
     if isinstance(ctx, int):
         ctx = LocalContext(ctx)
     p = ctx.p
-    if isinstance(m, TwoTwoForm):
-        invs = [form22_invariants(m)]
-    elif isinstance(m, Cube):
-        invs = [cube_invariants(m)]
-    elif isinstance(m, Hypercube):
-        invs = list(hypercube_invariants(m).pair_invariants)
-    else:
+    marked = _MARKED_INVARIANTS.get(m.kind)
+    if marked is None:
         raise TypeError(f"level is defined for (2,2)-forms, cubes and hypercubes, not {m.kind}")
+    invs = marked(m)
     disc = invs[0].disc
     if disc == 0:
         raise ValueError("singular model")
@@ -419,7 +425,8 @@ def level(m, ctx):
         E = WeierstrassCurve(*inv.a_invariants)
         vm, cmap = minimal_discriminant_valuation(E, ctx)
         v_min = vm if v_min is None else v_min
-        assert vm == v_min, "paired Jacobians disagree on the minimal discriminant"
+        if vm != v_min:
+            raise AssertionError("paired Jacobians disagree on the minimal discriminant")
         kappas.append(kappa(Point(inv.xi, inv.eta), E, ctx))
     kap = max(kappas)
     lvl, rem = divmod(v_disc - v_min - 12 * kap, 12)

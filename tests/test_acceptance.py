@@ -156,7 +156,7 @@ def test_criterion_5_oracle_agreement():
                 continue
             if rng.randrange(3) == 0:
                 F, _ = inflate(F, ctx, rng, moves=1)
-            assert oracle_minimality_22(F, ctx, depth=2) == is_minimal_22(F, ctx)
+            assert oracle_minimality_22(F, ctx) == is_minimal_22(F, ctx)
             done += 1
         counts[p] = done
     _report(5, f"oracle and minimiser agree on {counts[2]} forms at p=2 and {counts[3]} at p=3")

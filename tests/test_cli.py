@@ -49,6 +49,29 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert main(["invariants", path]) == 2
 
 
+NON_INTEGRAL_22 = {"kind": "form22", "coeffs": ["1/2", "0", "1", "0", "1", "0", "1", "0", "3"]}
+
+
+def _assert_rejected_as_non_integral(argv, capsys):
+    assert main(argv) == 2
+    assert "model must be integral" in capsys.readouterr().err
+
+
+def test_invariants_rejects_non_integral_form22(tmp_path, capsys):
+    path = write_model(tmp_path, "r.json", NON_INTEGRAL_22)
+    _assert_rejected_as_non_integral(["invariants", path], capsys)
+
+
+def test_minimise_rejects_non_integral_form22(tmp_path, capsys):
+    path = write_model(tmp_path, "r.json", NON_INTEGRAL_22)
+    _assert_rejected_as_non_integral(["minimise", path, "--prime", "5"], capsys)
+
+
+def test_level_rejects_non_integral_form22(tmp_path, capsys):
+    path = write_model(tmp_path, "r.json", NON_INTEGRAL_22)
+    _assert_rejected_as_non_integral(["level", path, "--prime", "5"], capsys)
+
+
 def test_level_command(tmp_path, capsys):
     path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
     assert main(["level", path, "--prime", "2", "--json"]) == 0

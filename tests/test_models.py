@@ -84,6 +84,66 @@ def test_compose_and_inverse(kind, rng):
         assert act(g1.inverse(), act(g1, m)) == m
 
 
+def _explicit_cube_action(g, S):
+    """la * sum A[i][i'] B[j][j'] C[k][k'] s[i'][j'][k'], written out."""
+    A, B, C = g.matrices
+    out = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                tot = 0
+                for i2 in range(3):
+                    for j2 in range(3):
+                        for k2 in range(3):
+                            tot += A[i][i2] * B[j][j2] * C[k][k2] * S.entries[i2][j2][k2]
+                out[i][j][k] = g.scalar * tot
+    return Cube(out)
+
+
+def _explicit_hypercube_action(g, H):
+    """The permutation first, (perm . T)[j] = T[j_perm[0], ..., j_perm[3]],
+    then la * sum A[i][i'] B[j][j'] C[k][k'] D[l][l'] t[i'][j'][k'][l']."""
+    rng2 = range(2)
+    perm = g.perm
+    t = [[[[0] * 2 for _ in rng2] for _ in rng2] for _ in rng2]
+    for j0 in rng2:
+        for j1 in rng2:
+            for j2 in rng2:
+                for j3 in rng2:
+                    j = (j0, j1, j2, j3)
+                    t[j0][j1][j2][j3] = H.at(j[perm[0]], j[perm[1]], j[perm[2]], j[perm[3]])
+    A, B, C, D = g.matrices
+    out = [[[[0] * 2 for _ in rng2] for _ in rng2] for _ in rng2]
+    for i in rng2:
+        for j in rng2:
+            for k in rng2:
+                for l in rng2:
+                    tot = 0
+                    for i2 in rng2:
+                        for j2 in rng2:
+                            for k2 in rng2:
+                                for l2 in rng2:
+                                    tot += (A[i][i2] * B[j][j2] * C[k][k2] * D[l][l2]
+                                            * t[i2][j2][k2][l2])
+                    out[i][j][k][l] = g.scalar * tot
+    return Hypercube(out)
+
+
+def test_act_matches_explicit_multilinear_sum(rng):
+    for _ in range(10):
+        g = _rand_element("cube", rng)
+        S = random_cube(rng)
+        assert act(g, S) == _explicit_cube_action(g, S)
+    perms = set()
+    for _ in range(30):
+        g = _rand_element("hypercube", rng)
+        perms.add(g.perm)
+        H = random_hypercube(rng)
+        assert act(g, H) == _explicit_hypercube_action(g, H)
+    # non-involutive permutations tell the convention apart from its inverse
+    assert any(p != tuple(p.index(a) for a in range(4)) for p in perms)
+
+
 def test_chi_matches_discriminant_scaling(rng):
     weights = {"quartic": None, "form22": None, "cube": None, "hypercube": None}
     for kind in weights:
