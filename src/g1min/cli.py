@@ -8,7 +8,9 @@ quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
 Exit codes: 0 success, 2 parse error, 3 kind mismatch or unsupported
 operation for the kind, 4 singular model, 5 factorisation failure.
 Reports go to stdout, diagnostics to stderr.  The environment variable
-G1MIN_PRIME_BOUND caps the residue searches.
+G1MIN_PRIME_BOUND (default 2^10) caps only the P^2 singular-point scans of
+ternary cubics; there is no P^1 x P^1 bound.  Integers in model files and
+reports may have any number of digits.
 """
 
 import argparse
@@ -346,6 +348,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # exact coefficients and invariants may pass CPython's 4300-digit limit
+    # on int <-> str conversion, both in model files and in reports
+    digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except _CliError as e:
@@ -356,6 +362,8 @@ def main(argv=None):
         code = EXIT_SINGULAR if "singular" in msg else EXIT_PARSE
         print(f"error: {msg}", file=sys.stderr)
         return code
+    finally:
+        sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

@@ -156,6 +156,146 @@ class LocalContext:
 
 
 # ---------------------------------------------------------------------------
+# polynomials over F_p: coefficient lists, constant term first.  The kernel
+# takes and returns normalised lists: entries in [0, p), no trailing zeros,
+# and [] for the zero polynomial.
+
+
+def fp_poly(coeffs, p):
+    """The normalised polynomial with the given coefficients, reduced mod p."""
+    out = [c % p for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fp_poly_sub(a, b, p):
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return fp_poly([x - (b[i] if i < len(b) else 0) for i, x in enumerate(a)], p)
+
+
+def fp_poly_divmod(a, b, p):
+    """(quotient, remainder) of a by a nonzero b over F_p."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    n = len(b) - 1
+    inv = fp_inv(b[-1], p)
+    quot = [0] * max(len(a) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + n] * inv % p
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] = (rem[k + j] - c * y) % p
+    return quot, fp_poly(rem[:n], p)
+
+
+def fp_poly_gcd(a, b, p):
+    """The monic gcd over F_p ([] when both are zero)."""
+    while b:
+        a, b = b, fp_poly_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = fp_inv(a[-1], p)
+    return [c * inv % p for c in a]
+
+
+def fp_linear_powmod(a, e, f, p):
+    """(x + a)^e mod a monic f of degree n >= 1 over F_p, normalised.
+
+    Left-to-right square-and-multiply: each bit of e costs one square of a
+    polynomial of degree < n and its reduction, plus, for a one bit, a
+    multiplication by x + a, which is a shift.
+    """
+    n = len(f) - 1
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, u in enumerate(r):
+            if u:
+                for j, v in enumerate(r):
+                    sq[i + j] += u * v
+        for k in range(2 * n - 2, n - 1, -1):
+            c = sq[k] % p
+            if c:
+                for j in range(n):
+                    sq[k - n + j] -= c * f[j]
+        if bit == "1":  # x^n = -(f[0] + ... + f[n-1] x^(n-1)) mod f
+            top = sq[n - 1] % p
+            r = [(a * sq[i] + (sq[i - 1] if i else 0) - top * f[i]) % p for i in range(n)]
+        else:
+            r = [c % p for c in sq[:n]]
+    return fp_poly(r, p)
+
+
+def _fp_split_roots(g, p):
+    """The roots of a monic g over F_p that is a product of distinct linear
+    factors: split by gcd with (x + a)^((p-1)/2) - 1 for a = 0, 1, 2, ...
+
+    For roots r != s some shift a separates them, because the nonzero squares
+    are not invariant under translation by r - s; so the loop ends.
+    """
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    a = 0
+    while True:
+        h = fp_linear_powmod(a, (p - 1) // 2, g, p)
+        d = fp_poly_gcd(g, _fp_poly_sub(h, [1], p), p)
+        if 1 < len(d) < len(g):
+            return _fp_split_roots(d, p) + _fp_split_roots(fp_poly_divmod(g, d, p)[0], p)
+        a += 1
+
+
+def fp_poly_roots(f, p):
+    """[(root, multiplicity)] of a nonzero polynomial over F_p, roots ascending.
+
+    The rational roots are those of gcd(f, x^p - x), which splits by
+    equal-degree factorisation (Cantor-Zassenhaus, with a fixed sequence of
+    shifts, so the result is deterministic); the multiplicities come from
+    synthetic division by x - r.  The gcd, and each shift tried, costs
+    O(log p) products of polynomials of degree below deg f; a shift separates
+    two given roots for about half of all shifts.  Two shortcuts give the
+    same roots: over F_2 the candidates are 0 and 1, and for p odd a
+    quadratic is solved by the quadratic formula.
+    """
+    f = fp_poly(f, p)
+    if not f:
+        raise ValueError("zero polynomial")
+    if len(f) == 1:
+        return []
+    inv = fp_inv(f[-1], p)
+    f = [c * inv % p for c in f]
+    if p == 2:
+        roots = [r for r, value in ((0, f[0]), (1, sum(f))) if value % 2 == 0]
+    elif len(f) == 3:
+        s = fp_sqrt(f[1] * f[1] - 4 * f[0], p)
+        if s is None:
+            return []
+        half = (p + 1) // 2
+        if s == 0:
+            return [(-f[1] * half % p, 2)]
+        return sorted([((-f[1] + s) * half % p, 1), ((-f[1] - s) * half % p, 1)])
+    else:
+        xp = fp_linear_powmod(0, p, f, p)
+        roots = sorted(_fp_split_roots(fp_poly_gcd(f, _fp_poly_sub(xp, [0, 1], p), p), p))
+    out = []
+    for r in roots:
+        mult, cur = 0, f
+        while len(cur) > 1:
+            quot, acc = [0] * (len(cur) - 1), 0
+            for i in range(len(cur) - 1, 0, -1):
+                acc = (acc * r + cur[i]) % p
+                quot[i - 1] = acc
+            if (acc * r + cur[0]) % p:
+                break
+            mult, cur = mult + 1, quot
+        out.append((r, mult))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # F_p linear algebra on tuple-of-tuples matrices
 
 

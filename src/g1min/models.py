@@ -350,13 +350,27 @@ class GroupElement:
             object.__setattr__(self, "perm", tuple(perm))
 
     @classmethod
+    def _trusted(cls, kind, scalar, matrices, perm=None):
+        """An element built from valid ones (a product, an inverse, the
+        identity): its Fraction matrices are nonsingular already, so the
+        checks of __post_init__ are skipped."""
+        g = object.__new__(cls)
+        for name, value in (("kind", kind), ("scalar", scalar), ("matrices", matrices),
+                            ("perm", perm)):
+            object.__setattr__(g, name, value)
+        return g
+
+    @classmethod
     def identity(cls, kind):
-        return cls(kind, Fraction(1), tuple(identity_matrix(n) for n in SPECS[kind].matrix_sizes))
+        spec = SPECS[kind]
+        mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in identity_matrix(n))
+                     for n in spec.matrix_sizes)
+        return cls._trusted(kind, Fraction(1), mats, (0, 1, 2, 3) if spec.permutes_axes else None)
 
     @classmethod
     def scaling(cls, kind, scalar):
         g = cls.identity(kind)
-        return cls(kind, Fraction(scalar), g.matrices, g.perm)
+        return cls._trusted(kind, Fraction(scalar), g.matrices, g.perm)
 
     def chi(self):
         """The character: Delta(act(g, m)) = chi(g)^12 * Delta(m)."""
@@ -374,16 +388,17 @@ class GroupElement:
             perm = tuple(s2[s1[a]] for a in range(4))
             inv2 = _perm_inverse(s2)
             mats = tuple(mat_mul(self.matrices[a], other.matrices[inv2[a]]) for a in range(4))
-            return GroupElement(self.kind, self.scalar * other.scalar, mats, perm)
+            return GroupElement._trusted(self.kind, self.scalar * other.scalar, mats, perm)
         mats = tuple(mat_mul(a, b) for a, b in zip(self.matrices, other.matrices))
-        return GroupElement(self.kind, self.scalar * other.scalar, mats)
+        return GroupElement._trusted(self.kind, self.scalar * other.scalar, mats)
 
     def inverse(self):
         if self.perm is not None:
             inv_perm = _perm_inverse(self.perm)
             mats = tuple(mat_inv(self.matrices[self.perm[a]]) for a in range(4))
-            return GroupElement(self.kind, 1 / self.scalar, mats, inv_perm)
-        return GroupElement(self.kind, 1 / self.scalar, tuple(mat_inv(m) for m in self.matrices))
+            return GroupElement._trusted(self.kind, 1 / self.scalar, mats, inv_perm)
+        return GroupElement._trusted(self.kind, 1 / self.scalar,
+                                     tuple(mat_inv(m) for m in self.matrices))
 
     def is_identity(self):
         return self == GroupElement.identity(self.kind)

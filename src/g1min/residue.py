@@ -1,19 +1,26 @@
 """Residue-field classification of model reductions mod p.
 
-All searches are exhaustive over small projective spaces and work in every
-characteristic (the defining equations and all partial derivatives are checked
-directly, so p = 2 and p = 3 need no special casing).  Search sizes are capped
-by a prime bound, overridable through the G1MIN_PRIME_BOUND environment
-variable: (p+1)^2 points for P^1 x P^1 and p^2+p+1 for P^2 enumerations.
+Roots of binary forms over F_p come from polynomial algebra (exactnum's
+fp_poly_roots: a gcd with x^p - x, then equal-degree splitting), so the cost
+of every classification except one grows like a power of log p.  The
+defining equations and partial derivatives are checked directly, so p = 2
+and p = 3 need no special casing, except that a (2,2)-form at p = 2 is
+checked on the 9 points of P^1(F_2) x P^1(F_2).
+
+The exception is the singular point of a ternary cubic without a repeated
+rational line factor (and of the conic left by a rational line): it is still
+found by a scan of P^2(F_p), p^2 + p + 1 points, capped by a prime bound
+that the G1MIN_PRIME_BOUND environment variable overrides.
 """
 
 import os
 from dataclasses import dataclass
 
-from .exactnum import fp_inv, fp_left_kernel_vector, fp_rank
-from .models import CUBIC_MONOMIALS, SPECS
+from .exactnum import (
+    fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots, fp_rank,
+)
+from .models import CUBIC_MONOMIALS, SPECS, quartics_of_22
 
-P1P1_DEFAULT_BOUND = 1 << 16
 P2_DEFAULT_BOUND = 1 << 10
 
 
@@ -36,72 +43,35 @@ def _check_bound(p, default, what):
 # binary forms over F_p (coefficient tuples, x1-degree descending)
 
 
-def projective_line_points(p):
-    """All points of P^1(F_p) as normalised pairs (a, b)."""
-    return [(1, t) for t in range(p)] + [(0, 1)]
-
-
-def _root_linear_form(point):
-    # (a : b) is the zero of b*x1 - a*x2
-    a, b = point
-    return (b, -a)
-
-
-def binary_divide_linear(coeffs, ell, p):
-    """Quotient of a binary form by c1*x1 + c2*x2 mod p, or None."""
-    c1, c2 = ell[0] % p, ell[1] % p
-    d = len(coeffs) - 1
-    if c1 % p:
-        w = c2 * fp_inv(c1, p) % p
-        q = []
-        prev = 0
-        for i in range(d):
-            cur = (coeffs[i] - w * prev) % p
-            q.append(cur)
-            prev = cur
-        rem = (coeffs[d] - w * prev) % p
-        if rem:
-            return None
-        inv = fp_inv(c1, p)
-        return tuple(x * inv % p for x in q)
-    if coeffs[0] % p:
-        return None
-    inv = fp_inv(c2, p)
-    return tuple(x * inv % p for x in coeffs[1:])
-
-
-def binary_root_multiplicity(coeffs, point, p):
-    ell = _root_linear_form(point)
-    mult = 0
-    cur = tuple(c % p for c in coeffs)
-    while len(cur) >= 1:
-        nxt = binary_divide_linear(cur, ell, p) if len(cur) > 1 else None
-        if nxt is None:
-            break
-        mult += 1
-        cur = nxt
-    return mult
-
-
 def binary_roots(coeffs, p):
-    """[(point, multiplicity)] over F_p for a nonzero binary form."""
-    out = []
-    for pt in projective_line_points(p):
-        m = binary_root_multiplicity(coeffs, pt, p)
-        if m:
-            out.append((pt, m))
+    """[(point, multiplicity)] over F_p for a nonzero binary form.
+
+    The points are (1 : t) for the roots t of f(1, t), ascending, then (0 : 1),
+    whose multiplicity is the number of trailing zero coefficients.
+    """
+    coeffs = [c % p for c in coeffs]
+    if not any(coeffs):
+        raise ValueError("zero form")
+    out = [((1, t), m) for t, m in fp_poly_roots(coeffs, p)]
+    at_infinity = next(i for i, c in enumerate(reversed(coeffs)) if c)
+    if at_infinity:
+        out.append(((0, 1), at_infinity))
     return out
 
 
 def _strip_rational_roots(coeffs, p):
-    """(roots with multiplicity, rootless cofactor) of a nonzero binary form."""
+    """(roots with multiplicity, rootless cofactor) of a nonzero binary form.
+
+    The cofactor is f(1, t) divided by every (t - r)^m, up to a unit; its
+    coefficient list is the binary form with the same index order.
+    """
     roots = binary_roots(coeffs, p)
-    cur = tuple(c % p for c in coeffs)
-    for pt, m in roots:
-        ell = _root_linear_form(pt)
-        for _ in range(m):
-            cur = binary_divide_linear(cur, ell, p)
-    return roots, cur
+    cofactor = fp_poly(coeffs, p)
+    for (a, t), m in roots:
+        if a:
+            for _ in range(m):
+                cofactor = fp_poly_divmod(cofactor, [-t % p, 1], p)[0]
+    return roots, tuple(cofactor)
 
 
 def _is_square_form(coeffs, p):
@@ -176,35 +146,51 @@ def _form22_residue_rows(F, p):
     return tuple(tuple(x % p for x in row) for row in F.rows)
 
 
-def _eval_22(rows, xpt, ypt):
-    x1, x2 = xpt
-    y1, y2 = ypt
-    mx = (x1 * x1, x1 * x2, x2 * x2)
-    my = (y1 * y1, y1 * y2, y2 * y2)
-    return sum(rows[r][c] * mx[r] * my[c] for r in range(3) for c in range(3))
+_F2_LINE = ((1, 0), (1, 1), (0, 1))  # P^1(F_2)
 
 
-def _singular_points_22(rows, p):
+def _eval_binary(coeffs, pt):
+    d = len(coeffs) - 1
+    return sum(c * pt[0] ** (d - i) * pt[1] ** i for i, c in enumerate(coeffs))
+
+
+def _fibre_forms(rows, x):
+    """F(x, .) and its four partial derivatives at x, as binary forms in y:
+    the two y-partials (linear), F, then the two x-partials (quadratic)."""
+    x1, x2 = x
+    f, fx1, fx2 = (tuple(sum(rows[r][c] * v[r] for r in range(3)) for c in range(3))
+                   for v in ((x1 * x1, x1 * x2, x2 * x2), (2 * x1, x2, 0), (0, x1, 2 * x2)))
+    return (2 * f[0], f[1]), (f[1], 2 * f[2]), f, fx1, fx2
+
+
+def _singular_points_22(F, rows, p):
+    """The F_p-points (x, y) of the singular locus of a residue (2,2)-form of
+    rank >= 2, x then y in binary_roots order; None when the locus is a curve,
+    which has p + 1 rational points.
+
+    The y over a given x are the common roots of F(x, .) and the partials at
+    x.  For p odd the candidate x are the multiple roots of
+    G1 = F2^2 - 4 F1 F3, where F = F1(x) y1^2 + F2(x) y1 y2 + F3(x) y2^2: the
+    discriminant in y vanishes to order 2 under a singular point.  G1 = 0
+    means F = c (u(x) y1 + v(x) y2)^2 with u, v independent (rank >= 2), whose
+    singular locus is the curve u y1 + v y2 = 0.  For p = 2 every x of
+    P^1(F_2) is a candidate.
+    """
+    if p == 2:
+        xs = _F2_LINE
+    else:
+        g1 = quartics_of_22(F)[0].coeffs
+        if all(c % p == 0 for c in g1):
+            return None
+        xs = [x for x, m in binary_roots(g1, p) if m >= 2]
     pts = []
-    line = projective_line_points(p)
-    for xpt in line:
-        x1, x2 = xpt
-        dx1 = (2 * x1, x2, 0)
-        dx2 = (0, x1, 2 * x2)
-        mx = (x1 * x1, x1 * x2, x2 * x2)
-        for ypt in line:
-            y1, y2 = ypt
-            my = (y1 * y1, y1 * y2, y2 * y2)
-            dy1 = (2 * y1, y2, 0)
-            dy2 = (0, y1, 2 * y2)
-            ok = True
-            for vx, vy in ((mx, my), (dx1, my), (dx2, my), (mx, dy1), (mx, dy2)):
-                tot = sum(rows[r][c] * vx[r] * vy[c] for r in range(3) for c in range(3))
-                if tot % p:
-                    ok = False
-                    break
-            if ok:
-                pts.append((xpt, ypt))
+    for x in xs:
+        forms = _fibre_forms(rows, x)
+        # some form is nonzero: if all vanished along the fibre over x, then
+        # F = m(x)^2 h(y) with m(x) = 0 the fibre, and F would have rank 1
+        nonzero = next(f for f in forms if any(c % p for c in f))
+        pts += [(x, y) for y, _ in binary_roots(nonzero, p)
+                if all(_eval_binary(f, y) % p == 0 for f in forms)]
     return pts
 
 
@@ -242,9 +228,8 @@ def classify_22_residue(F, ctx):
         if yr is not None:
             return Residue22Class(TAG_PRODUCT_ONE, y_root=yr, repeated_side="y")
         return Residue22Class(TAG_PRODUCT_NONE)
-    _check_bound(p, P1P1_DEFAULT_BOUND, "P1 x P1 singular-point")
-    sing = _singular_points_22(rows, p)
-    if len(sing) == 1:
+    sing = _singular_points_22(F, rows, p)
+    if sing is not None and len(sing) == 1:
         return Residue22Class(TAG_UNIQUE_SINGULAR, point=sing[0])
     return Residue22Class(TAG_OTHER)
 
@@ -307,20 +292,65 @@ def ternary_divide_linear(fdict, ell, p, degree):
     return {e: v for e, v in q.items() if v % p}
 
 
+def _divide_out(fdict, ell, p, degree):
+    """(m, fdict / ell^m) for the multiplicity m of the line ell in fdict."""
+    mult = 0
+    while mult < degree:
+        quot = ternary_divide_linear(fdict, ell, p, degree - mult)
+        if quot is None:
+            break
+        fdict, mult = quot, mult + 1
+    return mult, fdict
+
+
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _normalised(v, p):
+    """The representative of a nonzero vector mod p whose first nonzero entry is 1."""
+    inv = fp_inv(next(x for x in v if x % p), p)
+    return tuple(x * inv % p for x in v)
+
+
+def _plane_index(pt, p):
+    """The position of a normalised point in projective_plane_points(p)."""
+    a, b, c = pt
+    return b * p + c if a else p * p + (c if b else p)
+
+
 def _linear_factors(fdict, p, degree):
-    """All rational linear factors with multiplicities."""
+    """All rational linear factors with multiplicities, in the order of
+    projective_plane_points.
+
+    After the coordinate lines are divided out, a rational line factor meets
+    the three coordinate lines in rational roots of the restrictions of the
+    cofactor, at least two of them distinct (no point lies on all three
+    lines); so the lines through two such roots are the only other candidates.
+    """
+    rest, deg = fdict, degree
+    for ell in _AXES:
+        mult, rest = _divide_out(rest, ell, p, deg)
+        deg -= mult
+    points = []
+    for var in range(3):
+        u, w = (i for i in range(3) if i != var)
+        restriction = [0] * (deg + 1)
+        for e, c in rest.items():
+            if e[var] == 0:
+                restriction[e[w]] = c
+        for (s, t), _ in binary_roots(restriction, p):
+            pt = [0, 0, 0]
+            pt[u], pt[w] = s, t
+            points.append(tuple(pt))
+    lines = set(_AXES)
+    for i, (a1, a2, a3) in enumerate(points):
+        for b1, b2, b3 in points[i + 1:]:
+            cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+            if any(x % p for x in cross):
+                lines.add(_normalised(cross, p))
     out = []
-    for ell in projective_plane_points(p):
-        cur = fdict
-        deg = degree
-        mult = 0
-        while deg >= 1:
-            nxt = ternary_divide_linear(cur, ell, p, deg)
-            if nxt is None:
-                break
-            mult += 1
-            cur = nxt
-            deg -= 1
+    for ell in sorted(lines, key=lambda ell: _plane_index(ell, p)):
+        mult = _divide_out(fdict, ell, p, degree)[0]
         if mult:
             out.append((ell, mult))
     return out
@@ -361,11 +391,11 @@ def classify_cubic_residue(F, ctx):
     f = _cubic_residue(F, p)
     if not f:
         return ResidueCubicClass(TAG_ZERO)
-    _check_bound(p, P2_DEFAULT_BOUND, "P^2 residue")
     factors = _linear_factors(f, p, 3)
     for ell, mult in factors:
         if mult >= 2:
             return ResidueCubicClass(TAG_REPEATED_LINE, factor=ell)
+    _check_bound(p, P2_DEFAULT_BOUND, "P^2 singular-point")
     sing = _singular_points_trivariate(f, p)
     if len(sing) != 1:
         return ResidueCubicClass(TAG_OTHER)

@@ -15,7 +15,7 @@ of their kappas.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import INFINITY, LocalContext, fp_inv, fp_sqrt, valuation
+from .exactnum import INFINITY, LocalContext, fp_inv, fp_poly_roots, fp_sqrt, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
 
 
@@ -205,39 +205,30 @@ def _fp_quadratic_roots(a, b, p):
 
 
 def _fp_cubic_roots(a, b, c, p):
-    """Roots with multiplicity of T^3 + a T^2 + b T + c over F_p (trial)."""
-    roots = []
-    for t in range(p):
-        if (((t + a) * t + b) * t + c) % p == 0:
-            # synthetic division by (T - t): quotient T^2 + q1 T + q2
-            q1 = (a + t) % p
-            q2 = (b + t * q1) % p
-            mult = 1
-            if (q2 + t * (q1 + t)) % p == 0:
-                mult = 2
-                if (q1 + 2 * t) % p == 0:
-                    mult = 3
-            roots.append((t, mult))
-    return roots
+    """Roots with multiplicity of T^3 + a T^2 + b T + c over F_p, ascending."""
+    return fp_poly_roots([c, b, a, 1], p)
 
 
 def _singular_point_mod_p(E, p):
-    """A singular point of the reduction mod p (exists when p | disc)."""
-    for x in range(p):
-        # y-partial: 2y + a1 x + a3 = 0; for p = 2 solve directly
-        ys = []
-        if p == 2:
-            ys = [y for y in range(2)
-                  if (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % 2 == 0]
-        else:
-            y = (-(E.a1 * x + E.a3) * fp_inv(2, p)) % p
-            ys = [y]
-        for y in ys:
-            f = (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % p
-            fx = (E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4) % p
-            fy = (2 * y + E.a1 * x + E.a3) % p
-            if f == 0 and fx == 0 and fy == 0:
-                return x, y
+    """The singular point of the reduction mod p (it exists when p | disc).
+
+    For p odd, completing the square turns the curve into
+    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the point is
+    (x0, -(a1 x0 + a3)/2) with x0 the multiple root of the cubic, which is
+    rational because it is unique.
+    """
+    if p == 2:
+        for x in (0, 1):
+            for y in (0, 1):
+                f = (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % 2
+                fx = (E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4) % 2
+                fy = (2 * y + E.a1 * x + E.a3) % 2
+                if f == 0 and fx == 0 and fy == 0:
+                    return x, y
+    else:
+        for x, mult in fp_poly_roots([E.b6, 2 * E.b4, E.b2, 4], p):
+            if mult >= 2:
+                return x, (-(E.a1 * x + E.a3) * fp_inv(2, p)) % p
     raise AssertionError("no singular point found although p | disc")
 
 

@@ -1,0 +1,251 @@
+"""The exhaustive residue scans that the F_p polynomial algebra replaced.
+
+These are the P^1, P^1 x P^1 and P^2 enumerations g1min used before its root
+finder: binary roots by trying every point of P^1(F_p), the singular points of
+a (2,2)-form by trying every point of P^1 x P^1, rational line factors of a
+ternary cubic by trial division by every line of P^2, and the Tate-walk roots
+by trying every residue.  They cost O(p) to O(p^2) and serve only as the
+reference the differential tests compare the library against, at small p.
+The classifiers are the library's, with their prime-bound checks removed.
+"""
+
+from g1min.exactnum import fp_inv, fp_rank
+from g1min.residue import (
+    Residue22Class, ResidueCubicClass, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
+    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, _conic_singular_point,
+    _cubic_residue, _eval_trivariate, _form22_residue_rows, _is_square_form,
+    _singular_points_trivariate, projective_plane_points, ternary_divide_linear,
+)
+
+
+def projective_line_points(p):
+    """All points of P^1(F_p) as normalised pairs (a, b)."""
+    return [(1, t) for t in range(p)] + [(0, 1)]
+
+
+def _root_linear_form(point):
+    # (a : b) is the zero of b*x1 - a*x2
+    a, b = point
+    return (b, -a)
+
+
+def binary_divide_linear(coeffs, ell, p):
+    """Quotient of a binary form by c1*x1 + c2*x2 mod p, or None."""
+    c1, c2 = ell[0] % p, ell[1] % p
+    d = len(coeffs) - 1
+    if c1 % p:
+        w = c2 * fp_inv(c1, p) % p
+        q = []
+        prev = 0
+        for i in range(d):
+            cur = (coeffs[i] - w * prev) % p
+            q.append(cur)
+            prev = cur
+        rem = (coeffs[d] - w * prev) % p
+        if rem:
+            return None
+        inv = fp_inv(c1, p)
+        return tuple(x * inv % p for x in q)
+    if coeffs[0] % p:
+        return None
+    inv = fp_inv(c2, p)
+    return tuple(x * inv % p for x in coeffs[1:])
+
+
+def binary_root_multiplicity(coeffs, point, p):
+    ell = _root_linear_form(point)
+    mult = 0
+    cur = tuple(c % p for c in coeffs)
+    while len(cur) >= 1:
+        nxt = binary_divide_linear(cur, ell, p) if len(cur) > 1 else None
+        if nxt is None:
+            break
+        mult += 1
+        cur = nxt
+    return mult
+
+
+def binary_roots(coeffs, p):
+    """[(point, multiplicity)] over F_p for a nonzero binary form."""
+    out = []
+    for pt in projective_line_points(p):
+        m = binary_root_multiplicity(coeffs, pt, p)
+        if m:
+            out.append((pt, m))
+    return out
+
+
+def _strip_rational_roots(coeffs, p):
+    """(roots with multiplicity, rootless cofactor) of a nonzero binary form."""
+    roots = binary_roots(coeffs, p)
+    cur = tuple(c % p for c in coeffs)
+    for pt, m in roots:
+        ell = _root_linear_form(pt)
+        for _ in range(m):
+            cur = binary_divide_linear(cur, ell, p)
+    return roots, cur
+
+
+def repeated_root(coeffs, p):
+    """The unique multiple root of a nonzero binary form over the algebraic
+    closure, provided it is F_p-rational; None otherwise."""
+    if all(c % p == 0 for c in coeffs):
+        raise ValueError("zero form")
+    roots, cofactor = _strip_rational_roots(coeffs, p)
+    multiple = [pt for pt, m in roots if m >= 2]
+    if len(multiple) != 1:
+        return None
+    if _is_square_form(cofactor, p):
+        return None  # extra conjugate double roots
+    return multiple[0]
+
+
+def _singular_points_22(rows, p):
+    pts = []
+    line = projective_line_points(p)
+    for xpt in line:
+        x1, x2 = xpt
+        dx1 = (2 * x1, x2, 0)
+        dx2 = (0, x1, 2 * x2)
+        mx = (x1 * x1, x1 * x2, x2 * x2)
+        for ypt in line:
+            y1, y2 = ypt
+            my = (y1 * y1, y1 * y2, y2 * y2)
+            dy1 = (2 * y1, y2, 0)
+            dy2 = (0, y1, 2 * y2)
+            ok = True
+            for vx, vy in ((mx, my), (dx1, my), (dx2, my), (mx, dy1), (mx, dy2)):
+                tot = sum(rows[r][c] * vx[r] * vy[c] for r in range(3) for c in range(3))
+                if tot % p:
+                    ok = False
+                    break
+            if ok:
+                pts.append((xpt, ypt))
+    return pts
+
+
+def _quadratic_repeated_point(coeffs, p):
+    """The double root of a quadratic form, or None (always rational if any)."""
+    if all(c % p == 0 for c in coeffs):
+        return None
+    roots = binary_roots(coeffs, p)
+    for pt, m in roots:
+        if m >= 2:
+            return pt
+    return None
+
+
+def classify_22_residue(F, ctx):
+    """Classify the reduction mod p of a (2,2)-form, with witnesses."""
+    p = ctx.p
+    rows = _form22_residue_rows(F, p)
+    if all(x == 0 for row in rows for x in row):
+        return Residue22Class(TAG_ZERO)
+    rank = fp_rank(rows, p)
+    if rank == 1:
+        # f = g(x) h(y): witnesses from any nonzero row/column
+        r0 = next(r for r in range(3) if any(rows[r]))
+        c0 = next(c for c in range(3) if rows[r0][c])
+        h = rows[r0]
+        inv = fp_inv(rows[r0][c0], p)
+        g = tuple(rows[r][c0] * inv % p for r in range(3))
+        xr = _quadratic_repeated_point(g, p)
+        yr = _quadratic_repeated_point(h, p)
+        if xr is not None and yr is not None:
+            return Residue22Class(TAG_PRODUCT_BOTH, x_root=xr, y_root=yr)
+        if xr is not None:
+            return Residue22Class(TAG_PRODUCT_ONE, x_root=xr, repeated_side="x")
+        if yr is not None:
+            return Residue22Class(TAG_PRODUCT_ONE, y_root=yr, repeated_side="y")
+        return Residue22Class(TAG_PRODUCT_NONE)
+    sing = _singular_points_22(rows, p)
+    if len(sing) == 1:
+        return Residue22Class(TAG_UNIQUE_SINGULAR, point=sing[0])
+    return Residue22Class(TAG_OTHER)
+
+
+def _linear_factors(fdict, p, degree):
+    """All rational linear factors with multiplicities."""
+    out = []
+    for ell in projective_plane_points(p):
+        cur = fdict
+        deg = degree
+        mult = 0
+        while deg >= 1:
+            nxt = ternary_divide_linear(cur, ell, p, deg)
+            if nxt is None:
+                break
+            mult += 1
+            cur = nxt
+            deg -= 1
+        if mult:
+            out.append((ell, mult))
+    return out
+
+
+def classify_cubic_residue(F, ctx):
+    """Classify the reduction mod p of a ternary cubic, with witnesses."""
+    p = ctx.p
+    f = _cubic_residue(F, p)
+    if not f:
+        return ResidueCubicClass(TAG_ZERO)
+    factors = _linear_factors(f, p, 3)
+    for ell, mult in factors:
+        if mult >= 2:
+            return ResidueCubicClass(TAG_REPEATED_LINE, factor=ell)
+    sing = _singular_points_trivariate(f, p)
+    if len(sing) != 1:
+        return ResidueCubicClass(TAG_OTHER)
+    pt = sing[0]
+    # certify uniqueness over the closure: the only non-obvious case is a
+    # rational line times a conic that is an irrational line pair; then the
+    # conic's vertex is the found point and uniqueness needs it to lie on the
+    # stripped line as well.
+    if len(factors) == 1 and factors[0][1] == 1:
+        ell = factors[0][0]
+        conic = ternary_divide_linear(f, ell, p, 3)
+        if not _linear_factors(conic, p, 2):  # conic irreducible over F_p
+            vertex = _conic_singular_point(conic, p)
+            if vertex is not None:
+                if vertex != pt:
+                    raise AssertionError("rational singular point differs from the conic vertex")
+                if _eval_trivariate({(1, 0, 0): ell[0], (0, 1, 0): ell[1], (0, 0, 1): ell[2]}, pt, p):
+                    return ResidueCubicClass(TAG_OTHER)
+    return ResidueCubicClass(TAG_UNIQUE_SINGULAR, point=pt)
+
+
+def _fp_cubic_roots(a, b, c, p):
+    """Roots with multiplicity of T^3 + a T^2 + b T + c over F_p (trial)."""
+    roots = []
+    for t in range(p):
+        if (((t + a) * t + b) * t + c) % p == 0:
+            # synthetic division by (T - t): quotient T^2 + q1 T + q2
+            q1 = (a + t) % p
+            q2 = (b + t * q1) % p
+            mult = 1
+            if (q2 + t * (q1 + t)) % p == 0:
+                mult = 2
+                if (q1 + 2 * t) % p == 0:
+                    mult = 3
+            roots.append((t, mult))
+    return roots
+
+
+def _singular_point_mod_p(E, p):
+    """A singular point of the reduction mod p (exists when p | disc)."""
+    for x in range(p):
+        # y-partial: 2y + a1 x + a3 = 0; for p = 2 solve directly
+        ys = []
+        if p == 2:
+            ys = [y for y in range(2)
+                  if (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % 2 == 0]
+        else:
+            y = (-(E.a1 * x + E.a3) * fp_inv(2, p)) % p
+            ys = [y]
+        for y in ys:
+            f = (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % p
+            fx = (E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4) % p
+            fy = (2 * y + E.a1 * x + E.a3) % p
+            if f == 0 and fx == 0 and fy == 0:
+                return x, y
+    raise AssertionError("no singular point found although p | disc")

@@ -1,6 +1,8 @@
+import contextlib
 import json
+import sys
 
-from g1min import model_from_dict, model_to_dict, construct_22, scalar_multiply
+from g1min import discriminant, model_from_dict, model_to_dict, construct_22, scalar_multiply
 from g1min.cli import main
 from g1min.exactnum import is_prime
 
@@ -220,3 +222,40 @@ def test_construct_critical_then_minimise(tmp_path, capsys):
 
 def test_construct_requires_curve_or_critical(capsys):
     assert main(["construct", "--type", "22"]) == 2
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Let this test write and read integers past CPython's 4300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _huge_form22_file(tmp_path):
+    F = construct_22(1, 0, 0, 10 ** 5000 + 7)  # one 5001-digit coefficient
+    with _no_digit_limit():
+        return F, form22_file(tmp_path, F)
+
+
+def test_invariants_past_the_digit_limit(tmp_path, capsys):
+    F, path = _huge_form22_file(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    assert main(["invariants", path, "--json"]) == 0
+    assert sys.get_int_max_str_digits() == limit  # restored after the command
+    with _no_digit_limit():
+        doc = json.loads(capsys.readouterr().out)
+        assert int(doc["Delta"]) == discriminant(F)
+        assert len(doc["Delta"]) > 15000
+
+
+def test_minimise_json_past_the_digit_limit(tmp_path, capsys):
+    F, path = _huge_form22_file(tmp_path)
+    assert main(["minimise", path, "--prime", "5", "--json"]) == 0
+    with _no_digit_limit():
+        doc = json.loads(capsys.readouterr().out)
+        assert model_from_dict(doc["model"]) == F
+    assert doc["alreadyMinimal"] is True

@@ -11,7 +11,7 @@ from g1min import (
 )
 from g1min.exactnum import det_matrix
 from g1min.invariants import quartic_invariants
-from g1min.models import ternary_substitute
+from g1min.models import group_element_from_dict, group_element_to_dict, ternary_substitute
 
 from conftest import (
     identity_hypercube, levi_civita_cube, nonzero_disc, random_cube,
@@ -82,6 +82,23 @@ def test_compose_and_inverse(kind, rng):
         g2 = _rand_element(kind, rng)
         assert act(g2, act(g1, m)) == act(g2.compose(g1), m)
         assert act(g1.inverse(), act(g1, m)) == m
+        # compose, inverse, identity and scaling skip the constructor's
+        # checks; their results must be what the constructor would build
+        for g in (g2.compose(g1), g1.inverse(), GroupElement.identity(kind),
+                  GroupElement.scaling(kind, 3)):
+            assert g == GroupElement(g.kind, g.scalar, g.matrices, g.perm)
+            assert all(type(x) is Fraction for mat in g.matrices for row in mat for x in row)
+            assert type(g.scalar) is Fraction
+
+
+def test_singular_group_element_rejected():
+    singular = ((1, 2), (2, 4))
+    with pytest.raises(ValueError, match="singular matrix in group element"):
+        GroupElement("form22", 1, (singular, ((1, 0), (0, 1))))
+    doc = group_element_to_dict(GroupElement.identity("form22"))
+    doc["matrices"][0] = [[str(x) for x in row] for row in singular]
+    with pytest.raises(ValueError, match="singular matrix in group element"):
+        group_element_from_dict(doc)
 
 
 def _explicit_cube_action(g, S):

@@ -4,7 +4,8 @@ import pytest
 
 from g1min import (
     Cube, Hypercube, LocalContext, TernaryCubic, TwoTwoForm, classify_22_residue,
-    classify_cubic_residue, repeated_root, saturation_defect,
+    classify_cubic_residue, construct_22, critical_model, discriminant, inflate, level,
+    minimise, repeated_root, saturation_defect, valuation,
 )
 from g1min.exactnum import det_matrix
 from g1min.models import GroupElement, act
@@ -180,9 +181,83 @@ def test_saturation_defect_examples():
 def test_prime_bound_guard(monkeypatch):
     monkeypatch.setenv("G1MIN_PRIME_BOUND", "3")
     ctx = LocalContext(5)
-    with pytest.raises(PrimeBoundError):
-        classify_22_residue(TwoTwoForm(((1, 1, 0), (1, 0, 0), (0, 0, 1))), ctx)
+    # the smooth Fermat cubic reaches the capped P^2 singular-point scan
     with pytest.raises(PrimeBoundError):
         classify_cubic_residue(_cubic({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), ctx)
     monkeypatch.delenv("G1MIN_PRIME_BOUND")
     assert len(projective_plane_points(3)) == 13
+
+
+# ---------------------------------------------------------------------------
+# primes of any size: no residue search enumerates F_p
+
+P61 = (1 << 61) - 1
+
+
+def _binary_product(*factors):
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+               for k in range(len(out) + len(f) - 1)]
+    return tuple(out)
+
+
+def test_repeated_root_at_p61(rng):
+    t, u, v = (rng.randrange(P61) for _ in range(3))
+    # (1 : t) is the zero of t x1 - x2
+    double = (t, -1)
+    assert repeated_root(_binary_product(double, double, (u, -1), (v, -1)), P61) == (1, t)
+    assert repeated_root(_binary_product(double, double, double, (u, -1)), P61) == (1, t)
+    assert repeated_root(_binary_product((1, 0), (1, 0), double, (u, -1)), P61) == (0, 1)
+    assert repeated_root(_binary_product(double, (u, -1), (v, -1), (1, 0)), P61) is None
+    # 3 is a non-residue mod 2^61 - 1: (x1^2 - 3 x2^2)^2 has only conjugate double roots
+    assert pow(3, (P61 - 1) // 2, P61) == P61 - 1
+    conj = (1, 0, -3)
+    assert repeated_root(_binary_product(conj, conj), P61) is None
+    assert repeated_root(_binary_product(double, double, conj), P61) == (1, t)
+
+
+def test_classify_22_at_p61(rng):
+    ctx = LocalContext(P61)
+    mats = tuple(tuple(tuple(rng.randrange(P61) for _ in range(2)) for _ in range(2))
+                 for _ in range(2))
+    g = GroupElement("form22", 1, mats)
+    cases = [
+        (((0, 0, 0), (0, 0, 0), (0, 0, 1)), TAG_PRODUCT_BOTH),  # x2^2 y2^2
+        (((0, 0, 0), (0, 0, 0), (1, 1, 0)), TAG_PRODUCT_ONE),   # x2^2 (y1^2 + y1 y2)
+        (((0, 0, 0), (0, 1, 0), (0, 0, 0)), TAG_PRODUCT_NONE),  # x1 x2 y1 y2
+        (((0, 0, 0), (0, 0, 2), (0, 3, 1)), TAG_UNIQUE_SINGULAR),
+        (((1, 0, 0), (0, 2, 0), (0, 0, 1)), TAG_OTHER),         # (x1 y1 + x2 y2)^2
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), TAG_OTHER),         # smooth
+    ]
+    for rows, tag in cases:
+        F = TwoTwoForm(rows)
+        assert _cls(rows, P61).tag == tag
+        assert classify_22_residue(act(g, F), ctx).tag == tag
+    cls = _cls(((0, 0, 0), (0, 0, 2), (0, 3, 1)), P61)
+    assert cls.point == ((1, 0), (1, 0))
+
+
+def test_level_and_round_trips_at_p61(rng):
+    ctx = LocalContext(P61)
+    base = construct_22(1, -1, 0, 2)
+    F, _ = inflate(base, ctx, rng, moves=1)
+    assert level(F, ctx).level == 1
+    rep = minimise(F, ctx)
+    assert act(rep.transformation, F) == rep.model
+    assert level(rep.model, ctx).level == 0
+    H = Hypercube((((((1, 0), (0, 1)), ((0, 1), (1, 1))), (((0, 1), (1, 0)), ((1, 2), (3, 1))))))
+    assert discriminant(H) != 0
+    H2, _ = inflate(H, ctx, rng, moves=1)
+    rep = minimise(H2, ctx)
+    assert act(rep.transformation, H2) == rep.model
+    assert rep.v_disc_final == valuation(discriminant(H), P61)
+
+
+def test_critical_cube_past_the_old_p2_bound():
+    # p = 1031 > 2^10: the repeated-line search used to raise PrimeBoundError
+    ctx = LocalContext(1031)
+    S = critical_model("cube", ctx, 7)
+    rep = minimise(S, ctx)
+    assert rep.steps == () and rep.model == S
+    assert level(S, ctx).level >= 1

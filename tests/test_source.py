@@ -14,3 +14,33 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the capped P^2 singular-point scans of ternary cubics and their point set
+P2_SCANS = {"projective_plane_points", "_singular_points_trivariate", "_conic_singular_point"}
+
+
+def _mentions_p(node):
+    return any((isinstance(n, ast.Name) and n.id == "p") or
+               (isinstance(n, ast.Attribute) and n.attr == "p") for n in ast.walk(node))
+
+
+def test_no_residue_scan_over_the_prime():
+    # residue roots come from F_p polynomial algebra: no loop of p or p^2
+    # steps outside the capped P^2 scans, and no enumeration of P^1(F_p)
+    found = []
+    for name in ("residue.py", "weierstrass.py"):
+        path = Path(g1min.__file__).parent / name
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, ast.FunctionDef) or func.name in P2_SCANS:
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                    continue
+                if node.func.id == "range" and any(_mentions_p(a) for a in node.args):
+                    found.append(f"{name}:{node.lineno} range over p in {func.name}")
+                elif node.func.id == "projective_line_points":
+                    found.append(f"{name}:{node.lineno} P^1 scan in {func.name}")
+                elif node.func.id == "projective_plane_points":
+                    found.append(f"{name}:{node.lineno} P^2 scan in {func.name}")
+    assert found == []
