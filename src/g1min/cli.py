@@ -349,9 +349,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # exact coefficients and invariants may pass CPython's 4300-digit limit
-    # on int <-> str conversion, both in model files and in reports
-    digits_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # on int <-> str conversion, both in model files and in reports; the
+    # limit (and its setter) exists from CPython 3.10.7 and 3.11 on
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except _CliError as e:
@@ -363,7 +365,8 @@ def main(argv=None):
         print(f"error: {msg}", file=sys.stderr)
         return code
     finally:
-        sys.set_int_max_str_digits(digits_limit)
+        if digits_limit is not None:
+            sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

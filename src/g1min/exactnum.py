@@ -256,9 +256,8 @@ def fp_poly_roots(f, p):
     shifts, so the result is deterministic); the multiplicities come from
     synthetic division by x - r.  The gcd, and each shift tried, costs
     O(log p) products of polynomials of degree below deg f; a shift separates
-    two given roots for about half of all shifts.  Two shortcuts give the
-    same roots: over F_2 the candidates are 0 and 1, and for p odd a
-    quadratic is solved by the quadratic formula.
+    two given roots for about half of all shifts.  Over F_2 the candidates
+    are just 0 and 1.
     """
     f = fp_poly(f, p)
     if not f:
@@ -269,14 +268,6 @@ def fp_poly_roots(f, p):
     f = [c * inv % p for c in f]
     if p == 2:
         roots = [r for r, value in ((0, f[0]), (1, sum(f))) if value % 2 == 0]
-    elif len(f) == 3:
-        s = fp_sqrt(f[1] * f[1] - 4 * f[0], p)
-        if s is None:
-            return []
-        half = (p + 1) // 2
-        if s == 0:
-            return [(-f[1] * half % p, 2)]
-        return sorted([((-f[1] + s) * half % p, 1), ((-f[1] - s) * half % p, 1)])
     else:
         xp = fp_linear_powmod(0, p, f, p)
         roots = sorted(_fp_split_roots(fp_poly_gcd(f, _fp_poly_sub(xp, [0, 1], p), p), p))

@@ -15,7 +15,7 @@ of their kappas.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import INFINITY, LocalContext, fp_inv, fp_poly_roots, fp_sqrt, valuation
+from .exactnum import INFINITY, LocalContext, fp_inv, fp_poly_roots, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
 
 
@@ -189,19 +189,8 @@ def _translate(E, r=0, s=0, t=0):
 
 
 def _fp_quadratic_roots(a, b, p):
-    """Roots of Y^2 + a Y + b over F_p (list, possibly with one double root)."""
-    a %= p
-    b %= p
-    if p == 2:
-        return [y for y in (0, 1) if (y * y + a * y + b) % 2 == 0]
-    disc = (a * a - 4 * b) % p
-    r = fp_sqrt(disc, p)
-    if r is None:
-        return []
-    inv2 = fp_inv(2, p)
-    if r == 0:
-        return [(-a * inv2) % p]
-    return sorted({((-a + r) * inv2) % p, ((-a - r) * inv2) % p})
+    """Roots of Y^2 + a Y + b over F_p, ascending, a double root once."""
+    return [y for y, _ in fp_poly_roots([b, a, 1], p)]
 
 
 def _fp_cubic_roots(a, b, c, p):

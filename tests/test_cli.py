@@ -226,7 +226,11 @@ def test_construct_requires_curve_or_critical(capsys):
 
 @contextlib.contextmanager
 def _no_digit_limit():
-    """Let this test write and read integers past CPython's 4300 digits."""
+    """Let this test write and read integers past CPython's 4300 digits
+    (before 3.10.7 there is no limit to lift)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -243,9 +247,10 @@ def _huge_form22_file(tmp_path):
 
 def test_invariants_past_the_digit_limit(tmp_path, capsys):
     F, path = _huge_form22_file(tmp_path)
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     assert main(["invariants", path, "--json"]) == 0
-    assert sys.get_int_max_str_digits() == limit  # restored after the command
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after the command
     with _no_digit_limit():
         doc = json.loads(capsys.readouterr().out)
         assert int(doc["Delta"]) == discriminant(F)
@@ -259,3 +264,12 @@ def test_minimise_json_past_the_digit_limit(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert model_from_dict(doc["model"]) == F
     assert doc["alreadyMinimal"] is True
+
+
+def test_cli_runs_without_a_digit_limit_api(tmp_path, capsys, monkeypatch):
+    # CPython before 3.10.7 has neither the limit nor its getter and setter
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    assert main(["invariants", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["Delta"] == "-64"
