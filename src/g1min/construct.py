@@ -1,6 +1,7 @@
 """Level-zero constructions, degree conversions, critical-model sampling,
-the admissible-weight census, and the brute-force minimality oracle for
-(2,2)-forms.
+the admissible-weight census (a pure-Python stream of every weight through
+an antichain of packed deficiency vectors), and the brute-force minimality
+oracle for (2,2)-forms.
 
 Everything random takes an explicit random.Random (or a seed), so acceptance
 runs are reproducible.
@@ -10,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import random
-
-import numpy as np
 
 from .exactnum import LocalContext, identity_matrix, valuation
 from .invariants import discriminant
@@ -269,12 +268,21 @@ class WeightTuple:
 
 WEIGHT_SCALE_BOUND = 10  # minimal weights never need a larger scale
 
+# a packed deficiency vector gives each entry (at most s <= 10) a 5-bit field
+# whose top bit guards against borrows: f <= v componentwise exactly when
+# every guard bit survives (v | _GUARD) - f
+_GUARD = sum(16 << 5 * i for i in range(27))
+
 
 @lru_cache(maxsize=None)
 def _weight_candidates(s):
-    # cached; callers must treat the returned array as read-only
-    total = 3 * s - 1
+    """The minimal weight classes over the scales 1..s, in no particular order.
 
+    (packed deficiency vector, WeightTuple) pairs: the vectors of scale <= s
+    with no other such vector below them, each with the first weight giving
+    it (scales ascending, then entries in lexicographic order).  The scale-s
+    weights are streamed into the classes of scale s - 1, kept an antichain.
+    """
     def parts(tot, n):
         if n == 1:
             yield (tot,)
@@ -283,7 +291,28 @@ def _weight_candidates(s):
             for rest in parts(tot - first, n - 1):
                 yield (first,) + rest
 
-    return np.array(list(parts(total, 6)), dtype=np.int64)
+    front = list(_weight_candidates(s - 1)) if s > 1 else []
+    for a21, a31, a22, a32, rest in parts(3 * s - 1, 5):
+        # the nine z-index-0 entries, shared by every (a23, a33)
+        heads = [s - x - y for x in (0, a21, a31) for y in (0, a22, a32)]
+        base = sum(h << 15 * n for n, h in enumerate(heads) if h > 0)
+        for a23 in range(rest + 1):
+            a33 = rest - a23
+            v = base
+            for n, h in enumerate(heads):
+                if h > a23:
+                    v |= (h - a23) << 15 * n + 5
+                if h > a33:
+                    v |= (h - a33) << 15 * n + 10
+            for i, (f, _) in enumerate(front):
+                if ((v | _GUARD) - f) & _GUARD == _GUARD:  # f <= v: no new class
+                    if i:  # consecutive weights usually lie above the same class
+                        front.insert(0, front.pop(i))
+                    break
+            else:
+                front = [(f, w) for f, w in front if ((f | _GUARD) - v) & _GUARD != _GUARD]
+                front.insert(0, (v, WeightTuple((a21, a31, a22, a32, a23, a33), s)))
+    return tuple(front)
 
 
 @lru_cache(maxsize=1)
@@ -292,42 +321,11 @@ def enumerate_minimal_weights():
 
     Weights are compared through their clamped deficiency vectors; a weight is
     minimal when no other weight's vector is componentwise <= with some strict
-    drop.  Returns WeightTuples sorted by (s, entries).
+    drop, and each class is represented by the first weight producing it.
+    Returns WeightTuples sorted by (s, entries).
     """
-    vec_blocks, tup_blocks = [], []
-    for s in range(1, WEIGHT_SCALE_BOUND + 1):
-        tups = _weight_candidates(s)
-        n = len(tups)
-        cols = []
-        for c in range(3):
-            col = np.zeros((n, 3), dtype=np.int64)
-            col[:, 1] = tups[:, 2 * c]
-            col[:, 2] = tups[:, 2 * c + 1]
-            cols.append(col)
-        D = s - cols[0][:, :, None, None] - cols[1][:, None, :, None] - cols[2][:, None, None, :]
-        np.maximum(D, 0, out=D)
-        vec_blocks.append(D.reshape(n, 27))
-        tup_blocks.append(np.hstack([tups, np.full((n, 1), s, dtype=np.int64)]))
-    vecs = np.vstack(vec_blocks)
-    tups = np.vstack(tup_blocks)
-    uniq, first = np.unique(vecs, axis=0, return_index=True)
-    reps = tups[first]
-    sums = uniq.sum(axis=1)
-    minimal = []
-    kept = np.zeros((0, 27), dtype=np.int64)
-    for total in np.unique(sums):
-        grp = sums == total
-        block, block_reps = uniq[grp], reps[grp]
-        if len(kept):
-            dominated = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-        else:
-            dominated = np.zeros(len(block), dtype=bool)
-        survivors = block[~dominated]
-        for rep in block_reps[~dominated]:
-            minimal.append(WeightTuple(tuple(int(x) for x in rep[:6]), int(rep[6])))
-        if len(survivors):
-            kept = np.vstack([kept, survivors])
-    return tuple(sorted(minimal, key=lambda w: (w.s, w.entries)))
+    return tuple(sorted((w for _, w in _weight_candidates(WEIGHT_SCALE_BOUND)),
+                        key=lambda w: (w.s, w.entries)))
 
 
 def symmetric_minimal_weights():

@@ -6,7 +6,7 @@ Fractions), vectors are tuples.  All functions are pure.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 class _Infinity:
@@ -63,29 +63,88 @@ def valuation(x, p):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_probable_prime_base_2(n):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test with Selfridge's parameters, for odd n > 1 that is
+    not a perfect square: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, r = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+
+    def halve(x):  # x / 2 mod n (n is odd)
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k and Q^k from k = 1 up to k = d, reading d's bits from the top
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve(U + V), halve(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(r - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin for n < 3.3e24, probabilistic beyond."""
+    """Baillie-PSW: trial division by the primes up to 37, a strong base-2
+    Miller-Rabin test, then a strong Lucas test (Baillie and Wagstaff, Math.
+    Comp. 35, 1980).  Proven correct for n < 2^64; no composite is known to
+    pass it."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if not _strong_probable_prime_base_2(n):
+        return False
+    if isqrt(n) ** 2 == n:
+        return False
+    return _strong_lucas_probable_prime(n)
 
 
 def fp_inv(a, p):

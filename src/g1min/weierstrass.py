@@ -359,10 +359,14 @@ def kappa(P, E, ctx):
         raise ValueError("point not on curve")
     if E.disc == 0:
         raise ValueError("singular curve")
-    _, cmap, _ = tate_minimal(E, ctx.p)
+    return _kappa_on_minimal(P, tate_minimal(E, ctx.p)[1], ctx.p)
+
+
+def _kappa_on_minimal(P, cmap, p):
+    """kappa of P, given the CurveMap of Tate's walk from P's curve."""
     Pm = cmap.apply_point(P)
-    vx = valuation(Fraction(Pm.x), ctx.p)
-    vy = valuation(Fraction(Pm.y), ctx.p)
+    vx = valuation(Fraction(Pm.x), p)
+    vy = valuation(Fraction(Pm.y), p)
     if (vx is INFINITY or vx >= 0) and (vy is INFINITY or vy >= 0):
         return 0
     if not (vx < 0 and vx % 2 == 0 and vy == 3 * (vx // 2)):
@@ -402,12 +406,14 @@ def level(m, ctx):
     kappas = []
     v_min = None
     for inv in invs:
-        E = WeierstrassCurve(*inv.a_invariants)
-        vm, cmap = minimal_discriminant_valuation(E, ctx)
+        E, P = WeierstrassCurve(*inv.a_invariants), Point(inv.xi, inv.eta)
+        if not on_curve(E, P):
+            raise AssertionError("the marked point is not on its Jacobian")
+        _, cmap, vm = tate_minimal(E, p)
         v_min = vm if v_min is None else v_min
         if vm != v_min:
             raise AssertionError("paired Jacobians disagree on the minimal discriminant")
-        kappas.append(kappa(Point(inv.xi, inv.eta), E, ctx))
+        kappas.append(_kappa_on_minimal(P, cmap, p))
     kap = max(kappas)
     lvl, rem = divmod(v_disc - v_min - 12 * kap, 12)
     if rem or lvl < 0:

@@ -138,6 +138,14 @@ def test_minimise_global_factorisation_failure_exit_5(tmp_path, capsys):
     assert main(["minimise", path, "--global"]) == 5
 
 
+def test_composite_prime_exit_2(tmp_path, capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+    # prime base up to 37
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    assert main(["minimise", path, "--prime", "318665857834031151167461"]) == 2
+    assert "is not prime" in capsys.readouterr().err
+
+
 def test_construct_and_invariants_round_trip(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     assert main(["construct", "--curve", "0,0,0,1", "--type", "22", "--out", out]) == 0

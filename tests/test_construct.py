@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations
+from operator import le
 import random
 
 import pytest
@@ -120,6 +123,10 @@ def test_weight_census_counts():
     weights = enumerate_minimal_weights()
     assert len(weights) == 81
     assert len({(w.entries, w.s) for w in weights}) == 81
+    # the representatives and their order, as the numpy census returned them
+    listing = repr([(w.entries, w.s) for w in weights]).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "b74e5896ce78a99e7ddcfa2daf588c4650e99612fba2fc1118fe688b229d429e")
     sym = symmetric_minimal_weights()
     assert len(sym) == 8
     for tau in (
@@ -249,31 +256,41 @@ def test_stretch_class_representatives():
             assert len(seen) == expected  # directions are pairwise distinct
 
 
+def _deficiency(entries, s):
+    a21, a31, a22, a32, a23, a33 = entries
+    heads = [s - x - y for x in (0, a21, a31) for y in (0, a22, a32)]
+    return tuple([h - z if h > z else 0 for h in heads for z in (0, a23, a33)])
+
+
 def test_weight_census_certified_against_all_candidates():
     # order-free certification: the returned classes are exactly the minimal
-    # ones among every admissible weight with scale within the proven bound
-    import numpy as np
-
-    from g1min.construct import WEIGHT_SCALE_BOUND, _weight_candidates
+    # ones among every admissible weight with scale within the proven bound.
+    # Every candidate lies above a returned vector (coverage), and no returned
+    # vector lies above another (incomparability).  Together they rule out a
+    # candidate strictly below a returned class m: it would lie above some
+    # returned m' != m, and m' <= m would break incomparability.
+    from g1min.construct import WEIGHT_SCALE_BOUND
 
     minimal = enumerate_minimal_weights()
-    M = np.array([w.deficiency_vector for w in minimal], dtype=np.int64)
-    blocks = []
+    M = [_deficiency(w.entries, w.s) for w in minimal]
+    for w, m in zip(minimal, M):
+        assert 1 <= w.s <= WEIGHT_SCALE_BOUND and len(w.entries) == 6
+        assert min(w.entries) >= 0 and sum(w.entries) == 3 * w.s - 1
+        assert w.deficiency_vector == m
+    for i, a in enumerate(M):
+        for j, b in enumerate(M):
+            assert i == j or not all(map(le, a, b)), (minimal[i], minimal[j])
+    count = 0
+    last = M[0]
     for s in range(1, WEIGHT_SCALE_BOUND + 1):
-        tups = _weight_candidates(s)
-        cols = []
-        for c in range(3):
-            col = np.zeros((len(tups), 3), dtype=np.int64)
-            col[:, 1] = tups[:, 2 * c]
-            col[:, 2] = tups[:, 2 * c + 1]
-            cols.append(col)
-        D = s - cols[0][:, :, None, None] - cols[1][:, None, :, None] - cols[2][:, None, None, :]
-        np.maximum(D, 0, out=D)
-        blocks.append(D.reshape(len(tups), 27))
-    V = np.vstack(blocks)
-    covered = np.zeros(len(V), dtype=bool)
-    for i in range(len(M)):
-        le = (V <= M[i]).all(axis=1)
-        assert not (le & (V != M[i]).any(axis=1)).any()  # nothing strictly below
-        covered |= (V >= M[i]).all(axis=1)
-    assert covered.all()  # every candidate sits above a minimal class
+        total = 3 * s - 1
+        # stars and bars: the entries are the gaps between five bars placed
+        # among total + 5 slots
+        for b0, b1, b2, b3, b4 in combinations(range(total + 5), 5):
+            entries = (b0, b1 - b0 - 1, b2 - b1 - 1, b3 - b2 - 1, b4 - b3 - 1, total + 4 - b4)
+            v = _deficiency(entries, s)
+            if not all(map(le, last, v)):
+                last = next((m for m in M if all(map(le, m, v))), None)
+                assert last is not None, (entries, s)  # not above a returned class
+            count += 1
+    assert count == 643467

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,16 +57,39 @@ def test_fp_sqrt_contract(a, p):
         assert r * r % p == a % p
 
 
+# composites passing Miller-Rabin to every prime base up to 37 (psi_12, psi_13)
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
 def test_is_prime():
     assert [n for n in range(2, 40) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    assert is_prime(2 ** 61 - 1)
+    bound = 2 * 10 ** 5
+    sieve = [False, False] + [True] * (bound - 2)
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, bound, q))
+    assert [n for n in range(bound) if is_prime(n) != sieve[n]] == []
+    strong_base_2 = (2047, 3277, 4033)
+    strong_lucas = (5459, 5777, 10877)
+    carmichael = (561, 41041, 825265)
+    for n in strong_base_2 + strong_lucas + carmichael:
+        assert not is_prime(n), n
+    assert PSI_12 == 318665857834031151167461 and PSI_13 == 3317044064679887385961981
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+    assert not is_prime((2 ** 61 - 1) ** 2)
     assert not is_prime(2 ** 61 + 1)
+    for e in (61, 89, 127, 521):
+        assert is_prime(2 ** e - 1), e
 
 
 def test_local_context_rejects_composites():
     with pytest.raises(ValueError):
         LocalContext(6)
+    with pytest.raises(ValueError):
+        LocalContext(PSI_12)
     assert LocalContext(7).residue(Fraction(1, 3)) == 5
 
 

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+import sys
 
 import g1min
 
@@ -13,6 +14,24 @@ def test_no_assert_statements_in_library():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # g1min has no third-party dependency: every import is relative or names
+    # a standard-library module
+    found = []
+    for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} imports {name}")
     assert found == []
 
 

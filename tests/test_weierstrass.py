@@ -180,6 +180,26 @@ def test_level_decomposition_random(rng):
         seen += 1
 
 
+def test_level_walks_once_per_marked_point(monkeypatch, rng):
+    import g1min.weierstrass as weierstrass
+    from conftest import nonzero_disc, random_hypercube
+    from g1min import construct_cube
+
+    calls = []
+
+    def counted(E, p):
+        calls.append(p)
+        return tate_minimal(E, p)
+
+    monkeypatch.setattr(weierstrass, "tate_minimal", counted)
+    ctx = LocalContext(2)
+    for m, points in ((construct_22(0, 0, 0, 1), 1), (construct_cube(0, 0, 0, 1), 1),
+                      (nonzero_disc(random_hypercube, rng), 3)):
+        calls.clear()
+        level(m, ctx)
+        assert len(calls) == points, m.kind
+
+
 def _random_marked(rng):
     from g1min import marked_curve
 
