@@ -8,8 +8,8 @@ transformation certificate g with act(g, input) == output.
 
 from .exactnum import INFINITY, LocalContext, fp_sqrt, is_prime, smith_like_completion, valuation
 from .models import (
-    BinaryQuartic, Cube, GroupElement, Hypercube, TernaryCubic, TwoTwoForm,
-    act, coefficients, content_valuation, cubics_of_cube, forms_of_hypercube,
+    BinaryQuartic, Cube, GroupElement, Hypercube, SingularModelError, TernaryCubic,
+    TwoTwoForm, act, content_valuation, cubics_of_cube, forms_of_hypercube,
     is_integral, model_from_dict, model_to_dict, quartics_of_22,
     quartics_of_hypercube, scalar_clear, scalar_multiply,
     group_element_from_dict, group_element_to_dict,

@@ -27,7 +27,9 @@ from .invariants import (
     hypercube_invariants, quartic_invariants,
 )
 from .minimise import FactorizationError, minimise, minimise_global
-from .models import group_element_to_dict, is_integral, model_from_dict, model_to_dict
+from .models import (
+    SingularModelError, group_element_to_dict, is_integral, model_from_dict, model_to_dict,
+)
 from .weierstrass import level
 
 EXIT_OK = 0
@@ -198,11 +200,7 @@ def cmd_level(args):
     m = _load_model(args.model)
     if m.kind not in ("form22", "cube", "hypercube"):
         raise _CliError(EXIT_KIND, f"level is not defined for kind {m.kind}")
-    ctx = _prime_context(args)
-    try:
-        rep = level(m, ctx)
-    except ValueError as e:
-        raise _CliError(EXIT_SINGULAR, str(e))
+    rep = level(m, _prime_context(args))
     doc = {"vDelta": rep.v_disc, "vDeltaMin": rep.v_disc_min,
            "kappa": rep.kappa, "level": rep.level}
     _emit(doc, args, [
@@ -230,10 +228,7 @@ def cmd_construct(args):
         a1, a2, a3, a4 = (int(x) for x in args.curve.split(","))
     except ValueError:
         raise _CliError(EXIT_PARSE, "--curve expects four comma-separated integers")
-    try:
-        m = construct_22(a1, a2, a3, a4) if args.type == "22" else construct_cube(a1, a2, a3, a4)
-    except ValueError as e:
-        raise _CliError(EXIT_SINGULAR, str(e))
+    m = construct_22(a1, a2, a3, a4) if args.type == "22" else construct_cube(a1, a2, a3, a4)
     _write_model(m, args, meta={"curve": [a1, a2, a3, a4, 0]})
     return EXIT_OK
 
@@ -278,11 +273,7 @@ def cmd_oracle(args):
     if m.kind != "form22":
         raise _CliError(EXIT_KIND, f"the minimality oracle works on form22 models, got {m.kind}")
     ctx = _prime_context(args)
-    try:
-        verdict = oracle_minimality_22(m, ctx)
-    except ValueError as e:
-        code = EXIT_SINGULAR if "singular" in str(e) else EXIT_PARSE
-        raise _CliError(code, str(e))
+    verdict = oracle_minimality_22(m, ctx)
     _emit({"minimal": verdict, "prime": ctx.p}, args,
           [f"{'minimal' if verdict else 'not minimal'} at p = {ctx.p} (exhaustive search)"])
     return EXIT_OK
@@ -360,10 +351,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except ValueError as e:
-        msg = str(e)
-        code = EXIT_SINGULAR if "singular" in msg else EXIT_PARSE
-        print(f"error: {msg}", file=sys.stderr)
-        return code
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SINGULAR if isinstance(e, SingularModelError) else EXIT_PARSE
     finally:
         if digits_limit is not None:
             sys.set_int_max_str_digits(digits_limit)

@@ -14,7 +14,9 @@ import random
 
 from .exactnum import LocalContext, identity_matrix, valuation
 from .invariants import discriminant
-from .models import SPECS, Cube, GroupElement, Hypercube, TwoTwoForm, act, is_integral
+from .models import (
+    SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, act, is_integral,
+)
 from .weierstrass import WeierstrassCurve
 
 
@@ -41,7 +43,7 @@ def construct_22(a1, a2, a3, a4):
     """
     E = marked_curve(a1, a2, a3, a4)
     if E.disc == 0:
-        raise ValueError("the marked curve is singular")
+        raise SingularModelError("the marked curve is singular")
     return TwoTwoForm(((a4, a3, 0), (a2, a1, -1), (1, 0, 0)))
 
 
@@ -49,7 +51,7 @@ def construct_cube(a1, a2, a3, a4):
     """A 3x3x3 cube with the same discriminant as marked_curve(a1..a4)."""
     E = marked_curve(a1, a2, a3, a4)
     if E.disc == 0:
-        raise ValueError("the marked curve is singular")
+        raise SingularModelError("the marked curve is singular")
     s = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     # z-slices are the bilinear forms cutting out the image of the curve
     s[1][0][0], s[0][1][0] = 1, -1
@@ -423,5 +425,5 @@ def oracle_minimality_22(F, ctx):
     if not is_integral(F):
         raise ValueError("model must be integral")
     if discriminant(F) == 0:
-        raise ValueError("singular model")
+        raise SingularModelError("singular model")
     return _oracle_reducer(F, p) is None

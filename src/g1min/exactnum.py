@@ -193,9 +193,6 @@ class LocalContext:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def valuation(self, x):
-        return valuation(x, self.p)
-
     def residue(self, x):
         """Image of x in F_p (x a p-integral int or Fraction)."""
         if isinstance(x, Fraction):
@@ -485,15 +482,13 @@ def lift_primitive(vec, p):
     return tuple(cand)
 
 
-def smith_like_completion(vec, p, dim=None):
+def smith_like_completion(vec, p):
     """Integer matrix of determinant +-1 whose first row is vec mod p.
 
     vec must be nonzero mod p.  Realises "move this residue point/root to the
     first coordinate position" steps as explicit unimodular matrices.
     """
     vec = tuple(int(x) for x in vec)
-    if dim is not None and len(vec) != dim:
-        raise ValueError("dimension mismatch")
     if all(x % p == 0 for x in vec):
         raise ValueError(f"{vec} is zero mod {p}")
     return complete_primitive_row(lift_primitive(vec, p))
@@ -530,25 +525,16 @@ def mat_mul(a, b):
     )
 
 
-def mat_inv(m):
-    """Exact inverse with Fraction entries."""
+def mat_adj(m):
+    """Integer adjugate: mat_mul(m, mat_adj(m)) == det_matrix(m) * identity."""
     n = len(m)
-    d = det_matrix(m)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
     if n == 1:
-        return ((Fraction(1, 1) / Fraction(d),),)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-            )
-            sign = -1 if (i + j) % 2 else 1
-            row.append(sign * det_matrix(minor))
-        cof.append(row)
-    return tuple(tuple(Fraction(cof[j][i]) / Fraction(d) for j in range(n)) for i in range(n))
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (i + j) * det_matrix(tuple(row[:i] + row[i + 1:]
+                                                 for r, row in enumerate(m) if r != j))
+              for j in range(n))
+        for i in range(n))
 
 
 def identity_matrix(n):

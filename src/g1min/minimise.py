@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
-    LocalContext, fp_inv, fp_left_kernel_vector, is_prime, lift_primitive,
-    mat_inv, mat_mul, unimodular_with_row, valuation,
+    LocalContext, det_matrix, fp_inv, fp_left_kernel_vector, is_prime, lift_primitive,
+    mat_adj, mat_mul, unimodular_with_row, valuation,
 )
 from .invariants import discriminant
 from .models import (
-    GroupElement, HYPERCUBE_PAIRS, act, content_valuation, cubics_of_cube,
-    forms_of_hypercube, is_integral,
+    GroupElement, HYPERCUBE_PAIRS, SingularModelError, act, content_valuation,
+    cubics_of_cube, forms_of_hypercube, is_integral,
 )
 from .residue import (
     classify_22_residue, classify_cubic_residue, repeated_root, saturation_defect,
@@ -75,7 +75,7 @@ def _require_ok(m, p):
         raise ValueError("model must be integral")
     d = discriminant(m)
     if d == 0:
-        raise ValueError("singular model")
+        raise SingularModelError("singular model")
     return valuation(d, p)
 
 
@@ -152,7 +152,8 @@ def _form_to_last(ell, p, dim):
     the last variable."""
     rowmat = unimodular_with_row(ell, p, dim - 1)
     col = tuple(tuple(rowmat[c][r] for c in range(dim)) for r in range(dim))
-    return tuple(tuple(int(x) for x in row) for row in mat_inv(col))
+    d = det_matrix(col)  # +-1, so the inverse is d times the adjugate
+    return tuple(tuple(d * x for x in row) for row in mat_adj(col))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,7 @@ def _hyper_step(d, forms):
         return d.cur.at(i, j, k, l) % p
 
     pair = next((ab for ab in HYPERCUBE_PAIRS
-                 if any(c % p for c in forms[ab].coefficients())), None)
+                 if any(c % p for c in forms[ab].coeffs)), None)
     if pair is None:
         raise InternalBoundError("saturated hypercube with every residue form zero")
     if pair != (0, 1):
@@ -648,7 +649,7 @@ def minimise_global(m, factor=trial_division_factor):
         raise ValueError("model must be integral")
     disc = discriminant(m)
     if disc == 0:
-        raise ValueError("singular model")
+        raise SingularModelError("singular model")
     candidates = [p for p, e in factor(disc) if e >= 12]
     g = GroupElement.identity(m.kind)
     cur = m

@@ -15,16 +15,17 @@ The constructors take the nested layouts; `rows`, `entries`, `at`, `slices`,
 `x_quadratics` and `y_quadratics` are views that index the flat tuple.
 
 Row vectors act on the right: a substitution by the matrix A replaces the
-variable row (x1, x2) with (x1, x2) A.  Group elements carry a scalar, one
-matrix per tensor factor, and (for hypercubes only) a permutation of the four
-factors.  Each kind with a group action is a tensor space on which the group
-acts one factor at a time, so one routine, `act`, serves them all; the
-per-kind entry in SPECS records the tensor shape, the matrix sizes, the
-matrix each group matrix induces on its tensor axis (Sym^4 or Sym^2 of it for
-quartics and (2,2)-forms, the matrix itself for cubes and hypercubes) and the
-powers of the scalar in `act` and in `chi`.  Actions may produce Fraction
-coefficients; `scalar_clear` returns an integral primitive copy together with
-the multiplier used.
+variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
+scalar, one int matrix per tensor factor, and (for hypercubes only) a
+permutation of the four factors; their one constructor clears rational matrix
+entries into the scalar and rejects singular matrices.  Each kind with a group
+action is a tensor space on which the group acts one factor at a time, so one
+routine, `act`, serves them all; the per-kind entry in SPECS records the
+tensor shape, the matrix sizes, the matrix each group matrix induces on its
+tensor axis (Sym^4 or Sym^2 of it for quartics and (2,2)-forms, the matrix
+itself for cubes and hypercubes) and the powers of the scalar in `act` and in
+`chi`.  Actions may produce Fraction coefficients; `scalar_clear` returns an
+integral primitive copy together with the multiplier used.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,11 @@ from functools import partial
 from itertools import permutations, product
 from math import comb, gcd, lcm, prod
 
-from .exactnum import det_matrix, identity_matrix, mat_inv, mat_mul, valuation, INFINITY
+from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, valuation, INFINITY
+
+
+class SingularModelError(ValueError):
+    """The model (or the marked curve it is built from) has discriminant zero."""
 
 
 def _num(x):
@@ -89,9 +94,6 @@ class _Model:
             raise ValueError(f"{cls.kind} needs {SPECS[cls.kind].size} coefficients")
         object.__setattr__(m, "coeffs", coeffs)
         return m
-
-    def coefficients(self):
-        return self.coeffs
 
     def axis_slices(self, axis):
         """The slices along one tensor axis, each flattened outermost index first."""
@@ -265,10 +267,6 @@ SPECS = {
 # shared coefficient utilities
 
 
-def coefficients(m):
-    return m.coefficients()
-
-
 def is_integral(m):
     return all(not isinstance(c, Fraction) for c in m.coeffs)
 
@@ -323,7 +321,12 @@ def _perm_inverse(perm):
 @dataclass(frozen=True)
 class GroupElement:
     """A transformation: scalar, one matrix per tensor factor, and for
-    hypercubes an optional permutation of the four factors (applied first)."""
+    hypercubes an optional permutation of the four factors (applied first).
+
+    The matrices are stored with int entries and the scalar as a Fraction.
+    Entries may be given as ints or Fractions: a matrix of size n is multiplied
+    by the lcm d of its entries' denominators and the scalar divided by
+    d ** (n / chi_power), which leaves the action and chi unchanged."""
 
     kind: str
     scalar: Fraction
@@ -332,14 +335,19 @@ class GroupElement:
 
     def __post_init__(self):
         spec = SPECS[self.kind]
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
-        mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in m) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if tuple(len(m) for m in mats) != spec.matrix_sizes:
+        if tuple(len(m) for m in self.matrices) != spec.matrix_sizes:
             raise ValueError(f"wrong matrix sizes for kind {self.kind}")
-        for m in mats:
-            if det_matrix(m) == 0:
+        scalar = Fraction(self.scalar)
+        mats = []
+        for m in self.matrices:
+            d = lcm(*(x.denominator for row in m for x in row))
+            if d != 1:
+                scalar /= d ** (len(m) // spec.chi_power)
+            mats.append(tuple(tuple(int(x * d) for x in row) for row in m))
+            if det_matrix(mats[-1]) == 0:
                 raise ValueError("singular matrix in group element")
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "matrices", tuple(mats))
         if not spec.permutes_axes:
             if self.perm is not None:
                 raise ValueError("permutations only apply to hypercubes")
@@ -350,34 +358,16 @@ class GroupElement:
             object.__setattr__(self, "perm", tuple(perm))
 
     @classmethod
-    def _trusted(cls, kind, scalar, matrices, perm=None):
-        """An element built from valid ones (a product, an inverse, the
-        identity): its Fraction matrices are nonsingular already, so the
-        checks of __post_init__ are skipped."""
-        g = object.__new__(cls)
-        for name, value in (("kind", kind), ("scalar", scalar), ("matrices", matrices),
-                            ("perm", perm)):
-            object.__setattr__(g, name, value)
-        return g
-
-    @classmethod
     def identity(cls, kind):
-        spec = SPECS[kind]
-        mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in identity_matrix(n))
-                     for n in spec.matrix_sizes)
-        return cls._trusted(kind, Fraction(1), mats, (0, 1, 2, 3) if spec.permutes_axes else None)
+        return cls.scaling(kind, 1)
 
     @classmethod
     def scaling(cls, kind, scalar):
-        g = cls.identity(kind)
-        return cls._trusted(kind, Fraction(scalar), g.matrices, g.perm)
+        return cls(kind, scalar, tuple(identity_matrix(n) for n in SPECS[kind].matrix_sizes))
 
     def chi(self):
         """The character: Delta(act(g, m)) = chi(g)^12 * Delta(m)."""
-        prod_det = Fraction(1)
-        for m in self.matrices:
-            prod_det *= det_matrix(m)
-        return self.scalar ** SPECS[self.kind].chi_power * prod_det
+        return self.scalar ** SPECS[self.kind].chi_power * prod(map(det_matrix, self.matrices))
 
     def compose(self, other):
         """Element acting as self after other: act(result, m) = act(self, act(other, m))."""
@@ -388,20 +378,21 @@ class GroupElement:
             perm = tuple(s2[s1[a]] for a in range(4))
             inv2 = _perm_inverse(s2)
             mats = tuple(mat_mul(self.matrices[a], other.matrices[inv2[a]]) for a in range(4))
-            return GroupElement._trusted(self.kind, self.scalar * other.scalar, mats, perm)
+            return GroupElement(self.kind, self.scalar * other.scalar, mats, perm)
         mats = tuple(mat_mul(a, b) for a, b in zip(self.matrices, other.matrices))
-        return GroupElement._trusted(self.kind, self.scalar * other.scalar, mats)
+        return GroupElement(self.kind, self.scalar * other.scalar, mats)
 
     def inverse(self):
+        """The inverse, with adjugate matrices: A^-1 = adj(A) / det(A), and
+        each det(A) folded into the scalar as the constructor folds d."""
+        chi_power = SPECS[self.kind].chi_power
+        mats, perm = self.matrices, None
         if self.perm is not None:
-            inv_perm = _perm_inverse(self.perm)
-            mats = tuple(mat_inv(self.matrices[self.perm[a]]) for a in range(4))
-            return GroupElement._trusted(self.kind, 1 / self.scalar, mats, inv_perm)
-        return GroupElement._trusted(self.kind, 1 / self.scalar,
-                                     tuple(mat_inv(m) for m in self.matrices))
-
-    def is_identity(self):
-        return self == GroupElement.identity(self.kind)
+            perm = _perm_inverse(self.perm)
+            mats = tuple(mats[self.perm[a]] for a in range(4))
+        fold = prod(det_matrix(m) ** (len(m) // chi_power) for m in mats)
+        return GroupElement(self.kind, 1 / (self.scalar * fold),
+                            tuple(mat_adj(m) for m in mats), perm)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +401,7 @@ class GroupElement:
 
 def _mode_product(t, M, fibres):
     """Multiply every fibre of the flat tensor t along one axis by M."""
-    rows = [[(n, _num(x)) for n, x in enumerate(row) if x] for row in M]
+    rows = [[(n, x) for n, x in enumerate(row) if x] for row in M]
     out = [0] * len(t)
     for fibre in fibres:
         vals = [t[n] for n in fibre]
@@ -429,7 +420,6 @@ def act(g, m):
     if g.perm is not None:
         t = [t[n] for n in spec.perm_index[g.perm]]
     for fibres, A in zip(spec.fibres, g.matrices):
-        A = tuple(tuple(_num(x) for x in row) for row in A)
         t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
     la = _num(g.scalar ** spec.act_power)
     return spec.model.from_coeffs([la * x for x in t])

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .exactnum import INFINITY, LocalContext, fp_inv, fp_poly_roots, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
+from .models import SingularModelError
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def level(m, ctx):
     invs = marked(m)
     disc = invs[0].disc
     if disc == 0:
-        raise ValueError("singular model")
+        raise SingularModelError("singular model")
     v_disc = valuation(disc, p)
     kappas = []
     v_min = None

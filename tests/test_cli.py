@@ -118,6 +118,19 @@ def test_minimise_singular_exit_4(tmp_path, capsys):
     assert main(["minimise", path, "--prime", "2"]) == 4
 
 
+def test_internal_value_error_is_not_a_singular_model(tmp_path, capsys, monkeypatch):
+    # exit 4 follows the type SingularModelError, not the word "singular"
+    import g1min.cli
+
+    def broken(m, ctx):
+        raise ValueError("singular matrix in group element")
+
+    monkeypatch.setattr(g1min.cli, "minimise", broken)
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    assert main(["minimise", path, "--prime", "5"]) == 2
+    assert "singular matrix in group element" in capsys.readouterr().err
+
+
 def test_minimise_global(tmp_path, capsys):
     F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
     path = form22_file(tmp_path, F)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from g1min.exactnum import (
     INFINITY, LocalContext, complete_primitive_row, det_matrix,
-    fp_left_kernel_vector, fp_sqrt, is_prime, lift_primitive, mat_inv, mat_mul,
+    fp_left_kernel_vector, fp_sqrt, is_prime, lift_primitive, mat_adj, mat_mul,
     smith_like_completion, unimodular_with_row, valuation,
 )
 
@@ -160,7 +160,11 @@ def test_left_kernel_vector():
     assert fp_left_kernel_vector(((1, 0), (0, 1)), 5) is None
 
 
-def test_mat_inv_exact():
+def test_mat_adj_exact():
     m = ((3, 1), (5, 2))
-    inv = mat_inv(m)
-    assert mat_mul(m, inv) == ((1, 0), (0, 1))
+    assert mat_adj(m) == ((2, -1), (-5, 3))
+    assert mat_mul(m, mat_adj(m)) == ((1, 0), (0, 1))
+    m = ((2, -1, 0), (1, 3, 4), (0, 5, -2))  # det -54
+    adj = mat_adj(m)
+    assert all(type(x) is int for row in adj for x in row)
+    assert mat_mul(m, adj) == mat_mul(adj, m) == ((-54, 0, 0), (0, -54, 0), (0, 0, -54))

@@ -8,13 +8,13 @@ from g1min import (
     act, construct_22, construct_cube, discriminant, forms_of_hypercube,
     inflate, is_minimal_22, level, marked_curve, minimise, minimise_22,
     minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
-    scalar_multiply, valuation,
+    SingularModelError, oracle_minimality_22, scalar_multiply, valuation,
 )
 from g1min.minimise import FactorizationError, trial_division_factor
 
 from conftest import (
     identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
-    random_hypercube,
+    random_hypercube, random_quartic,
 )
 
 
@@ -287,6 +287,42 @@ def test_hypercube_corollary_cross_check(rng):
             mine = minimise_hypercube(H, ctx).input_was_minimal
             forms = forms_of_hypercube(H)
             assert mine == any(is_minimal_22(F, ctx) for F in forms.values())
+
+
+def _level_zero_base(kind, ctx, rng):
+    if kind == "quartic":
+        while True:
+            G = nonzero_disc(random_quartic, rng)
+            if valuation(discriminant(G), ctx.p) < 12:
+                return G
+    if kind == "form22":
+        return construct_22(*_random_marked(rng))
+    if kind == "cube":
+        return construct_cube(*_random_marked(rng))
+    return minimise_hypercube(nonzero_disc(random_hypercube, rng), ctx).model
+
+
+@pytest.mark.parametrize("kind", ["quartic", "form22", "cube", "hypercube"])
+def test_certificates_carry_integer_matrices(kind, rng):
+    for p in (2, 3, 5, 7):
+        ctx = LocalContext(p)
+        for moves in (1, 2, 3):
+            m, _ = inflate(_level_zero_base(kind, ctx, rng), ctx, rng, moves=moves)
+            rep = minimise(m, ctx)
+            g = rep.transformation
+            assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
+            assert rep.v_disc_initial + 12 * valuation(g.chi(), p) == rep.v_disc_final
+            assert act(g, m) == rep.model
+
+
+def test_singular_models_raise_the_typed_error():
+    zero = TwoTwoForm(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    for call in (lambda: minimise(zero, 5), lambda: minimise_global(zero),
+                 lambda: level(zero, 5), lambda: oracle_minimality_22(zero, 5),
+                 lambda: minimise(BinaryQuartic((1, 0, 0, 0, 0)), 2),
+                 lambda: construct_22(0, 0, 0, 0), lambda: construct_cube(0, 0, 0, 0)):
+        with pytest.raises(SingularModelError, match="singular"):
+            call()
 
 
 # ---------------------------------------------------------------------------

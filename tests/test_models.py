@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,12 +83,10 @@ def test_compose_and_inverse(kind, rng):
         g2 = _rand_element(kind, rng)
         assert act(g2, act(g1, m)) == act(g2.compose(g1), m)
         assert act(g1.inverse(), act(g1, m)) == m
-        # compose, inverse, identity and scaling skip the constructor's
-        # checks; their results must be what the constructor would build
         for g in (g2.compose(g1), g1.inverse(), GroupElement.identity(kind),
                   GroupElement.scaling(kind, 3)):
             assert g == GroupElement(g.kind, g.scalar, g.matrices, g.perm)
-            assert all(type(x) is Fraction for mat in g.matrices for row in mat for x in row)
+            assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
             assert type(g.scalar) is Fraction
 
 
@@ -97,6 +96,35 @@ def test_singular_group_element_rejected():
         GroupElement("form22", 1, (singular, ((1, 0), (0, 1))))
     doc = group_element_to_dict(GroupElement.identity("form22"))
     doc["matrices"][0] = [[str(x) for x in row] for row in singular]
+    with pytest.raises(ValueError, match="singular matrix in group element"):
+        group_element_from_dict(doc)
+
+
+def test_reads_rational_certificates(rng):
+    # certificates written with rational matrix entries still load: each
+    # matrix is cleared to integers and the scalar absorbs the denominators
+    eye2, eye3 = [["1", "0"], ["0", "1"]], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    doc = {"kind": "cube", "scalar": "1",
+           "matrices": [[["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1/2"]], eye3, eye3]}
+    g = group_element_from_dict(doc)
+    rational = SimpleNamespace(scalar=Fraction(1), matrices=tuple(
+        tuple(tuple(Fraction(x) for x in row) for row in m) for m in doc["matrices"]))
+    S = nonzero_disc(random_cube, rng)
+    assert act(g, S) == _explicit_cube_action(rational, S)
+    assert group_element_to_dict(g) == {
+        "kind": "cube", "scalar": "1/2",
+        "matrices": [[["0", "2", "0"], ["2", "0", "0"], ["0", "0", "1"]], eye3, eye3]}
+    # binary kinds: x1 -> x1 / 2 scales the coefficient of x1^k by 2^-k, and
+    # the scalar takes the square of the denominator
+    half = [["1/2", "0"], ["0", "1"]]
+    for m, degrees in ((nonzero_disc(random_quartic, rng), (4, 3, 2, 1, 0)),
+                       (nonzero_disc(random_form22, rng), (2, 2, 2, 1, 1, 1, 0, 0, 0))):
+        doc = {"kind": m.kind, "scalar": "1", "matrices": [half] + [eye2] * (m.kind == "form22")}
+        g = group_element_from_dict(doc)
+        assert act(g, m).coeffs == tuple(c * Fraction(1, 2 ** k) for c, k in zip(m.coeffs, degrees))
+        assert group_element_to_dict(g)["scalar"] == "1/4"
+        assert g.matrices[0] == ((1, 0), (0, 2))
+    doc["matrices"][0] = [["1/2", "1"], ["1", "2"]]
     with pytest.raises(ValueError, match="singular matrix in group element"):
         group_element_from_dict(doc)
 
