@@ -15,7 +15,7 @@ from .models import (
     group_element_from_dict, group_element_to_dict,
 )
 from .invariants import (
-    InvariantSet, cube_invariants, cubic_invariants, discriminant,
+    InvariantSet, c4_c6, cube_invariants, cubic_invariants, discriminant,
     form22_invariants, hypercube_invariants, quartic_invariants,
 )
 from .weierstrass import (

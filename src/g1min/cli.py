@@ -5,21 +5,26 @@ Model files are JSON documents {"kind": ..., "coeffs": [...]} with decimal
 string coefficients in the documented index order: integers or rationals for
 quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
 
-Exit codes: 0 success, 2 parse error, 3 kind mismatch or unsupported
-operation for the kind, 4 singular model, 5 factorisation failure.
-Reports go to stdout, diagnostics to stderr.  The environment variable
+Exit codes: 0 success; 2 parse error or rejected input (a non-integral model
+to minimise, a prime beyond a search bound); 3 kind mismatch or unsupported
+operation for the kind; 4 singular model; 5 factorisation failure; 6 internal
+error, a check inside the library that failed on accepted input (a
+ValueError, AssertionError or ArithmeticError), reported as "internal error:
+...".  Reports go to stdout, diagnostics to stderr.  The environment variable
 G1MIN_PRIME_BOUND (default 2^10) caps only the P^2 singular-point scans of
 ternary cubics; there is no P^1 x P^1 bound.  Integers in model files and
 reports may have any number of digits.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .construct import (
     construct_22, construct_cube, convert_2to3, convert_3to2, critical_model,
-    enumerate_minimal_weights, oracle_minimality_22, symmetric_minimal_weights,
+    ORACLE_PRIME_BOUND, enumerate_minimal_weights, oracle_minimality_22,
+    symmetric_minimal_weights,
 )
 from .exactnum import LocalContext
 from .invariants import (
@@ -30,6 +35,7 @@ from .minimise import FactorizationError, minimise, minimise_global
 from .models import (
     SingularModelError, group_element_to_dict, is_integral, model_from_dict, model_to_dict,
 )
+from .residue import PrimeBoundError
 from .weierstrass import level
 
 EXIT_OK = 0
@@ -37,6 +43,7 @@ EXIT_PARSE = 2
 EXIT_KIND = 3
 EXIT_SINGULAR = 4
 EXIT_FACTOR = 5
+EXIT_INTERNAL = 6
 
 # kinds whose model files must have integral coefficients
 _INTEGRAL_KINDS = ("form22", "cube", "hypercube")
@@ -46,6 +53,20 @@ class _CliError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _refusals():
+    """Map the library's typed refusals of an input to their exit codes;
+    any other ValueError it raises is an internal error."""
+    try:
+        yield
+    except SingularModelError as e:
+        raise _CliError(EXIT_SINGULAR, str(e))
+    except PrimeBoundError as e:
+        raise _CliError(EXIT_PARSE, str(e))
+    except FactorizationError as e:
+        raise _CliError(EXIT_FACTOR, str(e))
 
 
 def _load_model(path):
@@ -148,11 +169,11 @@ def cmd_minimise(args):
         raise _CliError(EXIT_KIND, "ternary cubics are carried along, not minimised directly")
     if discriminant(m) == 0:
         raise _CliError(EXIT_SINGULAR, "singular model")
+    if not is_integral(m):  # rational quartics parse, but only integral models minimise
+        raise _CliError(EXIT_PARSE, "model must be integral")
     if args.global_:
-        try:
+        with _refusals():
             rep = minimise_global(m)
-        except FactorizationError as e:
-            raise _CliError(EXIT_FACTOR, str(e))
         doc = {
             "mode": "global",
             "primes": list(rep.primes),
@@ -168,7 +189,8 @@ def cmd_minimise(args):
         final_model = rep.model
     else:
         ctx = _prime_context(args)
-        rep = minimise(m, ctx)
+        with _refusals():
+            rep = minimise(m, ctx)
         doc = {
             "mode": "local",
             "prime": ctx.p,
@@ -200,7 +222,9 @@ def cmd_level(args):
     m = _load_model(args.model)
     if m.kind not in ("form22", "cube", "hypercube"):
         raise _CliError(EXIT_KIND, f"level is not defined for kind {m.kind}")
-    rep = level(m, _prime_context(args))
+    ctx = _prime_context(args)
+    with _refusals():
+        rep = level(m, ctx)
     doc = {"vDelta": rep.v_disc, "vDeltaMin": rep.v_disc_min,
            "kappa": rep.kappa, "level": rep.level}
     _emit(doc, args, [
@@ -228,7 +252,8 @@ def cmd_construct(args):
         a1, a2, a3, a4 = (int(x) for x in args.curve.split(","))
     except ValueError:
         raise _CliError(EXIT_PARSE, "--curve expects four comma-separated integers")
-    m = construct_22(a1, a2, a3, a4) if args.type == "22" else construct_cube(a1, a2, a3, a4)
+    with _refusals():
+        m = construct_22(a1, a2, a3, a4) if args.type == "22" else construct_cube(a1, a2, a3, a4)
     _write_model(m, args, meta={"curve": [a1, a2, a3, a4, 0]})
     return EXIT_OK
 
@@ -273,7 +298,10 @@ def cmd_oracle(args):
     if m.kind != "form22":
         raise _CliError(EXIT_KIND, f"the minimality oracle works on form22 models, got {m.kind}")
     ctx = _prime_context(args)
-    verdict = oracle_minimality_22(m, ctx)
+    if ctx.p > ORACLE_PRIME_BOUND:
+        raise _CliError(EXIT_PARSE, f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
+    with _refusals():
+        verdict = oracle_minimality_22(m, ctx)
     _emit({"minimal": verdict, "prime": ctx.p}, args,
           [f"{'minimal' if verdict else 'not minimal'} at p = {ctx.p} (exhaustive search)"])
     return EXIT_OK
@@ -350,9 +378,10 @@ def main(argv=None):
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR if isinstance(e, SingularModelError) else EXIT_PARSE
+    except (ValueError, AssertionError, ArithmeticError) as e:
+        # every refusal of the input became a _CliError where it was raised
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if digits_limit is not None:
             sys.set_int_max_str_digits(digits_limit)

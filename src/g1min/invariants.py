@@ -16,13 +16,19 @@ a4 and a6 are recovered from c4 and c6 by exact divisions that double as
 integrality checks; on an integral model a division failure signals an
 implementation bug (the CLI rejects non-integral (2,2)-forms, cubes and
 hypercubes before computing invariants).
+
+`c4_c6` gives the weight-4/6 pair of every kind from one derived form, and
+`discriminant` derives Delta from that pair; the global minimiser takes its
+candidate primes from gcd(c4, c6).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import det_matrix, mat_mul
-from .models import HYPERCUBE_PAIRS, cubics_of_cube, forms_of_hypercube, quartics_of_22
+from .models import (
+    HYPERCUBE_PAIRS, cubics_of_cube, form_of_hypercube, forms_of_hypercube, quartics_of_22,
+)
 
 
 def _exact_div(num, den, what):
@@ -37,13 +43,25 @@ def _exact_div(num, den, what):
     return q
 
 
-def quartic_invariants(G):
-    """(I, J, Delta) of a binary quartic; exact (integral for integral input)."""
+def _delta(kind, c4, c6):
+    """Delta from the weight-4/6 pair: (4 I^3 - J^2)/27 for quartics,
+    (c4^3 - c6^2)/1728 for every other kind."""
+    if kind == "quartic":
+        return _exact_div(4 * c4 ** 3 - c6 ** 2, 27, "quartic discriminant")
+    return _exact_div(c4 ** 3 - c6 ** 2, 1728, f"{kind} discriminant")
+
+
+def _quartic_i_j(G):
     a, b, c, d, e = G.coeffs
     i_inv = 12 * a * e - 3 * b * d + c * c
     j_inv = 72 * a * c * e - 27 * a * d * d - 27 * b * b * e + 9 * b * c * d - 2 * c ** 3
-    disc = _exact_div(4 * i_inv ** 3 - j_inv ** 2, 27, "quartic discriminant")
-    return i_inv, j_inv, disc
+    return i_inv, j_inv
+
+
+def quartic_invariants(G):
+    """(I, J, Delta) of a binary quartic; exact (integral for integral input)."""
+    i_inv, j_inv = _quartic_i_j(G)
+    return i_inv, j_inv, _delta("quartic", i_inv, j_inv)
 
 
 # frozen invariant tables for ternary cubics: each term is (coefficient,
@@ -193,12 +211,14 @@ def _eval_terms(terms, coeffs):
     return tot
 
 
+def _cubic_c4_c6(F):
+    return _eval_terms(_C4_TERMS, F.coeffs), _eval_terms(_C6_TERMS, F.coeffs)
+
+
 def cubic_invariants(F):
     """(c4, c6, Delta) of a ternary cubic under the xyz normalisation."""
-    c4 = _eval_terms(_C4_TERMS, F.coeffs)
-    c6 = _eval_terms(_C6_TERMS, F.coeffs)
-    disc = _exact_div(c4 ** 3 - c6 ** 2, 1728, "cubic discriminant")
-    return c4, c6, disc
+    c4, c6 = _cubic_c4_c6(F)
+    return c4, c6, _delta("cubic", c4, c6)
 
 
 @dataclass(frozen=True)
@@ -244,16 +264,19 @@ def _check_syzygy(inv, what):
         raise AssertionError(f"{what}: marked point is not on the curve")
 
 
+def _form22_c4_c6(g):
+    """(c4, c6) = (I, J/2) of a (2,2)-form from one of its two quartics."""
+    i_inv, j_inv = _quartic_i_j(g)
+    return i_inv, _exact_div(j_inv, 2, "(2,2) second invariant")
+
+
 def form22_invariants(F):
     """InvariantSet of a (2,2)-form (exact; both derived quartics must agree)."""
     g1, g2 = quartics_of_22(F)
-    i1, j1, _ = quartic_invariants(g1)
-    i2, j2, _ = quartic_invariants(g2)
-    if (i1, j1) != (i2, j2):
+    c4, c6 = _form22_c4_c6(g1)
+    if _form22_c4_c6(g2) != (c4, c6):
         raise AssertionError("the two quartics of a (2,2)-form disagree on I, J")
-    c4 = i1
-    c6 = _exact_div(j1, 2, "(2,2) second invariant")
-    disc = _exact_div(c4 ** 3 - c6 ** 2, 1728, "(2,2) discriminant")
+    disc = _delta("form22", c4, c6)
     a = F.rows
     xi = a[0][0] * a[2][2] + a[0][2] * a[2][0]
     eta = a[0][0] * a[1][1] * a[2][2]
@@ -295,10 +318,11 @@ def _mat_add(a, b, sign=1):
 def cube_invariants(S):
     """InvariantSet of a 3x3x3 cube (marked-point data from the first slicing)."""
     f1, f2, f3 = cubics_of_cube(S)
-    c4, c6, disc = cubic_invariants(f1)
+    c4, c6 = _cubic_c4_c6(f1)
     for other in (f2, f3):
-        if cubic_invariants(other)[:2] != (c4, c6):
+        if _cubic_c4_c6(other) != (c4, c6):
             raise AssertionError("cube slicings disagree on c4, c6")
+    disc = _delta("cube", c4, c6)
     m0, n0, p0 = S.slices(0)
     # adj(la*N + mu*P) M = la^2 A + la mu B + mu^2 C
     a_mat = mat_mul(_adj3(n0), m0)
@@ -355,25 +379,29 @@ def hypercube_invariants(H):
     return HypercubeInvariants(base.c4, base.c6, base.disc, tuple(pair_sets))
 
 
-def _form22_discriminant(F):
-    g1, _ = quartics_of_22(F)
-    i1, j1, _ = quartic_invariants(g1)
-    c6 = _exact_div(j1, 2, "(2,2) second invariant")
-    return _exact_div(i1 ** 3 - c6 ** 2, 1728, "(2,2) discriminant")
-
-
-_DISCRIMINANTS = {
-    "quartic": lambda m: quartic_invariants(m)[2],
-    "form22": _form22_discriminant,
-    "cubic": lambda m: cubic_invariants(m)[2],
-    "cube": lambda m: cubic_invariants(cubics_of_cube(m)[0])[2],
-    "hypercube": lambda m: _form22_discriminant(forms_of_hypercube(m)[(0, 1)]),
+# (c4, c6) of each kind from its cheapest derived form: (I, J) for quartics,
+# the first quartic of a (2,2)-form, the first determinantal cubic of a cube,
+# the form F_01 of a hypercube.  A step at p multiplies the pair by
+# (chi^4, chi^6) and Delta by chi^12.
+_C4_C6 = {
+    "quartic": _quartic_i_j,
+    "form22": lambda m: _form22_c4_c6(quartics_of_22(m)[0]),
+    "cubic": _cubic_c4_c6,
+    "cube": lambda m: _cubic_c4_c6(cubics_of_cube(m)[0]),
+    "hypercube": lambda m: c4_c6(form_of_hypercube(m, 0, 1)),
 }
 
 
-def discriminant(m):
-    """Delta of any model kind."""
-    fn = _DISCRIMINANTS.get(getattr(m, "kind", None))
+def c4_c6(m):
+    """The weight-4 and weight-6 invariants of any model kind: (I, J) for
+    binary quartics, (c4, c6) for the rest."""
+    fn = _C4_C6.get(getattr(m, "kind", None))
     if fn is None:
         raise TypeError(f"not a model: {m!r}")
     return fn(m)
+
+
+def discriminant(m):
+    """Delta of any model kind, derived from c4_c6."""
+    c4, c6 = c4_c6(m)
+    return _delta(m.kind, c4, c6)

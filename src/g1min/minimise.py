@@ -19,12 +19,13 @@ bound violation raises InternalBoundError.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exactnum import (
     LocalContext, det_matrix, fp_inv, fp_left_kernel_vector, is_prime, lift_primitive,
     mat_adj, mat_mul, unimodular_with_row, valuation,
 )
-from .invariants import discriminant
+from .invariants import c4_c6, discriminant
 from .models import (
     GroupElement, HYPERCUBE_PAIRS, SingularModelError, act, content_valuation,
     cubics_of_cube, forms_of_hypercube, is_integral,
@@ -644,13 +645,25 @@ class GlobalReport:
 
 
 def minimise_global(m, factor=trial_division_factor):
-    """Minimise at every prime whose discriminant valuation permits a reduction."""
+    """Minimise at every prime where the model can be non-minimal.
+
+    Minimising at p multiplies c4 by chi^4, c6 by chi^6 and Delta by
+    chi^12, with chi = p^-k when k levels drop, and the result is still
+    integral (for quartics, read I and J for c4 and c6).  So a prime where
+    a step exists has p^4 | c4, p^6 | c6 and p^12 | Delta, and `factor` is
+    called on g = gcd(c4, c6), not on Delta.  It returns
+    [(prime, exponent), ...] and raises FactorizationError when it cannot
+    split g.
+    """
     if not is_integral(m):
         raise ValueError("model must be integral")
     disc = discriminant(m)
     if disc == 0:
         raise SingularModelError("singular model")
-    candidates = [p for p, e in factor(disc) if e >= 12]
+    c4, c6 = c4_c6(m)
+    candidates = [p for p, _ in factor(gcd(c4, c6))
+                  if valuation(c4, p) >= 4 and valuation(c6, p) >= 6
+                  and valuation(disc, p) >= 12]
     g = GroupElement.identity(m.kind)
     cur = m
     locals_ = []

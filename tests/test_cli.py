@@ -1,10 +1,14 @@
 import contextlib
 import json
+import math
 import sys
+
+import pytest
 
 from g1min import discriminant, model_from_dict, model_to_dict, construct_22, scalar_multiply
 from g1min.cli import main
 from g1min.exactnum import is_prime
+from g1min.minimise import InternalBoundError
 
 
 def write_model(tmp_path, name, doc):
@@ -127,8 +131,49 @@ def test_internal_value_error_is_not_a_singular_model(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(g1min.cli, "minimise", broken)
     path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
-    assert main(["minimise", path, "--prime", "5"]) == 2
+    assert main(["minimise", path, "--prime", "5"]) == 6
     assert "singular matrix in group element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [
+    AssertionError("transformation certificate failed to reproduce the model"),
+    InternalBoundError("hypercube singular-point procedure ran thrice"),
+    ZeroDivisionError("inverse of 0 mod 5"),
+])
+def test_internal_faults_exit_6(tmp_path, capsys, monkeypatch, fault):
+    import g1min.cli
+
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(g1min.cli, "minimise_global", broken)
+    monkeypatch.setattr(g1min.cli, "level", broken)
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    for argv in (["minimise", path, "--global"], ["level", path, "--prime", "5"]):
+        assert main(argv) == 6
+        assert capsys.readouterr().err == f"internal error: {fault}\n"
+
+
+RATIONAL_QUARTIC = {"kind": "quartic", "coeffs": ["1/2", "0", "0", "0", "3"]}
+# a cube whose residue at 5 reaches the P^2 singular-point scan
+SCANNED_CUBE = {"kind": "cube", "coeffs": [str(c) for c in (
+    0, 0, 0, 2, 5, -1, 2, -5, 0, 5, 0, 0, 1, 10, 5, -1, 0, 5, 2, 0, -5, 5, 0, 5, 1, 2, 10)]}
+
+
+def test_rejected_inputs_keep_their_exit_codes(tmp_path, capsys, monkeypatch):
+    rational = write_model(tmp_path, "r.json", RATIONAL_QUARTIC)
+    for argv in (["minimise", rational, "--prime", "3"], ["minimise", rational, "--global"]):
+        _assert_rejected_as_non_integral(argv, capsys)
+    form = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    assert main(["oracle", "min22", form, "--prime", "7"]) == 2
+    assert "oracle limited to p <= 5" in capsys.readouterr().err
+    zero = write_model(tmp_path, "z.json", {"kind": "form22", "coeffs": ["0"] * 9})
+    assert main(["oracle", "min22", zero, "--prime", "5"]) == 4
+    assert "singular" in capsys.readouterr().err
+    monkeypatch.setenv("G1MIN_PRIME_BOUND", "3")
+    cube = write_model(tmp_path, "c.json", SCANNED_CUBE)
+    assert main(["minimise", cube, "--prime", "5"]) == 2
+    assert "search needs p <= 3, got 5" in capsys.readouterr().err
 
 
 def test_minimise_global(tmp_path, capsys):
@@ -137,6 +182,38 @@ def test_minimise_global(tmp_path, capsys):
     assert main(["minimise", path, "--global", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["primes"] == [2, 3]
+
+
+# A (2,2)-form built as the global benchmark builds its hardest inputs: a
+# marked curve with |a_i| <= 10^4, inflated at 19 and then at 103.  After
+# every prime below 2^20 is removed from Delta, a composite cofactor of 21
+# digits is left, so factoring Delta fails; gcd(c4, c6) = 3 * 19^4 * 103^4.
+FORM22_COMPOSITE_DELTA = ((674709, -735718, -6), (49676488, -69389349, -515),
+                          (769799649, -1622243408, -10609))
+
+
+def test_minimise_global_factors_gcd_of_c4_c6(tmp_path, capsys):
+    from g1min import TwoTwoForm, act, c4_c6, group_element_from_dict, minimise_global
+    from g1min.minimise import trial_division_factor
+
+    F = TwoTwoForm(FORM22_COMPOSITE_DELTA)
+    path = form22_file(tmp_path, F)
+    assert main(["minimise", path, "--global", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    out = model_from_dict(doc["model"])
+    assert act(group_element_from_dict(doc["transformation"]), F) == out
+    assert doc["primes"] == [19, 103]
+    assert discriminant(F) == discriminant(out) * (19 * 103) ** 12
+
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return trial_division_factor(n)
+
+    assert minimise_global(F, factor=spy).primes == (19, 103)
+    c4, c6 = c4_c6(F)
+    assert seen == [math.gcd(c4, c6)] == [3 * 19 ** 4 * 103 ** 4]
 
 
 def test_minimise_global_factorisation_failure_exit_5(tmp_path, capsys):

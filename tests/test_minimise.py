@@ -5,7 +5,7 @@ import pytest
 
 from g1min import (
     BinaryQuartic, GroupElement, Hypercube, LocalContext, TwoTwoForm,
-    act, construct_22, construct_cube, discriminant, forms_of_hypercube,
+    act, c4_c6, construct_22, construct_cube, discriminant, forms_of_hypercube,
     inflate, is_minimal_22, level, marked_curve, minimise, minimise_22,
     minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
     SingularModelError, oracle_minimality_22, scalar_multiply, valuation,
@@ -358,6 +358,58 @@ def test_global_respects_other_primes(rng):
     assert discriminant(rep.model) == d0
     for q in (3, 5, 7):
         assert valuation(discriminant(rep.model), q) == valuation(d0, q)
+
+
+def _twelfth_power_primes(n):
+    """Every prime p with p^12 | n, by trial division up to the 12th root of
+    the part of n not yet split."""
+    n, out, q = abs(n), [], 2
+    while q ** 12 <= n:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e >= 12:
+            out.append(q)
+        q += 1
+    return out
+
+
+def _global_reference(m):
+    """minimise_global as it would be with every p^12 | Delta a candidate."""
+    cur, g, locals_ = m, GroupElement.identity(m.kind), []
+    for p in _twelfth_power_primes(discriminant(m)):
+        rep = minimise(cur, LocalContext(p))
+        if rep.steps:
+            locals_.append((p, rep))
+        cur, g = rep.model, rep.transformation.compose(g)
+    return cur, g, tuple(p for p, _ in locals_)
+
+
+@pytest.mark.parametrize("kind", ["quartic", "form22", "cube", "hypercube"])
+def test_global_candidates_from_gcd_match_delta_reference(kind):
+    # gcd(c4, c6) may miss only primes at which no step exists
+    rng = random.Random(f"global-gcd:{kind}")
+    pairs = [(2, 3), (3, 2), (2, rng.choice((5, 7, 11))), (3, rng.choice((5, 7, 11))),
+             tuple(rng.sample((2, 3, 5, 7, 11, 13), 2))]
+    for p1, p2 in pairs:
+        m = _level_zero_base(kind, LocalContext(p1), rng)
+        for p in (p1, p2):
+            m, _ = inflate(m, LocalContext(p), rng, moves=rng.choice((1, 2)))
+        rep = minimise_global(m)
+        model, g, primes = _global_reference(m)
+        assert (rep.model, rep.transformation, rep.primes) == (model, g, primes)
+        assert primes, "the inflations left nothing to reduce"
+
+
+def test_global_with_a_zero_invariant():
+    # y^2 + y = x^3 has c4 = 0 and y^2 = x^3 + x has c6 = 0: g is the other one
+    for curve in ((0, 0, 1, 0), (0, 0, 0, 1)):
+        m = scalar_multiply(construct_22(*curve), 6)
+        assert 0 in c4_c6(m)
+        rep = minimise_global(m)
+        assert (rep.model, rep.transformation, rep.primes) == _global_reference(m)
+        assert rep.primes == (2, 3)
 
 
 def test_trial_division_factor():
