@@ -29,7 +29,7 @@ from .residue import (
 )
 from .minimise import (
     FactorizationError, GlobalReport, InternalBoundError, MinimisationReport,
-    Step, is_minimal_22, minimise, minimise_22, minimise_cube,
+    Step, Verdict, is_minimal_22, minimise, minimise_22, minimise_cube,
     minimise_global, minimise_hypercube, minimise_quartic,
     trial_division_factor,
 )

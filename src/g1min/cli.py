@@ -6,14 +6,14 @@ string coefficients in the documented index order: integers or rationals for
 quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
 
 Exit codes: 0 success; 2 parse error or rejected input (a non-integral model
-to minimise, a prime beyond a search bound); 3 kind mismatch or unsupported
-operation for the kind; 4 singular model; 5 factorisation failure; 6 internal
-error, a check inside the library that failed on accepted input (a
-ValueError, AssertionError or ArithmeticError), reported as "internal error:
-...".  Reports go to stdout, diagnostics to stderr.  The environment variable
-G1MIN_PRIME_BOUND (default 2^10) caps only the P^2 singular-point scans of
-ternary cubics; there is no P^1 x P^1 bound.  Integers in model files and
-reports may have any number of digits.
+to minimise, a prime beyond a search bound, --critical below p = 5); 3 kind
+mismatch or unsupported operation for the kind or model; 4 singular model; 5
+factorisation failure; 6 internal error, a check inside the library that
+failed on accepted input (a ValueError, AssertionError or ArithmeticError),
+reported as "internal error: ...".  Reports go to stdout, diagnostics to
+stderr.  The environment variable G1MIN_PRIME_BOUND (default 2^10) caps only
+the P^2 singular-point scans of ternary cubics; there is no P^1 x P^1 bound.
+Integers in model files and reports may have any number of digits.
 """
 
 import argparse
@@ -197,6 +197,7 @@ def cmd_minimise(args):
             "vDeltaInitial": rep.v_disc_initial,
             "vDeltaFinal": rep.v_disc_final,
             "alreadyMinimal": rep.input_was_minimal,
+            "verdict": rep.verdict.value,
             "model": model_to_dict(rep.model),
             "transformation": group_element_to_dict(rep.transformation),
             "steps": [_step_doc(s) for s in rep.steps],
@@ -239,10 +240,9 @@ def cmd_level(args):
 def cmd_construct(args):
     if args.critical:
         ctx = _prime_context(args)
-        try:
-            m = critical_model(args.critical, ctx, args.seed)
-        except ValueError as e:
-            raise _CliError(EXIT_PARSE, str(e))
+        if ctx.p < 5:
+            raise _CliError(EXIT_PARSE, "critical patterns are stated for p >= 5")
+        m = critical_model(args.critical, ctx, args.seed)
         _write_model(m, args, meta={"critical": args.critical, "prime": ctx.p,
                                     "seed": args.seed})
         return EXIT_OK
@@ -260,17 +260,18 @@ def cmd_construct(args):
 
 def cmd_convert(args):
     m = _load_model(args.model)
-    try:
-        if args.direction == "2to3":
-            if m.kind != "form22":
-                raise _CliError(EXIT_KIND, f"2to3 needs a form22 model, got {m.kind}")
-            out = convert_2to3(m)
-        else:
-            if m.kind != "cube":
-                raise _CliError(EXIT_KIND, f"3to2 needs a cube model, got {m.kind}")
-            out = convert_3to2(m)
-    except ValueError as e:
-        raise _CliError(EXIT_KIND, str(e))
+    if args.direction == "2to3":
+        if m.kind != "form22":
+            raise _CliError(EXIT_KIND, f"2to3 needs a form22 model, got {m.kind}")
+        if m.rows[0][0] != 0:
+            raise _CliError(EXIT_KIND, "((1:0),(1:0)) is not on the curve: a11 != 0")
+        out = convert_2to3(m)
+    else:
+        if m.kind != "cube":
+            raise _CliError(EXIT_KIND, f"3to2 needs a cube model, got {m.kind}")
+        if any(m.entries[2][2]):
+            raise _CliError(EXIT_KIND, "the bilinear forms do not vanish at ((0:0:1),(0:0:1))")
+        out = convert_3to2(m)
     _write_model(out, args)
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 import random
 
-from .exactnum import LocalContext, identity_matrix, valuation
+from .exactnum import as_context, identity_matrix, valuation
 from .invariants import discriminant
 from .models import (
     SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, act, is_integral,
@@ -168,7 +168,7 @@ def _draw(spec, p, rng):
 def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
     """A pseudorandom nonsingular model matching the critical valuation
     pattern at the context prime (p >= 5): minimal yet of positive level."""
-    ctx = LocalContext(ctx) if isinstance(ctx, int) else ctx
+    ctx = as_context(ctx)
     p = ctx.p
     if p < 5:
         raise ValueError("critical patterns are stated for p >= 5")
@@ -215,7 +215,7 @@ def _random_unimodular(n, rng, bound=2):
 def inflate(m, ctx, seed_or_rng, moves=3):
     """Apply integral level-raising moves: random unimodular conjugation
     followed by a scalar-p or diagonal-p stretch.  Returns (model, element)."""
-    ctx = LocalContext(ctx) if isinstance(ctx, int) else ctx
+    ctx = as_context(ctx)
     p = ctx.p
     rng = _rng(seed_or_rng)
     kind = m.kind
@@ -418,7 +418,7 @@ def oracle_minimality_22(F, ctx):
     discriminant valuation smaller by 12, so the first round decides the
     verdict.  Restricted to small primes by cost.
     """
-    ctx = LocalContext(ctx) if isinstance(ctx, int) else ctx
+    ctx = as_context(ctx)
     p = ctx.p
     if p > ORACLE_PRIME_BOUND:
         raise ValueError(f"oracle limited to p <= {ORACLE_PRIME_BOUND}")

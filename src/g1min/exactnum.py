@@ -211,6 +211,11 @@ class LocalContext:
         return hash(("LocalContext", self.p))
 
 
+def as_context(ctx):
+    """The LocalContext of a prime given as an int; a context passes through."""
+    return LocalContext(ctx) if isinstance(ctx, int) else ctx
+
+
 # ---------------------------------------------------------------------------
 # polynomials over F_p: coefficient lists, constant term first.  The kernel
 # takes and returns normalised lists: entries in [0, p), no trailing zeros,

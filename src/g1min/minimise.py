@@ -1,33 +1,47 @@
 """Minimisation at a prime for all four model kinds, with certificates.
 
-Each driver loops over the applicable level-reducing or level-preserving
-moves and stops at a fixpoint; the structure theorems guarantee that a
-non-minimal model always admits a move, so the fixpoint is minimal.  Every
-committed move is an exact group element; the report's transformation g
-satisfies act(g, input) == final, checked at construction.  Trailing
-level-neutral exploration is rolled back, so an already-minimal input comes
-back unchanged with an empty trace.
+One loop, `_Driver.run`, serves every kind.  While v(Delta) >= 12 it divides
+out content and asks the kind's step for the next move: a level-lowering
+move, a level-keeping one, or a verdict that the model is minimal.  The
+structure theorems guarantee that a non-minimal model always admits a move,
+so the fixpoint is minimal.  Every committed move is an exact group element;
+the report's transformation g satisfies act(g, input) == final, checked at
+construction.  Trailing level-neutral exploration is rolled back, so an
+already-minimal input comes back unchanged with an empty trace.
 
-Iteration bounds from the theory are enforced: at most 2 consecutive
-level-preserving steps for quartics and (2,2)-forms, 3 level-neutral
-procedure applications for cubes, 2 consecutive singular-point procedure
-applications for hypercubes.  For quartics, (2,2)-forms and cubes exceeding
-the bound certifies minimality (the work is rolled back); for hypercubes
-minimality is decided up front via the six associated (2,2)-forms, so a
-bound violation raises InternalBoundError.
+The report's verdict names the loop exit:
+
+    BELOW_12             v(Delta) < 12, so no level is left to remove
+    NO_RESIDUE_MOVE      the residue class admits no move (quartics,
+                         (2,2)-forms, cubes)
+    NO_INTEGRAL_LANDING  no candidate move lands on an integral model at the
+                         same or a lower level (the (2,2) slender pair and
+                         singular point, the cube procedure, whose landing
+                         is rolled back)
+    NEUTRAL_CHAIN_BOUND  one more level-keeping move than the theory allows:
+                         2 in a row for quartics and (2,2)-forms, 3 cube
+                         procedures; the chain is rolled back
+    ONE_FORM_MINIMAL     a hypercube is minimal exactly when one of its six
+                         (2,2)-forms is
+
+Hypercube minimality is decided up front by the six forms, so their bound
+(2 singular-point stretches in a row) is a theorem, and an overrun raises
+InternalBoundError instead of giving a verdict.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .exactnum import (
-    LocalContext, det_matrix, fp_inv, fp_left_kernel_vector, is_prime, lift_primitive,
-    mat_adj, mat_mul, unimodular_with_row, valuation,
+    LocalContext, as_context, det_matrix, fp_inv, fp_left_kernel_vector, identity_matrix,
+    is_prime, lift_primitive, mat_adj, mat_mul, unimodular_with_row, valuation,
 )
 from .invariants import c4_c6, discriminant
 from .models import (
-    GroupElement, HYPERCUBE_PAIRS, SingularModelError, act, content_valuation,
+    GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, act, content_valuation,
     cubics_of_cube, forms_of_hypercube, is_integral,
 )
 from .residue import (
@@ -38,6 +52,16 @@ from .residue import (
 
 class InternalBoundError(AssertionError):
     """An iteration bound promised by the theory was violated (a bug)."""
+
+
+class Verdict(Enum):
+    """Why the minimisation loop stopped (see the module docstring)."""
+
+    BELOW_12 = "below-12"
+    NO_RESIDUE_MOVE = "no-residue-move"
+    NO_INTEGRAL_LANDING = "no-integral-landing"
+    NEUTRAL_CHAIN_BOUND = "neutral-chain-bound"
+    ONE_FORM_MINIMAL = "one-form-minimal"
 
 
 @dataclass(frozen=True)
@@ -56,6 +80,7 @@ class MinimisationReport:
     v_disc_initial: int
     v_disc_final: int
     prime: int
+    verdict: Verdict
     max_neutral_chain: int = 0
 
     @property
@@ -67,31 +92,85 @@ class MinimisationReport:
         return (self.v_disc_initial - self.v_disc_final) // 12
 
 
-def _ctx(ctx):
-    return LocalContext(ctx) if isinstance(ctx, int) else ctx
-
-
-def _require_ok(m, p):
+def _checked_discriminant(m):
+    """Delta of an integral nonsingular model; other models raise."""
     if not is_integral(m):
         raise ValueError("model must be integral")
-    d = discriminant(m)
-    if d == 0:
+    disc = discriminant(m)
+    if disc == 0:
         raise SingularModelError("singular model")
-    return valuation(d, p)
+    return disc
+
+
+@dataclass(frozen=True)
+class _Move:
+    """A move proposed by a step.  `drop` is the fall of v(Delta) it must
+    cause (None: unchecked); `chained` moves keep the level and count toward
+    the neutral-chain bound; `then` finishes a multi-move procedure."""
+
+    g: GroupElement
+    label: str
+    detail: tuple = ()
+    drop: int = None
+    chained: bool = False
+    then: object = None
+
+
+# the theory's bound on consecutive level-keeping moves (cubes: procedures)
+_CHAIN_BOUNDS = {"quartic": 2, "form22": 2, "cube": 3, "hypercube": 2}
 
 
 class _Driver:
     """Work state: current model, accumulated certificate, step history."""
 
     def __init__(self, m, ctx):
-        self.ctx = ctx
-        self.p = ctx.p
+        self.ctx = as_context(ctx)
+        self.p = self.ctx.p
         self.input = m
         self.cur = m
         self.g = GroupElement.identity(m.kind)
-        self.v = _require_ok(m, ctx.p)
+        self.v = valuation(_checked_discriminant(m), self.p)
         self.v_initial = self.v
+        self.content = 0  # v_p of the content that division left (quartics: 0 or 1)
         self.records = []  # (Step, model, transformation, v_after)
+
+    def run(self, step):
+        """Minimise: while v(Delta) >= 12, divide out content, then commit the
+        move step(self) proposes, until it returns a Verdict.  A step proposes
+        one move, which must land integrally, or a tuple of candidates, of
+        which the first that lands integrally is committed."""
+        kind, p = self.input.kind, self.p
+        spec, bound = SPECS[kind], _CHAIN_BOUNDS[kind]
+        chain = max_chain = 0
+        while self.v >= 12:
+            self.content = content_valuation(self.cur, p)
+            e = self.content // spec.act_power
+            if e:
+                self.apply(GroupElement.scaling(kind, Fraction(1, p ** e)), "content",
+                           detail=(e,), expect_drop=12 * e * spec.chi_power)
+                chain = 0
+                continue
+            proposal = step(self)
+            if isinstance(proposal, Verdict):
+                return self.report(proposal, max_chain)
+            move = proposal[0] if isinstance(proposal, tuple) else proposal
+            if move.chained and chain >= bound:
+                return self.report(Verdict.NEUTRAL_CHAIN_BOUND, max_chain)
+            moved = None
+            if isinstance(proposal, tuple):
+                move, moved = next(((c, x) for c in proposal for x in (self.candidate(c.g),)
+                                    if is_integral(x)), (None, None))
+                if move is None:
+                    return self.report(Verdict.NO_INTEGRAL_LANDING, max_chain)
+            v_before = self.v
+            self.apply(move.g, move.label, move.detail, move.drop, model=moved)
+            if move.then is not None:
+                move.then(self)
+            if self.v > v_before:  # landed above the level: roll back
+                return self.report(Verdict.NO_INTEGRAL_LANDING, max_chain)
+            chain = chain + 1 if move.chained and self.v == v_before else 0
+            max_chain = max(max_chain, chain)
+        return self.report(Verdict.BELOW_12, max_chain)
 
     def apply(self, move, label, detail=(), expect_drop=None, merge=False, model=None):
         """Apply one move; `model` is act(move, cur) when the caller already
@@ -119,7 +198,7 @@ class _Driver:
     def candidate(self, move):
         return act(move, self.cur)
 
-    def report(self, max_neutral_chain=0):
+    def report(self, verdict, max_neutral_chain):
         v_final = min((v for _, _, _, v in self.records), default=self.v_initial)
         if v_final >= self.v_initial:
             model, g, steps, v_final = (
@@ -133,7 +212,7 @@ class _Driver:
         return MinimisationReport(
             model=model, transformation=g, steps=steps,
             v_disc_initial=self.v_initial, v_disc_final=v_final,
-            prime=self.p, max_neutral_chain=max_neutral_chain,
+            prime=self.p, verdict=verdict, max_neutral_chain=max_neutral_chain,
         )
 
 
@@ -157,41 +236,55 @@ def _form_to_last(ell, p, dim):
     return tuple(tuple(d * x for x in row) for row in mat_adj(col))
 
 
+def _axis_move(kind, matrix, axis):
+    """The group element acting by `matrix` along one tensor axis."""
+    mats = [identity_matrix(n) for n in SPECS[kind].matrix_sizes]
+    mats[axis] = matrix
+    return GroupElement(kind, 1, tuple(mats))
+
+
+def _absorb_matrix(ker, p):
+    """Unimodular change making the kernel vector the last row, which is
+    then divided by p."""
+    n = len(ker)
+    u = unimodular_with_row(lift_primitive(ker, p), p, n - 1)
+    return mat_mul(_diag(*(1,) * (n - 1), Fraction(1, p)), u)
+
+
+def _desaturation(d):
+    """The move absorbing p along an axis whose slices are dependent mod p,
+    or None when the cube or hypercube is saturated."""
+    defect = saturation_defect(d.cur, d.ctx)
+    if defect is not None:
+        axis, ker = defect
+        return _Move(_axis_move(d.cur.kind, _absorb_matrix(ker, d.p), axis), "desaturate",
+                     (axis,), 12)
+
+
 # ---------------------------------------------------------------------------
 # binary quartics
 
 
+def _quartic_step(d):
+    """Move the unique multiple root of the reduction to (1:0), substitute
+    x2 -> p x2 and divide by p^2."""
+    p = d.p
+    root = repeated_root(tuple(c // p ** d.content for c in d.cur.coeffs), p)
+    if root is None:
+        return Verdict.NO_RESIDUE_MOVE
+    # The move always lands.  With content p this is clear.  Without, the root
+    # moved to (1:0) gives v(a), v(b) >= 1, and v(a) = 1 would make the m roots
+    # near it those of an Eisenstein polynomial g of degree m <= 4, so that
+    # v(Delta) = v(disc g) <= m v(m) + m - 1 <= 11.
+    move = GroupElement("quartic", Fraction(1, p), (mat_mul(_diag(1, p), _row_move(root, p)),))
+    return _Move(move, "multiple-root", (root,), 0, chained=True)
+
+
 def minimise_quartic(G, ctx):
-    """Slope descent for binary quartics: move the unique multiple root of
-    the reduction to (1:0), substitute x2 -> p x2 and divide by p^2; divide
-    out even content as it appears.  At most two consecutive root moves can
-    precede a content division, so a third certifies minimality."""
-    ctx = _ctx(ctx)
-    d = _Driver(G, ctx)
-    p = ctx.p
-    chain = 0
-    max_chain = 0
-    while True:
-        if d.v < 12:
-            break  # nothing left to reduce
-        k = content_valuation(d.cur, p)
-        if k >= 2:
-            m = GroupElement.scaling("quartic", Fraction(1, p ** (k // 2)))
-            d.apply(m, "content", detail=(k // 2,), expect_drop=12 * (k // 2))
-            chain = 0
-            continue
-        prim = tuple(c // p ** k for c in d.cur.coeffs)
-        root = repeated_root(prim, p)
-        if root is None or chain >= 2:
-            break
-        move = GroupElement("quartic", Fraction(1, p), (mat_mul(_diag(1, p), _row_move(root, p)),))
-        moved = d.candidate(move)
-        if not is_integral(moved):
-            break
-        d.apply(move, "multiple-root", detail=(root,), expect_drop=0, model=moved)
-        chain += 1
-        max_chain = max(max_chain, chain)
-    return d.report(max_chain)
+    """Slope descent for binary quartics, dividing out even content as it
+    appears.  At most two consecutive root moves can precede a content
+    division, so a third certifies minimality."""
+    return _Driver(G, ctx).run(_quartic_step)
 
 
 # ---------------------------------------------------------------------------
@@ -200,73 +293,37 @@ def minimise_quartic(G, ctx):
 _I2 = ((1, 0), (0, 1))
 
 
+def _22_step(d):
+    """Stretch at the repeated roots or the singular point of the residue."""
+    p = d.p
+    cls = classify_22_residue(d.cur, d.ctx)
+    if cls.tag == TAG_PRODUCT_BOTH:
+        # move both repeated roots to (1:0), then try three diagonal stretches
+        mx, my = _row_move(cls.x_root, p), _row_move(cls.y_root, p)
+        sx, sy = mat_mul(_diag(1, p), mx), mat_mul(_diag(1, p), my)
+        return tuple(_Move(GroupElement("form22", la, mats), "slender-pair", (idx,), 12)
+                     for idx, la, mats in ((1, Fraction(1, p * p), (sx, my)),
+                                           (2, Fraction(1, p * p), (mx, sy)),
+                                           (3, Fraction(1, p ** 3), (sx, sy))))
+    if cls.tag == TAG_PRODUCT_ONE:
+        stretch = mat_mul(_diag(1, p), _row_move(
+            cls.x_root if cls.repeated_side == "x" else cls.y_root, p))
+        mats = (stretch, _I2) if cls.repeated_side == "x" else (_I2, stretch)
+        return _Move(GroupElement("form22", Fraction(1, p), mats), "slender-single",
+                     (cls.repeated_side,), 0, chained=True)
+    if cls.tag == TAG_UNIQUE_SINGULAR:
+        # only non-minimal forms admit this move integrally
+        xr, yr = cls.point
+        move = GroupElement("form22", Fraction(1, p * p),
+                            (mat_mul(_diag(1, p), _row_move(xr, p)),
+                             mat_mul(_diag(1, p), _row_move(yr, p))))
+        return (_Move(move, "singular-point", (cls.point,), 0, chained=True),)
+    return Verdict.NO_RESIDUE_MOVE  # zero is impossible here; the rest are minimal
+
+
 def minimise_22(F, ctx):
     """Minimise a nonsingular integral (2,2)-form at the context prime."""
-    ctx = _ctx(ctx)
-    d = _Driver(F, ctx)
-    p = ctx.p
-    chain = 0
-    max_chain = 0
-    while True:
-        if d.v < 12:
-            break  # nothing left to reduce
-        k = content_valuation(d.cur, p)
-        if k >= 1:
-            d.apply(GroupElement.scaling("form22", Fraction(1, p ** k)), "content",
-                    detail=(k,), expect_drop=12 * k)
-            chain = 0
-            continue
-        cls = classify_22_residue(d.cur, ctx)
-        if cls.tag == TAG_PRODUCT_BOTH:
-            norm = GroupElement("form22", 1,
-                                (_row_move(cls.x_root, p), _row_move(cls.y_root, p)))
-            applied = False
-            for idx, (sx, sy, la) in enumerate((
-                (True, False, Fraction(1, p * p)),
-                (False, True, Fraction(1, p * p)),
-                (True, True, Fraction(1, p ** 3)),
-            )):
-                stretch = GroupElement("form22", la,
-                                       (_diag(1, p) if sx else _I2, _diag(1, p) if sy else _I2))
-                move = stretch.compose(norm)
-                moved = d.candidate(move)
-                if is_integral(moved):
-                    d.apply(move, "slender-pair", detail=(idx + 1,), expect_drop=12, model=moved)
-                    chain = 0
-                    applied = True
-                    break
-            if not applied:
-                break  # none of the three moves lands integrally: minimal
-            continue
-        if cls.tag == TAG_PRODUCT_ONE:
-            if chain >= 2:
-                break
-            if cls.repeated_side == "x":
-                move = GroupElement("form22", Fraction(1, p),
-                                    (mat_mul(_diag(1, p), _row_move(cls.x_root, p)), _I2))
-            else:
-                move = GroupElement("form22", Fraction(1, p),
-                                    (_I2, mat_mul(_diag(1, p), _row_move(cls.y_root, p))))
-            d.apply(move, "slender-single", detail=(cls.repeated_side,), expect_drop=0)
-            chain += 1
-            max_chain = max(max_chain, chain)
-            continue
-        if cls.tag == TAG_UNIQUE_SINGULAR:
-            if chain >= 2:
-                break
-            xr, yr = cls.point
-            move = GroupElement("form22", Fraction(1, p * p),
-                                (mat_mul(_diag(1, p), _row_move(xr, p)),
-                                 mat_mul(_diag(1, p), _row_move(yr, p))))
-            moved = d.candidate(move)
-            if not is_integral(moved):
-                break  # only non-minimal forms admit this move integrally
-            d.apply(move, "singular-point", detail=(cls.point,), expect_drop=0, model=moved)
-            chain += 1
-            max_chain = max(max_chain, chain)
-            continue
-        break  # zero is impossible here; separable products and the rest are minimal
-    return d.report(max_chain)
+    return _Driver(F, ctx).run(_22_step)
 
 
 def is_minimal_22(F, ctx):
@@ -276,96 +333,55 @@ def is_minimal_22(F, ctx):
 # ---------------------------------------------------------------------------
 # 3x3x3 cubes
 
-_I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _cube_axis_move(matrix, axis):
-    mats = [_I3, _I3, _I3]
-    mats[axis] = matrix
-    return GroupElement("cube", 1, tuple(mats))
-
 
 def _absorb_axis(d, axis, label):
     """Absorb p from dependent slices along one axis until independent."""
+    while (ker := fp_left_kernel_vector(d.cur.axis_slices(axis), d.p)) is not None:
+        d.apply(_axis_move("cube", _absorb_matrix(ker, d.p), axis), label, detail=(axis,),
+                expect_drop=12, merge=True)
+
+
+def _cube_step(d):
+    """Desaturate, or stretch the two axes whose determinantal cubics share a
+    repeated line or a unique singular point and absorb along the third."""
+    desaturate = _desaturation(d)
+    if desaturate is not None:
+        return desaturate
     p = d.p
-    while True:
-        ker = fp_left_kernel_vector(d.cur.axis_slices(axis), p)
-        if ker is None:
-            return
-        u = unimodular_with_row(lift_primitive(ker, p), p, 2)
-        m = mat_mul(_diag(1, 1, Fraction(1, p)), u)
-        d.apply(_cube_axis_move(m, axis), label, detail=(axis,), expect_drop=12,
-                merge=True)
+    classes = [classify_cubic_residue(f, d.ctx) for f in cubics_of_cube(d.cur)]
+    rep = [i for i in range(3) if classes[i].tag == TAG_REPEATED_LINE]
+    uni = [i for i in range(3) if classes[i].tag == TAG_UNIQUE_SINGULAR]
+    if len(rep) >= 2:
+        axes, mode = rep[:2], "repeated-factor-pair"
+    elif len(uni) >= 2:
+        axes, mode = uni[:2], "singular-pair"
+    else:
+        return Verdict.NO_RESIDUE_MOVE
+    spare = next(a for a in range(3) if a not in axes)
+    mats = [identity_matrix(3)] * 3
+    for a in axes:
+        if mode == "repeated-factor-pair":
+            mats[a] = mat_mul(_diag(1, 1, p), _form_to_last(classes[a].factor, p, 3))
+        else:
+            mats[a] = mat_mul(_diag(1, p, p), _row_move(classes[a].point, p))
+    return _Move(GroupElement("cube", 1, tuple(mats)), mode, tuple(axes), chained=True,
+                 then=lambda d: _absorb_axis(d, spare, mode + "-absorb"))
 
 
 def minimise_cube(S, ctx):
     """Minimise a nonsingular integral cube at the context prime."""
-    ctx = _ctx(ctx)
-    d = _Driver(S, ctx)
-    p = ctx.p
-    proc_chain = 0
-    max_chain = 0
-    while True:
-        if d.v < 12:
-            break  # nothing left to reduce
-        k = content_valuation(d.cur, p)
-        if k >= 1:
-            d.apply(GroupElement.scaling("cube", Fraction(1, p ** k)), "content",
-                    detail=(k,), expect_drop=36 * k)
-            proc_chain = 0
-            continue
-        defect = saturation_defect(d.cur, ctx)
-        if defect is not None:
-            axis, ker = defect
-            u = unimodular_with_row(lift_primitive(ker, p), p, 2)
-            m = mat_mul(_diag(1, 1, Fraction(1, p)), u)
-            d.apply(_cube_axis_move(m, axis), "desaturate", detail=(axis,), expect_drop=12)
-            proc_chain = 0
-            continue
-        classes = [classify_cubic_residue(f, ctx) for f in cubics_of_cube(d.cur)]
-        rep = [i for i in range(3) if classes[i].tag == TAG_REPEATED_LINE]
-        uni = [i for i in range(3) if classes[i].tag == TAG_UNIQUE_SINGULAR]
-        if len(rep) >= 2:
-            axes, mode = rep[:2], "repeated-factor-pair"
-        elif len(uni) >= 2:
-            axes, mode = uni[:2], "singular-pair"
-        else:
-            break
-        if proc_chain >= 3:
-            break  # a fourth level-neutral procedure certifies minimality
-        v_before = d.v
-        spare = next(a for a in range(3) if a not in axes)
-        move = GroupElement.identity("cube")
-        for a in axes:
-            if mode == "repeated-factor-pair":
-                axis_mat = mat_mul(_diag(1, 1, p), _form_to_last(classes[a].factor, p, 3))
-            else:
-                axis_mat = mat_mul(_diag(1, p, p), _row_move(classes[a].point, p))
-            move = _cube_axis_move(axis_mat, a).compose(move)
-        d.apply(move, mode, detail=tuple(axes))
-        _absorb_axis(d, spare, mode + "-absorb")
-        if d.v > v_before:
-            break  # the move only lands for non-minimal cubes: minimal, roll back
-        proc_chain = 0 if d.v < v_before else proc_chain + 1
-        max_chain = max(max_chain, proc_chain)
-    return d.report(max_chain)
+    return _Driver(S, ctx).run(_cube_step)
 
 
 # ---------------------------------------------------------------------------
 # hypercubes
 
-_ID4 = (0, 1, 2, 3)
+
+def _hyper_move(matrices=(_I2, _I2, _I2, _I2), perm=None):
+    return GroupElement("hypercube", 1, matrices, perm)
 
 
-def _hyper_move(matrices=None, perm=None, scalar=1):
-    mats = tuple(matrices) if matrices is not None else (_I2, _I2, _I2, _I2)
-    return GroupElement("hypercube", scalar, mats, perm if perm else _ID4)
-
-
-def _hyper_axis_move(matrix, axis):
-    mats = [_I2, _I2, _I2, _I2]
-    mats[axis] = matrix
-    return _hyper_move(mats)
+_hyper_axis_move = partial(_axis_move, "hypercube")
 
 
 def _axis_perm_moving_to_front(a, b):
@@ -398,64 +414,29 @@ def _clear_axis_entry(d, axis, pivot_idx, target_idx):
     d.apply(_hyper_axis_move(tuple(tuple(r) for r in m), axis), "entry-clear", expect_drop=0)
 
 
-def minimise_hypercube(H, ctx):
-    """Minimise a nonsingular integral hypercube at the context prime.
-
-    Minimality is equivalent to some associated (2,2)-form being minimal, so
-    the verdict is decided by running the (2,2) minimiser on all six forms.
-    While all six are non-minimal, one constructive normalisation step plus a
-    diagonal stretch makes progress; the singular-point flavour can repeat at
-    most twice before desaturation or the doubly-degenerate flavour occurs.
-    """
-    ctx = _ctx(ctx)
-    d = _Driver(H, ctx)
-    p = ctx.p
-    singular_chain = 0
-    max_chain = 0
-    while True:
-        if d.v < 12:
-            break  # nothing left to reduce
-        k = content_valuation(d.cur, p)
-        if k >= 1:
-            d.apply(GroupElement.scaling("hypercube", Fraction(1, p ** k)), "content",
-                    detail=(k,), expect_drop=24 * k)
-            singular_chain = 0
-            continue
-        defect = saturation_defect(d.cur, ctx)
-        if defect is not None:
-            axis, ker = defect
-            u = unimodular_with_row(lift_primitive(ker, p), p, 1)
-            m = mat_mul(_diag(1, Fraction(1, p)), u)
-            d.apply(_hyper_axis_move(m, axis), "desaturate", detail=(axis,), expect_drop=12)
-            singular_chain = 0
-            continue
-        forms = forms_of_hypercube(d.cur)
-        if any(is_minimal_22(forms[pair], ctx) for pair in HYPERCUBE_PAIRS):
-            break  # minimal exactly when one of its forms is
-        situation = _hyper_step(d, forms)
-        if situation == "singular":
-            singular_chain += 1
-            max_chain = max(max_chain, singular_chain)
-            if singular_chain > 2:
-                raise InternalBoundError("hypercube singular-point procedure ran thrice")
-        else:
-            singular_chain = 0
-            if saturation_defect(d.cur, ctx) is None:
-                raise InternalBoundError("doubly-degenerate step failed to desaturate")
-    return d.report(max_chain)
+def _require_desaturation(d):
+    if saturation_defect(d.cur, d.ctx) is None:
+        raise InternalBoundError("doubly-degenerate step failed to desaturate")
 
 
-def _hyper_step(d, forms):
-    """One constructive step when every associated (2,2)-form is non-minimal.
+def _hypercube_step(d):
+    """Desaturate, or stop when one of the six associated (2,2)-forms is
+    minimal; otherwise one constructive step.
 
-    Normalises so that the corner slice H[0][0][.][.] vanishes mod p, the
-    off-corner block H[0][1][.][.] is supported on its far corner, and
-    H[1][0][0][0] = 0 mod p; then a single diagonal stretch either keeps the
-    level with a unique singular point (retried by the caller) or produces a
+    The step normalises so that the corner slice H[0][0][.][.] vanishes mod
+    p, the off-corner block H[0][1][.][.] is supported on its far corner,
+    and H[1][0][0][0] = 0 mod p; then a single diagonal stretch either keeps
+    the level with a unique singular point (the chained move) or produces a
     non-saturated hypercube.
     """
+    desaturate = _desaturation(d)
+    if desaturate is not None:
+        return desaturate
     p = d.p
     ctx = d.ctx
+    forms = forms_of_hypercube(d.cur)
+    if any(is_minimal_22(forms[pair], ctx) for pair in HYPERCUBE_PAIRS):
+        return Verdict.ONE_FORM_MINIMAL
 
     def h(i, j, k, l):
         return d.cur.at(i, j, k, l) % p
@@ -558,8 +539,7 @@ def _hyper_step(d, forms):
             cls = classify_22_residue(forms_of_hypercube(d.cur)[(0, 1)], ctx)
         if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
             raise InternalBoundError("expected a unique singular point at the corner pair")
-        d.apply(stretch, "stretch-singular", expect_drop=0)
-        return "singular"
+        return _Move(stretch, "stretch-singular", drop=0, chained=True)
     _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
     for idx in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
         if h(*idx) == 0:
@@ -574,8 +554,23 @@ def _hyper_step(d, forms):
     axis = deep[0].index(1)
     if axis != 3:
         d.apply(_hyper_move(perm=_swap_axes_perm(axis, 3)), "relabel-axes", expect_drop=0)
-    d.apply(stretch, "stretch-slender", expect_drop=0)
-    return "slender"
+    # keeps the level but leads to a desaturation, so it does not chain
+    return _Move(stretch, "stretch-slender", drop=0, then=_require_desaturation)
+
+
+def minimise_hypercube(H, ctx):
+    """Minimise a nonsingular integral hypercube at the context prime.
+
+    Minimality is equivalent to some associated (2,2)-form being minimal, so
+    the verdict is decided by running the (2,2) minimiser on all six forms.
+    While all six are non-minimal, one constructive normalisation step plus a
+    diagonal stretch makes progress; the singular-point flavour can repeat at
+    most twice before desaturation or the doubly-degenerate flavour occurs.
+    """
+    rep = _Driver(H, ctx).run(_hypercube_step)
+    if rep.verdict is Verdict.NEUTRAL_CHAIN_BOUND:
+        raise InternalBoundError("hypercube singular-point procedure ran thrice")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +650,7 @@ def minimise_global(m, factor=trial_division_factor):
     [(prime, exponent), ...] and raises FactorizationError when it cannot
     split g.
     """
-    if not is_integral(m):
-        raise ValueError("model must be integral")
-    disc = discriminant(m)
-    if disc == 0:
-        raise SingularModelError("singular model")
+    disc = _checked_discriminant(m)
     c4, c6 = c4_c6(m)
     candidates = [p for p, _ in factor(gcd(c4, c6))
                   if valuation(c4, p) >= 4 and valuation(c6, p) >= 6

@@ -15,7 +15,7 @@ of their kappas.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import INFINITY, LocalContext, fp_inv, fp_poly_roots, valuation
+from .exactnum import INFINITY, as_context, fp_inv, fp_poly_roots, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
 from .models import SingularModelError
 
@@ -344,16 +344,14 @@ def _type_istar_tail(cur, total, p):
 
 def minimal_discriminant_valuation(E, ctx):
     """(v(disc_min), CurveMap) at the context prime."""
-    if isinstance(ctx, int):
-        ctx = LocalContext(ctx)
+    ctx = as_context(ctx)
     _, cmap, v = tate_minimal(E, ctx.p)
     return v, cmap
 
 
 def kappa(P, E, ctx):
     """kappa of a point: denominator depth of P on a local minimal model."""
-    if isinstance(ctx, int):
-        ctx = LocalContext(ctx)
+    ctx = as_context(ctx)
     if P.is_infinity:
         raise ValueError("kappa is undefined at the identity")
     if not on_curve(E, P):
@@ -393,8 +391,7 @@ _MARKED_INVARIANTS = {
 
 def level(m, ctx):
     """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube."""
-    if isinstance(ctx, int):
-        ctx = LocalContext(ctx)
+    ctx = as_context(ctx)
     p = ctx.p
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:

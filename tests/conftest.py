@@ -5,6 +5,11 @@ import pytest
 from g1min import BinaryQuartic, Cube, Hypercube, TwoTwoForm, discriminant
 
 
+# a hypercube at p = 2 whose minimisation takes two singular-point stretches in a row
+HYPERCUBE_CHAIN_2 = (2884, 2312, 3576, 2808, -2236, -1812, -2776, -2200,
+                     3664, 2888, 4560, 3512, -2844, -2264, -3544, -2752)
+
+
 def nonzero_disc(make, rng, tries=200):
     for _ in range(tries):
         m = make(rng)

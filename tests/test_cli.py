@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from g1min import discriminant, model_from_dict, model_to_dict, construct_22, scalar_multiply
+from g1min import (
+    TwoTwoForm, construct_22, discriminant, model_from_dict, model_to_dict, scalar_multiply,
+)
 from g1min.cli import main
 from g1min.exactnum import is_prime
 from g1min.minimise import InternalBoundError
@@ -117,6 +119,20 @@ def test_minimise_local_and_round_trip(tmp_path, capsys):
     assert model_from_dict(doc2["model"]) == model_from_dict(doc["model"])
 
 
+def test_minimise_json_reports_the_verdict(tmp_path, capsys):
+    from g1min import critical_model
+
+    cases = ((scalar_multiply(construct_22(0, 0, 0, 1), 2), "below-12"),
+             (critical_model("form22", 5, 0), "no-integral-landing"),
+             (critical_model("cube", 5, 0), "neutral-chain-bound"),
+             (critical_model("hypercube", 5, 0), "one-form-minimal"))
+    for m, verdict in cases:
+        path = form22_file(tmp_path, m)
+        assert main(["minimise", path, "--prime", "5" if verdict != "below-12" else "2",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
 def test_minimise_singular_exit_4(tmp_path, capsys):
     path = write_model(tmp_path, "s.json", {"kind": "form22", "coeffs": ["0"] * 9})
     assert main(["minimise", path, "--prime", "2"]) == 4
@@ -152,6 +168,19 @@ def test_internal_faults_exit_6(tmp_path, capsys, monkeypatch, fault):
     for argv in (["minimise", path, "--global"], ["level", path, "--prime", "5"]):
         assert main(argv) == 6
         assert capsys.readouterr().err == f"internal error: {fault}\n"
+
+
+def test_hypercube_chain_overrun_exits_6(tmp_path, capsys, monkeypatch):
+    from g1min import Hypercube
+    from g1min.minimise import _CHAIN_BOUNDS
+
+    from conftest import HYPERCUBE_CHAIN_2
+
+    monkeypatch.setitem(_CHAIN_BOUNDS, "hypercube", 1)
+    path = form22_file(tmp_path, Hypercube.from_coeffs(HYPERCUBE_CHAIN_2))
+    assert main(["minimise", path, "--prime", "2"]) == 6
+    assert capsys.readouterr().err == (
+        "internal error: hypercube singular-point procedure ran thrice\n")
 
 
 RATIONAL_QUARTIC = {"kind": "quartic", "coeffs": ["1/2", "0", "0", "0", "3"]}
@@ -274,6 +303,43 @@ def test_convert_wrong_kind_exit_3(tmp_path):
     path = quartic_file(tmp_path, (1, 0, 0, 0, 1))
     assert main(["convert", "2to3", path]) == 3
     assert main(["convert", "3to2", path]) == 3
+
+
+def test_convert_3to2_requires_vanishing_forms_exit_3(tmp_path, capsys):
+    from g1min import construct_cube
+
+    path = write_model(tmp_path, "c.json", model_to_dict(construct_cube(0, 0, 0, 1)))
+    assert main(["convert", "3to2", path]) == 3
+    assert "do not vanish at ((0:0:1),(0:0:1))" in capsys.readouterr().err
+
+
+def test_convert_internal_value_error_exits_6(tmp_path, capsys, monkeypatch):
+    # the CLI checks a11 = 0 itself, so a ValueError from the conversion is a fault
+    import g1min.cli
+
+    def broken(F):
+        raise ValueError("lost a row")
+
+    monkeypatch.setattr(g1min.cli, "convert_2to3", broken)
+    path = form22_file(tmp_path, TwoTwoForm(((0, 1, 0), (1, 0, 0), (0, 0, 1))))
+    assert main(["convert", "2to3", path]) == 6
+    assert capsys.readouterr().err == "internal error: lost a row\n"
+
+
+def test_construct_critical_needs_p_at_least_5(capsys):
+    assert main(["construct", "--critical", "cube", "--prime", "3"]) == 2
+    assert "p >= 5" in capsys.readouterr().err
+
+
+def test_construct_critical_internal_value_error_exits_6(capsys, monkeypatch):
+    import g1min.cli
+
+    def broken(kind, ctx, seed):
+        raise ValueError("no pattern")
+
+    monkeypatch.setattr(g1min.cli, "critical_model", broken)
+    assert main(["construct", "--critical", "cube", "--prime", "5"]) == 6
+    assert capsys.readouterr().err == "internal error: no pattern\n"
 
 
 def test_oracle_weights_count(capsys):

@@ -8,12 +8,16 @@ from g1min import (
     act, c4_c6, construct_22, construct_cube, discriminant, forms_of_hypercube,
     inflate, is_minimal_22, level, marked_curve, minimise, minimise_22,
     minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
-    SingularModelError, oracle_minimality_22, scalar_multiply, valuation,
+    SingularModelError, Verdict, critical_model, oracle_minimality_22, scalar_multiply,
+    valuation,
 )
-from g1min.minimise import FactorizationError, trial_division_factor
+from g1min.minimise import (
+    _CHAIN_BOUNDS, FactorizationError, InternalBoundError, trial_division_factor,
+)
+from g1min.models import SPECS
 
 from conftest import (
-    identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
+    HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
     random_hypercube, random_quartic,
 )
 
@@ -323,6 +327,70 @@ def test_singular_models_raise_the_typed_error():
                  lambda: construct_22(0, 0, 0, 0), lambda: construct_cube(0, 0, 0, 0)):
         with pytest.raises(SingularModelError, match="singular"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# verdicts: a pinned input for each loop exit and kind
+
+_VERDICT_CASES = [
+    # kind, coefficients, p, verdict, max_neutral_chain
+    ("quartic", (1, 0, 0, 0, 1), 3, "BELOW_12", 0),
+    ("quartic", (0, 243, -27, 486, -729), 3, "NO_RESIDUE_MOVE", 0),
+    ("quartic", (-16, 0, 0, -48, 8), 2, "NEUTRAL_CHAIN_BOUND", 2),
+    ("quartic", (4, -14, 4, 56, -80), 2, "NO_RESIDUE_MOVE", 2),
+    ("form22", (0, 0, 1, -3, -3, -6, 0, -54, -54), 3, "BELOW_12", 0),
+    ("form22", (-1, 4, 8, 0, 0, 4, 0, -2, -1), 2, "NO_RESIDUE_MOVE", 0),
+    ("form22", (1, 2, 1, -1, 4, -3, 1, 2, 0), 2, "NO_RESIDUE_MOVE", 1),
+    ("form22", (2, 8, -2, 8, 4, 2, 4, -2, 1), 2, "NO_INTEGRAL_LANDING", 0),
+    ("form22", (2, -3, 2, 0, -4, 0, 4, 2, 0), 2, "NEUTRAL_CHAIN_BOUND", 2),
+    ("cube", (0, -4, 0, 2, 0, -2, -18, -6, 2, 0, -2, 0, 2, 0, 0, -4, -8, 2, -2, 0, 0, 2, 0, 2,
+              10, -8, 2), 2, "BELOW_12", 0),
+    ("cube", (8, -3, 4, 2, 0, 0, 2, -4, -4, -4, -3, 0, 8, -2, 2, 4, 0, 2, -4, 2, -4, -3, 0, -2,
+              -2, -1, -2), 2, "NO_RESIDUE_MOVE", 0),
+    ("cube", (-3, 2, 8, 1, 0, 1, 2, -3, 0, 0, -3, -4, 4, 0, 1, 4, -1, -1, -3, 2, -3, 4, 0, 0,
+              -1, 8, -4), 2, "NO_RESIDUE_MOVE", 2),
+    ("cube", (-2, 2, -3, 0, 8, -3, -3, 8, 8, 0, -2, 8, -4, 0, 8, 4, 1, 0, 2, 2, -2, -4, 0, 2,
+              1, 0, 2), 2, "NEUTRAL_CHAIN_BOUND", 3),
+    ("hypercube", (-3, -1, 0, -3, 0, 9, 0, 2, 0, 3, -3, 27, -1, -3, 9, -1), 3, "BELOW_12", 0),
+    ("hypercube", (-3, -1, -25, 1, 25, 0, 125, 0, -25, 125, 1, -1, 125, -3, 25, 5), 5,
+     "BELOW_12", 2),
+    ("hypercube", (0, 4, 8, -1, 2, 2, 2, -1, -4, 2, 1, 0, 2, -3, 4, -4), 2,
+     "ONE_FORM_MINIMAL", 0),
+    ("hypercube", HYPERCUBE_CHAIN_2, 2, "ONE_FORM_MINIMAL", 2),
+]
+
+
+@pytest.mark.parametrize("kind, coeffs, p, verdict, chain", _VERDICT_CASES,
+                         ids=[f"{c[0]}-{c[3]}-{c[4]}" for c in _VERDICT_CASES])
+def test_verdict_of_pinned_input(kind, coeffs, p, verdict, chain):
+    m = SPECS[kind].model.from_coeffs(coeffs)
+    rep = minimise(m, LocalContext(p))
+    assert (rep.verdict, rep.max_neutral_chain) == (Verdict[verdict], chain)
+    assert act(rep.transformation, m) == rep.model
+
+
+def test_every_verdict_is_pinned():
+    assert {case[3] for case in _VERDICT_CASES} == {v.name for v in Verdict}
+
+
+def test_critical_models_give_their_verdicts():
+    # minimal models of positive level: no (2,2) slender pair lands, the
+    # cube procedure keeps the level until its bound, one hypercube form is
+    # minimal
+    for p in (5, 7, 101):
+        for kind, verdict in (("form22", Verdict.NO_INTEGRAL_LANDING),
+                              ("cube", Verdict.NEUTRAL_CHAIN_BOUND),
+                              ("hypercube", Verdict.ONE_FORM_MINIMAL)):
+            rep = minimise(critical_model(kind, p, 1), p)
+            assert rep.input_was_minimal and rep.verdict is verdict
+
+
+def test_hypercube_chain_overrun_raises(monkeypatch):
+    # hypercube minimality is decided by its forms, so the chain bound is a
+    # theorem: reaching it is a bug, not a verdict
+    monkeypatch.setitem(_CHAIN_BOUNDS, "hypercube", 1)
+    with pytest.raises(InternalBoundError, match="ran thrice"):
+        minimise(Hypercube.from_coeffs(HYPERCUBE_CHAIN_2), LocalContext(2))
 
 
 # ---------------------------------------------------------------------------

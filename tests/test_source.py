@@ -63,3 +63,27 @@ def test_no_residue_scan_over_the_prime():
                 elif node.func.id == "projective_plane_points":
                     found.append(f"{name}:{node.lineno} P^2 scan in {func.name}")
     assert found == []
+
+
+def test_one_minimisation_loop():
+    # the kinds supply steps to one driver loop: only _Driver.run divides
+    # out content or compares the driver's v(Delta) with 12
+    path = Path(g1min.__file__).parent / "minimise.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    run = [func for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "_Driver"
+           for func in cls.body if isinstance(func, ast.FunctionDef) and func.name == "run"]
+    inside_run = {id(node) for func in run for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside_run:
+            continue
+        if isinstance(node, ast.Call) and "content_valuation" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"minimise.py:{node.lineno} calls content_valuation")
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(n, ast.Constant) and n.value == 12 for n in sides)
+                    and any(isinstance(n, ast.Attribute) and n.attr == "v" for n in sides)):
+                found.append(f"minimise.py:{node.lineno} compares v with 12")
+    assert found == []
+    assert run, "_Driver.run is missing"
