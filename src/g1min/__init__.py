@@ -6,7 +6,7 @@ All arithmetic is exact (ints and Fractions); every minimisation returns a
 transformation certificate g with act(g, input) == output.
 """
 
-from .exactnum import INFINITY, LocalContext, fp_sqrt, is_prime, smith_like_completion, valuation
+from .exactnum import INFINITY, LocalContext, is_prime, smith_like_completion, valuation
 from .models import (
     BinaryQuartic, Cube, GroupElement, Hypercube, SingularModelError, TernaryCubic,
     TwoTwoForm, act, content_valuation, cubics_of_cube, forms_of_hypercube,
@@ -24,8 +24,8 @@ from .weierstrass import (
     point_mul, point_neg, tate_minimal,
 )
 from .residue import (
-    PrimeBoundError, Residue22Class, ResidueCubicClass, classify_22_residue,
-    classify_cubic_residue, repeated_root, saturation_defect,
+    Residue22Class, ResidueCubicClass, classify_22_residue, classify_cubic_residue,
+    repeated_root, saturation_defect,
 )
 from .minimise import (
     FactorizationError, GlobalReport, InternalBoundError, MinimisationReport,

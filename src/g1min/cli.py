@@ -6,14 +6,12 @@ string coefficients in the documented index order: integers or rationals for
 quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
 
 Exit codes: 0 success; 2 parse error or rejected input (a non-integral model
-to minimise, a prime beyond a search bound, --critical below p = 5); 3 kind
-mismatch or unsupported operation for the kind or model; 4 singular model; 5
-factorisation failure; 6 internal error, a check inside the library that
-failed on accepted input (a ValueError, AssertionError or ArithmeticError),
-reported as "internal error: ...".  Reports go to stdout, diagnostics to
-stderr.  The environment variable G1MIN_PRIME_BOUND (default 2^10) caps only
-the P^2 singular-point scans of ternary cubics; there is no P^1 x P^1 bound.
-Integers in model files and reports may have any number of digits.
+to minimise, --critical below p = 5); 3 kind mismatch or unsupported operation
+for the kind or model; 4 singular model; 5 factorisation failure; 6 internal
+error, a check inside the library that failed on accepted input (a ValueError,
+AssertionError or ArithmeticError), reported as "internal error: ...".
+Reports go to stdout, diagnostics to stderr.  Primes and the integers in model
+files and reports may have any number of digits.
 """
 
 import argparse
@@ -35,7 +33,6 @@ from .minimise import FactorizationError, minimise, minimise_global
 from .models import (
     SingularModelError, group_element_to_dict, is_integral, model_from_dict, model_to_dict,
 )
-from .residue import PrimeBoundError
 from .weierstrass import level
 
 EXIT_OK = 0
@@ -63,8 +60,6 @@ def _refusals():
         yield
     except SingularModelError as e:
         raise _CliError(EXIT_SINGULAR, str(e))
-    except PrimeBoundError as e:
-        raise _CliError(EXIT_PARSE, str(e))
     except FactorizationError as e:
         raise _CliError(EXIT_FACTOR, str(e))
 

@@ -154,35 +154,6 @@ def fp_inv(a, p):
     return pow(a, -1, p)
 
 
-def fp_sqrt(a, p):
-    """A square root of a mod p, or None if a is a non-residue (Tonelli-Shanks)."""
-    a %= p
-    if p == 2 or a == 0:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 class LocalContext:
     """The working prime p, with uniformiser pi = p and residue field F_p."""
 
@@ -192,14 +163,6 @@ class LocalContext:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    def residue(self, x):
-        """Image of x in F_p (x a p-integral int or Fraction)."""
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ValueError(f"{x} is not p-integral at {self.p}")
-            return x.numerator * fp_inv(x.denominator, self.p) % self.p
-        return x % self.p
 
     def __repr__(self):
         return f"LocalContext(p={self.p})"

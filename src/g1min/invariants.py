@@ -25,7 +25,7 @@ candidate primes from gcd(c4, c6).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import det_matrix, mat_mul
+from .exactnum import det_matrix, mat_adj, mat_mul
 from .models import (
     HYPERCUBE_PAIRS, cubics_of_cube, form_of_hypercube, forms_of_hypercube, quartics_of_22,
 )
@@ -294,19 +294,6 @@ def form22_invariants(F):
     return inv
 
 
-def _adj3(m):
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            r = [x for x in range(3) if x != j]
-            c = [x for x in range(3) if x != i]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            row.append(minor if (i + j) % 2 == 0 else -minor)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _tr(m):
     return m[0][0] + m[1][1] + m[2][2]
 
@@ -325,14 +312,14 @@ def cube_invariants(S):
     disc = _delta("cube", c4, c6)
     m0, n0, p0 = S.slices(0)
     # adj(la*N + mu*P) M = la^2 A + la mu B + mu^2 C
-    a_mat = mat_mul(_adj3(n0), m0)
-    c_mat = mat_mul(_adj3(p0), m0)
-    mixed = _mat_add(_mat_add(_adj3(_mat_add(n0, p0)), _adj3(n0), -1), _adj3(p0), -1)
+    a_mat = mat_mul(mat_adj(n0), m0)
+    c_mat = mat_mul(mat_adj(p0), m0)
+    mixed = _mat_add(_mat_add(mat_adj(_mat_add(n0, p0)), mat_adj(n0), -1), mat_adj(p0), -1)
     b_mat = mat_mul(mixed, m0)
     xi = -_tr(mat_mul(a_mat, c_mat))
     eta = -_tr(mat_mul(mat_mul(c_mat, b_mat), a_mat))
     a1 = _tr(b_mat)
-    a2 = (_tr(mat_mul(a_mat, c_mat)) + _tr(a_mat) * _tr(c_mat) - _tr(_adj3(b_mat)))
+    a2 = (_tr(mat_mul(a_mat, c_mat)) + _tr(a_mat) * _tr(c_mat) - _tr(mat_adj(b_mat)))
     tr_abc = _tr(mat_mul(mat_mul(a_mat, b_mat), c_mat))
     tr_cba = _tr(mat_mul(mat_mul(c_mat, b_mat), a_mat))
     a3 = tr_abc + tr_cba + _tr(mat_mul(a_mat, c_mat)) * a1

@@ -426,7 +426,7 @@ def act(g, m):
 
 
 def ternary_substitute(F, A):
-    """F((x,y,z) A) for a ternary cubic; used by tests and invariant checks."""
+    """F((x,y,z) A) for a ternary cubic."""
     out = {}
     for e, c in zip(CUBIC_MONOMIALS, F.coeffs):
         if c == 0:

@@ -2,41 +2,26 @@
 
 Roots of binary forms over F_p come from polynomial algebra (exactnum's
 fp_poly_roots: a gcd with x^p - x, then equal-degree splitting), so the cost
-of every classification except one grows like a power of log p.  The
-defining equations and partial derivatives are checked directly, so p = 2
-and p = 3 need no special casing, except that a (2,2)-form at p = 2 is
-checked on the 9 points of P^1(F_2) x P^1(F_2).
+of every classification grows like a power of log p, and no prime is too
+large.  The defining equations and partial derivatives are checked directly,
+so p = 2 and p = 3 need no special casing, except that a (2,2)-form at p = 2
+is checked on the 9 points of P^1(F_2) x P^1(F_2).
 
-The exception is the singular point of a ternary cubic without a repeated
-rational line factor (and of the conic left by a rational line): it is still
-found by a scan of P^2(F_p), p^2 + p + 1 points, capped by a prime bound
-that the G1MIN_PRIME_BOUND environment variable overrides.
+The singular point of a ternary cubic without a repeated rational line is read
+off binary forms too: from the cofactor of a rational line restricted to that
+line, or, without a rational line, from the discriminant of a projection.
 """
 
-import os
 from dataclasses import dataclass
+from functools import reduce
 
 from .exactnum import (
-    fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots, fp_rank,
+    fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots, fp_rank, mat_mul,
+    unimodular_with_row,
 )
-from .models import CUBIC_MONOMIALS, SPECS, quartics_of_22
-
-P2_DEFAULT_BOUND = 1 << 10
-
-
-class PrimeBoundError(ValueError):
-    """Raised when a residue search would exceed the configured prime bound."""
-
-
-def _prime_bound(default):
-    env = os.environ.get("G1MIN_PRIME_BOUND")
-    return int(env) if env else default
-
-
-def _check_bound(p, default, what):
-    bound = _prime_bound(default)
-    if p > bound:
-        raise PrimeBoundError(f"{what} search needs p <= {bound}, got {p}")
+from .models import (
+    CUBIC_MONOMIALS, SPECS, TernaryCubic, _binary_mul, quartics_of_22, ternary_substitute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +232,6 @@ class ResidueCubicClass:
     point: tuple = None   # projective point (a, b, c)
 
 
-def projective_plane_points(p):
-    pts = [(1, b, c) for b in range(p) for c in range(p)]
-    pts += [(0, 1, c) for c in range(p)]
-    pts.append((0, 0, 1))
-    return pts
-
-
 def _cubic_residue(F, p):
     return {e: c % p for e, c in zip(CUBIC_MONOMIALS, F.coeffs) if c % p}
 
@@ -313,14 +291,14 @@ def _normalised(v, p):
 
 
 def _plane_index(pt, p):
-    """The position of a normalised point in projective_plane_points(p)."""
+    """The position of a normalised point in the order (1, b, c) by b then c,
+    then (0, 1, c) by c, then (0, 0, 1)."""
     a, b, c = pt
     return b * p + c if a else p * p + (c if b else p)
 
 
 def _linear_factors(fdict, p, degree):
-    """All rational linear factors with multiplicities, in the order of
-    projective_plane_points.
+    """All rational linear factors with multiplicities, in _plane_index's order.
 
     After the coordinate lines are divided out, a rational line factor meets
     the three coordinate lines in rational roots of the restrictions of the
@@ -374,19 +352,81 @@ def _partial(fdict, var):
     return out
 
 
-def _singular_points_trivariate(fdict, p):
-    parts = [_partial(fdict, v) for v in range(3)]
-    pts = []
-    for pt in projective_plane_points(p):
-        if _eval_trivariate(fdict, pt, p):
+def _line_singular_point(f, ell, p):
+    """The unique singular point of f = ell * q over the algebraic closure,
+    for a simple rational line ell; None when there is none or several.
+
+    The singular points are ell meet q and those of q.  They are one point
+    exactly when q restricted to ell has a double root, which is that point:
+    q is then tangent to ell there, or a line pair with its vertex there.
+    """
+    i = next(v for v in range(3) if ell[v])  # ell[i] == 1
+    j, k = (v for v in range(3) if v != i)
+    # on ell, x_i = -(ell_j x_j + ell_k x_k): q becomes a binary form in (x_j, x_k)
+    on_line = [0, 0, 0]
+    for e, c in ternary_divide_linear(f, ell, p, 3).items():
+        term = [c]
+        for _ in range(e[i]):
+            term = _binary_mul(term, (-ell[j], -ell[k]))
+        for n, coef in enumerate(term):
+            on_line[n + e[k]] += coef
+    roots = binary_roots(on_line, p)
+    if [m for _, m in roots] != [2]:
+        return None
+    (s, t), _ = roots[0]
+    pt = [0, 0, 0]
+    pt[i], pt[j], pt[k] = -(ell[j] * s + ell[k] * t), s, t
+    return _normalised(pt, p)
+
+
+# P^2(F_3), the four points of y = 0 first.  A cubic without a rational line
+# meets y = 0 in at most 3 points, so it is nonzero at one of the first four;
+# and only one centre projects it purely inseparably (a triple point on every
+# line through it), which happens only at p = 3.
+_CENTRES = ((1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 0, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2),
+            (1, 2, 0), (1, 2, 1), (1, 2, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2))
+
+
+def _lineless_singular_point(f, p):
+    """The rational singular point of a cubic without a rational line factor,
+    or None; it is unique over the algebraic closure.
+
+    Project from a centre O off the curve, moved to (0 : 0 : 1):
+    f = a z^3 + b z^2 + c z + d with b, c, d forms in (x, y).  A singular point
+    lies on a line through O that meets f in a multiple point, so its (x : y)
+    is a root of the discriminant b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2
+    + 18 a b c d, and its z a multiple root of the fibre over that root.
+    """
+    parts = [_partial(f, v) for v in range(3)]
+    for centre in _CENTRES:
+        if not _eval_trivariate(f, centre, p):
             continue
-        if all(_eval_trivariate(q, pt, p) == 0 for q in parts):
-            pts.append(pt)
-    return pts
+        A = unimodular_with_row(centre, p, 2)
+        g = ternary_substitute(TernaryCubic.from_dict(f), A).as_dict()  # f((x, y, z) A)
+        d, c, b, (a,) = ([g.get((3 - k - n, n, k), 0) for n in range(4 - k)] for k in range(4))
+        terms = [reduce(_binary_mul, forms) for forms in
+                 ((b, b, c, c), (c, c, c), (b, b, b, d), (d, d), (b, c, d))]
+        weights = (1, -4 * a, -4, -27 * a * a, 18 * a)
+        disc = [sum(w * t[n] for w, t in zip(weights, terms)) for n in range(7)]
+        if not any(x % p for x in disc):
+            continue  # the purely inseparable centre
+        for (x, y), _ in binary_roots(disc, p):
+            fibre = [_eval_binary(form, (x, y)) for form in (d, c, b)] + [a]
+            for z, m in fp_poly_roots(fibre, p):
+                pt = _normalised(mat_mul(((x, y, z),), A)[0], p)
+                if m >= 2 and not any(_eval_trivariate(h, pt, p) for h in [f] + parts):
+                    return pt
+        return None
+    raise AssertionError("no projection centre for a cubic without a rational line")
 
 
 def classify_cubic_residue(F, ctx):
-    """Classify the reduction mod p of a ternary cubic, with witnesses."""
+    """Classify the reduction mod p of a ternary cubic, with witnesses.
+
+    Without a repeated rational line the reduction is reduced, and its singular
+    point, when unique over the algebraic closure and rational, comes from a
+    rational line factor if there is one, or from a projection if not.
+    """
     p = ctx.p
     f = _cubic_residue(F, p)
     if not f:
@@ -395,36 +435,10 @@ def classify_cubic_residue(F, ctx):
     for ell, mult in factors:
         if mult >= 2:
             return ResidueCubicClass(TAG_REPEATED_LINE, factor=ell)
-    _check_bound(p, P2_DEFAULT_BOUND, "P^2 singular-point")
-    sing = _singular_points_trivariate(f, p)
-    if len(sing) != 1:
+    pt = _line_singular_point(f, factors[0][0], p) if factors else _lineless_singular_point(f, p)
+    if pt is None:
         return ResidueCubicClass(TAG_OTHER)
-    pt = sing[0]
-    # certify uniqueness over the closure: the only non-obvious case is a
-    # rational line times a conic that is an irrational line pair; then the
-    # conic's vertex is the found point and uniqueness needs it to lie on the
-    # stripped line as well.
-    if len(factors) == 1 and factors[0][1] == 1:
-        ell = factors[0][0]
-        conic = ternary_divide_linear(f, ell, p, 3)
-        if not _linear_factors(conic, p, 2):  # conic irreducible over F_p
-            vertex = _conic_singular_point(conic, p)
-            if vertex is not None:
-                if vertex != pt:
-                    raise AssertionError("rational singular point differs from the conic vertex")
-                if _eval_trivariate({(1, 0, 0): ell[0], (0, 1, 0): ell[1], (0, 0, 1): ell[2]}, pt, p):
-                    return ResidueCubicClass(TAG_OTHER)
     return ResidueCubicClass(TAG_UNIQUE_SINGULAR, point=pt)
-
-
-def _conic_singular_point(conic, p):
-    parts = [_partial(conic, v) for v in range(3)]
-    for pt in projective_plane_points(p):
-        if _eval_trivariate(conic, pt, p):
-            continue
-        if all(_eval_trivariate(q, pt, p) == 0 for q in parts):
-            return pt
-    return None
 
 
 # ---------------------------------------------------------------------------

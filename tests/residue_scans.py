@@ -3,19 +3,27 @@
 These are the P^1, P^1 x P^1 and P^2 enumerations g1min used before its root
 finder: binary roots by trying every point of P^1(F_p), the singular points of
 a (2,2)-form by trying every point of P^1 x P^1, rational line factors of a
-ternary cubic by trial division by every line of P^2, and the Tate-walk roots
-by trying every residue.  They cost O(p) to O(p^2) and serve only as the
+ternary cubic by trial division by every line of P^2, the singular points of a
+ternary cubic and of a conic by trying every point of P^2, and the Tate-walk
+roots by trying every residue.  They cost O(p) to O(p^2) and serve only as the
 reference the differential tests compare the library against, at small p.
-The classifiers are the library's, with their prime-bound checks removed.
+The classifiers are the library's as they were before the algebra replaced
+these scans, with their prime-bound checks removed.
 """
 
 from g1min.exactnum import fp_inv, fp_rank
 from g1min.residue import (
     Residue22Class, ResidueCubicClass, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
-    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, _conic_singular_point,
-    _cubic_residue, _eval_trivariate, _form22_residue_rows, _is_square_form,
-    _singular_points_trivariate, projective_plane_points, ternary_divide_linear,
+    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, _cubic_residue,
+    _eval_trivariate, _form22_residue_rows, _is_square_form, _partial, ternary_divide_linear,
 )
+
+
+def projective_plane_points(p):
+    pts = [(1, b, c) for b in range(p) for c in range(p)]
+    pts += [(0, 1, c) for c in range(p)]
+    pts.append((0, 0, 1))
+    return pts
 
 
 def projective_line_points(p):
@@ -183,6 +191,17 @@ def _linear_factors(fdict, p, degree):
     return out
 
 
+def _singular_points_trivariate(fdict, p):
+    parts = [_partial(fdict, v) for v in range(3)]
+    pts = []
+    for pt in projective_plane_points(p):
+        if _eval_trivariate(fdict, pt, p):
+            continue
+        if all(_eval_trivariate(q, pt, p) == 0 for q in parts):
+            pts.append(pt)
+    return pts
+
+
 def classify_cubic_residue(F, ctx):
     """Classify the reduction mod p of a ternary cubic, with witnesses."""
     p = ctx.p
@@ -212,6 +231,16 @@ def classify_cubic_residue(F, ctx):
                 if _eval_trivariate({(1, 0, 0): ell[0], (0, 1, 0): ell[1], (0, 0, 1): ell[2]}, pt, p):
                     return ResidueCubicClass(TAG_OTHER)
     return ResidueCubicClass(TAG_UNIQUE_SINGULAR, point=pt)
+
+
+def _conic_singular_point(conic, p):
+    parts = [_partial(conic, v) for v in range(3)]
+    for pt in projective_plane_points(p):
+        if _eval_trivariate(conic, pt, p):
+            continue
+        if all(_eval_trivariate(q, pt, p) == 0 for q in parts):
+            return pt
+    return None
 
 
 def _fp_cubic_roots(a, b, c, p):

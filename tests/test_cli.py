@@ -184,7 +184,7 @@ def test_hypercube_chain_overrun_exits_6(tmp_path, capsys, monkeypatch):
 
 
 RATIONAL_QUARTIC = {"kind": "quartic", "coeffs": ["1/2", "0", "0", "0", "3"]}
-# a cube whose residue at 5 reaches the P^2 singular-point scan
+# a cube whose residue at 5 needs the singular point of a determinantal cubic
 SCANNED_CUBE = {"kind": "cube", "coeffs": [str(c) for c in (
     0, 0, 0, 2, 5, -1, 2, -5, 0, 5, 0, 0, 1, 10, 5, -1, 0, 5, 2, 0, -5, 5, 0, 5, 1, 2, 10)]}
 
@@ -199,10 +199,13 @@ def test_rejected_inputs_keep_their_exit_codes(tmp_path, capsys, monkeypatch):
     zero = write_model(tmp_path, "z.json", {"kind": "form22", "coeffs": ["0"] * 9})
     assert main(["oracle", "min22", zero, "--prime", "5"]) == 4
     assert "singular" in capsys.readouterr().err
-    monkeypatch.setenv("G1MIN_PRIME_BOUND", "3")
+    # the singular-point search has no prime bound, and no variable sets one
     cube = write_model(tmp_path, "c.json", SCANNED_CUBE)
-    assert main(["minimise", cube, "--prime", "5"]) == 2
-    assert "search needs p <= 3, got 5" in capsys.readouterr().err
+    assert main(["minimise", cube, "--prime", "5"]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setenv("G1MIN_PRIME_BOUND", "3")
+    assert main(["minimise", cube, "--prime", "5"]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_minimise_global(tmp_path, capsys):

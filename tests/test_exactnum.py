@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from g1min.exactnum import (
     INFINITY, LocalContext, complete_primitive_row, det_matrix,
-    fp_left_kernel_vector, fp_sqrt, is_prime, lift_primitive, mat_adj, mat_mul,
+    fp_left_kernel_vector, is_prime, lift_primitive, mat_adj, mat_mul,
     smith_like_completion, unimodular_with_row, valuation,
 )
 
@@ -39,22 +39,6 @@ def test_valuation_is_multiplicative_and_ultrametric(x, y, p):
 def test_valuation_of_fractions():
     assert valuation(Fraction(4, 9), 3) == -2
     assert valuation(Fraction(4, 9), 2) == 2
-
-
-def test_fp_sqrt_examples():
-    r = fp_sqrt(4, 7)
-    assert r in (2, 5)
-    assert fp_sqrt(3, 5) is None
-    assert fp_sqrt(1, 2) == 1
-
-
-@given(st.integers(0, 10**4), st.sampled_from(PRIMES))
-def test_fp_sqrt_contract(a, p):
-    r = fp_sqrt(a, p)
-    if r is None:
-        assert p > 2 and pow(a, (p - 1) // 2, p) == p - 1
-    else:
-        assert r * r % p == a % p
 
 
 # composites passing Miller-Rabin to every prime base up to 37 (psi_12, psi_13)
@@ -90,7 +74,6 @@ def test_local_context_rejects_composites():
         LocalContext(6)
     with pytest.raises(ValueError):
         LocalContext(PSI_12)
-    assert LocalContext(7).residue(Fraction(1, 3)) == 5
 
 
 def test_smith_like_completion_examples():

@@ -4,16 +4,16 @@ import pytest
 
 from g1min import (
     Cube, Hypercube, LocalContext, TernaryCubic, TwoTwoForm, classify_22_residue,
-    classify_cubic_residue, construct_22, critical_model, discriminant, inflate, level,
-    minimise, repeated_root, saturation_defect, valuation,
+    classify_cubic_residue, construct_22, construct_cube, critical_model, discriminant,
+    inflate, level, minimise, repeated_root, saturation_defect, valuation,
 )
-from g1min.exactnum import det_matrix
-from g1min.models import GroupElement, act
+from g1min.exactnum import det_matrix, mat_adj, mat_mul
+from g1min.models import GroupElement, act, ternary_substitute
 from g1min.residue import (
-    PrimeBoundError, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
-    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO,
-    binary_roots, projective_plane_points,
+    _CENTRES, _normalised, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
+    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, binary_roots,
 )
+import residue_scans as scans
 
 from conftest import levi_civita_cube, random_form22
 
@@ -178,14 +178,9 @@ def test_saturation_defect_examples():
     assert (c0 + c1) % 5 == 0 or (c0 - c1) % 5 == 0
 
 
-def test_prime_bound_guard(monkeypatch):
-    monkeypatch.setenv("G1MIN_PRIME_BOUND", "3")
-    ctx = LocalContext(5)
-    # the smooth Fermat cubic reaches the capped P^2 singular-point scan
-    with pytest.raises(PrimeBoundError):
-        classify_cubic_residue(_cubic({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), ctx)
-    monkeypatch.delenv("G1MIN_PRIME_BOUND")
-    assert len(projective_plane_points(3)) == 13
+def test_projection_centres_are_the_plane_over_f3():
+    assert sorted(_CENTRES) == sorted(scans.projective_plane_points(3))
+    assert all(pt[1] == 0 for pt in _CENTRES[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +247,48 @@ def test_level_and_round_trips_at_p61(rng):
     rep = minimise(H2, ctx)
     assert act(rep.transformation, H2) == rep.model
     assert rep.v_disc_final == valuation(discriminant(H), P61)
+
+
+def test_cubic_singular_points_at_p61(rng):
+    ctx = LocalContext(P61)
+    # 5 is not a cube mod 2^61 - 1, so x^3 - 5 y^3 is three conjugate lines through (0:0:1)
+    assert pow(5, (P61 - 1) // 3, P61) != 1
+    for f in ({(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1},   # nodal
+              {(0, 2, 1): 1, (3, 0, 0): -1},                   # cuspidal
+              {(3, 0, 0): 1, (0, 3, 0): -5}):                  # concurrent conjugate lines
+        while True:
+            A = tuple(tuple(rng.randrange(P61) for _ in range(3)) for _ in range(3))
+            if det_matrix(A) % P61:
+                break
+        # F((x, y, z) A) is singular where (x, y, z) A = (0, 0, 1)
+        cls = classify_cubic_residue(ternary_substitute(_cubic(f), A), ctx)
+        assert cls.tag == TAG_UNIQUE_SINGULAR
+        assert cls.point == _normalised(mat_mul(((0, 0, 1),), mat_adj(A))[0], P61)
+
+
+# a cube whose middle determinantal cubic is three concurrent lines, so that
+# classifying it needs its singular point; entries divisible by p are named
+SINGULAR_POINT_CUBE = (0, 0, 0, 2, "p", -1, 2, "-p", 0, "p", 0, 0, 1, "2p", "p", -1, 0, "p",
+                       2, 0, "-p", "p", 0, "p", 1, 2, "2p")
+
+
+def test_cubes_at_p61():
+    ctx = LocalContext(P61)
+    scale = {"p": P61, "-p": -P61, "2p": 2 * P61}
+    S = Cube.from_coeffs([scale.get(c, c) for c in SINGULAR_POINT_CUBE])
+    rep = minimise(S, ctx)
+    assert [step.label for step in rep.steps] == ["repeated-factor-pair"]
+    assert act(rep.transformation, S) == rep.model
+    assert level(S, ctx).level == 1
+    base = construct_cube(0, 0, 0, 1)
+    C, _ = inflate(base, ctx, 2, moves=1)
+    rep = minimise(C, ctx)
+    assert act(rep.transformation, C) == rep.model
+    assert rep.v_disc_final == valuation(discriminant(base), P61)
+    S = critical_model("cube", ctx, 7)
+    rep = minimise(S, ctx)
+    assert rep.steps == () and rep.model == S
+    assert level(S, ctx).level >= 1
 
 
 def test_critical_cube_past_the_old_p2_bound():

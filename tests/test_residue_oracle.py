@@ -2,6 +2,7 @@
 replaced (tests/residue_scans.py), on every prime p <= 31, for random residues
 and for the degenerate shapes each classifier must recognise."""
 
+import itertools
 import random
 
 import pytest
@@ -177,6 +178,33 @@ def _linear(ell):
     return {e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ell)}
 
 
+def _rootless_cubic(p):
+    """(a, b, c) with t^3 + a t^2 + b t + c irreducible over F_p."""
+    return next((a, b, c) for a, b, c in itertools.product(range(p), repeat=3)
+                if all((t ** 3 + a * t * t + b * t + c) % p for t in range(p)))
+
+
+def _det3(m):
+    """The determinant of a 3x3 matrix of forms (dicts)."""
+    out = {}
+    for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        for e, c in _poly_mul(_poly_mul(m[0][i], m[1][j]), m[2][k]).items():
+            out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def _conjugate_triangle(p):
+    """The norm form of x + t y + t^2 z for a cubic irrationality t: three
+    conjugate lines without a common point."""
+    a, b, c = _rootless_cubic(p)
+    companion = ((0, 1, 0), (0, 0, 1), (-c, -b, -a))
+    square = tuple(tuple(sum(companion[i][k] * companion[k][j] for k in range(3))
+                         for j in range(3)) for i in range(3))
+    return _det3([[_linear((int(i == j), companion[i][j], square[i][j])) for j in range(3)]
+                  for i in range(3)])
+
+
 def _cubic_cases(rng, p):
     def line():
         return _linear([rng.randrange(p) for _ in range(3)])
@@ -197,7 +225,14 @@ def _cubic_cases(rng, p):
         _poly_mul(line(), {(2, 0, 0): 1, (0, 1, 1): 1}),       # line times a smooth conic
         {(0, 2, 1): 1, (3, 0, 0): -1},                         # cuspidal cubic
         {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1},          # nodal cubic
+        _conjugate_triangle(p),                                # three conjugate lines
+        dict(zip(((3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0)),  # ... through one point
+                 (1, *_rootless_cubic(p)))),
+        _poly_mul(_linear((0, 0, 1)), {(1, 0, 1): 1, (0, 2, 0): -1}),  # tangent to a conic
     )]
+    if p == 3:  # x^3 + d(y, z), d irreducible: the first centre is inseparable
+        cases.append(TernaryCubic.from_dict({(3, 0, 0): 1, (0, 3, 0): 1, (0, 1, 2): -1,
+                                             (0, 0, 3): -1}))
     out = []
     for F in cases:
         for G in (F, ternary_substitute(F, _invertible(rng, 3, p))):
@@ -220,6 +255,14 @@ def test_cubic_line_factors_and_classes_match_scan(p, monkeypatch):
         assert cls == scans.classify_cubic_residue(F, ctx), F
         tags.add(cls.tag)
     assert tags >= {TAG_OTHER, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR}
+
+
+def test_every_cubic_at_2_matches_scan():
+    ctx = LocalContext(2)
+    for coeffs in itertools.product(range(2), repeat=10):
+        if any(coeffs):
+            F = TernaryCubic(coeffs)
+            assert classify_cubic_residue(F, ctx) == scans.classify_cubic_residue(F, ctx), F
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
-# the capped P^2 singular-point scans of ternary cubics and their point set
-P2_SCANS = {"projective_plane_points", "_singular_points_trivariate", "_conic_singular_point"}
+# functions allowed to scan P^2(F_p): none, since cubic singular points come from
+# binary forms too
+P2_SCANS = set()
 
 
 def _mentions_p(node):
@@ -46,7 +47,7 @@ def _mentions_p(node):
 
 def test_no_residue_scan_over_the_prime():
     # residue roots come from F_p polynomial algebra: no loop of p or p^2
-    # steps outside the capped P^2 scans, and no enumeration of P^1(F_p)
+    # steps, and no enumeration of P^1(F_p) or P^2(F_p)
     found = []
     for name in ("residue.py", "weierstrass.py"):
         path = Path(g1min.__file__).parent / name
@@ -62,6 +63,25 @@ def test_no_residue_scan_over_the_prime():
                     found.append(f"{name}:{node.lineno} P^1 scan in {func.name}")
                 elif node.func.id == "projective_plane_points":
                     found.append(f"{name}:{node.lineno} P^2 scan in {func.name}")
+    assert found == []
+
+
+def test_library_reads_no_environment():
+    # the library's answers depend on its arguments alone: no os import and
+    # no environment lookup
+    found = []
+    for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]  # os.environ, os.getenv
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "os"]
     assert found == []
 
 
