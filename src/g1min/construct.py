@@ -10,12 +10,14 @@ runs are reproducible.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 import random
 
-from .exactnum import as_context, identity_matrix, valuation
+from .exactnum import as_context, complete_primitive_row, identity_matrix, mat_mul, valuation
 from .invariants import discriminant
 from .models import (
     SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, act, is_integral,
+    sym_power_matrix,
 )
 from .weierstrass import WeierstrassCurve
 
@@ -345,8 +347,6 @@ ORACLE_PRIME_BOUND = 5
 def _lift_primitive_mod(vec, modulus, p):
     """Lift a vector that is primitive mod p to a gcd-one integer vector
     congruent to it mod `modulus` (a power of p)."""
-    from math import gcd
-
     lifted = [int(x) % modulus for x in vec]
     g = 0
     for x in lifted:
@@ -371,8 +371,6 @@ def _stretch_classes(p, a):
     P^1(Z/p^a); the diagonal stretch diag(1, p^a) only sees that direction."""
     if a == 0:
         return (((1, 0), (0, 1)),)
-    from .exactnum import complete_primitive_row
-
     q = p ** a
     reps = [(1, t) for t in range(q)] + [(p * s, 1) for s in range(q // p)]
     return tuple(complete_primitive_row(_lift_primitive_mod(w, q, p)) for w in reps)
@@ -389,9 +387,6 @@ def _oracle_reducer(F, p):
     enumerated exhaustively.  Residues mod p alone would miss reducers for
     the pairs (2, 1) and (1, 2).
     """
-    from .exactnum import mat_mul
-    from .models import sym_power_matrix
-
     rows = F.rows
     classes = {k: _stretch_classes(p, k) for k in (0, 1, 2)}
     syms = {k: [sym_power_matrix(U, 2) for U in classes[k]] for k in (0, 1, 2)}

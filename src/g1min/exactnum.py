@@ -7,6 +7,7 @@ Fractions), vectors are tuples.  All functions are pure.
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 
 class _Infinity:
@@ -46,7 +47,7 @@ INFINITY = _Infinity()
 
 def valuation(x, p):
     """p-adic valuation of an int or Fraction; INFINITY for x = 0."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         if x == 0:
             return INFINITY
         return valuation(x.numerator, p) - valuation(x.denominator, p)
@@ -61,6 +62,16 @@ def valuation(x, p):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def quotient(x, d):
+    """x / d, exactly: an int when the quotient is integral, else a Fraction."""
+    if isinstance(x, int) and isinstance(d, int):
+        q, r = divmod(x, d)
+        if not r:
+            return q
+    f = Fraction(x, d)
+    return f.numerator if f.denominator == 1 else f
 
 
 def _jacobi(a, n):
@@ -487,10 +498,8 @@ def det_matrix(m):
 
 
 def mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_adj(m):

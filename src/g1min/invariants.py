@@ -27,15 +27,14 @@ from fractions import Fraction
 
 from .exactnum import det_matrix, mat_adj, mat_mul
 from .models import (
-    HYPERCUBE_PAIRS, cubics_of_cube, form_of_hypercube, forms_of_hypercube, quartics_of_22,
+    HYPERCUBE_PAIRS, _num, cubics_of_cube, form_of_hypercube, forms_of_hypercube,
+    quartics_of_22,
 )
 
 
 def _exact_div(num, den, what):
     """num / den, exact: Fractions divide freely, ints must divide evenly."""
-    if isinstance(num, Fraction):
-        from .models import _num
-
+    if type(num) is Fraction:
         return _num(num / den)
     q, r = divmod(num, den)
     if r:

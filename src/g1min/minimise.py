@@ -42,7 +42,7 @@ from .exactnum import (
 from .invariants import c4_c6, discriminant
 from .models import (
     GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, act, content_valuation,
-    cubics_of_cube, forms_of_hypercube, is_integral,
+    cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
 )
 from .residue import (
     classify_22_residue, classify_cubic_residue, repeated_root, saturation_defect,
@@ -448,7 +448,7 @@ def _hypercube_step(d):
     if pair != (0, 1):
         d.apply(_hyper_move(perm=_axis_perm_moving_to_front(*pair)), "reorder-axes",
                 detail=(pair,), expect_drop=0)
-    cls = classify_22_residue(forms_of_hypercube(d.cur)[(0, 1)], ctx)
+    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
     spt = cls.a_rational_singular_point()
     if spt is None:
         raise InternalBoundError("non-minimal residue form without a rational singular point")
@@ -522,7 +522,7 @@ def _hypercube_step(d):
         _clear_axis_entry(d, 2, (1, 1, 0, 0), (1, 1, 1, 0))
         _clear_axis_entry(d, 3, (1, 1, 0, 0), (1, 1, 0, 1))
         _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
-        cls = classify_22_residue(forms_of_hypercube(d.cur)[(0, 1)], ctx)
+        cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
         if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
             # residual case: the two off-pivot corner products vanish mod p.
             # One more relabelling (swap the outer factors, flip the third
@@ -536,7 +536,7 @@ def _hypercube_step(d):
                 raise InternalBoundError("saturation should keep this entry a unit")
             d.apply(_hyper_axis_move(((0, 1), (1, 0)), 2), "relabel-axes", expect_drop=0)
             d.apply(_hyper_move(perm=_swap_axes_perm(0, 3)), "relabel-axes", expect_drop=0)
-            cls = classify_22_residue(forms_of_hypercube(d.cur)[(0, 1)], ctx)
+            cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
         if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
             raise InternalBoundError("expected a unique singular point at the corner pair")
         return _Move(stretch, "stretch-singular", drop=0, chained=True)
@@ -544,7 +544,7 @@ def _hypercube_step(d):
     for idx in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
         if h(*idx) == 0:
             raise InternalBoundError("saturation keeps the weight-three corners units")
-    cls = classify_22_residue(forms_of_hypercube(d.cur)[(0, 1)], ctx)
+    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
     if cls.tag != TAG_PRODUCT_BOTH or cls.x_root != (1, 0) or cls.y_root != (1, 0):
         raise InternalBoundError("expected the doubly-degenerate product residue")
     deep = [idx for idx in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -24,8 +24,14 @@ routine, `act`, serves them all; the per-kind entry in SPECS records the
 tensor shape, the matrix sizes, the matrix each group matrix induces on its
 tensor axis (Sym^4 or Sym^2 of it for quartics and (2,2)-forms, the matrix
 itself for cubes and hypercubes) and the powers of the scalar in `act` and in
-`chi`.  Actions may produce Fraction coefficients; `scalar_clear` returns an
-integral primitive copy together with the multiplier used.
+`chi`.  `act` is integer: it contracts with the int matrices, multiplies by
+the scalar numerator's power and divides exactly by its denominator's, so a
+coefficient is a Fraction only where that division leaves a remainder.
+`scalar_clear` returns an integral primitive copy together with the multiplier.
+
+The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
+hypercube) are evaluated from index tables of (sign, flat positions...) terms,
+built once at import by expanding the determinants over the SPECS layout.
 """
 
 from dataclasses import dataclass
@@ -33,8 +39,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
 from math import comb, gcd, lcm, prod
+from operator import itemgetter, mul
 
-from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, valuation, INFINITY
+from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation, INFINITY
 
 
 class SingularModelError(ValueError):
@@ -43,7 +50,8 @@ class SingularModelError(ValueError):
 
 def _num(x):
     """Collapse Fractions with denominator 1 back to int."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # type(), not isinstance(): isinstance(int, Fraction) takes the slow ABC path
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -244,9 +252,10 @@ class KindSpec:
             for a, d in enumerate(shape))
         # fibres[a]: position tuples along which axis a varies alone
         self.fibres = tuple(tuple(zip(*sl)) for sl in self.slices)
+        # position[multi-index]: its flat position
+        self.position = position = {idx: n for n, idx in enumerate(index)}
         # perm_index[perm][n]: source position of (perm . T) at position n, where
         # (perm . T)[j_0, ..., j_{d-1}] = T[j_perm[0], ..., j_perm[d-1]]
-        position = {idx: n for n, idx in enumerate(index)}
         self.perm_index = {
             perm: tuple(position[tuple(idx[a] for a in perm)] for idx in index)
             for perm in (permutations(range(len(shape))) if permutes_axes else ())}
@@ -268,7 +277,7 @@ SPECS = {
 
 
 def is_integral(m):
-    return all(not isinstance(c, Fraction) for c in m.coeffs)
+    return all(type(c) is not Fraction for c in m.coeffs)
 
 
 def content_valuation(m, p):
@@ -324,9 +333,10 @@ class GroupElement:
     hypercubes an optional permutation of the four factors (applied first).
 
     The matrices are stored with int entries and the scalar as a Fraction.
-    Entries may be given as ints or Fractions: a matrix of size n is multiplied
-    by the lcm d of its entries' denominators and the scalar divided by
-    d ** (n / chi_power), which leaves the action and chi unchanged."""
+    Entries may be given as ints or Fractions: a matrix with a Fraction entry
+    is multiplied by the lcm d of its entries' denominators and the scalar
+    divided by d ** (n / chi_power), n the matrix size, which leaves the
+    action and chi unchanged."""
 
     kind: str
     scalar: Fraction
@@ -337,13 +347,15 @@ class GroupElement:
         spec = SPECS[self.kind]
         if tuple(len(m) for m in self.matrices) != spec.matrix_sizes:
             raise ValueError(f"wrong matrix sizes for kind {self.kind}")
-        scalar = Fraction(self.scalar)
+        scalar = self.scalar if type(self.scalar) is Fraction else Fraction(self.scalar)
         mats = []
         for m in self.matrices:
-            d = lcm(*(x.denominator for row in m for x in row))
-            if d != 1:
+            if all(type(x) is int for row in m for x in row):
+                mats.append(tuple(map(tuple, m)))
+            else:
+                d = lcm(*(x.denominator for row in m for x in row))
                 scalar /= d ** (len(m) // spec.chi_power)
-            mats.append(tuple(tuple(int(x * d) for x in row) for row in m))
+                mats.append(tuple(tuple(int(x * d) for x in row) for row in m))
             if det_matrix(mats[-1]) == 0:
                 raise ValueError("singular matrix in group element")
         object.__setattr__(self, "scalar", scalar)
@@ -401,18 +413,19 @@ class GroupElement:
 
 def _mode_product(t, M, fibres):
     """Multiply every fibre of the flat tensor t along one axis by M."""
-    rows = [[(n, x) for n, x in enumerate(row) if x] for row in M]
     out = [0] * len(t)
     for fibre in fibres:
         vals = [t[n] for n in fibre]
-        for pos, row in zip(fibre, rows):
-            out[pos] = sum(x * vals[n] for n, x in row)
+        for pos, row in zip(fibre, M):
+            out[pos] = sum(map(mul, row, vals))
     return out
 
 
 def act(g, m):
     """Apply a group element to a model, exactly: permute the tensor axes
-    (hypercubes), apply each factor's matrix along its axis, then scale."""
+    (hypercubes), apply each factor's matrix along its axis, then scale by
+    the scalar's act_power: multiply by the numerator's power and divide
+    exactly by the denominator's."""
     if g.kind != m.kind:
         raise ValueError(f"group element for {g.kind} applied to {m.kind}")
     spec = SPECS[m.kind]
@@ -421,8 +434,11 @@ def act(g, m):
         t = [t[n] for n in spec.perm_index[g.perm]]
     for fibres, A in zip(spec.fibres, g.matrices):
         t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
-    la = _num(g.scalar ** spec.act_power)
-    return spec.model.from_coeffs([la * x for x in t])
+    num = g.scalar.numerator ** spec.act_power
+    den = g.scalar.denominator ** spec.act_power
+    if den == 1:
+        return spec.model.from_coeffs([num * x for x in t])
+    return spec.model.from_coeffs([quotient(num * x, den) for x in t])
 
 
 def ternary_substitute(F, A):
@@ -455,101 +471,78 @@ def ternary_substitute(F, A):
 
 def quartics_of_22(F):
     """The pair of binary quartics (G1 in x, G2 in y) of a (2,2)-form."""
-    f1, f2, f3 = F.x_quadratics()
-    g1 = _bsub(_binary_mul(f2, f2), _scale_list(_binary_mul(f1, f3), 4))
-    r1, r2, r3 = F.y_quadratics()
-    g2 = _bsub(_binary_mul(r2, r2), _scale_list(_binary_mul(r1, r3), 4))
-    return BinaryQuartic(tuple(g1)), BinaryQuartic(tuple(g2))
+    return tuple(
+        BinaryQuartic([x - 4 * y for x, y in zip(_binary_mul(q2, q2), _binary_mul(q1, q3))])
+        for q1, q2, q3 in (F.x_quadratics(), F.y_quadratics()))
 
 
-def _scale_list(a, c):
-    return [c * x for x in a]
+def _det_table(kind, var_axes, out_index):
+    """Index table of det(T), T the tensor of `kind` read as a square matrix
+    over its other two axes (rows on the lower) whose entries are forms in
+    the variables of `var_axes`.  Each term of the Leibniz expansion picks a
+    permutation and, in every row, one variable index per axis of var_axes;
+    out_index maps those picks to the output coefficient the term feeds.
+    Returns, per output coefficient, the terms (sign, flat positions...)."""
+    spec = SPECS[kind]
+    row_axis, col_axis = (a for a in range(len(spec.shape)) if a not in var_axes)
+    n = spec.shape[row_axis]
+    picks = list(product(*(range(spec.shape[a]) for a in var_axes)))
+    out = {choice: out_index(choice) for choice in product(picks, repeat=n)}
+    # cell[r][c]: (pick, flat position) of the entries in row r and column c
+    read = itemgetter(row_axis, col_axis, *var_axes)
+    where = {read(idx): pos for idx, pos in spec.position.items()}
+    cell = [[[(pick, where[(r, c) + pick]) for pick in picks] for c in range(n)]
+            for r in range(n)]
+    table = [[] for _ in range(max(out.values()) + 1)]
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+        for term in product(*(cell[r][perm[r]] for r in range(n))):
+            choice, positions = zip(*term)
+            table[out[choice]].append((sign, *positions))
+    return tuple(map(tuple, table))
 
 
-def _bsub(a, b):
-    return [x - y for x, y in zip(a, b)]
+# per slicing axis: the cubic's coefficients, the monomial x^i y^j z^k counting
+# the rows that picked slice 0, 1 and 2
+_CUBE_TABLES = tuple(
+    _det_table("cube", (axis,), lambda ch: _CUBIC_INDEX[tuple(map(ch.count, ((0,), (1,), (2,))))])
+    for axis in range(3))
 
 
 def cubics_of_cube(S):
     """The three determinantal ternary cubics, one per slicing."""
-    out = []
-    for axis in range(3):
-        M, N, P = S.slices(axis)
-        out.append(_det_linear_pencil(M, N, P))
-    return tuple(out)
-
-
-def _det_linear_pencil(M, N, P):
-    """det(M x + N y + P z) as a TernaryCubic."""
-    acc = {}
-    for perm in permutations(range(3)):
-        sign = _perm_sign(perm)
-        # product of three linear forms (M[r][perm[r]], N[..], P[..]) . (x,y,z)
-        terms = {(0, 0, 0): sign}
-        for r in range(3):
-            c = perm[r]
-            vec = (M[r][c], N[r][c], P[r][c])
-            nxt = {}
-            for mono, cc in terms.items():
-                for var in range(3):
-                    if vec[var] == 0:
-                        continue
-                    key = list(mono)
-                    key[var] += 1
-                    key = tuple(key)
-                    nxt[key] = nxt.get(key, 0) + cc * vec[var]
-            terms = nxt
-        for mono, cc in terms.items():
-            acc[mono] = acc.get(mono, 0) + cc
-    return TernaryCubic.from_dict(acc)
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    c = S.coeffs
+    cubics = []
+    for table in _CUBE_TABLES:
+        coeffs = []
+        for terms in table:
+            tot = 0
+            for s, i, j, k in terms:
+                tot += s * c[i] * c[j] * c[k]
+            coeffs.append(tot)
+        cubics.append(TernaryCubic.from_coeffs(coeffs))
+    return tuple(cubics)
 
 
 HYPERCUBE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# per axis pair (a, b): the (2,2)-form's coefficients, row = the sum of the
+# axis-a picks (the power of x2), column = the sum of the axis-b picks
+_HYPERCUBE_TABLES = {
+    pair: _det_table("hypercube", pair, lambda ch: 3 * (ch[0][0] + ch[1][0]) + ch[0][1] + ch[1][1])
+    for pair in HYPERCUBE_PAIRS}
+
 
 def form_of_hypercube(H, a, b):
     """The (2,2)-form F_ab: determinant of H read as bilinear in the other axes."""
-    c, d = (t for t in range(4) if t not in (a, b))
-
-    def bil(k, l):
-        # 2x2 coefficient matrix of the (1,1)-form in (axis-a, axis-b) variables
-        rows = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                idx = [0, 0, 0, 0]
-                idx[a], idx[b], idx[c], idx[d] = i, j, k, l
-                row.append(H.at(*idx))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    q00, q01, q10, q11 = bil(0, 0), bil(0, 1), bil(1, 0), bil(1, 1)
-    return TwoTwoForm(_sub22(_mul_11(q00, q11), _mul_11(q01, q10)))
-
-
-def _mul_11(bm, cm):
-    out = [[0] * 3 for _ in range(3)]
-    for i in range(2):
-        for j in range(2):
-            if bm[i][j] == 0:
-                continue
-            for k in range(2):
-                for l in range(2):
-                    out[i + k][j + l] += bm[i][j] * cm[k][l]
-    return tuple(tuple(r) for r in out)
-
-
-def _sub22(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    c = H.coeffs
+    coeffs = []
+    for terms in _HYPERCUBE_TABLES[a, b]:
+        tot = 0
+        for s, i, j in terms:
+            tot += s * c[i] * c[j]
+        coeffs.append(tot)
+    return TwoTwoForm.from_coeffs(coeffs)
 
 
 def forms_of_hypercube(H):

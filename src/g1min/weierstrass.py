@@ -15,7 +15,7 @@ of their kappas.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import INFINITY, as_context, fp_inv, fp_poly_roots, valuation
+from .exactnum import INFINITY, as_context, fp_inv, fp_poly_roots, quotient, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
 from .models import SingularModelError
 
@@ -63,7 +63,7 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def is_integral(self):
-        return all(not isinstance(a, Fraction) for a in self.a_invariants())
+        return all(type(a) is not Fraction for a in self.a_invariants())
 
     def rhs(self, x):
         return x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
@@ -142,32 +142,35 @@ def point_mul(E, n, P):
 
 @dataclass(frozen=True)
 class CurveMap:
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    Tate's walk builds its maps from ints, with u a power of p; a caller may
+    pass Fractions.  `apply` divides exactly, so an int curve stays int
+    wherever the division by the power of u leaves no remainder."""
+
+    u: int
+    r: int
+    s: int
+    t: int
 
     @classmethod
     def identity(cls):
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        return cls(1, 0, 0, 0)
 
     def apply(self, E):
-        u, r, s, t = (Fraction(v) for v in (self.u, self.r, self.s, self.t))
-        a1 = (E.a1 + 2 * s) / u
-        a2 = (E.a2 - s * E.a1 + 3 * r - s * s) / u ** 2
-        a3 = (E.a3 + r * E.a1 + 2 * t) / u ** 3
-        a4 = (E.a4 - s * E.a3 + 2 * r * E.a2 - (t + r * s) * E.a1 + 3 * r * r - 2 * s * t) / u ** 4
-        a6 = (E.a6 + r * E.a4 + r * r * E.a2 + r ** 3 - t * E.a3 - t * t - r * t * E.a1) / u ** 6
-        from .models import _num
-
-        return WeierstrassCurve(*(_num(a) for a in (a1, a2, a3, a4, a6)))
+        u, r, s, t = self.u, self.r, self.s, self.t
+        a1 = E.a1 + 2 * s
+        a2 = E.a2 - s * E.a1 + 3 * r - s * s
+        a3 = E.a3 + r * E.a1 + 2 * t
+        a4 = E.a4 - s * E.a3 + 2 * r * E.a2 - (t + r * s) * E.a1 + 3 * r * r - 2 * s * t
+        a6 = E.a6 + r * E.a4 + r * r * E.a2 + r ** 3 - t * E.a3 - t * t - r * t * E.a1
+        return WeierstrassCurve(*(quotient(a, u ** w)
+                                  for a, w in zip((a1, a2, a3, a4, a6), (1, 2, 3, 4, 6))))
 
     def apply_point(self, P):
         if P.is_infinity:
             return P
-        u, r, s, t = (Fraction(v) for v in (self.u, self.r, self.s, self.t))
+        u, r, s, t = self.u, self.r, self.s, self.t
         x, y = Fraction(P.x), Fraction(P.y)
         xp = (x - r) / u ** 2
         yp = (y - s * (x - r) - t) / u ** 3
@@ -183,10 +186,6 @@ class CurveMap:
             s1 + u1 * s2,
             t1 + u1 * u1 * r2 * s1 + u1 ** 3 * t2,
         )
-
-
-def _translate(E, r=0, s=0, t=0):
-    return CurveMap(Fraction(1), Fraction(r), Fraction(s), Fraction(t))
 
 
 def _fp_quadratic_roots(a, b, p):
@@ -230,15 +229,15 @@ def _step6_normalize(E, p):
     if p == 2:
         for s in range(8):
             for t in range(8):
-                cand = _translate(E, 0, s, t).apply(E)
+                cand = CurveMap(1, 0, s, t).apply(E)
                 if (cand.a1 % 2 == 0 and cand.a2 % 2 == 0 and cand.a3 % 4 == 0
                         and cand.a4 % 4 == 0 and cand.a6 % 8 == 0):
-                    return _translate(E, 0, s, t)
+                    return CurveMap(1, 0, s, t)
         raise AssertionError("step-6 normalisation failed at p = 2")
     s = (-E.a1 * fp_inv(2, p)) % p
-    E1 = _translate(E, 0, s, 0).apply(E)
+    E1 = CurveMap(1, 0, s, 0).apply(E)
     t = (-E1.a3 * fp_inv(2, p * p)) % (p * p)
-    m = _translate(E, 0, s, 0).then(_translate(E1, 0, 0, t))
+    m = CurveMap(1, 0, s, 0).then(CurveMap(1, 0, 0, t))
     cand = m.apply(E)
     if not (cand.a1 % p == 0 and cand.a2 % p == 0 and cand.a3 % p ** 2 == 0
             and cand.a4 % p ** 2 == 0 and cand.a6 % p ** 3 == 0):
@@ -266,7 +265,7 @@ def tate_minimal(E, p):
             return cur, total, n
         # move the singular point of the reduction to (0, 0)
         x0, y0 = _singular_point_mod_p(cur, p)
-        m = _translate(cur, x0, 0, y0)
+        m = CurveMap(1, x0, 0, y0)
         cur = m.apply(cur)
         total = total.then(m)
         if cur.b2 % p != 0:  # multiplicative reduction: type I_n, minimal
@@ -287,20 +286,20 @@ def tate_minimal(E, p):
             return cur, total, n
         if mults[-1] == 2:  # type I_m*: subprocedure, always minimal
             r0 = next(t for t, mult in roots if mult == 2)
-            m = _translate(cur, p * r0, 0, 0)
+            m = CurveMap(1, p * r0, 0, 0)
             cur = m.apply(cur)
             total = total.then(m)
             cur, total = _type_istar_tail(cur, total, p)
             return cur, total, n
         # triple root
         r0 = roots[0][0]
-        m = _translate(cur, p * r0, 0, 0)
+        m = CurveMap(1, p * r0, 0, 0)
         cur = m.apply(cur)
         total = total.then(m)
         ys = _fp_quadratic_roots(cur.a3 // p ** 2, -(cur.a6 // p ** 4), p)
         if len(ys) == 2 or not ys:  # type IV*
             return cur, total, n
-        m = _translate(cur, 0, 0, p * p * ys[0])
+        m = CurveMap(1, 0, 0, p * p * ys[0])
         cur = m.apply(cur)
         total = total.then(m)
         if valuation(cur.a4, p) < 4:  # type III*
@@ -308,7 +307,7 @@ def tate_minimal(E, p):
         if valuation(cur.a6, p) < 6:  # type II*
             return cur, total, n
         # non-minimal: rescale by u = p and restart
-        m = CurveMap(Fraction(p), Fraction(0), Fraction(0), Fraction(0))
+        m = CurveMap(p, 0, 0, 0)
         cur = m.apply(cur)
         if not cur.is_integral():
             raise AssertionError("rescaling by u = p left a non-integral curve")
@@ -325,7 +324,7 @@ def _type_istar_tail(cur, total, p):
         ys = _fp_quadratic_roots(a3q, -a6q, p)
         if len(ys) == 2 or not ys:
             return cur, total
-        m = _translate(cur, 0, 0, ys[0] * p ** (q + 1))
+        m = CurveMap(1, 0, 0, ys[0] * p ** (q + 1))
         cur = m.apply(cur)
         total = total.then(m)
         # quadratic in X: (a2/p) X^2 + (a4/p^(q+2)) X + a6/p^(2q+3)
@@ -336,7 +335,7 @@ def _type_istar_tail(cur, total, p):
         xs = _fp_quadratic_roots(a4q * inv, a6q * inv, p)
         if len(xs) == 2 or not xs:
             return cur, total
-        m = _translate(cur, xs[0] * p ** (q + 1), 0, 0)
+        m = CurveMap(1, xs[0] * p ** (q + 1), 0, 0)
         cur = m.apply(cur)
         total = total.then(m)
         q += 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from g1min import BinaryQuartic, Cube, Hypercube, TwoTwoForm, discriminant
+from g1min import BinaryQuartic, Cube, Hypercube, TwoTwoForm, WeierstrassCurve, discriminant
 
 
 # a hypercube at p = 2 whose minimisation takes two singular-point stretches in a row
@@ -67,6 +67,21 @@ def perturb_entries(m, scale, rng, bound=2):
                           for j in range(2)) for i in range(2))
         return Hypercube(new)
     raise ValueError(kind)
+
+
+def kodaira_family(p):
+    """One curve per branch of the Tate walk, typed for p >= 5: I_n, II, III,
+    IV, I0*, I_m*, IV*, III*, II*, and a non-minimal one; plus the same curves
+    scaled by u = p, which reach the walk at every prime."""
+    base = [
+        (0, 1, 0, 0, p ** 3), (0, 1, 0, 0, p ** 12), (0, 0, 0, 0, p), (0, 0, 0, p, 0),
+        (0, 0, 0, 0, p * p), (0, 0, 0, -p * p, 0), (0, p, 0, 0, p ** 4),
+        (0, p, 0, 0, p ** 9), (0, 0, 0, 0, p ** 4), (0, 0, 0, p ** 3, 0),
+        (0, 0, 0, 0, p ** 5), (0, 0, 0, p ** 4, p ** 6), (1, -1, 1, -p, p * p),
+    ]
+    curves = [WeierstrassCurve(*a) for a in base]
+    curves += [WeierstrassCurve(*(x * p ** w for x, w in zip(a, (1, 2, 3, 4, 6)))) for a in base]
+    return [E for E in curves if E.disc != 0 and E.disc % p == 0]
 
 
 @pytest.fixture

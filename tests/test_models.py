@@ -12,7 +12,10 @@ from g1min import (
 )
 from g1min.exactnum import det_matrix
 from g1min.invariants import quartic_invariants
-from g1min.models import group_element_from_dict, group_element_to_dict, ternary_substitute
+from g1min.models import (
+    SPECS, binary_form_substitute, group_element_from_dict, group_element_to_dict, is_integral,
+    scalar_multiply, ternary_substitute,
+)
 
 from conftest import (
     identity_hypercube, levi_civita_cube, nonzero_disc, random_cube,
@@ -88,6 +91,57 @@ def test_compose_and_inverse(kind, rng):
             assert g == GroupElement(g.kind, g.scalar, g.matrices, g.perm)
             assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
             assert type(g.scalar) is Fraction
+
+
+def _exact_values(coeffs):
+    return [Fraction(c) for c in coeffs], [type(c) is int for c in coeffs]
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_act_is_exact_for_non_integral_scalars(kind, rng):
+    # act divides exactly by the scalar denominator's power: a coefficient is
+    # an int exactly when its value is integral, and the values are those of
+    # Fraction(scalar) ** act_power times the integral contraction
+    power = SPECS[kind].act_power
+    types = set()
+    for _ in range(30):
+        den = rng.choice((2, 3, 4, 6))
+        m = scalar_multiply(KIND_SAMPLERS[kind](rng), rng.choice((1, den, den ** power)))
+        h = _rand_element(kind, rng)
+        g = GroupElement(kind, Fraction(rng.choice((-5, -1, 1, 7)), den), h.matrices, h.perm)
+        contraction = act(GroupElement(kind, 1, h.matrices, h.perm), m).coeffs
+        expected = [Fraction(g.scalar) ** power * x for x in contraction]
+        values, is_int = _exact_values(act(g, m).coeffs)
+        assert values == expected
+        assert is_int == [e.denominator == 1 for e in expected]
+        types.update(is_int)
+    assert types == {True, False}
+
+
+def test_act_on_rational_quartics(rng):
+    for _ in range(30):
+        m = BinaryQuartic(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                for _ in range(5)))
+        g = _rand_element("quartic", rng)
+        expected = [g.scalar ** 2 * c for c in binary_form_substitute(m.coeffs, g.matrices[0])]
+        values, is_int = _exact_values(act(g, m).coeffs)
+        assert values == expected
+        assert is_int == [e.denominator == 1 for e in expected]
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_act_of_compose_through_rational_models(kind, rng):
+    # act(g.compose(h), m) == act(g, act(h, m)), also where act(h, m) has
+    # Fraction coefficients that act(g, .) must clear again
+    rational = 0
+    for _ in range(20):
+        m = KIND_SAMPLERS[kind](rng)
+        g, h = _rand_element(kind, rng), _rand_element(kind, rng)
+        h = GroupElement(kind, Fraction(rng.randint(1, 5), rng.choice((2, 3, 5))),
+                         h.matrices, h.perm)
+        rational += not is_integral(act(h, m))
+        assert act(g.compose(h), m) == act(g, act(h, m))
+    assert rational > 0
 
 
 def test_singular_group_element_rejected():

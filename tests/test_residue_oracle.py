@@ -21,6 +21,8 @@ from g1min.weierstrass import (
 )
 import g1min.weierstrass as weierstrass
 
+from conftest import kodaira_family
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
@@ -284,21 +286,6 @@ def test_cubic_roots_match_scan(p):
         assert _fp_cubic_roots(a, b, c, p) == scans._fp_cubic_roots(a, b, c, p)
 
 
-def _kodaira_family(p):
-    """One curve per branch of the Tate walk, typed for p >= 5: I_n, II, III,
-    IV, I0*, I_m*, IV*, III*, II*, and a non-minimal one; plus the same curves
-    scaled by u = p, which reach the walk at every prime."""
-    base = [
-        (0, 1, 0, 0, p ** 3), (0, 1, 0, 0, p ** 12), (0, 0, 0, 0, p), (0, 0, 0, p, 0),
-        (0, 0, 0, 0, p * p), (0, 0, 0, -p * p, 0), (0, p, 0, 0, p ** 4),
-        (0, p, 0, 0, p ** 9), (0, 0, 0, 0, p ** 4), (0, 0, 0, p ** 3, 0),
-        (0, 0, 0, 0, p ** 5), (0, 0, 0, p ** 4, p ** 6), (1, -1, 1, -p, p * p),
-    ]
-    curves = [WeierstrassCurve(*a) for a in base]
-    curves += [WeierstrassCurve(*(x * p ** w for x, w in zip(a, (1, 2, 3, 4, 6)))) for a in base]
-    return [E for E in curves if E.disc != 0 and E.disc % p == 0]
-
-
 def _translated(E, rng, p):
     r, s, t = (rng.randrange(-2 * p, 2 * p) for _ in range(3))
     return WeierstrassCurve(
@@ -311,7 +298,7 @@ def _translated(E, rng, p):
 def test_tate_singular_point_and_walk_match_scan(p, monkeypatch):
     rng = random.Random(5000 + p)
     curves = []
-    for E in _kodaira_family(p):
+    for E in kodaira_family(p):
         curves += [E, _translated(E, rng, p)]
     while len(curves) < 60:
         E = WeierstrassCurve(*(rng.randint(-40, 40) for _ in range(5)))

@@ -9,6 +9,8 @@ from g1min import (
     valuation,
 )
 
+from conftest import kodaira_family
+
 
 def scale_curve(E, u):
     return WeierstrassCurve(E.a1 * u, E.a2 * u ** 2, E.a3 * u ** 3,
@@ -113,6 +115,36 @@ def test_large_prime_minimality_criterion(rng):
             assert vmin == valuation(Emin.disc, p)
             assert Emin.c4 == 0 and vmin < 12 or (
                 valuation(Emin.c4, p) < 4 or vmin < 12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_tate_maps_are_integral(p):
+    # on integral input the walk composes integral translations and u = p
+    # rescalings: its map holds ints, u is a power of p, and it takes the
+    # curve to the minimal model it returns
+    rescaled = 0
+    for E in kodaira_family(p):
+        Emin, cmap, vmin = tate_minimal(E, p)
+        assert all(type(x) is int for x in (cmap.u, cmap.r, cmap.s, cmap.t)), E
+        k = valuation(cmap.u, p)
+        assert cmap.u == p ** k
+        assert cmap.apply(E) == Emin
+        assert valuation(E.disc, p) == vmin + 12 * k
+        rescaled += k > 0
+    assert rescaled > 0
+
+
+def test_curve_map_divides_exactly():
+    # apply returns ints where the division by the power of u is exact and
+    # Fractions only where it is not, for int and Fraction maps alike
+    E = WeierstrassCurve(0, 0, 0, 16, 64)
+    for u in (2, Fraction(2)):
+        assert CurveMap(u, 0, 0, 0).apply(E) == WeierstrassCurve(0, 0, 0, 1, 1)
+        assert all(type(a) is int for a in CurveMap(u, 0, 0, 0).apply(E).a_invariants())
+    E3 = CurveMap(3, 0, 0, 0).apply(E)
+    assert E3 == WeierstrassCurve(0, 0, 0, Fraction(16, 81), Fraction(64, 729))
+    back = CurveMap(Fraction(1, 3), 0, 0, 0).apply(E3)
+    assert back == E and all(type(a) is int for a in back.a_invariants())
 
 
 def test_tate_rejects_bad_input():
