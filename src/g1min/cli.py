@@ -4,6 +4,10 @@ Subcommands: invariants, minimise, level, construct, convert, oracle.
 Model files are JSON documents {"kind": ..., "coeffs": [...]} with decimal
 string coefficients in the documented index order: integers or rationals for
 quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
+A coefficient is any string fractions.Fraction accepts ("-12", "1_000",
+"1.5", "3/4", "1e3"; not "0x10"); integer strings are read by int().  The
+argument parser is built once per process, so repeated in-process main()
+calls pay only for parsing their argv.
 
 Exit codes: 0 success; 2 parse error or rejected input (a non-integral model
 to minimise, --critical below p = 5); 3 kind mismatch or unsupported operation
@@ -16,6 +20,7 @@ files and reports may have any number of digits.
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -180,7 +185,8 @@ def cmd_minimise(args):
         for p, r in rep.local_reports:
             lines.append(f"p = {p}: v(Delta) {r.v_disc_initial} -> {r.v_disc_final}"
                          f" in {len(r.steps)} steps")
-        lines.append(f"final Delta = {discriminant(rep.model)}")
+        if not args.json:  # the text report alone shows Delta
+            lines.append(f"final Delta = {discriminant(rep.model)}")
         final_model = rep.model
     else:
         ctx = _prime_context(args)
@@ -303,7 +309,10 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parse_args returns a fresh
+    Namespace on each call."""
     ap = argparse.ArgumentParser(
         prog="g1min",
         description="Exact minimisation of genus-one models ((2,2)-forms, cubes, hypercubes).",

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .exactnum import det_matrix, mat_adj, mat_mul
 from .models import (
-    HYPERCUBE_PAIRS, _num, cubics_of_cube, form_of_hypercube, forms_of_hypercube,
-    quartics_of_22,
+    HYPERCUBE_PAIRS, _num, cubic_of_cube, cubics_of_cube, form_of_hypercube,
+    forms_of_hypercube, quartics_of_22,
 )
 
 
@@ -373,7 +373,7 @@ _C4_C6 = {
     "quartic": _quartic_i_j,
     "form22": lambda m: _form22_c4_c6(quartics_of_22(m)[0]),
     "cubic": _cubic_c4_c6,
-    "cube": lambda m: _cubic_c4_c6(cubics_of_cube(m)[0]),
+    "cube": lambda m: _cubic_c4_c6(cubic_of_cube(m, 0)),
     "hypercube": lambda m: c4_c6(form_of_hypercube(m, 0, 1)),
 }
 

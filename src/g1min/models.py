@@ -57,8 +57,14 @@ def _num(x):
 
 
 def _parse_coeff(s):
-    f = Fraction(s)
-    return _num(f)
+    # every string int() accepts is an integer string Fraction() accepts, with
+    # the same value; other inputs (floats, bytes) go to Fraction() as given
+    if isinstance(s, str):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    return _num(Fraction(s))
 
 
 def _flatten(nested, shape, kind):
@@ -509,19 +515,21 @@ _CUBE_TABLES = tuple(
     for axis in range(3))
 
 
+def cubic_of_cube(S, axis):
+    """The determinantal ternary cubic of the slicing along `axis`."""
+    c = S.coeffs
+    coeffs = []
+    for terms in _CUBE_TABLES[axis]:
+        tot = 0
+        for s, i, j, k in terms:
+            tot += s * c[i] * c[j] * c[k]
+        coeffs.append(tot)
+    return TernaryCubic.from_coeffs(coeffs)
+
+
 def cubics_of_cube(S):
     """The three determinantal ternary cubics, one per slicing."""
-    c = S.coeffs
-    cubics = []
-    for table in _CUBE_TABLES:
-        coeffs = []
-        for terms in table:
-            tot = 0
-            for s, i, j, k in terms:
-                tot += s * c[i] * c[j] * c[k]
-            coeffs.append(tot)
-        cubics.append(TernaryCubic.from_coeffs(coeffs))
-    return tuple(cubics)
+    return tuple(cubic_of_cube(S, axis) for axis in range(3))
 
 
 HYPERCUBE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

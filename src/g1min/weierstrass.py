@@ -91,7 +91,7 @@ class Point:
 def on_curve(E, P):
     if P.is_infinity:
         return True
-    x, y = Fraction(P.x), Fraction(P.y)
+    x, y = P.x, P.y
     return y * y + E.a1 * x * y + E.a3 * y == E.rhs(x)
 
 
@@ -145,8 +145,9 @@ class CurveMap:
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
     Tate's walk builds its maps from ints, with u a power of p; a caller may
-    pass Fractions.  `apply` divides exactly, so an int curve stays int
-    wherever the division by the power of u leaves no remainder."""
+    pass Fractions.  `apply` and `apply_point` divide exactly, so an int
+    curve or point stays int wherever the division by the power of u leaves
+    no remainder."""
 
     u: int
     r: int
@@ -171,10 +172,8 @@ class CurveMap:
         if P.is_infinity:
             return P
         u, r, s, t = self.u, self.r, self.s, self.t
-        x, y = Fraction(P.x), Fraction(P.y)
-        xp = (x - r) / u ** 2
-        yp = (y - s * (x - r) - t) / u ** 3
-        return Point(xp, yp)
+        x, y = P.x, P.y
+        return Point(quotient(x - r, u ** 2), quotient(y - s * (x - r) - t, u ** 3))
 
     def then(self, other):
         """The map applying self first, then other."""
@@ -363,8 +362,8 @@ def kappa(P, E, ctx):
 def _kappa_on_minimal(P, cmap, p):
     """kappa of P, given the CurveMap of Tate's walk from P's curve."""
     Pm = cmap.apply_point(P)
-    vx = valuation(Fraction(Pm.x), p)
-    vy = valuation(Fraction(Pm.y), p)
+    vx = valuation(Pm.x, p)
+    vy = valuation(Pm.y, p)
     if (vx is INFINITY or vx >= 0) and (vy is INFINITY or vy >= 0):
         return 0
     if not (vx < 0 and vx % 2 == 0 and vy == 3 * (vx // 2)):

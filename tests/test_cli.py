@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import math
@@ -440,3 +441,67 @@ def test_cli_runs_without_a_digit_limit_api(tmp_path, capsys, monkeypatch):
     path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
     assert main(["invariants", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["Delta"] == "-64"
+
+
+def test_repeated_calls_give_identical_output(tmp_path, capsys):
+    # the parser is built once per process; no call's options leak into the next
+    F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
+    path = form22_file(tmp_path, F)
+    for argv in (["invariants", path], ["invariants", path, "--json"],
+                 ["minimise", path, "--global"], ["minimise", path, "--prime", "2", "--json"],
+                 ["level", path, "--prime", "3", "--json"]):
+        first = (main(argv), capsys.readouterr())
+        assert first[0] == 0
+        assert (main(argv), capsys.readouterr()) == first
+
+
+def test_out_does_not_outlive_its_call(tmp_path, capsys):
+    path = form22_file(tmp_path, scalar_multiply(construct_22(0, 0, 0, 1), 2))
+    out_path = tmp_path / "min.json"
+    assert main(["minimise", path, "--prime", "2", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err == f"wrote {out_path}\n"
+    out_path.unlink()
+    assert main(["minimise", path, "--prime", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    assert not out_path.exists()
+
+
+def test_usage_error_then_good_call(tmp_path, capsys):
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["minimise", path, "--prime", "five"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["minimise", path, "--prime", "5"]) == 0
+
+
+def test_second_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    assert main(["invariants", path]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["invariants", path]) == 0
+    assert main(["level", path, "--prime", "5"]) == 0
+    assert built == []
+
+
+def test_global_json_skips_the_text_only_discriminant(tmp_path, capsys, monkeypatch):
+    # the input's Delta is checked in both modes; only the text report needs
+    # the output's Delta
+    import g1min.cli
+
+    seen = []
+    monkeypatch.setattr(g1min.cli, "discriminant", lambda m: seen.append(m) or discriminant(m))
+    F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
+    path = form22_file(tmp_path, F)
+    assert main(["minimise", path, "--global", "--json"]) == 0
+    assert seen == [F]
+    assert main(["minimise", path, "--global"]) == 0
+    assert seen[1:] == [F, construct_22(0, 0, 0, 1)]
+    assert capsys.readouterr().out.endswith("final Delta = -64\n")

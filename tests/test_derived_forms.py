@@ -10,7 +10,7 @@ import pytest
 import derived_form_oracle as oracle
 import g1min.models as models
 from g1min import Cube, Hypercube, cubics_of_cube, forms_of_hypercube
-from g1min.models import HYPERCUBE_PAIRS, form_of_hypercube
+from g1min.models import HYPERCUBE_PAIRS, cubic_of_cube, form_of_hypercube
 
 from conftest import identity_hypercube, levi_civita_cube
 
@@ -46,8 +46,10 @@ def _mismatches(cubes, hypercubes, expected):
     cubics, forms = expected
     bad = []
     for n, S in enumerate(cubes):
-        bad += [("cube", n, axis) for axis, (f, g) in enumerate(zip(cubics_of_cube(S), cubics[n]))
-                if f != g]
+        got = cubics_of_cube(S)
+        assert len(got) == 3
+        bad += [("cube", n, axis) for axis in range(3)
+                if got[axis] != cubics[n][axis] or cubic_of_cube(S, axis) != cubics[n][axis]]
     for n, H in enumerate(hypercubes):
         got = forms_of_hypercube(H)
         assert list(got) == list(HYPERCUBE_PAIRS)

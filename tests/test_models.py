@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,8 +14,8 @@ from g1min import (
 from g1min.exactnum import det_matrix
 from g1min.invariants import quartic_invariants
 from g1min.models import (
-    SPECS, binary_form_substitute, group_element_from_dict, group_element_to_dict, is_integral,
-    scalar_multiply, ternary_substitute,
+    SPECS, _num, _parse_coeff, binary_form_substitute, group_element_from_dict,
+    group_element_to_dict, is_integral, scalar_multiply, ternary_substitute,
 )
 
 from conftest import (
@@ -372,6 +373,46 @@ def test_json_rejects_bad_documents():
         model_from_dict({"kind": "nope", "coeffs": []})
     with pytest.raises(ValueError):
         model_from_dict({"kind": "quartic", "coeffs": ["1"] * 4})
+
+
+def _outcome(parse, s):
+    """(value, type) of parse(s), or the type of the exception it raises."""
+    try:
+        v = parse(s)
+    except Exception as e:
+        return type(e)
+    return v, type(v)
+
+
+def _fraction_parse(s):
+    return _num(Fraction(s))
+
+
+def test_parse_coeff_matches_fraction():
+    # the int() fast path must accept, value and reject exactly as Fraction
+    corpus = [
+        "0", "7", "-7", "+7", "-0", " 12 ", "\t-3\n", "1_000", "-1_000_000", "1__0",
+        "_1", "1_", "\u0663\u0664", "\uff11\uff12", "1.5", "-2.0", "3/4", "-6/3",
+        " 1/2 ", "1e3", "1E-2", "", " ", "0x10", "0b1", "1/0", "+-1", "1 2", "nan",
+        "inf", "1.", ".5", 7, -3, 1.5, Fraction(6, 3), True,
+    ]
+    # every space, digit and numeric character, alone and around digits
+    special = [chr(c) for c in range(sys.maxunicode + 1)
+               if chr(c).isspace() or chr(c).isnumeric()]
+    corpus += [f for c in special for f in (c, c + "1" + c, "1" + c + "2", "-" + c + "3")]
+    for s in corpus:
+        assert _outcome(_parse_coeff, s) == _outcome(_fraction_parse, s), repr(s)
+    huge = "-" + "9" * 5000
+    # a ValueError on both paths under CPython's 4300-digit limit
+    assert _outcome(_parse_coeff, huge) == _outcome(_fraction_parse, huge)
+    if hasattr(sys, "set_int_max_str_digits"):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _outcome(_parse_coeff, huge) == _outcome(_fraction_parse, huge)
+            assert _outcome(_parse_coeff, huge) == (-(10 ** 5000 - 1), int)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def test_scalar_clear():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import pytest
 
@@ -259,3 +260,47 @@ def test_hypercube_level_is_minimum_of_form_levels(rng):
             lH = level(H, ctx).level
             lforms = [level(F, ctx).level for F in forms_of_hypercube(H).values()]
             assert lH == min(lforms)
+
+
+def _fraction_kappa(P, E, p):
+    """kappa the way it was computed before marked points stayed int: map P
+    to Tate's minimal model in Fractions and read its denominators."""
+    cmap = tate_minimal(E, p)[1]
+    x, y = Fraction(P.x), Fraction(P.y)
+    xp = (x - cmap.r) / cmap.u ** 2
+    yp = (y - cmap.s * (x - cmap.r) - cmap.t) / cmap.u ** 3
+    vx, vy = valuation(xp, p), valuation(yp, p)
+    return 0 if min(vx, vy) >= 0 else -(vx // 2)
+
+
+def _small_points(E, bound=40):
+    """The integral affine points of E with |x| <= bound, then 2P and 3P of
+    the first few, which have rational coordinates."""
+    pts = []
+    for x in range(-bound, bound + 1):
+        b = E.a1 * x + E.a3
+        d = b * b + 4 * E.rhs(x)
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            pts += [Point(x, (r - b) // 2) for r in {math.isqrt(d), -math.isqrt(d)}
+                    if (r - b) % 2 == 0]
+    multiples = [point_mul(E, n, P) for P in pts[:4] for n in (2, 3)]
+    return pts + [Q for Q in multiples if not Q.is_infinity]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_marked_points_stay_int_through_tate(p):
+    # an integral image stays int, a rational point maps exactly, and kappa
+    # reads the same as with Fraction coordinates throughout
+    ints = fractions = 0
+    for E in kodaira_family(p):
+        cmap = tate_minimal(E, p)[1]
+        for P in _small_points(E):
+            Q = cmap.apply_point(P)
+            assert Q.x * cmap.u ** 2 + cmap.r == P.x
+            assert Q.y * cmap.u ** 3 + cmap.s * (P.x - cmap.r) + cmap.t == P.y
+            for c in Q:
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+            ints += all(type(c) is int for c in Q)
+            fractions += any(type(c) is Fraction for c in Q)
+            assert kappa(P, E, LocalContext(p)) == _fraction_kappa(P, E, p)
+    assert ints and fractions
