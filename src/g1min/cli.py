@@ -371,14 +371,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    # exact coefficients and invariants may pass CPython's 4300-digit limit
-    # on int <-> str conversion, both in model files and in reports; the
-    # limit (and its setter) exists from CPython 3.10.7 and 3.11 on
+    # primes, exact coefficients and invariants may pass CPython's 4300-digit
+    # limit on int <-> str conversion, on the command line, in model files
+    # and in reports; the limit (and its setter) exists from CPython 3.10.7
+    # and 3.11 on
     digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digits_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

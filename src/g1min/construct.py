@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 import random
 
-from .exactnum import as_context, complete_primitive_row, identity_matrix, mat_mul, valuation
+from .exactnum import as_context, complete_primitive_row, identity_matrix, mat_mul
 from .invariants import discriminant
 from .models import (
     SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, act, is_integral,
@@ -376,6 +376,23 @@ def _stretch_classes(p, a):
     return tuple(complete_primitive_row(_lift_primitive_mod(w, q, p)) for w in reps)
 
 
+@lru_cache(maxsize=None)
+def _oracle_classes(p, a):
+    """The stretch classes of P^1(Z/p^a) with the Sym^2 matrix of each,
+    built on first use: they do not depend on the form."""
+    classes = _stretch_classes(p, a)
+    return tuple(zip(classes, (sym_power_matrix(U, 2) for U in classes)))
+
+
+@lru_cache(maxsize=None)
+def _entry_tests(p, a, b):
+    """(r, c, p^need) for each entry the stretch of weight pair (a, b)
+    divides by p^need, need = a(1 - r) + b(1 - c) + 1 > 0; largest first."""
+    needs = sorted(((a * (1 - r) + b * (1 - c) + 1, r, c) for r in range(3) for c in range(3)),
+                   reverse=True)
+    return tuple((r, c, p ** need) for need, r, c in needs if need > 0)
+
+
 def _oracle_reducer(F, p):
     """A substitution pair (U, V) and weight pair making the stretched form
     integral (hence of smaller discriminant valuation), or None.
@@ -386,20 +403,26 @@ def _oracle_reducer(F, p):
     mod p^a conjugate through the stretch integrally), so those classes are
     enumerated exhaustively.  Residues mod p alone would miss reducers for
     the pairs (2, 1) and (1, 2).
+
+    The substituted form is m = Sym^2(U) F Sym^2(V)^T, and entry (r, c)
+    must vanish to order need = a(1 - r) + b(1 - c) + 1 where that is
+    positive.  Every need is at most a + b + 1, so left = Sym^2(U) F is
+    reduced mod p^(a+b+1) once per U, and each V is tested one entry at a
+    time, largest need first, stopping at the first entry that fails.
     """
     rows = F.rows
-    classes = {k: _stretch_classes(p, k) for k in (0, 1, 2)}
-    syms = {k: [sym_power_matrix(U, 2) for U in classes[k]] for k in (0, 1, 2)}
     for a, b in ORACLE_WEIGHT_PAIRS:
-        thresholds = [(r, c, a * (1 - r) + b * (1 - c) + 1)
-                      for r in range(3) for c in range(3)
-                      if a * (1 - r) + b * (1 - c) + 1 > 0]
-        for iu, U in enumerate(classes[a]):
-            left = mat_mul(syms[a][iu], rows)
-            for iv, V in enumerate(classes[b]):
-                sv = tuple(tuple(syms[b][iv][c][r] for c in range(3)) for r in range(3))
-                m = mat_mul(left, sv)
-                if all(valuation(m[r][c], p) >= need for r, c, need in thresholds):
+        q = p ** (a + b + 1)
+        tests = _entry_tests(p, a, b)
+        v_classes = _oracle_classes(p, b)
+        for U, su in _oracle_classes(p, a):
+            left = [[x % q for x in row] for row in mat_mul(su, rows)]
+            for V, sv in v_classes:
+                for r, c, mod in tests:
+                    lr, vc = left[r], sv[c]
+                    if (lr[0] * vc[0] + lr[1] * vc[1] + lr[2] * vc[2]) % mod:
+                        break
+                else:
                     return U, V, (a, b)
     return None
 
@@ -408,10 +431,13 @@ def oracle_minimality_22(F, ctx):
     """Exhaustive minimality check for a (2,2)-form, independent of the
     minimisation algorithm.
 
-    Searches every residue substitution pair in GL2(F_p)^2 followed by each
-    admissible diagonal weight pair; any hit is an integral model with
-    discriminant valuation smaller by 12, so the first round decides the
-    verdict.  Restricted to small primes by cost.
+    For each weight pair (a, b) in ORACLE_WEIGHT_PAIRS, searches every pair
+    of first-row classes in P^1(Z/p^a) x P^1(Z/p^b) followed by the diagonal
+    stretch of that weight, testing the substituted form entry by entry mod
+    p^(a+b+1); the class tables and their Sym^2 matrices are built once per
+    (p, a) and cached.  Any hit is an integral model with discriminant
+    valuation smaller by 12, so the first round decides the verdict.
+    Restricted to small primes by cost.
     """
     ctx = as_context(ctx)
     p = ctx.p

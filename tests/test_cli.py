@@ -434,6 +434,17 @@ def test_minimise_json_past_the_digit_limit(tmp_path, capsys):
     assert doc["alreadyMinimal"] is True
 
 
+def test_prime_past_the_digit_limit_reaches_the_context(tmp_path, capsys):
+    # argparse reads --prime with int(), so the limit is lifted before parsing
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["level", path, "--prime", "2" + "0" * 4400]) == 2
+    err = capsys.readouterr().err
+    assert "is not prime" in err and "invalid int value" not in err
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_cli_runs_without_a_digit_limit_api(tmp_path, capsys, monkeypatch):
     # CPython before 3.10.7 has neither the limit nor its getter and setter
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
