@@ -482,6 +482,16 @@ def unimodular_with_row(vec, p, row):
     return tuple(m[order[i]] for i in range(n))
 
 
+def form_to_last(ell, p):
+    """Unimodular A with A . ell = unit * e_last mod p: the substitution
+    (vars) -> (vars) A turns a form divisible by ell into one divisible by
+    the last variable."""
+    rowmat = unimodular_with_row(ell, p, len(ell) - 1)
+    col = tuple(zip(*rowmat))
+    d = det_matrix(col)  # +-1, so the inverse is d times the adjugate
+    return tuple(tuple(d * x for x in row) for row in mat_adj(col))
+
+
 def det_matrix(m):
     """Exact determinant by fraction-free expansion (small matrices only)."""
     n = len(m)

@@ -36,8 +36,8 @@ from functools import partial
 from math import gcd
 
 from .exactnum import (
-    LocalContext, as_context, det_matrix, fp_inv, fp_left_kernel_vector, identity_matrix,
-    is_prime, lift_primitive, mat_adj, mat_mul, unimodular_with_row, valuation,
+    LocalContext, as_context, form_to_last, fp_inv, fp_left_kernel_vector, identity_matrix,
+    is_prime, mat_mul, unimodular_with_row, valuation,
 )
 from .invariants import c4_c6, discriminant
 from .models import (
@@ -226,16 +226,6 @@ def _row_move(point, p):
     return unimodular_with_row(point, p, 0)
 
 
-def _form_to_last(ell, p, dim):
-    """Unimodular A with A . ell = unit * e_last mod p: the substitution
-    (vars) -> (vars) A turns a form divisible by ell into one divisible by
-    the last variable."""
-    rowmat = unimodular_with_row(ell, p, dim - 1)
-    col = tuple(tuple(rowmat[c][r] for c in range(dim)) for r in range(dim))
-    d = det_matrix(col)  # +-1, so the inverse is d times the adjugate
-    return tuple(tuple(d * x for x in row) for row in mat_adj(col))
-
-
 def _axis_move(kind, matrix, axis):
     """The group element acting by `matrix` along one tensor axis."""
     mats = [identity_matrix(n) for n in SPECS[kind].matrix_sizes]
@@ -247,7 +237,7 @@ def _absorb_matrix(ker, p):
     """Unimodular change making the kernel vector the last row, which is
     then divided by p."""
     n = len(ker)
-    u = unimodular_with_row(lift_primitive(ker, p), p, n - 1)
+    u = unimodular_with_row(ker, p, n - 1)
     return mat_mul(_diag(*(1,) * (n - 1), Fraction(1, p)), u)
 
 
@@ -361,7 +351,7 @@ def _cube_step(d):
     mats = [identity_matrix(3)] * 3
     for a in axes:
         if mode == "repeated-factor-pair":
-            mats[a] = mat_mul(_diag(1, 1, p), _form_to_last(classes[a].factor, p, 3))
+            mats[a] = mat_mul(_diag(1, 1, p), form_to_last(classes[a].factor, p))
         else:
             mats[a] = mat_mul(_diag(1, p, p), _row_move(classes[a].point, p))
     return _Move(GroupElement("cube", 1, tuple(mats)), mode, tuple(axes), chained=True,
@@ -499,10 +489,10 @@ def _hypercube_step(d):
     ker = fp_left_kernel_vector(t_block, p)
     if ker is None:
         raise InternalBoundError("off-corner block must be singular mod p")
-    d.apply(_hyper_axis_move(unimodular_with_row(lift_primitive(ker, p), p, 0), 2),
+    d.apply(_hyper_axis_move(unimodular_with_row(ker, p, 0), 2),
             "block-rows", expect_drop=0)
     row = (h(0, 1, 1, 0), h(0, 1, 1, 1))
-    z = lift_primitive((-row[1] % p, row[0] % p), p)
+    z = (-row[1], row[0])
     d.apply(_hyper_axis_move(unimodular_with_row(z, p, 0), 3), "block-columns", expect_drop=0)
     if h(0, 1, 0, 0) or h(0, 1, 0, 1) or h(0, 1, 1, 0):
         raise InternalBoundError("rank-one block reduction failed")

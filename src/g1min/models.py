@@ -18,16 +18,20 @@ Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
 scalar, one int matrix per tensor factor, and (for hypercubes only) a
 permutation of the four factors; their one constructor clears rational matrix
-entries into the scalar and rejects singular matrices.  Each kind with a group
-action is a tensor space on which the group acts one factor at a time, so one
-routine, `act`, serves them all; the per-kind entry in SPECS records the
-tensor shape, the matrix sizes, the matrix each group matrix induces on its
-tensor axis (Sym^4 or Sym^2 of it for quartics and (2,2)-forms, the matrix
+entries into the scalar and rejects singular matrices.  Every kind is a tensor
+space on which the group acts one factor at a time, so one routine, `act`,
+serves them all; the per-kind entry in SPECS records the tensor shape, the
+matrix sizes, the matrix each group matrix induces on its tensor axis (Sym^4,
+Sym^2 or Sym^3 of it for quartics, (2,2)-forms and ternary cubics, the matrix
 itself for cubes and hypercubes) and the powers of the scalar in `act` and in
-`chi`.  `act` is integer: it contracts with the int matrices, multiplies by
-the scalar numerator's power and divides exactly by its denominator's, so a
-coefficient is a Fraction only where that division leaves a remainder.
-`scalar_clear` returns an integral primitive copy together with the multiplier.
+`chi`; a ternary cubic goes to mu F((x, y, z) A), so its discriminant scales
+by (mu det A)^12.  The one substitution, `sym_power_matrix(A, k)`, serves forms
+in n = len(A) variables from an index table of (coefficient, (flat positions
+of A...)) terms built at import per (n, k).  `act` is integer: it contracts with
+the int matrices, multiplies by the scalar numerator's power and divides
+exactly by its denominator's, so a coefficient is a Fraction only where that
+division leaves a remainder.  `scalar_clear` returns an integral primitive copy
+together with the multiplier.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
 hypercube) are evaluated from index tables of (sign, flat positions...) terms,
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation, INFINITY
@@ -81,6 +85,58 @@ def _nest(flat, dims):
         return tuple(flat)
     step = prod(dims[1:])
     return tuple(_nest(flat[i * step:(i + 1) * step], dims[1:]) for i in range(dims[0]))
+
+
+# ---------------------------------------------------------------------------
+# forms in n variables
+
+
+def monomials(n, k):
+    """The exponent vectors of the degree-k monomials in n variables, in
+    descending lexicographic order (x1^k first)."""
+    return tuple(sorted((e for e in product(range(k + 1), repeat=n) if sum(e) == k),
+                        reverse=True))
+
+
+def _sym_table(n, k):
+    """Index table of Sym^k(A) for n x n matrices A: per entry (j, i), the
+    terms (coefficient, (flat positions of A...)) of the coefficient of
+    monomial j in the image of monomial i.  Each term picks, for each of the
+    k variables of monomial i, the row of A that feeds the image."""
+    monos = monomials(n, k)
+    index = {e: j for j, e in enumerate(monos)}
+    table = [[{} for _ in monos] for _ in monos]
+    for i, e in enumerate(monos):
+        cols = [v for v in range(n) for _ in range(e[v])]
+        for rows in product(range(n), repeat=k):
+            entry = table[index[tuple(map(rows.count, range(n)))]][i]
+            positions = tuple(sorted(r * n + c for r, c in zip(rows, cols)))
+            entry[positions] = entry.get(positions, 0) + 1
+    return tuple(tuple(tuple((c, pos) for pos, c in entry.items()) for entry in row)
+                 for row in table)
+
+
+# the (n, k) of the kinds' axis matrices: Sym^2 and Sym^4 of 2x2, Sym^3 of 3x3
+_SYM_TABLES = {(n, k): _sym_table(n, k) for n, k in ((2, 2), (2, 4), (3, 3))}
+
+
+def sym_power_matrix(A, k):
+    """Matrix of f -> f((x1, ..., xn) A) on the coefficient vectors of forms
+    of degree k in n = len(A) variables, monomials in `monomials(n, k)`
+    order: column i is the image of monomial i."""
+    a = [x for row in A for x in row]
+    out = []
+    for row in _SYM_TABLES[len(A), k]:
+        vals = []
+        for terms in row:
+            tot = 0
+            for c, positions in terms:
+                for q in positions:
+                    c *= a[q]
+                tot += c
+            vals.append(tot)
+        out.append(tuple(vals))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +203,7 @@ class TwoTwoForm(_Model):
         return TwoTwoForm.from_coeffs(c[0::3] + c[1::3] + c[2::3])
 
 
-CUBIC_MONOMIALS = (
-    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
-    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
-)
+CUBIC_MONOMIALS = monomials(3, 3)
 _CUBIC_INDEX = {e: i for i, e in enumerate(CUBIC_MONOMIALS)}
 
 
@@ -162,9 +215,6 @@ class TernaryCubic(_Model):
     @classmethod
     def from_dict(cls, d):
         return cls(tuple(d.get(e, 0) for e in CUBIC_MONOMIALS))
-
-    def as_dict(self):
-        return {e: c for e, c in zip(CUBIC_MONOMIALS, self.coeffs) if c != 0}
 
 
 class Cube(_Model):
@@ -195,39 +245,6 @@ class Hypercube(_Model):
 
 
 # ---------------------------------------------------------------------------
-# binary substitutions
-
-
-def _binary_power(u, v, k):
-    """Coefficients of (u*x1 + v*x2)^k, descending in x1."""
-    return [comb(k, i) * u ** (k - i) * v ** i for i in range(k + 1)]
-
-
-def _binary_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def sym_power_matrix(A, k):
-    """Matrix of f -> f((x1, x2) A) on the coefficient vectors (descending in
-    x1) of binary forms of degree k: column i is the image of x1^(k-i) x2^i."""
-    cols = [_binary_mul(_binary_power(A[0][0], A[1][0], k - i),
-                        _binary_power(A[0][1], A[1][1], i)) for i in range(k + 1)]
-    return tuple(zip(*cols))
-
-
-def binary_form_substitute(coeffs, A):
-    """Substitute (x1, x2) -> (x1, x2) A into a binary form."""
-    return [sum(x * c for x, c in zip(row, coeffs))
-            for row in sym_power_matrix(A, len(coeffs) - 1)]
-
-
-# ---------------------------------------------------------------------------
 # the per-kind spec
 
 
@@ -237,7 +254,6 @@ class KindSpec:
     model         -- the model class
     shape         -- tensor shape of the flat coefficient tuple, outermost first
     matrix_sizes  -- sizes of a group element's matrices, one per tensor axis
-                     (None: the kind has no group action)
     axis_matrix   -- group matrix -> the matrix applied along its tensor axis
                      (None: the group matrix itself)
     act_power     -- act multiplies every coefficient by scalar ** act_power
@@ -245,7 +261,7 @@ class KindSpec:
     permutes_axes -- group elements also permute the tensor axes
     """
 
-    def __init__(self, model, shape, matrix_sizes=None, axis_matrix=None,
+    def __init__(self, model, shape, matrix_sizes, axis_matrix=None,
                  act_power=1, chi_power=1, permutes_axes=False):
         self.model, self.shape, self.matrix_sizes = model, shape, matrix_sizes
         self.axis_matrix, self.act_power, self.chi_power = axis_matrix, act_power, chi_power
@@ -271,7 +287,7 @@ SPECS = {
     "quartic": KindSpec(BinaryQuartic, (5,), (2,), partial(sym_power_matrix, k=4),
                         act_power=2),
     "form22": KindSpec(TwoTwoForm, (3, 3), (2, 2), partial(sym_power_matrix, k=2)),
-    "cubic": KindSpec(TernaryCubic, (10,)),
+    "cubic": KindSpec(TernaryCubic, (10,), (3,), partial(sym_power_matrix, k=3)),
     "cube": KindSpec(Cube, (3, 3, 3), (3, 3, 3), chi_power=3),
     "hypercube": KindSpec(Hypercube, (2, 2, 2, 2), (2, 2, 2, 2), chi_power=2,
                           permutes_axes=True),
@@ -447,32 +463,18 @@ def act(g, m):
     return spec.model.from_coeffs([quotient(num * x, den) for x in t])
 
 
-def ternary_substitute(F, A):
-    """F((x,y,z) A) for a ternary cubic."""
-    out = {}
-    for e, c in zip(CUBIC_MONOMIALS, F.coeffs):
-        if c == 0:
-            continue
-        terms = {(0, 0, 0): c}
-        for var in range(3):
-            for _ in range(e[var]):
-                nxt = {}
-                for mono, cc in terms.items():
-                    for m in range(3):
-                        if A[m][var] == 0:
-                            continue
-                        key = list(mono)
-                        key[m] += 1
-                        key = tuple(key)
-                        nxt[key] = nxt.get(key, 0) + cc * A[m][var]
-                terms = nxt
-        for mono, cc in terms.items():
-            out[mono] = out.get(mono, 0) + cc
-    return TernaryCubic.from_dict(out)
-
-
 # ---------------------------------------------------------------------------
 # derived forms
+
+
+def _binary_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def quartics_of_22(F):

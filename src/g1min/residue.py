@@ -10,17 +10,21 @@ is checked on the 9 points of P^1(F_2) x P^1(F_2).
 The singular point of a ternary cubic without a repeated rational line is read
 off binary forms too: from the cofactor of a rational line restricted to that
 line, or, without a rational line, from the discriminant of a projection.
+Both take their binary forms from one substitution F((x, y, z) A) through
+`models.act`, which moves the line to z = 0 or the centre of projection to
+(0 : 0 : 1); and a point is singular when, moved to (0 : 0 : 1), the cubic
+has no z^3, x z^2 or y z^2 term.
 """
 
 from dataclasses import dataclass
 from functools import reduce
 
 from .exactnum import (
-    fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots, fp_rank, mat_mul,
-    unimodular_with_row,
+    form_to_last, fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots,
+    fp_rank, mat_mul, unimodular_with_row,
 )
 from .models import (
-    CUBIC_MONOMIALS, SPECS, TernaryCubic, _binary_mul, quartics_of_22, ternary_substitute,
+    CUBIC_MONOMIALS, SPECS, GroupElement, TernaryCubic, _binary_mul, act, quartics_of_22,
 )
 
 
@@ -334,49 +338,36 @@ def _linear_factors(fdict, p, degree):
     return out
 
 
-def _eval_trivariate(fdict, pt, p):
-    tot = 0
-    for e, c in fdict.items():
-        tot += c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
-    return tot % p
+def _substituted(F, A, p):
+    """The coefficients of F((x, y, z) A) mod p, in CUBIC_MONOMIALS order:
+    x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3."""
+    return [c % p for c in act(GroupElement("cubic", 1, (A,)), F).coeffs]
 
 
-def _partial(fdict, var):
-    out = {}
-    for e, c in fdict.items():
-        if e[var] == 0:
-            continue
-        ne = list(e)
-        ne[var] -= 1
-        out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[var]
-    return out
+def _is_singular_point(F, pt, p):
+    """Whether the curve F = 0 is singular at pt: moved to (0 : 0 : 1), the
+    cubic has no z^3, x z^2 or y z^2 term."""
+    g = _substituted(F, unimodular_with_row(pt, p, 2), p)
+    return not (g[9] or g[5] or g[8])
 
 
-def _line_singular_point(f, ell, p):
-    """The unique singular point of f = ell * q over the algebraic closure,
+def _line_singular_point(F, ell, p):
+    """The unique singular point of F = ell * q over the algebraic closure,
     for a simple rational line ell; None when there is none or several.
 
     The singular points are ell meet q and those of q.  They are one point
     exactly when q restricted to ell has a double root, which is that point:
     q is then tangent to ell there, or a line pair with its vertex there.
+    Moved so that ell becomes z, F is z q', and q' on z = 0 is the binary form
+    of the x^2 z, x y z and y^2 z coefficients.
     """
-    i = next(v for v in range(3) if ell[v])  # ell[i] == 1
-    j, k = (v for v in range(3) if v != i)
-    # on ell, x_i = -(ell_j x_j + ell_k x_k): q becomes a binary form in (x_j, x_k)
-    on_line = [0, 0, 0]
-    for e, c in ternary_divide_linear(f, ell, p, 3).items():
-        term = [c]
-        for _ in range(e[i]):
-            term = _binary_mul(term, (-ell[j], -ell[k]))
-        for n, coef in enumerate(term):
-            on_line[n + e[k]] += coef
-    roots = binary_roots(on_line, p)
+    A = form_to_last(ell, p)
+    g = _substituted(F, A, p)
+    roots = binary_roots((g[2], g[4], g[7]), p)
     if [m for _, m in roots] != [2]:
         return None
     (s, t), _ = roots[0]
-    pt = [0, 0, 0]
-    pt[i], pt[j], pt[k] = -(ell[j] * s + ell[k] * t), s, t
-    return _normalised(pt, p)
+    return _normalised(mat_mul(((s, t, 0),), A)[0], p)
 
 
 # P^2(F_3), the four points of y = 0 first.  A cubic without a rational line
@@ -387,7 +378,7 @@ _CENTRES = ((1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 0, 1), (1, 1, 0), (1, 1, 1), (1
             (1, 2, 0), (1, 2, 1), (1, 2, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2))
 
 
-def _lineless_singular_point(f, p):
+def _lineless_singular_point(F, p):
     """The rational singular point of a cubic without a rational line factor,
     or None; it is unique over the algebraic closure.
 
@@ -397,13 +388,13 @@ def _lineless_singular_point(f, p):
     is a root of the discriminant b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2
     + 18 a b c d, and its z a multiple root of the fibre over that root.
     """
-    parts = [_partial(f, v) for v in range(3)]
     for centre in _CENTRES:
-        if not _eval_trivariate(f, centre, p):
-            continue
         A = unimodular_with_row(centre, p, 2)
-        g = ternary_substitute(TernaryCubic.from_dict(f), A).as_dict()  # f((x, y, z) A)
-        d, c, b, (a,) = ([g.get((3 - k - n, n, k), 0) for n in range(4 - k)] for k in range(4))
+        g = _substituted(F, A, p)
+        a = g[9]
+        if not a:
+            continue  # the centre lies on the curve
+        d, c, b = (g[0], g[1], g[3], g[6]), (g[2], g[4], g[7]), (g[5], g[8])
         terms = [reduce(_binary_mul, forms) for forms in
                  ((b, b, c, c), (c, c, c), (b, b, b, d), (d, d), (b, c, d))]
         weights = (1, -4 * a, -4, -27 * a * a, 18 * a)
@@ -414,7 +405,7 @@ def _lineless_singular_point(f, p):
             fibre = [_eval_binary(form, (x, y)) for form in (d, c, b)] + [a]
             for z, m in fp_poly_roots(fibre, p):
                 pt = _normalised(mat_mul(((x, y, z),), A)[0], p)
-                if m >= 2 and not any(_eval_trivariate(h, pt, p) for h in [f] + parts):
+                if m >= 2 and _is_singular_point(F, pt, p):
                     return pt
         return None
     raise AssertionError("no projection centre for a cubic without a rational line")
@@ -435,7 +426,9 @@ def classify_cubic_residue(F, ctx):
     for ell, mult in factors:
         if mult >= 2:
             return ResidueCubicClass(TAG_REPEATED_LINE, factor=ell)
-    pt = _line_singular_point(f, factors[0][0], p) if factors else _lineless_singular_point(f, p)
+    reduced = TernaryCubic.from_dict(f)
+    pt = (_line_singular_point(reduced, factors[0][0], p) if factors
+          else _lineless_singular_point(reduced, p))
     if pt is None:
         return ResidueCubicClass(TAG_OTHER)
     return ResidueCubicClass(TAG_UNIQUE_SINGULAR, point=pt)

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from g1min import BinaryQuartic, Cube, Hypercube, TwoTwoForm, WeierstrassCurve, discriminant
+from g1min import (
+    BinaryQuartic, Cube, Hypercube, TernaryCubic, TwoTwoForm, WeierstrassCurve, discriminant,
+)
 
 
 # a hypercube at p = 2 whose minimisation takes two singular-point stretches in a row
@@ -25,6 +27,10 @@ def random_quartic(rng, bound=8):
 def random_form22(rng, bound=8):
     return TwoTwoForm(tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
                             for _ in range(3)))
+
+
+def random_cubic(rng, bound=6):
+    return TernaryCubic(tuple(rng.randint(-bound, bound) for _ in range(10)))
 
 
 def random_cube(rng, bound=5):
@@ -96,7 +102,7 @@ def quartic_slope_oracle_minimal(G, p):
     direction in P^1(Z/p^s)."""
     from g1min.construct import _stretch_classes
     from g1min.exactnum import valuation
-    from g1min.models import binary_form_substitute
+    from substitution_oracle import binary_form_substitute
 
     for s in (0, 1, 2):
         for u_mat in _stretch_classes(p, s):

@@ -8,15 +8,35 @@ ternary cubic and of a conic by trying every point of P^2, and the Tate-walk
 roots by trying every residue.  They cost O(p) to O(p^2) and serve only as the
 reference the differential tests compare the library against, at small p.
 The classifiers are the library's as they were before the algebra replaced
-these scans, with their prime-bound checks removed.
+these scans, with their prime-bound checks removed.  The point evaluation and
+the partial derivatives of a monomial dictionary are the library's as they
+were before its singular-point checks became substitutions.
 """
 
 from g1min.exactnum import fp_inv, fp_rank
 from g1min.residue import (
     Residue22Class, ResidueCubicClass, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
     TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, _cubic_residue,
-    _eval_trivariate, _form22_residue_rows, _is_square_form, _partial, ternary_divide_linear,
+    _form22_residue_rows, _is_square_form, ternary_divide_linear,
 )
+
+
+def _eval_trivariate(fdict, pt, p):
+    tot = 0
+    for e, c in fdict.items():
+        tot += c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
+    return tot % p
+
+
+def _partial(fdict, var):
+    out = {}
+    for e, c in fdict.items():
+        if e[var] == 0:
+            continue
+        ne = list(e)
+        ne[var] -= 1
+        out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[var]
+    return out
 
 
 def projective_plane_points(p):

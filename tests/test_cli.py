@@ -99,6 +99,23 @@ def test_level_kind_mismatch_exit_3(tmp_path, capsys):
     assert main(["level", path, "--prime", "2"]) == 3
 
 
+def _cubic_file(tmp_path):
+    # x^3 + y^3 + z^3, nonsingular: the refusal is by kind alone
+    return write_model(tmp_path, "c.json", {"kind": "cubic", "coeffs": list("1000001001")})
+
+
+def test_minimise_cubic_exit_3(tmp_path, capsys):
+    path = _cubic_file(tmp_path)
+    for mode in (["--prime", "2"], ["--global"]):
+        assert main(["minimise", path, *mode]) == 3
+        assert "ternary cubics are carried along, not minimised directly" in capsys.readouterr().err
+
+
+def test_level_cubic_exit_3(tmp_path, capsys):
+    assert main(["level", _cubic_file(tmp_path), "--prime", "2"]) == 3
+    assert "level is not defined for kind cubic" in capsys.readouterr().err
+
+
 def test_level_singular_exit_4(tmp_path, capsys):
     path = write_model(tmp_path, "s.json", {"kind": "form22", "coeffs": ["0"] * 9})
     assert main(["level", path, "--prime", "2"]) == 4

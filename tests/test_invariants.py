@@ -9,8 +9,8 @@ from g1min import (
     point_add, quartic_invariants,
 )
 from g1min.exactnum import det_matrix
-from g1min.models import ternary_substitute
 
+from substitution_oracle import ternary_substitute
 from conftest import (
     levi_civita_cube, identity_hypercube, nonzero_disc, random_cube,
     random_form22, random_hypercube,

@@ -14,12 +14,13 @@ from g1min import (
 from g1min.exactnum import det_matrix
 from g1min.invariants import quartic_invariants
 from g1min.models import (
-    SPECS, _num, _parse_coeff, binary_form_substitute, group_element_from_dict,
-    group_element_to_dict, is_integral, scalar_multiply, ternary_substitute,
+    SPECS, _num, _parse_coeff, group_element_from_dict, group_element_to_dict, is_integral,
+    scalar_multiply,
 )
+from substitution_oracle import binary_form_substitute, ternary_substitute
 
 from conftest import (
-    identity_hypercube, levi_civita_cube, nonzero_disc, random_cube,
+    identity_hypercube, levi_civita_cube, nonzero_disc, random_cube, random_cubic,
     random_form22, random_hypercube, random_quartic,
 )
 
@@ -32,7 +33,7 @@ def _rand_gl(n, rng, bound=3):
 
 
 def _rand_element(kind, rng, with_perm=True):
-    sizes = {"quartic": (2,), "form22": (2, 2), "cube": (3, 3, 3),
+    sizes = {"quartic": (2,), "form22": (2, 2), "cubic": (3,), "cube": (3, 3, 3),
              "hypercube": (2, 2, 2, 2)}[kind]
     la = Fraction(rng.randint(1, 4), rng.randint(1, 4))
     mats = tuple(_rand_gl(n, rng) for n in sizes)
@@ -47,6 +48,7 @@ KIND_SAMPLERS = {
     "form22": random_form22,
     "cube": random_cube,
     "hypercube": random_hypercube,
+    "cubic": random_cubic,
 }
 
 
@@ -79,7 +81,7 @@ def test_hypercube_diagonal_scaling_pattern(rng):
                     assert Fraction(out.at(i, j, k, l)) == expect
 
 
-@pytest.mark.parametrize("kind", ["quartic", "form22", "cube", "hypercube"])
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_compose_and_inverse(kind, rng):
     for _ in range(12):
         m = KIND_SAMPLERS[kind](rng)
@@ -245,8 +247,7 @@ def test_act_matches_explicit_multilinear_sum(rng):
 
 
 def test_chi_matches_discriminant_scaling(rng):
-    weights = {"quartic": None, "form22": None, "cube": None, "hypercube": None}
-    for kind in weights:
+    for kind in KIND_SAMPLERS:
         for _ in range(6):
             m = nonzero_disc(KIND_SAMPLERS[kind], rng)
             g = _rand_element(kind, rng)
@@ -357,6 +358,11 @@ def test_json_round_trip(rng):
         doc = model_to_dict(m)
         assert json.loads(json.dumps(doc)) == doc
         assert model_from_dict(doc) == m
+    for kind in KIND_SAMPLERS:
+        g = _rand_element(kind, rng)
+        doc = group_element_to_dict(g)
+        assert json.loads(json.dumps(doc)) == doc
+        assert group_element_from_dict(doc) == g
     cub = TernaryCubic(tuple(range(10)))
     assert model_from_dict(model_to_dict(cub)) == cub
 

@@ -8,12 +8,13 @@ from g1min import (
     inflate, level, minimise, repeated_root, saturation_defect, valuation,
 )
 from g1min.exactnum import det_matrix, mat_adj, mat_mul
-from g1min.models import GroupElement, act, ternary_substitute
+from g1min.models import GroupElement, act
 from g1min.residue import (
     _CENTRES, _normalised, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
     TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, binary_roots,
 )
 import residue_scans as scans
+from substitution_oracle import ternary_substitute
 
 from conftest import levi_civita_cube, random_form22
 

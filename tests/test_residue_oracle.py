@@ -8,9 +8,10 @@ import random
 import pytest
 
 import residue_scans as scans
+from substitution_oracle import ternary_substitute
 from g1min import LocalContext, TernaryCubic, TwoTwoForm, classify_22_residue, classify_cubic_residue
 from g1min.exactnum import fp_rank
-from g1min.models import GroupElement, act, ternary_substitute
+from g1min.models import GroupElement, act
 from g1min.residue import (
     TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE, TAG_PRODUCT_ONE, TAG_REPEATED_LINE,
     TAG_UNIQUE_SINGULAR, _cubic_residue, _linear_factors, _singular_points_22, binary_roots,

@@ -35,6 +35,23 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
+def test_library_uses_every_name_it_imports():
+    # an unused import is a leftover of code that moved or went; the package
+    # __init__ imports to re-export, so it is exempt
+    found = []
+    for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} imports {name} unused"
+                          for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                          if name not in used]
+    assert found == []
+
+
 # functions allowed to import: InvariantSet.curve, which breaks the cycle
 # invariants -> weierstrass -> invariants
 LOCAL_IMPORTS = {("invariants.py", "curve")}
