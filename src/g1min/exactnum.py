@@ -493,18 +493,19 @@ def form_to_last(ell, p):
 
 
 def det_matrix(m):
-    """Exact determinant by fraction-free expansion (small matrices only)."""
+    """Exact determinant of a 1x1, 2x2 or 3x3 matrix, in closed form: group
+    matrices, the matrix of a (2,2)-form and the completions `form_to_last`
+    inverts are all this small.  ValueError for a larger matrix."""
     n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if n == 1:
         return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    tot = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        term = m[0][j] * det_matrix(minor)
-        tot += -term if j % 2 else term
-    return tot
+    raise ValueError(f"det_matrix takes matrices up to 3x3, not {n}x{n}")
 
 
 def mat_mul(a, b):
@@ -513,15 +514,21 @@ def mat_mul(a, b):
 
 
 def mat_adj(m):
-    """Integer adjugate: mat_mul(m, mat_adj(m)) == det_matrix(m) * identity."""
+    """Adjugate of a 1x1, 2x2 or 3x3 matrix, in closed form:
+    mat_mul(m, mat_adj(m)) == det_matrix(m) * identity, and integer for an
+    integer m.  ValueError for a larger matrix."""
     n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return ((e * i - f * h, c * h - b * i, b * f - c * e),
+                (f * g - d * i, a * i - c * g, c * d - a * f),
+                (d * h - e * g, b * g - a * h, a * e - b * d))
     if n == 1:
         return ((1,),)
-    return tuple(
-        tuple((-1) ** (i + j) * det_matrix(tuple(row[:i] + row[i + 1:]
-                                                 for r, row in enumerate(m) if r != j))
-              for j in range(n))
-        for i in range(n))
+    raise ValueError(f"mat_adj takes matrices up to 3x3, not {n}x{n}")
 
 
 def identity_matrix(n):

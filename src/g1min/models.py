@@ -30,7 +30,10 @@ in n = len(A) variables from an index table of (coefficient, (flat positions
 of A...)) terms built at import per (n, k).  `act` is integer: it contracts with
 the int matrices, multiplies by the scalar numerator's power and divides
 exactly by its denominator's, so a coefficient is a Fraction only where that
-division leaves a remainder.  `scalar_clear` returns an integral primitive copy
+division leaves a remainder.  A factor equal to the identity costs nothing:
+`act` skips its contraction and `GroupElement.compose` its matrix product, so
+axis moves, permutations, scalings and the identity certificate do work only
+on the factors they change.  `scalar_clear` returns an integral primitive copy
 together with the multiplier.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
@@ -342,6 +345,19 @@ def scalar_clear(m):
 # group elements
 
 
+_IDENTITY = {n: identity_matrix(n) for n in (2, 3)}
+
+
+def _product(a, b):
+    """mat_mul(a, b), with no work when either factor is the identity."""
+    one = _IDENTITY[len(a)]
+    if b == one:
+        return a
+    if a == one:
+        return b
+    return mat_mul(a, b)
+
+
 def _perm_inverse(perm):
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -411,9 +427,9 @@ class GroupElement:
             s2, s1 = self.perm, other.perm
             perm = tuple(s2[s1[a]] for a in range(4))
             inv2 = _perm_inverse(s2)
-            mats = tuple(mat_mul(self.matrices[a], other.matrices[inv2[a]]) for a in range(4))
+            mats = tuple(_product(self.matrices[a], other.matrices[inv2[a]]) for a in range(4))
             return GroupElement(self.kind, self.scalar * other.scalar, mats, perm)
-        mats = tuple(mat_mul(a, b) for a, b in zip(self.matrices, other.matrices))
+        mats = tuple(map(_product, self.matrices, other.matrices))
         return GroupElement(self.kind, self.scalar * other.scalar, mats)
 
     def inverse(self):
@@ -447,7 +463,8 @@ def act(g, m):
     """Apply a group element to a model, exactly: permute the tensor axes
     (hypercubes), apply each factor's matrix along its axis, then scale by
     the scalar's act_power: multiply by the numerator's power and divide
-    exactly by the denominator's."""
+    exactly by the denominator's.  A factor equal to the identity is skipped:
+    its axis matrix is neither built nor applied."""
     if g.kind != m.kind:
         raise ValueError(f"group element for {g.kind} applied to {m.kind}")
     spec = SPECS[m.kind]
@@ -455,7 +472,8 @@ def act(g, m):
     if g.perm is not None:
         t = [t[n] for n in spec.perm_index[g.perm]]
     for fibres, A in zip(spec.fibres, g.matrices):
-        t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
+        if A != _IDENTITY[len(A)]:
+            t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
     num = g.scalar.numerator ** spec.act_power
     den = g.scalar.denominator ** spec.act_power
     if den == 1:

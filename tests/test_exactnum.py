@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from g1min.exactnum import (
     INFINITY, LocalContext, complete_primitive_row, det_matrix,
-    fp_left_kernel_vector, is_prime, lift_primitive, mat_adj, mat_mul,
+    fp_left_kernel_vector, identity_matrix, is_prime, lift_primitive, mat_adj, mat_mul,
     smith_like_completion, unimodular_with_row, valuation,
 )
+import matrix_oracle
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -151,3 +152,47 @@ def test_mat_adj_exact():
     adj = mat_adj(m)
     assert all(type(x) is int for row in adj for x in row)
     assert mat_mul(m, adj) == mat_mul(adj, m) == ((-54, 0, 0), (0, -54, 0), (0, 0, -54))
+
+
+# entry samplers for the closed-form det/adj against the Laplace oracle
+MATRIX_ENTRIES = {
+    "small": lambda rng: rng.randint(-9, 9),
+    "sparse": lambda rng: rng.choice((0, 0, 1, -1)),
+    "300-digit": lambda rng: rng.randint(-10 ** 300, 10 ** 300),
+    "fraction": lambda rng: Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+}
+
+
+def _random_matrix(entry, n, rng, singular=False):
+    rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
+    if singular:  # the last row becomes a combination of the others (zero for n = 1)
+        coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), 0) for j in range(n)]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("entries", list(MATRIX_ENTRIES))
+def test_closed_form_det_and_adj_match_laplace_oracle(entries, n):
+    rng = random.Random(f"{entries}:{n}")
+    for trial in range(120):
+        singular = trial % 3 == 0
+        m = _random_matrix(MATRIX_ENTRIES[entries], n, rng, singular)
+        det, adj = det_matrix(m), mat_adj(m)
+        assert det == matrix_oracle.det_matrix(m)
+        assert adj == matrix_oracle.mat_adj(m)
+        if singular:
+            assert det == 0
+        if entries != "fraction":
+            assert type(det) is int and all(type(x) is int for row in adj for x in row)
+        scaled = tuple(tuple(det * x for x in row) for row in identity_matrix(n))
+        assert mat_mul(m, adj) == mat_mul(adj, m) == scaled
+
+
+def test_det_and_adj_refuse_4x4():
+    m = identity_matrix(4)
+    assert matrix_oracle.det_matrix(m) == 1
+    with pytest.raises(ValueError):
+        det_matrix(m)
+    with pytest.raises(ValueError):
+        mat_adj(m)

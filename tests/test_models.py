@@ -11,7 +11,8 @@ from g1min import (
     model_from_dict, model_to_dict, quartics_of_22, quartics_of_hypercube,
     scalar_clear,
 )
-from g1min.exactnum import det_matrix
+from g1min import models
+from g1min.exactnum import det_matrix, identity_matrix, mat_mul
 from g1min.invariants import quartic_invariants
 from g1min.models import (
     SPECS, _num, _parse_coeff, group_element_from_dict, group_element_to_dict, is_integral,
@@ -94,6 +95,90 @@ def test_compose_and_inverse(kind, rng):
             assert g == GroupElement(g.kind, g.scalar, g.matrices, g.perm)
             assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
             assert type(g.scalar) is Fraction
+
+
+def _element_with_identities(kind, rng):
+    """A random element with a random subset of its factors set to the
+    identity, a Fraction or unit scalar, and for hypercubes a random or no
+    permutation."""
+    g = _rand_element(kind, rng, with_perm=rng.random() < 0.7)
+    mats = tuple(identity_matrix(len(A)) if rng.random() < 0.5 else A for A in g.matrices)
+    return GroupElement(kind, rng.choice((1, g.scalar)), mats, g.perm)
+
+
+def _contract_every_factor(g, m):
+    """The coefficients of act(g, m) as Fractions, every factor contracted
+    along its axis whether it is the identity or not."""
+    spec = SPECS[m.kind]
+    t = [Fraction(c) for c in m.coeffs]
+    if g.perm is not None:
+        t = [t[n] for n in spec.perm_index[g.perm]]
+    for fibres, A in zip(spec.fibres, g.matrices):
+        M = spec.axis_matrix(A) if spec.axis_matrix else A
+        out = [None] * len(t)
+        for fibre in fibres:
+            for pos, row in zip(fibre, M):
+                out[pos] = sum(c * t[n] for c, n in zip(row, fibre))
+        t = out
+    return [g.scalar ** spec.act_power * x for x in t]
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_act_and_compose_with_identity_factors(kind, rng):
+    for _ in range(25):
+        m = KIND_SAMPLERS[kind](rng)
+        if rng.random() < 0.3:
+            m = scalar_multiply(m, Fraction(1, rng.choice((2, 3, 6))))
+        g1 = _element_with_identities(kind, rng)
+        g2 = _element_with_identities(kind, rng)
+        for g in (g1, g2):
+            out = act(g, m)
+            expected = SPECS[kind].model.from_coeffs(_contract_every_factor(g, m))
+            assert out == expected
+            assert list(map(type, out.coeffs)) == list(map(type, expected.coeffs))
+        # compose against factor-by-factor mat_mul, with the same axis bookkeeping
+        if g2.perm is None:
+            perm, mats = None, tuple(map(mat_mul, g2.matrices, g1.matrices))
+        else:
+            perm = tuple(g2.perm[g1.perm[a]] for a in range(4))
+            mats = tuple(mat_mul(g2.matrices[a], g1.matrices[g2.perm.index(a)])
+                         for a in range(4))
+        composed = g2.compose(g1)
+        assert composed == GroupElement(kind, g2.scalar * g1.scalar, mats, perm)
+        assert act(composed, m) == act(g2, act(g1, m))
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_identity_factors_cost_no_contraction(kind, rng, monkeypatch):
+    calls = {"mode": 0, "mul": 0}
+    real_mode, real_mul = models._mode_product, models.mat_mul
+
+    def counted_mode(*args):
+        calls["mode"] += 1
+        return real_mode(*args)
+
+    def counted_mul(*args):
+        calls["mul"] += 1
+        return real_mul(*args)
+
+    monkeypatch.setattr(models, "_mode_product", counted_mode)
+    monkeypatch.setattr(models, "mat_mul", counted_mul)
+    m = KIND_SAMPLERS[kind](rng)
+    g = _rand_element(kind, rng)
+    sizes = SPECS[kind].matrix_sizes
+    one_axis = GroupElement(kind, Fraction(1, 2), (g.matrices[0],) + tuple(
+        identity_matrix(n) for n in sizes[1:]), g.perm)
+    identity = GroupElement.identity(kind)
+    for h, contractions in ((identity, 0), (GroupElement.scaling(kind, Fraction(-3, 2)), 0),
+                            (one_axis, 1)):
+        calls["mode"] = 0
+        act(h, m)
+        assert calls["mode"] == contractions
+    calls["mul"] = 0
+    assert identity.compose(g) == g == g.compose(identity)
+    assert calls["mul"] == 0
+    one_axis.compose(g)
+    assert calls["mul"] == 1
 
 
 def _exact_values(coeffs):
