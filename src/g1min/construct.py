@@ -10,7 +10,6 @@ runs are reproducible.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 import random
 
 from .exactnum import as_context, complete_primitive_row, identity_matrix, mat_mul
@@ -344,28 +343,6 @@ ORACLE_WEIGHT_PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 ORACLE_PRIME_BOUND = 5
 
 
-def _lift_primitive_mod(vec, modulus, p):
-    """Lift a vector that is primitive mod p to a gcd-one integer vector
-    congruent to it mod `modulus` (a power of p)."""
-    lifted = [int(x) % modulus for x in vec]
-    g = 0
-    for x in lifted:
-        g = gcd(g, x)
-    if g == 1:
-        return tuple(lifted)
-    j = next(i for i, x in enumerate(lifted) if x % p)
-    for k in range(len(lifted)):
-        if k != j:
-            cand = list(lifted)
-            cand[k] += modulus
-            gg = 0
-            for x in cand:
-                gg = gcd(gg, x)
-            if gg == 1:
-                return tuple(cand)
-    raise AssertionError("failed to lift a primitive vector")
-
-
 def _stretch_classes(p, a):
     """Unimodular matrices representing every first-row direction in
     P^1(Z/p^a); the diagonal stretch diag(1, p^a) only sees that direction."""
@@ -373,7 +350,7 @@ def _stretch_classes(p, a):
         return (((1, 0), (0, 1)),)
     q = p ** a
     reps = [(1, t) for t in range(q)] + [(p * s, 1) for s in range(q // p)]
-    return tuple(complete_primitive_row(_lift_primitive_mod(w, q, p)) for w in reps)
+    return tuple(complete_primitive_row(w) for w in reps)
 
 
 @lru_cache(maxsize=None)

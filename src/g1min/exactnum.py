@@ -325,36 +325,6 @@ def fp_poly_roots(f, p):
 # F_p linear algebra on tuple-of-tuples matrices
 
 
-def fp_matrix(rows, p):
-    return tuple(tuple(x % p for x in row) for row in rows)
-
-
-def fp_rank(rows, p):
-    return len(_fp_echelon(rows, p)[0])
-
-
-def _fp_echelon(rows, p):
-    """Row echelon form mod p.  Returns (pivot column list, echelon rows)."""
-    mat = [list(r) for r in fp_matrix(rows, p)]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = fp_inv(mat[rank][col], p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots, mat
-
-
 def fp_left_kernel_vector(rows, p):
     """A nonzero (c_0, ..., c_{m-1}) with sum c_i * rows[i] = 0 mod p, or None.
 
@@ -362,7 +332,8 @@ def fp_left_kernel_vector(rows, p):
     """
     m = len(rows)
     # transpose and solve for the kernel of rows^T x = 0 over the row space
-    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(fp_matrix(rows, p))]
+    aug = [[x % p for x in row] + [1 if i == j else 0 for j in range(m)]
+           for i, row in enumerate(rows)]
     n = len(rows[0])
     rank = 0
     for col in range(n):
@@ -450,7 +421,9 @@ def lift_primitive(vec, p):
         cand[k] += p
         if _gcd_vector(cand) == 1:
             return tuple(cand)
-    # single nonzero entry u with gcd(u) > 1: adjust another slot by p twice
+    # no shift of one slot by p made the vector primitive, as for (6, 2) at
+    # p = 7, whose (6, 9) has gcd 3: shift the slot after the first nonzero
+    # entry a by the multiple t p of p that makes it 1 mod a, hence prime to a
     cand = list(lifted)
     a = lifted[j]
     k = (j + 1) % len(lifted)

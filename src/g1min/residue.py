@@ -10,22 +10,24 @@ is checked on the 9 points of P^1(F_2) x P^1(F_2).
 The singular point of a ternary cubic without a repeated rational line is read
 off binary forms too: from the cofactor of a rational line restricted to that
 line, or, without a rational line, from the discriminant of a projection.
-Both take their binary forms from one substitution F((x, y, z) A) through
-`models.act`, which moves the line to z = 0 or the centre of projection to
-(0 : 0 : 1); and a point is singular when, moved to (0 : 0 : 1), the cubic
-has no z^3, x z^2 or y z^2 term.
+Both take their binary forms from one substitution F((x, y, z) A), the
+reduced coefficient tuple times `models.sym_power_matrix(A, 3)`, which moves
+the line to z = 0 or the centre of projection to (0 : 0 : 1); and a point is
+singular when, moved to (0 : 0 : 1), the cubic has no z^3, x z^2 or y z^2
+term.  The multiplicity of a coordinate line is the least exponent of its
+variable over the cubic's terms, and that of any other line the least
+z-exponent after one such substitution moves it to z = 0.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
 from .exactnum import (
     form_to_last, fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots,
-    fp_rank, mat_mul, unimodular_with_row,
+    mat_mul, unimodular_with_row,
 )
-from .models import (
-    CUBIC_MONOMIALS, SPECS, GroupElement, TernaryCubic, _binary_mul, act, quartics_of_22,
-)
+from .models import CUBIC_MONOMIALS, SPECS, _binary_mul, quartics_of_22, sym_power_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +202,13 @@ def classify_22_residue(F, ctx):
     rows = _form22_residue_rows(F, p)
     if all(x == 0 for row in rows for x in row):
         return Residue22Class(TAG_ZERO)
-    rank = fp_rank(rows, p)
-    if rank == 1:
-        # f = g(x) h(y): witnesses from any nonzero row/column
-        r0 = next(r for r in range(3) if any(rows[r]))
-        c0 = next(c for c in range(3) if rows[r0][c])
-        h = rows[r0]
-        inv = fp_inv(rows[r0][c0], p)
-        g = tuple(rows[r][c0] * inv % p for r in range(3))
+    # rank one means f = g(x) h(y): h any nonzero row, g its column scaled
+    r0 = next(r for r in range(3) if any(rows[r]))
+    c0 = next(c for c in range(3) if rows[r0][c])
+    h = rows[r0]
+    inv = fp_inv(h[c0], p)
+    g = tuple(rows[r][c0] * inv % p for r in range(3))
+    if all(rows[r][c] == g[r] * h[c] % p for r in range(3) for c in range(3)):
         xr = _quadratic_repeated_point(g, p)
         yr = _quadratic_repeated_point(h, p)
         if xr is not None and yr is not None:
@@ -236,55 +237,6 @@ class ResidueCubicClass:
     point: tuple = None   # projective point (a, b, c)
 
 
-def _cubic_residue(F, p):
-    return {e: c % p for e, c in zip(CUBIC_MONOMIALS, F.coeffs) if c % p}
-
-
-def ternary_divide_linear(fdict, ell, p, degree):
-    """Quotient of a homogeneous trivariate form by l1 x + l2 y + l3 z, or None."""
-    ell = tuple(x % p for x in ell)
-    piv = next((i for i in range(3) if ell[i]), None)
-    if piv is None:
-        raise ValueError("zero linear form")
-    inv = fp_inv(ell[piv], p)
-    red = [x * inv % p for x in ell]
-    rest = [i for i in range(3) if i != piv]
-    # divide treating x_piv as the leading variable
-    q = {}
-    work = dict(fdict)
-    for dpiv in range(degree, 0, -1):
-        for e in sorted([e for e in work if e[piv] == dpiv]):
-            c = work[e] % p
-            if not c:
-                continue
-            qe = list(e)
-            qe[piv] -= 1
-            q[tuple(qe)] = c
-            # subtract c * x^qe * ell
-            for i in range(3):
-                if red[i] == 0 and i != piv:
-                    continue
-                te = list(qe)
-                te[i] += 1
-                te = tuple(te)
-                coef = c if i == piv else c * red[i] % p
-                work[te] = (work.get(te, 0) - coef) % p
-    if any(v % p for e, v in work.items()):
-        return None
-    return {e: v for e, v in q.items() if v % p}
-
-
-def _divide_out(fdict, ell, p, degree):
-    """(m, fdict / ell^m) for the multiplicity m of the line ell in fdict."""
-    mult = 0
-    while mult < degree:
-        quot = ternary_divide_linear(fdict, ell, p, degree - mult)
-        if quot is None:
-            break
-        fdict, mult = quot, mult + 1
-    return mult, fdict
-
-
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -301,68 +253,82 @@ def _plane_index(pt, p):
     return b * p + c if a else p * p + (c if b else p)
 
 
-def _linear_factors(fdict, p, degree):
-    """All rational linear factors with multiplicities, in _plane_index's order.
+def _cross(a, b):
+    """The line through two points, or the point on two lines."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
-    After the coordinate lines are divided out, a rational line factor meets
-    the three coordinate lines in rational roots of the restrictions of the
-    cofactor, at least two of them distinct (no point lies on all three
-    lines); so the lines through two such roots are the only other candidates.
+
+def _substituted(f, A, p):
+    """The coefficients of f((x, y, z) A) mod p for a cubic's coefficient
+    tuple f, in CUBIC_MONOMIALS order:
+    x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3."""
+    return [sum(map(mul, row, f)) % p for row in sym_power_matrix(A, 3)]
+
+
+def _linear_factors(f, p):
+    """All rational linear factors of a nonzero residue cubic f, a coefficient
+    tuple mod p, with multiplicities, in _plane_index's order.
+
+    The multiplicity of a coordinate line is the least exponent of its
+    variable over the terms of f, and that of any other line the least
+    z-exponent of f moved so that the line becomes z = 0.  With the
+    coordinate lines divided out, a rational line factor meets the three
+    coordinate lines in rational roots of the restrictions of the cofactor,
+    at least two of them distinct (no point lies on all three lines); so the
+    lines through two such roots are the only other candidates, and only a
+    candidate that meets all three coordinate lines at such roots is moved.
     """
-    rest, deg = fdict, degree
-    for ell in _AXES:
-        mult, rest = _divide_out(rest, ell, p, deg)
-        deg -= mult
+    terms = [(e, c) for e, c in zip(CUBIC_MONOMIALS, f) if c]
+    mults = [min(e[var] for e, _ in terms) for var in range(3)]
+    deg = 3 - sum(mults)
     points = []
     for var in range(3):
         u, w = (i for i in range(3) if i != var)
         restriction = [0] * (deg + 1)
-        for e, c in rest.items():
-            if e[var] == 0:
-                restriction[e[w]] = c
+        for e, c in terms:
+            if e[var] == mults[var]:
+                restriction[e[w] - mults[w]] = c
         for (s, t), _ in binary_roots(restriction, p):
             pt = [0, 0, 0]
             pt[u], pt[w] = s, t
             points.append(tuple(pt))
-    lines = set(_AXES)
-    for i, (a1, a2, a3) in enumerate(points):
-        for b1, b2, b3 in points[i + 1:]:
-            cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-            if any(x % p for x in cross):
-                lines.add(_normalised(cross, p))
-    out = []
-    for ell in sorted(lines, key=lambda ell: _plane_index(ell, p)):
-        mult = _divide_out(fdict, ell, p, degree)[0]
-        if mult:
-            out.append((ell, mult))
-    return out
+    found = set(points)
+    lines = dict(zip(_AXES, mults))
+    for i, a in enumerate(points):
+        for b in points[i + 1:]:
+            cross = _cross(a, b)
+            if not any(x % p for x in cross):
+                continue
+            ell = _normalised(cross, p)
+            if ell in lines:
+                continue
+            lines[ell] = 0
+            if all(_normalised(_cross(ell, axis), p) in found for axis in _AXES):
+                g = _substituted(f, form_to_last(ell, p), p)
+                lines[ell] = min(e[2] for e, c in zip(CUBIC_MONOMIALS, g) if c)
+    return [(ell, lines[ell]) for ell in sorted(lines, key=lambda ell: _plane_index(ell, p))
+            if lines[ell]]
 
 
-def _substituted(F, A, p):
-    """The coefficients of F((x, y, z) A) mod p, in CUBIC_MONOMIALS order:
-    x^3, x^2 y, x^2 z, x y^2, x y z, x z^2, y^3, y^2 z, y z^2, z^3."""
-    return [c % p for c in act(GroupElement("cubic", 1, (A,)), F).coeffs]
-
-
-def _is_singular_point(F, pt, p):
-    """Whether the curve F = 0 is singular at pt: moved to (0 : 0 : 1), the
+def _is_singular_point(f, pt, p):
+    """Whether the curve f = 0 is singular at pt: moved to (0 : 0 : 1), the
     cubic has no z^3, x z^2 or y z^2 term."""
-    g = _substituted(F, unimodular_with_row(pt, p, 2), p)
+    g = _substituted(f, unimodular_with_row(pt, p, 2), p)
     return not (g[9] or g[5] or g[8])
 
 
-def _line_singular_point(F, ell, p):
-    """The unique singular point of F = ell * q over the algebraic closure,
+def _line_singular_point(f, ell, p):
+    """The unique singular point of f = ell * q over the algebraic closure,
     for a simple rational line ell; None when there is none or several.
 
     The singular points are ell meet q and those of q.  They are one point
     exactly when q restricted to ell has a double root, which is that point:
     q is then tangent to ell there, or a line pair with its vertex there.
-    Moved so that ell becomes z, F is z q', and q' on z = 0 is the binary form
+    Moved so that ell becomes z, f is z q', and q' on z = 0 is the binary form
     of the x^2 z, x y z and y^2 z coefficients.
     """
     A = form_to_last(ell, p)
-    g = _substituted(F, A, p)
+    g = _substituted(f, A, p)
     roots = binary_roots((g[2], g[4], g[7]), p)
     if [m for _, m in roots] != [2]:
         return None
@@ -378,7 +344,7 @@ _CENTRES = ((1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 0, 1), (1, 1, 0), (1, 1, 1), (1
             (1, 2, 0), (1, 2, 1), (1, 2, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2))
 
 
-def _lineless_singular_point(F, p):
+def _lineless_singular_point(f, p):
     """The rational singular point of a cubic without a rational line factor,
     or None; it is unique over the algebraic closure.
 
@@ -390,7 +356,7 @@ def _lineless_singular_point(F, p):
     """
     for centre in _CENTRES:
         A = unimodular_with_row(centre, p, 2)
-        g = _substituted(F, A, p)
+        g = _substituted(f, A, p)
         a = g[9]
         if not a:
             continue  # the centre lies on the curve
@@ -405,7 +371,7 @@ def _lineless_singular_point(F, p):
             fibre = [_eval_binary(form, (x, y)) for form in (d, c, b)] + [a]
             for z, m in fp_poly_roots(fibre, p):
                 pt = _normalised(mat_mul(((x, y, z),), A)[0], p)
-                if m >= 2 and _is_singular_point(F, pt, p):
+                if m >= 2 and _is_singular_point(f, pt, p):
                     return pt
         return None
     raise AssertionError("no projection centre for a cubic without a rational line")
@@ -419,16 +385,15 @@ def classify_cubic_residue(F, ctx):
     rational line factor if there is one, or from a projection if not.
     """
     p = ctx.p
-    f = _cubic_residue(F, p)
-    if not f:
+    f = [c % p for c in F.coeffs]
+    if not any(f):
         return ResidueCubicClass(TAG_ZERO)
-    factors = _linear_factors(f, p, 3)
+    factors = _linear_factors(f, p)
     for ell, mult in factors:
         if mult >= 2:
             return ResidueCubicClass(TAG_REPEATED_LINE, factor=ell)
-    reduced = TernaryCubic.from_dict(f)
-    pt = (_line_singular_point(reduced, factors[0][0], p) if factors
-          else _lineless_singular_point(reduced, p))
+    pt = (_line_singular_point(f, factors[0][0], p) if factors
+          else _lineless_singular_point(f, p))
     if pt is None:
         return ResidueCubicClass(TAG_OTHER)
     return ResidueCubicClass(TAG_UNIQUE_SINGULAR, point=pt)

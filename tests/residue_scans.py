@@ -11,14 +11,91 @@ The classifiers are the library's as they were before the algebra replaced
 these scans, with their prime-bound checks removed.  The point evaluation and
 the partial derivatives of a monomial dictionary are the library's as they
 were before its singular-point checks became substitutions.
+
+Two references are the library's as they were before its residue layer came
+to read coefficient tuples only: the trial division of a ternary form, kept
+as a dictionary from exponent vectors to coefficients, by a linear form
+(`_cubic_residue`, `ternary_divide_linear`), which the library replaced by
+reading line multiplicities off exponents; and the rank of a matrix mod p by
+Gaussian elimination (`fp_matrix`, `fp_rank`, `_fp_echelon`), which the
+(2,2) classifier replaced by a rank-one test.
 """
 
-from g1min.exactnum import fp_inv, fp_rank
+from g1min.exactnum import fp_inv
+from g1min.models import CUBIC_MONOMIALS
 from g1min.residue import (
     Residue22Class, ResidueCubicClass, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
-    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, _cubic_residue,
-    _form22_residue_rows, _is_square_form, ternary_divide_linear,
+    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO,
+    _form22_residue_rows, _is_square_form,
 )
+
+
+def fp_matrix(rows, p):
+    return tuple(tuple(x % p for x in row) for row in rows)
+
+
+def fp_rank(rows, p):
+    return len(_fp_echelon(rows, p)[0])
+
+
+def _fp_echelon(rows, p):
+    """Row echelon form mod p.  Returns (pivot column list, echelon rows)."""
+    mat = [list(r) for r in fp_matrix(rows, p)]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = fp_inv(mat[rank][col], p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] % p:
+                f = mat[r][col]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots, mat
+
+
+def _cubic_residue(F, p):
+    return {e: c % p for e, c in zip(CUBIC_MONOMIALS, F.coeffs) if c % p}
+
+
+def ternary_divide_linear(fdict, ell, p, degree):
+    """Quotient of a homogeneous trivariate form by l1 x + l2 y + l3 z, or None."""
+    ell = tuple(x % p for x in ell)
+    piv = next((i for i in range(3) if ell[i]), None)
+    if piv is None:
+        raise ValueError("zero linear form")
+    inv = fp_inv(ell[piv], p)
+    red = [x * inv % p for x in ell]
+    rest = [i for i in range(3) if i != piv]
+    # divide treating x_piv as the leading variable
+    q = {}
+    work = dict(fdict)
+    for dpiv in range(degree, 0, -1):
+        for e in sorted([e for e in work if e[piv] == dpiv]):
+            c = work[e] % p
+            if not c:
+                continue
+            qe = list(e)
+            qe[piv] -= 1
+            q[tuple(qe)] = c
+            # subtract c * x^qe * ell
+            for i in range(3):
+                if red[i] == 0 and i != piv:
+                    continue
+                te = list(qe)
+                te[i] += 1
+                te = tuple(te)
+                coef = c if i == piv else c * red[i] % p
+                work[te] = (work.get(te, 0) - coef) % p
+    if any(v % p for e, v in work.items()):
+        return None
+    return {e: v for e, v in q.items() if v % p}
 
 
 def _eval_trivariate(fdict, pt, p):

@@ -130,6 +130,13 @@ def test_lift_primitive_gcd_one():
         assert all((a - b) % p == 0 for a, b in zip(lifted, vec))
 
 
+def test_lift_primitive_shifts():
+    # a single nonzero entry lifts by shifting another slot by p
+    assert lift_primitive((3, 0), 7) == (3, 7)
+    # (6, 9) has gcd 3, so (6, 2) needs the fallback's shift by t p, t = 5
+    assert lift_primitive((6, 2), 7) == (6, 37)
+
+
 def test_complete_primitive_row():
     m = complete_primitive_row((6, 10, 15))
     assert m[0] == (6, 10, 15)

@@ -9,9 +9,11 @@ from g1min import (
 )
 from g1min.exactnum import det_matrix, mat_adj, mat_mul
 from g1min.models import GroupElement, act
+import g1min.residue as residue
 from g1min.residue import (
-    _CENTRES, _normalised, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
-    TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO, binary_roots,
+    _CENTRES, _linear_factors, _normalised, _plane_index, TAG_OTHER, TAG_PRODUCT_BOTH,
+    TAG_PRODUCT_NONE, TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO,
+    binary_roots,
 )
 import residue_scans as scans
 from substitution_oracle import ternary_substitute
@@ -265,6 +267,76 @@ def test_cubic_singular_points_at_p61(rng):
         cls = classify_cubic_residue(ternary_substitute(_cubic(f), A), ctx)
         assert cls.tag == TAG_UNIQUE_SINGULAR
         assert cls.point == _normalised(mat_mul(((0, 0, 1),), mat_adj(A))[0], P61)
+
+
+def _linear_form(ell):
+    return dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ell))
+
+
+def _form_product(*forms):
+    """The product of ternary forms given as exponent dictionaries."""
+    out = {(0, 0, 0): 1}
+    for g in forms:
+        acc = {}
+        for e1, c1 in out.items():
+            for e2, c2 in g.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        out = acc
+    return out
+
+
+def test_cubic_line_factors_at_p61(rng):
+    ctx = LocalContext(P61)
+    conic = {(1, 0, 1): 1, (0, 2, 0): -1}  # x z - y^2, smooth
+    for _ in range(4):
+        l1, l2, l3 = (tuple(rng.randrange(P61) for _ in range(3)) for _ in range(3))
+        while True:
+            A = tuple(tuple(rng.randrange(P61) for _ in range(3)) for _ in range(3))
+            if det_matrix(A) % P61:
+                break
+        for lines, extra in (([l1, l1, l1], ()), ([l1, l1, l2], ()), ([l1, l2, l3], ()),
+                             ([l1], (conic,))):
+            F = _cubic(_form_product(*map(_linear_form, lines), *extra))
+            F = ternary_substitute(F, A)
+            # l((x, y, z) A) is the line A l
+            expected = {}
+            for ell in lines:
+                moved = _normalised(tuple(sum(a * b for a, b in zip(row, ell)) for row in A), P61)
+                expected[moved] = expected.get(moved, 0) + 1
+            factors = _linear_factors([c % P61 for c in F.coeffs], P61)
+            assert factors == sorted(expected.items(), key=lambda item: _plane_index(item[0], P61))
+            repeated = [ell for ell, m in factors if m >= 2]
+            cls = classify_cubic_residue(F, ctx)
+            assert (cls.tag == TAG_REPEATED_LINE) == bool(repeated)
+            if repeated:
+                assert cls.factor == repeated[0]
+
+
+def test_cubic_classification_builds_no_group_element(monkeypatch):
+    # residue substitutions multiply coefficient tuples by Sym^3 matrices:
+    # no checked GroupElement is built on either singular-point route
+    calls = dict.fromkeys(("group element", "line", "lineless"), 0)
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(GroupElement, "__post_init__",
+                        counted("group element", GroupElement.__post_init__))
+    monkeypatch.setattr(residue, "_line_singular_point",
+                        counted("line", residue._line_singular_point))
+    monkeypatch.setattr(residue, "_lineless_singular_point",
+                        counted("lineless", residue._lineless_singular_point))
+    ctx = LocalContext(5)
+    cls = classify_cubic_residue(_cubic({(0, 2, 1): 1, (3, 0, 0): -1}), ctx)  # cuspidal
+    assert cls.point == (0, 0, 1)
+    cls = classify_cubic_residue(_cubic({(0, 3, 0): 1, (0, 1, 2): 1}), ctx)  # y (y^2 + z^2)
+    assert cls.point == (1, 0, 0)
+    assert calls["line"] and calls["lineless"]
+    assert calls["group element"] == 0
 
 
 # a cube whose middle determinantal cubic is three concurrent lines, so that

@@ -10,11 +10,10 @@ import pytest
 import residue_scans as scans
 from substitution_oracle import ternary_substitute
 from g1min import LocalContext, TernaryCubic, TwoTwoForm, classify_22_residue, classify_cubic_residue
-from g1min.exactnum import fp_rank
 from g1min.models import GroupElement, act
 from g1min.residue import (
     TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE, TAG_PRODUCT_ONE, TAG_REPEATED_LINE,
-    TAG_UNIQUE_SINGULAR, _cubic_residue, _linear_factors, _singular_points_22, binary_roots,
+    TAG_UNIQUE_SINGULAR, _linear_factors, _singular_points_22, binary_roots,
     repeated_root,
 )
 from g1min.weierstrass import (
@@ -154,7 +153,7 @@ def test_form22_singular_points_and_classes_match_scan(p, monkeypatch):
         assert cls == scans.classify_22_residue(F, ctx), F
         tags.add(cls.tag)
         rows = F.rows
-        if any(rows) and fp_rank(rows, p) >= 2:
+        if any(rows) and scans.fp_rank(rows, p) >= 2:
             new, old = _singular_points_22(F, rows, p), point_scan(rows, p)
             if new is None:  # a singular curve
                 assert len(old) == p + 1, F
@@ -251,9 +250,9 @@ def test_cubic_line_factors_and_classes_match_scan(p, monkeypatch):
                             lambda fdict, p, degree: (tuple(sorted(fdict.items())), degree))
     tags = set()
     for F in _cubic_cases(rng, p):
-        f = _cubic_residue(F, p)
-        if f:
-            assert _linear_factors(f, p, 3) == line_scan(f, p, 3), F
+        f = [c % p for c in F.coeffs]
+        if any(f):
+            assert _linear_factors(f, p) == line_scan(scans._cubic_residue(F, p), p, 3), F
         cls = classify_cubic_residue(F, ctx)
         assert cls == scans.classify_cubic_residue(F, ctx), F
         tags.add(cls.tag)
