@@ -4,7 +4,8 @@ Binary quartics carry (I, J, Delta) with Delta = (4 I^3 - J^2)/27.  Ternary
 cubics carry (c4, c6, Delta) normalised so that c4(xyz) = 1, c6(xyz) = -1 and
 c4^3 - c6^2 = 1728 Delta; the two invariant polynomials are frozen coefficient
 tables generated by tools/derive_cubic_invariants.py (degree-4 and degree-6
-generators of the invariant ring, pinned by the xyz normalisation).
+generators of the invariant ring, pinned by the xyz normalisation), evaluated
+by one straight-line function compiled on first use (`models._straight_line`).
 
 (2,2)-forms, cubes and hypercubes carry the full set: c4, c6, Delta, the
 a-invariants of a Weierstrass equation, a marked point (xi, eta), and the
@@ -27,8 +28,8 @@ from fractions import Fraction
 
 from .exactnum import det_matrix, mat_adj, mat_mul
 from .models import (
-    HYPERCUBE_PAIRS, _num, cubic_of_cube, cubics_of_cube, form_of_hypercube,
-    forms_of_hypercube, quartics_of_22,
+    HYPERCUBE_PAIRS, _compiled, _num, _straight_line, cubic_of_cube, cubics_of_cube,
+    form_of_hypercube, forms_of_hypercube, quartics_of_22,
 )
 
 
@@ -200,23 +201,12 @@ _C6_TERMS = (  # 103 terms
 )
 
 
-def _eval_terms(terms, coeffs):
-    tot = 0
-    for c, mono in terms:
-        prod = c
-        for n in mono:
-            prod *= coeffs[n]
-        tot += prod
-    return tot
-
-
-def _cubic_c4_c6(F):
-    return _eval_terms(_C4_TERMS, F.coeffs), _eval_terms(_C6_TERMS, F.coeffs)
+_C4_C6_TERMS = (_C4_TERMS, _C6_TERMS)  # one table: compiled into one function on first use
 
 
 def cubic_invariants(F):
     """(c4, c6, Delta) of a ternary cubic under the xyz normalisation."""
-    c4, c6 = _cubic_c4_c6(F)
+    c4, c6 = c4_c6(F)
     return c4, c6, _delta("cubic", c4, c6)
 
 
@@ -304,9 +294,9 @@ def _mat_add(a, b, sign=1):
 def cube_invariants(S):
     """InvariantSet of a 3x3x3 cube (marked-point data from the first slicing)."""
     f1, f2, f3 = cubics_of_cube(S)
-    c4, c6 = _cubic_c4_c6(f1)
+    c4, c6 = c4_c6(f1)
     for other in (f2, f3):
-        if _cubic_c4_c6(other) != (c4, c6):
+        if c4_c6(other) != (c4, c6):
             raise AssertionError("cube slicings disagree on c4, c6")
     disc = _delta("cube", c4, c6)
     m0, n0, p0 = S.slices(0)
@@ -315,13 +305,13 @@ def cube_invariants(S):
     c_mat = mat_mul(mat_adj(p0), m0)
     mixed = _mat_add(_mat_add(mat_adj(_mat_add(n0, p0)), mat_adj(n0), -1), mat_adj(p0), -1)
     b_mat = mat_mul(mixed, m0)
-    xi = -_tr(mat_mul(a_mat, c_mat))
-    eta = -_tr(mat_mul(mat_mul(c_mat, b_mat), a_mat))
-    a1 = _tr(b_mat)
-    a2 = (_tr(mat_mul(a_mat, c_mat)) + _tr(a_mat) * _tr(c_mat) - _tr(mat_adj(b_mat)))
+    tr_ac = _tr(mat_mul(a_mat, c_mat))
     tr_abc = _tr(mat_mul(mat_mul(a_mat, b_mat), c_mat))
     tr_cba = _tr(mat_mul(mat_mul(c_mat, b_mat), a_mat))
-    a3 = tr_abc + tr_cba + _tr(mat_mul(a_mat, c_mat)) * a1
+    xi, eta = -tr_ac, -tr_cba
+    a1 = _tr(b_mat)
+    a2 = tr_ac + _tr(a_mat) * _tr(c_mat) - _tr(mat_adj(b_mat))
+    a3 = tr_abc + tr_cba + tr_ac * a1
     a4, a6 = _a4_a6_from(c4, c6, a1, a2, a3, "cube")
     u = 12 * xi + a1 * a1 + 4 * a2
     v = 2 * eta + a1 * xi + a3
@@ -372,8 +362,8 @@ def hypercube_invariants(H):
 _C4_C6 = {
     "quartic": _quartic_i_j,
     "form22": lambda m: _form22_c4_c6(quartics_of_22(m)[0]),
-    "cubic": _cubic_c4_c6,
-    "cube": lambda m: _cubic_c4_c6(cubic_of_cube(m, 0)),
+    "cubic": lambda m: _compiled(_C4_C6_TERMS, lambda t: _straight_line(t, (10,)))(m.coeffs),
+    "cube": lambda m: c4_c6(cubic_of_cube(m, 0)),
     "hypercube": lambda m: c4_c6(form_of_hypercube(m, 0, 1)),
 }
 

@@ -27,8 +27,8 @@ itself for cubes and hypercubes) and the powers of the scalar in `act` and in
 `chi`; a ternary cubic goes to mu F((x, y, z) A), so its discriminant scales
 by (mu det A)^12.  The one substitution, `sym_power_matrix(A, k)`, serves forms
 in n = len(A) variables from an index table of (coefficient, (flat positions
-of A...)) terms built at import per (n, k).  `act` is integer: it contracts with
-the int matrices, multiplies by the scalar numerator's power and divides
+of A...)) terms per (n, k).  `act` is integer: it contracts with the int
+matrices, multiplies by the scalar numerator's power and divides
 exactly by its denominator's, so a coefficient is a Fraction only where that
 division leaves a remainder.  A factor equal to the identity costs nothing:
 `act` skips its contraction and `GroupElement.compose` its matrix product, so
@@ -37,16 +37,18 @@ on the factors they change.  `scalar_clear` returns an integral primitive copy
 together with the multiplier.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
-hypercube) are evaluated from index tables of (sign, flat positions...) terms,
-built once at import by expanding the determinants over the SPECS layout.
+hypercube, two quartics of a (2,2)-form) come from index tables built at import.
+Every fixed table, Sym^k, the mode product of each axis and the c4, c6 of
+`invariants` included, is compiled on first use (never at import) into one
+straight-line function, its sums Horner-factored over shared leading positions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import permutations, product
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation, INFINITY
 
@@ -91,6 +93,54 @@ def _nest(flat, dims):
 
 
 # ---------------------------------------------------------------------------
+# straight-line evaluation of fixed polynomial tables
+
+
+def _horner(terms):
+    """Source of a sum of terms (coefficient, sorted positions), with the
+    terms that share a leading position factored: x3*(x5*x7+-2*x8)."""
+    groups = {}
+    for c, pos in terms:
+        groups.setdefault(pos[:1], []).append((c, pos[1:]))
+    const = sum(c for c, _ in groups.pop((), ()))
+    parts = [str(int(const))] if const else []
+    for (q,), rest in groups.items():
+        inner = _horner(rest)
+        parts.append({"1": f"x{q}", "-1": f"-x{q}"}.get(inner, f"x{q}*({inner})"))
+    return "+".join(parts) or "0"
+
+
+def _straight_line(polys, sizes, width=None):
+    """One compiled function of len(sizes) sequences of those lengths that
+    returns the values of `polys` as a tuple (of rows of `width`, if given).
+    A polynomial is a sequence of terms (coefficient, positions), positions
+    indexing the inputs laid end to end; the source holds those ints alone."""
+    names = iter(range(sum(sizes)))
+    unpack = "".join(f" {''.join(f'x{next(names)},' for _ in range(n))} = a{j}\n"
+                     for j, n in enumerate(sizes))
+    values = [_horner([(c, tuple(sorted(map(int, pos)))) for c, pos in terms if c])
+              for terms in polys]
+    if width:
+        values = [f"({','.join(values[i:i + width])},)" for i in range(0, len(values), width)]
+    source = (f"def f({','.join(f'a{j}' for j in range(len(sizes)))}):\n{unpack}"
+              f" return ({','.join(values)},)")
+    exec(compile(source, "<straight-line>", "exec"), namespace := {})
+    return namespace["f"]
+
+
+_COMPILED = {}  # id(table) -> (table, its function); holding the table keeps its id unique
+
+
+def _compiled(table, build):
+    """build(table), built on the first call for this table object: nothing
+    is compiled at import, and a replaced table gets a function of its own."""
+    hit = _COMPILED.get(id(table))
+    if hit is None:
+        hit = _COMPILED[id(table)] = (table, build(table))
+    return hit[1]
+
+
+# ---------------------------------------------------------------------------
 # forms in n variables
 
 
@@ -126,20 +176,11 @@ _SYM_TABLES = {(n, k): _sym_table(n, k) for n, k in ((2, 2), (2, 4), (3, 3))}
 def sym_power_matrix(A, k):
     """Matrix of f -> f((x1, ..., xn) A) on the coefficient vectors of forms
     of degree k in n = len(A) variables, monomials in `monomials(n, k)`
-    order: column i is the image of monomial i."""
-    a = [x for row in A for x in row]
-    out = []
-    for row in _SYM_TABLES[len(A), k]:
-        vals = []
-        for terms in row:
-            tot = 0
-            for c, positions in terms:
-                for q in positions:
-                    c *= a[q]
-                tot += c
-            vals.append(tot)
-        out.append(tuple(vals))
-    return tuple(out)
+    order: column i is the image of monomial i.  The (n, k) table is compiled
+    on first use into one straight-line function of the rows of A."""
+    n = len(A)
+    return _compiled(_SYM_TABLES[n, k], lambda table: _straight_line(
+        [entry for row in table for entry in row], (n,) * n, len(table)))(*A)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +449,9 @@ class GroupElement:
             object.__setattr__(self, "perm", tuple(perm))
 
     @classmethod
+    @cache
     def identity(cls, kind):
+        """The identity of the kind: one shared instance, as elements are frozen."""
         return cls.scaling(kind, 1)
 
     @classmethod
@@ -449,14 +492,17 @@ class GroupElement:
 # the action
 
 
+def _mode_kernel(fibres):
+    """out[fibre[r]] = sum of M[r][c] t[fibre[c]] as a function of t and M's rows."""
+    size, k = sum(map(len, fibres)), len(fibres[0])
+    polys = {pos: [(1, (q, size + r * k + c)) for c, q in enumerate(fibre)]
+             for fibre in fibres for r, pos in enumerate(fibre)}
+    return _straight_line([polys[pos] for pos in range(size)], (size,) + (k,) * k)
+
+
 def _mode_product(t, M, fibres):
     """Multiply every fibre of the flat tensor t along one axis by M."""
-    out = [0] * len(t)
-    for fibre in fibres:
-        vals = [t[n] for n in fibre]
-        for pos, row in zip(fibre, M):
-            out[pos] = sum(map(mul, row, vals))
-    return out
+    return _compiled(fibres, _mode_kernel)(t, *M)
 
 
 def act(g, m):
@@ -495,11 +541,18 @@ def _binary_mul(a, b):
     return out
 
 
+# per coefficient of G1 (in x), then of G2 (in y): the terms of q2^2 - 4 q1 q3,
+# (q1, q2, q3) the x-quadratics (entry i of q_j at 3 i + j), then the y-quadratics
+_QUARTICS_TABLE = tuple(
+    tuple((c, (at(j1, i), at(j2, n - i))) for (j1, j2), c in (((1, 1), 1), ((0, 2), -4))
+          for i in range(max(0, n - 2), min(n, 2) + 1))
+    for at in (lambda j, i: 3 * i + j, lambda j, i: 3 * j + i) for n in range(5))
+
+
 def quartics_of_22(F):
     """The pair of binary quartics (G1 in x, G2 in y) of a (2,2)-form."""
-    return tuple(
-        BinaryQuartic([x - 4 * y for x, y in zip(_binary_mul(q2, q2), _binary_mul(q1, q3))])
-        for q1, q2, q3 in (F.x_quadratics(), F.y_quadratics()))
+    g = _compiled(_QUARTICS_TABLE, lambda table: _straight_line(table, (9,)))(F.coeffs)
+    return BinaryQuartic.from_coeffs(g[:5]), BinaryQuartic.from_coeffs(g[5:])
 
 
 def _det_table(kind, var_axes, out_index):
@@ -535,16 +588,15 @@ _CUBE_TABLES = tuple(
     for axis in range(3))
 
 
+def _det_kernel(size):
+    """The builder of a table of (sign, flat positions...) terms over one tensor."""
+    return lambda table: _straight_line([[(s, pos) for s, *pos in t] for t in table], (size,))
+
+
 def cubic_of_cube(S, axis):
-    """The determinantal ternary cubic of the slicing along `axis`."""
-    c = S.coeffs
-    coeffs = []
-    for terms in _CUBE_TABLES[axis]:
-        tot = 0
-        for s, i, j, k in terms:
-            tot += s * c[i] * c[j] * c[k]
-        coeffs.append(tot)
-    return TernaryCubic.from_coeffs(coeffs)
+    """The determinantal ternary cubic of the slicing along `axis`, from its
+    table compiled on first use into one straight-line function."""
+    return TernaryCubic.from_coeffs(_compiled(_CUBE_TABLES[axis], _det_kernel(27))(S.coeffs))
 
 
 def cubics_of_cube(S):
@@ -562,15 +614,9 @@ _HYPERCUBE_TABLES = {
 
 
 def form_of_hypercube(H, a, b):
-    """The (2,2)-form F_ab: determinant of H read as bilinear in the other axes."""
-    c = H.coeffs
-    coeffs = []
-    for terms in _HYPERCUBE_TABLES[a, b]:
-        tot = 0
-        for s, i, j in terms:
-            tot += s * c[i] * c[j]
-        coeffs.append(tot)
-    return TwoTwoForm.from_coeffs(coeffs)
+    """The (2,2)-form F_ab: determinant of H read as bilinear in the other
+    axes, from its table compiled on first use into one straight-line function."""
+    return TwoTwoForm.from_coeffs(_compiled(_HYPERCUBE_TABLES[a, b], _det_kernel(16))(H.coeffs))
 
 
 def forms_of_hypercube(H):

@@ -149,6 +149,22 @@ def test_act_and_compose_with_identity_factors(kind, rng):
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_identity_is_one_shared_element(kind, rng):
+    # GroupElement.identity returns one cached, frozen instance per kind; it
+    # acts and composes exactly as a freshly built identity does
+    identity = GroupElement.identity(kind)
+    assert GroupElement.identity(kind) is identity
+    fresh = GroupElement(kind, 1, tuple(identity_matrix(n) for n in SPECS[kind].matrix_sizes))
+    assert identity == fresh and identity.inverse() == fresh
+    for _ in range(5):
+        m, g = KIND_SAMPLERS[kind](rng), _rand_element(kind, rng)
+        assert act(identity, m) == act(fresh, m) == m
+        assert identity.compose(g) == fresh.compose(g) == g
+        assert g.compose(identity) == g.compose(fresh) == g
+    assert GroupElement.identity(kind) is identity
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_identity_factors_cost_no_contraction(kind, rng, monkeypatch):
     calls = {"mode": 0, "mul": 0}
     real_mode, real_mul = models._mode_product, models.mat_mul

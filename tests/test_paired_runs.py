@@ -2,7 +2,9 @@
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
+import subprocess
 
 import pytest
 
@@ -67,3 +69,25 @@ def test_a_single_seed_is_refused():
     for text in ("41", "41-41"):
         with pytest.raises(argparse.ArgumentTypeError):
             paired_runs.parse_seeds(text)
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(monkeypatch, tmp_path):
+    # setup_s times cold imports: each run compiles into a cache directory of
+    # its own, empty when the run starts and gone after it
+    monkeypatch.setenv("PAIRED_RUNS_PROBE", "kept")
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir()),
+                     env["PAIRED_RUNS_PROBE"], cwd))
+        result = {"metrics": {"throughput_jobs_s": {"value": 1.0}}, "attempted": 4, "failed": 1}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"# meta\n{json.dumps(result)}\n",
+                                           stderr="")
+
+    monkeypatch.setattr(paired_runs.subprocess, "run", fake_run)
+    assert paired_runs.run_once(tmp_path, "census_oracle", 3, 1) == ({"throughput_jobs_s": 1.0}, 0.25)
+    paired_runs.run_once(tmp_path, "census_oracle", 4, 1)
+    assert [(empty, probe, cwd) for _, empty, probe, cwd in seen] == [(True, "kept", tmp_path)] * 2
+    assert seen[0][0] != seen[1][0]
+    assert not any(cache.exists() for cache, *_ in seen)

@@ -141,3 +141,24 @@ def test_one_minimisation_loop():
                 found.append(f"minimise.py:{node.lineno} compares v with 12")
     assert found == []
     assert run, "_Driver.run is missing"
+
+
+# the one function allowed to compile source: the generator of straight-line
+# functions, whose source holds only the ints of the library's own tables
+CODE_GENERATORS = {("models.py", "_straight_line")}
+
+
+def test_only_the_generator_compiles_source():
+    found, generators = [], set()
+    for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in CODE_GENERATORS:
+                generators.add((path.name, func.name))
+                allowed |= {id(node) for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno} calls {node.func.id}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("exec", "eval", "compile") and id(node) not in allowed]
+    assert found == []
+    assert generators == CODE_GENERATORS

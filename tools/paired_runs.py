@@ -5,8 +5,11 @@
 For each workload and each seed, runs `perfbench/run.py --workload NAME
 --seed N --seconds S` once in each checkout, one after the other; the side
 that runs first alternates from pair to pair, the parent first in the first
-pair.  Workloads, metrics, their better direction and bound, and the run
-length S come from the change's BENCHMARK.json.  Each run's metrics and its
+pair.  Each run gets a fresh, empty PYTHONPYCACHEPREFIX, so the cold imports
+of setup_s read only bytecode that the run itself compiled from its checkout,
+whatever __pycache__ either tree holds.  Workloads, metrics, their better
+direction and bound, and the run length S come from the change's
+BENCHMARK.json.  Each run's metrics and its
 failed share (failed jobs over attempted jobs) are printed as it finishes, as
 '#' lines.  At the end, per workload: each side's failed share, and per
 metric each side's median and quartiles (inclusive method), the relative
@@ -30,9 +33,11 @@ stdout, the JSON result, so it serves any two checkouts that share them.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_MARGIN_S = 600  # a run's set-up, census and answer checks, beyond its timed loop
@@ -54,8 +59,12 @@ def run_once(checkout, workload, seed, seconds):
     """(metric values, failed share) of one benchmark run in the given checkout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=seconds + RUN_MARGIN_S)
+    # a fresh, empty bytecode cache per run: the cold imports of setup_s then
+    # read no cache that the checkout's tree happens to hold
+    with tempfile.TemporaryDirectory(prefix="paired-runs-pycache-") as cache:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+                              timeout=seconds + RUN_MARGIN_S)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
