@@ -6,11 +6,13 @@ All arithmetic is exact (ints and Fractions); every minimisation returns a
 transformation certificate g with act(g, input) == output.
 """
 
-from .exactnum import INFINITY, LocalContext, is_prime, smith_like_completion, valuation
+from .exactnum import (
+    INFINITY, LocalContext, RefusedInputError, is_prime, smith_like_completion, valuation,
+)
 from .models import (
     BinaryQuartic, Cube, GroupElement, Hypercube, SingularModelError, TernaryCubic,
-    TwoTwoForm, act, content_valuation, cubics_of_cube, forms_of_hypercube,
-    is_integral, model_from_dict, model_to_dict, quartics_of_22,
+    TwoTwoForm, UnsupportedModelError, act, content_valuation, cubics_of_cube,
+    forms_of_hypercube, is_integral, model_from_dict, model_to_dict, quartics_of_22,
     quartics_of_hypercube, scalar_clear, scalar_multiply,
     group_element_from_dict, group_element_to_dict,
 )

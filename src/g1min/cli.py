@@ -9,34 +9,39 @@ A coefficient is any string fractions.Fraction accepts ("-12", "1_000",
 argument parser is built once per process, so repeated in-process main()
 calls pay only for parsing their argv.
 
-Exit codes: 0 success; 2 parse error or rejected input (a non-integral model
-to minimise, --critical below p = 5); 3 kind mismatch or unsupported operation
-for the kind or model; 4 singular model; 5 factorisation failure; 6 internal
-error, a check inside the library that failed on accepted input (a ValueError,
-AssertionError or ArithmeticError), reported as "internal error: ...".
-Reports go to stdout, diagnostics to stderr.  Primes and the integers in model
-files and reports may have any number of digits.
+The library checks every model and prime it is given; the command line
+refuses only what it alone reads (files, JSON, model documents, options).
+Exit codes follow the type of the exception: 0 success; 2 RefusedInputError
+(an unreadable file, a bad model document or option, a missing or composite
+--prime, a prime outside the oracle's or --critical's range, a non-integral
+model where integers are needed); 3 UnsupportedModelError (an operation not
+defined for the model's kind, or a conversion whose point condition fails);
+4 SingularModelError; 5 FactorizationError (--global cannot split
+gcd(c4, c6)); 6 any other ValueError, AssertionError or ArithmeticError, a
+check inside the library that failed on accepted input, reported as
+"internal error: ...".  argparse's own errors exit 2 as well.  Reports go to
+stdout, diagnostics to stderr.  Primes and the integers in model files and
+reports may have any number of digits.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
 
 from .construct import (
     construct_22, construct_cube, convert_2to3, convert_3to2, critical_model,
-    ORACLE_PRIME_BOUND, enumerate_minimal_weights, oracle_minimality_22,
-    symmetric_minimal_weights,
+    enumerate_minimal_weights, oracle_minimality_22, symmetric_minimal_weights,
 )
-from .exactnum import LocalContext
+from .exactnum import RefusedInputError
 from .invariants import (
     cube_invariants, cubic_invariants, discriminant, form22_invariants,
     hypercube_invariants, quartic_invariants,
 )
 from .minimise import FactorizationError, minimise, minimise_global
 from .models import (
-    SingularModelError, group_element_to_dict, is_integral, model_from_dict, model_to_dict,
+    SingularModelError, UnsupportedModelError, group_element_to_dict, is_integral,
+    model_from_dict, model_to_dict,
 )
 from .weierstrass import level
 
@@ -47,26 +52,15 @@ EXIT_SINGULAR = 4
 EXIT_FACTOR = 5
 EXIT_INTERNAL = 6
 
+_EXIT_CODES = {
+    RefusedInputError: EXIT_PARSE,
+    UnsupportedModelError: EXIT_KIND,
+    SingularModelError: EXIT_SINGULAR,
+    FactorizationError: EXIT_FACTOR,
+}
+
 # kinds whose model files must have integral coefficients
 _INTEGRAL_KINDS = ("form22", "cube", "hypercube")
-
-
-class _CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
-@contextlib.contextmanager
-def _refusals():
-    """Map the library's typed refusals of an input to their exit codes;
-    any other ValueError it raises is an internal error."""
-    try:
-        yield
-    except SingularModelError as e:
-        raise _CliError(EXIT_SINGULAR, str(e))
-    except FactorizationError as e:
-        raise _CliError(EXIT_FACTOR, str(e))
 
 
 def _load_model(path):
@@ -74,16 +68,16 @@ def _load_model(path):
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise _CliError(EXIT_PARSE, f"cannot read {path}: {e}")
+        raise RefusedInputError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
-        raise _CliError(EXIT_PARSE, f"invalid JSON in {path}: {e}")
+        raise RefusedInputError(f"invalid JSON in {path}: {e}")
     try:
         m = model_from_dict(doc)
     except (ValueError, TypeError, ArithmeticError) as e:
-        raise _CliError(EXIT_PARSE, f"bad model file {path}: {e}")
+        raise RefusedInputError(f"bad model file {path}: {e}")
     # the invariant formulas of these kinds divide exactly only on integral models
     if m.kind in _INTEGRAL_KINDS and not is_integral(m):
-        raise _CliError(EXIT_PARSE, "model must be integral")
+        raise RefusedInputError("model must be integral")
     return m
 
 
@@ -107,14 +101,16 @@ def _write_model(m, args, meta=None):
         print(json.dumps(doc, indent=2))
 
 
-def _prime_context(args):
-    p = getattr(args, "prime", None)
-    if p is None:
-        raise _CliError(EXIT_PARSE, "--prime is required")
-    try:
-        return LocalContext(p)
-    except ValueError as e:
-        raise _CliError(EXIT_PARSE, str(e))
+class _MissingPrime:
+    """The context of an absent --prime: the library reads its prime only
+    after checking the model, so a refused model keeps its exit code."""
+    @property
+    def p(self):
+        raise RefusedInputError("--prime is required")
+
+
+def _prime(args):
+    return _MissingPrime() if args.prime is None else args.prime
 
 
 def cmd_invariants(args):
@@ -165,15 +161,8 @@ def _step_doc(step):
 
 def cmd_minimise(args):
     m = _load_model(args.model)
-    if m.kind == "cubic":
-        raise _CliError(EXIT_KIND, "ternary cubics are carried along, not minimised directly")
-    if discriminant(m) == 0:
-        raise _CliError(EXIT_SINGULAR, "singular model")
-    if not is_integral(m):  # rational quartics parse, but only integral models minimise
-        raise _CliError(EXIT_PARSE, "model must be integral")
     if args.global_:
-        with _refusals():
-            rep = minimise_global(m)
+        rep = minimise_global(m)
         doc = {
             "mode": "global",
             "primes": list(rep.primes),
@@ -187,14 +176,11 @@ def cmd_minimise(args):
                          f" in {len(r.steps)} steps")
         if not args.json:  # the text report alone shows Delta
             lines.append(f"final Delta = {discriminant(rep.model)}")
-        final_model = rep.model
     else:
-        ctx = _prime_context(args)
-        with _refusals():
-            rep = minimise(m, ctx)
+        rep = minimise(m, _prime(args))
         doc = {
             "mode": "local",
-            "prime": ctx.p,
+            "prime": rep.prime,
             "vDeltaInitial": rep.v_disc_initial,
             "vDeltaFinal": rep.v_disc_final,
             "alreadyMinimal": rep.input_was_minimal,
@@ -204,29 +190,20 @@ def cmd_minimise(args):
             "steps": [_step_doc(s) for s in rep.steps],
         }
         if rep.input_was_minimal:
-            lines = [f"already minimal at p = {ctx.p} (v(Delta) = {rep.v_disc_initial})"]
+            lines = [f"already minimal at p = {rep.prime} (v(Delta) = {rep.v_disc_initial})"]
         else:
             lines = [
-                f"v(Delta): {rep.v_disc_initial} -> {rep.v_disc_final} at p = {ctx.p}",
+                f"v(Delta): {rep.v_disc_initial} -> {rep.v_disc_final} at p = {rep.prime}",
                 "steps: " + ", ".join(s.label for s in rep.steps),
             ]
-        final_model = rep.model
     _emit(doc, args, lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(model_to_dict(final_model), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_model(rep.model, args)
     return EXIT_OK
 
 
 def cmd_level(args):
-    m = _load_model(args.model)
-    if m.kind not in ("form22", "cube", "hypercube"):
-        raise _CliError(EXIT_KIND, f"level is not defined for kind {m.kind}")
-    ctx = _prime_context(args)
-    with _refusals():
-        rep = level(m, ctx)
+    rep = level(_load_model(args.model), args.prime)
     doc = {"vDelta": rep.v_disc, "vDeltaMin": rep.v_disc_min,
            "kappa": rep.kappa, "level": rep.level}
     _emit(doc, args, [
@@ -240,40 +217,24 @@ def cmd_level(args):
 
 def cmd_construct(args):
     if args.critical:
-        ctx = _prime_context(args)
-        if ctx.p < 5:
-            raise _CliError(EXIT_PARSE, "critical patterns are stated for p >= 5")
-        m = critical_model(args.critical, ctx, args.seed)
-        _write_model(m, args, meta={"critical": args.critical, "prime": ctx.p,
+        m = critical_model(args.critical, _prime(args), args.seed)
+        _write_model(m, args, meta={"critical": args.critical, "prime": args.prime,
                                     "seed": args.seed})
         return EXIT_OK
     if not args.curve:
-        raise _CliError(EXIT_PARSE, "either --curve or --critical is required")
+        raise RefusedInputError("either --curve or --critical is required")
     try:
         a1, a2, a3, a4 = (int(x) for x in args.curve.split(","))
     except ValueError:
-        raise _CliError(EXIT_PARSE, "--curve expects four comma-separated integers")
-    with _refusals():
-        m = construct_22(a1, a2, a3, a4) if args.type == "22" else construct_cube(a1, a2, a3, a4)
+        raise RefusedInputError("--curve expects four comma-separated integers")
+    m = construct_22(a1, a2, a3, a4) if args.type == "22" else construct_cube(a1, a2, a3, a4)
     _write_model(m, args, meta={"curve": [a1, a2, a3, a4, 0]})
     return EXIT_OK
 
 
 def cmd_convert(args):
     m = _load_model(args.model)
-    if args.direction == "2to3":
-        if m.kind != "form22":
-            raise _CliError(EXIT_KIND, f"2to3 needs a form22 model, got {m.kind}")
-        if m.rows[0][0] != 0:
-            raise _CliError(EXIT_KIND, "((1:0),(1:0)) is not on the curve: a11 != 0")
-        out = convert_2to3(m)
-    else:
-        if m.kind != "cube":
-            raise _CliError(EXIT_KIND, f"3to2 needs a cube model, got {m.kind}")
-        if any(m.entries[2][2]):
-            raise _CliError(EXIT_KIND, "the bilinear forms do not vanish at ((0:0:1),(0:0:1))")
-        out = convert_3to2(m)
-    _write_model(out, args)
+    _write_model(convert_2to3(m) if args.direction == "2to3" else convert_3to2(m), args)
     return EXIT_OK
 
 
@@ -296,16 +257,9 @@ def cmd_oracle(args):
         _emit(doc, args, lines)
         return EXIT_OK
     # min22
-    m = _load_model(args.model)
-    if m.kind != "form22":
-        raise _CliError(EXIT_KIND, f"the minimality oracle works on form22 models, got {m.kind}")
-    ctx = _prime_context(args)
-    if ctx.p > ORACLE_PRIME_BOUND:
-        raise _CliError(EXIT_PARSE, f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
-    with _refusals():
-        verdict = oracle_minimality_22(m, ctx)
-    _emit({"minimal": verdict, "prime": ctx.p}, args,
-          [f"{'minimal' if verdict else 'not minimal'} at p = {ctx.p} (exhaustive search)"])
+    verdict = oracle_minimality_22(_load_model(args.model), args.prime)
+    _emit({"minimal": verdict, "prime": args.prime}, args,
+          [f"{'minimal' if verdict else 'not minimal'} at p = {args.prime} (exhaustive search)"])
     return EXIT_OK
 
 
@@ -381,11 +335,10 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except _CliError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
     except (ValueError, AssertionError, ArithmeticError) as e:
-        # every refusal of the input became a _CliError where it was raised
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

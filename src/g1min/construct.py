@@ -12,11 +12,13 @@ from fractions import Fraction
 from functools import lru_cache
 import random
 
-from .exactnum import as_context, complete_primitive_row, identity_matrix, mat_mul
+from .exactnum import (
+    RefusedInputError, as_context, complete_primitive_row, identity_matrix, mat_mul,
+)
 from .invariants import discriminant
 from .models import (
-    SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, act, is_integral,
-    sym_power_matrix,
+    SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError,
+    act, is_integral, sym_power_matrix,
 )
 from .weierstrass import WeierstrassCurve
 
@@ -72,10 +74,11 @@ def convert_3to2(S):
     The caller is responsible for moving a rational point of the cube's
     curve into that position by unimodular changes first.
     """
+    if S.kind != "cube":
+        raise UnsupportedModelError(f"3to2 needs a cube model, got {S.kind}")
     s = S.entries
-    for i in range(3):
-        if s[2][2][i] != 0:
-            raise ValueError("the bilinear forms do not vanish at ((0:0:1),(0:0:1))")
+    if any(s[2][2]):
+        raise UnsupportedModelError("the bilinear forms do not vanish at ((0:0:1),(0:0:1))")
     # row i of the determinant: (L_i: (0,1)-form, M_i: (1,0)-form, N_i: (1,1)-form)
     def L(i):
         return {(0, 0): s[2][0][i], (0, 1): s[2][1][i]}
@@ -112,9 +115,11 @@ def _bi_mul(a, b):
 def convert_2to3(F):
     """The cube of a (2,2)-form vanishing at ((1:0), (1:0)) (a11 = 0); the
     discriminant is preserved exactly."""
+    if F.kind != "form22":
+        raise UnsupportedModelError(f"2to3 needs a form22 model, got {F.kind}")
     a = F.rows
     if a[0][0] != 0:
-        raise ValueError("((1:0),(1:0)) is not on the curve: a11 != 0")
+        raise UnsupportedModelError("((1:0),(1:0)) is not on the curve: a11 != 0")
     z0 = ((0, 1, 0), (1, a[1][1], a[1][2]), (0, a[2][1], a[2][2]))
     z1 = ((0, 0, 0), (0, a[0][1], a[0][2]), (-1, 0, 0))
     z2 = ((0, 0, -1), (0, a[1][0], 0), (0, a[2][0], 0))
@@ -172,7 +177,7 @@ def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
     ctx = as_context(ctx)
     p = ctx.p
     if p < 5:
-        raise ValueError("critical patterns are stated for p >= 5")
+        raise RefusedInputError("critical patterns are stated for p >= 5")
     rng = _rng(seed_or_rng)
     for _ in range(max_tries):
         if kind == "form22":
@@ -189,7 +194,7 @@ def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
                     h[i][j][k][l] = _draw(_CRITICAL_HYPER[r][c], p, rng)
             m = Hypercube(tuple(tuple(tuple(tuple(x) for x in pl) for pl in blk) for blk in h))
         else:
-            raise ValueError(f"no critical pattern for kind {kind!r}")
+            raise UnsupportedModelError(f"no critical pattern for kind {kind!r}")
         if discriminant(m) != 0:
             return m
     raise RuntimeError("failed to sample a nonsingular critical model")
@@ -416,12 +421,14 @@ def oracle_minimality_22(F, ctx):
     valuation smaller by 12, so the first round decides the verdict.
     Restricted to small primes by cost.
     """
-    ctx = as_context(ctx)
-    p = ctx.p
+    if F.kind != "form22":
+        raise UnsupportedModelError(
+            f"the minimality oracle works on form22 models, got {F.kind}")
+    p = as_context(ctx).p
     if p > ORACLE_PRIME_BOUND:
-        raise ValueError(f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
+        raise RefusedInputError(f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
     if not is_integral(F):
-        raise ValueError("model must be integral")
+        raise RefusedInputError("model must be integral")
     if discriminant(F) == 0:
         raise SingularModelError("singular model")
     return _oracle_reducer(F, p) is None

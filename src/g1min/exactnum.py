@@ -165,6 +165,12 @@ def fp_inv(a, p):
     return pow(a, -1, p)
 
 
+class RefusedInputError(ValueError):
+    """An input outside what the called function accepts: a number that is
+    not prime, a model that is not integral where integers are needed, or a
+    prime outside a search's range."""
+
+
 class LocalContext:
     """The working prime p, with uniformiser pi = p and residue field F_p."""
 
@@ -172,7 +178,7 @@ class LocalContext:
 
     def __init__(self, p):
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise RefusedInputError(f"{p} is not prime")
         self.p = p
 
     def __repr__(self):

@@ -36,13 +36,13 @@ from functools import partial
 from math import gcd
 
 from .exactnum import (
-    LocalContext, as_context, form_to_last, fp_inv, fp_left_kernel_vector, identity_matrix,
-    is_prime, mat_mul, unimodular_with_row, valuation,
+    LocalContext, RefusedInputError, as_context, form_to_last, fp_inv, fp_left_kernel_vector,
+    identity_matrix, is_prime, mat_mul, unimodular_with_row, valuation,
 )
 from .invariants import c4_c6, discriminant
 from .models import (
-    GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, act, content_valuation,
-    cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
+    GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, UnsupportedModelError, act,
+    content_valuation, cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
 )
 from .residue import (
     classify_22_residue, classify_cubic_residue, repeated_root, saturation_defect,
@@ -93,12 +93,13 @@ class MinimisationReport:
 
 
 def _checked_discriminant(m):
-    """Delta of an integral nonsingular model; other models raise."""
-    if not is_integral(m):
-        raise ValueError("model must be integral")
+    """Delta of an integral nonsingular model; a singular model raises
+    SingularModelError, then a non-integral one RefusedInputError."""
     disc = discriminant(m)
     if disc == 0:
         raise SingularModelError("singular model")
+    if not is_integral(m):
+        raise RefusedInputError("model must be integral")
     return disc
 
 
@@ -124,12 +125,13 @@ class _Driver:
     """Work state: current model, accumulated certificate, step history."""
 
     def __init__(self, m, ctx):
+        disc = _checked_discriminant(m)  # the model's refusals come before the prime's
         self.ctx = as_context(ctx)
         self.p = self.ctx.p
         self.input = m
         self.cur = m
         self.g = GroupElement.identity(m.kind)
-        self.v = valuation(_checked_discriminant(m), self.p)
+        self.v = valuation(disc, self.p)
         self.v_initial = self.v
         self.content = 0  # v_p of the content that division left (quartics: 0 or 1)
         self.records = []  # (Step, model, transformation, v_after)
@@ -575,13 +577,20 @@ _MINIMISERS = {
 }
 
 
+def _minimiser(m):
+    kind = getattr(m, "kind", type(m))
+    if kind == "cubic":
+        raise UnsupportedModelError("ternary cubics are carried along, not minimised directly")
+    if kind not in _MINIMISERS:
+        raise UnsupportedModelError(f"cannot minimise a model of kind {kind}")
+    return _MINIMISERS[kind]
+
+
 def minimise(m, ctx):
-    """Minimise any supported model kind at one prime."""
-    try:
-        fn = _MINIMISERS[m.kind]
-    except (KeyError, AttributeError):
-        raise TypeError(f"cannot minimise a model of kind {getattr(m, 'kind', type(m))}")
-    return fn(m, ctx)
+    """Minimise any supported model kind at one prime.  Refusals come in the
+    order kind (UnsupportedModelError), Delta = 0 (SingularModelError),
+    integrality, then the prime (both RefusedInputError)."""
+    return _minimiser(m)(m, ctx)
 
 
 class FactorizationError(ArithmeticError):
@@ -638,8 +647,9 @@ def minimise_global(m, factor=trial_division_factor):
     a step exists has p^4 | c4, p^6 | c6 and p^12 | Delta, and `factor` is
     called on g = gcd(c4, c6), not on Delta.  It returns
     [(prime, exponent), ...] and raises FactorizationError when it cannot
-    split g.
+    split g.  The model is refused as by `minimise` before any factoring.
     """
+    _minimiser(m)
     disc = _checked_discriminant(m)
     c4, c6 = c4_c6(m)
     candidates = [p for p, _ in factor(gcd(c4, c6))

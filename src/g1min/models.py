@@ -57,6 +57,11 @@ class SingularModelError(ValueError):
     """The model (or the marked curve it is built from) has discriminant zero."""
 
 
+class UnsupportedModelError(TypeError, ValueError):
+    """The operation is not defined for the model's kind, or for this model
+    (a conversion whose point condition fails)."""
+
+
 def _num(x):
     """Collapse Fractions with denominator 1 back to int."""
     # type(), not isinstance(): isinstance(int, Fraction) takes the slow ABC path

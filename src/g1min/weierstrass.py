@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exactnum import INFINITY, as_context, fp_inv, fp_poly_roots, quotient, valuation
 from .invariants import cube_invariants, form22_invariants, hypercube_invariants
-from .models import SingularModelError
+from .models import SingularModelError, UnsupportedModelError
 
 
 @dataclass(frozen=True)
@@ -388,12 +388,12 @@ _MARKED_INVARIANTS = {
 
 
 def level(m, ctx):
-    """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube."""
-    ctx = as_context(ctx)
-    p = ctx.p
+    """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube.
+    Refusals come in the order kind, prime, Delta = 0."""
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
-        raise TypeError(f"level is defined for (2,2)-forms, cubes and hypercubes, not {m.kind}")
+        raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
+    p = as_context(ctx).p
     invs = marked(m)
     disc = invs[0].disc
     if disc == 0:

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from g1min import (
-    TwoTwoForm, construct_22, discriminant, model_from_dict, model_to_dict, scalar_multiply,
+    FactorizationError, RefusedInputError, SingularModelError, TwoTwoForm,
+    UnsupportedModelError, construct_22, construct_cube, discriminant, model_from_dict,
+    model_to_dict, scalar_multiply,
 )
 from g1min.cli import main
 from g1min.exactnum import is_prime
@@ -335,7 +337,8 @@ def test_convert_3to2_requires_vanishing_forms_exit_3(tmp_path, capsys):
 
 
 def test_convert_internal_value_error_exits_6(tmp_path, capsys, monkeypatch):
-    # the CLI checks a11 = 0 itself, so a ValueError from the conversion is a fault
+    # the library refuses a11 != 0 with a typed error, so a plain ValueError
+    # from the conversion is a fault
     import g1min.cli
 
     def broken(F):
@@ -520,8 +523,8 @@ def test_second_call_builds_no_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_global_json_skips_the_text_only_discriminant(tmp_path, capsys, monkeypatch):
-    # the input's Delta is checked in both modes; only the text report needs
-    # the output's Delta
+    # the library checks the input's Delta, so the CLI computes none of its
+    # own; only the text report needs the output's Delta
     import g1min.cli
 
     seen = []
@@ -529,7 +532,189 @@ def test_global_json_skips_the_text_only_discriminant(tmp_path, capsys, monkeypa
     F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
     path = form22_file(tmp_path, F)
     assert main(["minimise", path, "--global", "--json"]) == 0
-    assert seen == [F]
+    assert seen == []
     assert main(["minimise", path, "--global"]) == 0
-    assert seen[1:] == [F, construct_22(0, 0, 0, 1)]
+    assert seen == [construct_22(0, 0, 0, 1)]
     assert capsys.readouterr().out.endswith("final Delta = -64\n")
+
+
+# ---------------------------------------------------------------------------
+# every refusal of every subcommand, with its exit code and exact stderr
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# two primes past the trial-division bound, so their product cannot be split
+_P = _next_prime(1 << 20)
+_PQ = _P * _next_prime(_P + 1)
+
+_REFUSAL_FILES = {
+    "bad.json": "{not json",
+    "unknown.json": {"kind": "sextic", "coeffs": []},
+    "short.json": {"kind": "quartic", "coeffs": ["1"]},
+    "hex.json": {"kind": "quartic", "coeffs": ["0x10", "0", "0", "0", "1"]},
+    "rational22.json": NON_INTEGRAL_22,
+    "quartic.json": {"kind": "quartic", "coeffs": ["1", "0", "0", "0", "1"]},
+    "rational.json": RATIONAL_QUARTIC,
+    "rational0.json": {"kind": "quartic", "coeffs": ["1/2", "0", "0", "0", "0"]},
+    "semiprime.json": {"kind": "quartic", "coeffs": ["1", "0", "0", "0", str(_PQ)]},
+    "cubic.json": {"kind": "cubic", "coeffs": list("1000001001")},
+    "cubic0.json": {"kind": "cubic", "coeffs": ["0"] * 10},
+    "zero22.json": {"kind": "form22", "coeffs": ["0"] * 9},
+    "form22.json": model_to_dict(construct_22(0, 0, 0, 1)),
+    "cube.json": model_to_dict(construct_cube(0, 0, 0, 1)),
+}
+
+_NOT_INTEGRAL = "model must be integral"
+_CUBIC = "ternary cubics are carried along, not minimised directly"
+_NO_FILE = "cannot read @missing.json: [Errno 2] No such file or directory: '@missing.json'"
+
+# id: (argv, exit code, stderr after "error: "); "@" stands for the file
+# directory.  An id naming two faults pins which check comes first.
+REFUSALS = {
+    "invariants/unreadable": (["invariants", "@missing.json"], 2, _NO_FILE),
+    "invariants/bad-json": (["invariants", "@bad.json"], 2,
+                            "invalid JSON in @bad.json: Expecting property name enclosed in"
+                            " double quotes: line 1 column 2 (char 1)"),
+    "invariants/unknown-kind": (["invariants", "@unknown.json"], 2,
+                                "bad model file @unknown.json: unknown model kind: 'sextic'"),
+    "invariants/coefficient-count": (["invariants", "@short.json"], 2,
+                                     "bad model file @short.json: kind quartic expects 5"
+                                     " coefficients"),
+    "invariants/bad-coefficient": (["invariants", "@hex.json"], 2,
+                                   "bad model file @hex.json: Invalid literal for Fraction:"
+                                   " '0x10'"),
+    "invariants/non-integral-form22": (["invariants", "@rational22.json"], 2, _NOT_INTEGRAL),
+
+    "minimise/unreadable": (["minimise", "@missing.json", "--prime", "5"], 2, _NO_FILE),
+    "minimise/non-integral-form22": (["minimise", "@rational22.json", "--prime", "5"], 2,
+                                     _NOT_INTEGRAL),
+    "minimise/cubic": (["minimise", "@cubic.json", "--prime", "2"], 3, _CUBIC),
+    "minimise/singular-cubic": (["minimise", "@cubic0.json", "--prime", "2"], 3, _CUBIC),
+    "minimise/cubic-composite-prime": (["minimise", "@cubic.json", "--prime", "6"], 3, _CUBIC),
+    "minimise/singular": (["minimise", "@zero22.json", "--prime", "2"], 4, "singular model"),
+    "minimise/singular-composite-prime": (["minimise", "@zero22.json", "--prime", "6"], 4,
+                                          "singular model"),
+    "minimise/non-integral": (["minimise", "@rational.json", "--prime", "3"], 2,
+                              _NOT_INTEGRAL),
+    "minimise/singular-non-integral": (["minimise", "@rational0.json", "--prime", "3"], 4,
+                                       "singular model"),
+    "minimise/non-integral-composite-prime": (["minimise", "@rational.json", "--prime", "6"],
+                                              2, _NOT_INTEGRAL),
+    "minimise/composite-prime": (["minimise", "@form22.json", "--prime", "6"], 2,
+                                 "6 is not prime"),
+    "minimise/no-prime": (["minimise", "@form22.json"], 2, "--prime is required"),
+    "minimise/cubic-no-prime": (["minimise", "@cubic.json"], 3, _CUBIC),
+    "minimise/singular-no-prime": (["minimise", "@zero22.json"], 4, "singular model"),
+    "minimise/non-integral-no-prime": (["minimise", "@rational.json"], 2, _NOT_INTEGRAL),
+
+    "global/cubic": (["minimise", "@cubic.json", "--global"], 3, _CUBIC),
+    "global/singular-cubic": (["minimise", "@cubic0.json", "--global"], 3, _CUBIC),
+    "global/singular": (["minimise", "@zero22.json", "--global"], 4, "singular model"),
+    "global/non-integral": (["minimise", "@rational.json", "--global"], 2, _NOT_INTEGRAL),
+    "global/singular-non-integral": (["minimise", "@rational0.json", "--global"], 4,
+                                     "singular model"),
+    "global/unfactored": (["minimise", "@semiprime.json", "--global", "--json"], 5,
+                          f"leftover cofactor {_PQ} is composite"),
+
+    "level/non-integral-form22": (["level", "@rational22.json", "--prime", "5"], 2,
+                                  _NOT_INTEGRAL),
+    "level/quartic": (["level", "@quartic.json", "--prime", "2"], 3,
+                      "level is not defined for kind quartic"),
+    "level/cubic": (["level", "@cubic.json", "--prime", "2"], 3,
+                    "level is not defined for kind cubic"),
+    "level/quartic-composite-prime": (["level", "@quartic.json", "--prime", "6"], 3,
+                                      "level is not defined for kind quartic"),
+    "level/composite-prime": (["level", "@form22.json", "--prime", "6"], 2, "6 is not prime"),
+    "level/singular": (["level", "@zero22.json", "--prime", "2"], 4, "singular model"),
+    "level/singular-composite-prime": (["level", "@zero22.json", "--prime", "6"], 2,
+                                       "6 is not prime"),
+
+    "construct/nothing": (["construct", "--type", "22"], 2,
+                          "either --curve or --critical is required"),
+    "construct/bad-curve": (["construct", "--curve", "1,2"], 2,
+                            "--curve expects four comma-separated integers"),
+    "construct/singular-22": (["construct", "--curve", "0,0,0,0", "--type", "22"], 4,
+                              "the marked curve is singular"),
+    "construct/singular-cube": (["construct", "--curve", "0,0,0,0", "--type", "cube"], 4,
+                                "the marked curve is singular"),
+    "construct/critical-no-prime": (["construct", "--critical", "cube"], 2,
+                                    "--prime is required"),
+    "construct/critical-composite-prime": (["construct", "--critical", "cube", "--prime", "4"],
+                                           2, "4 is not prime"),
+    "construct/critical-small-prime": (["construct", "--critical", "form22", "--prime", "3"],
+                                       2, "critical patterns are stated for p >= 5"),
+
+    "convert/non-integral-form22": (["convert", "2to3", "@rational22.json"], 2,
+                                    _NOT_INTEGRAL),
+    "convert/2to3-quartic": (["convert", "2to3", "@quartic.json"], 3,
+                             "2to3 needs a form22 model, got quartic"),
+    "convert/2to3-cube": (["convert", "2to3", "@cube.json"], 3,
+                          "2to3 needs a form22 model, got cube"),
+    "convert/2to3-corner": (["convert", "2to3", "@form22.json"], 3,
+                            "((1:0),(1:0)) is not on the curve: a11 != 0"),
+    "convert/3to2-form22": (["convert", "3to2", "@form22.json"], 3,
+                            "3to2 needs a cube model, got form22"),
+    "convert/3to2-cubic": (["convert", "3to2", "@cubic.json"], 3,
+                           "3to2 needs a cube model, got cubic"),
+    "convert/3to2-corner": (["convert", "3to2", "@cube.json"], 3,
+                            "the bilinear forms do not vanish at ((0:0:1),(0:0:1))"),
+
+    "oracle/non-integral-form22": (["oracle", "min22", "@rational22.json", "--prime", "2"], 2,
+                                   _NOT_INTEGRAL),
+    "oracle/cube": (["oracle", "min22", "@cube.json", "--prime", "2"], 3,
+                    "the minimality oracle works on form22 models, got cube"),
+    "oracle/cube-composite-prime": (["oracle", "min22", "@cube.json", "--prime", "6"], 3,
+                                    "the minimality oracle works on form22 models, got cube"),
+    "oracle/composite-prime": (["oracle", "min22", "@form22.json", "--prime", "6"], 2,
+                               "6 is not prime"),
+    "oracle/prime-bound": (["oracle", "min22", "@form22.json", "--prime", "7"], 2,
+                           "oracle limited to p <= 5"),
+    "oracle/singular-prime-bound": (["oracle", "min22", "@zero22.json", "--prime", "7"], 2,
+                                    "oracle limited to p <= 5"),
+    "oracle/singular": (["oracle", "min22", "@zero22.json", "--prime", "5"], 4,
+                        "singular model"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_keeps_its_exit_code_and_message(tmp_path, capsys, argv, code, message):
+    for name, doc in _REFUSAL_FILES.items():
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+    def at(s):
+        return s.replace("@", f"{tmp_path}/")
+
+    assert main([at(a) for a in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {at(message)}\n")
+
+
+@pytest.mark.parametrize("error, code", [
+    (RefusedInputError("refused"), 2),
+    (UnsupportedModelError("unsupported"), 3),
+    (SingularModelError("singular model"), 4),
+    (FactorizationError("unsplit"), 5),
+    (ValueError("plain"), 6),
+])
+def test_the_exit_code_follows_the_refusal_type(tmp_path, capsys, monkeypatch, error, code):
+    import g1min.cli
+
+    def refuse(*args):
+        raise error
+
+    for name in ("minimise", "minimise_global", "level", "critical_model", "construct_22",
+                 "convert_2to3", "oracle_minimality_22"):
+        monkeypatch.setattr(g1min.cli, name, refuse)
+    path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
+    prefix = "internal error" if code == 6 else "error"
+    for argv in (["minimise", path, "--prime", "5"], ["minimise", path, "--global"],
+                 ["level", path, "--prime", "5"], ["construct", "--critical", "cube",
+                                                   "--prime", "5"],
+                 ["construct", "--curve", "0,0,0,1"], ["convert", "2to3", path],
+                 ["oracle", "min22", path, "--prime", "5"]):
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", f"{prefix}: {error}\n")

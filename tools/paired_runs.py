@@ -57,6 +57,13 @@ def parse_seeds(text):
 
 def run_once(checkout, workload, seed, seconds):
     """(metric values, failed share) of one benchmark run in the given checkout."""
+    values, share, _ = run_with_meta(checkout, workload, seed, seconds)
+    return values, share
+
+
+def run_with_meta(checkout, workload, seed, seconds):
+    """run_once's (metric values, failed share), and the fields of the run's
+    '# meta' line ({} when it has none)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     # a fresh, empty bytecode cache per run: the cold imports of setup_s then
@@ -68,9 +75,12 @@ def run_once(checkout, workload, seed, seconds):
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return values, result["failed"] / max(result["attempted"], 1)
+    meta = next((json.loads(line[len("# meta "):]) for line in lines
+                 if line.startswith("# meta ")), {})
+    return values, result["failed"] / max(result["attempted"], 1), meta
 
 
 def _cell(quartiles):
