@@ -712,8 +712,8 @@ def test_the_exit_code_follows_the_refusal_type(tmp_path, capsys, monkeypatch, e
     path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
     prefix = "internal error" if code == 6 else "error"
     for argv in (["minimise", path, "--prime", "5"], ["minimise", path, "--global"],
-                 ["level", path, "--prime", "5"], ["construct", "--critical", "cube",
-                                                   "--prime", "5"],
+                 ["level", path, "--prime", "5"],
+                 ["construct", "--critical", "cube", "--prime", "5"],
                  ["construct", "--curve", "0,0,0,1"], ["convert", "2to3", path],
                  ["oracle", "min22", path, "--prime", "5"]):
         assert main(argv) == code
