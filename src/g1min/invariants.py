@@ -19,7 +19,8 @@ implementation bug (the CLI rejects non-integral (2,2)-forms, cubes and
 hypercubes before computing invariants).
 
 `c4_c6` gives the weight-4/6 pair of every kind from one derived form, and
-`discriminant` derives Delta from that pair; the global minimiser takes its
+`discriminant` derives Delta from that pair (`discriminant_from`, for a
+caller that holds the pair already); the global minimiser takes its
 candidate primes from gcd(c4, c6).
 """
 
@@ -43,7 +44,7 @@ def _exact_div(num, den, what):
     return q
 
 
-def _delta(kind, c4, c6):
+def discriminant_from(kind, c4, c6):
     """Delta from the weight-4/6 pair: (4 I^3 - J^2)/27 for quartics,
     (c4^3 - c6^2)/1728 for every other kind."""
     if kind == "quartic":
@@ -61,7 +62,7 @@ def _quartic_i_j(G):
 def quartic_invariants(G):
     """(I, J, Delta) of a binary quartic; exact (integral for integral input)."""
     i_inv, j_inv = _quartic_i_j(G)
-    return i_inv, j_inv, _delta("quartic", i_inv, j_inv)
+    return i_inv, j_inv, discriminant_from("quartic", i_inv, j_inv)
 
 
 # frozen invariant tables for ternary cubics: each term is (coefficient,
@@ -207,7 +208,7 @@ _C4_C6_TERMS = (_C4_TERMS, _C6_TERMS)  # one table: compiled into one function o
 def cubic_invariants(F):
     """(c4, c6, Delta) of a ternary cubic under the xyz normalisation."""
     c4, c6 = c4_c6(F)
-    return c4, c6, _delta("cubic", c4, c6)
+    return c4, c6, discriminant_from("cubic", c4, c6)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def form22_invariants(F):
     c4, c6 = _form22_c4_c6(g1)
     if _form22_c4_c6(g2) != (c4, c6):
         raise AssertionError("the two quartics of a (2,2)-form disagree on I, J")
-    disc = _delta("form22", c4, c6)
+    disc = discriminant_from("form22", c4, c6)
     a = F.rows
     xi = a[0][0] * a[2][2] + a[0][2] * a[2][0]
     eta = a[0][0] * a[1][1] * a[2][2]
@@ -298,7 +299,7 @@ def cube_invariants(S):
     for other in (f2, f3):
         if c4_c6(other) != (c4, c6):
             raise AssertionError("cube slicings disagree on c4, c6")
-    disc = _delta("cube", c4, c6)
+    disc = discriminant_from("cube", c4, c6)
     m0, n0, p0 = S.slices(0)
     # adj(la*N + mu*P) M = la^2 A + la mu B + mu^2 C
     a_mat = mat_mul(mat_adj(n0), m0)
@@ -380,4 +381,4 @@ def c4_c6(m):
 def discriminant(m):
     """Delta of any model kind, derived from c4_c6."""
     c4, c6 = c4_c6(m)
-    return _delta(m.kind, c4, c6)
+    return discriminant_from(m.kind, c4, c6)

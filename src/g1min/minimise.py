@@ -39,7 +39,7 @@ from .exactnum import (
     LocalContext, RefusedInputError, as_context, form_to_last, fp_inv, fp_left_kernel_vector,
     identity_matrix, is_prime, mat_mul, unimodular_with_row, valuation,
 )
-from .invariants import c4_c6, discriminant
+from .invariants import c4_c6, discriminant, discriminant_from
 from .models import (
     GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, UnsupportedModelError, act,
     content_valuation, cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
@@ -92,10 +92,10 @@ class MinimisationReport:
         return (self.v_disc_initial - self.v_disc_final) // 12
 
 
-def _checked_discriminant(m):
-    """Delta of an integral nonsingular model; a singular model raises
-    SingularModelError, then a non-integral one RefusedInputError."""
-    disc = discriminant(m)
+def _checked_discriminant(m, disc):
+    """disc, the Delta of m, once m passes the input checks: a singular
+    model raises SingularModelError, then a non-integral one
+    RefusedInputError."""
     if disc == 0:
         raise SingularModelError("singular model")
     if not is_integral(m):
@@ -125,7 +125,8 @@ class _Driver:
     """Work state: current model, accumulated certificate, step history."""
 
     def __init__(self, m, ctx):
-        disc = _checked_discriminant(m)  # the model's refusals come before the prime's
+        # the model's refusals come before the prime's
+        disc = _checked_discriminant(m, discriminant(m))
         self.ctx = as_context(ctx)
         self.p = self.ctx.p
         self.input = m
@@ -650,8 +651,8 @@ def minimise_global(m, factor=trial_division_factor):
     split g.  The model is refused as by `minimise` before any factoring.
     """
     _minimiser(m)
-    disc = _checked_discriminant(m)
     c4, c6 = c4_c6(m)
+    disc = _checked_discriminant(m, discriminant_from(m.kind, c4, c6))
     candidates = [p for p, _ in factor(gcd(c4, c6))
                   if valuation(c4, p) >= 4 and valuation(c6, p) >= 6
                   and valuation(disc, p) >= 12]

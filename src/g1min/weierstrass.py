@@ -1,6 +1,10 @@
-"""Integral Weierstrass equations, the exact group law, local minimal models
-(Tate's algorithm at any prime, including 2 and 3), kappa of a marked point,
-and the level of a genus-one model.
+"""Integral Weierstrass equations, the exact group law, local minimal models,
+kappa of a marked point, and the level of a genus-one model.
+
+At p >= 5 the local minimal model has a closed form: the model is
+non-minimal exactly when p^4 | c4 and p^6 | c6, and completing the square
+and the cube with u = p^k reaches the minimal one.  At p = 2 and 3 Tate's
+algorithm walks the reduction types.
 
 The level of an integral nonsingular model m with Jacobian data (E, P) is the
 integer l >= 0 in
@@ -245,10 +249,46 @@ def _step6_normalize(E, p):
 
 
 def tate_minimal(E, p):
-    """Local minimal model at p.  Returns (E_min, CurveMap, v(disc_min)).
+    """Local minimal model at p.  Returns (E_min, CurveMap, v(disc_min)),
+    the map holding ints with u a power of p.
+
+    At p >= 5 in closed form (Tate 1975; Silverman, AEC VII, Exercise 7.1):
+    with k = min(v(c4) // 4, v(c6) // 6) over the nonzero invariants, E is
+    minimal when k = 0, and otherwise u = p^k with the completing
+    translation r = -b2/12, s = -a1/2, t = -a3/2 + a1 b2/24 reaches the
+    minimal model.  Each transformed numerator is an integer polynomial in
+    r, s and t, so taking them mod p^(6k) keeps it divisible by p^(wk) for
+    every weight w <= 6.  At p = 2 and 3, Tate's walk.
+    """
+    if p < 5:
+        return _tate_walk(E, p)
+    disc = E.disc
+    if disc == 0:
+        raise ValueError("singular curve")
+    if not E.is_integral():
+        raise ValueError("curve must be integral")
+    v_disc = valuation(disc, p)
+    c4, c6 = E.c4, E.c6
+    if c4 % p ** 4 or c6 % p ** 6:
+        return E, CurveMap.identity(), v_disc
+    k = min(valuation(c, p) // w for c, w in ((c4, 4), (c6, 6)) if c)
+    q = p ** (6 * k)
+    r = -E.b2 * pow(12, -1, q) % q
+    s = -E.a1 * pow(2, -1, q) % q
+    t = (-E.a3 * pow(2, -1, q) + E.a1 * E.b2 * pow(24, -1, q)) % q
+    cmap = CurveMap(p ** k, r, s, t)
+    E_min = cmap.apply(E)
+    if not E_min.is_integral():
+        raise AssertionError("the closed-form minimal model is not integral")
+    return E_min, cmap, v_disc - 12 * k
+
+
+def _tate_walk(E, p):
+    """Tate's walk at any prime.  Returns (E_min, CurveMap, v(disc_min)).
 
     Follows the standard reduction-type walk; every branch except the final
-    u = p rescaling terminates with a minimal equation.
+    u = p rescaling terminates with a minimal equation.  `tate_minimal`
+    takes it at p = 2 and 3; at p >= 5 it is the closed form's test oracle.
     """
     if E.disc == 0:
         raise ValueError("singular curve")

@@ -76,9 +76,10 @@ def perturb_entries(m, scale, rng, bound=2):
 
 
 def kodaira_family(p):
-    """One curve per branch of the Tate walk, typed for p >= 5: I_n, II, III,
+    """One curve per branch of Tate's walk, typed for p >= 5: I_n, II, III,
     IV, I0*, I_m*, IV*, III*, II*, and a non-minimal one; plus the same curves
-    scaled by u = p, which reach the walk at every prime."""
+    scaled by u = p.  `tate_minimal` walks them at p = 2 and 3 only; at every
+    prime they reach the walk through `weierstrass._tate_walk`."""
     base = [
         (0, 1, 0, 0, p ** 3), (0, 1, 0, 0, p ** 12), (0, 0, 0, 0, p), (0, 0, 0, p, 0),
         (0, 0, 0, 0, p * p), (0, 0, 0, -p * p, 0), (0, p, 0, 0, p ** 4),

@@ -385,6 +385,24 @@ def test_critical_models_give_their_verdicts():
             assert rep.input_was_minimal and rep.verdict is verdict
 
 
+@pytest.mark.parametrize("kind", ["form22", "cube", "hypercube"])
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 65537, 2 ** 61 - 1])
+def test_inflated_critical_models_return(kind, p):
+    # a critical model is minimal of positive level, so minimising any
+    # inflation of it must come back to its v(Delta) and its level
+    ctx = LocalContext(p)
+    rng = random.Random(f"orbit:{kind}:{p}")
+    for _ in range(12):
+        m = critical_model(kind, ctx, rng)
+        v_disc, lvl = valuation(discriminant(m), p), level(m, ctx).level
+        assert lvl >= 1
+        for moves in (1, 2):
+            inflated, _ = inflate(m, ctx, rng, moves=moves)
+            rep = minimise(inflated, ctx)
+            assert rep.v_disc_final == v_disc, (m, moves)
+            assert level(rep.model, ctx).level == lvl
+
+
 def test_hypercube_chain_overrun_raises(monkeypatch):
     # hypercube minimality is decided by its forms, so the chain bound is a
     # theorem: reaching it is a bug, not a verdict
@@ -478,6 +496,31 @@ def test_global_with_a_zero_invariant():
         rep = minimise_global(m)
         assert (rep.model, rep.transformation, rep.primes) == _global_reference(m)
         assert rep.primes == (2, 3)
+
+
+def test_global_evaluates_the_input_invariants_once(monkeypatch):
+    # minimise_global derives Delta from the one (c4, c6) it factors; each
+    # candidate prime's local run evaluates its own model's pair once more
+    import importlib
+
+    import g1min.invariants as invariants
+
+    minimise_module = importlib.import_module("g1min.minimise")
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return c4_c6(m)
+
+    monkeypatch.setattr(invariants, "c4_c6", counted)
+    monkeypatch.setattr(minimise_module, "c4_c6", counted)
+    F = construct_22(0, 0, 0, 1)
+    for m, primes in ((F, ()), (scalar_multiply(F, 6), (2, 3))):
+        seen.clear()
+        rep = minimise_global(m)
+        assert rep.primes == primes
+        assert len(seen) == 1 + len(primes)
+        assert seen[0] == m
 
 
 def test_trial_division_factor():

@@ -17,7 +17,7 @@ from g1min.residue import (
     repeated_root,
 )
 from g1min.weierstrass import (
-    WeierstrassCurve, _fp_cubic_roots, _singular_point_mod_p, tate_minimal,
+    WeierstrassCurve, _fp_cubic_roots, _singular_point_mod_p, _tate_walk,
 )
 import g1min.weierstrass as weierstrass
 
@@ -306,7 +306,7 @@ def test_tate_singular_point_and_walk_match_scan(p, monkeypatch):
             curves.append(E)
     for E in curves:
         assert _singular_point_mod_p(E, p) == scans._singular_point_mod_p(E, p), E
-    walks = [tate_minimal(E, p) for E in curves]
+    walks = [_tate_walk(E, p) for E in curves]
     monkeypatch.setattr(weierstrass, "_fp_cubic_roots", scans._fp_cubic_roots)
     monkeypatch.setattr(weierstrass, "_singular_point_mod_p", scans._singular_point_mod_p)
-    assert walks == [tate_minimal(E, p) for E in curves]
+    assert walks == [_tate_walk(E, p) for E in curves]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from g1min import (
     point_double, point_mul, point_neg, scalar_multiply, tate_minimal,
     valuation,
 )
+from g1min.weierstrass import _kappa_on_minimal, _tate_walk
 
 from conftest import kodaira_family
 
@@ -304,3 +306,74 @@ def test_marked_points_stay_int_through_tate(p):
             fractions += any(type(c) is Fraction for c in Q)
             assert kappa(P, E, LocalContext(p)) == _fraction_kappa(P, E, p)
     assert ints and fractions
+
+
+CLOSED_FORM_PRIMES = [5, 7, 11, 101, 1009, 65537, 2 ** 61 - 1]
+
+
+def _closed_form_inputs(p, rng):
+    """(curve, points on it): the Kodaira family, then random curves scaled
+    by p^k (k <= 3) and translated by a random integral (r, s, t), with the
+    small points of the unscaled curve carried along."""
+    cases = [(E, _small_points(E)) for E in kodaira_family(p)]
+    for k in (0, 1, 2, 3):
+        for _ in range(10):
+            E0 = random_curve(rng)
+            r, s, t = (rng.randrange(-p ** 2, p ** 2) for _ in range(3))
+            scale, move = CurveMap(Fraction(1, p ** k), 0, 0, 0), CurveMap(1, r, s, t)
+            E = move.apply(scale.apply(E0))
+            points = [move.apply_point(scale.apply_point(P)) for P in _small_points(E0)]
+            cases.append((E, _small_points(E) + points))
+    return cases
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
+def test_closed_form_matches_the_walk(p):
+    # at p >= 5 tate_minimal answers in closed form; the walk is its oracle:
+    # the same v(Delta_min) and u, an int map onto the model it returns, and
+    # the same kappa of every point, rational ones included
+    rng = random.Random(7100 + p % 1000)
+    rescaled = positive = 0
+    for E, pts in _closed_form_inputs(p, rng):
+        assert E.is_integral() and E.disc != 0
+        Emin, cmap, vmin = tate_minimal(E, p)
+        _, walk_map, walk_vmin = _tate_walk(E, p)
+        assert vmin == walk_vmin, E
+        assert all(type(x) is int for x in (cmap.u, cmap.r, cmap.s, cmap.t)), E
+        k, rem = divmod(valuation(E.disc, p) - vmin, 12)
+        assert rem == 0 and cmap.u == p ** k == walk_map.u, E
+        assert cmap.apply(E) == Emin and Emin.is_integral()
+        assert valuation(Emin.disc, p) == vmin
+        for P in pts:
+            assert on_curve(E, P)
+            kap = kappa(P, E, LocalContext(p))
+            assert kap == _kappa_on_minimal(P, walk_map, p)
+            positive += kap > 0
+        rescaled += k > 0
+    assert rescaled and positive
+    for bad in (WeierstrassCurve(0, 0, 0, 0, 0), WeierstrassCurve(Fraction(1, 2), 0, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            tate_minimal(bad, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_level_takes_no_walk_at_large_primes(monkeypatch, rng, p):
+    import g1min.weierstrass as weierstrass
+    from conftest import nonzero_disc, random_hypercube
+    from g1min import construct_cube
+
+    calls = []
+
+    def counted(E, q):
+        calls.append(q)
+        return _tate_walk(E, q)
+
+    monkeypatch.setattr(weierstrass, "_tate_walk", counted)
+    models = [construct_22(0, 0, 0, 1), construct_cube(0, 0, 0, 1),
+              nonzero_disc(random_hypercube, rng)]
+    for m in models:
+        level(m, LocalContext(p))
+        level(scalar_multiply(m, p), LocalContext(p))
+    assert calls == []
+    level(models[0], LocalContext(3))
+    assert calls == [3]
