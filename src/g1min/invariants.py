@@ -16,7 +16,8 @@ weight-2/3 invariants u = 12 xi + b2 and v = 2 eta + a1 xi + a3 satisfying
 a4 and a6 are recovered from c4 and c6 by exact divisions that double as
 integrality checks; on an integral model a division failure signals an
 implementation bug (the CLI rejects non-integral (2,2)-forms, cubes and
-hypercubes before computing invariants).
+hypercubes before computing invariants, and `refuse_non_integral` serves the
+library's own refusals).
 
 `c4_c6` gives the weight-4/6 pair of every kind from one derived form, and
 `discriminant` derives Delta from that pair (`discriminant_from`, for a
@@ -27,10 +28,10 @@ candidate primes from gcd(c4, c6).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import det_matrix, mat_adj, mat_mul
+from .exactnum import RefusedInputError, det_matrix, mat_adj, mat_mul
 from .models import (
-    HYPERCUBE_PAIRS, _compiled, _num, _straight_line, cubic_of_cube, cubics_of_cube,
-    form_of_hypercube, forms_of_hypercube, quartics_of_22,
+    HYPERCUBE_PAIRS, SingularModelError, _compiled, _num, _straight_line, cubic_of_cube,
+    cubics_of_cube, form_of_hypercube, forms_of_hypercube, quartics_of_22, scalar_clear,
 )
 
 
@@ -228,11 +229,6 @@ class InvariantSet:
     def point(self):
         return (self.xi, self.eta)
 
-    def curve(self):
-        from .weierstrass import WeierstrassCurve
-
-        return WeierstrassCurve(*self.a_invariants)
-
 
 def _a4_a6_from(c4, c6, a1, a2, a3, what):
     b2 = a1 * a1 + 4 * a2
@@ -382,3 +378,13 @@ def discriminant(m):
     """Delta of any model kind, derived from c4_c6."""
     c4, c6 = c4_c6(m)
     return discriminant_from(m.kind, c4, c6)
+
+
+def refuse_non_integral(m):
+    """Refuse a non-integral model: SingularModelError when Delta = 0, else
+    RefusedInputError.  Delta = 0 is decided on scalar_clear(m)[0], whose
+    Delta vanishes with m's (it is homogeneous in the coefficients), as some
+    kinds' formulas divide exactly only on integral models."""
+    if discriminant(scalar_clear(m)[0]) == 0:
+        raise SingularModelError("singular model")
+    raise RefusedInputError("model must be integral")

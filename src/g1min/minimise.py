@@ -4,8 +4,10 @@ One loop, `_Driver.run`, serves every kind.  While v(Delta) >= 12 it divides
 out content and asks the kind's step for the next move: a level-lowering
 move, a level-keeping one, or a verdict that the model is minimal.  The
 structure theorems guarantee that a non-minimal model always admits a move,
-so the fixpoint is minimal.  Every committed move is an exact group element;
-the report's transformation g satisfies act(g, input) == final, checked at
+so the fixpoint is minimal.  Every move a step proposes is one group element,
+built as it is stored (int matrices, one Fraction scalar), and is recorded as
+one Step; the cube procedure composes its stretch and absorbs into one move.
+The report's transformation g satisfies act(g, input) == final, checked at
 construction.  Trailing level-neutral exploration is rolled back, so an
 already-minimal input comes back unchanged with an empty trace.
 
@@ -36,10 +38,10 @@ from functools import partial
 from math import gcd
 
 from .exactnum import (
-    LocalContext, RefusedInputError, as_context, form_to_last, fp_inv, fp_left_kernel_vector,
+    LocalContext, as_context, form_to_last, fp_inv, fp_left_kernel_vector,
     identity_matrix, is_prime, mat_mul, unimodular_with_row, valuation,
 )
-from .invariants import c4_c6, discriminant, discriminant_from
+from .invariants import c4_c6, discriminant_from, refuse_non_integral
 from .models import (
     GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, UnsupportedModelError, act,
     content_valuation, cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
@@ -92,29 +94,32 @@ class MinimisationReport:
         return (self.v_disc_initial - self.v_disc_final) // 12
 
 
-def _checked_discriminant(m, disc):
-    """disc, the Delta of m, once m passes the input checks: a singular
+def _checked_invariants(m):
+    """(c4, c6, Delta) of m once it passes the input checks: a singular
     model raises SingularModelError, then a non-integral one
-    RefusedInputError."""
+    RefusedInputError (`refuse_non_integral`)."""
+    if not is_integral(m):
+        refuse_non_integral(m)
+    c4, c6 = c4_c6(m)
+    disc = discriminant_from(m.kind, c4, c6)
     if disc == 0:
         raise SingularModelError("singular model")
-    if not is_integral(m):
-        raise RefusedInputError("model must be integral")
-    return disc
+    return c4, c6, disc
 
 
 @dataclass(frozen=True)
 class _Move:
-    """A move proposed by a step.  `drop` is the fall of v(Delta) it must
-    cause (None: unchecked); `chained` moves keep the level and count toward
-    the neutral-chain bound; `then` finishes a multi-move procedure."""
+    """A move proposed by a step: one group element, recorded as one Step.
+    `drop` is the fall of v(Delta) it must cause (None: unchecked);
+    `chained` moves keep the level and count toward the neutral-chain bound;
+    `model` is act(g, cur) when the step has it already."""
 
     g: GroupElement
     label: str
     detail: tuple = ()
     drop: int = None
     chained: bool = False
-    then: object = None
+    model: object = None
 
 
 # the theory's bound on consecutive level-keeping moves (cubes: procedures)
@@ -126,7 +131,7 @@ class _Driver:
 
     def __init__(self, m, ctx):
         # the model's refusals come before the prime's
-        disc = _checked_discriminant(m, discriminant(m))
+        disc = _checked_invariants(m)[2]
         self.ctx = as_context(ctx)
         self.p = self.ctx.p
         self.input = m
@@ -159,27 +164,23 @@ class _Driver:
             move = proposal[0] if isinstance(proposal, tuple) else proposal
             if move.chained and chain >= bound:
                 return self.report(Verdict.NEUTRAL_CHAIN_BOUND, max_chain)
-            moved = None
+            moved = move.model
             if isinstance(proposal, tuple):
-                move, moved = next(((c, x) for c in proposal for x in (self.candidate(c.g),)
+                move, moved = next(((c, x) for c in proposal for x in (act(c.g, self.cur),)
                                     if is_integral(x)), (None, None))
                 if move is None:
                     return self.report(Verdict.NO_INTEGRAL_LANDING, max_chain)
             v_before = self.v
             self.apply(move.g, move.label, move.detail, move.drop, model=moved)
-            if move.then is not None:
-                move.then(self)
             if self.v > v_before:  # landed above the level: roll back
                 return self.report(Verdict.NO_INTEGRAL_LANDING, max_chain)
             chain = chain + 1 if move.chained and self.v == v_before else 0
             max_chain = max(max_chain, chain)
         return self.report(Verdict.BELOW_12, max_chain)
 
-    def apply(self, move, label, detail=(), expect_drop=None, merge=False, model=None):
-        """Apply one move; `model` is act(move, cur) when the caller already
-        has it from candidate().  With merge=True the move is folded into the
-        last recorded step (used for multi-move procedures that must appear
-        as a single step with non-increasing v(Delta))."""
+    def apply(self, move, label, detail=(), expect_drop=None, model=None):
+        """Apply one move and record it as one Step; `model` is
+        act(move, cur) when the caller has it already."""
         v_before = self.v
         new_model = act(move, self.cur) if model is None else model
         if not is_integral(new_model):
@@ -190,16 +191,7 @@ class _Driver:
         self.cur = new_model
         self.g = move.compose(self.g)
         self.v = v_new
-        if merge and self.records:
-            prev = self.records[-1][0]
-            self.records[-1] = (Step(prev.label, prev.v_disc_before, v_new, prev.detail),
-                                new_model, self.g, v_new)
-        else:
-            self.records.append((Step(label, v_before, v_new, detail),
-                                 new_model, self.g, v_new))
-
-    def candidate(self, move):
-        return act(move, self.cur)
+        self.records.append((Step(label, v_before, v_new, detail), new_model, self.g, v_new))
 
     def report(self, verdict, max_neutral_chain):
         v_final = min((v for _, _, _, v in self.records), default=self.v_initial)
@@ -229,19 +221,20 @@ def _row_move(point, p):
     return unimodular_with_row(point, p, 0)
 
 
-def _axis_move(kind, matrix, axis):
+def _axis_move(kind, matrix, axis, scalar=1):
     """The group element acting by `matrix` along one tensor axis."""
     mats = [identity_matrix(n) for n in SPECS[kind].matrix_sizes]
     mats[axis] = matrix
-    return GroupElement(kind, 1, tuple(mats))
+    return GroupElement(kind, scalar, tuple(mats))
 
 
-def _absorb_matrix(ker, p):
-    """Unimodular change making the kernel vector the last row, which is
-    then divided by p."""
-    n = len(ker)
-    u = unimodular_with_row(ker, p, n - 1)
-    return mat_mul(_diag(*(1,) * (n - 1), Fraction(1, p)), u)
+def _absorb(kind, ker, p, axis):
+    """The move along one axis dividing by p the slice combination `ker`
+    (dependent mod p): diag(1, ..., 1, 1/p) u, u unimodular with last row ker
+    mod p, stored as u with its other rows times p and the scalar 1/p."""
+    u = unimodular_with_row(ker, p, len(ker) - 1)
+    return _axis_move(kind, tuple(tuple(p * x for x in row) for row in u[:-1]) + (u[-1],),
+                      axis, Fraction(1, p))
 
 
 def _desaturation(d):
@@ -250,8 +243,7 @@ def _desaturation(d):
     defect = saturation_defect(d.cur, d.ctx)
     if defect is not None:
         axis, ker = defect
-        return _Move(_axis_move(d.cur.kind, _absorb_matrix(ker, d.p), axis), "desaturate",
-                     (axis,), 12)
+        return _Move(_absorb(d.cur.kind, ker, d.p, axis), "desaturate", (axis,), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +319,12 @@ def is_minimal_22(F, ctx):
 # 3x3x3 cubes
 
 
-def _absorb_axis(d, axis, label):
-    """Absorb p from dependent slices along one axis until independent."""
-    while (ker := fp_left_kernel_vector(d.cur.axis_slices(axis), d.p)) is not None:
-        d.apply(_axis_move("cube", _absorb_matrix(ker, d.p), axis), label, detail=(axis,),
-                expect_drop=12, merge=True)
-
-
 def _cube_step(d):
     """Desaturate, or stretch the two axes whose determinantal cubics share a
-    repeated line or a unique singular point and absorb along the third."""
+    repeated line or a unique singular point and absorb along the third: the
+    stretch, then one absorb for each dependence of the spare axis's slices
+    mod p, composed into one move.  Each absorb must land integrally and
+    lower v(Delta) by exactly 12."""
     desaturate = _desaturation(d)
     if desaturate is not None:
         return desaturate
@@ -357,8 +345,15 @@ def _cube_step(d):
             mats[a] = mat_mul(_diag(1, 1, p), form_to_last(classes[a].factor, p))
         else:
             mats[a] = mat_mul(_diag(1, p, p), _row_move(classes[a].point, p))
-    return _Move(GroupElement("cube", 1, tuple(mats)), mode, tuple(axes), chained=True,
-                 then=lambda d: _absorb_axis(d, spare, mode + "-absorb"))
+    g = GroupElement("cube", 1, tuple(mats))
+    landed = act(g, d.cur)
+    while (ker := fp_left_kernel_vector(landed.axis_slices(spare), p)) is not None:
+        absorb = _absorb("cube", ker, p, spare)
+        landed = act(absorb, landed)
+        if not is_integral(landed) or valuation(absorb.chi(), p) != -1:
+            raise AssertionError(f"step {mode}-absorb must land integrally, v(Delta) 12 lower")
+        g = absorb.compose(g)
+    return _Move(g, mode, tuple(axes), chained=True, model=landed)
 
 
 def minimise_cube(S, ctx):
@@ -405,11 +400,6 @@ def _clear_axis_entry(d, axis, pivot_idx, target_idx):
     m = [[1, 0], [0, 1]]
     m[hi][1 - hi] = -t
     d.apply(_hyper_axis_move(tuple(tuple(r) for r in m), axis), "entry-clear", expect_drop=0)
-
-
-def _require_desaturation(d):
-    if saturation_defect(d.cur, d.ctx) is None:
-        raise InternalBoundError("doubly-degenerate step failed to desaturate")
 
 
 def _hypercube_step(d):
@@ -504,7 +494,7 @@ def _hypercube_step(d):
     if h(1, 0, 0, 0):
         raise InternalBoundError("valuation pattern of a non-minimal form violated")
 
-    stretch = _hyper_move((_diag(Fraction(1, p), 1), _diag(1, p), _I2, _I2))
+    stretch = GroupElement("hypercube", Fraction(1, p), (_diag(1, p), _diag(1, p), _I2, _I2))
     star = h(1, 1, 0, 0) == 0 and h(1, 0, 1, 0) == 0 and h(1, 0, 0, 1) == 0
     if not star:
         if h(1, 1, 0, 0) == 0:
@@ -548,7 +538,10 @@ def _hypercube_step(d):
     if axis != 3:
         d.apply(_hyper_move(perm=_swap_axes_perm(axis, 3)), "relabel-axes", expect_drop=0)
     # keeps the level but leads to a desaturation, so it does not chain
-    return _Move(stretch, "stretch-slender", drop=0, then=_require_desaturation)
+    landed = act(stretch, d.cur)
+    if is_integral(landed) and saturation_defect(landed, ctx) is None:
+        raise InternalBoundError("doubly-degenerate step failed to desaturate")
+    return _Move(stretch, "stretch-slender", drop=0, model=landed)
 
 
 def minimise_hypercube(H, ctx):
@@ -590,7 +583,8 @@ def _minimiser(m):
 def minimise(m, ctx):
     """Minimise any supported model kind at one prime.  Refusals come in the
     order kind (UnsupportedModelError), Delta = 0 (SingularModelError),
-    integrality, then the prime (both RefusedInputError)."""
+    integrality, then the prime (both RefusedInputError); Delta = 0 of a
+    non-integral model is decided on its primitive integral multiple."""
     return _minimiser(m)(m, ctx)
 
 
@@ -651,8 +645,7 @@ def minimise_global(m, factor=trial_division_factor):
     split g.  The model is refused as by `minimise` before any factoring.
     """
     _minimiser(m)
-    c4, c6 = c4_c6(m)
-    disc = _checked_discriminant(m, discriminant_from(m.kind, c4, c6))
+    c4, c6, disc = _checked_invariants(m)
     candidates = [p for p, _ in factor(gcd(c4, c6))
                   if valuation(c4, p) >= 4 and valuation(c6, p) >= 6
                   and valuation(disc, p) >= 12]

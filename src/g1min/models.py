@@ -17,24 +17,25 @@ The constructors take the nested layouts; `rows`, `entries`, `at`, `slices`,
 Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
 scalar, one int matrix per tensor factor, and (for hypercubes only) a
-permutation of the four factors; their one constructor clears rational matrix
-entries into the scalar and rejects singular matrices.  Every kind is a tensor
-space on which the group acts one factor at a time, so one routine, `act`,
-serves them all; the per-kind entry in SPECS records the tensor shape, the
-matrix sizes, the matrix each group matrix induces on its tensor axis (Sym^4,
-Sym^2 or Sym^3 of it for quartics, (2,2)-forms and ternary cubics, the matrix
-itself for cubes and hypercubes) and the powers of the scalar in `act` and in
-`chi`; a ternary cubic goes to mu F((x, y, z) A), so its discriminant scales
-by (mu det A)^12.  The one substitution, `sym_power_matrix(A, k)`, serves forms
-in n = len(A) variables from an index table of (coefficient, (flat positions
-of A...)) terms per (n, k).  `act` is integer: it contracts with the int
-matrices, multiplies by the scalar numerator's power and divides
-exactly by its denominator's, so a coefficient is a Fraction only where that
-division leaves a remainder.  A factor equal to the identity costs nothing:
-`act` skips its contraction and `GroupElement.compose` its matrix product, so
-axis moves, permutations, scalings and the identity certificate do work only
-on the factors they change.  `scalar_clear` returns an integral primitive copy
-together with the multiplier.
+permutation of the four factors; their one constructor only validates, and
+only the certificate reader clears rational matrix entries into the scalar.
+Every kind is a tensor space on which the group acts one factor at a time, so
+one routine, `act`, serves them all; the per-kind entry in SPECS records the
+tensor shape, the matrix sizes, the matrix each group matrix induces on its
+tensor axis (Sym^4, Sym^2 or Sym^3 of it for quartics, (2,2)-forms and ternary
+cubics, the matrix itself for cubes and hypercubes) and the powers of the
+scalar in `act` and in `chi`; a ternary cubic goes to mu F((x, y, z) A), so
+its discriminant scales by (mu det A)^12.  The one substitution,
+`sym_power_matrix(A, k)`, serves forms in n = len(A) variables from an index
+table of (coefficient, (flat positions of A...)) terms per (n, k).  `act` is
+integer: it contracts with the int matrices, multiplies by the scalar
+numerator's power and divides exactly by its denominator's, so a coefficient
+is a Fraction only where that division leaves a remainder.  A factor equal to
+the identity costs nothing: `act` skips its contraction and
+`GroupElement.compose` its matrix product, so axis moves, permutations,
+scalings and the identity certificate do work only on the factors they
+change.  `scalar_clear` returns an integral primitive copy together with the
+multiplier.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
 hypercube, two quartics of a (2,2)-form) come from index tables built at import.
@@ -236,9 +237,6 @@ class TwoTwoForm(_Model):
         c = self.coeffs
         return (c[0:3], c[3:6], c[6:9])
 
-    def entry(self, r, c):
-        return self.coeffs[3 * r + c]
-
     def x_quadratics(self):
         """(F1, F2, F3) with F = F1(x) y1^2 + F2(x) y1 y2 + F3(x) y2^2."""
         c = self.coeffs
@@ -416,11 +414,11 @@ class GroupElement:
     """A transformation: scalar, one matrix per tensor factor, and for
     hypercubes an optional permutation of the four factors (applied first).
 
-    The matrices are stored with int entries and the scalar as a Fraction.
-    Entries may be given as ints or Fractions: a matrix with a Fraction entry
-    is multiplied by the lcm d of its entries' denominators and the scalar
-    divided by d ** (n / chi_power), n the matrix size, which leaves the
-    action and chi unchanged."""
+    The constructor only validates: every matrix entry must be an int
+    (ValueError otherwise) and every matrix nonsingular; the scalar is stored
+    as a Fraction.  A move is built as it is stored, any denominators of its
+    matrices already in the scalar; `group_element_from_dict` clears the
+    rational entries of certificates written by earlier versions."""
 
     kind: str
     scalar: Fraction
@@ -431,19 +429,15 @@ class GroupElement:
         spec = SPECS[self.kind]
         if tuple(len(m) for m in self.matrices) != spec.matrix_sizes:
             raise ValueError(f"wrong matrix sizes for kind {self.kind}")
-        scalar = self.scalar if type(self.scalar) is Fraction else Fraction(self.scalar)
-        mats = []
-        for m in self.matrices:
-            if all(type(x) is int for row in m for x in row):
-                mats.append(tuple(map(tuple, m)))
-            else:
-                d = lcm(*(x.denominator for row in m for x in row))
-                scalar /= d ** (len(m) // spec.chi_power)
-                mats.append(tuple(tuple(int(x * d) for x in row) for row in m))
-            if det_matrix(mats[-1]) == 0:
+        mats = tuple(tuple(map(tuple, m)) for m in self.matrices)
+        for m in mats:
+            if any(type(x) is not int for row in m for x in row):
+                raise ValueError("group element matrices take int entries")
+            if det_matrix(m) == 0:
                 raise ValueError("singular matrix in group element")
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "matrices", tuple(mats))
+        if type(self.scalar) is not Fraction:
+            object.__setattr__(self, "scalar", Fraction(self.scalar))
+        object.__setattr__(self, "matrices", mats)
         if not spec.permutes_axes:
             if self.perm is not None:
                 raise ValueError("permutations only apply to hypercubes")
@@ -482,7 +476,8 @@ class GroupElement:
 
     def inverse(self):
         """The inverse, with adjugate matrices: A^-1 = adj(A) / det(A), and
-        each det(A) folded into the scalar as the constructor folds d."""
+        each det(A) folded into the scalar as the certificate reader folds
+        a denominator."""
         chi_power = SPECS[self.kind].chi_power
         mats, perm = self.matrices, None
         if self.perm is not None:
@@ -682,8 +677,18 @@ def group_element_to_dict(g):
 
 
 def group_element_from_dict(d):
-    mats = tuple(
-        tuple(tuple(_parse_coeff(x) for x in row) for row in m) for m in d["matrices"]
-    )
+    """The group element of a certificate.  A matrix with a Fraction entry
+    (certificates written by earlier versions hold them) is multiplied by the
+    lcm m of its denominators and the scalar divided by m ** (n / chi_power),
+    n the matrix size, which leaves the action and chi unchanged."""
+    scalar = Fraction(d["scalar"])
+    mats = []
+    for rows in d["matrices"]:
+        mat = tuple(tuple(_parse_coeff(x) for x in row) for row in rows)
+        if any(type(x) is Fraction for row in mat for x in row):
+            m = lcm(*(x.denominator for row in mat for x in row))
+            scalar /= m ** (len(mat) // SPECS[d["kind"]].chi_power)
+            mat = tuple(tuple(int(x * m) for x in row) for row in mat)
+        mats.append(mat)
     perm = tuple(d["perm"]) if "perm" in d else None
-    return GroupElement(d["kind"], Fraction(d["scalar"]), mats, perm)
+    return GroupElement(d["kind"], scalar, tuple(mats), perm)

@@ -185,17 +185,6 @@ def _singular_points_22(F, rows, p):
     return pts
 
 
-def _quadratic_repeated_point(coeffs, p):
-    """The double root of a quadratic form, or None (always rational if any)."""
-    if all(c % p == 0 for c in coeffs):
-        return None
-    roots = binary_roots(coeffs, p)
-    for pt, m in roots:
-        if m >= 2:
-            return pt
-    return None
-
-
 def classify_22_residue(F, ctx):
     """Classify the reduction mod p of a (2,2)-form, with witnesses."""
     p = ctx.p
@@ -209,8 +198,8 @@ def classify_22_residue(F, ctx):
     inv = fp_inv(h[c0], p)
     g = tuple(rows[r][c0] * inv % p for r in range(3))
     if all(rows[r][c] == g[r] * h[c] % p for r in range(3) for c in range(3)):
-        xr = _quadratic_repeated_point(g, p)
-        yr = _quadratic_repeated_point(h, p)
+        xr = repeated_root(g, p)  # g and h are nonzero
+        yr = repeated_root(h, p)
         if xr is not None and yr is not None:
             return Residue22Class(TAG_PRODUCT_BOTH, x_root=xr, y_root=yr)
         if xr is not None:

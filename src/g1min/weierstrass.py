@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import INFINITY, as_context, fp_inv, fp_poly_roots, quotient, valuation
-from .invariants import cube_invariants, form22_invariants, hypercube_invariants
-from .models import SingularModelError, UnsupportedModelError
+from .invariants import (
+    cube_invariants, form22_invariants, hypercube_invariants, refuse_non_integral,
+)
+from .models import SingularModelError, UnsupportedModelError, is_integral
 
 
 @dataclass(frozen=True)
@@ -429,11 +431,13 @@ _MARKED_INVARIANTS = {
 
 def level(m, ctx):
     """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube.
-    Refusals come in the order kind, prime, Delta = 0."""
+    Refusals come in the order kind, prime, Delta = 0, integrality."""
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
         raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
     p = as_context(ctx).p
+    if not is_integral(m):
+        refuse_non_integral(m)
     invs = marked(m)
     disc = invs[0].disc
     if disc == 0:

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -11,10 +12,11 @@ from g1min import (
     SingularModelError, Verdict, critical_model, oracle_minimality_22, scalar_multiply,
     valuation,
 )
+from g1min.exactnum import identity_matrix, mat_mul, unimodular_with_row
 from g1min.minimise import (
-    _CHAIN_BOUNDS, FactorizationError, InternalBoundError, trial_division_factor,
+    _CHAIN_BOUNDS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
 )
-from g1min.models import SPECS
+from g1min.models import SPECS, group_element_from_dict, group_element_to_dict
 
 from conftest import (
     HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
@@ -401,6 +403,59 @@ def test_inflated_critical_models_return(kind, p):
             rep = minimise(inflated, ctx)
             assert rep.v_disc_final == v_disc, (m, moves)
             assert level(rep.model, ctx).level == lvl
+
+
+def _with_rational_matrices(g, matrices):
+    """The certificate of g with its matrices replaced by rational ones."""
+    doc = group_element_to_dict(g)
+    doc["scalar"] = "1"
+    doc["matrices"] = [[[str(x) for x in row] for row in m] for m in matrices]
+    return doc
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 2 ** 61 - 1])
+def test_int_built_moves_equal_their_rational_forms(p):
+    # the absorb diag(1, ..., 1, 1/p) u and the hypercube stretch
+    # (diag(1/p, 1), diag(1, p), I, I) are built with int matrices and the
+    # scalar 1/p; the certificate reader clears their rational forms to the
+    # same elements
+    rng = random.Random(f"absorb:{p}")
+    for kind in ("cube", "hypercube"):
+        sizes = SPECS[kind].matrix_sizes
+        for axis, n in enumerate(sizes):
+            for _ in range(8):
+                ker = tuple(rng.randrange(p) for _ in range(n))
+                if not any(ker):
+                    continue
+                g = _absorb(kind, ker, p, axis)
+                assert g.scalar == Fraction(1, p)
+                assert g.matrices[axis][-1] == unimodular_with_row(ker, p, n - 1)[-1]
+                mats = [identity_matrix(k) for k in sizes]
+                divide_last = tuple(tuple(Fraction(1, p) if i == j == n - 1 else int(i == j)
+                                          for j in range(n)) for i in range(n))
+                mats[axis] = mat_mul(divide_last, unimodular_with_row(ker, p, n - 1))
+                assert g == group_element_from_dict(_with_rational_matrices(g, mats))
+    i2 = identity_matrix(2)
+    stretch = GroupElement("hypercube", Fraction(1, p), (((1, 0), (0, p)),) * 2 + (i2, i2))
+    rational = (((Fraction(1, p), 0), (0, 1)), ((1, 0), (0, p)), i2, i2)
+    assert stretch == group_element_from_dict(_with_rational_matrices(stretch, rational))
+
+
+_SLENDER_HYPERCUBE = (0, -2, -2, 0, 0, 0, 0, -1, -2, 0, 4, -1, 2, 1, 1, 1)
+
+
+def test_hypercube_slender_stretch_desaturates(monkeypatch):
+    # the doubly-degenerate stretch keeps the level and lands on an
+    # unsaturated hypercube, which the step checks before proposing it
+    H = Hypercube.from_coeffs(_SLENDER_HYPERCUBE)
+    rep = minimise(H, LocalContext(2))
+    labels = [s.label for s in rep.steps]
+    assert labels[labels.index("stretch-slender") + 1] == "desaturate"
+    assert act(rep.transformation, H) == rep.model
+    minimise_module = importlib.import_module("g1min.minimise")
+    monkeypatch.setattr(minimise_module, "saturation_defect", lambda m, ctx: None)
+    with pytest.raises(InternalBoundError, match="failed to desaturate"):
+        minimise(H, LocalContext(2))
 
 
 def test_hypercube_chain_overrun_raises(monkeypatch):

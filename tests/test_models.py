@@ -258,6 +258,18 @@ def test_singular_group_element_rejected():
         group_element_from_dict(doc)
 
 
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_group_element_takes_int_entries_only(kind, rng):
+    # a move is built as it is stored; only the certificate reader clears
+    # rational matrix entries
+    g = _rand_element(kind, rng)
+    for entry in (Fraction(1, 2), Fraction(4, 2), 1.0):
+        mats = list(g.matrices)
+        mats[-1] = (((entry,) + mats[-1][0][1:]),) + mats[-1][1:]
+        with pytest.raises(ValueError, match="group element matrices take int entries"):
+            GroupElement(kind, g.scalar, tuple(mats), g.perm)
+
+
 def test_reads_rational_certificates(rng):
     # certificates written with rational matrix entries still load: each
     # matrix is cleared to integers and the scalar absorbs the denominators

@@ -24,6 +24,20 @@ CUBIC = TernaryCubic.from_dict({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1,
 CUBIC_AT_2 = TernaryCubic.from_dict(
     {(3, 0, 0): 16, (0, 3, 0): 16, (0, 0, 3): 16, (1, 1, 1): 48})
 
+
+def _plus(m, position, fraction):
+    """m with `fraction` added to one coefficient."""
+    coeffs = list(m.coeffs)
+    coeffs[position] += fraction
+    return type(m).from_coeffs(coeffs)
+
+
+# non-integral models whose Delta the invariant formulas cannot divide out
+RATIONAL_22 = _plus(construct_22(1, 2, 3, 4), 0, Fraction(1, 2))
+RATIONAL_CUBE = _plus(construct_cube(1, 2, 3, 4), 13, Fraction(1, 3))
+RATIONAL_HYPERCUBE = _plus(critical_model("hypercube", 5, 1), 0, Fraction(1, 2))
+SINGULAR_RATIONAL_22 = TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
+
 _CUBIC_REFUSAL = "ternary cubics are carried along, not minimised directly"
 
 # id: (call, type, message); an id naming two faults pins which check comes first
@@ -41,6 +55,18 @@ REFUSALS = {
                              "critical patterns are stated for p >= 5"),
     "oracle/prime-bound": (lambda: oracle_minimality_22(FORM22, 7), RefusedInputError,
                            "oracle limited to p <= 5"),
+    "minimise/non-integral-22": (lambda: minimise(RATIONAL_22, 5), RefusedInputError,
+                                 "model must be integral"),
+    "minimise/non-integral-22-composite-prime": (lambda: minimise(RATIONAL_22, 6),
+                                                 RefusedInputError, "model must be integral"),
+    "global/non-integral-22": (lambda: minimise_global(RATIONAL_22), RefusedInputError,
+                               "model must be integral"),
+    "level/non-integral-22": (lambda: level(RATIONAL_22, 5), RefusedInputError,
+                              "model must be integral"),
+    "level/non-integral-cube": (lambda: level(RATIONAL_CUBE, 5), RefusedInputError,
+                                "model must be integral"),
+    "level/non-integral-hypercube": (lambda: level(RATIONAL_HYPERCUBE, 5), RefusedInputError,
+                                     "model must be integral"),
     "oracle/non-integral": (lambda: oracle_minimality_22(
         TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0))), 2),
         RefusedInputError, "model must be integral"),
@@ -77,6 +103,14 @@ REFUSALS = {
     "level/singular": (lambda: level(ZERO_22, 2), SingularModelError, "singular model"),
     "level/singular-composite-prime": (lambda: level(ZERO_22, 6), RefusedInputError,
                                        "6 is not prime"),
+    "level/non-integral-composite-prime": (lambda: level(RATIONAL_22, 6), RefusedInputError,
+                                           "6 is not prime"),
+    "minimise/singular-non-integral-22": (lambda: minimise(SINGULAR_RATIONAL_22, 5),
+                                          SingularModelError, "singular model"),
+    "global/singular-non-integral-22": (lambda: minimise_global(SINGULAR_RATIONAL_22),
+                                        SingularModelError, "singular model"),
+    "level/singular-non-integral": (lambda: level(SINGULAR_RATIONAL_22, 5),
+                                    SingularModelError, "singular model"),
     "oracle/singular-prime-bound": (lambda: oracle_minimality_22(ZERO_22, 7),
                                     RefusedInputError, "oracle limited to p <= 5"),
 
