@@ -7,7 +7,6 @@ Fractions), vectors are tuples.  All functions are pure.
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
 
 
 class _Infinity:
@@ -488,8 +487,37 @@ def det_matrix(m):
 
 
 def mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """Matrix product in closed form for the shapes g1min multiplies: 3x3 by
+    3x3 (Sym^2 matrices, ternary substitutions and the cube invariants' slice
+    matrices), a 1x3 row by a 3x3 matrix (a point moved by a substitution),
+    2x2 by 2x2 (binary substitutions) and 1x1 by 1x1.  Integer for integer
+    factors.  ValueError for any other shape."""
+    n = len(b)
+    if n == 3 and len(a) == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+        return ((a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+                 a00 * b02 + a01 * b12 + a02 * b22),
+                (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+                 a10 * b02 + a11 * b12 + a12 * b22),
+                (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+                 a20 * b02 + a21 * b12 + a22 * b22))
+    if n == 2 and len(a) == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+                (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+    if n == 3 and len(a) == 1:
+        (x, y, z), = a
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+        return ((x * b00 + y * b10 + z * b20, x * b01 + y * b11 + z * b21,
+                 x * b02 + y * b12 + z * b22),)
+    if n == 1 and len(a) == 1:
+        (x,), = a
+        (y,), = b
+        return ((x * y,),)
+    raise ValueError(f"mat_mul takes 3x3 by 3x3, 1x3 by 3x3, 2x2 by 2x2 or 1x1 by 1x1 "
+                     f"matrices, not {len(a)} rows by {n}")
 
 
 def mat_adj(m):

@@ -50,19 +50,17 @@ def binary_roots(coeffs, p):
     return out
 
 
-def _strip_rational_roots(coeffs, p):
-    """(roots with multiplicity, rootless cofactor) of a nonzero binary form.
-
-    The cofactor is f(1, t) divided by every (t - r)^m, up to a unit; its
+def _rootless_cofactor(coeffs, roots, p):
+    """A nonzero binary form divided by its rational roots, given with their
+    multiplicities: f(1, t) divided by every (t - r)^m, up to a unit; its
     coefficient list is the binary form with the same index order.
     """
-    roots = binary_roots(coeffs, p)
     cofactor = fp_poly(coeffs, p)
     for (a, t), m in roots:
         if a:
             for _ in range(m):
                 cofactor = fp_poly_divmod(cofactor, [-t % p, 1], p)[0]
-    return roots, tuple(cofactor)
+    return tuple(cofactor)
 
 
 def _is_square_form(coeffs, p):
@@ -92,11 +90,11 @@ def repeated_root(coeffs, p):
     closure, provided it is F_p-rational; None otherwise."""
     if all(c % p == 0 for c in coeffs):
         raise ValueError("zero form")
-    roots, cofactor = _strip_rational_roots(coeffs, p)
+    roots = binary_roots(coeffs, p)
     multiple = [pt for pt, m in roots if m >= 2]
     if len(multiple) != 1:
         return None
-    if _is_square_form(cofactor, p):
+    if _is_square_form(_rootless_cofactor(coeffs, roots, p), p):
         return None  # extra conjugate double roots
     return multiple[0]
 

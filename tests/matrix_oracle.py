@@ -1,11 +1,14 @@
-"""The recursive determinant and adjugate that g1min's closed forms replaced.
+"""The generic matrix routines that g1min's closed forms replaced.
 
-These are `exactnum.det_matrix` and `exactnum.mat_adj` as they were before
-they became closed forms for n <= 3: Laplace expansion along the first row,
-and the adjugate from the cofactors, each minor's determinant by the same
-recursion.  They take square matrices of any size and serve only as the
-reference the differential tests compare the closed forms against.
+These are `exactnum.det_matrix`, `exactnum.mat_adj` and `exactnum.mat_mul`
+as they were before they became closed forms for the small shapes the
+library uses: Laplace expansion along the first row, the adjugate from the
+cofactors, each minor's determinant by the same recursion, and the product
+of any two conforming matrices as row-by-column sums.  They serve only as
+the reference the differential tests compare the closed forms against.
 """
+
+from operator import mul
 
 
 def det_matrix(m):
@@ -33,3 +36,8 @@ def mat_adj(m):
                                                  for r, row in enumerate(m) if r != j))
               for j in range(n))
         for i in range(n))
+
+
+def mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)

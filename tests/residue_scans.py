@@ -19,14 +19,19 @@ as a dictionary from exponent vectors to coefficients, by a linear form
 reading line multiplicities off exponents; and the rank of a matrix mod p by
 Gaussian elimination (`fp_matrix`, `fp_rank`, `_fp_echelon`), which the
 (2,2) classifier replaced by a rank-one test.
+
+`repeated_root_by_stripping` is the library's `repeated_root` as it was when
+it divided out every rational root (`_strip_rational_roots_fp`, by F_p
+polynomial division) before it looked for a multiple root; the library now
+builds that cofactor only when exactly one root is multiple.
 """
 
-from g1min.exactnum import fp_inv
+from g1min.exactnum import fp_inv, fp_poly, fp_poly_divmod
 from g1min.models import CUBIC_MONOMIALS
 from g1min.residue import (
     Residue22Class, ResidueCubicClass, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
     TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO,
-    _form22_residue_rows, _is_square_form,
+    _form22_residue_rows, _is_square_form, binary_roots as fp_binary_roots,
 )
 
 
@@ -197,6 +202,35 @@ def repeated_root(coeffs, p):
     if all(c % p == 0 for c in coeffs):
         raise ValueError("zero form")
     roots, cofactor = _strip_rational_roots(coeffs, p)
+    multiple = [pt for pt, m in roots if m >= 2]
+    if len(multiple) != 1:
+        return None
+    if _is_square_form(cofactor, p):
+        return None  # extra conjugate double roots
+    return multiple[0]
+
+
+def _strip_rational_roots_fp(coeffs, p):
+    """(roots with multiplicity, rootless cofactor) of a nonzero binary form.
+
+    The cofactor is f(1, t) divided by every (t - r)^m, up to a unit; its
+    coefficient list is the binary form with the same index order.
+    """
+    roots = fp_binary_roots(coeffs, p)
+    cofactor = fp_poly(coeffs, p)
+    for (a, t), m in roots:
+        if a:
+            for _ in range(m):
+                cofactor = fp_poly_divmod(cofactor, [-t % p, 1], p)[0]
+    return roots, tuple(cofactor)
+
+
+def repeated_root_by_stripping(coeffs, p):
+    """The unique multiple root of a nonzero binary form over the algebraic
+    closure, provided it is F_p-rational; None otherwise."""
+    if all(c % p == 0 for c in coeffs):
+        raise ValueError("zero form")
+    roots, cofactor = _strip_rational_roots_fp(coeffs, p)
     multiple = [pt for pt, m in roots if m >= 2]
     if len(multiple) != 1:
         return None

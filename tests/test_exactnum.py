@@ -196,6 +196,26 @@ def test_closed_form_det_and_adj_match_laplace_oracle(entries, n):
         assert mat_mul(m, adj) == mat_mul(adj, m) == scaled
 
 
+# (rows of a, rows of b = columns of a, columns of b) for each closed-form product
+PRODUCT_SHAPES = ((3, 3, 3), (1, 3, 3), (2, 2, 2), (1, 1, 1))
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+@pytest.mark.parametrize("entries", list(MATRIX_ENTRIES))
+def test_closed_form_products_match_reference(entries, shape):
+    rng = random.Random(f"product:{entries}:{shape}")
+    rows, inner, cols = shape
+    entry = MATRIX_ENTRIES[entries]
+    for _ in range(120):
+        a = tuple(tuple(entry(rng) for _ in range(inner)) for _ in range(rows))
+        b = tuple(tuple(entry(rng) for _ in range(cols)) for _ in range(inner))
+        prod = mat_mul(a, b)
+        assert prod == matrix_oracle.mat_mul(a, b)
+        assert len(prod) == rows and all(len(row) == cols for row in prod)
+        if entries != "fraction":
+            assert all(type(x) is int for row in prod for x in row)
+
+
 def test_det_and_adj_refuse_4x4():
     m = identity_matrix(4)
     assert matrix_oracle.det_matrix(m) == 1
@@ -203,3 +223,14 @@ def test_det_and_adj_refuse_4x4():
         det_matrix(m)
     with pytest.raises(ValueError):
         mat_adj(m)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (2, 3, 3), (3, 3, 2), (3, 3, 1), (3, 2, 2),
+                                   (1, 2, 2), (2, 2, 3), (2, 2, 1), (2, 1, 1), (1, 1, 2)])
+def test_mat_mul_refuses_other_shapes(shape):
+    rows, inner, cols = shape
+    a = tuple(tuple(range(r * inner, (r + 1) * inner)) for r in range(rows))
+    b = tuple(tuple(range(r * cols, (r + 1) * cols)) for r in range(inner))
+    assert len(matrix_oracle.mat_mul(a, b)) == rows
+    with pytest.raises(ValueError):
+        mat_mul(a, b)

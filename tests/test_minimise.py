@@ -441,21 +441,29 @@ def test_int_built_moves_equal_their_rational_forms(p):
     assert stretch == group_element_from_dict(_with_rational_matrices(stretch, rational))
 
 
-_SLENDER_HYPERCUBE = (0, -2, -2, 0, 0, 0, 0, -1, -2, 0, 4, -1, 2, 1, 1, 1)
+# hypercubes whose minimisation reaches the stretch-slender move, found by
+# scanning random hypercubes with coefficients in {0, +-1, +-p, p^2} and in
+# [-3, 3] + {+-p, p^2}: 4 in 3000 reach it at p = 3, and 4 in 3000 at p = 5
+_SLENDER_HYPERCUBES = {
+    2: (0, -2, -2, 0, 0, 0, 0, -1, -2, 0, 4, -1, 2, 1, 1, 1),
+    3: (-3, -3, 9, 1, 9, 9, -3, 3, 0, -1, -1, 3, 0, -3, 0, 1),
+    5: (0, 25, 0, 5, -5, 0, 1, 0, 5, -5, -1, 25, 1, 25, 5, -1),
+}
 
 
-def test_hypercube_slender_stretch_desaturates(monkeypatch):
+@pytest.mark.parametrize("p", sorted(_SLENDER_HYPERCUBES))
+def test_hypercube_slender_stretch_desaturates(monkeypatch, p):
     # the doubly-degenerate stretch keeps the level and lands on an
     # unsaturated hypercube, which the step checks before proposing it
-    H = Hypercube.from_coeffs(_SLENDER_HYPERCUBE)
-    rep = minimise(H, LocalContext(2))
+    H = Hypercube.from_coeffs(_SLENDER_HYPERCUBES[p])
+    rep = minimise(H, LocalContext(p))
     labels = [s.label for s in rep.steps]
     assert labels[labels.index("stretch-slender") + 1] == "desaturate"
     assert act(rep.transformation, H) == rep.model
     minimise_module = importlib.import_module("g1min.minimise")
     monkeypatch.setattr(minimise_module, "saturation_defect", lambda m, ctx: None)
     with pytest.raises(InternalBoundError, match="failed to desaturate"):
-        minimise(H, LocalContext(2))
+        minimise(H, LocalContext(p))
 
 
 def test_hypercube_chain_overrun_raises(monkeypatch):

@@ -100,6 +100,25 @@ def test_binary_roots_and_repeated_root_match_scan(p):
             assert repeated_root(f, p) == scans.repeated_root(f, p), f
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_repeated_root_matches_stripping_reference_on_every_form(p):
+    # every nonzero quadratic and quartic over F_p
+    for degree in (2, 4):
+        for f in itertools.product(range(p), repeat=degree + 1):
+            if any(f):
+                assert repeated_root(f, p) == scans.repeated_root_by_stripping(f, p), f
+
+
+def test_repeated_root_matches_stripping_reference_at_65537():
+    p = 65537
+    rng = random.Random(65537)
+    cases = [f for f in _binary_cases(rng, p) if len(f) in (3, 5)]
+    cases += [tuple(rng.randrange(p) for _ in range(n)) for n in (3, 5) for _ in range(200)]
+    assert sum(repeated_root(f, p) is not None for f in cases) >= 20
+    for f in cases:
+        assert repeated_root(f, p) == scans.repeated_root_by_stripping(f, p), f
+
+
 # ---------------------------------------------------------------------------
 # (2,2)-forms
 
