@@ -334,29 +334,53 @@ def fp_left_kernel_vector(rows, p):
     """A nonzero (c_0, ..., c_{m-1}) with sum c_i * rows[i] = 0 mod p, or None.
 
     Used to detect linear dependence of slices: the rows are flattened slices.
+    The vector is the one Gauss-Jordan elimination of [rows | I] finds, pivots
+    taken column by column from the first row that has one: the identity
+    part of its first zero row.  Two rows (hypercube slices, the off-corner
+    block of a hypercube) get it in closed form: (1, 0) when rows[0] = 0 mod p,
+    else (c, 1) with c = -rows[1][j] / rows[0][j] at the first column j where
+    rows[0] is nonzero, provided c * rows[0] + rows[1] = 0 mod p.
     """
-    m = len(rows)
-    # transpose and solve for the kernel of rows^T x = 0 over the row space
-    aug = [[x % p for x in row] + [1 if i == j else 0 for j in range(m)]
-           for i, row in enumerate(rows)]
-    n = len(rows[0])
+    if len(rows) == 2:
+        r0, r1 = rows
+        j = next((j for j, x in enumerate(r0) if x % p), None)
+        if j is None:
+            return (1, 0)
+        c = -r1[j] * fp_inv(r0[j], p) % p
+        if any((c * x + y) % p for x, y in zip(r0, r1)):
+            return None
+        return (c, 1)
+    return _fp_kernel_by_elimination(rows, p)
+
+
+def _fp_kernel_by_elimination(rows, p):
+    """fp_left_kernel_vector by forward elimination of [rows | I] mod p.
+
+    The entries are reduced once, up front.  Only the rows below a pivot are
+    cleared, and only those with a nonzero entry in its column: clearing the
+    rows above, as Gauss-Jordan does, changes neither the choice of later
+    pivots nor the first zero row, whose identity part is returned.  A row is
+    cleared with the multiple f / pivot of the pivot row, which equals
+    Gauss-Jordan's f times the normalised pivot row mod p.
+    """
+    m, n = len(rows), len(rows[0])
+    aug = [[x % p for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
     rank = 0
     for col in range(n):
-        piv = next((r for r in range(rank, m) if aug[r][col] % p), None)
+        piv = next((r for r in range(rank, m) if aug[r][col]), None)
         if piv is None:
             continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = fp_inv(aug[rank][col], p)
-        aug[rank] = [x * inv % p for x in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[rank])]
+        pivot = aug[piv]
+        aug[piv], aug[rank] = aug[rank], pivot
+        inv = fp_inv(pivot[col], p)
+        for r in range(rank + 1, m):
+            f = aug[r][col]
+            if f:
+                f = f * inv % p
+                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], pivot)]
         rank += 1
         if rank == m:
             return None
-    if rank == m:
-        return None
     return tuple(aug[rank][n:])
 
 
@@ -538,5 +562,13 @@ def mat_adj(m):
     raise ValueError(f"mat_adj takes matrices up to 3x3, not {n}x{n}")
 
 
-def identity_matrix(n):
+def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+_IDENTITIES = {n: _identity(n) for n in (1, 2, 3)}
+
+
+def identity_matrix(n):
+    """The n x n identity: one shared tuple for the sizes of group matrices."""
+    return _IDENTITIES.get(n) or _identity(n)

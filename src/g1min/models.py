@@ -30,12 +30,15 @@ its discriminant scales by (mu det A)^12.  The one substitution,
 table of (coefficient, (flat positions of A...)) terms per (n, k).  `act` is
 integer: it contracts with the int matrices, multiplies by the scalar
 numerator's power and divides exactly by its denominator's, so a coefficient
-is a Fraction only where that division leaves a remainder.  A factor equal to
-the identity costs nothing: `act` skips its contraction and
-`GroupElement.compose` its matrix product, so axis moves, permutations,
-scalings and the identity certificate do work only on the factors they
-change.  `scalar_clear` returns an integral primitive copy together with the
-multiplier.
+is a Fraction only where that division leaves a remainder; a model built
+from int coefficients (an integral action, a derived form of an integral
+model) skips the Fraction normalisation.  A factor equal to the identity
+costs nothing: `act` skips its contraction and `GroupElement.compose` its
+matrix product, so axis moves, permutations, scalings and the identity
+certificate do work only on the factors they change.  Products, inverses and
+scalings are not re-checked: they carry their matrices' determinants from
+their factors.  `scalar_clear` returns an integral primitive copy together
+with the multiplier.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
 hypercube, two quartics of a (2,2)-form) come from index tables built at import.
@@ -47,9 +50,9 @@ straight-line function, its sums Horner-factored over shared leading positions.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation, INFINITY
 
@@ -69,6 +72,14 @@ def _num(x):
     if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
+
+
+_INT = {int}
+
+
+def _all_int(xs):
+    """Whether every entry of xs is an int, in one C pass over their types."""
+    return set(map(type, xs)) == _INT
 
 
 def _parse_coeff(s):
@@ -209,7 +220,9 @@ class _Model:
     def from_coeffs(cls, coeffs):
         """The model with the given coefficients in the flat order."""
         m = object.__new__(cls)
-        coeffs = tuple(_num(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not _all_int(coeffs):
+            coeffs = tuple(map(_num, coeffs))
         if len(coeffs) != SPECS[cls.kind].size:
             raise ValueError(f"{cls.kind} needs {SPECS[cls.kind].size} coefficients")
         object.__setattr__(m, "coeffs", coeffs)
@@ -218,7 +231,7 @@ class _Model:
     def axis_slices(self, axis):
         """The slices along one tensor axis, each flattened outermost index first."""
         c = self.coeffs
-        return tuple(tuple(c[n] for n in sl) for sl in SPECS[self.kind].slices[axis])
+        return tuple(get(c) for get in SPECS[self.kind].slice_getters[axis])
 
 
 class BinaryQuartic(_Model):
@@ -319,6 +332,11 @@ class KindSpec:
         self.slices = tuple(
             tuple(tuple(n for n, idx in enumerate(index) if idx[a] == m) for m in range(d))
             for a, d in enumerate(shape))
+        # slice_getters[a][m]: flat tuple -> the tuple of its entries in slices[a][m]
+        self.slice_getters = tuple(
+            tuple(itemgetter(*sl) if len(sl) > 1 else itemgetter(slice(sl[0], sl[0] + 1))
+                  for sl in axis)
+            for axis in self.slices)
         # fibres[a]: position tuples along which axis a varies alone
         self.fibres = tuple(tuple(zip(*sl)) for sl in self.slices)
         # position[multi-index]: its flat position
@@ -346,7 +364,7 @@ SPECS = {
 
 
 def is_integral(m):
-    return all(type(c) is not Fraction for c in m.coeffs)
+    return Fraction not in set(map(type, m.coeffs))
 
 
 def content_valuation(m, p):
@@ -418,7 +436,12 @@ class GroupElement:
     (ValueError otherwise) and every matrix nonsingular; the scalar is stored
     as a Fraction.  A move is built as it is stored, any denominators of its
     matrices already in the scalar; `group_element_from_dict` clears the
-    rational entries of certificates written by earlier versions."""
+    rational entries of certificates written by earlier versions.  Every
+    element carries the determinants of its matrices (`_dets`, outside the
+    fields, so equality, hashing and repr ignore it): the constructor takes
+    them in its check, and `compose`, `inverse` and `scaling`, whose parts
+    hold by construction, build through `_trusted_element` with
+    det(AB) = det A det B and det(adj A) = (det A)^(n-1)."""
 
     kind: str
     scalar: Fraction
@@ -430,14 +453,17 @@ class GroupElement:
         if tuple(len(m) for m in self.matrices) != spec.matrix_sizes:
             raise ValueError(f"wrong matrix sizes for kind {self.kind}")
         mats = tuple(tuple(map(tuple, m)) for m in self.matrices)
+        dets = []
         for m in mats:
             if any(type(x) is not int for row in m for x in row):
                 raise ValueError("group element matrices take int entries")
-            if det_matrix(m) == 0:
+            dets.append(det_matrix(m))
+            if dets[-1] == 0:
                 raise ValueError("singular matrix in group element")
         if type(self.scalar) is not Fraction:
             object.__setattr__(self, "scalar", Fraction(self.scalar))
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_dets", tuple(dets))
         if not spec.permutes_axes:
             if self.perm is not None:
                 raise ValueError("permutations only apply to hypercubes")
@@ -455,11 +481,14 @@ class GroupElement:
 
     @classmethod
     def scaling(cls, kind, scalar):
-        return cls(kind, scalar, tuple(identity_matrix(n) for n in SPECS[kind].matrix_sizes))
+        sizes = SPECS[kind].matrix_sizes
+        return _trusted_element(kind, Fraction(scalar), tuple(map(identity_matrix, sizes)),
+                                (0, 1, 2, 3) if SPECS[kind].permutes_axes else None,
+                                (1,) * len(sizes))
 
     def chi(self):
         """The character: Delta(act(g, m)) = chi(g)^12 * Delta(m)."""
-        return self.scalar ** SPECS[self.kind].chi_power * prod(map(det_matrix, self.matrices))
+        return self.scalar ** SPECS[self.kind].chi_power * prod(self._dets)
 
     def compose(self, other):
         """Element acting as self after other: act(result, m) = act(self, act(other, m))."""
@@ -470,22 +499,37 @@ class GroupElement:
             perm = tuple(s2[s1[a]] for a in range(4))
             inv2 = _perm_inverse(s2)
             mats = tuple(_product(self.matrices[a], other.matrices[inv2[a]]) for a in range(4))
-            return GroupElement(self.kind, self.scalar * other.scalar, mats, perm)
-        mats = tuple(map(_product, self.matrices, other.matrices))
-        return GroupElement(self.kind, self.scalar * other.scalar, mats)
+            dets = tuple(self._dets[a] * other._dets[inv2[a]] for a in range(4))
+        else:
+            perm = None
+            mats = tuple(map(_product, self.matrices, other.matrices))
+            dets = tuple(map(mul, self._dets, other._dets))
+        return _trusted_element(self.kind, self.scalar * other.scalar, mats, perm, dets)
 
     def inverse(self):
         """The inverse, with adjugate matrices: A^-1 = adj(A) / det(A), and
         each det(A) folded into the scalar as the certificate reader folds
         a denominator."""
         chi_power = SPECS[self.kind].chi_power
-        mats, perm = self.matrices, None
+        mats, dets, perm = self.matrices, self._dets, None
         if self.perm is not None:
             perm = _perm_inverse(self.perm)
             mats = tuple(mats[self.perm[a]] for a in range(4))
-        fold = prod(det_matrix(m) ** (len(m) // chi_power) for m in mats)
-        return GroupElement(self.kind, 1 / (self.scalar * fold),
-                            tuple(mat_adj(m) for m in mats), perm)
+            dets = tuple(dets[self.perm[a]] for a in range(4))
+        fold = prod(d ** (len(m) // chi_power) for d, m in zip(dets, mats))
+        return _trusted_element(self.kind, 1 / (self.scalar * fold),
+                                tuple(mat_adj(m) for m in mats), perm,
+                                tuple(d ** (len(m) - 1) for d, m in zip(dets, mats)))
+
+
+def _trusted_element(kind, scalar, matrices, perm, dets):
+    """The GroupElement with these fields and matrix determinants, built
+    without the constructor's checks, for parts that already hold them: a
+    Fraction scalar, nonsingular int matrices as tuples of tuples, and a
+    tuple perm for hypercubes (None otherwise)."""
+    g = object.__new__(GroupElement)
+    vars(g).update(kind=kind, scalar=scalar, matrices=matrices, perm=perm, _dets=dets)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +553,10 @@ def act(g, m):
     """Apply a group element to a model, exactly: permute the tensor axes
     (hypercubes), apply each factor's matrix along its axis, then scale by
     the scalar's act_power: multiply by the numerator's power and divide
-    exactly by the denominator's.  A factor equal to the identity is skipped:
-    its axis matrix is neither built nor applied."""
+    exactly by the denominator's: one divmod pass over int coefficients,
+    and `quotient` of each coefficient instead when that pass leaves a
+    remainder or a coefficient is a Fraction.  A factor equal to the
+    identity is skipped: its axis matrix is neither built nor applied."""
     if g.kind != m.kind:
         raise ValueError(f"group element for {g.kind} applied to {m.kind}")
     spec = SPECS[m.kind]
@@ -522,9 +568,15 @@ def act(g, m):
             t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
     num = g.scalar.numerator ** spec.act_power
     den = g.scalar.denominator ** spec.act_power
-    if den == 1:
-        return spec.model.from_coeffs([num * x for x in t])
-    return spec.model.from_coeffs([quotient(num * x, den) for x in t])
+    if num != 1:
+        t = [num * x for x in t]
+    if den != 1:
+        if _all_int(t):
+            quots, rems = zip(*map(divmod, t, repeat(den)))
+            t = quots if not any(rems) else [quotient(x, den) for x in t]
+        else:
+            t = [quotient(x, den) for x in t]
+    return spec.model.from_coeffs(t)
 
 
 # ---------------------------------------------------------------------------

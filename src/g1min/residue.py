@@ -24,8 +24,8 @@ from functools import reduce
 from operator import mul
 
 from .exactnum import (
-    form_to_last, fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_roots,
-    mat_mul, unimodular_with_row,
+    form_to_last, fp_inv, fp_left_kernel_vector, fp_poly, fp_poly_divmod, fp_poly_gcd,
+    fp_poly_roots, mat_mul, unimodular_with_row,
 )
 from .models import CUBIC_MONOMIALS, SPECS, _binary_mul, quartics_of_22, sym_power_matrix
 
@@ -64,14 +64,18 @@ def _rootless_cofactor(coeffs, roots, p):
 
 
 def _is_square_form(coeffs, p):
-    """Whether a rootless binary form is a scalar times the square of a quadratic."""
+    """Whether a rootless binary form has a repeated factor over F_p, so
+    multiple roots over the algebraic closure, none of them rational.  A
+    rootless quartic has one exactly when it is a scalar times the square of
+    a quadratic; a form of degree 5 or more when f(1, t), whose coefficient
+    list is the form's, shares a factor with its derivative (as F_p is
+    perfect, that derivative is zero only for a p-th power)."""
     d = len(coeffs) - 1
-    if d < 2:
-        return False
-    if d == 2:
-        return False  # rootless quadratics are irreducible, hence separable
-    if d != 4:
-        raise AssertionError(f"rootless binary form of degree {d}")
+    if d < 4:
+        return False  # rootless quadratics and cubics are irreducible, hence separable
+    if d > 4:
+        derivative = fp_poly([i * c for i, c in enumerate(coeffs)][1:], p)
+        return len(fp_poly_gcd(fp_poly(coeffs, p), derivative, p)) > 1
     if p == 2:
         return coeffs[1] % 2 == 0 and coeffs[3] % 2 == 0
     lead = coeffs[0] % p

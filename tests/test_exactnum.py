@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -149,6 +150,52 @@ def test_left_kernel_vector():
     assert ker is not None
     assert all(sum(k * rows[i][c] for i, k in enumerate(ker)) % 5 == 0 for c in range(3))
     assert fp_left_kernel_vector(((1, 0), (0, 1)), 5) is None
+
+
+def test_left_kernel_vector_matches_gauss_jordan_on_every_2x8_matrix_mod_2():
+    for bits in itertools.product((0, 1), repeat=16):
+        rows = (bits[:8], bits[8:])
+        assert fp_left_kernel_vector(rows, 2) == matrix_oracle.fp_left_kernel_vector(rows, 2), rows
+
+
+def _kernel_case(m, n, p, rng):
+    """m rows of length n: random, sparse, or with one row (up to multiples of
+    p) a combination of the others, in random order; sometimes a row is zero
+    mod p."""
+    shape = rng.random()
+    if shape < 0.3:
+        rows = [[rng.randrange(-3 * p, 3 * p) for _ in range(n)] for _ in range(m)]
+    elif shape < 0.5:
+        rows = [[rng.choice((0, 0, 1, -1, p)) for _ in range(n)] for _ in range(m)]
+    else:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m - 1)]
+        weights = [rng.choice((0, 1, rng.randrange(p))) for _ in rows]
+        rows.append([sum(w * row[j] for w, row in zip(weights, rows)) + p * rng.randint(-2, 2)
+                     for j in range(n)])
+        rng.shuffle(rows)
+    if rng.random() < 0.15:
+        rows[rng.randrange(m)] = [p * rng.randint(-2, 2) for _ in range(n)]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 65537, 2 ** 61 - 1))
+@pytest.mark.parametrize("m", (2, 3))
+def test_left_kernel_vector_matches_gauss_jordan_reference(m, p):
+    # the closed form (2 rows) and the forward elimination (3 rows) return
+    # exactly the vector of full Gauss-Jordan elimination, on slice shapes
+    # (2 x 8, 2 x 2, 3 x 9) and others
+    rng = random.Random(f"kernel:{m}:{p}")
+    dependent = 0
+    for _ in range(2000):
+        rows = _kernel_case(m, rng.choice((1, 2, 3, 8, 9)), p, rng)
+        ker = fp_left_kernel_vector(rows, p)
+        assert ker == matrix_oracle.fp_left_kernel_vector(rows, p), rows
+        if ker is not None:
+            dependent += 1
+            assert any(ker) and all(0 <= c < p for c in ker)
+            assert all(sum(c * row[j] for c, row in zip(ker, rows)) % p == 0
+                       for j in range(len(rows[0])))
+    assert dependent >= 500
 
 
 def test_mat_adj_exact():

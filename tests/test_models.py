@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,7 @@ from g1min import (
     scalar_clear,
 )
 from g1min import models
-from g1min.exactnum import det_matrix, identity_matrix, mat_mul
+from g1min.exactnum import det_matrix, identity_matrix, mat_mul, quotient
 from g1min.invariants import quartic_invariants
 from g1min.models import (
     SPECS, _num, _parse_coeff, group_element_from_dict, group_element_to_dict, is_integral,
@@ -246,6 +247,100 @@ def test_act_of_compose_through_rational_models(kind, rng):
         rational += not is_integral(act(h, m))
         assert act(g.compose(h), m) == act(g, act(h, m))
     assert rational > 0
+
+
+def _act_by_quotient(g, m):
+    """The coefficients of act(g, m) as act computed them before its divmod
+    pass: every factor contracted, then quotient(num * x, den) and _num of
+    each coefficient."""
+    spec = SPECS[m.kind]
+    t = m.coeffs
+    if g.perm is not None:
+        t = [t[n] for n in spec.perm_index[g.perm]]
+    for fibres, A in zip(spec.fibres, g.matrices):
+        t = models._mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
+    num = g.scalar.numerator ** spec.act_power
+    den = g.scalar.denominator ** spec.act_power
+    return tuple(_num(quotient(num * x, den)) for x in t)
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_act_matches_the_quotient_path(kind, rng):
+    # int models under int, unit-fraction and other Fraction scalars, and
+    # non-integral models: the same values and the same types as quotient
+    # and _num of every coefficient; an int model under an integral scalar
+    # gives int coefficients
+    seen = set()
+    for trial in range(60):
+        h = _element_with_identities(kind, rng)
+        scalar = rng.choice((1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
+        g = GroupElement(kind, scalar, h.matrices, h.perm)
+        m = KIND_SAMPLERS[kind](rng)
+        if trial % 3 == 0:
+            m = scalar_multiply(m, Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3, 4))))
+        elif trial % 3 == 1:  # divisible by the denominator's power: no remainder
+            m = scalar_multiply(m, g.scalar.denominator ** SPECS[kind].act_power)
+        out = act(g, m).coeffs
+        expected = _act_by_quotient(g, m)
+        assert out == expected
+        assert list(map(type, out)) == list(map(type, expected))
+        if is_integral(m) and g.scalar.denominator == 1:
+            assert all(type(c) is int for c in out)
+        seen.add((is_integral(m), g.scalar.denominator == 1, all(type(c) is int for c in out)))
+    assert {(True, True, True), (True, False, True), (True, False, False)} <= seen
+    assert any(not integral for integral, _, _ in seen)
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_from_coeffs_normalises_only_fractions(kind, rng):
+    m = KIND_SAMPLERS[kind](rng)
+    assert SPECS[kind].model.from_coeffs(list(m.coeffs)) == m
+    mixed = [Fraction(c * 2, 2) if i % 2 else c for i, c in enumerate(m.coeffs)]
+    out = SPECS[kind].model.from_coeffs(mixed)
+    assert out == m and all(type(c) is int for c in out.coeffs)
+    half = SPECS[kind].model.from_coeffs([Fraction(1, 2)] + list(m.coeffs[1:]))
+    assert type(half.coeffs[0]) is Fraction and not is_integral(half)
+
+
+def _random_chain_element(kind, rng):
+    """A random element of a random chain of compose and inverse, every factor
+    starting from checked constructions, scalings or the identity."""
+    g = _element_with_identities(kind, rng)
+    for _ in range(rng.randint(1, 6)):
+        step = rng.random()
+        if step < 0.4:
+            g = g.compose(_element_with_identities(kind, rng))
+        elif step < 0.7:
+            g = _element_with_identities(kind, rng).compose(g)
+        elif step < 0.9:
+            g = g.inverse()
+        else:
+            g = g.compose(GroupElement.scaling(kind, Fraction(rng.randint(1, 5), 3)))
+    return g
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+def test_products_and_inverses_carry_their_determinants(kind, rng):
+    # compose, inverse and scaling skip the constructor's checks: the
+    # determinants they carry are det_matrix of their matrices, chi is
+    # unchanged, and the element equals, hashes, prints and serialises as
+    # the checked construction from the same fields
+    chi_power = SPECS[kind].chi_power
+    for _ in range(40):
+        g = _random_chain_element(kind, rng)
+        assert g._dets == tuple(map(det_matrix, g.matrices))
+        assert g.chi() == g.scalar ** chi_power * prod(map(det_matrix, g.matrices))
+        checked = GroupElement(g.kind, g.scalar, g.matrices, g.perm)
+        assert checked._dets == g._dets
+        assert g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
+        assert group_element_to_dict(g) == group_element_to_dict(checked)
+        assert type(g.scalar) is Fraction
+        assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
+        assert all(type(mat) is tuple and all(type(row) is tuple for row in mat)
+                   for mat in g.matrices)
+        assert (g.perm is None) == (kind != "hypercube")
+        if g.perm is not None:
+            assert type(g.perm) is tuple and sorted(g.perm) == [0, 1, 2, 3]
 
 
 def test_singular_group_element_rejected():

@@ -35,6 +35,20 @@ def test_repeated_root_ignores_conjugate_pairs():
     assert repeated_root((0, 0, 1, 0, 1), 3) == (1, 0)
 
 
+def test_repeated_root_of_forms_past_degree_four():
+    # x2^2 (x1^3 + x1 x2^2 + x2^3) mod 2: a rational double root and an
+    # irreducible cubic cofactor, which is separable
+    assert repeated_root((0, 0, 1, 0, 1, 1), 2) == (1, 0)
+    # x2^2 times the irreducible quintic x1^5 + x1^3 x2^2 + x2^5 mod 2: the
+    # cofactor of degree 5 is separable
+    assert repeated_root(_binary_product((0, 1), (0, 1), (1, 0, 1, 0, 0, 1)), 2) == (1, 0)
+    # x2^2 (x1^2 + x1 x2 + x2^2)^2 (x1^3 + x1 x2^2 + x2^3) mod 2: the cofactor
+    # of degree 7 holds a squared irreducible quadratic, with double roots
+    # over F_4 next to the rational one
+    square = _binary_product((1, 1, 1), (1, 1, 1))
+    assert repeated_root(_binary_product((0, 1), (0, 1), square, (1, 0, 1, 1)), 2) is None
+
+
 def test_repeated_root_rejects_zero_form():
     with pytest.raises(ValueError):
         repeated_root((0, 0, 0, 0, 0), 3)

@@ -13,8 +13,8 @@ from g1min import LocalContext, TernaryCubic, TwoTwoForm, classify_22_residue, c
 from g1min.models import GroupElement, act
 from g1min.residue import (
     TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE, TAG_PRODUCT_ONE, TAG_REPEATED_LINE,
-    TAG_UNIQUE_SINGULAR, _linear_factors, _singular_points_22, binary_roots,
-    repeated_root,
+    TAG_UNIQUE_SINGULAR, _is_square_form, _linear_factors, _singular_points_22,
+    binary_roots, repeated_root,
 )
 from g1min.weierstrass import (
     WeierstrassCurve, _fp_cubic_roots, _singular_point_mod_p, _tate_walk,
@@ -107,6 +107,81 @@ def test_repeated_root_matches_stripping_reference_on_every_form(p):
         for f in itertools.product(range(p), repeat=degree + 1):
             if any(f):
                 assert repeated_root(f, p) == scans.repeated_root_by_stripping(f, p), f
+
+
+def _poly_rem(f, g, p):
+    """The remainder of f by a monic g over F_p, lists constant first."""
+    f = list(f)
+    for k in range(len(f) - len(g), -1, -1):
+        c = f[k + len(g) - 1] % p
+        for j, y in enumerate(g):
+            f[k + j] -= c * y
+    return [x % p for x in f[:len(g) - 1]]
+
+
+def _monic(degree, p):
+    return [list(tail) + [1] for tail in itertools.product(range(p), repeat=degree)]
+
+
+def _irreducible_squares(max_degree, p):
+    """The squares of the monic irreducibles of degree at most max_degree
+    over F_p, each irreducible found by trial division by every monic of at
+    most half its degree."""
+    out = []
+    for k in range(1, max_degree + 1):
+        for g in _monic(k, p):
+            if all(any(_poly_rem(g, h, p)) for d in range(1, k // 2 + 1) for h in _monic(d, p)):
+                out.append(_mul(g, g))
+    return out
+
+
+def _has_irreducible_square(f, squares, p):
+    """Whether the square of some monic irreducible divides f (constant first)."""
+    return any(len(sq) <= len(f) and not any(_poly_rem(f, sq, p)) for sq in squares)
+
+
+@pytest.mark.parametrize("p, degree", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6), (3, 7)])
+def test_repeated_root_matches_brute_force_past_degree_four(p, degree):
+    # every nonzero form: the one multiple rational root, found by scanning
+    # P^1(F_p), unless the rootless cofactor is divisible by the square of
+    # a monic irreducible (found by trial division)
+    squares = _irreducible_squares(degree // 2, p)
+    outcomes = set()
+    for f in itertools.product(range(p), repeat=degree + 1):
+        if not any(f):
+            continue
+        roots, cofactor = scans._strip_rational_roots(f, p)
+        multiple = [pt for pt, m in roots if m >= 2]
+        expected = None
+        if len(multiple) == 1 and not _has_irreducible_square(cofactor, squares, p):
+            expected = multiple[0]
+        assert repeated_root(f, p) == expected, f
+        if len(multiple) == 1:
+            outcomes.add((len(cofactor) - 1, expected is None))
+    # every branch of the cofactor test is reached: separable cubics, square
+    # quartics, and from degree 5 on the derivative gcd both ways
+    assert (3, False) in outcomes
+    if degree >= 6:
+        assert (4, True) in outcomes
+    if degree >= 7:
+        assert (5, False) in outcomes
+    if degree >= 8:
+        assert (6, True) in outcomes
+
+
+@pytest.mark.parametrize("p, degree", [(2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)])
+def test_is_square_form_matches_brute_force_on_rootless_forms(p, degree):
+    # every form of the degree with no root on P^1(F_p): a repeated factor
+    # exactly when the square of a monic irreducible divides it (never for
+    # a rootless quintic, whose square factor would leave a linear one)
+    squares = _irreducible_squares(degree // 2, p)
+    answers = set()
+    for f in itertools.product(range(p), repeat=degree + 1):
+        if f[0] and f[-1] and not scans.binary_roots(f, p):
+            answer = _is_square_form(f, p)
+            assert answer == _has_irreducible_square(f, squares, p), f
+            answers.add(answer)
+    assert answers == ({False} if degree == 5 else {True, False})
 
 
 def test_repeated_root_matches_stripping_reference_at_65537():

@@ -162,3 +162,45 @@ def test_only_the_generator_compiles_source():
                   and node.func.id in ("exec", "eval", "compile") and id(node) not in allowed]
     assert found == []
     assert generators == CODE_GENERATORS
+
+
+# the one function allowed to build a GroupElement past its checked
+# constructor: the builder of products, inverses and scalings, whose parts
+# hold by construction
+UNCHECKED_BUILDERS = {("models.py", "_trusted_element")}
+
+
+def _names_group_element(node):
+    return any((isinstance(n, ast.Name) and n.id == "GroupElement")
+               or (isinstance(n, ast.Attribute) and n.attr == "GroupElement")
+               for n in ast.walk(node))
+
+
+def test_group_elements_are_built_through_the_checked_constructor():
+    # GroupElement(...) is the one checked public constructor.  Only
+    # models._trusted_element calls __new__ on it, only models names that
+    # builder, and outside models no code writes past a frozen dataclass
+    # (object.__setattr__, vars() or __dict__), which could give an element
+    # fields its constructor never checked
+    found, builders = [], set()
+    for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in UNCHECKED_BUILDERS:
+                builders.add((path.name, func.name))
+                allowed |= {id(node) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__" and _names_group_element(node)
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno} calls __new__ on GroupElement")
+            if path.name == "models.py":
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("_trusted_element", "__setattr__", "__dict__", "vars"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} uses {name}")
+    assert found == []
+    assert builders == UNCHECKED_BUILDERS
