@@ -1,47 +1,16 @@
 """Exact arithmetic kernel: p-adic valuations, F_p helpers, unimodular completions.
 
-Everything in this module works with Python ints and fractions.Fraction; there
-is no floating point anywhere.  Matrices are tuples of tuples of ints (or
+Everything in this module works with Python ints and fractions.Fraction; the
+only float is math.inf, the valuation of zero, which compares above every int
+and absorbs addition.  Matrices are tuples of tuples of ints (or
 Fractions), vectors are tuples.  All functions are pure.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 
-class _Infinity:
-    """Sentinel for the valuation of zero.  Compares above every int."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INFINITY
-
-    def __gt__(self, other):
-        return other is not INFINITY
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is INFINITY
-
-    def __hash__(self):
-        return hash("g1min-infinity")
-
-    def __add__(self, other):
-        return INFINITY
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
+INFINITY = inf
 
 
 def valuation(x, p):
@@ -495,9 +464,9 @@ def form_to_last(ell, p):
 
 
 def det_matrix(m):
-    """Exact determinant of a 1x1, 2x2 or 3x3 matrix, in closed form: group
+    """Exact determinant of a 2x2 or 3x3 matrix, in closed form: group
     matrices, the matrix of a (2,2)-form and the completions `form_to_last`
-    inverts are all this small.  ValueError for a larger matrix."""
+    inverts are all this size.  ValueError for any other size."""
     n = len(m)
     if n == 2:
         (a, b), (c, d) = m
@@ -505,17 +474,15 @@ def det_matrix(m):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 1:
-        return m[0][0]
-    raise ValueError(f"det_matrix takes matrices up to 3x3, not {n}x{n}")
+    raise ValueError(f"det_matrix takes 2x2 or 3x3 matrices, not {n}x{n}")
 
 
 def mat_mul(a, b):
     """Matrix product in closed form for the shapes g1min multiplies: 3x3 by
     3x3 (Sym^2 matrices, ternary substitutions and the cube invariants' slice
-    matrices), a 1x3 row by a 3x3 matrix (a point moved by a substitution),
-    2x2 by 2x2 (binary substitutions) and 1x1 by 1x1.  Integer for integer
-    factors.  ValueError for any other shape."""
+    matrices), a 1x3 row by a 3x3 matrix (a point moved by a substitution)
+    and 2x2 by 2x2 (binary substitutions).  Integer for integer factors.
+    ValueError for any other shape."""
     n = len(b)
     if n == 3 and len(a) == 3:
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
@@ -536,18 +503,14 @@ def mat_mul(a, b):
         (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
         return ((x * b00 + y * b10 + z * b20, x * b01 + y * b11 + z * b21,
                  x * b02 + y * b12 + z * b22),)
-    if n == 1 and len(a) == 1:
-        (x,), = a
-        (y,), = b
-        return ((x * y,),)
-    raise ValueError(f"mat_mul takes 3x3 by 3x3, 1x3 by 3x3, 2x2 by 2x2 or 1x1 by 1x1 "
-                     f"matrices, not {len(a)} rows by {n}")
+    raise ValueError(f"mat_mul takes 3x3 by 3x3, 1x3 by 3x3 or 2x2 by 2x2 matrices, "
+                     f"not {len(a)} rows by {n}")
 
 
 def mat_adj(m):
-    """Adjugate of a 1x1, 2x2 or 3x3 matrix, in closed form:
+    """Adjugate of a 2x2 or 3x3 matrix, in closed form:
     mat_mul(m, mat_adj(m)) == det_matrix(m) * identity, and integer for an
-    integer m.  ValueError for a larger matrix."""
+    integer m.  ValueError for any other size."""
     n = len(m)
     if n == 2:
         (a, b), (c, d) = m
@@ -557,16 +520,14 @@ def mat_adj(m):
         return ((e * i - f * h, c * h - b * i, b * f - c * e),
                 (f * g - d * i, a * i - c * g, c * d - a * f),
                 (d * h - e * g, b * g - a * h, a * e - b * d))
-    if n == 1:
-        return ((1,),)
-    raise ValueError(f"mat_adj takes matrices up to 3x3, not {n}x{n}")
+    raise ValueError(f"mat_adj takes 2x2 or 3x3 matrices, not {n}x{n}")
 
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-_IDENTITIES = {n: _identity(n) for n in (1, 2, 3)}
+_IDENTITIES = {n: _identity(n) for n in (2, 3)}
 
 
 def identity_matrix(n):

@@ -54,7 +54,9 @@ from itertools import permutations, product, repeat
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
-from .exactnum import det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation, INFINITY
+from .exactnum import (
+    _IDENTITIES, det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation,
+)
 
 
 class SingularModelError(ValueError):
@@ -369,14 +371,7 @@ def is_integral(m):
 
 def content_valuation(m, p):
     """min_p-valuation over the coefficients (INFINITY for the zero model)."""
-    v = INFINITY
-    for c in m.coeffs:
-        w = valuation(c, p)
-        if w is INFINITY:
-            continue
-        if v is INFINITY or w < v:
-            v = w
-    return v
+    return min(map(valuation, m.coeffs, repeat(p)))
 
 
 def scalar_multiply(m, c):
@@ -407,12 +402,9 @@ def scalar_clear(m):
 # group elements
 
 
-_IDENTITY = {n: identity_matrix(n) for n in (2, 3)}
-
-
 def _product(a, b):
     """mat_mul(a, b), with no work when either factor is the identity."""
-    one = _IDENTITY[len(a)]
+    one = _IDENTITIES[len(a)]
     if b == one:
         return a
     if a == one:
@@ -564,7 +556,7 @@ def act(g, m):
     if g.perm is not None:
         t = [t[n] for n in spec.perm_index[g.perm]]
     for fibres, A in zip(spec.fibres, g.matrices):
-        if A != _IDENTITY[len(A)]:
+        if A != _IDENTITIES[len(A)]:
             t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
     num = g.scalar.numerator ** spec.act_power
     den = g.scalar.denominator ** spec.act_power

@@ -3,9 +3,10 @@
 Roots of binary forms over F_p come from polynomial algebra (exactnum's
 fp_poly_roots: a gcd with x^p - x, then equal-degree splitting), so the cost
 of every classification grows like a power of log p, and no prime is too
-large.  The defining equations and partial derivatives are checked directly,
-so p = 2 and p = 3 need no special casing, except that a (2,2)-form at p = 2
-is checked on the 9 points of P^1(F_2) x P^1(F_2).
+large; one gcd with a derivative tells whether a multiple root is the only
+one.  The defining equations and partial derivatives are checked directly, so
+p = 2 and p = 3 need no special casing, except that a (2,2)-form at p = 2 is
+checked on the 9 points of P^1(F_2) x P^1(F_2).
 
 The singular point of a ternary cubic without a repeated rational line is read
 off binary forms too: from the cofactor of a rational line restricted to that
@@ -50,57 +51,27 @@ def binary_roots(coeffs, p):
     return out
 
 
-def _rootless_cofactor(coeffs, roots, p):
-    """A nonzero binary form divided by its rational roots, given with their
-    multiplicities: f(1, t) divided by every (t - r)^m, up to a unit; its
-    coefficient list is the binary form with the same index order.
-    """
-    cofactor = fp_poly(coeffs, p)
-    for (a, t), m in roots:
-        if a:
-            for _ in range(m):
-                cofactor = fp_poly_divmod(cofactor, [-t % p, 1], p)[0]
-    return tuple(cofactor)
-
-
-def _is_square_form(coeffs, p):
-    """Whether a rootless binary form has a repeated factor over F_p, so
-    multiple roots over the algebraic closure, none of them rational.  A
-    rootless quartic has one exactly when it is a scalar times the square of
-    a quadratic; a form of degree 5 or more when f(1, t), whose coefficient
-    list is the form's, shares a factor with its derivative (as F_p is
-    perfect, that derivative is zero only for a p-th power)."""
-    d = len(coeffs) - 1
-    if d < 4:
-        return False  # rootless quadratics and cubics are irreducible, hence separable
-    if d > 4:
-        derivative = fp_poly([i * c for i, c in enumerate(coeffs)][1:], p)
-        return len(fp_poly_gcd(fp_poly(coeffs, p), derivative, p)) > 1
-    if p == 2:
-        return coeffs[1] % 2 == 0 and coeffs[3] % 2 == 0
-    lead = coeffs[0] % p
-    if lead == 0:  # rootless quartics have nonzero ends
-        return False
-    inv = fp_inv(lead, p)
-    m3, m2, m1, m0 = (c * inv % p for c in coeffs[1:])
-    inv2 = fp_inv(2, p)
-    beta = m3 * inv2 % p
-    gamma = (m2 - beta * beta) * inv2 % p
-    return (2 * beta * gamma - m1) % p == 0 and (gamma * gamma - m0) % p == 0
-
-
 def repeated_root(coeffs, p):
     """The unique multiple root of a nonzero binary form over the algebraic
-    closure, provided it is F_p-rational; None otherwise."""
+    closure, provided it is F_p-rational; None otherwise.  Any other multiple
+    root lies in a squared irreducible factor, of degree >= 2, of what is left
+    of f(1, t) once the rational root's power is divided out (a root at
+    (0 : 1) is none of f(1, t)): so the rest has degree >= 4 and shares a
+    factor with its derivative (F_p is perfect)."""
     if all(c % p == 0 for c in coeffs):
         raise ValueError("zero form")
-    roots = binary_roots(coeffs, p)
-    multiple = [pt for pt, m in roots if m >= 2]
+    multiple = [(pt, m) for pt, m in binary_roots(coeffs, p) if m >= 2]
     if len(multiple) != 1:
         return None
-    if _is_square_form(_rootless_cofactor(coeffs, roots, p), p):
-        return None  # extra conjugate double roots
-    return multiple[0]
+    ((a, t), m), = multiple
+    rest = fp_poly(coeffs, p)
+    strip = m if a else 0
+    if len(rest) - strip < 5:
+        return (a, t)
+    for _ in range(strip):
+        rest = fp_poly_divmod(rest, [-t % p, 1], p)[0]
+    derivative = fp_poly([i * c for i, c in enumerate(rest)][1:], p)
+    return None if len(fp_poly_gcd(rest, derivative, p)) > 1 else (a, t)
 
 
 # ---------------------------------------------------------------------------

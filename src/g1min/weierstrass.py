@@ -4,7 +4,8 @@ kappa of a marked point, and the level of a genus-one model.
 At p >= 5 the local minimal model has a closed form: the model is
 non-minimal exactly when p^4 | c4 and p^6 | c6, and completing the square
 and the cube with u = p^k reaches the minimal one.  At p = 2 and 3 Tate's
-algorithm walks the reduction types.
+algorithm walks the reduction types, each step by formula (Cremona, Algorithms
+for Modular Elliptic Curves, 3.2) or by F_p root finding.
 
 The level of an integral nonsingular model m with Jacobian data (E, P) is the
 integer l >= 0 in
@@ -19,7 +20,7 @@ of their kappas.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import INFINITY, as_context, fp_inv, fp_poly_roots, quotient, valuation
+from .exactnum import as_context, fp_inv, fp_poly_roots, quotient, valuation
 from .invariants import (
     cube_invariants, form22_invariants, hypercube_invariants, refuse_non_integral,
 )
@@ -206,43 +207,46 @@ def _fp_cubic_roots(a, b, c, p):
 def _singular_point_mod_p(E, p):
     """The singular point of the reduction mod p (it exists when p | disc).
 
-    For p odd, completing the square turns the curve into
-    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the point is
-    (x0, -(a1 x0 + a3)/2) with x0 the multiple root of the cubic, which is
-    rational because it is unique.
+    At p = 2 the partials are a1 y + x^2 + a4 and a1 x + a3 mod 2.  For p
+    odd, (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the point is
+    (x0, -(a1 x0 + a3)/2) with x0 the multiple root of the cubic: at p = 3
+    -b2 b4 when 3 does not divide b2, else -b6, as the cubic is (x + b6)^3;
+    at p >= 5, as X = 36x + 3 b2 gives X^3 - 27 c4 X - 54 c6, the triple
+    root X = 0 when p | c4, else the double root X = -3 c6/c4.
     """
     if p == 2:
-        for x in (0, 1):
-            for y in (0, 1):
-                f = (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % 2
-                fx = (E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4) % 2
-                fy = (2 * y + E.a1 * x + E.a3) % 2
-                if f == 0 and fx == 0 and fy == 0:
-                    return x, y
+        if E.a1 % 2:
+            x = E.a3 % 2
+            y = (x + E.a4) % 2
+        else:
+            x = E.a4 % 2
+            y = (x * (1 + E.a2 + E.a4) + E.a6) % 2
     else:
-        for x, mult in fp_poly_roots([E.b6, 2 * E.b4, E.b2, 4], p):
-            if mult >= 2:
-                return x, (-(E.a1 * x + E.a3) * fp_inv(2, p)) % p
-    raise AssertionError("no singular point found although p | disc")
+        if p == 3:
+            x = -E.b6 if E.b2 % 3 == 0 else -E.b2 * E.b4
+        elif E.c4 % p == 0:
+            x = -E.b2 * fp_inv(12, p)
+        else:
+            x = -(E.c6 + E.b2 * E.c4) * fp_inv(12 * E.c4, p)
+        x %= p
+        y = -(E.a1 * x + E.a3) * fp_inv(2, p) % p
+    if any(v % p for v in (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x), 2 * y + E.a1 * x + E.a3,
+                           E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4)):
+        raise AssertionError("the reduction mod p is not singular at the closed-form point")
+    return x, y
 
 
 def _step6_normalize(E, p):
-    """Translation making p | a1, a2; p^2 | a3, a4; p^3 | a6.
-
-    Deterministic for p >= 3; for p = 2 a short search over (s, t) mod 8.
-    """
+    """Translation making p | a1, a2; p^2 | a3, a4; p^3 | a6.  At p = 2,
+    where 2 | a1 and 4 | a3 already, s = a2 mod 2 and t = 2 ((a6/4) mod 2)
+    clear a2 and a6 - t a3 - t^2 mod 8; for p odd, s = -a1/2, t = -a3/2."""
     if p == 2:
-        for s in range(8):
-            for t in range(8):
-                cand = CurveMap(1, 0, s, t).apply(E)
-                if (cand.a1 % 2 == 0 and cand.a2 % 2 == 0 and cand.a3 % 4 == 0
-                        and cand.a4 % 4 == 0 and cand.a6 % 8 == 0):
-                    return CurveMap(1, 0, s, t)
-        raise AssertionError("step-6 normalisation failed at p = 2")
-    s = (-E.a1 * fp_inv(2, p)) % p
-    E1 = CurveMap(1, 0, s, 0).apply(E)
-    t = (-E1.a3 * fp_inv(2, p * p)) % (p * p)
-    m = CurveMap(1, 0, s, 0).then(CurveMap(1, 0, 0, t))
+        m = CurveMap(1, 0, E.a2 % 2, 2 * (E.a6 // 4 % 2))
+    else:
+        s = (-E.a1 * fp_inv(2, p)) % p
+        E1 = CurveMap(1, 0, s, 0).apply(E)
+        t = (-E1.a3 * fp_inv(2, p * p)) % (p * p)
+        m = CurveMap(1, 0, s, 0).then(CurveMap(1, 0, 0, t))
     cand = m.apply(E)
     if not (cand.a1 % p == 0 and cand.a2 % p == 0 and cand.a3 % p ** 2 == 0
             and cand.a4 % p ** 2 == 0 and cand.a6 % p ** 3 == 0):
@@ -406,7 +410,7 @@ def _kappa_on_minimal(P, cmap, p):
     Pm = cmap.apply_point(P)
     vx = valuation(Pm.x, p)
     vy = valuation(Pm.y, p)
-    if (vx is INFINITY or vx >= 0) and (vy is INFINITY or vy >= 0):
+    if vx >= 0 and vy >= 0:
         return 0
     if not (vx < 0 and vx % 2 == 0 and vy == 3 * (vx // 2)):
         raise AssertionError("point denominators are not (-2r, -3r)")

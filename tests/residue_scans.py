@@ -22,17 +22,24 @@ Gaussian elimination (`fp_matrix`, `fp_rank`, `_fp_echelon`), which the
 
 `repeated_root_by_stripping` is the library's `repeated_root` as it was when
 it divided out every rational root (`_strip_rational_roots_fp`, by F_p
-polynomial division) before it looked for a multiple root; the library now
-builds that cofactor only when exactly one root is multiple.
+polynomial division) before it looked for a multiple root.  Both reference
+`repeated_root`s test the rootless cofactor with `_is_square_form`, the
+library's test as it was before it became one gcd with the derivative: a
+closed-form square test for quartics, the gcd from degree 5 on.
+
+Besides the scans for the Tate walk's cubic roots (now F_p root finding) and
+singular point (now a formula at every prime), `step6_by_search` is the search
+over (s, t) mod 8 that the closed-form p = 2 step-6 translation replaced.
 """
 
-from g1min.exactnum import fp_inv, fp_poly, fp_poly_divmod
+from g1min.exactnum import fp_inv, fp_poly, fp_poly_divmod, fp_poly_gcd
 from g1min.models import CUBIC_MONOMIALS
 from g1min.residue import (
     Residue22Class, ResidueCubicClass, TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE,
     TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO,
-    _form22_residue_rows, _is_square_form, binary_roots as fp_binary_roots,
+    _form22_residue_rows, binary_roots as fp_binary_roots,
 )
+from g1min.weierstrass import CurveMap
 
 
 def fp_matrix(rows, p):
@@ -194,6 +201,32 @@ def _strip_rational_roots(coeffs, p):
         for _ in range(m):
             cur = binary_divide_linear(cur, ell, p)
     return roots, cur
+
+
+def _is_square_form(coeffs, p):
+    """Whether a rootless binary form has a repeated factor over F_p, so
+    multiple roots over the algebraic closure, none of them rational.  A
+    rootless quartic has one exactly when it is a scalar times the square of
+    a quadratic; a form of degree 5 or more when f(1, t), whose coefficient
+    list is the form's, shares a factor with its derivative (as F_p is
+    perfect, that derivative is zero only for a p-th power)."""
+    d = len(coeffs) - 1
+    if d < 4:
+        return False  # rootless quadratics and cubics are irreducible, hence separable
+    if d > 4:
+        derivative = fp_poly([i * c for i, c in enumerate(coeffs)][1:], p)
+        return len(fp_poly_gcd(fp_poly(coeffs, p), derivative, p)) > 1
+    if p == 2:
+        return coeffs[1] % 2 == 0 and coeffs[3] % 2 == 0
+    lead = coeffs[0] % p
+    if lead == 0:  # rootless quartics have nonzero ends
+        return False
+    inv = fp_inv(lead, p)
+    m3, m2, m1, m0 = (c * inv % p for c in coeffs[1:])
+    inv2 = fp_inv(2, p)
+    beta = m3 * inv2 % p
+    gamma = (m2 - beta * beta) * inv2 % p
+    return (2 * beta * gamma - m1) % p == 0 and (gamma * gamma - m0) % p == 0
 
 
 def repeated_root(coeffs, p):
@@ -409,3 +442,15 @@ def _singular_point_mod_p(E, p):
             if f == 0 and fx == 0 and fy == 0:
                 return x, y
     raise AssertionError("no singular point found although p | disc")
+
+
+def step6_by_search(E):
+    """The p = 2 step-6 translation: the first (s, t) mod 8, s then t, with
+    2 | a1, a2; 4 | a3, a4; 8 | a6."""
+    for s in range(8):
+        for t in range(8):
+            cand = CurveMap(1, 0, s, t).apply(E)
+            if (cand.a1 % 2 == 0 and cand.a2 % 2 == 0 and cand.a3 % 4 == 0
+                    and cand.a4 % 4 == 0 and cand.a6 % 8 == 0):
+                return CurveMap(1, 0, s, t)
+    raise AssertionError("step-6 normalisation failed at p = 2")

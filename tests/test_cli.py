@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from g1min import (
-    FactorizationError, RefusedInputError, SingularModelError, TwoTwoForm,
-    UnsupportedModelError, construct_22, construct_cube, discriminant, model_from_dict,
-    model_to_dict, scalar_multiply,
+    FactorizationError, RefusedInputError, SingularModelError, TernaryCubic, TwoTwoForm,
+    UnsupportedModelError, construct_22, construct_cube, cubic_invariants, discriminant,
+    model_from_dict, model_to_dict, scalar_multiply,
 )
 from g1min.cli import main
 from g1min.exactnum import is_prime
@@ -44,6 +44,20 @@ def test_invariants_form22_json(tmp_path, capsys):
     assert doc["Delta"] == "-64"
     assert doc["a_invariants"] == ["0", "0", "0", "1", "0"]
     assert doc["xi"] == "0" and doc["eta"] == "0"
+
+
+def test_invariants_cubic(tmp_path, capsys):
+    F = TernaryCubic.from_dict({(3, 0, 0): 1, (0, 3, 0): -2, (0, 0, 3): 5, (1, 1, 1): 3,
+                                (2, 1, 0): -1, (0, 1, 2): 4})
+    c4, c6, disc = cubic_invariants(F)
+    assert disc != 0
+    path = write_model(tmp_path, "cubic.json", model_to_dict(F))
+    assert main(["invariants", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"kind": "cubic", "c4": str(c4), "c6": str(c6), "Delta": str(disc)}
+    assert main(["invariants", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kind: cubic", f"c4 = {c4}", f"c6 = {c6}", f"Delta = {disc}"]
 
 
 def test_invariants_zero_model(tmp_path, capsys):

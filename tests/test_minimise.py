@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -464,6 +466,54 @@ def test_hypercube_slender_stretch_desaturates(monkeypatch, p):
     monkeypatch.setattr(minimise_module, "saturation_defect", lambda m, ctx: None)
     with pytest.raises(InternalBoundError, match="failed to desaturate"):
         minimise(H, LocalContext(p))
+
+
+# hypercubes whose minimisation swaps axes where nothing else does: after the
+# corner clearing, with H[0][1][1][0] a unit and H[1][0][0][1] = 0 mod p
+# (axes 0 and 1), and before the stretch, with H[1][1][0][0] and H[1][0][1][0]
+# both 0 mod p (axes 1 and 3)
+_SWAP_AXES_BRANCHES = [
+    (7, (-1, 49, 1, 3, 0, 0, -1, 49, -1, 49, -7, 1, -7, 49, 3, 0),
+     "elif h(1, 0, 0, 1) == 0:"),
+    (2, (-2, 16, -2, -1, -1, 4, 0, 16, -2, 4, 4, 4, 4, 3, 16, 2),
+     'd.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)'),
+]
+
+
+def _hypercube_step_lines(H, p):
+    """The report of minimising H at p, the stripped source lines of
+    `_hypercube_step`, and the positions among them of the lines it ran."""
+    step = importlib.import_module("g1min.minimise")._hypercube_step
+    lines, first = inspect.getsourcelines(step)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not step.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno - first)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        rep = minimise(H, LocalContext(p))
+    finally:
+        sys.settrace(previous)
+    return rep, [line.strip() for line in lines], ran
+
+
+@pytest.mark.parametrize("p, coeffs, branch", _SWAP_AXES_BRANCHES)
+def test_hypercube_swap_axes_branches(p, coeffs, branch):
+    # the branch is the swap itself, or the condition on the line before it;
+    # either text occurs once in the step
+    H = Hypercube.from_coeffs(coeffs)
+    rep, lines, ran = _hypercube_step_lines(H, p)
+    assert lines.count(branch) == 1
+    at = lines.index(branch) + branch.endswith(":")
+    assert "swap-axes" in lines[at] and at in ran
+    assert rep.verdict is Verdict.BELOW_12 and level(rep.model, p).level == 0
+    assert act(rep.transformation, H) == rep.model
 
 
 def test_hypercube_chain_overrun_raises(monkeypatch):

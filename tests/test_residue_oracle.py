@@ -13,11 +13,12 @@ from g1min import LocalContext, TernaryCubic, TwoTwoForm, classify_22_residue, c
 from g1min.models import GroupElement, act
 from g1min.residue import (
     TAG_OTHER, TAG_PRODUCT_BOTH, TAG_PRODUCT_NONE, TAG_PRODUCT_ONE, TAG_REPEATED_LINE,
-    TAG_UNIQUE_SINGULAR, _is_square_form, _linear_factors, _singular_points_22,
+    TAG_UNIQUE_SINGULAR, _linear_factors, _singular_points_22,
     binary_roots, repeated_root,
 )
+from g1min.exactnum import valuation
 from g1min.weierstrass import (
-    WeierstrassCurve, _fp_cubic_roots, _singular_point_mod_p, _tate_walk,
+    CurveMap, WeierstrassCurve, _fp_cubic_roots, _singular_point_mod_p, _tate_walk,
 )
 import g1min.weierstrass as weierstrass
 
@@ -109,6 +110,16 @@ def test_repeated_root_matches_stripping_reference_on_every_form(p):
                 assert repeated_root(f, p) == scans.repeated_root_by_stripping(f, p), f
 
 
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 6)])
+def test_repeated_root_matches_stripping_reference_up_to_degree(p, max_degree):
+    # every nonzero form of every degree up to max_degree over F_p, so the
+    # one squarefree test meets every cofactor the old quartic and gcd tests met
+    for degree in range(1, max_degree + 1):
+        for f in itertools.product(range(p), repeat=degree + 1):
+            if any(f):
+                assert repeated_root(f, p) == scans.repeated_root_by_stripping(f, p), f
+
+
 def _poly_rem(f, g, p):
     """The remainder of f by a monic g over F_p, lists constant first."""
     f = list(f)
@@ -178,7 +189,7 @@ def test_is_square_form_matches_brute_force_on_rootless_forms(p, degree):
     answers = set()
     for f in itertools.product(range(p), repeat=degree + 1):
         if f[0] and f[-1] and not scans.binary_roots(f, p):
-            answer = _is_square_form(f, p)
+            answer = scans._is_square_form(f, p)
             assert answer == _has_irreducible_square(f, squares, p), f
             answers.add(answer)
     assert answers == ({False} if degree == 5 else {True, False})
@@ -388,9 +399,13 @@ def _translated(E, rng, p):
         E.a6 + r * E.a4 + r * r * E.a2 + r ** 3 - t * E.a3 - t * t - r * t * E.a1)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_tate_singular_point_and_walk_match_scan(p, monkeypatch):
-    rng = random.Random(5000 + p)
+def _inflated(E, u):
+    return WeierstrassCurve(*(a * u ** w for a, w in zip(E.a_invariants(), (1, 2, 3, 4, 6))))
+
+
+def _tate_cases(p, rng):
+    """The Kodaira family at p, each curve translated, random curves with
+    p | disc, and a third of these, translated, inflated by u = p and p^2."""
     curves = []
     for E in kodaira_family(p):
         curves += [E, _translated(E, rng, p)]
@@ -398,9 +413,63 @@ def test_tate_singular_point_and_walk_match_scan(p, monkeypatch):
         E = WeierstrassCurve(*(rng.randint(-40, 40) for _ in range(5)))
         if E.disc != 0 and E.disc % p == 0:
             curves.append(E)
+    return curves + [_translated(_inflated(E, p ** k), rng, p)
+                     for E in curves[::3] for k in (1, 2)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_tate_singular_point_and_walk_match_scan(p, monkeypatch):
+    curves = _tate_cases(p, random.Random(5000 + p))
     for E in curves:
         assert _singular_point_mod_p(E, p) == scans._singular_point_mod_p(E, p), E
     walks = [_tate_walk(E, p) for E in curves]
     monkeypatch.setattr(weierstrass, "_fp_cubic_roots", scans._fp_cubic_roots)
     monkeypatch.setattr(weierstrass, "_singular_point_mod_p", scans._singular_point_mod_p)
     assert walks == [_tate_walk(E, p) for E in curves]
+
+
+def test_step6_translation_at_2_matches_search(monkeypatch):
+    # the closed-form (s, t) is the first hit of the old search over (s, t) mod 8
+    step6, seen = weierstrass._step6_normalize, []
+
+    def checked(E, p):
+        m = step6(E, p)
+        assert m == scans.step6_by_search(E), E
+        seen.append(E)
+        return m
+
+    monkeypatch.setattr(weierstrass, "_step6_normalize", checked)
+    for E in _tate_cases(2, random.Random(5102)):
+        _tate_walk(E, 2)
+    assert len(seen) >= 20
+
+
+def _rescales_by_p(E, p):
+    """Whether CurveMap(p, r, s, t) takes E to an integral curve for some
+    r mod p^2, s mod p and t mod p^3.  The search is complete: when both
+    curves are integral and v(u) >= 0, r, s and t are integral, and following
+    the map by the integral translation (1, k, j, l), which keeps the image
+    integral, moves r by p^2 k, s by p j and t by p^2 k s + p^3 l."""
+    for s in range(p):
+        if (E.a1 + 2 * s) % p:
+            continue
+        for r in range(p * p):
+            if (E.a2 - s * E.a1 + 3 * r - s * s) % p ** 2:
+                continue
+            if any(CurveMap(p, r, s, t).apply(E).is_integral() for t in range(p ** 3)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_tate_walk_against_exhaustive_rescaling(p):
+    # no model the walk returns has an integral model with u = p, and the
+    # walk rescales exactly when its input has one
+    rescaled = 0
+    for E in _tate_cases(p, random.Random(6000 + p)):
+        E_min, cmap, v = _tate_walk(E, p)
+        assert v == valuation(E_min.disc, p)
+        assert not _rescales_by_p(E_min, p), E
+        assert (cmap.u > 1) == _rescales_by_p(E, p), E
+        rescaled += cmap.u > 1
+    assert rescaled >= 20
