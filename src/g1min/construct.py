@@ -15,7 +15,7 @@ import random
 from .exactnum import (
     RefusedInputError, as_context, complete_primitive_row, identity_matrix, mat_mul,
 )
-from .invariants import discriminant
+from .invariants import discriminant, refuse_non_integral
 from .models import (
     SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError,
     act, is_integral, sym_power_matrix,
@@ -358,12 +358,32 @@ def _stretch_classes(p, a):
     return tuple(complete_primitive_row(w) for w in reps)
 
 
+def _mod_rows(m, p):
+    return tuple(tuple(x % p for x in row) for row in m)
+
+
+@lru_cache(maxsize=None)
+def _oracle_residues(p):
+    """The distinct Sym^2 matrices mod p of the stretch classes of every
+    oracle weight, in first-seen order: one per direction of P^1(F_p)."""
+    residues = {}
+    for a in sorted({a for pair in ORACLE_WEIGHT_PAIRS for a in pair}):
+        for U in _stretch_classes(p, a):
+            residues.setdefault(_mod_rows(sym_power_matrix(U, 2), p))
+    return tuple(residues)
+
+
 @lru_cache(maxsize=None)
 def _oracle_classes(p, a):
-    """The stretch classes of P^1(Z/p^a) with the Sym^2 matrix of each,
-    built on first use: they do not depend on the form."""
-    classes = _stretch_classes(p, a)
-    return tuple(zip(classes, (sym_power_matrix(U, 2) for U in classes)))
+    """The stretch classes of P^1(Z/p^a), each with its Sym^2 matrix and the
+    index of that matrix mod p in _oracle_residues(p), built on first use:
+    they do not depend on the form."""
+    residues = _oracle_residues(p)
+    classes = []
+    for U in _stretch_classes(p, a):
+        su = sym_power_matrix(U, 2)
+        classes.append((U, su, residues.index(_mod_rows(su, p))))
+    return tuple(classes)
 
 
 @lru_cache(maxsize=None)
@@ -373,6 +393,26 @@ def _entry_tests(p, a, b):
     needs = sorted(((a * (1 - r) + b * (1 - c) + 1, r, c) for r in range(3) for c in range(3)),
                    reverse=True)
     return tuple((r, c, p ** need) for need, r, c in needs if need > 0)
+
+
+def _live_residue_pairs(F, p):
+    """{i: {j, ...}} for the residue pairs (i, j) of _oracle_residues(p) whose
+    substituted form Sym^2(U) F Sym^2(V)^T vanishes mod p at the entries
+    (0, 0), (0, 1), (1, 0) and (1, 1); no class pair outside them can reduce F."""
+    residues = _oracle_residues(p)
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = F.rows
+    # F times rows 0 and 1 of each Sym^2(V) mod p, as one 6-tuple per j
+    right = [((f00 * s0 + f01 * s1 + f02 * s2) % p, (f10 * s0 + f11 * s1 + f12 * s2) % p,
+              (f20 * s0 + f21 * s1 + f22 * s2) % p, (f00 * t0 + f01 * t1 + f02 * t2) % p,
+              (f10 * t0 + f11 * t1 + f12 * t2) % p, (f20 * t0 + f21 * t1 + f22 * t2) % p)
+             for (s0, s1, s2), (t0, t1, t2), _ in residues]
+    live = {}
+    for i, ((a0, a1, a2), (b0, b1, b2), _) in enumerate(residues):
+        for j, (w0, w1, w2, z0, z1, z2) in enumerate(right):
+            if not ((a0 * w0 + a1 * w1 + a2 * w2) % p or (a0 * z0 + a1 * z1 + a2 * z2) % p
+                    or (b0 * w0 + b1 * w1 + b2 * w2) % p or (b0 * z0 + b1 * z1 + b2 * z2) % p):
+                live.setdefault(i, set()).add(j)
+    return live
 
 
 def _oracle_reducer(F, p):
@@ -388,18 +428,35 @@ def _oracle_reducer(F, p):
 
     The substituted form is m = Sym^2(U) F Sym^2(V)^T, and entry (r, c)
     must vanish to order need = a(1 - r) + b(1 - c) + 1 where that is
-    positive.  Every need is at most a + b + 1, so left = Sym^2(U) F is
-    reduced mod p^(a+b+1) once per U, and each V is tested one entry at a
-    time, largest need first, stopping at the first entry that fails.
+    positive.  For the entries (0, 0), (0, 1), (1, 0) and (1, 1) the need is
+    a + b + 1, a + 1, b + 1 and 1, at least 1 for every weight pair, and
+    those entries mod p depend only on Sym^2(U) and Sym^2(V) mod p.  So the
+    (p + 1)^2 residue pairs are tested first (`_live_residue_pairs`): a form
+    with none alive is minimal at once, and a class pair whose residue pair
+    is dead is skipped before any work mod p^(a+b+1), a U whose residue is
+    in no live pair before its product.  The skip drops only pairs that
+    cannot pass, so the search stays exhaustive and visits the survivors in
+    the same order, returning the same first reducer.  Every need is at most
+    a + b + 1, so left = Sym^2(U) F is reduced mod p^(a+b+1) once per U,
+    and each V is tested one entry at a time, largest need first, stopping
+    at the first entry that fails.
     """
+    live = _live_residue_pairs(F, p)
+    if not live:
+        return None
     rows = F.rows
     for a, b in ORACLE_WEIGHT_PAIRS:
         q = p ** (a + b + 1)
         tests = _entry_tests(p, a, b)
         v_classes = _oracle_classes(p, b)
-        for U, su in _oracle_classes(p, a):
+        for U, su, i in _oracle_classes(p, a):
+            live_v = live.get(i)
+            if live_v is None:
+                continue
             left = [[x % q for x in row] for row in mat_mul(su, rows)]
-            for V, sv in v_classes:
+            for V, sv, j in v_classes:
+                if j not in live_v:
+                    continue
                 for r, c, mod in tests:
                     lr, vc = left[r], sv[c]
                     if (lr[0] * vc[0] + lr[1] * vc[1] + lr[2] * vc[2]) % mod:
@@ -419,7 +476,15 @@ def oracle_minimality_22(F, ctx):
     p^(a+b+1); the class tables and their Sym^2 matrices are built once per
     (p, a) and cached.  Any hit is an integral model with discriminant
     valuation smaller by 12, so the first round decides the verdict.
-    Restricted to small primes by cost.
+    Before any of that, the p + 1 residues of Sym^2 mod p are paired: every
+    weight pair needs the entries (0, 0), (0, 1), (1, 0) and (1, 1) to
+    vanish mod p, so class pairs whose residues leave one of them nonzero
+    are skipped, and a form with no residue pair left is minimal at once.
+    Only pairs that cannot pass are skipped, so the search stays exhaustive
+    and returns what the unfiltered one returns (see `_oracle_reducer`).
+    Restricted to small primes by cost.  Refusals come in the order kind,
+    prime, Delta = 0, integrality: a non-integral model's Delta = 0 is
+    decided on its primitive integral multiple (`refuse_non_integral`).
     """
     if F.kind != "form22":
         raise UnsupportedModelError(
@@ -428,7 +493,7 @@ def oracle_minimality_22(F, ctx):
     if p > ORACLE_PRIME_BOUND:
         raise RefusedInputError(f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
     if not is_integral(F):
-        raise RefusedInputError("model must be integral")
+        refuse_non_integral(F)
     if discriminant(F) == 0:
         raise SingularModelError("singular model")
     return _oracle_reducer(F, p) is None

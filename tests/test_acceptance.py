@@ -147,7 +147,7 @@ def test_criterion_4_round_trip_minimisation():
 def test_criterion_5_oracle_agreement():
     rng = random.Random(2026_05)
     counts = {}
-    for p in (2, 3):
+    for p in (2, 3, 5):
         ctx = LocalContext(p)
         done = 0
         while done < 200:
@@ -159,7 +159,8 @@ def test_criterion_5_oracle_agreement():
             assert oracle_minimality_22(F, ctx) == is_minimal_22(F, ctx)
             done += 1
         counts[p] = done
-    _report(5, f"oracle and minimiser agree on {counts[2]} forms at p=2 and {counts[3]} at p=3")
+    _report(5, f"oracle and minimiser agree on {counts[2]} forms at p=2, {counts[3]} at p=3 "
+               f"and {counts[5]} at p=5")
 
 
 def test_criterion_6_hypercube_corollary():

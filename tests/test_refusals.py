@@ -113,6 +113,8 @@ REFUSALS = {
                                     SingularModelError, "singular model"),
     "oracle/singular-prime-bound": (lambda: oracle_minimality_22(ZERO_22, 7),
                                     RefusedInputError, "oracle limited to p <= 5"),
+    "oracle/singular-non-integral": (lambda: oracle_minimality_22(SINGULAR_RATIONAL_22, 5),
+                                     SingularModelError, "singular model"),
 
     "factor/zero": (lambda: trial_division_factor(0), FactorizationError,
                     "cannot factor zero"),

@@ -16,6 +16,10 @@ runs these calls on every file through `g1min.cli.main`, in process:
     level FILE --prime P --json
     invariants FILE --json
 
+and, on every (2,2)-form file at p <= 5 (the exhaustive oracle's range),
+
+    oracle min22 FILE --prime P --json
+
 and keeps each call's exit code, stdout and stderr.  Prints the number of
 calls, the sha256 of all answers and "identical" when both checkouts gave the
 same bytes on every call (exit 0); otherwise the first call whose answers
@@ -60,6 +64,7 @@ def write_files(out, primes, bases):
     """Write the model files into `out` and the argv of every call, one JSON
     list, into out/calls.json."""
     from g1min import critical_model, inflate, model_to_dict
+    from g1min.construct import ORACLE_PRIME_BOUND
 
     rng = random.Random(SEED)
     calls = []
@@ -80,6 +85,8 @@ def write_files(out, primes, bases):
                       ["minimise", str(path), "--global", "--json"],
                       ["level", str(path), "--prime", str(p), "--json"],
                       ["invariants", str(path), "--json"]]
+            if m.kind == "form22" and p <= ORACLE_PRIME_BOUND:
+                calls.append(["oracle", "min22", str(path), "--prime", str(p), "--json"])
     (out / "calls.json").write_text(json.dumps(calls))
 
 
