@@ -59,10 +59,6 @@ _EXIT_CODES = {
     FactorizationError: EXIT_FACTOR,
 }
 
-# kinds whose model files must have integral coefficients
-_INTEGRAL_KINDS = ("form22", "cube", "hypercube")
-
-
 def _load_model(path):
     try:
         with open(path) as fh:
@@ -75,8 +71,13 @@ def _load_model(path):
         m = model_from_dict(doc)
     except (ValueError, TypeError, ArithmeticError) as e:
         raise RefusedInputError(f"bad model file {path}: {e}")
-    # the invariant formulas of these kinds divide exactly only on integral models
-    if m.kind in _INTEGRAL_KINDS and not is_integral(m):
+    return m
+
+
+def _refuse_rational(m):
+    """m, unless a rational (2,2)-form, cube or hypercube: model files give
+    these as integers, and only `invariants` and `convert` would take one."""
+    if m.kind in ("form22", "cube", "hypercube") and not is_integral(m):
         raise RefusedInputError("model must be integral")
     return m
 
@@ -114,7 +115,7 @@ def _prime(args):
 
 
 def cmd_invariants(args):
-    m = _load_model(args.model)
+    m = _refuse_rational(_load_model(args.model))
     doc = {"kind": m.kind}
     lines = [f"kind: {m.kind}"]
     if m.kind == "quartic":
@@ -233,7 +234,7 @@ def cmd_construct(args):
 
 
 def cmd_convert(args):
-    m = _load_model(args.model)
+    m = _refuse_rational(_load_model(args.model))
     _write_model(convert_2to3(m) if args.direction == "2to3" else convert_3to2(m), args)
     return EXIT_OK
 

@@ -10,15 +10,16 @@ runs are reproducible.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 import random
 
 from .exactnum import (
-    RefusedInputError, as_context, complete_primitive_row, identity_matrix, mat_mul,
+    RefusedInputError, as_context, complete_primitive_row, det_matrix, identity_matrix, mat_mul,
 )
-from .invariants import discriminant, refuse_non_integral
+from .invariants import checked_invariants, discriminant
 from .models import (
-    SPECS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError,
-    act, is_integral, sym_power_matrix,
+    SPECS, Cube, GroupElement, SingularModelError, TwoTwoForm, UnsupportedModelError, act,
+    is_integral, sym_power_matrix,
 )
 from .weierstrass import WeierstrassCurve
 
@@ -69,47 +70,25 @@ def construct_cube(a1, a2, a3, a4):
 
 def convert_3to2(S):
     """The (2,2)-form of a cube whose bilinear forms vanish at the pair of
-    points ((0:0:1), (0:0:1)); the discriminant is preserved exactly.
-
-    The caller is responsible for moving a rational point of the cube's
-    curve into that position by unimodular changes first.
+    points ((0:0:1), (0:0:1)); the discriminant is preserved exactly.  It is
+    det(L | M | N), row i holding sum s[2][yl][i] y_yl, sum s[xm][2][i] x_xm
+    and sum s[xn][yn][i] x_xn y_yn: linear in each column, so one 3x3 integer
+    determinant per (yl, xm, xn, yn) in {0, 1}^4.  The caller moves a
+    rational point of the cube's curve there by unimodular changes first.
     """
     if S.kind != "cube":
         raise UnsupportedModelError(f"3to2 needs a cube model, got {S.kind}")
     s = S.entries
     if any(s[2][2]):
         raise UnsupportedModelError("the bilinear forms do not vanish at ((0:0:1),(0:0:1))")
-    # row i of the determinant: (L_i: (0,1)-form, M_i: (1,0)-form, N_i: (1,1)-form)
-    def L(i):
-        return {(0, 0): s[2][0][i], (0, 1): s[2][1][i]}
-
-    def M(i):
-        return {(0, 0): s[0][2][i], (1, 0): s[1][2][i]}
-
-    def N(i):
-        return {(j, k): s[j][k][i] for j in range(2) for k in range(2)}
-
-    total = {}
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        a, b, c = perm
-        term = _bi_mul(_bi_mul(L(a), M(b)), N(c))
-        for key, val in term.items():
-            total[key] = total.get(key, 0) + sign * val
-    rows = [[total.get((r, c), 0) for c in range(3)] for r in range(3)]
+    rows = [[0] * 3 for _ in range(3)]
+    for yl, xm, xn, yn in product((0, 1), repeat=4):
+        rows[xm + xn][yl + yn] += det_matrix(
+            tuple((s[2][yl][i], s[xm][2][i], s[xn][yn][i]) for i in range(3)))
     F = TwoTwoForm(tuple(tuple(r) for r in rows))
     if discriminant(F) != discriminant(S):
         raise AssertionError("degree-lowering conversion changed the discriminant")
     return F
-
-
-def _bi_mul(a, b):
-    out = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + x * y
-    return out
 
 
 def convert_2to3(F):
@@ -157,8 +136,16 @@ _CRITICAL_HYPER = (
     ((1, _GE), (0, _EQ), (0, _EQ), (0, _GE)),
 )
 
-# the 4x4 layout pairs row r with (i, k) and column c with (j, l)
-_HYPER_ROW = ((0, 0), (1, 0), (0, 1), (1, 1))
+# (flat position, pattern) per kind, in draw order: the (2,2) and cube
+# patterns row-major, the hypercube's 4x4 layout with row r = i + 2k and
+# column c = j + 2l holding h[i][j][k][l]
+_CRITICAL = {
+    "form22": tuple(enumerate(x for row in _CRITICAL_22 for x in row)),
+    "cube": tuple(enumerate(x for sl in _CRITICAL_CUBE for row in sl for x in row)),
+    "hypercube": tuple((8 * i + 4 * j + 2 * k + l, _CRITICAL_HYPER[2 * k + i][2 * l + j])
+                       for k in range(2) for i in range(2) for l in range(2) for j in range(2)),
+}
+_CRITICAL_TRIES = 200
 
 
 def _draw(spec, p, rng):
@@ -171,7 +158,7 @@ def _draw(spec, p, rng):
     return sign * unit * p ** v
 
 
-def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
+def critical_model(kind, ctx, seed_or_rng=0):
     """A pseudorandom nonsingular model matching the critical valuation
     pattern at the context prime (p >= 5): minimal yet of positive level."""
     ctx = as_context(ctx)
@@ -179,22 +166,12 @@ def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
     if p < 5:
         raise RefusedInputError("critical patterns are stated for p >= 5")
     rng = _rng(seed_or_rng)
-    for _ in range(max_tries):
-        if kind == "form22":
-            m = TwoTwoForm(tuple(tuple(_draw(s, p, rng) for s in row) for row in _CRITICAL_22))
-        elif kind == "cube":
-            m = Cube(tuple(tuple(tuple(_draw(s, p, rng) for s in row) for row in sl)
-                           for sl in _CRITICAL_CUBE))
-        elif kind == "hypercube":
-            h = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-            for r in range(4):
-                i, k = _HYPER_ROW[r]
-                for c in range(4):
-                    j, l = _HYPER_ROW[c]
-                    h[i][j][k][l] = _draw(_CRITICAL_HYPER[r][c], p, rng)
-            m = Hypercube(tuple(tuple(tuple(tuple(x) for x in pl) for pl in blk) for blk in h))
-        else:
-            raise UnsupportedModelError(f"no critical pattern for kind {kind!r}")
+    table = _CRITICAL.get(kind)
+    if table is None:
+        raise UnsupportedModelError(f"no critical pattern for kind {kind!r}")
+    for _ in range(_CRITICAL_TRIES):
+        draws = sorted((n, _draw(pattern, p, rng)) for n, pattern in table)
+        m = SPECS[kind].model.from_coeffs(x for _, x in draws)
         if discriminant(m) != 0:
             return m
     raise RuntimeError("failed to sample a nonsingular critical model")
@@ -204,13 +181,13 @@ def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
 # level inflation: integral moves that raise the level (for round-trip tests)
 
 
-def _random_unimodular(n, rng, bound=2):
+def _random_unimodular(n, rng):
     m = [list(r) for r in identity_matrix(n)]
     for _ in range(n + rng.randrange(3)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        c = rng.randint(-bound, bound)
+        c = rng.randint(-2, 2)
         for k in range(n):
             m[i][k] += c * m[j][k]
     if rng.randrange(2):
@@ -492,8 +469,5 @@ def oracle_minimality_22(F, ctx):
     p = as_context(ctx).p
     if p > ORACLE_PRIME_BOUND:
         raise RefusedInputError(f"oracle limited to p <= {ORACLE_PRIME_BOUND}")
-    if not is_integral(F):
-        refuse_non_integral(F)
-    if discriminant(F) == 0:
-        raise SingularModelError("singular model")
+    checked_invariants(F)
     return _oracle_reducer(F, p) is None

@@ -357,13 +357,6 @@ def _fp_kernel_by_elimination(rows, p):
 # unimodular integer matrices realising residue moves
 
 
-def _gcd_vector(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
-
-
 def complete_primitive_row(vec):
     """Unimodular integer matrix (det +-1) whose first row is the given vector.
 
@@ -373,7 +366,7 @@ def complete_primitive_row(vec):
     """
     vec = tuple(int(x) for x in vec)
     n = len(vec)
-    if _gcd_vector(vec) != 1:
+    if gcd(*vec) != 1:
         raise ValueError(f"{vec} is not primitive")
     # column operations V with vec . V = (1, 0, ..., 0); then first row of
     # V^{-1} is vec, so return V^{-1} built from inverse elementary factors.
@@ -408,7 +401,7 @@ def complete_primitive_row(vec):
 def lift_primitive(vec, p):
     """Lift a vector that is nonzero mod p to a primitive integer vector."""
     lifted = [int(x) % p for x in vec]
-    g = _gcd_vector(lifted)
+    g = gcd(*lifted)
     if g == 1:
         return tuple(lifted)
     j = next(i for i, x in enumerate(lifted) if x % p)
@@ -417,7 +410,7 @@ def lift_primitive(vec, p):
             continue
         cand = list(lifted)
         cand[k] += p
-        if _gcd_vector(cand) == 1:
+        if gcd(*cand) == 1:
             return tuple(cand)
     # no shift of one slot by p made the vector primitive, as for (6, 2) at
     # p = 7, whose (6, 9) has gcd 3: shift the slot after the first nonzero
@@ -427,7 +420,7 @@ def lift_primitive(vec, p):
     k = (j + 1) % len(lifted)
     t = (1 - cand[k]) * fp_inv(p % a, a) % a if a > 1 else 0
     cand[k] += t * p
-    if _gcd_vector(cand) != 1:
+    if gcd(*cand) != 1:
         raise AssertionError(f"failed to lift {vec} to a primitive vector")
     return tuple(cand)
 

@@ -15,9 +15,9 @@ weight-2/3 invariants u = 12 xi + b2 and v = 2 eta + a1 xi + a3 satisfying
 
 a4 and a6 are recovered from c4 and c6 by exact divisions that double as
 integrality checks; on an integral model a division failure signals an
-implementation bug (the CLI rejects non-integral (2,2)-forms, cubes and
-hypercubes before computing invariants, and `refuse_non_integral` serves the
-library's own refusals).
+implementation bug; a rational model's are those of an integral multiple,
+scaled back by homogeneity (`_homogeneous`).  `checked_invariants` is the
+input gate of the minimisers and the (2,2) oracle.
 
 `c4_c6` gives the weight-4/6 pair of every kind from one derived form, and
 `discriminant` derives Delta from that pair (`discriminant_from`, for a
@@ -25,13 +25,15 @@ caller that holds the pair already); the global minimiser takes its
 candidate primes from gcd(c4, c6).
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .exactnum import RefusedInputError, det_matrix, mat_adj, mat_mul
 from .models import (
     HYPERCUBE_PAIRS, SingularModelError, _compiled, _num, _straight_line, cubic_of_cube,
-    cubics_of_cube, form_of_hypercube, forms_of_hypercube, quartics_of_22, scalar_clear,
+    cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral, quartics_of_22,
+    scalar_clear,
 )
 
 
@@ -53,6 +55,33 @@ def discriminant_from(kind, c4, c6):
     return _exact_div(c4 ** 3 - c6 ** 2, 1728, f"{kind} discriminant")
 
 
+# an invariant of weight w (c4: 4, c6: 6, Delta: 12, a_i: i, xi, u: 2, eta,
+# v: 3) has degree w d / 2 in the coefficients (a quartic's I, J: 2, 3)
+_WEIGHT_2_DEGREE = {"quartic": 1, "cubic": 2, "form22": 2, "cube": 6, "hypercube": 4}
+_SET_WEIGHTS = (4, 6, 12, (1, 2, 3, 4, 6), 2, 3, 2, 3)  # InvariantSet's fields
+
+
+def _homogeneous(weights):
+    """Extend fn, whose divisions are exact on integral models, to rational
+    m: compute it on mu m = scalar_clear(m)[0] and divide each value of
+    weight w by mu^(w d / 2); `weights` has the shape of fn's result."""
+    def decorate(fn):
+        @wraps(fn)
+        def on_any_model(m):
+            if getattr(m, "kind", None) not in _WEIGHT_2_DEGREE or is_integral(m):
+                return fn(m)
+            cleared, mu = scalar_clear(m)
+            d = _WEIGHT_2_DEGREE[m.kind]
+
+            def back(x, w):
+                if is_dataclass(x):
+                    return InvariantSet(*back(astuple(x), w))
+                return tuple(map(back, x, w)) if type(w) is tuple else _num(x / mu ** (w * d // 2))
+            return back(fn(cleared), weights)
+        return on_any_model
+    return decorate
+
+
 def _quartic_i_j(G):
     a, b, c, d, e = G.coeffs
     i_inv = 12 * a * e - 3 * b * d + c * c
@@ -62,8 +91,7 @@ def _quartic_i_j(G):
 
 def quartic_invariants(G):
     """(I, J, Delta) of a binary quartic; exact (integral for integral input)."""
-    i_inv, j_inv = _quartic_i_j(G)
-    return i_inv, j_inv, discriminant_from("quartic", i_inv, j_inv)
+    return (*c4_c6(G), discriminant(G))
 
 
 # frozen invariant tables for ternary cubics: each term is (coefficient,
@@ -208,8 +236,7 @@ _C4_C6_TERMS = (_C4_TERMS, _C6_TERMS)  # one table: compiled into one function o
 
 def cubic_invariants(F):
     """(c4, c6, Delta) of a ternary cubic under the xyz normalisation."""
-    c4, c6 = c4_c6(F)
-    return c4, c6, discriminant_from("cubic", c4, c6)
+    return (*c4_c6(F), discriminant(F))
 
 
 @dataclass(frozen=True)
@@ -230,24 +257,25 @@ class InvariantSet:
         return (self.xi, self.eta)
 
 
-def _a4_a6_from(c4, c6, a1, a2, a3, what):
+def _invariant_set(kind, c4, c6, a1, a2, a3, xi, eta, v):
+    """The InvariantSet of a model with these c4, c6, a1, a2, a3 and marked
+    point (xi, eta), checked: v, given in closed form, must equal
+    2 eta + a1 xi + a3, the syzygy must hold and the point lie on the curve.
+    a4 and a6 come from c4 and c6 by exact divisions."""
     b2 = a1 * a1 + 4 * a2
-    b4 = _exact_div(b2 * b2 - c4, 24, f"{what} b4 recovery")
-    b6 = _exact_div(-(b2 ** 3) + 36 * b2 * b4 - c6, 216, f"{what} b6 recovery")
-    a4 = _exact_div(b4 - a1 * a3, 2, f"{what} a4 recovery")
-    a6 = _exact_div(b6 - a3 * a3, 4, f"{what} a6 recovery")
-    return a4, a6
-
-
-def _check_syzygy(inv, what):
-    lhs = (108 * inv.v) ** 2
-    rhs = (3 * inv.u) ** 3 - 27 * inv.c4 * (3 * inv.u) - 54 * inv.c6
-    if lhs != rhs:
-        raise AssertionError(f"{what}: weight-2/3 syzygy failed")
-    a1, a2, a3, a4, a6 = inv.a_invariants
-    xi, eta = inv.xi, inv.eta
+    b4 = _exact_div(b2 * b2 - c4, 24, f"{kind} b4 recovery")
+    b6 = _exact_div(-(b2 ** 3) + 36 * b2 * b4 - c6, 216, f"{kind} b6 recovery")
+    a4 = _exact_div(b4 - a1 * a3, 2, f"{kind} a4 recovery")
+    a6 = _exact_div(b6 - a3 * a3, 4, f"{kind} a6 recovery")
+    u = 12 * xi + b2
+    if v != 2 * eta + a1 * xi + a3:
+        raise AssertionError(f"{kind}: v differs from its closed form")
+    if (108 * v) ** 2 != (3 * u) ** 3 - 27 * c4 * (3 * u) - 54 * c6:
+        raise AssertionError(f"{kind}: weight-2/3 syzygy failed")
     if eta * eta + a1 * xi * eta + a3 * eta != xi ** 3 + a2 * xi * xi + a4 * xi + a6:
-        raise AssertionError(f"{what}: marked point is not on the curve")
+        raise AssertionError(f"{kind}: marked point is not on the curve")
+    return InvariantSet(c4, c6, discriminant_from(kind, c4, c6), (a1, a2, a3, a4, a6),
+                        xi, eta, u, v)
 
 
 def _form22_c4_c6(g):
@@ -256,28 +284,19 @@ def _form22_c4_c6(g):
     return i_inv, _exact_div(j_inv, 2, "(2,2) second invariant")
 
 
+@_homogeneous(_SET_WEIGHTS)
 def form22_invariants(F):
     """InvariantSet of a (2,2)-form (exact; both derived quartics must agree)."""
     g1, g2 = quartics_of_22(F)
     c4, c6 = _form22_c4_c6(g1)
     if _form22_c4_c6(g2) != (c4, c6):
         raise AssertionError("the two quartics of a (2,2)-form disagree on I, J")
-    disc = discriminant_from("form22", c4, c6)
     a = F.rows
-    xi = a[0][0] * a[2][2] + a[0][2] * a[2][0]
-    eta = a[0][0] * a[1][1] * a[2][2]
-    a1 = -a[1][1]
     a2 = -(a[0][0] * a[2][2] + a[0][1] * a[2][1] + a[0][2] * a[2][0] + a[1][0] * a[1][2])
     a3 = (a[0][1] * a[1][2] * a[2][0] + a[0][2] * a[1][0] * a[2][1]
           - a[0][0] * a[1][2] * a[2][1] - a[0][1] * a[1][0] * a[2][2])
-    a4, a6 = _a4_a6_from(c4, c6, a1, a2, a3, "(2,2)-form")
-    u = 12 * xi + a1 * a1 + 4 * a2
-    v = 2 * eta + a1 * xi + a3
-    if v != det_matrix(a):
-        raise AssertionError("v of a (2,2)-form must equal det(a_ij)")
-    inv = InvariantSet(c4, c6, disc, (a1, a2, a3, a4, a6), xi, eta, u, v)
-    _check_syzygy(inv, "(2,2)-form")
-    return inv
+    xi, eta = a[0][0] * a[2][2] + a[0][2] * a[2][0], a[0][0] * a[1][1] * a[2][2]
+    return _invariant_set("form22", c4, c6, -a[1][1], a2, a3, xi, eta, det_matrix(a))  # v = det a
 
 
 def _tr(m):
@@ -288,6 +307,7 @@ def _mat_add(a, b, sign=1):
     return tuple(tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+@_homogeneous(_SET_WEIGHTS)
 def cube_invariants(S):
     """InvariantSet of a 3x3x3 cube (marked-point data from the first slicing)."""
     f1, f2, f3 = cubics_of_cube(S)
@@ -295,7 +315,6 @@ def cube_invariants(S):
     for other in (f2, f3):
         if c4_c6(other) != (c4, c6):
             raise AssertionError("cube slicings disagree on c4, c6")
-    disc = discriminant_from("cube", c4, c6)
     m0, n0, p0 = S.slices(0)
     # adj(la*N + mu*P) M = la^2 A + la mu B + mu^2 C
     a_mat = mat_mul(mat_adj(n0), m0)
@@ -305,18 +324,11 @@ def cube_invariants(S):
     tr_ac = _tr(mat_mul(a_mat, c_mat))
     tr_abc = _tr(mat_mul(mat_mul(a_mat, b_mat), c_mat))
     tr_cba = _tr(mat_mul(mat_mul(c_mat, b_mat), a_mat))
-    xi, eta = -tr_ac, -tr_cba
     a1 = _tr(b_mat)
     a2 = tr_ac + _tr(a_mat) * _tr(c_mat) - _tr(mat_adj(b_mat))
-    a3 = tr_abc + tr_cba + tr_ac * a1
-    a4, a6 = _a4_a6_from(c4, c6, a1, a2, a3, "cube")
-    u = 12 * xi + a1 * a1 + 4 * a2
-    v = 2 * eta + a1 * xi + a3
-    if v != tr_abc - tr_cba:
-        raise AssertionError("v of a cube must equal tr(ABC) - tr(CBA)")
-    inv = InvariantSet(c4, c6, disc, (a1, a2, a3, a4, a6), xi, eta, u, v)
-    _check_syzygy(inv, "cube")
-    return inv
+    # (xi, eta) = (-tr(AC), -tr(CBA)) and v = tr(ABC) - tr(CBA)
+    return _invariant_set("cube", c4, c6, a1, a2, tr_abc + tr_cba + tr_ac * a1, -tr_ac, -tr_cba,
+                          tr_abc - tr_cba)
 
 
 # the three axis pairings of a hypercube; each pairing gives one marked point
@@ -360,11 +372,12 @@ _C4_C6 = {
     "quartic": _quartic_i_j,
     "form22": lambda m: _form22_c4_c6(quartics_of_22(m)[0]),
     "cubic": lambda m: _compiled(_C4_C6_TERMS, lambda t: _straight_line(t, (10,)))(m.coeffs),
-    "cube": lambda m: c4_c6(cubic_of_cube(m, 0)),
-    "hypercube": lambda m: c4_c6(form_of_hypercube(m, 0, 1)),
+    "cube": lambda m: _C4_C6["cubic"](cubic_of_cube(m, 0)),
+    "hypercube": lambda m: _C4_C6["form22"](form_of_hypercube(m, 0, 1)),
 }
 
 
+@_homogeneous((4, 6))
 def c4_c6(m):
     """The weight-4 and weight-6 invariants of any model kind: (I, J) for
     binary quartics, (c4, c6) for the rest."""
@@ -374,6 +387,7 @@ def c4_c6(m):
     return fn(m)
 
 
+@_homogeneous(12)
 def discriminant(m):
     """Delta of any model kind, derived from c4_c6."""
     c4, c6 = c4_c6(m)
@@ -382,9 +396,20 @@ def discriminant(m):
 
 def refuse_non_integral(m):
     """Refuse a non-integral model: SingularModelError when Delta = 0, else
-    RefusedInputError.  Delta = 0 is decided on scalar_clear(m)[0], whose
-    Delta vanishes with m's (it is homogeneous in the coefficients), as some
-    kinds' formulas divide exactly only on integral models."""
-    if discriminant(scalar_clear(m)[0]) == 0:
+    RefusedInputError."""
+    if discriminant(m) == 0:
         raise SingularModelError("singular model")
     raise RefusedInputError("model must be integral")
+
+
+def checked_invariants(m):
+    """(c4, c6, Delta) of m once it passes the input checks: a singular
+    model raises SingularModelError, then a non-integral one
+    RefusedInputError (`refuse_non_integral`)."""
+    if not is_integral(m):
+        refuse_non_integral(m)
+    c4, c6 = c4_c6(m)
+    disc = discriminant_from(m.kind, c4, c6)
+    if disc == 0:
+        raise SingularModelError("singular model")
+    return c4, c6, disc

@@ -41,10 +41,10 @@ from .exactnum import (
     LocalContext, as_context, form_to_last, fp_inv, fp_left_kernel_vector,
     identity_matrix, is_prime, mat_mul, unimodular_with_row, valuation,
 )
-from .invariants import c4_c6, discriminant_from, refuse_non_integral
+from .invariants import checked_invariants
 from .models import (
-    GroupElement, HYPERCUBE_PAIRS, SPECS, SingularModelError, UnsupportedModelError, act,
-    content_valuation, cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
+    GroupElement, HYPERCUBE_PAIRS, SPECS, UnsupportedModelError, act, content_valuation,
+    cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
 )
 from .residue import (
     classify_22_residue, classify_cubic_residue, repeated_root, saturation_defect,
@@ -94,19 +94,6 @@ class MinimisationReport:
         return (self.v_disc_initial - self.v_disc_final) // 12
 
 
-def _checked_invariants(m):
-    """(c4, c6, Delta) of m once it passes the input checks: a singular
-    model raises SingularModelError, then a non-integral one
-    RefusedInputError (`refuse_non_integral`)."""
-    if not is_integral(m):
-        refuse_non_integral(m)
-    c4, c6 = c4_c6(m)
-    disc = discriminant_from(m.kind, c4, c6)
-    if disc == 0:
-        raise SingularModelError("singular model")
-    return c4, c6, disc
-
-
 @dataclass(frozen=True)
 class _Move:
     """A move proposed by a step: one group element, recorded as one Step.
@@ -122,16 +109,12 @@ class _Move:
     model: object = None
 
 
-# the theory's bound on consecutive level-keeping moves (cubes: procedures)
-_CHAIN_BOUNDS = {"quartic": 2, "form22": 2, "cube": 3, "hypercube": 2}
-
-
 class _Driver:
     """Work state: current model, accumulated certificate, step history."""
 
     def __init__(self, m, ctx):
         # the model's refusals come before the prime's
-        disc = _checked_invariants(m)[2]
+        disc = checked_invariants(m)[2]
         self.ctx = as_context(ctx)
         self.p = self.ctx.p
         self.input = m
@@ -142,13 +125,13 @@ class _Driver:
         self.content = 0  # v_p of the content that division left (quartics: 0 or 1)
         self.records = []  # (Step, model, transformation, v_after)
 
-    def run(self, step):
+    def run(self):
         """Minimise: while v(Delta) >= 12, divide out content, then commit the
-        move step(self) proposes, until it returns a Verdict.  A step proposes
-        one move, which must land integrally, or a tuple of candidates, of
-        which the first that lands integrally is committed."""
+        move the kind's step (`_STEPS`) proposes, until it returns a Verdict.
+        A step proposes one move, which must land integrally, or a tuple of
+        candidates, of which the first that lands integrally is committed."""
         kind, p = self.input.kind, self.p
-        spec, bound = SPECS[kind], _CHAIN_BOUNDS[kind]
+        spec, (step, bound) = SPECS[kind], _STEPS[kind]
         chain = max_chain = 0
         while self.v >= 12:
             self.content = content_valuation(self.cur, p)
@@ -269,7 +252,7 @@ def minimise_quartic(G, ctx):
     """Slope descent for binary quartics, dividing out even content as it
     appears.  At most two consecutive root moves can precede a content
     division, so a third certifies minimality."""
-    return _Driver(G, ctx).run(_quartic_step)
+    return _minimise(G, ctx, "quartic")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +291,7 @@ def _22_step(d):
 
 def minimise_22(F, ctx):
     """Minimise a nonsingular integral (2,2)-form at the context prime."""
-    return _Driver(F, ctx).run(_22_step)
+    return _minimise(F, ctx, "form22")
 
 
 def is_minimal_22(F, ctx):
@@ -358,7 +341,7 @@ def _cube_step(d):
 
 def minimise_cube(S, ctx):
     """Minimise a nonsingular integral cube at the context prime."""
-    return _Driver(S, ctx).run(_cube_step)
+    return _minimise(S, ctx, "cube")
 
 
 # ---------------------------------------------------------------------------
@@ -553,31 +536,41 @@ def minimise_hypercube(H, ctx):
     diagonal stretch makes progress; the singular-point flavour can repeat at
     most twice before desaturation or the doubly-degenerate flavour occurs.
     """
-    rep = _Driver(H, ctx).run(_hypercube_step)
-    if rep.verdict is Verdict.NEUTRAL_CHAIN_BOUND:
-        raise InternalBoundError("hypercube singular-point procedure ran thrice")
-    return rep
+    return _minimise(H, ctx, "hypercube")
 
 
 # ---------------------------------------------------------------------------
 # dispatch and the global driver
 
 
-_MINIMISERS = {
-    "quartic": minimise_quartic,
-    "form22": minimise_22,
-    "cube": minimise_cube,
-    "hypercube": minimise_hypercube,
+# each kind's step, and the theory's bound on consecutive level-keeping
+# moves (cubes: procedures)
+_STEPS = {
+    "quartic": (_quartic_step, 2),
+    "form22": (_22_step, 2),
+    "cube": (_cube_step, 3),
+    "hypercube": (_hypercube_step, 2),
 }
 
 
-def _minimiser(m):
-    kind = getattr(m, "kind", type(m))
-    if kind == "cubic":
+def _check_kind(m, kind=None):
+    """UnsupportedModelError for a model no step minimises, or not of `kind`."""
+    actual = getattr(m, "kind", type(m))
+    if actual == "cubic":
         raise UnsupportedModelError("ternary cubics are carried along, not minimised directly")
-    if kind not in _MINIMISERS:
-        raise UnsupportedModelError(f"cannot minimise a model of kind {kind}")
-    return _MINIMISERS[kind]
+    if actual not in _STEPS:
+        raise UnsupportedModelError(f"cannot minimise a model of kind {actual}")
+    if kind is not None and actual != kind:
+        raise UnsupportedModelError(f"the {kind} minimiser got a {actual} model")
+
+
+def _minimise(m, ctx, kind=None):
+    """Every minimiser: the kind check, then the driver."""
+    _check_kind(m, kind)
+    rep = _Driver(m, ctx).run()
+    if m.kind == "hypercube" and rep.verdict is Verdict.NEUTRAL_CHAIN_BOUND:
+        raise InternalBoundError("hypercube singular-point procedure ran thrice")
+    return rep
 
 
 def minimise(m, ctx):
@@ -585,15 +578,16 @@ def minimise(m, ctx):
     order kind (UnsupportedModelError), Delta = 0 (SingularModelError),
     integrality, then the prime (both RefusedInputError); Delta = 0 of a
     non-integral model is decided on its primitive integral multiple."""
-    return _minimiser(m)(m, ctx)
+    return _minimise(m, ctx)
 
 
 class FactorizationError(ArithmeticError):
     pass
 
 
-def trial_division_factor(n, bound=1 << 20):
-    """Default factoriser: trial division, then a primality check on the rest."""
+def trial_division_factor(n):
+    """Default factoriser: trial division to 2^20, then a primality check on
+    the rest."""
     n = abs(int(n))
     if n == 0:
         raise FactorizationError("cannot factor zero")
@@ -606,7 +600,7 @@ def trial_division_factor(n, bound=1 << 20):
         if e:
             out.append((q, e))
     q, step = 5, 2
-    while q * q <= n and q <= bound:
+    while q * q <= n and q <= 1 << 20:
         e = 0
         while n % q == 0:
             n //= q
@@ -644,8 +638,8 @@ def minimise_global(m, factor=trial_division_factor):
     [(prime, exponent), ...] and raises FactorizationError when it cannot
     split g.  The model is refused as by `minimise` before any factoring.
     """
-    _minimiser(m)
-    c4, c6, disc = _checked_invariants(m)
+    _check_kind(m)
+    c4, c6, disc = checked_invariants(m)
     candidates = [p for p, _ in factor(gcd(c4, c6))
                   if valuation(c4, p) >= 4 and valuation(c6, p) >= 6
                   and valuation(disc, p) >= 12]

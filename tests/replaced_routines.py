@@ -1,0 +1,103 @@
+"""The routines g1min replaced by machinery it already had.
+
+These are the library's routines as they were before each job came to be
+done one way: `convert_3to2` expanding det(L | M | N) through dictionaries
+of bidegree-keyed coefficients over the six signed permutations;
+`critical_model` with one branch per kind, assembling the hypercube from its
+4x4 pattern layout through nested lists; and Tate's step-6 translation at odd
+p built from two maps, the t of the second read off the curve the first one
+moved.  They read the library's pattern tables and draw helper at call time,
+and serve only as the reference the differential tests compare the library
+against.
+"""
+
+from g1min.construct import (
+    _CRITICAL_22, _CRITICAL_CUBE, _CRITICAL_HYPER, _draw, _rng,
+)
+from g1min.exactnum import RefusedInputError, as_context, fp_inv
+from g1min.invariants import discriminant
+from g1min.models import Cube, Hypercube, TwoTwoForm, UnsupportedModelError
+from g1min.weierstrass import CurveMap
+
+
+def convert_3to2(S):
+    """The (2,2)-form of a cube whose bilinear forms vanish at the pair of
+    points ((0:0:1), (0:0:1)); the discriminant is preserved exactly."""
+    if S.kind != "cube":
+        raise UnsupportedModelError(f"3to2 needs a cube model, got {S.kind}")
+    s = S.entries
+    if any(s[2][2]):
+        raise UnsupportedModelError("the bilinear forms do not vanish at ((0:0:1),(0:0:1))")
+    # row i of the determinant: (L_i: (0,1)-form, M_i: (1,0)-form, N_i: (1,1)-form)
+    def L(i):
+        return {(0, 0): s[2][0][i], (0, 1): s[2][1][i]}
+
+    def M(i):
+        return {(0, 0): s[0][2][i], (1, 0): s[1][2][i]}
+
+    def N(i):
+        return {(j, k): s[j][k][i] for j in range(2) for k in range(2)}
+
+    total = {}
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        a, b, c = perm
+        term = _bi_mul(_bi_mul(L(a), M(b)), N(c))
+        for key, val in term.items():
+            total[key] = total.get(key, 0) + sign * val
+    rows = [[total.get((r, c), 0) for c in range(3)] for r in range(3)]
+    F = TwoTwoForm(tuple(tuple(r) for r in rows))
+    if discriminant(F) != discriminant(S):
+        raise AssertionError("degree-lowering conversion changed the discriminant")
+    return F
+
+
+def _bi_mul(a, b):
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+# the 4x4 layout pairs row r with (i, k) and column c with (j, l)
+_HYPER_ROW = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
+    """A pseudorandom nonsingular model matching the critical valuation
+    pattern at the context prime (p >= 5): minimal yet of positive level."""
+    ctx = as_context(ctx)
+    p = ctx.p
+    if p < 5:
+        raise RefusedInputError("critical patterns are stated for p >= 5")
+    rng = _rng(seed_or_rng)
+    for _ in range(max_tries):
+        if kind == "form22":
+            m = TwoTwoForm(tuple(tuple(_draw(s, p, rng) for s in row) for row in _CRITICAL_22))
+        elif kind == "cube":
+            m = Cube(tuple(tuple(tuple(_draw(s, p, rng) for s in row) for row in sl)
+                           for sl in _CRITICAL_CUBE))
+        elif kind == "hypercube":
+            h = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+            for r in range(4):
+                i, k = _HYPER_ROW[r]
+                for c in range(4):
+                    j, l = _HYPER_ROW[c]
+                    h[i][j][k][l] = _draw(_CRITICAL_HYPER[r][c], p, rng)
+            m = Hypercube(tuple(tuple(tuple(tuple(x) for x in pl) for pl in blk) for blk in h))
+        else:
+            raise UnsupportedModelError(f"no critical pattern for kind {kind!r}")
+        if discriminant(m) != 0:
+            return m
+    raise RuntimeError("failed to sample a nonsingular critical model")
+
+
+def step6_map_odd(E, p):
+    """The step-6 CurveMap of Tate's walk at an odd prime: s = -a1/2 mod p,
+    then t = -a3/2 mod p^2 read off the curve the s-translation gives."""
+    s = (-E.a1 * fp_inv(2, p)) % p
+    E1 = CurveMap(1, 0, s, 0).apply(E)
+    t = (-E1.a3 * fp_inv(2, p * p)) % (p * p)
+    return CurveMap(1, 0, s, 0).then(CurveMap(1, 0, 0, t))

@@ -206,11 +206,11 @@ def test_internal_faults_exit_6(tmp_path, capsys, monkeypatch, fault):
 
 def test_hypercube_chain_overrun_exits_6(tmp_path, capsys, monkeypatch):
     from g1min import Hypercube
-    from g1min.minimise import _CHAIN_BOUNDS
+    from g1min.minimise import _STEPS
 
     from conftest import HYPERCUBE_CHAIN_2
 
-    monkeypatch.setitem(_CHAIN_BOUNDS, "hypercube", 1)
+    monkeypatch.setitem(_STEPS, "hypercube", (_STEPS["hypercube"][0], 1))
     path = form22_file(tmp_path, Hypercube.from_coeffs(HYPERCUBE_CHAIN_2))
     assert main(["minimise", path, "--prime", "2"]) == 6
     assert capsys.readouterr().err == (
@@ -572,6 +572,7 @@ _REFUSAL_FILES = {
     "short.json": {"kind": "quartic", "coeffs": ["1"]},
     "hex.json": {"kind": "quartic", "coeffs": ["0x10", "0", "0", "0", "1"]},
     "rational22.json": NON_INTEGRAL_22,
+    "rational22-0.json": {"kind": "form22", "coeffs": ["1/2"] + ["0"] * 8},
     "quartic.json": {"kind": "quartic", "coeffs": ["1", "0", "0", "0", "1"]},
     "rational.json": RATIONAL_QUARTIC,
     "rational0.json": {"kind": "quartic", "coeffs": ["1/2", "0", "0", "0", "0"]},
@@ -603,6 +604,8 @@ REFUSALS = {
                                    "bad model file @hex.json: Invalid literal for Fraction:"
                                    " '0x10'"),
     "invariants/non-integral-form22": (["invariants", "@rational22.json"], 2, _NOT_INTEGRAL),
+    "invariants/singular-non-integral-form22": (["invariants", "@rational22-0.json"], 2,
+                                                _NOT_INTEGRAL),
 
     "minimise/unreadable": (["minimise", "@missing.json", "--prime", "5"], 2, _NO_FILE),
     "minimise/non-integral-form22": (["minimise", "@rational22.json", "--prime", "5"], 2,
@@ -625,6 +628,8 @@ REFUSALS = {
     "minimise/cubic-no-prime": (["minimise", "@cubic.json"], 3, _CUBIC),
     "minimise/singular-no-prime": (["minimise", "@zero22.json"], 4, "singular model"),
     "minimise/non-integral-no-prime": (["minimise", "@rational.json"], 2, _NOT_INTEGRAL),
+    "minimise/singular-non-integral-form22": (["minimise", "@rational22-0.json", "--prime",
+                                               "5"], 4, "singular model"),
 
     "global/cubic": (["minimise", "@cubic.json", "--global"], 3, _CUBIC),
     "global/singular-cubic": (["minimise", "@cubic0.json", "--global"], 3, _CUBIC),
@@ -632,6 +637,8 @@ REFUSALS = {
     "global/non-integral": (["minimise", "@rational.json", "--global"], 2, _NOT_INTEGRAL),
     "global/singular-non-integral": (["minimise", "@rational0.json", "--global"], 4,
                                      "singular model"),
+    "global/singular-non-integral-form22": (["minimise", "@rational22-0.json", "--global"], 4,
+                                            "singular model"),
     "global/unfactored": (["minimise", "@semiprime.json", "--global", "--json"], 5,
                           f"leftover cofactor {_PQ} is composite"),
 
@@ -647,6 +654,10 @@ REFUSALS = {
     "level/singular": (["level", "@zero22.json", "--prime", "2"], 4, "singular model"),
     "level/singular-composite-prime": (["level", "@zero22.json", "--prime", "6"], 2,
                                        "6 is not prime"),
+    "level/singular-non-integral-form22": (["level", "@rational22-0.json", "--prime", "5"], 4,
+                                           "singular model"),
+    "level/non-integral-form22-composite-prime": (["level", "@rational22.json", "--prime",
+                                                   "6"], 2, "6 is not prime"),
 
     "construct/nothing": (["construct", "--type", "22"], 2,
                           "either --curve or --critical is required"),
@@ -665,6 +676,8 @@ REFUSALS = {
 
     "convert/non-integral-form22": (["convert", "2to3", "@rational22.json"], 2,
                                     _NOT_INTEGRAL),
+    "convert/singular-non-integral-form22": (["convert", "2to3", "@rational22-0.json"], 2,
+                                             _NOT_INTEGRAL),
     "convert/2to3-quartic": (["convert", "2to3", "@quartic.json"], 3,
                              "2to3 needs a form22 model, got quartic"),
     "convert/2to3-cube": (["convert", "2to3", "@cube.json"], 3,
@@ -692,6 +705,8 @@ REFUSALS = {
                                     "oracle limited to p <= 5"),
     "oracle/singular": (["oracle", "min22", "@zero22.json", "--prime", "5"], 4,
                         "singular model"),
+    "oracle/singular-non-integral-form22": (["oracle", "min22", "@rational22-0.json",
+                                             "--prime", "5"], 4, "singular model"),
 }
 
 

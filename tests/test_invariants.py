@@ -1,19 +1,21 @@
 from fractions import Fraction
+from math import lcm
+import random
 
 import pytest
 
 from g1min import (
     BinaryQuartic, Cube, GroupElement, Hypercube, Point, TernaryCubic,
-    TwoTwoForm, WeierstrassCurve, act, cube_invariants, cubic_invariants,
-    discriminant, form22_invariants, hypercube_invariants, on_curve,
-    point_add, quartic_invariants,
+    TwoTwoForm, WeierstrassCurve, act, c4_c6, cube_invariants, cubic_invariants,
+    discriminant, form22_invariants, hypercube_invariants, is_integral, on_curve,
+    point_add, quartic_invariants, scalar_multiply,
 )
 from g1min.exactnum import det_matrix
 
 from substitution_oracle import ternary_substitute
 from conftest import (
-    levi_civita_cube, identity_hypercube, nonzero_disc, random_cube,
-    random_form22, random_hypercube,
+    levi_civita_cube, identity_hypercube, nonzero_disc, random_cube, random_cubic,
+    random_form22, random_hypercube, random_quartic,
 )
 
 
@@ -155,3 +157,58 @@ def test_invariants_of_rational_models():
     F = TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0)))
     inv = form22_invariants(F)
     assert inv.disc == discriminant(F)
+
+
+# Delta's degree in the coefficients; an invariant of weight w of a (2,2)-form
+# has degree w, of a cube 3w
+_SAMPLERS = {"quartic": random_quartic, "cubic": random_cubic, "form22": random_form22,
+             "cube": random_cube, "hypercube": random_hypercube}
+_DISC_DEGREE = {"quartic": 6, "cubic": 12, "form22": 12, "cube": 36, "hypercube": 24}
+_SET_WEIGHTS = {"c4": 4, "c6": 6, "disc": 12, "xi": 2, "eta": 3, "u": 2, "v": 3}
+
+
+def _one_rational_coefficient(kind, rng):
+    M = nonzero_disc(_SAMPLERS[kind], rng)
+    coeffs = list(M.coeffs)
+    den = rng.randint(2, 7)
+    coeffs[rng.randrange(len(coeffs))] += Fraction(rng.randint(1, den - 1), den)
+    return type(M).from_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("kind", _SAMPLERS)
+def test_invariants_of_rational_models_follow_homogeneity(kind):
+    # Delta(m) = Delta(mu m) / mu^deg for any rational mu, the integral
+    # multiple den * m computed on the integral path; the formulas divide
+    # exactly only on integral models, so before homogeneity took over some
+    # rational (2,2)-forms and hypercubes raised ArithmeticError
+    rng = random.Random(f"rational {kind}")
+    deg = _DISC_DEGREE[kind]
+    for _ in range(100):
+        m = _one_rational_coefficient(kind, rng)
+        assert not is_integral(m)
+        disc = discriminant(m)
+        den = lcm(*(Fraction(c).denominator for c in m.coeffs))
+        assert disc == Fraction(discriminant(scalar_multiply(m, den)), den ** deg)
+        mu = Fraction(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
+        assert disc == Fraction(discriminant(scalar_multiply(m, mu))) / mu ** deg
+        c4, c6 = c4_c6(m)
+        if kind == "quartic":
+            assert quartic_invariants(m) == (c4, c6, disc) and 4 * c4 ** 3 - c6 ** 2 == 27 * disc
+        else:
+            assert c4 ** 3 - c6 ** 2 == 1728 * disc
+        if kind == "cubic":
+            assert cubic_invariants(m) == (c4, c6, disc)
+        if kind == "hypercube":
+            hi = hypercube_invariants(m)
+            assert (hi.c4, hi.c6, hi.disc) == (c4, c6, disc)
+        if kind in ("form22", "cube"):
+            inv = (form22_invariants if kind == "form22" else cube_invariants)(m)
+            scaled = (form22_invariants if kind == "form22" else cube_invariants)(
+                scalar_multiply(m, den))
+            k = 1 if kind == "form22" else 3
+            for name, w in _SET_WEIGHTS.items():
+                assert getattr(inv, name) == Fraction(getattr(scaled, name), den ** (w * k))
+            assert inv.a_invariants == tuple(Fraction(a, den ** (w * k)) for a, w in zip(
+                scaled.a_invariants, (1, 2, 3, 4, 6)))
+            assert (c4, c6, disc) == (inv.c4, inv.c6, inv.disc)
+            assert on_curve(WeierstrassCurve(*inv.a_invariants), Point(*inv.point))

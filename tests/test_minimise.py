@@ -16,7 +16,7 @@ from g1min import (
 )
 from g1min.exactnum import identity_matrix, mat_mul, unimodular_with_row
 from g1min.minimise import (
-    _CHAIN_BOUNDS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
+    _STEPS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
 )
 from g1min.models import SPECS, group_element_from_dict, group_element_to_dict
 
@@ -477,7 +477,43 @@ _SWAP_AXES_BRANCHES = [
      "elif h(1, 0, 0, 1) == 0:"),
     (2, (-2, 16, -2, -1, -1, 4, 0, 16, -2, 4, 4, 4, 4, 3, 16, 2),
      'd.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)'),
+    (2, (296, 472, 80, 124, -992, -1876, -272, -512, 176, 288, 48, 76, -576, -1136, -160, -312),
+     "elif h(1, 0, 0, 1) == 0:"),
+    (2, (176, 40, 880, 200, 80, 20, 392, 96, -640, -160, -3264, -824, -296, -80, -1472, -392),
+     'd.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)'),
 ]
+
+
+def _certificate(scalar, matrices, perm):
+    return {"kind": "hypercube", "scalar": scalar, "perm": perm,
+            "matrices": [[[str(x) for x in row] for row in m] for m in matrices]}
+
+
+# each input's Step labels, v(Delta) before and after, and certificate
+_SWAP_AXES_REPORTS = {
+    _SWAP_AXES_BRANCHES[0][1]: (
+        ("move-singular-point", "corner-pivot", "entry-clear", "entry-clear", "swap-axes",
+         "relabel-axes", "relabel-axes", "block-rows", "block-columns", "entry-clear",
+         "entry-clear", "entry-clear", "stretch-singular", "desaturate"), 12, 0,
+        _certificate("1/49", (((0, 1), (7, -84)), ((0, 1), (7, 0)), ((-7, 7), (1, 0)),
+                              ((-17, 6), (65, -23))), [3, 0, 2, 1])),
+    _SWAP_AXES_BRANCHES[1][1]: (
+        ("move-singular-point", "block-rows", "block-columns", "swap-axes", "stretch-singular",
+         "desaturate"), 14, 2,
+        _certificate("1/4", (((0, 1), (2, 0)), ((1, 0), (0, 2)), ((2, 0), (0, 1)),
+                             ((1, 0), (0, 1))), [0, 3, 2, 1])),
+    _SWAP_AXES_BRANCHES[2][1]: (
+        ("content", "desaturate", "move-singular-point", "swap-axes", "relabel-axes",
+         "relabel-axes", "block-rows", "block-columns", "entry-clear", "stretch-singular",
+         "desaturate"), 72, 0,
+        _certificate("1/32", (((0, 1), (2, 0)), ((1, 0), (0, 4)), ((0, 1), (1, 0)),
+                              ((2, -2), (0, 1))), [3, 0, 2, 1])),
+    _SWAP_AXES_BRANCHES[3][1]: (
+        ("content", "desaturate", "move-singular-point", "block-rows", "block-columns",
+         "swap-axes", "entry-clear", "stretch-singular", "desaturate"), 74, 2,
+        _certificate("1/32", (((2, 0), (0, 2)), ((1, 0), (0, 2)), ((0, 1), (1, 0)),
+                              ((-2, 2), (1, 0))), [0, 3, 2, 1])),
+}
 
 
 def _hypercube_step_lines(H, p):
@@ -514,12 +550,16 @@ def test_hypercube_swap_axes_branches(p, coeffs, branch):
     assert "swap-axes" in lines[at] and at in ran
     assert rep.verdict is Verdict.BELOW_12 and level(rep.model, p).level == 0
     assert act(rep.transformation, H) == rep.model
+    labels, v_initial, v_final, certificate = _SWAP_AXES_REPORTS[coeffs]
+    assert tuple(s.label for s in rep.steps) == labels
+    assert (rep.v_disc_initial, rep.v_disc_final) == (v_initial, v_final)
+    assert group_element_to_dict(rep.transformation) == certificate
 
 
 def test_hypercube_chain_overrun_raises(monkeypatch):
     # hypercube minimality is decided by its forms, so the chain bound is a
     # theorem: reaching it is a bug, not a verdict
-    monkeypatch.setitem(_CHAIN_BOUNDS, "hypercube", 1)
+    monkeypatch.setitem(_STEPS, "hypercube", (_STEPS["hypercube"][0], 1))
     with pytest.raises(InternalBoundError, match="ran thrice"):
         minimise(Hypercube.from_coeffs(HYPERCUBE_CHAIN_2), LocalContext(2))
 
@@ -613,12 +653,10 @@ def test_global_with_a_zero_invariant():
 
 def test_global_evaluates_the_input_invariants_once(monkeypatch):
     # minimise_global derives Delta from the one (c4, c6) it factors; each
-    # candidate prime's local run evaluates its own model's pair once more
-    import importlib
-
+    # candidate prime's local run evaluates its own model's pair once more,
+    # all of them through the input gate `invariants.checked_invariants`
     import g1min.invariants as invariants
 
-    minimise_module = importlib.import_module("g1min.minimise")
     seen = []
 
     def counted(m):
@@ -626,7 +664,6 @@ def test_global_evaluates_the_input_invariants_once(monkeypatch):
         return c4_c6(m)
 
     monkeypatch.setattr(invariants, "c4_c6", counted)
-    monkeypatch.setattr(minimise_module, "c4_c6", counted)
     F = construct_22(0, 0, 0, 1)
     for m, primes in ((F, ()), (scalar_multiply(F, 6), (2, 3))):
         seen.clear()

@@ -8,7 +8,8 @@ import pytest
 from g1min import (
     BinaryQuartic, FactorizationError, LocalContext, RefusedInputError, SingularModelError,
     TernaryCubic, TwoTwoForm, UnsupportedModelError, construct_22, construct_cube,
-    convert_2to3, convert_3to2, critical_model, level, minimise, minimise_global,
+    convert_2to3, convert_3to2, critical_model, inflate, is_minimal_22, level, minimise,
+    minimise_22, minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
     oracle_minimality_22, trial_division_factor,
 )
 
@@ -37,6 +38,8 @@ RATIONAL_22 = _plus(construct_22(1, 2, 3, 4), 0, Fraction(1, 2))
 RATIONAL_CUBE = _plus(construct_cube(1, 2, 3, 4), 13, Fraction(1, 3))
 RATIONAL_HYPERCUBE = _plus(critical_model("hypercube", 5, 1), 0, Fraction(1, 2))
 SINGULAR_RATIONAL_22 = TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
+INFLATED_CUBE = inflate(CUBE, 3, 1)[0]
+HYPERCUBE = critical_model("hypercube", 5, 1)
 
 _CUBIC_REFUSAL = "ternary cubics are carried along, not minimised directly"
 
@@ -95,6 +98,23 @@ REFUSALS = {
                     "the minimality oracle works on form22 models, got cube"),
     "critical/quartic": (lambda: critical_model("quartic", 5), UnsupportedModelError,
                          "no critical pattern for kind 'quartic'"),
+    "minimise_22/cube": (lambda: minimise_22(INFLATED_CUBE, 3), UnsupportedModelError,
+                         "the form22 minimiser got a cube model"),
+    "minimise_22/cube-composite-prime": (lambda: minimise_22(INFLATED_CUBE, 6),
+                                         UnsupportedModelError,
+                                         "the form22 minimiser got a cube model"),
+    "minimise_22/cubic": (lambda: minimise_22(CUBIC, 2), UnsupportedModelError,
+                          _CUBIC_REFUSAL),
+    "minimise_hypercube/cube": (lambda: minimise_hypercube(INFLATED_CUBE, 3),
+                                UnsupportedModelError,
+                                "the hypercube minimiser got a cube model"),
+    "is_minimal_22/quartic": (lambda: is_minimal_22(QUARTIC, 3), UnsupportedModelError,
+                              "the form22 minimiser got a quartic model"),
+    "minimise_cube/hypercube": (lambda: minimise_cube(HYPERCUBE, 5), UnsupportedModelError,
+                                "the cube minimiser got a hypercube model"),
+    "minimise_quartic/not-a-model": (lambda: minimise_quartic("x^4", 2),
+                                     UnsupportedModelError,
+                                     "cannot minimise a model of kind <class 'str'>"),
 
     "minimise/singular-non-integral": (lambda: minimise(SINGULAR_RATIONAL_QUARTIC, 3),
                                        SingularModelError, "singular model"),

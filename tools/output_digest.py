@@ -8,8 +8,9 @@ and hypercubes) and every prime p, BASES random integral nonsingular models
 with coefficients in [-5, 5] and BASES with coefficients in {0, 1, -1, p, -p,
 p^2} (deep valuations reach the rarer moves), each also inflated by 1, 2 and
 3 level-raising moves at p (`g1min.inflate`); at p >= 5 also BASES critical
-models of each kind that has them (`g1min.critical_model`).  Then, in one fresh interpreter per checkout,
-runs these calls on every file through `g1min.cli.main`, in process:
+models of each kind that has them (`g1min.critical_model`).  Then, in one
+fresh interpreter per checkout, runs these calls on every file through
+`g1min.cli.main`, in process:
 
     minimise FILE --prime P --json
     minimise FILE --global --json
@@ -19,6 +20,17 @@ runs these calls on every file through `g1min.cli.main`, in process:
 and, on every (2,2)-form file at p <= 5 (the exhaustive oracle's range),
 
     oracle min22 FILE --prime P --json
+
+Per prime it also writes BASES nonsingular (2,2)-forms with a11 = 0 and
+BASES nonsingular cubes with s[2][2][.] = 0, coefficients in [-5, 5], from
+a generator of their own (so the files above do not change), and runs
+
+    convert 2to3 FILE        (on each such (2,2)-form)
+    convert 3to2 FILE        (on each such cube)
+
+and at p >= 5, for every kind with critical patterns and N < BASES,
+
+    construct --critical KIND --prime P --seed N
 
 and keeps each call's exit code, stdout and stderr.  Prints the number of
 calls, the sha256 of all answers and "identical" when both checkouts gave the
@@ -42,20 +54,25 @@ KINDS = ("quartic", "form22", "cube", "hypercube")
 CRITICAL_KINDS = ("form22", "cube", "hypercube")
 INFLATIONS = (1, 2, 3)
 SEED = 0
+# kind, the flat positions its conversion needs to vanish, the direction
+CONVERSIONS = (("form22", (0,), "2to3"), ("cube", (24, 25, 26), "3to2"))
 
 
 def parse_primes(text):
     return [int(p) for p in text.split(",")]
 
 
-def _random_model(kind, pool, rng):
-    """A random nonsingular model of the kind, coefficients drawn from pool."""
+def _random_model(kind, pool, rng, zero=()):
+    """A random nonsingular model of the kind, coefficients drawn from pool,
+    those at the flat positions `zero` set to 0."""
     from g1min import discriminant, model_from_dict
     from g1min.models import SPECS
 
     while True:
-        m = model_from_dict({"kind": kind, "coeffs": [
-            str(rng.choice(pool)) for _ in range(SPECS[kind].size)]})
+        coeffs = [rng.choice(pool) for _ in range(SPECS[kind].size)]
+        for n in zero:
+            coeffs[n] = 0
+        m = model_from_dict({"kind": kind, "coeffs": [str(c) for c in coeffs]})
         if discriminant(m) != 0:
             return m
 
@@ -67,6 +84,7 @@ def write_files(out, primes, bases):
     from g1min.construct import ORACLE_PRIME_BOUND
 
     rng = random.Random(SEED)
+    corner_rng = random.Random(SEED + 1)
     calls = []
     for p in primes:
         models = []
@@ -87,6 +105,15 @@ def write_files(out, primes, bases):
                       ["invariants", str(path), "--json"]]
             if m.kind == "form22" and p <= ORACLE_PRIME_BOUND:
                 calls.append(["oracle", "min22", str(path), "--prime", str(p), "--json"])
+        for kind, zero, direction in CONVERSIONS:
+            for n in range(bases):
+                m = _random_model(kind, range(-5, 6), corner_rng, zero)
+                path = out / f"p{p}-{direction}-{n:03d}.json"
+                path.write_text(json.dumps(model_to_dict(m)))
+                calls.append(["convert", direction, str(path)])
+        if p >= 5:
+            calls += [["construct", "--critical", kind, "--prime", str(p), "--seed", str(n)]
+                      for kind in CRITICAL_KINDS for n in range(bases)]
     (out / "calls.json").write_text(json.dumps(calls))
 
 
