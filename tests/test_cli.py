@@ -511,6 +511,15 @@ def test_out_does_not_outlive_its_call(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_minimise_refuses_an_unwritable_out(tmp_path, capsys):
+    path = form22_file(tmp_path, scalar_multiply(construct_22(0, 0, 0, 1), 2))
+    out_path = tmp_path / "missing" / "min.json"
+    assert main(["minimise", path, "--prime", "5", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out_path}: [Errno 2] No such file"
+                                       f" or directory: '{out_path}'\n")
+    assert not out_path.parent.exists()
+
+
 def test_usage_error_then_good_call(tmp_path, capsys):
     path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
     with pytest.raises(SystemExit) as exc:
@@ -571,6 +580,7 @@ _REFUSAL_FILES = {
     "unknown.json": {"kind": "sextic", "coeffs": []},
     "short.json": {"kind": "quartic", "coeffs": ["1"]},
     "hex.json": {"kind": "quartic", "coeffs": ["0x10", "0", "0", "0", "1"]},
+    "list.json": [1, 2],
     "rational22.json": NON_INTEGRAL_22,
     "rational22-0.json": {"kind": "form22", "coeffs": ["1/2"] + ["0"] * 8},
     "quartic.json": {"kind": "quartic", "coeffs": ["1", "0", "0", "0", "1"]},
@@ -603,6 +613,9 @@ REFUSALS = {
     "invariants/bad-coefficient": (["invariants", "@hex.json"], 2,
                                    "bad model file @hex.json: Invalid literal for Fraction:"
                                    " '0x10'"),
+    "invariants/not-an-object": (["invariants", "@list.json"], 2,
+                                 "bad model file @list.json: model document must be a JSON"
+                                 " object"),
     "invariants/non-integral-form22": (["invariants", "@rational22.json"], 2, _NOT_INTEGRAL),
     "invariants/singular-non-integral-form22": (["invariants", "@rational22-0.json"], 2,
                                                 _NOT_INTEGRAL),
@@ -667,6 +680,9 @@ REFUSALS = {
                               "the marked curve is singular"),
     "construct/singular-cube": (["construct", "--curve", "0,0,0,0", "--type", "cube"], 4,
                                 "the marked curve is singular"),
+    "construct/unwritable-out": (["construct", "--curve", "0,0,0,1", "--out", "@missing/x.json"],
+                                 2, "cannot write @missing/x.json: [Errno 2] No such file or"
+                                 " directory: '@missing/x.json'"),
     "construct/critical-no-prime": (["construct", "--critical", "cube"], 2,
                                     "--prime is required"),
     "construct/critical-composite-prime": (["construct", "--critical", "cube", "--prime", "4"],

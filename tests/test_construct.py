@@ -268,7 +268,9 @@ def test_weight_census_certified_against_all_candidates():
     # Every candidate lies above a returned vector (coverage), and no returned
     # vector lies above another (incomparability).  Together they rule out a
     # candidate strictly below a returned class m: it would lie above some
-    # returned m' != m, and m' <= m would break incomparability.
+    # returned m' != m, and m' <= m would break incomparability.  Each
+    # returned vector is also produced by exactly one candidate, its own
+    # representative, so no other weight could stand for the class.
     from g1min.construct import WEIGHT_SCALE_BOUND
 
     minimal = enumerate_minimal_weights()
@@ -282,6 +284,7 @@ def test_weight_census_certified_against_all_candidates():
             assert i == j or not all(map(le, a, b)), (minimal[i], minimal[j])
     count = 0
     last = M[0]
+    hits = {}
     for s in range(1, WEIGHT_SCALE_BOUND + 1):
         total = 3 * s - 1
         # stars and bars: the entries are the gaps between five bars placed
@@ -292,5 +295,9 @@ def test_weight_census_certified_against_all_candidates():
             if not all(map(le, last, v)):
                 last = next((m for m in M if all(map(le, m, v))), None)
                 assert last is not None, (entries, s)  # not above a returned class
+            # by incomparability, v is a returned class exactly when v == last
+            if v == last:
+                hits.setdefault(v, []).append((entries, s))
             count += 1
     assert count == 643467
+    assert [hits.get(m) for m in M] == [[(w.entries, w.s)] for w in minimal]

@@ -587,6 +587,9 @@ def test_json_rejects_bad_documents():
         model_from_dict({"kind": "nope", "coeffs": []})
     with pytest.raises(ValueError):
         model_from_dict({"kind": "quartic", "coeffs": ["1"] * 4})
+    for doc in ([1, 2], None, "cube", 7):
+        with pytest.raises(ValueError, match="model document must be a JSON object"):
+            model_from_dict(doc)
 
 
 def _outcome(parse, s):

@@ -13,9 +13,10 @@ _SPEC.loader.exec_module(output_digest)
 # at p = 5: 4 kinds x 2 coefficient pools x (a base and 3 inflations), and 3
 # critical models, each file answering 4 calls; the 2 x 4 + 1 (2,2)-form
 # files answer the oracle as well; one (2,2)-form and one cube file answer
-# their conversion, and each of the 3 critical kinds one construct call
+# their conversion, each of the 3 critical kinds one construct call, and the
+# weight census its 3 `oracle weights` calls once
 ARGS = ["--primes", "5", "--bases", "1"]
-CALLS = (4 * 2 * 4 + 3) * 4 + 2 * 4 + 1 + 2 + 3
+CALLS = (4 * 2 * 4 + 3) * 4 + 2 * 4 + 1 + 2 + 3 + 3
 
 
 def test_the_repo_answers_like_itself(capsys):

@@ -32,6 +32,12 @@ and at p >= 5, for every kind with critical patterns and N < BASES,
 
     construct --critical KIND --prime P --seed N
 
+then, once, the admissible-weight census listing
+
+    oracle weights
+    oracle weights --json
+    oracle weights --count-only
+
 and keeps each call's exit code, stdout and stderr.  Prints the number of
 calls, the sha256 of all answers and "identical" when both checkouts gave the
 same bytes on every call (exit 0); otherwise the first call whose answers
@@ -114,6 +120,8 @@ def write_files(out, primes, bases):
         if p >= 5:
             calls += [["construct", "--critical", kind, "--prime", str(p), "--seed", str(n)]
                       for kind in CRITICAL_KINDS for n in range(bases)]
+    calls += [["oracle", "weights"], ["oracle", "weights", "--json"],
+              ["oracle", "weights", "--count-only"]]
     (out / "calls.json").write_text(json.dumps(calls))
 
 
