@@ -19,12 +19,14 @@ operation not defined for the model's kind, or a conversion whose point
 condition fails); 4 SingularModelError; 5 FactorizationError (--global cannot
 split gcd(c4, c6)); 6 any other ValueError, AssertionError or ArithmeticError,
 a check inside the library that failed on accepted input, reported as
-"internal error: ...".  argparse's own errors exit 2 as well.  Reports go to
+"internal error: ...".  argparse's own errors exit 2 as well.  A report
+whose reader closes the pipe early exits 1, with no traceback.  Reports go to
 stdout, diagnostics to stderr.  Primes and the integers in model files and
 reports may have any number of digits.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -337,7 +339,13 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed the pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # drop what stdout buffers, or the flush at exit raises again
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 1
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))

@@ -149,15 +149,6 @@ class LocalContext:
             raise RefusedInputError(f"{p} is not prime")
         self.p = p
 
-    def __repr__(self):
-        return f"LocalContext(p={self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, LocalContext) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("LocalContext", self.p))
-
 
 def as_context(ctx):
     """The LocalContext of a prime given as an int; a context passes through."""

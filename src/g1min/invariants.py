@@ -26,7 +26,6 @@ candidate primes from gcd(c4, c6).
 """
 
 from dataclasses import astuple, dataclass, is_dataclass
-from fractions import Fraction
 from functools import wraps
 
 from .exactnum import RefusedInputError, det_matrix, mat_adj, mat_mul
@@ -38,9 +37,8 @@ from .models import (
 
 
 def _exact_div(num, den, what):
-    """num / den, exact: Fractions divide freely, ints must divide evenly."""
-    if type(num) is Fraction:
-        return _num(num / den)
+    """num / den for ints, which must divide evenly.  Every caller passes ints:
+    invariants of an integral model, or of `_homogeneous`'s integral multiple."""
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"{what}: division by {den} is not exact")

@@ -89,10 +89,6 @@ class MinimisationReport:
     def input_was_minimal(self):
         return self.v_disc_final == self.v_disc_initial
 
-    @property
-    def levels_reduced(self):
-        return (self.v_disc_initial - self.v_disc_final) // 12
-
 
 @dataclass(frozen=True)
 class _Move:

@@ -5,7 +5,8 @@ At p >= 5 the local minimal model has a closed form: the model is
 non-minimal exactly when p^4 | c4 and p^6 | c6, and completing the square
 and the cube with u = p^k reaches the minimal one.  At p = 2 and 3 Tate's
 algorithm walks the reduction types, each step by formula (Cremona, Algorithms
-for Modular Elliptic Curves, 3.2) or by F_p root finding.
+for Modular Elliptic Curves, 3.2) or by F_p root finding.  By Ogg's formula
+it needs no exit for types II, III and IV, and only p = 2 reaches I0* or IV*.
 
 The level of an integral nonsingular model m with Jacobian data (E, P) is the
 integer l >= 0 in
@@ -290,9 +291,15 @@ def tate_minimal(E, p):
 def _tate_walk(E, p):
     """Tate's walk at any prime.  Returns (E_min, CurveMap, v(disc_min)).
 
-    Follows the standard reduction-type walk; every branch except the final
-    u = p rescaling terminates with a minimal equation.  `tate_minimal`
-    takes it at p = 2 and 3; at p >= 5 it is the closed form's test oracle.
+    Every exit but the final u = p rescaling is minimal.  No minimal curve
+    of type II, III or IV has v(disc) >= 12, where the types are tested, so
+    they have no exit: by the Ogg-Saito formula v(disc_min) = f + m - 1
+    (Ogg 1967; Saito 1988 at p = 2), with m <= 3 components and f <= 8 at 2,
+    5 at 3 and 2 at p >= 5, v(disc_min) <= 10.  Were one reached, the step-6
+    check would raise: the s, t translation keeps b6, b8 and a6 mod p^2, and
+    the check implies p^3 | a6, b6, b8.  I0* (m = 5) and IV* (m = 7) are
+    ruled out likewise except at p = 2.  `tate_minimal` takes the walk at
+    p = 2 and 3; at p >= 5 it is the closed form's test oracle.
     """
     if E.disc == 0:
         raise ValueError("singular curve")
@@ -302,8 +309,6 @@ def _tate_walk(E, p):
     cur = E
     while True:
         n = valuation(cur.disc, p)
-        if n == 0:
-            return cur, total, 0
         if n < 12:
             return cur, total, n
         # move the singular point of the reduction to (0, 0)
@@ -312,12 +317,6 @@ def _tate_walk(E, p):
         cur = m.apply(cur)
         total = total.then(m)
         if cur.b2 % p != 0:  # multiplicative reduction: type I_n, minimal
-            return cur, total, n
-        if cur.a6 % p ** 2 != 0:  # type II
-            return cur, total, n
-        if cur.b8 % p ** 3 != 0:  # type III
-            return cur, total, n
-        if cur.b6 % p ** 3 != 0:  # type IV
             return cur, total, n
         m = _step6_normalize(cur, p)
         cur = m.apply(cur)

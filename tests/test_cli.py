@@ -1,7 +1,10 @@
 import argparse
 import contextlib
+import io
 import json
 import math
+from pathlib import Path
+import subprocess
 import sys
 
 import pytest
@@ -14,6 +17,8 @@ from g1min import (
 from g1min.cli import main
 from g1min.exactnum import is_prime
 from g1min.minimise import InternalBoundError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_model(tmp_path, name, doc):
@@ -466,6 +471,32 @@ def test_minimise_json_past_the_digit_limit(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert model_from_dict(doc["model"]) == F
     assert doc["alreadyMinimal"] is True
+
+
+class _GoneReader(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(tmp_path):
+    # the report, about 185 KB, overfills the pipe, so a write after the
+    # reader has gone fails in the child
+    F = scalar_multiply(construct_22(1, 2, 3, 4), 10 ** 5000)
+    with _no_digit_limit():
+        path = form22_file(tmp_path, F)
+    with subprocess.Popen([sys.executable, "-m", "g1min", "invariants", path, "--json"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={"PYTHONPATH": str(SRC)}) as child:
+        assert child.stdout.read(10) == b'{\n  "Delta'
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert err == b""
+    # in process as well, with a stdout whose reader is gone
+    gone = _GoneReader()
+    with contextlib.redirect_stdout(gone):
+        assert main(["invariants", path, "--json"]) == 1
+    assert gone.closed
 
 
 def test_prime_past_the_digit_limit_reaches_the_context(tmp_path, capsys):

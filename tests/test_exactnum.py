@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g1min.exactnum import (
-    INFINITY, LocalContext, complete_primitive_row, det_matrix,
-    fp_left_kernel_vector, identity_matrix, is_prime, lift_primitive, mat_adj, mat_mul,
-    smith_like_completion, unimodular_with_row, valuation,
+    INFINITY, LocalContext, _strong_lucas_probable_prime, _strong_probable_prime_base_2,
+    complete_primitive_row, det_matrix, fp_left_kernel_vector, fp_poly_gcd, identity_matrix,
+    is_prime, lift_primitive, mat_adj, mat_mul, smith_like_completion, unimodular_with_row,
+    valuation,
 )
 import matrix_oracle
 
@@ -62,6 +63,12 @@ def test_is_prime():
     carmichael = (561, 41041, 825265)
     for n in strong_base_2 + strong_lucas + carmichael:
         assert not is_prime(n), n
+    # squares of the Wieferich primes pass the strong base-2 test, so only
+    # the perfect-square check rejects them
+    for n in (1093 ** 2, 3511 ** 2):
+        assert _strong_probable_prime_base_2(n) and not is_prime(n), n
+    # (5/35) = 0: D = 5 shares a factor with n, which the Lucas test refuses at once
+    assert _strong_lucas_probable_prime(35) is False
     assert PSI_12 == 318665857834031151167461 and PSI_13 == 3317044064679887385961981
     assert not is_prime(PSI_12)
     assert not is_prime(PSI_13)
@@ -142,6 +149,15 @@ def test_complete_primitive_row():
     m = complete_primitive_row((6, 10, 15))
     assert m[0] == (6, 10, 15)
     assert det_matrix(m) in (1, -1)
+    # Euclid ends on -1 here, and the sign is moved into the completion
+    assert complete_primitive_row((-1, 0)) == ((-1, 0), (0, 1))
+
+
+def test_fp_poly_gcd_is_monic():
+    # (x - 1)(x - 2) and 2 (x - 1)(x - 3) over F_5, low degree first
+    assert fp_poly_gcd([2, 2, 1], [1, 2, 2], 5) == [4, 1]
+    assert fp_poly_gcd([], [0, 3], 5) == [0, 1]
+    assert fp_poly_gcd([], [], 5) == []
 
 
 def test_left_kernel_vector():

@@ -638,6 +638,8 @@ def test_scalar_clear():
     assert mu == 4
     assert cleared == BinaryQuartic((2, 0, 3, 0, 8))
     assert content_valuation(cleared, 2) == 0
+    zero = BinaryQuartic((0,) * 5)
+    assert scalar_clear(zero) == (zero, Fraction(1))
 
 
 def test_degenerate_zero_models_accepted():

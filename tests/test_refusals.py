@@ -1,17 +1,21 @@
 """The library's typed refusals: each input check raises its own type, with
-the message the command line prints, in a fixed order."""
+the message the command line prints, in a fixed order.  The checks below the
+command line's reach raise builtin types, each with its own message."""
 
 from fractions import Fraction
 
 import pytest
 
 from g1min import (
-    BinaryQuartic, FactorizationError, LocalContext, RefusedInputError, SingularModelError,
-    TernaryCubic, TwoTwoForm, UnsupportedModelError, construct_22, construct_cube,
-    convert_2to3, convert_3to2, critical_model, inflate, is_minimal_22, level, minimise,
-    minimise_22, minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
-    oracle_minimality_22, trial_division_factor,
+    BinaryQuartic, FactorizationError, GroupElement, LocalContext, Point, RefusedInputError,
+    SingularModelError, TernaryCubic, TwoTwoForm, UnsupportedModelError, WeierstrassCurve, act,
+    c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model, inflate,
+    is_minimal_22, kappa, level, minimise, minimise_22, minimise_cube, minimise_global,
+    minimise_hypercube, minimise_quartic, oracle_minimality_22, saturation_defect,
+    trial_division_factor,
 )
+from g1min.exactnum import complete_primitive_row, fp_inv, fp_poly_divmod, fp_poly_roots
+from g1min.residue import binary_roots
 
 QUARTIC = BinaryQuartic((1, 0, 0, 0, 1))
 RATIONAL_QUARTIC = BinaryQuartic((Fraction(1, 2), 0, 0, 0, 3))
@@ -141,11 +145,50 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+I2 = ((1, 0), (0, 1))
+FORM22_ID = GroupElement("form22", 1, (I2, I2))
+
+# id: (call, type, message) for the library's own input checks below the
+# command line, which raise builtin types
+INPUT_CHECKS = {
+    "models/nested-shape": (lambda: TwoTwoForm(((1, 2, 3), (4, 5, 6))), ValueError,
+                            "form22 needs a 3x3 coefficient array"),
+    "models/coefficient-count": (lambda: BinaryQuartic.from_coeffs((1, 2, 3)), ValueError,
+                                 "quartic needs 5 coefficients"),
+    "models/matrix-sizes": (lambda: GroupElement("form22", 1, (I2,)), ValueError,
+                            "wrong matrix sizes for kind form22"),
+    "models/permutation-off-hypercube": (lambda: GroupElement("form22", 1, (I2, I2),
+                                                              perm=(0, 1, 2, 3)),
+                                         ValueError, "permutations only apply to hypercubes"),
+    "models/bad-permutation": (lambda: GroupElement("hypercube", 1, (I2,) * 4,
+                                                    perm=(0, 0, 1, 2)),
+                               ValueError, "bad axis permutation"),
+    "models/compose-across-kinds": (lambda: FORM22_ID.compose(GroupElement("quartic", 1, (I2,))),
+                                    ValueError, "kind mismatch"),
+    "models/act-across-kinds": (lambda: act(FORM22_ID, CUBE), ValueError,
+                                "group element for form22 applied to cube"),
+    "exactnum/inverse-of-zero": (lambda: fp_inv(10, 5), ZeroDivisionError, "inverse of 0 mod 5"),
+    "exactnum/divide-by-zero-polynomial": (lambda: fp_poly_divmod([1], [], 5), ZeroDivisionError,
+                                           "polynomial division by zero"),
+    "exactnum/roots-of-zero": (lambda: fp_poly_roots([5], 5), ValueError, "zero polynomial"),
+    "exactnum/non-primitive-row": (lambda: complete_primitive_row((2, 4)), ValueError,
+                                   "(2, 4) is not primitive"),
+    "residue/zero-form": (lambda: binary_roots((5, 0, 10), 5), ValueError, "zero form"),
+    "residue/saturation-of-quartic": (lambda: saturation_defect(QUARTIC, 5), TypeError,
+                                      "saturation is defined for cubes and hypercubes"),
+    "invariants/not-a-model": (lambda: c4_c6("x^4"), TypeError, "not a model: 'x^4'"),
+    "weierstrass/kappa-on-singular-curve": (
+        lambda: kappa(Point(1, 1), WeierstrassCurve(0, 0, 0, 0, 0), 2), ValueError,
+        "singular curve"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", [*REFUSALS.values(), *INPUT_CHECKS.values()],
+                         ids=[*REFUSALS, *INPUT_CHECKS])
 def test_the_library_raises_each_refusal_typed(call, error, message):
     with pytest.raises(error) as info:
         call()
-    assert str(info.value) == message
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_refusal_types_keep_their_builtin_bases():

@@ -93,9 +93,12 @@ def test_classify_22_product_one():
 def test_classify_22_product_none_and_other():
     cls = _cls(((0, 0, 0), (0, 1, 0), (0, 0, 0)), 5)  # x1 x2 y1 y2
     assert cls.tag == TAG_PRODUCT_NONE
+    # four singular points, none singled out
+    assert cls.a_rational_singular_point() is None
     # (x1 y1 + x2 y2)^2: non-reduced, a whole curve of singular points
     cls = _cls(((1, 0, 0), (0, 2, 0), (0, 0, 1)), 5)
     assert cls.tag == TAG_OTHER
+    assert cls.a_rational_singular_point() is None
     assert _cls(((5, 0, 0), (0, 0, 0), (0, 0, 0)), 5).tag == TAG_ZERO
 
 

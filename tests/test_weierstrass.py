@@ -10,7 +10,7 @@ from g1min import (
     point_double, point_mul, point_neg, scalar_multiply, tate_minimal,
     valuation,
 )
-from g1min.weierstrass import _kappa_on_minimal, _tate_walk
+from g1min.weierstrass import _kappa_on_minimal, _step6_normalize, _tate_walk
 
 from conftest import kodaira_family
 
@@ -57,6 +57,10 @@ def test_group_law_basics():
     twoP, threeP = point_mul(E, 2, P), point_mul(E, 3, P)
     assert point_add(E, twoP, threeP) == point_mul(E, 5, P)
     assert point_add(E, P, point_add(E, twoP, threeP)) == point_mul(E, 6, P)
+    assert point_mul(E, -3, P) == point_neg(E, threeP)
+    # the identity stays the identity under negation and a change of coordinates
+    assert point_neg(E, O) == O
+    assert CurveMap(2, 1, 1, 1).apply_point(O) == O
 
 
 def test_point_add_rejects_off_curve():
@@ -155,6 +159,16 @@ def test_tate_rejects_bad_input():
         tate_minimal(WeierstrassCurve(0, 0, 0, 0, 0), 2)
     with pytest.raises(ValueError):
         tate_minimal(WeierstrassCurve(Fraction(1, 2), 0, 0, 1, 0), 2)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_step6_check_refuses_types_ii_iii_iv(p):
+    # the walk has no exit for these types, which cannot reach its type tests;
+    # one that did would meet this check, with its singular point at (0, 0)
+    type_iv = WeierstrassCurve(0, 0, 2, 0, 4) if p == 2 else WeierstrassCurve(0, 0, 0, 0, p * p)
+    for E in (WeierstrassCurve(0, 0, 0, 0, p), WeierstrassCurve(0, 0, 0, p, 0), type_iv):
+        with pytest.raises(AssertionError, match="step-6 normalisation failed"):
+            _step6_normalize(E, p)
 
 
 def test_kappa_integral_point():
