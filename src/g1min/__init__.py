@@ -6,9 +6,7 @@ All arithmetic is exact (ints and Fractions); every minimisation returns a
 transformation certificate g with act(g, input) == output.
 """
 
-from .exactnum import (
-    INFINITY, LocalContext, RefusedInputError, is_prime, smith_like_completion, valuation,
-)
+from .exactnum import INFINITY, LocalContext, RefusedInputError, is_prime, valuation
 from .models import (
     BinaryQuartic, Cube, GroupElement, Hypercube, SingularModelError, TernaryCubic,
     TwoTwoForm, UnsupportedModelError, act, content_valuation, cubics_of_cube,

@@ -416,25 +416,16 @@ def lift_primitive(vec, p):
     return tuple(cand)
 
 
-def smith_like_completion(vec, p):
-    """Integer matrix of determinant +-1 whose first row is vec mod p.
-
-    vec must be nonzero mod p.  Realises "move this residue point/root to the
-    first coordinate position" steps as explicit unimodular matrices.
-    """
+def unimodular_with_row(vec, p, row):
+    """Determinant +-1 matrix whose given row is congruent to vec mod p, which
+    must be nonzero mod p: a residue point or root moved to that coordinate."""
     vec = tuple(int(x) for x in vec)
     if all(x % p == 0 for x in vec):
         raise ValueError(f"{vec} is zero mod {p}")
-    return complete_primitive_row(lift_primitive(vec, p))
-
-
-def unimodular_with_row(vec, p, row):
-    """Determinant +-1 matrix whose given row is congruent to vec mod p."""
-    m = smith_like_completion(vec, p)
-    n = len(m)
-    order = list(range(1, n))
+    m = complete_primitive_row(lift_primitive(vec, p))
+    order = list(range(1, len(m)))
     order.insert(row, 0)
-    return tuple(m[order[i]] for i in range(n))
+    return tuple(m[i] for i in order)
 
 
 def form_to_last(ell, p):

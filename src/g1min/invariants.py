@@ -3,9 +3,10 @@
 Binary quartics carry (I, J, Delta) with Delta = (4 I^3 - J^2)/27.  Ternary
 cubics carry (c4, c6, Delta) normalised so that c4(xyz) = 1, c6(xyz) = -1 and
 c4^3 - c6^2 = 1728 Delta; the two invariant polynomials are frozen coefficient
-tables generated by tools/derive_cubic_invariants.py (degree-4 and degree-6
-generators of the invariant ring, pinned by the xyz normalisation), evaluated
-by one straight-line function compiled on first use (`models._straight_line`).
+tables (degree-4 and degree-6 generators of the invariant ring, pinned by the
+xyz normalisation, certified by test_cubic_invariant_tables_are_sl3_invariant
+and test_cubic_invariants_match_weierstrass_curves), evaluated by one
+straight-line function compiled on first use (`models._straight_line`).
 
 (2,2)-forms, cubes and hypercubes carry the full set: c4, c6, Delta, the
 a-invariants of a Weierstrass equation, a marked point (xi, eta), and the

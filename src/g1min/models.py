@@ -96,12 +96,14 @@ def _parse_coeff(s):
 
 
 def _flatten(nested, shape, kind):
-    """The entries of a nested layout of the given shape, outermost index first."""
-    if len(nested) != shape[0]:
-        raise ValueError(f"{kind} needs a {'x'.join(map(str, shape))} coefficient array")
-    if len(shape) == 1:
-        return tuple(nested)
-    return tuple(x for part in nested for x in _flatten(part, shape[1:], kind))
+    """The entries of a nested layout of the given shape, outermost index
+    first; a wrong length at any depth names the whole shape."""
+    parts = (nested,)
+    for n in shape:
+        if any(len(part) != n for part in parts):
+            raise ValueError(f"{kind} needs a {'x'.join(map(str, shape))} coefficient array")
+        parts = tuple(x for part in parts for x in part)
+    return parts
 
 
 def _nest(flat, dims):

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from g1min.exactnum import (
     INFINITY, LocalContext, _strong_lucas_probable_prime, _strong_probable_prime_base_2,
     complete_primitive_row, det_matrix, fp_left_kernel_vector, fp_poly_gcd, identity_matrix,
-    is_prime, lift_primitive, mat_adj, mat_mul, smith_like_completion, unimodular_with_row,
-    valuation,
+    is_prime, lift_primitive, mat_adj, mat_mul, unimodular_with_row, valuation,
 )
 import matrix_oracle
 
@@ -85,21 +84,21 @@ def test_local_context_rejects_composites():
         LocalContext(PSI_12)
 
 
-def test_smith_like_completion_examples():
-    m = smith_like_completion((0, 1), 3)
+def test_unimodular_with_row_examples():
+    m = unimodular_with_row((0, 1), 3, 0)
     assert det_matrix(m) in (1, -1)
     assert tuple(x % 3 for x in m[0]) == (0, 1)
 
-    assert smith_like_completion((1, 0), 5) == ((1, 0), (0, 1))
+    assert unimodular_with_row((1, 0), 5, 0) == ((1, 0), (0, 1))
 
-    m = smith_like_completion((1, 1, 2), 5)
+    m = unimodular_with_row((1, 1, 2), 5, 0)
     assert det_matrix(m) in (1, -1)
     assert tuple(x % 5 for x in m[0]) == (1, 1, 2)
 
 
-def test_smith_like_completion_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        smith_like_completion((10, 5), 5)
+def test_unimodular_with_row_rejects_zero_vector():
+    with pytest.raises(ValueError, match=r"^\(10, 5\) is zero mod 5$"):
+        unimodular_with_row((10, 5), 5, 0)
 
 
 def test_completion_determinant_is_unit_randomised():
@@ -110,7 +109,7 @@ def test_completion_determinant_is_unit_randomised():
         vec = [rng.randrange(-20, 20) for _ in range(n)]
         if all(v % p == 0 for v in vec):
             vec[0] += 1
-        m = smith_like_completion(vec, p)
+        m = unimodular_with_row(vec, p, 0)
         assert det_matrix(m) in (1, -1)
         assert [x % p for x in m[0]] == [v % p for v in vec]
 

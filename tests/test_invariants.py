@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 from math import lcm
 import random
 
@@ -11,6 +13,8 @@ from g1min import (
     point_add, quartic_invariants, scalar_multiply,
 )
 from g1min.exactnum import det_matrix
+from g1min.invariants import _C4_TERMS, _C6_TERMS
+from g1min.models import CUBIC_MONOMIALS
 
 from substitution_oracle import ternary_substitute
 from conftest import (
@@ -37,11 +41,33 @@ def test_cubic_invariant_examples():
     assert cubic_invariants(TernaryCubic((0,) * 10)) == (0, 0, 0)
 
 
-def test_cubic_invariants_match_weierstrass_curves(rng):
+def test_cubic_invariant_tables_are_sl3_invariant():
+    # x_j -> x_j + t x_i moves the coefficients by the derivation
+    # D_ij c_e = (e_j + 1) c_{e - eps_i + eps_j}, for e_i >= 1.  Each table
+    # must go to the zero polynomial under all six D_ij, which generate sl3:
+    # so each is an SL3-invariant, as an exact polynomial identity
+    index = {e: n for n, e in enumerate(CUBIC_MONOMIALS)}
+    for terms in (_C4_TERMS, _C6_TERMS):
+        for i, j in permutations(range(3), 2):
+            image = Counter()
+            for c, mono in terms:
+                for pos, n in enumerate(mono):
+                    e = list(CUBIC_MONOMIALS[n])
+                    if e[i]:
+                        weight = e[j] + 1
+                        e[i], e[j] = e[i] - 1, e[j] + 1
+                        moved = (*mono[:pos], index[tuple(e)], *mono[pos + 1:])
+                        image[tuple(sorted(moved))] += c * weight
+            assert not any(image.values()), (len(terms), i, j)
+
+
+def test_cubic_invariants_match_weierstrass_curves():
     # y^2 z + a1 xyz + a3 y z^2 - x^3 - a2 x^2 z - a4 x z^2 - a6 z^3 must
-    # reproduce the curve's own c4 and c6 under the chosen normalisation
-    for _ in range(40):
-        a1, a2, a3, a4, a6 = (rng.randint(-9, 9) for _ in range(5))
+    # reproduce the curve's own c4 and c6.  Both sides have degree <= 6 in
+    # each a_i, so the 7^5 grid makes this a polynomial identity; with the
+    # SL3-invariance above it pins both tables, since GL3 and scalars take
+    # Weierstrass cubics onto every smooth ternary cubic
+    for a1, a2, a3, a4, a6 in product(range(-3, 4), repeat=5):
         F = TernaryCubic.from_dict({
             (0, 2, 1): 1, (1, 1, 1): a1, (0, 1, 2): a3,
             (3, 0, 0): -1, (2, 0, 1): -a2, (1, 0, 2): -a4, (0, 0, 3): -a6,

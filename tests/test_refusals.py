@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from g1min import (
-    BinaryQuartic, FactorizationError, GroupElement, LocalContext, Point, RefusedInputError,
+    BinaryQuartic, Cube, FactorizationError, GroupElement, LocalContext, Point, RefusedInputError,
     SingularModelError, TernaryCubic, TwoTwoForm, UnsupportedModelError, WeierstrassCurve, act,
     c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model, inflate,
     is_minimal_22, kappa, level, minimise, minimise_22, minimise_cube, minimise_global,
@@ -153,6 +153,11 @@ FORM22_ID = GroupElement("form22", 1, (I2, I2))
 INPUT_CHECKS = {
     "models/nested-shape": (lambda: TwoTwoForm(((1, 2, 3), (4, 5, 6))), ValueError,
                             "form22 needs a 3x3 coefficient array"),
+    "models/nested-inner-shape": (lambda: TwoTwoForm(((1, 2, 3), (4, 5), (6, 7, 8))), ValueError,
+                                  "form22 needs a 3x3 coefficient array"),
+    "models/nested-innermost-shape": (
+        lambda: Cube((((0,) * 3,) * 3,) * 2 + (((0, 0, 0), (0, 0, 0), (0, 0)),)), ValueError,
+        "cube needs a 3x3x3 coefficient array"),
     "models/coefficient-count": (lambda: BinaryQuartic.from_coeffs((1, 2, 3)), ValueError,
                                  "quartic needs 5 coefficients"),
     "models/matrix-sizes": (lambda: GroupElement("form22", 1, (I2,)), ValueError,
