@@ -285,8 +285,9 @@ def build_parser():
 
     p_min = sub.add_parser("minimise", help="minimise at a prime or globally")
     p_min.add_argument("model")
-    p_min.add_argument("--prime", type=int)
-    p_min.add_argument("--global", dest="global_", action="store_true")
+    where = p_min.add_mutually_exclusive_group()
+    where.add_argument("--prime", type=int)
+    where.add_argument("--global", dest="global_", action="store_true")
     p_min.add_argument("--json", action="store_true")
     p_min.add_argument("--out", help="write the minimal model to this file")
     p_min.set_defaults(fn=cmd_minimise)

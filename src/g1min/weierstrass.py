@@ -1,12 +1,12 @@
 """Integral Weierstrass equations, the exact group law, local minimal models,
 kappa of a marked point, and the level of a genus-one model.
 
-At p >= 5 the local minimal model has a closed form: the model is
-non-minimal exactly when p^4 | c4 and p^6 | c6, and completing the square
-and the cube with u = p^k reaches the minimal one.  At p = 2 and 3 Tate's
-algorithm walks the reduction types, each step by formula (Cremona, Algorithms
-for Modular Elliptic Curves, 3.2) or by F_p root finding.  By Ogg's formula
-it needs no exit for types II, III and IV, and only p = 2 reaches I0* or IV*.
+The local minimal model at any prime p comes from one loop, Laska's descent
+(M. Laska, Math. Comp. 38, 1982): while a change of coordinates with u = p
+lands on an integral model, take it.  Integrality of a1', a2' and a3' fixes
+s mod p, r mod p^2 and t mod p^3, each up to p choices where p divides its
+coefficient 2 or 3, so a pass tries one candidate at p >= 5, at most 4 at
+p = 2 and 3 at p = 3.
 
 The level of an integral nonsingular model m with Jacobian data (E, P) is the
 integer l >= 0 in
@@ -21,7 +21,7 @@ of their kappas.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_context, fp_inv, fp_poly_roots, quotient, valuation
+from .exactnum import as_context, quotient, valuation
 from .invariants import (
     cube_invariants, form22_invariants, hypercube_invariants, refuse_non_integral,
 )
@@ -152,7 +152,7 @@ def point_mul(E, n, P):
 class CurveMap:
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
-    Tate's walk builds its maps from ints, with u a power of p; a caller may
+    The descent builds its maps from ints, with u a power of p; a caller may
     pass Fractions.  `apply` and `apply_point` divide exactly, so an int
     curve or point stays int wherever the division by the power of u leaves
     no remainder."""
@@ -195,192 +195,59 @@ class CurveMap:
         )
 
 
-def _fp_quadratic_roots(a, b, p):
-    """Roots of Y^2 + a Y + b over F_p, ascending, a double root once."""
-    return [y for y, _ in fp_poly_roots([b, a, 1], p)]
+def _congruence_roots(c, b, p, k):
+    """The x mod p^k with c x = b (mod p^k), for c = 2 or 3: one when p does
+    not divide c; else the p lifts of b/p mod p^(k-1), which solve it when
+    p | b.  `tate_minimal`'s guard ensures that (p^4 | c4 gives 2 | a1 at
+    p = 2 and 3 | b2 at p = 3, and 2^6 | c6 gives 2 | a3); were it not so,
+    no candidate built on these lifts would land integrally."""
+    q = p ** k
+    if c % p:
+        return [b * pow(c, -1, q) % q]
+    return [b // p % (q // p) + j * (q // p) for j in range(c)]  # here p = c
 
 
-def _fp_cubic_roots(a, b, c, p):
-    """Roots with multiplicity of T^3 + a T^2 + b T + c over F_p, ascending."""
-    return fp_poly_roots([c, b, a, 1], p)
-
-
-def _singular_point_mod_p(E, p):
-    """The singular point of the reduction mod p (it exists when p | disc).
-
-    At p = 2 the partials are a1 y + x^2 + a4 and a1 x + a3 mod 2.  For p
-    odd, (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the point is
-    (x0, -(a1 x0 + a3)/2) with x0 the multiple root of the cubic: at p = 3
-    -b2 b4 when 3 does not divide b2, else -b6, as the cubic is (x + b6)^3;
-    at p >= 5, as X = 36x + 3 b2 gives X^3 - 27 c4 X - 54 c6, the triple
-    root X = 0 when p | c4, else the double root X = -3 c6/c4.
-    """
-    if p == 2:
-        if E.a1 % 2:
-            x = E.a3 % 2
-            y = (x + E.a4) % 2
-        else:
-            x = E.a4 % 2
-            y = (x * (1 + E.a2 + E.a4) + E.a6) % 2
-    else:
-        if p == 3:
-            x = -E.b6 if E.b2 % 3 == 0 else -E.b2 * E.b4
-        elif E.c4 % p == 0:
-            x = -E.b2 * fp_inv(12, p)
-        else:
-            x = -(E.c6 + E.b2 * E.c4) * fp_inv(12 * E.c4, p)
-        x %= p
-        y = -(E.a1 * x + E.a3) * fp_inv(2, p) % p
-    if any(v % p for v in (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x), 2 * y + E.a1 * x + E.a3,
-                           E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4)):
-        raise AssertionError("the reduction mod p is not singular at the closed-form point")
-    return x, y
-
-
-def _step6_normalize(E, p):
-    """Translation making p | a1, a2; p^2 | a3, a4; p^3 | a6.  At p = 2,
-    where 2 | a1 and 4 | a3 already, s = a2 mod 2 and t = 2 ((a6/4) mod 2)
-    clear a2 and a6 - t a3 - t^2 mod 8; for p odd, one map with s = -a1/2
-    mod p and t = -a3/2 mod p^2, since the s-translation leaves a3 as it is."""
-    if p == 2:
-        m = CurveMap(1, 0, E.a2 % 2, 2 * (E.a6 // 4 % 2))
-    else:
-        m = CurveMap(1, 0, -E.a1 * fp_inv(2, p) % p, -E.a3 * fp_inv(2, p * p) % (p * p))
-    cand = m.apply(E)
-    if not (cand.a1 % p == 0 and cand.a2 % p == 0 and cand.a3 % p ** 2 == 0
-            and cand.a4 % p ** 2 == 0 and cand.a6 % p ** 3 == 0):
-        raise AssertionError("step-6 normalisation failed")
-    return m
+def _landings_by_p(E, p):
+    """(CurveMap(p, r, s, t), image) for each s mod p, r mod p^2 and t mod p^3
+    whose image is integral.  These classes suffice, because following a map
+    by an integral translation keeps its image integral.  a1', a2' and a3' are
+    integral exactly when a1 + 2s = 0 (mod p), 3r = s^2 + a1 s - a2 (mod p^2)
+    and 2t = -(a3 + r a1) (mod p^3): one candidate at p >= 5, at most 4 at
+    p = 2 and 3 at p = 3, each checked in full."""
+    for s in _congruence_roots(2, -E.a1, p, 1):
+        for r in _congruence_roots(3, s * s + E.a1 * s - E.a2, p, 2):
+            for t in _congruence_roots(2, -(E.a3 + r * E.a1), p, 3):
+                step = CurveMap(p, r, s, t)
+                image = step.apply(E)
+                if image.is_integral():
+                    yield step, image
 
 
 def tate_minimal(E, p):
     """Local minimal model at p.  Returns (E_min, CurveMap, v(disc_min)),
     the map holding ints with u a power of p.
 
-    At p >= 5 in closed form (Tate 1975; Silverman, AEC VII, Exercise 7.1):
-    with k = min(v(c4) // 4, v(c6) // 6) over the nonzero invariants, E is
-    minimal when k = 0, and otherwise u = p^k with the completing
-    translation r = -b2/12, s = -a1/2, t = -a3/2 + a1 b2/24 reaches the
-    minimal model.  Each transformed numerator is an integer polynomial in
-    r, s and t, so taking them mod p^(6k) keeps it divisible by p^(wk) for
-    every weight w <= 6.  At p = 2 and 3, Tate's walk.
+    Laska's descent (Math. Comp. 38, 1982), the same at every prime: take a
+    u = p step while one lands on an integral model.  A model with one is not
+    minimal; a model without one is, since a map to a minimal model with
+    u = p^k, k >= 1, is such a step followed by a rescaling.  A u = p image
+    keeps c4/p^4, c6/p^6 and disc/p^12 integral, so a step is sought only
+    when p^4 | c4, p^6 | c6 and p^12 | disc; at p >= 5 these suffice, and the
+    one candidate lands.
     """
-    if p < 5:
-        return _tate_walk(E, p)
     disc = E.disc
     if disc == 0:
         raise ValueError("singular curve")
     if not E.is_integral():
         raise ValueError("curve must be integral")
-    v_disc = valuation(disc, p)
-    c4, c6 = E.c4, E.c6
-    if c4 % p ** 4 or c6 % p ** 6:
-        return E, CurveMap.identity(), v_disc
-    k = min(valuation(c, p) // w for c, w in ((c4, 4), (c6, 6)) if c)
-    q = p ** (6 * k)
-    r = -E.b2 * pow(12, -1, q) % q
-    s = -E.a1 * pow(2, -1, q) % q
-    t = (-E.a3 * pow(2, -1, q) + E.a1 * E.b2 * pow(24, -1, q)) % q
-    cmap = CurveMap(p ** k, r, s, t)
-    E_min = cmap.apply(E)
-    if not E_min.is_integral():
-        raise AssertionError("the closed-form minimal model is not integral")
-    return E_min, cmap, v_disc - 12 * k
-
-
-def _tate_walk(E, p):
-    """Tate's walk at any prime.  Returns (E_min, CurveMap, v(disc_min)).
-
-    Every exit but the final u = p rescaling is minimal.  No minimal curve
-    of type II, III or IV has v(disc) >= 12, where the types are tested, so
-    they have no exit: by the Ogg-Saito formula v(disc_min) = f + m - 1
-    (Ogg 1967; Saito 1988 at p = 2), with m <= 3 components and f <= 8 at 2,
-    5 at 3 and 2 at p >= 5, v(disc_min) <= 10.  Were one reached, the step-6
-    check would raise: the s, t translation keeps b6, b8 and a6 mod p^2, and
-    the check implies p^3 | a6, b6, b8.  I0* (m = 5) and IV* (m = 7) are
-    ruled out likewise except at p = 2.  `tate_minimal` takes the walk at
-    p = 2 and 3; at p >= 5 it is the closed form's test oracle.
-    """
-    if E.disc == 0:
-        raise ValueError("singular curve")
-    if not E.is_integral():
-        raise ValueError("curve must be integral")
     total = CurveMap.identity()
-    cur = E
-    while True:
-        n = valuation(cur.disc, p)
-        if n < 12:
-            return cur, total, n
-        # move the singular point of the reduction to (0, 0)
-        x0, y0 = _singular_point_mod_p(cur, p)
-        m = CurveMap(1, x0, 0, y0)
-        cur = m.apply(cur)
-        total = total.then(m)
-        if cur.b2 % p != 0:  # multiplicative reduction: type I_n, minimal
-            return cur, total, n
-        m = _step6_normalize(cur, p)
-        cur = m.apply(cur)
-        total = total.then(m)
-        # P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) mod p
-        roots = _fp_cubic_roots(cur.a2 // p, cur.a4 // p ** 2, cur.a6 // p ** 3, p)
-        mults = sorted(mult for _, mult in roots)
-        if all(mult == 1 for _, mult in roots):  # type I0*
-            return cur, total, n
-        if mults[-1] == 2:  # type I_m*: subprocedure, always minimal
-            r0 = next(t for t, mult in roots if mult == 2)
-            m = CurveMap(1, p * r0, 0, 0)
-            cur = m.apply(cur)
-            total = total.then(m)
-            cur, total = _type_istar_tail(cur, total, p)
-            return cur, total, n
-        # triple root
-        r0 = roots[0][0]
-        m = CurveMap(1, p * r0, 0, 0)
-        cur = m.apply(cur)
-        total = total.then(m)
-        ys = _fp_quadratic_roots(cur.a3 // p ** 2, -(cur.a6 // p ** 4), p)
-        if len(ys) == 2 or not ys:  # type IV*
-            return cur, total, n
-        m = CurveMap(1, 0, 0, p * p * ys[0])
-        cur = m.apply(cur)
-        total = total.then(m)
-        if valuation(cur.a4, p) < 4:  # type III*
-            return cur, total, n
-        if valuation(cur.a6, p) < 6:  # type II*
-            return cur, total, n
-        # non-minimal: rescale by u = p and restart
-        m = CurveMap(p, 0, 0, 0)
-        cur = m.apply(cur)
-        if not cur.is_integral():
-            raise AssertionError("rescaling by u = p left a non-integral curve")
-        total = total.then(m)
-
-
-def _type_istar_tail(cur, total, p):
-    """The I_m* ping-pong: translate until a separable quadratic appears."""
-    q = 1
-    while True:
-        # quadratic in Y: Y^2 + (a3 / p^(q+1)) Y - a6 / p^(2q+2)
-        a3q = cur.a3 // p ** (q + 1)
-        a6q = cur.a6 // p ** (2 * q + 2)
-        ys = _fp_quadratic_roots(a3q, -a6q, p)
-        if len(ys) == 2 or not ys:
-            return cur, total
-        m = CurveMap(1, 0, 0, ys[0] * p ** (q + 1))
-        cur = m.apply(cur)
-        total = total.then(m)
-        # quadratic in X: (a2/p) X^2 + (a4/p^(q+2)) X + a6/p^(2q+3)
-        a2q = cur.a2 // p
-        a4q = cur.a4 // p ** (q + 2)
-        a6q = cur.a6 // p ** (2 * q + 3)
-        inv = fp_inv(a2q, p)
-        xs = _fp_quadratic_roots(a4q * inv, a6q * inv, p)
-        if len(xs) == 2 or not xs:
-            return cur, total
-        m = CurveMap(1, xs[0] * p ** (q + 1), 0, 0)
-        cur = m.apply(cur)
-        total = total.then(m)
-        q += 1
+    while E.c4 % p ** 4 == 0 and E.c6 % p ** 6 == 0 and disc % p ** 12 == 0:
+        landing = next(_landings_by_p(E, p), None)
+        if landing is None:
+            break
+        step, E = landing
+        total, disc = total.then(step), disc // p ** 12
+    return E, total, valuation(disc, p)
 
 
 def minimal_discriminant_valuation(E, ctx):
@@ -403,7 +270,7 @@ def kappa(P, E, ctx):
 
 
 def _kappa_on_minimal(P, cmap, p):
-    """kappa of P, given the CurveMap of Tate's walk from P's curve."""
+    """kappa of P, given a CurveMap from P's curve to a minimal model."""
     Pm = cmap.apply_point(P)
     vx = valuation(Pm.x, p)
     vy = valuation(Pm.y, p)

@@ -76,10 +76,11 @@ def perturb_entries(m, scale, rng, bound=2):
 
 
 def kodaira_family(p):
-    """One curve per branch of Tate's walk, typed for p >= 5: I_n, II, III,
-    IV, I0*, I_m*, IV*, III*, II*, and a non-minimal one; plus the same curves
-    scaled by u = p.  `tate_minimal` walks them at p = 2 and 3 only; at every
-    prime they reach the walk through `weierstrass._tate_walk`."""
+    """One curve per Kodaira type, typed for p >= 5: I_n, II, III, IV, I0*,
+    I_m*, IV*, III*, II*, and a non-minimal one; plus the same curves scaled
+    by u = p, which `tate_minimal`'s u = p descent (Laska 1982) must undo at
+    every prime.  At p = 2 and 3 the types may differ; the curves with
+    p | disc are kept all the same."""
     base = [
         (0, 1, 0, 0, p ** 3), (0, 1, 0, 0, p ** 12), (0, 0, 0, 0, p), (0, 0, 0, p, 0),
         (0, 0, 0, 0, p * p), (0, 0, 0, -p * p, 0), (0, p, 0, 0, p ** 4),

@@ -4,9 +4,10 @@ These are the library's routines as they were before each job came to be
 done one way: `convert_3to2` expanding det(L | M | N) through dictionaries
 of bidegree-keyed coefficients over the six signed permutations;
 `critical_model` with one branch per kind, assembling the hypercube from its
-4x4 pattern layout through nested lists; and Tate's step-6 translation at odd
-p built from two maps, the t of the second read off the curve the first one
-moved.  They read the library's pattern tables and draw helper at call time,
+4x4 pattern layout through nested lists; and the local minimal model at
+p >= 5 in closed form, which one u = p descent at every prime replaced.  The
+closed form is the reference at primes far beyond an exhaustive search.  They
+read the library's pattern tables and draw helper at call time,
 and serve only as the reference the differential tests compare the library
 against.
 """
@@ -14,7 +15,7 @@ against.
 from g1min.construct import (
     _CRITICAL_22, _CRITICAL_CUBE, _CRITICAL_HYPER, _draw, _rng,
 )
-from g1min.exactnum import RefusedInputError, as_context, fp_inv
+from g1min.exactnum import RefusedInputError, as_context, valuation
 from g1min.invariants import discriminant
 from g1min.models import Cube, Hypercube, TwoTwoForm, UnsupportedModelError
 from g1min.weierstrass import CurveMap
@@ -94,10 +95,34 @@ def critical_model(kind, ctx, seed_or_rng=0, max_tries=200):
     raise RuntimeError("failed to sample a nonsingular critical model")
 
 
-def step6_map_odd(E, p):
-    """The step-6 CurveMap of Tate's walk at an odd prime: s = -a1/2 mod p,
-    then t = -a3/2 mod p^2 read off the curve the s-translation gives."""
-    s = (-E.a1 * fp_inv(2, p)) % p
-    E1 = CurveMap(1, 0, s, 0).apply(E)
-    t = (-E1.a3 * fp_inv(2, p * p)) % (p * p)
-    return CurveMap(1, 0, s, 0).then(CurveMap(1, 0, 0, t))
+def closed_form_minimal(E, p):
+    """Local minimal model at p >= 5.  Returns (E_min, CurveMap, v(disc_min)),
+    the map holding ints with u a power of p.
+
+    In closed form (Tate 1975; Silverman, AEC VII, Exercise 7.1): with
+    k = min(v(c4) // 4, v(c6) // 6) over the nonzero invariants, E is minimal
+    when k = 0, and otherwise u = p^k with the completing translation
+    r = -b2/12, s = -a1/2, t = -a3/2 + a1 b2/24 reaches the minimal model.
+    Each transformed numerator is an integer polynomial in r, s and t, so
+    taking them mod p^(6k) keeps it divisible by p^(wk) for every weight
+    w <= 6.
+    """
+    disc = E.disc
+    if disc == 0:
+        raise ValueError("singular curve")
+    if not E.is_integral():
+        raise ValueError("curve must be integral")
+    v_disc = valuation(disc, p)
+    c4, c6 = E.c4, E.c6
+    if c4 % p ** 4 or c6 % p ** 6:
+        return E, CurveMap.identity(), v_disc
+    k = min(valuation(c, p) // w for c, w in ((c4, 4), (c6, 6)) if c)
+    q = p ** (6 * k)
+    r = -E.b2 * pow(12, -1, q) % q
+    s = -E.a1 * pow(2, -1, q) % q
+    t = (-E.a3 * pow(2, -1, q) + E.a1 * E.b2 * pow(24, -1, q)) % q
+    cmap = CurveMap(p ** k, r, s, t)
+    E_min = cmap.apply(E)
+    if not E_min.is_integral():
+        raise AssertionError("the closed-form minimal model is not integral")
+    return E_min, cmap, v_disc - 12 * k

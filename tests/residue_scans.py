@@ -4,9 +4,9 @@ These are the P^1, P^1 x P^1 and P^2 enumerations g1min used before its root
 finder: binary roots by trying every point of P^1(F_p), the singular points of
 a (2,2)-form by trying every point of P^1 x P^1, rational line factors of a
 ternary cubic by trial division by every line of P^2, the singular points of a
-ternary cubic and of a conic by trying every point of P^2, and the Tate-walk
-roots by trying every residue.  They cost O(p) to O(p^2) and serve only as the
-reference the differential tests compare the library against, at small p.
+ternary cubic and of a conic by trying every point of P^2.  They cost O(p) to
+O(p^2) and serve only as the reference the differential tests compare the
+library against, at small p.
 The classifiers are the library's as they were before the algebra replaced
 these scans, with their prime-bound checks removed.  The point evaluation and
 the partial derivatives of a monomial dictionary are the library's as they
@@ -26,10 +26,6 @@ polynomial division) before it looked for a multiple root.  Both reference
 `repeated_root`s test the rootless cofactor with `_is_square_form`, the
 library's test as it was before it became one gcd with the derivative: a
 closed-form square test for quartics, the gcd from degree 5 on.
-
-Besides the scans for the Tate walk's cubic roots (now F_p root finding) and
-singular point (now a formula at every prime), `step6_by_search` is the search
-over (s, t) mod 8 that the closed-form p = 2 step-6 translation replaced.
 """
 
 from g1min.exactnum import fp_inv, fp_poly, fp_poly_divmod, fp_poly_gcd
@@ -39,7 +35,6 @@ from g1min.residue import (
     TAG_PRODUCT_ONE, TAG_REPEATED_LINE, TAG_UNIQUE_SINGULAR, TAG_ZERO,
     _form22_residue_rows, binary_roots as fp_binary_roots,
 )
-from g1min.weierstrass import CurveMap
 
 
 def fp_matrix(rows, p):
@@ -405,52 +400,3 @@ def _conic_singular_point(conic, p):
         if all(_eval_trivariate(q, pt, p) == 0 for q in parts):
             return pt
     return None
-
-
-def _fp_cubic_roots(a, b, c, p):
-    """Roots with multiplicity of T^3 + a T^2 + b T + c over F_p (trial)."""
-    roots = []
-    for t in range(p):
-        if (((t + a) * t + b) * t + c) % p == 0:
-            # synthetic division by (T - t): quotient T^2 + q1 T + q2
-            q1 = (a + t) % p
-            q2 = (b + t * q1) % p
-            mult = 1
-            if (q2 + t * (q1 + t)) % p == 0:
-                mult = 2
-                if (q1 + 2 * t) % p == 0:
-                    mult = 3
-            roots.append((t, mult))
-    return roots
-
-
-def _singular_point_mod_p(E, p):
-    """A singular point of the reduction mod p (exists when p | disc)."""
-    for x in range(p):
-        # y-partial: 2y + a1 x + a3 = 0; for p = 2 solve directly
-        ys = []
-        if p == 2:
-            ys = [y for y in range(2)
-                  if (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % 2 == 0]
-        else:
-            y = (-(E.a1 * x + E.a3) * fp_inv(2, p)) % p
-            ys = [y]
-        for y in ys:
-            f = (y * y + E.a1 * x * y + E.a3 * y - E.rhs(x)) % p
-            fx = (E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4) % p
-            fy = (2 * y + E.a1 * x + E.a3) % p
-            if f == 0 and fx == 0 and fy == 0:
-                return x, y
-    raise AssertionError("no singular point found although p | disc")
-
-
-def step6_by_search(E):
-    """The p = 2 step-6 translation: the first (s, t) mod 8, s then t, with
-    2 | a1, a2; 4 | a3, a4; 8 | a6."""
-    for s in range(8):
-        for t in range(8):
-            cand = CurveMap(1, 0, s, t).apply(E)
-            if (cand.a1 % 2 == 0 and cand.a2 % 2 == 0 and cand.a3 % 4 == 0
-                    and cand.a4 % 4 == 0 and cand.a6 % 8 == 0):
-                return CurveMap(1, 0, s, t)
-    raise AssertionError("step-6 normalisation failed at p = 2")

@@ -685,6 +685,8 @@ REFUSALS = {
                                             "singular model"),
     "global/unfactored": (["minimise", "@semiprime.json", "--global", "--json"], 5,
                           f"leftover cofactor {_PQ} is composite"),
+    "global/with-prime": (["minimise", "@form22.json", "--global", "--prime", "6"], 2,
+                          "argument --prime: not allowed with argument --global"),
 
     "level/non-integral-form22": (["level", "@rational22.json", "--prime", "5"], 2,
                                   _NOT_INTEGRAL),
@@ -765,8 +767,16 @@ def test_every_refusal_keeps_its_exit_code_and_message(tmp_path, capsys, argv, c
     def at(s):
         return s.replace("@", f"{tmp_path}/")
 
-    assert main([at(a) for a in argv]) == code
-    assert capsys.readouterr() == ("", f"error: {at(message)}\n")
+    try:
+        assert main([at(a) for a in argv]) == code
+    except SystemExit as exc:  # argparse's own refusal: its usage, then "PROG: error: ..."
+        assert exc.code == code
+        out, err = capsys.readouterr()
+        prog = f"g1min {argv[0]}"
+        assert out == "" and err.startswith(f"usage: {prog} ")
+        assert err.endswith(f"\n{prog}: error: {at(message)}\n")
+    else:
+        assert capsys.readouterr() == ("", f"error: {at(message)}\n")
 
 
 @pytest.mark.parametrize("error, code", [

@@ -11,7 +11,6 @@ from g1min import (
     discriminant,
 )
 from g1min import construct
-from g1min.weierstrass import CurveMap, WeierstrassCurve, _step6_normalize
 
 
 CORNER_CUBES = 1000  # per entry bound, four bounds
@@ -66,16 +65,3 @@ def test_critical_model_matches_the_kind_ladder(kind, p):
     a, b = random.Random(p), random.Random(p)
     for _ in range(20):
         assert critical_model(kind, p, a) == old.critical_model(kind, p, b)
-
-
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
-def test_step6_is_one_map(p):
-    # curves in step 6's situation: a (s, t)-translate of a curve with
-    # p | a1, a2; p^2 | a3, a4; p^3 | a6
-    rng = random.Random(p)
-    for _ in range(5000):
-        E0 = WeierstrassCurve(*(p ** k * rng.randint(-p ** 3, p ** 3)
-                                for k in (1, 1, 2, 2, 3)))
-        big = 10 ** rng.randrange(1, 30)
-        E = CurveMap(1, 0, rng.randint(-big, big), rng.randint(-big, big)).apply(E0)
-        assert _step6_normalize(E, p) == old.step6_map_odd(E, p)

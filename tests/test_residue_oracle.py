@@ -17,10 +17,7 @@ from g1min.residue import (
     binary_roots, repeated_root,
 )
 from g1min.exactnum import valuation
-from g1min.weierstrass import (
-    CurveMap, WeierstrassCurve, _fp_cubic_roots, _singular_point_mod_p, _tate_walk,
-)
-import g1min.weierstrass as weierstrass
+from g1min.weierstrass import CurveMap, WeierstrassCurve, tate_minimal
 
 from conftest import kodaira_family
 
@@ -373,22 +370,7 @@ def test_every_cubic_at_2_matches_scan():
 
 
 # ---------------------------------------------------------------------------
-# Tate's walk
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_cubic_roots_match_scan(p):
-    rng = random.Random(4000 + p)
-    if p <= 7:
-        triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    else:
-        triples = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(300)]
-        for _ in range(40):  # double and triple roots
-            r, s = rng.randrange(p), rng.randrange(p)
-            a, b, c = _mul(_mul((-r, 1), (-r, 1)), (-s, 1))[2::-1]
-            triples.append((a % p, b % p, c % p))
-    for a, b, c in triples:
-        assert _fp_cubic_roots(a, b, c, p) == scans._fp_cubic_roots(a, b, c, p)
+# local minimal models
 
 
 def _translated(E, rng, p):
@@ -417,33 +399,6 @@ def _tate_cases(p, rng):
                      for E in curves[::3] for k in (1, 2)]
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_tate_singular_point_and_walk_match_scan(p, monkeypatch):
-    curves = _tate_cases(p, random.Random(5000 + p))
-    for E in curves:
-        assert _singular_point_mod_p(E, p) == scans._singular_point_mod_p(E, p), E
-    walks = [_tate_walk(E, p) for E in curves]
-    monkeypatch.setattr(weierstrass, "_fp_cubic_roots", scans._fp_cubic_roots)
-    monkeypatch.setattr(weierstrass, "_singular_point_mod_p", scans._singular_point_mod_p)
-    assert walks == [_tate_walk(E, p) for E in curves]
-
-
-def test_step6_translation_at_2_matches_search(monkeypatch):
-    # the closed-form (s, t) is the first hit of the old search over (s, t) mod 8
-    step6, seen = weierstrass._step6_normalize, []
-
-    def checked(E, p):
-        m = step6(E, p)
-        assert m == scans.step6_by_search(E), E
-        seen.append(E)
-        return m
-
-    monkeypatch.setattr(weierstrass, "_step6_normalize", checked)
-    for E in _tate_cases(2, random.Random(5102)):
-        _tate_walk(E, 2)
-    assert len(seen) >= 20
-
-
 def _rescales_by_p(E, p):
     """Whether CurveMap(p, r, s, t) takes E to an integral curve for some
     r mod p^2, s mod p and t mod p^3.  The search is complete: when both
@@ -461,13 +416,14 @@ def _rescales_by_p(E, p):
     return False
 
 
-@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_tate_walk_against_exhaustive_rescaling(p):
-    # no model the walk returns has an integral model with u = p, and the
-    # walk rescales exactly when its input has one
+    # no model the descent returns has an integral model with u = p, its map
+    # takes the input there, and it rescales exactly when its input has one
     rescaled = 0
     for E in _tate_cases(p, random.Random(6000 + p)):
-        E_min, cmap, v = _tate_walk(E, p)
+        E_min, cmap, v = tate_minimal(E, p)
+        assert cmap.apply(E) == E_min, E
         assert v == valuation(E_min.disc, p)
         assert not _rescales_by_p(E_min, p), E
         assert (cmap.u > 1) == _rescales_by_p(E, p), E

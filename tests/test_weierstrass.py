@@ -10,9 +10,10 @@ from g1min import (
     point_double, point_mul, point_neg, scalar_multiply, tate_minimal,
     valuation,
 )
-from g1min.weierstrass import _kappa_on_minimal, _step6_normalize, _tate_walk
+from g1min.weierstrass import _kappa_on_minimal
 
 from conftest import kodaira_family
+from replaced_routines import closed_form_minimal
 
 
 def scale_curve(E, u):
@@ -126,9 +127,9 @@ def test_large_prime_minimality_criterion(rng):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_tate_maps_are_integral(p):
-    # on integral input the walk composes integral translations and u = p
-    # rescalings: its map holds ints, u is a power of p, and it takes the
-    # curve to the minimal model it returns
+    # on integral input the descent composes u = p steps, each with an
+    # integral translation: its map holds ints, u is a power of p, and it
+    # takes the curve to the minimal model it returns
     rescaled = 0
     for E in kodaira_family(p):
         Emin, cmap, vmin = tate_minimal(E, p)
@@ -159,16 +160,6 @@ def test_tate_rejects_bad_input():
         tate_minimal(WeierstrassCurve(0, 0, 0, 0, 0), 2)
     with pytest.raises(ValueError):
         tate_minimal(WeierstrassCurve(Fraction(1, 2), 0, 0, 1, 0), 2)
-
-
-@pytest.mark.parametrize("p", (2, 3, 5))
-def test_step6_check_refuses_types_ii_iii_iv(p):
-    # the walk has no exit for these types, which cannot reach its type tests;
-    # one that did would meet this check, with its singular point at (0, 0)
-    type_iv = WeierstrassCurve(0, 0, 2, 0, 4) if p == 2 else WeierstrassCurve(0, 0, 0, 0, p * p)
-    for E in (WeierstrassCurve(0, 0, 0, 0, p), WeierstrassCurve(0, 0, 0, p, 0), type_iv):
-        with pytest.raises(AssertionError, match="step-6 normalisation failed"):
-            _step6_normalize(E, p)
 
 
 def test_kappa_integral_point():
@@ -280,7 +271,7 @@ def test_hypercube_level_is_minimum_of_form_levels(rng):
 
 def _fraction_kappa(P, E, p):
     """kappa the way it was computed before marked points stayed int: map P
-    to Tate's minimal model in Fractions and read its denominators."""
+    to tate_minimal's minimal model in Fractions and read its denominators."""
     cmap = tate_minimal(E, p)[1]
     x, y = Fraction(P.x), Fraction(P.y)
     xp = (x - cmap.r) / cmap.u ** 2
@@ -343,51 +334,31 @@ def _closed_form_inputs(p, rng):
 
 @pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
 def test_closed_form_matches_the_walk(p):
-    # at p >= 5 tate_minimal answers in closed form; the walk is its oracle:
-    # the same v(Delta_min) and u, an int map onto the model it returns, and
-    # the same kappa of every point, rational ones included
+    # the descent's u = p walk against the closed form it replaced at p >= 5,
+    # where no exhaustive search reaches: the same v(Delta_min) and u, an int
+    # map onto the model it returns, which has p^4 not dividing c4 or p^6 not
+    # dividing c6, and the same kappa on both maps of every point, rational
+    # ones included
     rng = random.Random(7100 + p % 1000)
     rescaled = positive = 0
     for E, pts in _closed_form_inputs(p, rng):
         assert E.is_integral() and E.disc != 0
         Emin, cmap, vmin = tate_minimal(E, p)
-        _, walk_map, walk_vmin = _tate_walk(E, p)
-        assert vmin == walk_vmin, E
+        _, closed_map, closed_vmin = closed_form_minimal(E, p)
+        assert vmin == closed_vmin, E
         assert all(type(x) is int for x in (cmap.u, cmap.r, cmap.s, cmap.t)), E
         k, rem = divmod(valuation(E.disc, p) - vmin, 12)
-        assert rem == 0 and cmap.u == p ** k == walk_map.u, E
+        assert rem == 0 and cmap.u == p ** k == closed_map.u, E
         assert cmap.apply(E) == Emin and Emin.is_integral()
+        assert Emin.c4 % p ** 4 or Emin.c6 % p ** 6, E
         assert valuation(Emin.disc, p) == vmin
         for P in pts:
             assert on_curve(E, P)
             kap = kappa(P, E, LocalContext(p))
-            assert kap == _kappa_on_minimal(P, walk_map, p)
+            assert kap == _kappa_on_minimal(P, cmap, p) == _kappa_on_minimal(P, closed_map, p)
             positive += kap > 0
         rescaled += k > 0
     assert rescaled and positive
     for bad in (WeierstrassCurve(0, 0, 0, 0, 0), WeierstrassCurve(Fraction(1, 2), 0, 0, 1, 0)):
         with pytest.raises(ValueError):
             tate_minimal(bad, p)
-
-
-@pytest.mark.parametrize("p", [5, 7, 101])
-def test_level_takes_no_walk_at_large_primes(monkeypatch, rng, p):
-    import g1min.weierstrass as weierstrass
-    from conftest import nonzero_disc, random_hypercube
-    from g1min import construct_cube
-
-    calls = []
-
-    def counted(E, q):
-        calls.append(q)
-        return _tate_walk(E, q)
-
-    monkeypatch.setattr(weierstrass, "_tate_walk", counted)
-    models = [construct_22(0, 0, 0, 1), construct_cube(0, 0, 0, 1),
-              nonzero_disc(random_hypercube, rng)]
-    for m in models:
-        level(m, LocalContext(p))
-        level(scalar_multiply(m, p), LocalContext(p))
-    assert calls == []
-    level(models[0], LocalContext(3))
-    assert calls == [3]
