@@ -17,12 +17,12 @@ or composite --prime, a prime outside the oracle's or --critical's range, a
 non-integral model where integers are needed); 3 UnsupportedModelError (an
 operation not defined for the model's kind, or a conversion whose point
 condition fails); 4 SingularModelError; 5 FactorizationError (--global cannot
-split gcd(c4, c6)); 6 any other ValueError, AssertionError or ArithmeticError,
-a check inside the library that failed on accepted input, reported as
-"internal error: ...".  argparse's own errors exit 2 as well.  A report
-whose reader closes the pipe early exits 1, with no traceback.  Reports go to
-stdout, diagnostics to stderr.  Primes and the integers in model files and
-reports may have any number of digits.
+split a composite part of gcd(c4, c6) above 2^80); 6 any other ValueError,
+AssertionError or ArithmeticError, a check inside the library that failed on
+accepted input, reported as "internal error: ...".  argparse's own errors
+exit 2 as well.  A report whose reader closes the pipe early exits 1, with
+no traceback.  Reports go to stdout, diagnostics to stderr.  Primes and the
+integers in model files and reports may have any number of digits.
 """
 
 import argparse
@@ -201,6 +201,7 @@ def cmd_minimise(args):
                 f"v(Delta): {rep.v_disc_initial} -> {rep.v_disc_final} at p = {rep.prime}",
                 "steps: " + ", ".join(s.label for s in rep.steps),
             ]
+        lines.append(f"verdict: {rep.verdict.value}")
     _emit(doc, args, lines)
     if args.out:
         _write_model(rep.model, args)

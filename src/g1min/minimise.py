@@ -106,7 +106,9 @@ class _Move:
 
 
 class _Driver:
-    """Work state: current model, accumulated certificate, step history."""
+    """Work state: current model, accumulated certificate, step history, and
+    the best landing (v, steps kept, model, g), the first at the lowest
+    v(Delta): replaced only on a strict drop, it is what `report` returns."""
 
     def __init__(self, m, ctx):
         # the model's refusals come before the prime's
@@ -119,7 +121,8 @@ class _Driver:
         self.v = valuation(disc, self.p)
         self.v_initial = self.v
         self.content = 0  # v_p of the content that division left (quartics: 0 or 1)
-        self.records = []  # (Step, model, transformation, v_after)
+        self.steps = []
+        self.best = (self.v, 0, m, self.g)
 
     def run(self):
         """Minimise: while v(Delta) >= 12, divide out content, then commit the
@@ -170,21 +173,16 @@ class _Driver:
         self.cur = new_model
         self.g = move.compose(self.g)
         self.v = v_new
-        self.records.append((Step(label, v_before, v_new, detail), new_model, self.g, v_new))
+        self.steps.append(Step(label, v_before, v_new, detail))
+        if v_new < self.best[0]:
+            self.best = (v_new, len(self.steps), new_model, self.g)
 
     def report(self, verdict, max_neutral_chain):
-        v_final = min((v for _, _, _, v in self.records), default=self.v_initial)
-        if v_final >= self.v_initial:
-            model, g, steps, v_final = (
-                self.input, GroupElement.identity(self.input.kind), (), self.v_initial)
-        else:
-            best = next(i for i, rec in enumerate(self.records) if rec[3] == v_final)
-            model, g = self.records[best][1], self.records[best][2]
-            steps = tuple(rec[0] for rec in self.records[:best + 1])
+        v_final, kept, model, g = self.best
         if act(g, self.input) != model:
             raise AssertionError("transformation certificate failed to reproduce the model")
         return MinimisationReport(
-            model=model, transformation=g, steps=steps,
+            model=model, transformation=g, steps=tuple(self.steps[:kept]),
             v_disc_initial=self.v_initial, v_disc_final=v_final,
             prime=self.p, verdict=verdict, max_neutral_chain=max_neutral_chain,
         )
@@ -583,7 +581,8 @@ class FactorizationError(ArithmeticError):
 
 def trial_division_factor(n):
     """Default factoriser: trial division to 2^20, then a primality check on
-    the rest."""
+    the rest.  A composite rest up to 2^80 is dropped: its primes exceed
+    2^20, so none divides it four times, as a candidate must."""
     n = abs(int(n))
     if n == 0:
         raise FactorizationError("cannot factor zero")
@@ -605,10 +604,10 @@ def trial_division_factor(n):
             out.append((q, e))
         q += step
         step = 6 - step
-    if n > 1:
-        if not is_prime(n):
-            raise FactorizationError(f"leftover cofactor {n} is composite")
+    if n > 1 and is_prime(n):
         out.append((n, 1))
+    elif n > 1 << 80:
+        raise FactorizationError(f"leftover cofactor {n} is composite")
     return out
 
 
@@ -630,9 +629,10 @@ def minimise_global(m, factor=trial_division_factor):
     chi^12, with chi = p^-k when k levels drop, and the result is still
     integral (for quartics, read I and J for c4 and c6).  So a prime where
     a step exists has p^4 | c4, p^6 | c6 and p^12 | Delta, and `factor` is
-    called on g = gcd(c4, c6), not on Delta.  It returns
-    [(prime, exponent), ...] and raises FactorizationError when it cannot
-    split g.  The model is refused as by `minimise` before any factoring.
+    called on g = gcd(c4, c6), not on Delta.  It returns [(prime, exponent),
+    ...], which may leave out primes dividing g less than four times, and
+    raises FactorizationError when what it cannot split could hide a
+    candidate.  The model is refused as by `minimise` before any factoring.
     """
     _check_kind(m)
     c4, c6, disc = checked_invariants(m)

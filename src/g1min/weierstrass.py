@@ -15,7 +15,9 @@ integer l >= 0 in
 
 where kappa(P) = 0 if P is integral on a minimal model of E and kappa(P) = r
 if v(x_P) = -2r there.  Hypercubes carry three marked points and use the max
-of their kappas.
+of their kappas.  `level` runs one descent, on the first point's model E,
+and carries every point onto E; kappa on E's minimal model is kappa on the
+point's own, since minimal models differ by integral changes of coordinates.
 """
 
 from dataclasses import dataclass
@@ -299,7 +301,9 @@ _MARKED_INVARIANTS = {
 
 def level(m, ctx):
     """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube.
-    Refusals come in the order kind, prime, Delta = 0, integrality."""
+    Refusals come in the order kind, prime, Delta = 0, integrality.  Each
+    marked point, of invariants (u, v), is carried onto the first point's
+    model E as x = (u - b2)/12, y = (v - a1 x - a3)/2."""
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
         raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
@@ -307,20 +311,14 @@ def level(m, ctx):
     if not is_integral(m):
         refuse_non_integral(m)
     invs = marked(m)
-    disc = invs[0].disc
-    if disc == 0:
+    if invs[0].disc == 0:
         raise SingularModelError("singular model")
-    v_disc = valuation(disc, p)
-    kappas = []
-    v_min = None
-    for inv in invs:
-        E, P = WeierstrassCurve(*inv.a_invariants), Point(inv.xi, inv.eta)
-        _, cmap, vm = tate_minimal(E, p)
-        v_min = vm if v_min is None else v_min
-        if vm != v_min:
-            raise AssertionError("paired Jacobians disagree on the minimal discriminant")
-        kappas.append(_kappa_on_minimal(P, cmap, p))
-    kap = max(kappas)
+    v_disc = valuation(invs[0].disc, p)
+    E = WeierstrassCurve(*invs[0].a_invariants)
+    _, cmap, v_min = tate_minimal(E, p)
+    carried = (Point(x, quotient(inv.v - E.a1 * x - E.a3, 2))
+               for inv in invs for x in (quotient(inv.u - E.b2, 12),))
+    kap = max(_kappa_on_minimal(P, cmap, p) for P in carried)
     lvl, rem = divmod(v_disc - v_min - 12 * kap, 12)
     if rem or lvl < 0:
         raise AssertionError("level decomposition failed")

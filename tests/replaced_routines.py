@@ -4,21 +4,27 @@ These are the library's routines as they were before each job came to be
 done one way: `convert_3to2` expanding det(L | M | N) through dictionaries
 of bidegree-keyed coefficients over the six signed permutations;
 `critical_model` with one branch per kind, assembling the hypercube from its
-4x4 pattern layout through nested lists; and the local minimal model at
-p >= 5 in closed form, which one u = p descent at every prime replaced.  The
-closed form is the reference at primes far beyond an exhaustive search.  They
-read the library's pattern tables and draw helper at call time,
-and serve only as the reference the differential tests compare the library
-against.
+4x4 pattern layout through nested lists; the local minimal model at
+p >= 5 in closed form, which one u = p descent at every prime replaced (the
+closed form is the reference at primes far beyond an exhaustive search); and
+`level` with one descent per marked point, each on the point's own model,
+which one descent on the first point's model replaced.  They read the
+library's pattern tables, draw helper and descent at call time, and serve
+only as the reference the differential tests compare the library against.
 """
 
 from g1min.construct import (
     _CRITICAL_22, _CRITICAL_CUBE, _CRITICAL_HYPER, _draw, _rng,
 )
 from g1min.exactnum import RefusedInputError, as_context, valuation
-from g1min.invariants import discriminant
-from g1min.models import Cube, Hypercube, TwoTwoForm, UnsupportedModelError
-from g1min.weierstrass import CurveMap
+from g1min.invariants import discriminant, refuse_non_integral
+from g1min.models import (
+    Cube, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError, is_integral,
+)
+from g1min.weierstrass import (
+    _MARKED_INVARIANTS, CurveMap, LevelReport, Point, WeierstrassCurve, _kappa_on_minimal,
+    tate_minimal,
+)
 
 
 def convert_3to2(S):
@@ -126,3 +132,33 @@ def closed_form_minimal(E, p):
     if not E_min.is_integral():
         raise AssertionError("the closed-form minimal model is not integral")
     return E_min, cmap, v_disc - 12 * k
+
+
+def level(m, ctx):
+    """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube.
+    Refusals come in the order kind, prime, Delta = 0, integrality."""
+    marked = _MARKED_INVARIANTS.get(m.kind)
+    if marked is None:
+        raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
+    p = as_context(ctx).p
+    if not is_integral(m):
+        refuse_non_integral(m)
+    invs = marked(m)
+    disc = invs[0].disc
+    if disc == 0:
+        raise SingularModelError("singular model")
+    v_disc = valuation(disc, p)
+    kappas = []
+    v_min = None
+    for inv in invs:
+        E, P = WeierstrassCurve(*inv.a_invariants), Point(inv.xi, inv.eta)
+        _, cmap, vm = tate_minimal(E, p)
+        v_min = vm if v_min is None else v_min
+        if vm != v_min:
+            raise AssertionError("paired Jacobians disagree on the minimal discriminant")
+        kappas.append(_kappa_on_minimal(P, cmap, p))
+    kap = max(kappas)
+    lvl, rem = divmod(v_disc - v_min - 12 * kap, 12)
+    if rem or lvl < 0:
+        raise AssertionError("level decomposition failed")
+    return LevelReport(v_disc, v_min, kap, lvl)

@@ -12,7 +12,7 @@ import pytest
 from g1min import (
     FactorizationError, RefusedInputError, SingularModelError, TernaryCubic, TwoTwoForm,
     UnsupportedModelError, construct_22, construct_cube, cubic_invariants, discriminant,
-    model_from_dict, model_to_dict, scalar_multiply,
+    critical_model, model_from_dict, model_to_dict, scalar_multiply,
 )
 from g1min.cli import main
 from g1min.exactnum import is_prime
@@ -159,17 +159,22 @@ def test_minimise_local_and_round_trip(tmp_path, capsys):
 
 
 def test_minimise_json_reports_the_verdict(tmp_path, capsys):
-    from g1min import critical_model
-
+    # the first case drops v(Delta) from 18 to 6, the critical ones are
+    # minimal: the text report ends with the verdict in both branches
     cases = ((scalar_multiply(construct_22(0, 0, 0, 1), 2), "below-12"),
              (critical_model("form22", 5, 0), "no-integral-landing"),
              (critical_model("cube", 5, 0), "neutral-chain-bound"),
              (critical_model("hypercube", 5, 0), "one-form-minimal"))
     for m, verdict in cases:
         path = form22_file(tmp_path, m)
-        assert main(["minimise", path, "--prime", "5" if verdict != "below-12" else "2",
-                     "--json"]) == 0
+        argv = ["minimise", path, "--prime", "5" if verdict != "below-12" else "2"]
+        assert main(argv + ["--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"verdict: {verdict}"
+        assert lines[0].startswith("v(Delta): 18 -> 6" if verdict == "below-12"
+                                   else "already minimal at p = 5")
 
 
 def test_minimise_singular_exit_4(tmp_path, capsys):
@@ -287,16 +292,36 @@ def test_minimise_global_factors_gcd_of_c4_c6(tmp_path, capsys):
     assert seen == [math.gcd(c4, c6)] == [3 * 19 ** 4 * 103 ** 4]
 
 
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _semiprime_quartic(tmp_path, bits):
+    """x^4 + p q y^4 with p < q the first primes above 2^bits: I = 12 p q and
+    J = 0, so gcd(I, J) leaves p q after trial division to 2^20."""
+    p = _next_prime(1 << bits)
+    return quartic_file(tmp_path, (1, 0, 0, 0, p * _next_prime(p + 1)))
+
+
 def test_minimise_global_factorisation_failure_exit_5(tmp_path, capsys):
-    # Delta = 256 e^3 with e a product of two primes beyond the trial bound
-    p = 1 << 20
-    while not is_prime(p):
-        p += 1
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    path = quartic_file(tmp_path, (1, 0, 0, 0, p * q))
-    assert main(["minimise", path, "--global"]) == 5
+    # p q > 2^80 could hide the fourth power of a prime above 2^20
+    assert main(["minimise", _semiprime_quartic(tmp_path, 40), "--global"]) == 5
+    assert "is composite" in capsys.readouterr().err
+
+
+def test_minimise_global_drops_a_cofactor_that_hides_no_candidate(tmp_path, capsys):
+    # p q < 2^80 is left unsplit: no prime above 2^20 divides it to the 4th power
+    from g1min import act, group_element_from_dict
+
+    path = _semiprime_quartic(tmp_path, 20)
+    assert main(["minimise", path, "--global", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    m = model_from_dict(json.loads(Path(path).read_text()))
+    g = group_element_from_dict(doc["transformation"])
+    assert act(g, m) == model_from_dict(doc["model"]) == m
+    assert doc["primes"] == []
 
 
 def test_composite_prime_exit_2(tmp_path, capsys):
@@ -596,14 +621,8 @@ def test_global_json_skips_the_text_only_discriminant(tmp_path, capsys, monkeypa
 # every refusal of every subcommand, with its exit code and exact stderr
 
 
-def _next_prime(n):
-    while not is_prime(n):
-        n += 1
-    return n
-
-
-# two primes past the trial-division bound, so their product cannot be split
-_P = _next_prime(1 << 20)
+# two primes above 2^40, so their product exceeds 2^80 and cannot be dropped
+_P = _next_prime(1 << 40)
 _PQ = _P * _next_prime(_P + 1)
 
 _REFUSAL_FILES = {

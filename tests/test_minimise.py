@@ -675,6 +675,8 @@ def test_global_evaluates_the_input_invariants_once(monkeypatch):
 
 def test_trial_division_factor():
     assert trial_division_factor(-2 ** 5 * 3 * 49) == [(2, 5), (3, 1), (7, 2)]
+    # a composite rest below 2^80, here the primes 2^20 + 7 and 2^20 + 13, is dropped
+    assert trial_division_factor(12 * (2 ** 20 + 7) * (2 ** 20 + 13)) == [(2, 2), (3, 1)]
     with pytest.raises(FactorizationError):
         big = (2 ** 31 - 1) * (2 ** 61 - 1)  # both prime, product too big to split
         trial_division_factor(big * big)

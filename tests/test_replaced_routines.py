@@ -8,9 +8,10 @@ import pytest
 import replaced_routines as old
 from g1min import (
     Cube, GroupElement, TwoTwoForm, act, convert_2to3, convert_3to2, critical_model,
-    discriminant,
+    construct_22, construct_cube, discriminant, inflate, level, model_from_dict,
 )
 from g1min import construct
+from g1min.models import SPECS
 
 
 CORNER_CUBES = 1000  # per entry bound, four bounds
@@ -65,3 +66,47 @@ def test_critical_model_matches_the_kind_ladder(kind, p):
     a, b = random.Random(p), random.Random(p)
     for _ in range(20):
         assert critical_model(kind, p, a) == old.critical_model(kind, p, b)
+
+
+LEVEL_BASES = 6  # per kind, prime and coefficient pool
+
+
+def _random_model(kind, pool, rng):
+    while True:
+        m = model_from_dict({"kind": kind,
+                             "coeffs": [str(rng.choice(pool)) for _ in range(SPECS[kind].size)]})
+        if discriminant(m) != 0:
+            return m
+
+
+def _kappa_one_models(kind, p, rng):
+    """Two models whose marked points reach kappa 1 at p.  A (2,2)-form or
+    cube carries the point (1/p^2, 1/p^3) of y^2 = x^3 + a p^2 x - a,
+    a = +-1, moved to (0, 0) on the curve scaled by u = p; hypercubes,
+    whose kappa may come from any of their three points, are drawn."""
+    if kind != "hypercube":
+        make = construct_22 if kind == "form22" else construct_cube
+        return [make(0, 3, 2, 3 + a * p ** 6) for a in (1, -1)]
+    found = []
+    while len(found) < 2:
+        m = _random_model(kind, (0, 1, -1, p, -p, p * p), rng)
+        if old.level(m, p).kappa:
+            found.append(m)
+    return found
+
+
+@pytest.mark.parametrize("kind", ("form22", "cube", "hypercube"))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 65537, (1 << 61) - 1))
+def test_level_matches_one_descent_per_marked_point(kind, p):
+    # random models, with coefficients in [-5, 5] and with deep valuations,
+    # and models of kappa 1, each inflated by 1 to 3 moves; critical models
+    # at p >= 5
+    rng = random.Random(p)
+    bases = [_random_model(kind, pool, rng) for pool in (range(-5, 6), (0, 1, -1, p, -p, p * p))
+             for _ in range(LEVEL_BASES)] + _kappa_one_models(kind, p, rng)
+    models = [x for m in bases for x in [m] + [inflate(m, p, rng, moves=k)[0] for k in (1, 2, 3)]]
+    if p >= 5:
+        models += [critical_model(kind, p, rng) for _ in range(LEVEL_BASES)]
+    reports = [level(m, p) for m in models]
+    assert reports == [old.level(m, p) for m in models]
+    assert sum(r.kappa == 1 for r in reports) >= 8

@@ -10,7 +10,7 @@ from g1min import (
     point_double, point_mul, point_neg, scalar_multiply, tate_minimal,
     valuation,
 )
-from g1min.weierstrass import _kappa_on_minimal
+from g1min.weierstrass import LevelReport, _kappa_on_minimal
 
 from conftest import kodaira_family
 from replaced_routines import closed_form_minimal
@@ -220,7 +220,7 @@ def test_level_decomposition_random(rng):
         seen += 1
 
 
-def test_level_walks_once_per_marked_point(monkeypatch, rng):
+def test_level_walks_once_per_call(monkeypatch, rng):
     import g1min.weierstrass as weierstrass
     from conftest import nonzero_disc, random_hypercube
     from g1min import construct_cube
@@ -233,11 +233,26 @@ def test_level_walks_once_per_marked_point(monkeypatch, rng):
 
     monkeypatch.setattr(weierstrass, "tate_minimal", counted)
     ctx = LocalContext(2)
-    for m, points in ((construct_22(0, 0, 0, 1), 1), (construct_cube(0, 0, 0, 1), 1),
-                      (nonzero_disc(random_hypercube, rng), 3)):
+    for m in (construct_22(0, 0, 0, 1), construct_cube(0, 0, 0, 1),
+              nonzero_disc(random_hypercube, rng)):
         calls.clear()
         level(m, ctx)
-        assert len(calls) == points, m.kind
+        assert calls == [2], m.kind
+
+
+# a hypercube whose first marked point is integral on a minimal model of its
+# own curve (kappa 0) and whose third is not (kappa 1), at p = 2
+HYPERCUBE_THIRD_POINT_KAPPA = (4, -2, 0, -1, 0, 2, 0, -2, 1, 1, -1, 2, 0, -2, -2, 0)
+
+
+def test_a_carried_point_sets_kappa():
+    from g1min import Hypercube, hypercube_invariants
+
+    H = Hypercube.from_coeffs(HYPERCUBE_THIRD_POINT_KAPPA)
+    kappas = [kappa(Point(inv.xi, inv.eta), WeierstrassCurve(*inv.a_invariants), 2)
+              for inv in hypercube_invariants(H).pair_invariants]
+    assert kappas == [0, 0, 1]
+    assert level(H, 2) == LevelReport(24, 0, 1, 1)
 
 
 def _random_marked(rng):

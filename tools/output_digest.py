@@ -1,6 +1,7 @@
 """Byte-for-byte comparison of the command-line answers of two g1min checkouts.
 
-    python3 tools/output_digest.py PARENT CHANGE [--primes 2,3,5,7,11,101] [--bases 3]
+    python3 tools/output_digest.py PARENT CHANGE [--bases 3]
+        [--primes 2,3,5,7,11,101,65537,2305843009213693951]
 
 Writes one fixed-seed set of model files with PARENT's library, in a fresh
 interpreter: for every minimisable kind (binary quartics, (2,2)-forms, cubes
@@ -176,7 +177,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--primes", type=parse_primes, default=[2, 3, 5, 7, 11, 101])
+    ap.add_argument("--primes", type=parse_primes, default=[2, 3, 5, 7, 11, 101, 65537, (1 << 61) - 1])
     ap.add_argument("--bases", type=int, default=3,
                     help="random models per kind and prime; critical ones per kind at p >= 5")
     args = ap.parse_args(argv)
