@@ -145,14 +145,17 @@ class LocalContext:
     __slots__ = ("p",)
 
     def __init__(self, p):
+        if not isinstance(p, int):
+            raise RefusedInputError(f"the prime must be an int, got {p!r}")
         if not is_prime(p):
             raise RefusedInputError(f"{p} is not prime")
         self.p = p
 
 
 def as_context(ctx):
-    """The LocalContext of a prime given as an int; a context passes through."""
-    return LocalContext(ctx) if isinstance(ctx, int) else ctx
+    """The LocalContext of a prime; a context, anything whose type has a `p`,
+    passes through (the type is asked, so a `p` property is not invoked)."""
+    return ctx if hasattr(type(ctx), "p") else LocalContext(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,15 @@ The report's verdict names the loop exit:
 Hypercube minimality is decided up front by the six forms, so their bound
 (2 singular-point stretches in a row) is a theorem, and an overrun raises
 InternalBoundError instead of giving a verdict.
+
+`is_minimal` runs the same loop for the verdict alone: it composes no
+transformation, checks no certificate, and stops at the first committed move
+that lowers v(Delta); the moves it commits keep their checks.  The hypercube
+step asks it about each of its six forms, passing down the hypercube's
+v(Delta), which the forms share, instead of their own invariants.  At the
+neutral-chain bound the cube step still classifies the residue, so that a
+desaturation or NO_RESIDUE_MOVE wins as before, but builds no procedure for
+the driver to refuse.
 """
 
 from dataclasses import dataclass
@@ -108,18 +117,27 @@ class _Move:
 class _Driver:
     """Work state: current model, accumulated certificate, step history, and
     the best landing (v, steps kept, model, g), the first at the lowest
-    v(Delta): replaced only on a strict drop, it is what `report` returns."""
+    v(Delta): replaced only on a strict drop, it is what `report` returns.
 
-    def __init__(self, m, ctx):
-        # the model's refusals come before the prime's
-        disc = checked_invariants(m)[2]
+    A run with certify=False only decides whether the input was minimal: it
+    composes no group elements, checks no certificate, stops at the first
+    committed move that lands below the input's v(Delta), and `report`
+    returns the verdict as a bool.  `at_chain_bound` tells a step that the
+    driver would refuse a level-keeping move, so the step need not build one."""
+
+    def __init__(self, m, ctx, certify=True, v=None):
+        # the model's refusals come before the prime's; a known v(Delta)
+        # stands for a model whose checks have passed
+        disc = checked_invariants(m)[2] if v is None else None
         self.ctx = as_context(ctx)
         self.p = self.ctx.p
+        self.certify = certify
         self.input = m
         self.cur = m
         self.g = GroupElement.identity(m.kind)
-        self.v = valuation(disc, self.p)
+        self.v = valuation(disc, self.p) if v is None else v
         self.v_initial = self.v
+        self.at_chain_bound = False
         self.content = 0  # v_p of the content that division left (quartics: 0 or 1)
         self.steps = []
         self.best = (self.v, 0, m, self.g)
@@ -132,7 +150,8 @@ class _Driver:
         kind, p = self.input.kind, self.p
         spec, (step, bound) = SPECS[kind], _STEPS[kind]
         chain = max_chain = 0
-        while self.v >= 12:
+        # a verdict-only run ends once the level falls: the input was not minimal
+        while self.v >= 12 and (self.certify or self.v == self.v_initial):
             self.content = content_valuation(self.cur, p)
             e = self.content // spec.act_power
             if e:
@@ -140,11 +159,12 @@ class _Driver:
                            detail=(e,), expect_drop=12 * e * spec.chi_power)
                 chain = 0
                 continue
+            self.at_chain_bound = chain >= bound
             proposal = step(self)
             if isinstance(proposal, Verdict):
                 return self.report(proposal, max_chain)
             move = proposal[0] if isinstance(proposal, tuple) else proposal
-            if move.chained and chain >= bound:
+            if move.chained and self.at_chain_bound:
                 return self.report(Verdict.NEUTRAL_CHAIN_BOUND, max_chain)
             moved = move.model
             if isinstance(proposal, tuple):
@@ -167,18 +187,25 @@ class _Driver:
         new_model = act(move, self.cur) if model is None else model
         if not is_integral(new_model):
             raise AssertionError(f"step {label} produced a non-integral model")
-        v_new = self.v + 12 * valuation(move.chi(), self.p)
+        v_new = self.v + 12 * move.chi_valuation(self.p)
         if expect_drop is not None and v_before - v_new != expect_drop:
             raise AssertionError(f"step {label} expected a drop of {expect_drop}")
         self.cur = new_model
-        self.g = move.compose(self.g)
+        if self.certify:
+            self.g = move.compose(self.g)
         self.v = v_new
         self.steps.append(Step(label, v_before, v_new, detail))
         if v_new < self.best[0]:
             self.best = (v_new, len(self.steps), new_model, self.g)
 
     def report(self, verdict, max_neutral_chain):
+        """The MinimisationReport of the best landing; a verdict-only run's
+        bool, whether the input was minimal."""
+        if self.input.kind == "hypercube" and verdict is Verdict.NEUTRAL_CHAIN_BOUND:
+            raise InternalBoundError("hypercube singular-point procedure ran thrice")
         v_final, kept, model, g = self.best
+        if not self.certify:
+            return v_final == self.v_initial
         if act(g, self.input) != model:
             raise AssertionError("transformation certificate failed to reproduce the model")
         return MinimisationReport(
@@ -289,7 +316,8 @@ def minimise_22(F, ctx):
 
 
 def is_minimal_22(F, ctx):
-    return minimise_22(F, ctx).input_was_minimal
+    """is_minimal for (2,2)-forms only."""
+    return _minimise(F, ctx, "form22", certify=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +343,8 @@ def _cube_step(d):
         axes, mode = uni[:2], "singular-pair"
     else:
         return Verdict.NO_RESIDUE_MOVE
+    if d.at_chain_bound:  # the driver would refuse the procedure: build none
+        return Verdict.NEUTRAL_CHAIN_BOUND
     spare = next(a for a in range(3) if a not in axes)
     mats = [identity_matrix(3)] * 3
     for a in axes:
@@ -327,7 +357,7 @@ def _cube_step(d):
     while (ker := fp_left_kernel_vector(landed.axis_slices(spare), p)) is not None:
         absorb = _absorb("cube", ker, p, spare)
         landed = act(absorb, landed)
-        if not is_integral(landed) or valuation(absorb.chi(), p) != -1:
+        if not is_integral(landed) or absorb.chi_valuation(p) != -1:
             raise AssertionError(f"step {mode}-absorb must land integrally, v(Delta) 12 lower")
         g = absorb.compose(g)
     return _Move(g, mode, tuple(axes), chained=True, model=landed)
@@ -395,7 +425,8 @@ def _hypercube_step(d):
     p = d.p
     ctx = d.ctx
     forms = forms_of_hypercube(d.cur)
-    if any(is_minimal_22(forms[pair], ctx) for pair in HYPERCUBE_PAIRS):
+    # the forms share the hypercube's c4 and c6, hence its Delta and its checks
+    if any(_Driver(forms[pair], ctx, certify=False, v=d.v).run() for pair in HYPERCUBE_PAIRS):
         return Verdict.ONE_FORM_MINIMAL
 
     def h(i, j, k, l):
@@ -525,7 +556,7 @@ def minimise_hypercube(H, ctx):
     """Minimise a nonsingular integral hypercube at the context prime.
 
     Minimality is equivalent to some associated (2,2)-form being minimal, so
-    the verdict is decided by running the (2,2) minimiser on all six forms.
+    the verdict is decided by verdict-only (2,2) runs on the six forms.
     While all six are non-minimal, one constructive normalisation step plus a
     diagonal stretch makes progress; the singular-point flavour can repeat at
     most twice before desaturation or the doubly-degenerate flavour occurs.
@@ -558,13 +589,10 @@ def _check_kind(m, kind=None):
         raise UnsupportedModelError(f"the {kind} minimiser got a {actual} model")
 
 
-def _minimise(m, ctx, kind=None):
-    """Every minimiser: the kind check, then the driver."""
+def _minimise(m, ctx, kind=None, certify=True):
+    """Every minimiser and minimality test: the kind check, then the driver."""
     _check_kind(m, kind)
-    rep = _Driver(m, ctx).run()
-    if m.kind == "hypercube" and rep.verdict is Verdict.NEUTRAL_CHAIN_BOUND:
-        raise InternalBoundError("hypercube singular-point procedure ran thrice")
-    return rep
+    return _Driver(m, ctx, certify).run()
 
 
 def minimise(m, ctx):
@@ -573,6 +601,13 @@ def minimise(m, ctx):
     integrality, then the prime (both RefusedInputError); Delta = 0 of a
     non-integral model is decided on its primitive integral multiple."""
     return _minimise(m, ctx)
+
+
+def is_minimal(m, ctx):
+    """minimise(m, ctx).input_was_minimal, with the same refusals in the same
+    order, from a run that composes no transformation, checks no certificate
+    and stops at the first move that lowers v(Delta)."""
+    return _minimise(m, ctx, certify=False)
 
 
 class FactorizationError(ArithmeticError):

@@ -372,7 +372,10 @@ def is_integral(m):
 
 
 def content_valuation(m, p):
-    """min_p-valuation over the coefficients (INFINITY for the zero model)."""
+    """min_p-valuation over the coefficients (INFINITY for the zero model):
+    of an integral model, the valuation of the gcd of its coefficients."""
+    if _all_int(m.coeffs):
+        return valuation(gcd(*m.coeffs), p)
     return min(map(valuation, m.coeffs, repeat(p)))
 
 
@@ -483,6 +486,12 @@ class GroupElement:
     def chi(self):
         """The character: Delta(act(g, m)) = chi(g)^12 * Delta(m)."""
         return self.scalar ** SPECS[self.kind].chi_power * prod(self._dets)
+
+    def chi_valuation(self, p):
+        """valuation(self.chi(), p), from the scalar's and the determinants'
+        valuations, without building chi."""
+        return (SPECS[self.kind].chi_power * valuation(self.scalar, p)
+                + sum(valuation(d, p) for d in self._dets))
 
     def compose(self, other):
         """Element acting as self after other: act(result, m) = act(self, act(other, m))."""

@@ -21,16 +21,35 @@ SPEC = {
     ],
 }
 META = {"git_rev": "abc123", "git_dirty": False, "python": "3.11.7", "nproc": 2}
+# what `pytest -q --durations=10` prints, in short
+TIER1_OUT = """........ [100%]
+============================= slowest 10 durations =============================
+3.51s call     tests/test_a.py::test_slow[2-cube]
+0.52s setup    tests/test_b.py::test_fixture
+0.01s teardown tests/test_b.py::test_fixture
+
+(7 durations < 0.005s hidden.  Use -vv to show these durations.)
+690 passed in 34.03s
+"""
 
 
 @pytest.fixture
-def runs(monkeypatch, tmp_path):
+def tier1_runs():
+    return []
+
+
+@pytest.fixture
+def runs(monkeypatch, tmp_path, tier1_runs):
     """Fake runs: throughput 100 * seed, p50 1000 / seed, one failed job in
-    ten for census_oracle; the argv of each run is kept."""
+    ten for census_oracle; the argv of each run is kept.  The tier-1 run
+    prints TIER1_OUT, and its argv and environment go to `tier1_runs`."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     seen = []
 
     def fake_run(cmd, cwd, **kwargs):
+        if cmd[1:3] == ["-m", "pytest"]:
+            tier1_runs.append((cwd, cmd, kwargs["env"]))
+            return subprocess.CompletedProcess(cmd, 0, stdout=TIER1_OUT, stderr="")
         args = dict(zip(cmd[2::2], cmd[3::2]))
         seen.append((cwd, args))
         seed = int(args["--seed"])
@@ -64,7 +83,37 @@ def test_snapshot_schema_and_quartiles(runs, capsys):
     assert (p50["unit"], p50["better"]) == ("ms", "lower")
     assert p50["median"] == pytest.approx(1000 / 3)
     assert (p50["q1"], p50["q3"]) == (pytest.approx(250.0), pytest.approx(500.0))
-    assert capsys.readouterr().out.count("# ") == 10
+    assert capsys.readouterr().out.count("# ") == 11
+
+
+def test_tier1_section(runs, tier1_runs, monkeypatch):
+    checkout, _ = runs
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    section = bench_snapshot.snapshot(checkout, [1, 2, 3])["tier1"]
+    (cwd, cmd, env), = tier1_runs
+    assert cwd == checkout and cmd[0] == sys.executable
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors",
+                       "-p", "no:cacheprovider", "--durations=10"]
+    assert env["PYTHONPATH"] == "src" and env["PYTHONPYCACHEPREFIX"]
+    assert section["command"] == ("PYTHONPATH=src python -m pytest -q "
+                                  "--continue-on-collection-errors -p no:cacheprovider "
+                                  "--durations=10")
+    assert section["summary"] == "690 passed in 34.03s"
+    assert section["wall_s"] >= 0
+    assert section["slowest"] == [
+        {"seconds": 3.51, "phase": "call", "test": "tests/test_a.py::test_slow[2-cube]"},
+        {"seconds": 0.52, "phase": "setup", "test": "tests/test_b.py::test_fixture"},
+        {"seconds": 0.01, "phase": "teardown", "test": "tests/test_b.py::test_fixture"}]
+
+
+def test_failing_tier1_tests_end_the_snapshot(runs, monkeypatch):
+    checkout, seen = runs
+    failed = subprocess.CompletedProcess([], 1, stdout="F.\n1 failed, 1 passed in 0.1s\n",
+                                         stderr="")
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", lambda cmd, **kwargs: failed)
+    with pytest.raises(SystemExit, match=r"tier-1 tests exited 1:\nF\.\n1 failed, 1 passed"):
+        bench_snapshot.snapshot(checkout, [1, 2, 3])
+    assert seen == []
 
 
 def test_main_writes_the_snapshot(runs, monkeypatch, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from g1min import (
     BinaryQuartic, GroupElement, Hypercube, LocalContext, TwoTwoForm,
     act, c4_c6, construct_22, construct_cube, discriminant, forms_of_hypercube,
-    inflate, is_minimal_22, level, marked_curve, minimise, minimise_22,
+    inflate, is_minimal, is_minimal_22, level, marked_curve, minimise, minimise_22,
     minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
     SingularModelError, Verdict, critical_model, oracle_minimality_22, scalar_multiply,
     valuation,
@@ -18,7 +18,7 @@ from g1min.exactnum import identity_matrix, mat_mul, unimodular_with_row
 from g1min.minimise import (
     _STEPS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
 )
-from g1min.models import SPECS, group_element_from_dict, group_element_to_dict
+from g1min.models import SPECS, group_element_from_dict, group_element_to_dict, model_from_dict
 
 from conftest import (
     HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
@@ -294,7 +294,7 @@ def test_hypercube_corollary_cross_check(rng):
             H = nonzero_disc(random_hypercube, rng)
             mine = minimise_hypercube(H, ctx).input_was_minimal
             forms = forms_of_hypercube(H)
-            assert mine == any(is_minimal_22(F, ctx) for F in forms.values())
+            assert mine == any(minimise_22(F, ctx).input_was_minimal for F in forms.values())
 
 
 def _level_zero_base(kind, ctx, rng):
@@ -405,6 +405,88 @@ def test_inflated_critical_models_return(kind, p):
             rep = minimise(inflated, ctx)
             assert rep.v_disc_final == v_disc, (m, moves)
             assert level(rep.model, ctx).level == lvl
+
+
+def _verdict_cases(kind, p, rng):
+    """Random models, with coefficients in [-5, 5] and in {0, 1, -1, p, -p,
+    p^2}, each also inflated by 1 to 3 moves; critical models at p >= 5."""
+    bases = [nonzero_disc(lambda r: model_from_dict({"kind": kind, "coeffs": [
+        str(r.choice(pool)) for _ in range(SPECS[kind].size)]}), rng)
+        for pool in (range(-5, 6), (0, 1, -1, p, -p, p * p)) for _ in range(4)]
+    models = [x for m in bases for x in [m] + [inflate(m, p, rng, moves=k)[0] for k in (1, 2, 3)]]
+    if p >= 5 and kind != "quartic":
+        models += [critical_model(kind, p, rng) for _ in range(3)]
+    return models
+
+
+@pytest.mark.parametrize("kind", ["quartic", "form22", "cube", "hypercube"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2 ** 61 - 1])
+def test_is_minimal_agrees_with_minimise(kind, p):
+    # the verdict-only run against the full minimisation, on minimal and
+    # non-minimal models alike
+    models = _verdict_cases(kind, p, random.Random(f"verdict:{kind}:{p}"))
+    verdicts = [minimise(m, p).input_was_minimal for m in models]
+    assert [is_minimal(m, p) for m in models] == verdicts
+    if kind == "form22":
+        assert [is_minimal_22(m, p) for m in models] == verdicts
+    assert True in verdicts and False in verdicts
+
+
+@pytest.fixture
+def act_calls(monkeypatch):
+    """The group elements that the minimiser passes to `act`, in order."""
+    minimise_module = sys.modules["g1min.minimise"]
+    calls, counted = [], minimise_module.act
+    monkeypatch.setattr(minimise_module, "act", lambda g, m: calls.append(g) or counted(g, m))
+    return calls
+
+
+def test_is_minimal_composes_nothing_and_stops_at_the_first_drop(monkeypatch, act_calls):
+    # the run keeps the identity as its transformation and checks no
+    # certificate; once the content division lowers v(Delta), no step is
+    # asked for a move
+    cube = critical_model("cube", 5, 1)  # minimal, and ends at the chain bound
+    calls, seen = act_calls, []
+    for kind, (step, bound) in list(_STEPS.items()):
+        monkeypatch.setitem(_STEPS, kind, (lambda d, step=step: seen.append(d.g) or step(d), bound))
+    assert minimise(cube, 5).input_was_minimal and len(calls) == 10
+    calls.clear()
+    seen.clear()
+    assert is_minimal(cube, 5) and len(calls) == 9  # all but the certificate
+    assert seen == [GroupElement.identity("cube")] * 4
+    for kind in ("form22", "cube", "hypercube"):
+        # a minimal model of v(Delta) >= 12 times the least content divided out
+        seen.clear()
+        assert is_minimal(scalar_multiply(critical_model(kind, 5, 1), 5), 5) is False
+        assert seen == []
+
+
+def test_chain_bound_cube_builds_no_refused_procedure(act_calls):
+    # at the chain bound the cube step classifies and stops: it builds no
+    # fourth stretch and absorbs, which the driver would refuse
+    coeffs, p = next((c[1], c[2]) for c in _VERDICT_CASES
+                     if c[0] == "cube" and c[3] == "NEUTRAL_CHAIN_BOUND")
+    rep = minimise(SPECS["cube"].model.from_coeffs(coeffs), LocalContext(p))
+    assert (rep.verdict, rep.max_neutral_chain) == (Verdict.NEUTRAL_CHAIN_BOUND, 3)
+    assert len(act_calls) == 11
+
+
+def test_hypercube_minimise_checks_invariants_once(monkeypatch):
+    # the six (2,2)-forms share the hypercube's Delta, so their verdict-only
+    # runs take its valuation instead of their own invariants
+    minimise_module = sys.modules["g1min.minimise"]
+    seen = []
+    checked = minimise_module.checked_invariants
+    monkeypatch.setattr(minimise_module, "checked_invariants",
+                        lambda m: seen.append(m.kind) or checked(m))
+    for p in (5, 7):
+        rng = random.Random(p)
+        H = critical_model("hypercube", p, rng)
+        for m in (H, inflate(H, p, rng, moves=1)[0], inflate(H, p, rng, moves=2)[0]):
+            seen.clear()
+            rep = minimise(m, p)
+            assert rep.verdict is Verdict.ONE_FORM_MINIMAL
+            assert seen == ["hypercube"]
 
 
 def _with_rational_matrices(g, matrices):
@@ -559,9 +641,15 @@ def test_hypercube_swap_axes_branches(p, coeffs, branch):
 def test_hypercube_chain_overrun_raises(monkeypatch):
     # hypercube minimality is decided by its forms, so the chain bound is a
     # theorem: reaching it is a bug, not a verdict
-    monkeypatch.setitem(_STEPS, "hypercube", (_STEPS["hypercube"][0], 1))
+    # a verdict-only run keeps the check: it stops at the first drop of
+    # v(Delta), so it starts from the model that the chain leaves unchanged
+    step = _STEPS["hypercube"][0]
+    seen = []
+    monkeypatch.setitem(_STEPS, "hypercube", (lambda d: seen.append(d.cur) or step(d), 1))
     with pytest.raises(InternalBoundError, match="ran thrice"):
         minimise(Hypercube.from_coeffs(HYPERCUBE_CHAIN_2), LocalContext(2))
+    with pytest.raises(InternalBoundError, match="ran thrice"):
+        is_minimal(seen[1], LocalContext(2))
 
 
 # ---------------------------------------------------------------------------

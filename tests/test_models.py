@@ -1,10 +1,12 @@
 import json
+import random
 import sys
 from fractions import Fraction
 from math import prod
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from g1min import (
     BinaryQuartic, Cube, GroupElement, Hypercube, TernaryCubic, TwoTwoForm,
@@ -13,7 +15,7 @@ from g1min import (
     scalar_clear,
 )
 from g1min import models
-from g1min.exactnum import det_matrix, identity_matrix, mat_mul, quotient
+from g1min.exactnum import INFINITY, det_matrix, identity_matrix, mat_mul, quotient, valuation
 from g1min.invariants import quartic_invariants
 from g1min.models import (
     SPECS, _num, _parse_coeff, group_element_from_dict, group_element_to_dict, is_integral,
@@ -630,6 +632,47 @@ def test_parse_coeff_matches_fraction():
             assert _outcome(_parse_coeff, huge) == (-(10 ** 5000 - 1), int)
         finally:
             sys.set_int_max_str_digits(old)
+
+
+VALUATION_PRIMES = (2, 3, 5, 7, 65537)
+
+
+@given(st.sampled_from(sorted(SPECS)), st.sampled_from(VALUATION_PRIMES),
+       st.integers(0, 2 ** 32), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_chi_valuation_is_the_valuation_of_chi(kind, p, seed, exponents):
+    # chains of compose and inverse of every kind, permuted hypercubes among
+    # them, and an element whose Fraction scalar and determinants carry
+    # powers of p
+    rng = random.Random(seed)
+    num, den, *diagonal = exponents
+    spec = SPECS[kind]
+    mats = tuple(tuple(tuple(p ** e if i == j == 0 else int(i == j) for j in range(n))
+                       for i in range(n)) for n, e in zip(spec.matrix_sizes, diagonal))
+    perm = tuple(rng.sample(range(4), 4)) if spec.permutes_axes else None
+    deep = GroupElement(kind, Fraction(p ** num, p ** den * rng.randint(1, 4)), mats, perm)
+    chain = _random_chain_element(kind, rng)
+    for g in (chain, deep, deep.compose(chain), chain.compose(deep), deep.inverse()):
+        assert g.chi_valuation(p) == valuation(g.chi(), p)
+
+
+_PAST_DIGIT_LIMIT = 10 ** 4400  # more digits than CPython converts to str by default
+
+
+@given(st.sampled_from(sorted(SPECS)), st.sampled_from(VALUATION_PRIMES), st.data())
+def test_content_valuation_is_the_least_coefficient_valuation(kind, p, data):
+    coefficient = st.one_of(
+        st.just(0),
+        st.builds(lambda c, e: c * p ** e, st.integers(-30, 30), st.integers(0, 8)),
+        st.builds(lambda c, e: (_PAST_DIGIT_LIMIT + c) * p ** e,
+                  st.integers(-5, 5), st.integers(0, 8)))
+    size = SPECS[kind].size
+    coeffs = data.draw(st.lists(coefficient, min_size=size, max_size=size))
+    model = SPECS[kind].model.from_coeffs
+    assert content_valuation(model(coeffs), p) == min(valuation(c, p) for c in coeffs)
+    # a rational model keeps the per-coefficient minimum, the zero model INFINITY
+    rational = [Fraction(1, p ** data.draw(st.integers(1, 3)))] + coeffs[1:]
+    assert content_valuation(model(rational), p) == min(valuation(c, p) for c in rational)
+    assert content_valuation(model([0] * size), p) == INFINITY
 
 
 def test_scalar_clear():

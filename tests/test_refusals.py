@@ -3,6 +3,7 @@ the message the command line prints, in a fixed order.  The checks below the
 command line's reach raise builtin types, each with its own message."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,7 +11,7 @@ from g1min import (
     BinaryQuartic, Cube, FactorizationError, GroupElement, LocalContext, Point, RefusedInputError,
     SingularModelError, TernaryCubic, TwoTwoForm, UnsupportedModelError, WeierstrassCurve, act,
     c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model, inflate,
-    is_minimal_22, kappa, level, minimise, minimise_22, minimise_cube, minimise_global,
+    is_minimal, is_minimal_22, kappa, level, minimise, minimise_22, minimise_cube, minimise_global,
     minimise_hypercube, minimise_quartic, oracle_minimality_22, saturation_defect,
     trial_division_factor,
 )
@@ -47,25 +48,47 @@ HYPERCUBE = critical_model("hypercube", 5, 1)
 
 _CUBIC_REFUSAL = "ternary cubics are carried along, not minimised directly"
 
+# case: (model, prime, type, message) of minimise, which is_minimal mirrors
+# check for check; a case naming two faults pins which check comes first
+MINIMISE_REFUSALS = {
+    "non-integral": (RATIONAL_QUARTIC, 3, RefusedInputError, "model must be integral"),
+    "non-integral-composite-prime": (RATIONAL_QUARTIC, 6, RefusedInputError,
+                                     "model must be integral"),
+    "composite-prime": (FORM22, 6, RefusedInputError, "6 is not prime"),
+    "float-prime": (FORM22, 3.0, RefusedInputError, "the prime must be an int, got 3.0"),
+    "fraction-prime": (FORM22, Fraction(5), RefusedInputError,
+                       "the prime must be an int, got Fraction(5, 1)"),
+    "str-prime": (FORM22, "3", RefusedInputError, "the prime must be an int, got '3'"),
+    "non-integral-22": (RATIONAL_22, 5, RefusedInputError, "model must be integral"),
+    "non-integral-22-composite-prime": (RATIONAL_22, 6, RefusedInputError,
+                                        "model must be integral"),
+    "cubic": (CUBIC, 2, UnsupportedModelError, _CUBIC_REFUSAL),
+    "cubic-composite-prime": (CUBIC, 6, UnsupportedModelError, _CUBIC_REFUSAL),
+    "not-a-model": ("x^4", 2, UnsupportedModelError,
+                    "cannot minimise a model of kind <class 'str'>"),
+    "singular-non-integral": (SINGULAR_RATIONAL_QUARTIC, 3, SingularModelError,
+                              "singular model"),
+    "singular-composite-prime": (ZERO_22, 6, SingularModelError, "singular model"),
+    "singular-non-integral-22": (SINGULAR_RATIONAL_22, 5, SingularModelError,
+                                 "singular model"),
+}
+
 # id: (call, type, message); an id naming two faults pins which check comes first
 REFUSALS = {
+    **{f"{name}/{case}": (partial(run, m, p), error, message)
+       for name, run in (("minimise", minimise), ("is_minimal", is_minimal))
+       for case, (m, p, error, message) in MINIMISE_REFUSALS.items()},
     "context/composite": (lambda: LocalContext(6), RefusedInputError, "6 is not prime"),
-    "minimise/non-integral": (lambda: minimise(RATIONAL_QUARTIC, 3), RefusedInputError,
-                              "model must be integral"),
-    "minimise/non-integral-composite-prime": (lambda: minimise(RATIONAL_QUARTIC, 6),
-                                              RefusedInputError, "model must be integral"),
-    "minimise/composite-prime": (lambda: minimise(FORM22, 6), RefusedInputError,
-                                 "6 is not prime"),
+    "context/float": (lambda: LocalContext(3.0), RefusedInputError,
+                      "the prime must be an int, got 3.0"),
+    "context/fraction": (lambda: LocalContext(Fraction(5)), RefusedInputError,
+                         "the prime must be an int, got Fraction(5, 1)"),
     "global/non-integral": (lambda: minimise_global(RATIONAL_QUARTIC), RefusedInputError,
                             "model must be integral"),
     "critical/small-prime": (lambda: critical_model("cube", 3), RefusedInputError,
                              "critical patterns are stated for p >= 5"),
     "oracle/prime-bound": (lambda: oracle_minimality_22(FORM22, 7), RefusedInputError,
                            "oracle limited to p <= 5"),
-    "minimise/non-integral-22": (lambda: minimise(RATIONAL_22, 5), RefusedInputError,
-                                 "model must be integral"),
-    "minimise/non-integral-22-composite-prime": (lambda: minimise(RATIONAL_22, 6),
-                                                 RefusedInputError, "model must be integral"),
     "global/non-integral-22": (lambda: minimise_global(RATIONAL_22), RefusedInputError,
                                "model must be integral"),
     "level/non-integral-22": (lambda: level(RATIONAL_22, 5), RefusedInputError,
@@ -78,11 +101,6 @@ REFUSALS = {
         TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0))), 2),
         RefusedInputError, "model must be integral"),
 
-    "minimise/cubic": (lambda: minimise(CUBIC, 2), UnsupportedModelError, _CUBIC_REFUSAL),
-    "minimise/cubic-composite-prime": (lambda: minimise(CUBIC, 6), UnsupportedModelError,
-                                       _CUBIC_REFUSAL),
-    "minimise/not-a-model": (lambda: minimise("x^4", 2), UnsupportedModelError,
-                             "cannot minimise a model of kind <class 'str'>"),
     "global/cubic": (lambda: minimise_global(CUBIC), UnsupportedModelError, _CUBIC_REFUSAL),
     "global/cubic-with-a-candidate": (lambda: minimise_global(CUBIC_AT_2),
                                       UnsupportedModelError, _CUBIC_REFUSAL),
@@ -120,17 +138,17 @@ REFUSALS = {
                                      UnsupportedModelError,
                                      "cannot minimise a model of kind <class 'str'>"),
 
-    "minimise/singular-non-integral": (lambda: minimise(SINGULAR_RATIONAL_QUARTIC, 3),
-                                       SingularModelError, "singular model"),
-    "minimise/singular-composite-prime": (lambda: minimise(ZERO_22, 6), SingularModelError,
-                                          "singular model"),
     "level/singular": (lambda: level(ZERO_22, 2), SingularModelError, "singular model"),
     "level/singular-composite-prime": (lambda: level(ZERO_22, 6), RefusedInputError,
                                        "6 is not prime"),
     "level/non-integral-composite-prime": (lambda: level(RATIONAL_22, 6), RefusedInputError,
                                            "6 is not prime"),
-    "minimise/singular-non-integral-22": (lambda: minimise(SINGULAR_RATIONAL_22, 5),
-                                          SingularModelError, "singular model"),
+    "level/float-prime": (lambda: level(FORM22, 3.0), RefusedInputError,
+                          "the prime must be an int, got 3.0"),
+    "level/fraction-prime": (lambda: level(FORM22, Fraction(5)), RefusedInputError,
+                             "the prime must be an int, got Fraction(5, 1)"),
+    "level/str-prime": (lambda: level(FORM22, "3"), RefusedInputError,
+                        "the prime must be an int, got '3'"),
     "global/singular-non-integral-22": (lambda: minimise_global(SINGULAR_RATIONAL_22),
                                         SingularModelError, "singular model"),
     "level/singular-non-integral": (lambda: level(SINGULAR_RATIONAL_22, 5),

@@ -5,10 +5,14 @@
 Runs `perfbench/run.py` once per workload of BENCHMARK.json and per seed in
 the checkout that holds this script, each run for the benchmark's
 run_seconds and with a fresh bytecode cache (tools/paired_runs.py's
-run_once).  Writes OUT as JSON:
+run_once).  Before them it runs the tier-1 test command of ROADMAP.md once,
+in a fresh interpreter with a fresh bytecode cache, `-p no:cacheprovider`
+and `--durations=10`.  Writes OUT as JSON:
 
   meta       git rev and dirty flag, Python version and nproc, as the runs
              report them; the seeds and run_seconds
+  tier1      the tier-1 command, its wall time in seconds, its summary line
+             and its ten slowest test phases (seconds, phase, test id)
   workloads  per workload: jobs per pass and failed share (failed jobs over
              attempted jobs), one entry per seed; per end-to-end metric its
              unit, better direction, per-seed values, median and quartiles
@@ -21,14 +25,23 @@ change (tools/paired_runs.py).
 
 import argparse
 import json
+import os
+import re
 import statistics
+import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import paired_runs
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_SEEDS = 3
+TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+              "-p", "no:cacheprovider", "--durations=10"]
+TIER1_TIMEOUT_S = 3600
+_DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)")
 
 
 def parse_seeds(text):
@@ -39,11 +52,33 @@ def parse_seeds(text):
     return seeds
 
 
+def tier1(checkout):
+    """The tier1 section: one run of the tier-1 tests of `checkout`, with
+    src/ first on PYTHONPATH.  A run whose tests fail ends the snapshot."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="bench-snapshot-pycache-") as cache:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=checkout, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path,
+                                                  PYTHONPYCACHEPREFIX=cache),
+                              timeout=TIER1_TIMEOUT_S)
+        wall = time.perf_counter() - start
+    lines = [line.strip() for line in proc.stdout.splitlines() if line.strip()]
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: the tier-1 tests exited {proc.returncode}:\n"
+                         + "\n".join(lines[-20:]))
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(_DURATION.fullmatch, lines) if m]
+    print(f"# tier1: {wall:.1f} s, {lines[-1]}", flush=True)
+    return {"command": f"PYTHONPATH={path} python {' '.join(TIER1_ARGS)}",
+            "wall_s": wall, "summary": lines[-1], "slowest": slowest}
+
+
 def snapshot(checkout, seeds):
     """The snapshot document of `checkout` over `seeds`."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    doc = {"workloads": {}}
+    doc = {"tier1": tier1(checkout), "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for seed in seeds:
