@@ -4,13 +4,29 @@ Everything in this module works with Python ints and fractions.Fraction; the
 only float is math.inf, the valuation of zero, which compares above every int
 and absorbs addition.  Matrices are tuples of tuples of ints (or
 Fractions), vectors are tuples.  All functions are pure.
+
+Three move builders are memoised, each in a bounded `lru_cache` of
+`MOVE_CACHE_SIZE` entries, because their answer depends on residues alone:
+`unimodular_with_row` on (vec mod p, p, row), `form_to_last` on
+(ell mod p, p), and, in `g1min.minimise`, `_absorb` on its (kind, kernel
+vector, p, axis).  `unimodular_with_row` and `form_to_last` check the
+vector and reduce it before the cache sees it, so an error names the
+caller's vector; the kernel vector `_absorb` takes is reduced already.
+Sharing a result is safe because it is immutable: a tuple of tuples of
+ints, or a frozen `GroupElement`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf, isqrt
 
 
 INFINITY = inf
+
+
+# valuations up to this many units, nearly all that minimisation meets, cost
+# one remainder and one division each; a deeper x pays O(log v) divisions
+_SINGLE_DIVISIONS = 16
 
 
 def valuation(x, p):
@@ -21,11 +37,32 @@ def valuation(x, p):
         return valuation(x.numerator, p) - valuation(x.denominator, p)
     if x == 0:
         return INFINITY
-    x = abs(x)
     v = 0
     while x % p == 0:
         x //= p
         v += 1
+        if v == _SINGLE_DIVISIONS:
+            return v + _deep_valuation(x, p)
+    return v
+
+
+def _deep_valuation(x, p):
+    """valuation of a nonzero int x by O(log v) divisions: divide by p, p^2,
+    p^4, ... while each divides x, then by the same powers, largest first,
+    where they still divide it."""
+    v, powers, q = 0, [], p
+    while True:
+        y, r = divmod(x, q)
+        if r:
+            break
+        x, v = y, v + (1 << len(powers))
+        powers.append(q)
+        q *= q
+    # v_p(x) < 2^len(powers) now: take its binary digits from the top
+    for i in range(len(powers) - 1, -1, -1):
+        y, r = divmod(x, powers[i])
+        if not r:
+            x, v = y, v + (1 << i)
     return v
 
 
@@ -419,12 +456,31 @@ def lift_primitive(vec, p):
     return tuple(cand)
 
 
+# Moves are built from residue witnesses (a root, point, line or slice
+# dependence mod p), of which small primes have only a few hundred, so each
+# completion is built once per residue key; a bounded cache keeps large
+# primes, whose witnesses rarely repeat, from growing it.
+MOVE_CACHE_SIZE = 4096
+
+
+def _residue_key(vec, p):
+    """vec reduced mod p, the key of a memoised move; ValueError, naming the
+    caller's vector, when it is zero mod p."""
+    key = tuple(int(x) % p for x in vec)
+    if not any(key):
+        raise ValueError(f"{tuple(int(x) for x in vec)} is zero mod {p}")
+    return key
+
+
 def unimodular_with_row(vec, p, row):
     """Determinant +-1 matrix whose given row is congruent to vec mod p, which
-    must be nonzero mod p: a residue point or root moved to that coordinate."""
-    vec = tuple(int(x) for x in vec)
-    if all(x % p == 0 for x in vec):
-        raise ValueError(f"{vec} is zero mod {p}")
+    must be nonzero mod p: a residue point or root moved to that coordinate.
+    The matrix depends on vec mod p only, and is shared between callers."""
+    return _unimodular_with_row(_residue_key(vec, p), p, row)
+
+
+@lru_cache(maxsize=MOVE_CACHE_SIZE)
+def _unimodular_with_row(vec, p, row):
     m = complete_primitive_row(lift_primitive(vec, p))
     order = list(range(1, len(m)))
     order.insert(row, 0)
@@ -434,7 +490,12 @@ def unimodular_with_row(vec, p, row):
 def form_to_last(ell, p):
     """Unimodular A with A . ell = unit * e_last mod p: the substitution
     (vars) -> (vars) A turns a form divisible by ell into one divisible by
-    the last variable."""
+    the last variable.  Shared between callers, like unimodular_with_row."""
+    return _form_to_last(_residue_key(ell, p), p)
+
+
+@lru_cache(maxsize=MOVE_CACHE_SIZE)
+def _form_to_last(ell, p):
     rowmat = unimodular_with_row(ell, p, len(ell) - 1)
     col = tuple(zip(*rowmat))
     d = det_matrix(col)  # +-1, so the inverse is d times the adjugate

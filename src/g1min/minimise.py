@@ -43,12 +43,13 @@ the driver to refuse.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 
 from .exactnum import (
-    LocalContext, as_context, form_to_last, fp_inv, fp_left_kernel_vector,
-    identity_matrix, is_prime, mat_mul, unimodular_with_row, valuation,
+    MOVE_CACHE_SIZE, LocalContext, as_context, form_to_last, fp_inv,
+    fp_left_kernel_vector, identity_matrix, is_prime, mat_mul, unimodular_with_row,
+    valuation,
 )
 from .invariants import checked_invariants
 from .models import (
@@ -232,10 +233,13 @@ def _axis_move(kind, matrix, axis, scalar=1):
     return GroupElement(kind, scalar, tuple(mats))
 
 
+@lru_cache(maxsize=MOVE_CACHE_SIZE)
 def _absorb(kind, ker, p, axis):
     """The move along one axis dividing by p the slice combination `ker`
-    (dependent mod p): diag(1, ..., 1, 1/p) u, u unimodular with last row ker
-    mod p, stored as u with its other rows times p and the scalar 1/p."""
+    (dependent mod p, reduced, as `fp_left_kernel_vector` returns it):
+    diag(1, ..., 1, 1/p) u, u unimodular with last row ker mod p, stored as
+    u with its other rows times p and the scalar 1/p.  Memoised: the frozen
+    element is checked once and shared."""
     u = unimodular_with_row(ker, p, len(ker) - 1)
     return _axis_move(kind, tuple(tuple(p * x for x in row) for row in u[:-1]) + (u[-1],),
                       axis, Fraction(1, p))
@@ -671,14 +675,16 @@ def minimise_global(m, factor=trial_division_factor):
     """
     _check_kind(m)
     c4, c6, disc = checked_invariants(m)
-    candidates = [p for p, _ in factor(gcd(c4, c6))
+    candidates = [(p, v) for p, _ in factor(gcd(c4, c6))
                   if valuation(c4, p) >= 4 and valuation(c6, p) >= 6
-                  and valuation(disc, p) >= 12]
+                  and (v := valuation(disc, p)) >= 12]
     g = GroupElement.identity(m.kind)
     cur = m
     locals_ = []
-    for p in sorted(candidates):
-        rep = minimise(cur, LocalContext(p))
+    for p, v in sorted(candidates):
+        # a move at p scales Delta by a power of p, so the input's v_p(Delta)
+        # is still the current model's: its invariants need no second look
+        rep = _Driver(cur, LocalContext(p), v=v).run()
         if rep.steps:
             locals_.append((p, rep))
         cur = rep.model

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g1min.exactnum import (
-    INFINITY, LocalContext, _strong_lucas_probable_prime, _strong_probable_prime_base_2,
-    complete_primitive_row, det_matrix, fp_left_kernel_vector, fp_poly_gcd, identity_matrix,
-    is_prime, lift_primitive, mat_adj, mat_mul, unimodular_with_row, valuation,
+    INFINITY, LocalContext, _form_to_last, _strong_lucas_probable_prime,
+    _strong_probable_prime_base_2, _unimodular_with_row, complete_primitive_row, det_matrix,
+    form_to_last, fp_left_kernel_vector, fp_poly_gcd, identity_matrix, is_prime,
+    lift_primitive, mat_adj, mat_mul, unimodular_with_row, valuation,
 )
 import matrix_oracle
 
@@ -41,6 +42,48 @@ def test_valuation_is_multiplicative_and_ultrametric(x, y, p):
 def test_valuation_of_fractions():
     assert valuation(Fraction(4, 9), 3) == -2
     assert valuation(Fraction(4, 9), 2) == 2
+
+
+def _valuation_by_single_divisions(x, p):
+    """valuation as it was: one division by p per unit of valuation."""
+    if type(x) is Fraction:
+        if x == 0:
+            return INFINITY
+        return (_valuation_by_single_divisions(x.numerator, p)
+                - _valuation_by_single_divisions(x.denominator, p))
+    if x == 0:
+        return INFINITY
+    x, v = abs(x), 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2 ** 61 - 1])
+def test_valuation_matches_single_divisions(p):
+    rng = random.Random(f"valuation:{p}")
+    for _ in range(300):
+        x = rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6) * p ** rng.randrange(0, 70)
+        y = rng.randrange(1, 10 ** 4) * p ** rng.randrange(0, 40)
+        for z in (x, x + rng.randrange(-3, 4), Fraction(x, y)):
+            assert valuation(z, p) == _valuation_by_single_divisions(z, p)
+    assert valuation(0, p) is INFINITY
+    assert valuation(Fraction(0), p) is INFINITY
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 61 - 1])
+def test_valuation_of_deep_powers_past_the_digit_limit(p):
+    # 10^4400 is past CPython's 4300-digit int <-> str limit; at p = 2 the
+    # single-division loop took 4400 divisions of a 14,600-bit int.  The
+    # exponents straddle the switch from single divisions to p^(2^k)
+    big = 10 ** 4400
+    for e in (0, 1, 2, 3, 15, 16, 17, 63, 64, 65, 1000, 4097):
+        for x in (big * p ** e, -big * p ** e, (big + 1) * p ** e):
+            assert valuation(x, p) == _valuation_by_single_divisions(x, p)
+    v_big = 4400 if p == 2 else 0
+    assert valuation(big * p ** 5, p) == v_big + 5
+    assert valuation(Fraction(p + 1, big * p ** 7), p) == -v_big - 7
 
 
 # composites passing Miller-Rabin to every prime base up to 37 (psi_12, psi_13)
@@ -112,6 +155,53 @@ def test_completion_determinant_is_unit_randomised():
         m = unimodular_with_row(vec, p, 0)
         assert det_matrix(m) in (1, -1)
         assert [x % p for x in m[0]] == [v % p for v in vec]
+
+
+MEMO_PRIMES = (2, 3, 5, 7, 65537, 2 ** 61 - 1)
+
+
+def _random_residue_vectors(rng, n, p, count=30):
+    """Vectors nonzero mod p with negative and unreduced entries."""
+    while count:
+        vec = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(n))
+        if any(x % p for x in vec):
+            count -= 1
+            yield vec
+
+
+def _is_int_matrix(m):
+    return (type(m) is tuple and all(type(row) is tuple for row in m)
+            and all(type(x) is int for row in m for x in row))
+
+
+@pytest.mark.parametrize("p", MEMO_PRIMES)
+def test_memoised_moves_equal_their_uncached_builds(p):
+    # the caches are keyed on residues mod p; the uncached builds reduce
+    # (lift_primitive) themselves, so they take the caller's vector as is
+    rng = random.Random(f"memo:{p}")
+    for n in (2, 3):
+        for vec in _random_residue_vectors(rng, n, p):
+            for row in range(n):
+                m = unimodular_with_row(vec, p, row)
+                assert m == _unimodular_with_row.__wrapped__(vec, p, row)
+                assert _is_int_matrix(m)
+                assert det_matrix(m) in (1, -1)
+                assert [x % p for x in m[row]] == [x % p for x in vec]
+            A = form_to_last(vec, p)
+            assert A == _form_to_last.__wrapped__(vec, p)
+            assert _is_int_matrix(A)
+            # a second call returns the shared build
+            assert form_to_last([x + p for x in vec], p) is A
+
+
+def test_move_caches_are_bounded():
+    for memo in (_unimodular_with_row, _form_to_last):
+        assert type(memo.cache_info().maxsize) is int
+
+
+def test_form_to_last_rejects_zero_vector():
+    with pytest.raises(ValueError, match=r"^\(7, -14, 0\) is zero mod 7$"):
+        form_to_last((7, -14, 0), 7)
 
 
 def test_unimodular_with_row_places_the_row():
