@@ -24,32 +24,20 @@ from math import gcd, inf, isqrt
 INFINITY = inf
 
 
-# valuations up to this many units, nearly all that minimisation meets, cost
-# one remainder and one division each; a deeper x pays O(log v) divisions
-_SINGLE_DIVISIONS = 16
-
-
 def valuation(x, p):
-    """p-adic valuation of an int or Fraction; INFINITY for x = 0."""
+    """p-adic valuation of an int or Fraction; INFINITY for x = 0.
+
+    One remainder answers the common case, v = 0.  Otherwise x is divided by
+    p, p^2, p^4, ... while each divides it, then by the same powers, largest
+    first, where they still divide it: O(log v) divisions in all."""
     if type(x) is Fraction:
         if x == 0:
             return INFINITY
         return valuation(x.numerator, p) - valuation(x.denominator, p)
     if x == 0:
         return INFINITY
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-        if v == _SINGLE_DIVISIONS:
-            return v + _deep_valuation(x, p)
-    return v
-
-
-def _deep_valuation(x, p):
-    """valuation of a nonzero int x by O(log v) divisions: divide by p, p^2,
-    p^4, ... while each divides x, then by the same powers, largest first,
-    where they still divide it."""
+    if x % p:
+        return 0
     v, powers, q = 0, [], p
     while True:
         y, r = divmod(x, q)

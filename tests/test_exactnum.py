@@ -75,12 +75,14 @@ def test_valuation_matches_single_divisions(p):
 @pytest.mark.parametrize("p", [2, 3, 2 ** 61 - 1])
 def test_valuation_of_deep_powers_past_the_digit_limit(p):
     # 10^4400 is past CPython's 4300-digit int <-> str limit; at p = 2 the
-    # single-division loop took 4400 divisions of a 14,600-bit int.  The
-    # exponents straddle the switch from single divisions to p^(2^k)
+    # single-division loop took 4400 divisions of a 14,600-bit int.  Each
+    # base's valuation is taken once by that loop, and base * p^e must read
+    # e more; the exponents straddle powers of two, where the descent turns
     big = 10 ** 4400
-    for e in (0, 1, 2, 3, 15, 16, 17, 63, 64, 65, 1000, 4097):
-        for x in (big * p ** e, -big * p ** e, (big + 1) * p ** e):
-            assert valuation(x, p) == _valuation_by_single_divisions(x, p)
+    for base in (big, -big, big + 1):
+        v_base = _valuation_by_single_divisions(base, p)
+        for e in (0, 1, 2, 3, 15, 16, 17, 63, 64, 65, 1000, 4097):
+            assert valuation(base * p ** e, p) == v_base + e
     v_big = 4400 if p == 2 else 0
     assert valuation(big * p ** 5, p) == v_big + 5
     assert valuation(Fraction(p + 1, big * p ** 7), p) == -v_big - 7
