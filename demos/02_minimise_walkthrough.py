@@ -6,8 +6,8 @@ element g satisfies act(g, input) == output exactly.
 """
 
 from g1min import (
-    LocalContext, act, construct_22, discriminant, inflate, level,
-    minimise_22, valuation,
+    LocalContext, act, construct_22, discriminant, inflate, level, minimise,
+    valuation,
 )
 
 ctx = LocalContext(3)
@@ -19,7 +19,7 @@ inflated, g_up = inflate(base, ctx, seed_or_rng=11, moves=3)
 print("\nafter three integral level-raising moves:")
 print("  v_3(Delta) =", valuation(discriminant(inflated), 3))
 
-report = minimise_22(inflated, ctx)
+report = minimise(inflated, ctx)
 print("\nminimisation trace:")
 for step in report.steps:
     print(f"  {step.label:16s} v(Delta): {step.v_disc_before} -> {step.v_disc_after}")

@@ -2,12 +2,15 @@
 
 The Jacobian's minimal discriminant comes from a full local minimal-model
 computation (all residue characteristics); kappa measures the denominator
-depth of the marked point on that minimal model.
+depth of the marked point on that minimal model.  The point 5 * (0, 0) on
+y^2 + y = x^3 - x is (1/4, -5/8), whose x has 2-adic valuation -2 = -2 kappa.
 """
+
+from fractions import Fraction
 
 from g1min import (
     LocalContext, Point, WeierstrassCurve, construct_22, kappa, level,
-    minimal_discriminant_valuation, point_mul, scalar_multiply,
+    minimal_discriminant_valuation, on_curve, scalar_multiply,
 )
 
 ctx = LocalContext(2)
@@ -20,6 +23,6 @@ print("\ncurve y^2 + y = x^3 - x: Delta =", E.disc)
 v, cmap = minimal_discriminant_valuation(E, ctx)
 print("minimal discriminant valuation at 2:", v)
 
-Q = point_mul(E, 5, Point(0, 0))
-print("5 * (0,0) =", (Q.x, Q.y))
+Q = Point(Fraction(1, 4), Fraction(-5, 8))  # 5 * (0, 0)
+print("5 * (0,0) =", (Q.x, Q.y), " on the curve:", on_curve(E, Q))
 print("kappa at 2:", kappa(Q, E, ctx))

@@ -1,7 +1,8 @@
 """Hypercubes: six (2,2)-forms, one verdict.
 
 A hypercube is minimal exactly when one of its six associated forms is, and
-its three marked points sum to zero on the common cubic model.  The famous
+its three marked points sum to zero on the common cubic model: three
+distinct points do exactly when they are collinear.  The famous
 counterexample shape (all four binary quartics divisible by p^2, hypercube
 still minimal) falls out of a lifted identity pattern.
 """
@@ -11,7 +12,7 @@ import random
 from g1min import (
     Hypercube, LocalContext, WeierstrassCurve, Point, forms_of_hypercube,
     hypercube_invariants, is_minimal_22, minimise_hypercube, on_curve,
-    point_add, quartics_of_hypercube, valuation, discriminant,
+    quartics_of_22, valuation, discriminant,
 )
 
 rng = random.Random(7)
@@ -26,7 +27,9 @@ E = WeierstrassCurve(0, 0, 0, -27 * hi.c4, -54 * hi.c6)
 P1, P2, P3 = (Point(x, y) for x, y in hi.points_on_common_model)
 print("marked points on y^2 = x^3 - 27 c4 x - 54 c6, all on the curve:",
       all(on_curve(E, P) for P in (P1, P2, P3)))
-print("P1 + P2 + P3 = 0:", point_add(E, point_add(E, P1, P2), P3).is_infinity)
+print("three distinct points:", len({P1, P2, P3}) == 3)
+print("P1 + P2 + P3 = 0, as they are collinear:",
+      (P2.x - P1.x) * (P3.y - P1.y) == (P3.x - P1.x) * (P2.y - P1.y))
 
 ctx = LocalContext(3)
 verdict = minimise_hypercube(H, ctx).input_was_minimal
@@ -46,8 +49,10 @@ while True:
     if discriminant(lift) != 0:
         break
 print("\nlifted identity pattern at p = 3:")
+# each of the four axis quartics is one of the two quartics of the three
+# forms that carry its axis
 print("  every binary quartic vanishes mod p^2:",
       all(all(valuation(c, p) >= 2 for c in G.coeffs if c)
-          for G in quartics_of_hypercube(lift)))
+          for F in forms_of_hypercube(lift).values() for G in quartics_of_22(F)))
 print("  yet the hypercube is minimal:",
       minimise_hypercube(lift, ctx).input_was_minimal)

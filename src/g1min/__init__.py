@@ -11,8 +11,7 @@ from .models import (
     BinaryQuartic, Cube, GroupElement, Hypercube, SingularModelError, TernaryCubic,
     TwoTwoForm, UnsupportedModelError, act, content_valuation, cubics_of_cube,
     forms_of_hypercube, is_integral, model_from_dict, model_to_dict, quartics_of_22,
-    quartics_of_hypercube, scalar_clear, scalar_multiply,
-    group_element_from_dict, group_element_to_dict,
+    scalar_clear, scalar_multiply, group_element_from_dict, group_element_to_dict,
 )
 from .invariants import (
     InvariantSet, c4_c6, cube_invariants, cubic_invariants, discriminant,
@@ -20,8 +19,7 @@ from .invariants import (
 )
 from .weierstrass import (
     CurveMap, LevelReport, Point, WeierstrassCurve, kappa, level,
-    minimal_discriminant_valuation, on_curve, point_add, point_double,
-    point_mul, point_neg, tate_minimal,
+    minimal_discriminant_valuation, minimal_model, on_curve,
 )
 from .residue import (
     Residue22Class, ResidueCubicClass, classify_22_residue, classify_cubic_residue,
@@ -29,9 +27,8 @@ from .residue import (
 )
 from .minimise import (
     FactorizationError, GlobalReport, InternalBoundError, MinimisationReport,
-    Step, Verdict, is_minimal, is_minimal_22, minimise, minimise_22, minimise_cube,
-    minimise_global, minimise_hypercube, minimise_quartic,
-    trial_division_factor,
+    Step, Verdict, is_minimal, is_minimal_22, minimise, minimise_global,
+    minimise_hypercube, trial_division_factor,
 )
 from .construct import (
     WeightTuple, construct_22, construct_cube, convert_2to3, convert_3to2,

@@ -177,7 +177,8 @@ def critical_model(kind, ctx, seed_or_rng=0):
 
 
 # ---------------------------------------------------------------------------
-# level inflation: integral moves that raise the level (for round-trip tests)
+# level inflation: integral moves that raise the level (for round-trip tests);
+# kept while perfbench/ binds it (ROADMAP item 1)
 
 
 def _random_unimodular(n, rng):
@@ -226,7 +227,8 @@ def inflate(m, ctx, seed_or_rng, moves=3):
 
 
 # ---------------------------------------------------------------------------
-# the admissible-weight census for cubes
+# the admissible-weight census for cubes; kept while perfbench/ binds it
+# (ROADMAP item 1)
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,8 @@ def symmetric_minimal_weights():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive minimality oracle for (2,2)-forms
+# exhaustive minimality oracle for (2,2)-forms; kept while perfbench/ binds it
+# (ROADMAP item 1)
 
 ORACLE_WEIGHT_PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 ORACLE_PRIME_BOUND = 5

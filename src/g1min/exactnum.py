@@ -29,7 +29,9 @@ def valuation(x, p):
 
     One remainder answers the common case, v = 0.  Otherwise x is divided by
     p, p^2, p^4, ... while each divides it, then by the same powers, largest
-    first, where they still divide it: O(log v) divisions in all."""
+    first, where they still divide it: O(log v) divisions in all.  A p < 2
+    that divides x would be divided out forever: it is refused after the
+    remainder."""
     if type(x) is Fraction:
         if x == 0:
             return INFINITY
@@ -38,6 +40,8 @@ def valuation(x, p):
         return INFINITY
     if x % p:
         return 0
+    if p < 2:
+        raise RefusedInputError(f"valuations need p >= 2, got {p}")
     v, powers, q = 0, [], p
     while True:
         y, r = divmod(x, q)

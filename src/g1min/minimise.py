@@ -38,6 +38,9 @@ v(Delta), which the forms share, instead of their own invariants.  At the
 neutral-chain bound the cube step still classifies the residue, so that a
 desaturation or NO_RESIDUE_MOVE wins as before, but builds no procedure for
 the driver to refuse.
+
+The module keeps its name, the same as the function's, while perfbench/
+binds `g1min.minimise` (ROADMAP item 1).
 """
 
 from dataclasses import dataclass
@@ -259,8 +262,10 @@ def _desaturation(d):
 
 
 def _quartic_step(d):
-    """Move the unique multiple root of the reduction to (1:0), substitute
-    x2 -> p x2 and divide by p^2."""
+    """Slope descent: move the unique multiple root of the reduction to
+    (1:0), substitute x2 -> p x2 and divide by p^2.  The driver divides out
+    even content as it appears; at most two consecutive root moves can
+    precede a content division, so a third certifies minimality."""
     p = d.p
     root = repeated_root(tuple(c // p ** d.content for c in d.cur.coeffs), p)
     if root is None:
@@ -271,13 +276,6 @@ def _quartic_step(d):
     # v(Delta) = v(disc g) <= m v(m) + m - 1 <= 11.
     move = GroupElement("quartic", Fraction(1, p), (mat_mul(_diag(1, p), _row_move(root, p)),))
     return _Move(move, "multiple-root", (root,), 0, chained=True)
-
-
-def minimise_quartic(G, ctx):
-    """Slope descent for binary quartics, dividing out even content as it
-    appears.  At most two consecutive root moves can precede a content
-    division, so a third certifies minimality."""
-    return _minimise(G, ctx, "quartic")
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +312,7 @@ def _22_step(d):
     return Verdict.NO_RESIDUE_MOVE  # zero is impossible here; the rest are minimal
 
 
-def minimise_22(F, ctx):
-    """Minimise a nonsingular integral (2,2)-form at the context prime."""
-    return _minimise(F, ctx, "form22")
-
-
+# kept while perfbench/ binds it (ROADMAP item 1)
 def is_minimal_22(F, ctx):
     """is_minimal for (2,2)-forms only."""
     return _minimise(F, ctx, "form22", certify=False)
@@ -365,11 +359,6 @@ def _cube_step(d):
             raise AssertionError(f"step {mode}-absorb must land integrally, v(Delta) 12 lower")
         g = absorb.compose(g)
     return _Move(g, mode, tuple(axes), chained=True, model=landed)
-
-
-def minimise_cube(S, ctx):
-    """Minimise a nonsingular integral cube at the context prime."""
-    return _minimise(S, ctx, "cube")
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +545,7 @@ def _hypercube_step(d):
     return _Move(stretch, "stretch-slender", drop=0, model=landed)
 
 
+# kept while perfbench/ binds it (ROADMAP item 1)
 def minimise_hypercube(H, ctx):
     """Minimise a nonsingular integral hypercube at the context prime.
 

@@ -11,8 +11,8 @@ format uses as well:
                       sum s_ijk x_i y_j z_k)
 * hypercube        -- 2x2x2x2 array h[i][j][k][l], i outermost
 
-The constructors take the nested layouts; `rows`, `entries`, `at`, `slices`,
-`x_quadratics` and `y_quadratics` are views that index the flat tuple.
+The constructors take the nested layouts; `rows`, `entries`, `at` and
+`slices` are views that index the flat tuple.
 
 Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
@@ -35,9 +35,9 @@ from int coefficients (an integral action, a derived form of an integral
 model) skips the Fraction normalisation.  A factor equal to the identity
 costs nothing: `act` skips its contraction and `GroupElement.compose` its
 matrix product, so axis moves, permutations, scalings and the identity
-certificate do work only on the factors they change.  Products, inverses and
-scalings are not re-checked: they carry their matrices' determinants from
-their factors.  `scalar_clear` returns an integral primitive copy together
+certificate do work only on the factors they change.  Products and scalings
+are not re-checked: they carry their matrices' determinants from their
+factors.  `scalar_clear` returns an integral primitive copy together
 with the multiplier.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
@@ -55,7 +55,7 @@ from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from .exactnum import (
-    _IDENTITIES, det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation,
+    _IDENTITIES, det_matrix, identity_matrix, mat_mul, quotient, valuation,
 )
 
 
@@ -254,18 +254,6 @@ class TwoTwoForm(_Model):
         c = self.coeffs
         return (c[0:3], c[3:6], c[6:9])
 
-    def x_quadratics(self):
-        """(F1, F2, F3) with F = F1(x) y1^2 + F2(x) y1 y2 + F3(x) y2^2."""
-        c = self.coeffs
-        return (c[0::3], c[1::3], c[2::3])
-
-    def y_quadratics(self):
-        return self.rows
-
-    def transpose(self):
-        c = self.coeffs
-        return TwoTwoForm.from_coeffs(c[0::3] + c[1::3] + c[2::3])
-
 
 CUBIC_MONOMIALS = monomials(3, 3)
 _CUBIC_INDEX = {e: i for i, e in enumerate(CUBIC_MONOMIALS)}
@@ -436,9 +424,9 @@ class GroupElement:
     rational entries of certificates written by earlier versions.  Every
     element carries the determinants of its matrices (`_dets`, outside the
     fields, so equality, hashing and repr ignore it): the constructor takes
-    them in its check, and `compose`, `inverse` and `scaling`, whose parts
-    hold by construction, build through `_trusted_element` with
-    det(AB) = det A det B and det(adj A) = (det A)^(n-1)."""
+    them in its check, and `compose` and `scaling`, whose parts hold by
+    construction, build through `_trusted_element` with det(AB) = det A det B
+    and det(I) = 1."""
 
     kind: str
     scalar: Fraction
@@ -509,27 +497,12 @@ class GroupElement:
             dets = tuple(map(mul, self._dets, other._dets))
         return _trusted_element(self.kind, self.scalar * other.scalar, mats, perm, dets)
 
-    def inverse(self):
-        """The inverse, with adjugate matrices: A^-1 = adj(A) / det(A), and
-        each det(A) folded into the scalar as the certificate reader folds
-        a denominator."""
-        chi_power = SPECS[self.kind].chi_power
-        mats, dets, perm = self.matrices, self._dets, None
-        if self.perm is not None:
-            perm = _perm_inverse(self.perm)
-            mats = tuple(mats[self.perm[a]] for a in range(4))
-            dets = tuple(dets[self.perm[a]] for a in range(4))
-        fold = prod(d ** (len(m) // chi_power) for d, m in zip(dets, mats))
-        return _trusted_element(self.kind, 1 / (self.scalar * fold),
-                                tuple(mat_adj(m) for m in mats), perm,
-                                tuple(d ** (len(m) - 1) for d, m in zip(dets, mats)))
-
 
 def _trusted_element(kind, scalar, matrices, perm, dets):
     """The GroupElement with these fields and matrix determinants, built
-    without the constructor's checks, for parts that already hold them: a
-    Fraction scalar, nonsingular int matrices as tuples of tuples, and a
-    tuple perm for hypercubes (None otherwise)."""
+    without the constructor's checks, for the products and scalings whose
+    parts already hold them: a Fraction scalar, nonsingular int matrices as
+    tuples of tuples, and a tuple perm for hypercubes (None otherwise)."""
     g = object.__new__(GroupElement)
     vars(g).update(kind=kind, scalar=scalar, matrices=matrices, perm=perm, _dets=dets)
     return g
@@ -677,25 +650,6 @@ def form_of_hypercube(H, a, b):
 def forms_of_hypercube(H):
     """All six F_ab, keyed by the axis pair (a, b) with a < b."""
     return {pair: form_of_hypercube(H, *pair) for pair in HYPERCUBE_PAIRS}
-
-
-def quartics_of_hypercube(H):
-    """The four binary quartics, one per axis; checks internal agreement."""
-    forms = forms_of_hypercube(H)
-    out = []
-    for axis in range(4):
-        cands = []
-        for (a, b), F in forms.items():
-            g1, g2 = quartics_of_22(F)
-            if a == axis:
-                cands.append(g1)
-            elif b == axis:
-                cands.append(g2)
-        first = cands[0]
-        if any(c != first for c in cands[1:]):
-            raise AssertionError(f"axis-{axis} quartics of a hypercube disagree")
-        out.append(first)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Integral Weierstrass equations, the exact group law, local minimal models,
+"""Integral Weierstrass equations and their points, local minimal models,
 kappa of a marked point, and the level of a genus-one model.
 
 The local minimal model at any prime p comes from one loop, Laska's descent
@@ -86,10 +86,6 @@ class Point:
     x: object = None
     y: object = None
 
-    @classmethod
-    def infinity(cls):
-        return cls(None, None)
-
     @property
     def is_infinity(self):
         return self.x is None
@@ -103,51 +99,6 @@ def on_curve(E, P):
         return True
     x, y = P.x, P.y
     return y * y + E.a1 * x * y + E.a3 * y == E.rhs(x)
-
-
-def point_neg(E, P):
-    if P.is_infinity:
-        return P
-    x, y = Fraction(P.x), Fraction(P.y)
-    return Point(x, -y - E.a1 * x - E.a3)
-
-
-def point_add(E, P, Q):
-    """Exact rational addition on a Weierstrass curve in long form."""
-    if not on_curve(E, P) or not on_curve(E, Q):
-        raise ValueError("point not on curve")
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    x1, y1 = Fraction(P.x), Fraction(P.y)
-    x2, y2 = Fraction(Q.x), Fraction(Q.y)
-    if x1 == x2:
-        if y2 == -y1 - E.a1 * x1 - E.a3:
-            return Point.infinity()
-        lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / (2 * y1 + E.a1 * x1 + E.a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
-    y3 = -(lam + E.a1) * x3 - nu - E.a3
-    return Point(x3, y3)
-
-
-def point_double(E, P):
-    return point_add(E, P, P)
-
-
-def point_mul(E, n, P):
-    if n < 0:
-        return point_mul(E, -n, point_neg(E, P))
-    R = Point.infinity()
-    while n:
-        if n & 1:
-            R = point_add(E, R, P)
-        P = point_add(E, P, P)
-        n >>= 1
-    return R
 
 
 @dataclass(frozen=True)
@@ -200,7 +151,7 @@ class CurveMap:
 def _congruence_roots(c, b, p, k):
     """The x mod p^k with c x = b (mod p^k), for c = 2 or 3: one when p does
     not divide c; else the p lifts of b/p mod p^(k-1), which solve it when
-    p | b.  `tate_minimal`'s guard ensures that (p^4 | c4 gives 2 | a1 at
+    p | b.  `minimal_model`'s guard ensures that (p^4 | c4 gives 2 | a1 at
     p = 2 and 3 | b2 at p = 3, and 2^6 | c6 gives 2 | a3); were it not so,
     no candidate built on these lifts would land integrally."""
     q = p ** k
@@ -225,9 +176,10 @@ def _landings_by_p(E, p):
                     yield step, image
 
 
-def tate_minimal(E, p):
-    """Local minimal model at p.  Returns (E_min, CurveMap, v(disc_min)),
-    the map holding ints with u a power of p.
+def minimal_model(E, ctx):
+    """Local minimal model at the context prime p.  Returns (E_min, CurveMap,
+    v(disc_min)), the map holding ints with u a power of p.  Refusals come in
+    the order prime, disc = 0, integrality.
 
     Laska's descent (Math. Comp. 38, 1982), the same at every prime: take a
     u = p step while one lands on an integral model.  A model with one is not
@@ -237,6 +189,7 @@ def tate_minimal(E, p):
     when p^4 | c4, p^6 | c6 and p^12 | disc; at p >= 5 these suffice, and the
     one candidate lands.
     """
+    p = as_context(ctx).p
     disc = E.disc
     if disc == 0:
         raise ValueError("singular curve")
@@ -252,13 +205,14 @@ def tate_minimal(E, p):
     return E, total, valuation(disc, p)
 
 
+# kept while perfbench/ binds it (ROADMAP item 1)
 def minimal_discriminant_valuation(E, ctx):
     """(v(disc_min), CurveMap) at the context prime."""
-    ctx = as_context(ctx)
-    _, cmap, v = tate_minimal(E, ctx.p)
+    _, cmap, v = minimal_model(E, ctx)
     return v, cmap
 
 
+# kept while perfbench/ binds it (ROADMAP item 1)
 def kappa(P, E, ctx):
     """kappa of a point: denominator depth of P on a local minimal model."""
     ctx = as_context(ctx)
@@ -268,7 +222,7 @@ def kappa(P, E, ctx):
         raise ValueError("point not on curve")
     if E.disc == 0:
         raise ValueError("singular curve")
-    return _kappa_on_minimal(P, tate_minimal(E, ctx.p)[1], ctx.p)
+    return _kappa_on_minimal(P, minimal_model(E, ctx)[1], ctx.p)
 
 
 def _kappa_on_minimal(P, cmap, p):
@@ -307,7 +261,8 @@ def level(m, ctx):
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
         raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
-    p = as_context(ctx).p
+    ctx = as_context(ctx)
+    p = ctx.p
     if not is_integral(m):
         refuse_non_integral(m)
     invs = marked(m)
@@ -315,7 +270,7 @@ def level(m, ctx):
         raise SingularModelError("singular model")
     v_disc = valuation(invs[0].disc, p)
     E = WeierstrassCurve(*invs[0].a_invariants)
-    _, cmap, v_min = tate_minimal(E, p)
+    _, cmap, v_min = minimal_model(E, ctx)
     carried = (Point(x, quotient(inv.v - E.a1 * x - E.a3, 2))
                for inv in invs for x in (quotient(inv.u - E.b2, 12),))
     kap = max(_kappa_on_minimal(P, cmap, p) for P in carried)

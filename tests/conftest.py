@@ -78,7 +78,7 @@ def perturb_entries(m, scale, rng, bound=2):
 def kodaira_family(p):
     """One curve per Kodaira type, typed for p >= 5: I_n, II, III, IV, I0*,
     I_m*, IV*, III*, II*, and a non-minimal one; plus the same curves scaled
-    by u = p, which `tate_minimal`'s u = p descent (Laska 1982) must undo at
+    by u = p, which `minimal_model`'s u = p descent (Laska 1982) must undo at
     every prime.  At p = 2 and 3 the types may differ; the curves with
     p | disc are kept all the same."""
     base = [

@@ -6,11 +6,15 @@ of three 3x3 slices of a cube, expanded over the six permutations through
 monomial dictionaries, and the (2,2)-form F_ab of a hypercube as the
 determinant q00 q11 - q01 q10 of its 2x2 matrix of bilinear forms.  They serve
 only as the reference the differential tests compare the tables against.
+
+`quartics_of_hypercube` is the library's as it was before it left g1min, which
+never reads a hypercube's quartics: the four binary quartics, one per axis,
+each read off the three (2,2)-forms that carry that axis, which must agree.
 """
 
 from itertools import permutations
 
-from g1min.models import TernaryCubic, TwoTwoForm
+from g1min.models import TernaryCubic, TwoTwoForm, forms_of_hypercube, quartics_of_22
 
 
 def _det_linear_pencil(M, N, P):
@@ -86,3 +90,22 @@ def _mul_11(bm, cm):
 
 def _sub22(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def quartics_of_hypercube(H):
+    """The four binary quartics, one per axis; checks internal agreement."""
+    forms = forms_of_hypercube(H)
+    out = []
+    for axis in range(4):
+        cands = []
+        for (a, b), F in forms.items():
+            g1, g2 = quartics_of_22(F)
+            if a == axis:
+                cands.append(g1)
+            elif b == axis:
+                cands.append(g2)
+        first = cands[0]
+        if any(c != first for c in cands[1:]):
+            raise AssertionError(f"axis-{axis} quartics of a hypercube disagree")
+        out.append(first)
+    return tuple(out)

@@ -23,7 +23,7 @@ from g1min.models import (
 )
 from g1min.weierstrass import (
     _MARKED_INVARIANTS, CurveMap, LevelReport, Point, WeierstrassCurve, _kappa_on_minimal,
-    tate_minimal,
+    minimal_model,
 )
 
 
@@ -152,7 +152,7 @@ def level(m, ctx):
     v_min = None
     for inv in invs:
         E, P = WeierstrassCurve(*inv.a_invariants), Point(inv.xi, inv.eta)
-        _, cmap, vm = tate_minimal(E, p)
+        _, cmap, vm = minimal_model(E, p)
         v_min = vm if v_min is None else v_min
         if vm != v_min:
             raise AssertionError("paired Jacobians disagree on the minimal discriminant")

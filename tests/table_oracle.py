@@ -47,10 +47,13 @@ def _mode_product(t, M, fibres):
 
 
 def quartics_of_22(F):
-    """The pair of binary quartics (G1 in x, G2 in y) of a (2,2)-form."""
+    """The pair of binary quartics (G1 in x, G2 in y) of a (2,2)-form: with
+    F = F1(x) y1^2 + F2(x) y1 y2 + F3(x) y2^2, G1 = F2^2 - 4 F1 F3, the Fj
+    the columns of its coefficient matrix; G2 likewise from its rows."""
+    c = F.coeffs
     return tuple(
         BinaryQuartic([x - 4 * y for x, y in zip(_binary_mul(q2, q2), _binary_mul(q1, q3))])
-        for q1, q2, q3 in (F.x_quadratics(), F.y_quadratics()))
+        for q1, q2, q3 in ((c[0::3], c[1::3], c[2::3]), F.rows))
 
 
 def cubic_of_cube(S, axis):

@@ -11,10 +11,11 @@ from g1min import (
     construct_cube, convert_2to3, convert_3to2, critical_model,
     cube_invariants, cubics_of_cube, discriminant, enumerate_minimal_weights,
     form22_invariants, forms_of_hypercube, hypercube_invariants, inflate,
-    is_minimal_22, level, marked_curve, minimise, minimise_22, minimise_cube,
-    minimise_hypercube, oracle_minimality_22, quartics_of_hypercube,
-    symmetric_minimal_weights, valuation,
+    is_minimal_22, level, marked_curve, minimise, minimise_hypercube,
+    oracle_minimality_22, symmetric_minimal_weights, valuation,
 )
+
+from derived_form_oracle import quartics_of_hypercube
 
 from conftest import (
     identity_hypercube, levi_civita_cube, perturb_entries, random_cube,
@@ -174,7 +175,7 @@ def test_criterion_6_hypercube_corollary():
             if discriminant(H) == 0:
                 continue
             mine = minimise_hypercube(H, ctx).input_was_minimal
-            assert mine == any(minimise_22(F, ctx).input_was_minimal
+            assert mine == any(minimise(F, ctx).input_was_minimal
                                for F in forms_of_hypercube(H).values())
             done += 1
         total += done
@@ -232,7 +233,7 @@ def test_criterion_9_remark_fixpoints():
                 break
         assert all(all(valuation(c, p) >= 2 for c in f.coeffs if c)
                    for f in cubics_of_cube(S))
-        rep = minimise_cube(S, ctx)
+        rep = minimise(S, ctx)
         assert rep.input_was_minimal and rep.steps == ()
 
         while True:

@@ -1,13 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import g1min
 from g1min.exactnum import (
-    INFINITY, LocalContext, _form_to_last, _strong_lucas_probable_prime,
+    INFINITY, LocalContext, RefusedInputError, _form_to_last, _strong_lucas_probable_prime,
     _strong_probable_prime_base_2, _unimodular_with_row, complete_primitive_row, det_matrix,
     form_to_last, fp_left_kernel_vector, fp_poly_gcd, identity_matrix, is_prime,
     lift_primitive, mat_adj, mat_mul, unimodular_with_row, valuation,
@@ -70,6 +74,29 @@ def test_valuation_matches_single_divisions(p):
             assert valuation(z, p) == _valuation_by_single_divisions(z, p)
     assert valuation(0, p) is INFINITY
     assert valuation(Fraction(0), p) is INFINITY
+
+
+def test_valuation_refuses_bases_below_two():
+    # every x is divisible by 1 and by -1, so a valuation there would divide
+    # forever: it is refused once the remainder shows x divisible.  The calls
+    # run in a child process, so that a hang fails the test and stalls nothing
+    code = ("from fractions import Fraction\n"
+            "from g1min import BinaryQuartic, RefusedInputError, content_valuation, valuation\n"
+            "for call in (lambda: valuation(5, 1), lambda: valuation(-12, -1),\n"
+            "             lambda: valuation(Fraction(1, 3), 1),\n"
+            "             lambda: content_valuation(BinaryQuartic((2, 0, 0, 0, 4)), 1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except RefusedInputError as refusal:\n"
+            "        print(refusal)\n")
+    src = os.path.dirname(os.path.dirname(g1min.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert out.stdout.splitlines() == [f"valuations need p >= 2, got {p}" for p in (1, -1, 1, 1)]
+    # the child returned, so the same call in process cannot hang
+    with pytest.raises(RefusedInputError, match="valuations need p >= 2, got 1"):
+        valuation(5, 1)
+    assert valuation(0, 1) is INFINITY
 
 
 @pytest.mark.parametrize("p", [2, 3, 2 ** 61 - 1])

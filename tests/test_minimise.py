@@ -9,8 +9,8 @@ import pytest
 from g1min import (
     BinaryQuartic, GroupElement, Hypercube, LocalContext, TwoTwoForm,
     act, c4_c6, construct_22, construct_cube, discriminant, forms_of_hypercube,
-    inflate, is_minimal, is_minimal_22, level, marked_curve, minimise, minimise_22,
-    minimise_cube, minimise_global, minimise_hypercube, minimise_quartic,
+    inflate, is_minimal, is_minimal_22, level, marked_curve, minimise, minimise_global,
+    minimise_hypercube,
     SingularModelError, Verdict, critical_model, oracle_minimality_22, scalar_multiply,
     valuation,
 )
@@ -19,6 +19,8 @@ from g1min.minimise import (
     _STEPS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
 )
 from g1min.models import SPECS, group_element_from_dict, group_element_to_dict, model_from_dict
+
+from derived_form_oracle import quartics_of_hypercube
 
 from conftest import (
     HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
@@ -38,7 +40,7 @@ def _random_marked(rng, bound=5):
 
 
 def test_quartic_already_minimal():
-    rep = minimise_quartic(BinaryQuartic((1, 0, 0, 0, 1)), LocalContext(3))
+    rep = minimise(BinaryQuartic((1, 0, 0, 0, 1)), LocalContext(3))
     assert rep.input_was_minimal and rep.steps == ()
     assert rep.model == BinaryQuartic((1, 0, 0, 0, 1))
 
@@ -46,7 +48,7 @@ def test_quartic_already_minimal():
 def test_quartic_content_division():
     # scaling the coefficients by p^2 raises v(Delta) by 12 (degree six)
     G = BinaryQuartic((9, 0, 0, 0, 9))
-    rep = minimise_quartic(G, LocalContext(3))
+    rep = minimise(G, LocalContext(3))
     assert rep.v_disc_initial - rep.v_disc_final == 12
     assert rep.model == BinaryQuartic((1, 0, 0, 0, 1))
     assert [s.label for s in rep.steps] == ["content"]
@@ -57,7 +59,7 @@ def test_quartic_slope_then_content():
     G0 = BinaryQuartic((1, 0, 0, 0, 1))
     G = act(GroupElement("quartic", 1, (((3, 0), (0, 1)),)), G0)  # x1 -> 3 x1
     assert G == BinaryQuartic((81, 0, 0, 0, 1))
-    rep = minimise_quartic(G, LocalContext(3))
+    rep = minimise(G, LocalContext(3))
     assert rep.v_disc_final == 0
     labels = [s.label for s in rep.steps]
     assert "multiple-root" in labels and labels[-1] == "content"
@@ -76,7 +78,7 @@ def test_quartic_round_trips(rng):
                 continue  # want a certified-minimal starting point
             v0 = valuation(d, p)
             G2, _ = inflate(G, ctx, rng, moves=rng.randint(1, 3))
-            rep = minimise_quartic(G2, ctx)
+            rep = minimise(G2, ctx)
             assert rep.v_disc_final == v0
             assert rep.max_neutral_chain <= 2
             done += 1
@@ -84,7 +86,7 @@ def test_quartic_round_trips(rng):
 
 def test_quartic_rejects_singular():
     with pytest.raises(ValueError):
-        minimise_quartic(BinaryQuartic((1, 0, 0, 0, 0)), LocalContext(2))
+        minimise(BinaryQuartic((1, 0, 0, 0, 0)), LocalContext(2))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,7 @@ def test_quartic_rejects_singular():
 def test_22_constructed_models_are_minimal():
     ctx = LocalContext(2)
     F = construct_22(0, 0, 0, 1)
-    rep = minimise_22(F, ctx)
+    rep = minimise(F, ctx)
     assert rep.input_was_minimal
     assert level(F, ctx).level == 0
 
@@ -102,7 +104,7 @@ def test_22_constructed_models_are_minimal():
 def test_22_scaled_construction_recovers():
     ctx = LocalContext(2)
     F = construct_22(0, 0, 0, 1)
-    rep = minimise_22(scalar_multiply(F, 4), ctx)
+    rep = minimise(scalar_multiply(F, 4), ctx)
     assert rep.v_disc_final == 6
     assert level(rep.model, ctx).level == 0
 
@@ -118,7 +120,7 @@ def test_22_square_residue_is_minimal(rng):
                                        for c in range(3)) for r in range(3)))
             if discriminant(F) != 0:
                 break
-        rep = minimise_22(F, ctx)
+        rep = minimise(F, ctx)
         assert rep.input_was_minimal
         from g1min import quartics_of_22
 
@@ -133,7 +135,7 @@ def test_22_round_trips(rng):
         for _ in range(10):
             F = construct_22(*_random_marked(rng))
             F2, _ = inflate(F, ctx, rng, moves=rng.randint(1, 3))
-            rep = minimise_22(F2, ctx)
+            rep = minimise(F2, ctx)
             assert level(rep.model, ctx).level == 0
             assert rep.max_neutral_chain <= 2
             assert act(rep.transformation, F2) == rep.model
@@ -142,7 +144,7 @@ def test_22_round_trips(rng):
 def test_22_certificate_and_monotone_trace(rng):
     ctx = LocalContext(3)
     F, _ = inflate(construct_22(*_random_marked(rng)), ctx, rng, moves=2)
-    rep = minimise_22(F, ctx)
+    rep = minimise(F, ctx)
     vs = [s.v_disc_before for s in rep.steps] + [rep.v_disc_final]
     assert all(a >= b for a, b in zip(vs, vs[1:]))
     assert act(rep.transformation, F) == rep.model
@@ -206,9 +208,9 @@ def test_22_slender_valuation_patterns(rng):
 
 def test_22_rejects_bad_input():
     with pytest.raises(ValueError):
-        minimise_22(TwoTwoForm(((0,) * 3,) * 3), LocalContext(2))
+        minimise(TwoTwoForm(((0,) * 3,) * 3), LocalContext(2))
     with pytest.raises(ValueError):
-        minimise_22(TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0))),
+        minimise(TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0))),
                     LocalContext(2))
 
 
@@ -218,7 +220,7 @@ def test_22_rejects_bad_input():
 
 def test_cube_content_division():
     S = construct_cube(0, 0, 0, 1)
-    rep = minimise_cube(scalar_multiply(S, 2), LocalContext(2))
+    rep = minimise(scalar_multiply(S, 2), LocalContext(2))
     assert rep.v_disc_initial - rep.v_disc_final == 36
     assert rep.model == S or discriminant(rep.model) == discriminant(S)
 
@@ -233,7 +235,7 @@ def test_cube_levi_civita_lift_is_minimal(rng):
             if discriminant(S) != 0:
                 break
         assert all(all(c % p == 0 for c in f.coeffs) for f in cubics_of_cube(S))
-        rep = minimise_cube(S, ctx)
+        rep = minimise(S, ctx)
         assert rep.input_was_minimal and rep.steps == ()
 
 
@@ -243,7 +245,7 @@ def test_cube_round_trips(rng):
         for _ in range(8):
             S = construct_cube(*_random_marked(rng))
             S2, _ = inflate(S, ctx, rng, moves=rng.randint(1, 3))
-            rep = minimise_cube(S2, ctx)
+            rep = minimise(S2, ctx)
             assert level(rep.model, ctx).level == 0
             assert rep.max_neutral_chain <= 3
             assert act(rep.transformation, S2) == rep.model
@@ -254,8 +256,6 @@ def test_cube_round_trips(rng):
 
 
 def test_hypercube_identity_lift_is_minimal(rng):
-    from g1min import quartics_of_hypercube
-
     for p in (2, 3, 5):
         ctx = LocalContext(p)
         while True:
@@ -294,7 +294,7 @@ def test_hypercube_corollary_cross_check(rng):
             H = nonzero_disc(random_hypercube, rng)
             mine = minimise_hypercube(H, ctx).input_was_minimal
             forms = forms_of_hypercube(H)
-            assert mine == any(minimise_22(F, ctx).input_was_minimal for F in forms.values())
+            assert mine == any(minimise(F, ctx).input_was_minimal for F in forms.values())
 
 
 def _level_zero_base(kind, ctx, rng):
@@ -819,7 +819,7 @@ def test_cube_trace_is_monotone(rng):
     for _ in range(6):
         S = construct_cube(*_random_marked(rng))
         S2, _ = inflate(S, ctx, rng, moves=3)
-        rep = minimise_cube(S2, ctx)
+        rep = minimise(S2, ctx)
         vs = [s.v_disc_before for s in rep.steps] + [rep.v_disc_final]
         assert all(a >= b for a, b in zip(vs, vs[1:]))
         for s in rep.steps:
@@ -837,7 +837,7 @@ def test_quartic_agrees_with_slope_oracle(rng):
             G = BinaryQuartic(tuple(rng.choice(pool) for _ in range(5)))
             if discriminant(G) == 0:
                 continue
-            assert minimise_quartic(G, ctx).input_was_minimal == \
+            assert minimise(G, ctx).input_was_minimal == \
                 quartic_slope_oracle_minimal(G, p)
             done += 1
 
@@ -872,7 +872,7 @@ def test_cube_minimality_withstands_weight_probes(rng):
             d = discriminant(S)
             if d == 0 or valuation(d, p) < 12:
                 continue
-            if not minimise_cube(S, ctx).input_was_minimal:
+            if not minimise(S, ctx).input_was_minimal:
                 continue
             for _ in range(250):
                 w = rng.choice(weights)

@@ -25,8 +25,10 @@ from g1min.exactnum import mat_mul
 from conftest import random_form22
 from oracle_reference import reference_oracle_reducer
 
-# needs a (2,1) move that is invisible mod 2; its transpose needs (1,2)
+# needs a (2,1) move that is invisible mod 2; its transpose (x and y
+# swapped) needs (1,2)
 DEEP_WEIGHT_FORM = TwoTwoForm(((4, -2, -1), (1, 4, 3), (2, 8, 2)))
+DEEP_WEIGHT_TRANSPOSE = TwoTwoForm(tuple(zip(*DEEP_WEIGHT_FORM.rows)))
 
 
 def _pool_form(rng, p):
@@ -65,7 +67,7 @@ def _cases(p):
         cases.append(F)
     cases += [_reducible(rng, p, a, b) for a, b in ORACLE_WEIGHT_PAIRS for _ in range(3)]
     if p == 2:
-        cases += [DEEP_WEIGHT_FORM, DEEP_WEIGHT_FORM.transpose()]
+        cases += [DEEP_WEIGHT_FORM, DEEP_WEIGHT_TRANSPOSE]
     return cases
 
 
@@ -144,7 +146,7 @@ def test_no_live_residue_pair_means_no_product(monkeypatch):
 
 def test_deep_weight_forms_reach_the_deepest_pairs():
     assert _oracle_reducer(DEEP_WEIGHT_FORM, 2)[2] == (2, 1)
-    assert _oracle_reducer(DEEP_WEIGHT_FORM.transpose(), 2)[2] == (1, 2)
+    assert _oracle_reducer(DEEP_WEIGHT_TRANSPOSE, 2)[2] == (1, 2)
 
 
 def test_reducer_is_a_certificate(verdicts):

@@ -11,9 +11,8 @@ from g1min import (
     BinaryQuartic, Cube, FactorizationError, GroupElement, LocalContext, Point, RefusedInputError,
     SingularModelError, TernaryCubic, TwoTwoForm, UnsupportedModelError, WeierstrassCurve, act,
     c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model, inflate,
-    is_minimal, is_minimal_22, kappa, level, minimise, minimise_22, minimise_cube, minimise_global,
-    minimise_hypercube, minimise_quartic, oracle_minimality_22, saturation_defect,
-    trial_division_factor,
+    is_minimal, is_minimal_22, kappa, level, minimal_model, minimise, minimise_global,
+    minimise_hypercube, oracle_minimality_22, saturation_defect, trial_division_factor,
 )
 from g1min.exactnum import complete_primitive_row, fp_inv, fp_poly_divmod, fp_poly_roots
 from g1min.residue import binary_roots
@@ -44,7 +43,7 @@ RATIONAL_CUBE = _plus(construct_cube(1, 2, 3, 4), 13, Fraction(1, 3))
 RATIONAL_HYPERCUBE = _plus(critical_model("hypercube", 5, 1), 0, Fraction(1, 2))
 SINGULAR_RATIONAL_22 = TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
 INFLATED_CUBE = inflate(CUBE, 3, 1)[0]
-HYPERCUBE = critical_model("hypercube", 5, 1)
+CURVE = WeierstrassCurve(0, 0, 0, 256, 0)
 
 _CUBIC_REFUSAL = "ternary cubics are carried along, not minimised directly"
 
@@ -100,6 +99,13 @@ REFUSALS = {
     "oracle/non-integral": (lambda: oracle_minimality_22(
         TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0))), 2),
         RefusedInputError, "model must be integral"),
+    # the prime is checked before the curve, so none of these starts a descent
+    **{f"minimal_model/{case}": (partial(minimal_model, CURVE, p), RefusedInputError, message)
+       for case, p, message in (("one", 1, "1 is not prime"),
+                                ("composite-prime", 6, "6 is not prime"),
+                                ("negative-prime", -3, "-3 is not prime"),
+                                ("zero", 0, "0 is not prime"),
+                                ("float-prime", 2.0, "the prime must be an int, got 2.0"))},
 
     "global/cubic": (lambda: minimise_global(CUBIC), UnsupportedModelError, _CUBIC_REFUSAL),
     "global/cubic-with-a-candidate": (lambda: minimise_global(CUBIC_AT_2),
@@ -120,23 +126,18 @@ REFUSALS = {
                     "the minimality oracle works on form22 models, got cube"),
     "critical/quartic": (lambda: critical_model("quartic", 5), UnsupportedModelError,
                          "no critical pattern for kind 'quartic'"),
-    "minimise_22/cube": (lambda: minimise_22(INFLATED_CUBE, 3), UnsupportedModelError,
-                         "the form22 minimiser got a cube model"),
-    "minimise_22/cube-composite-prime": (lambda: minimise_22(INFLATED_CUBE, 6),
-                                         UnsupportedModelError,
-                                         "the form22 minimiser got a cube model"),
-    "minimise_22/cubic": (lambda: minimise_22(CUBIC, 2), UnsupportedModelError,
-                          _CUBIC_REFUSAL),
     "minimise_hypercube/cube": (lambda: minimise_hypercube(INFLATED_CUBE, 3),
                                 UnsupportedModelError,
                                 "the hypercube minimiser got a cube model"),
+    "minimise_hypercube/cube-prime-6": (lambda: minimise_hypercube(INFLATED_CUBE, 6),
+                                        UnsupportedModelError,
+                                        "the hypercube minimiser got a cube model"),
+    "minimise_hypercube/cubic": (lambda: minimise_hypercube(CUBIC, 2), UnsupportedModelError,
+                                 _CUBIC_REFUSAL),
     "is_minimal_22/quartic": (lambda: is_minimal_22(QUARTIC, 3), UnsupportedModelError,
                               "the form22 minimiser got a quartic model"),
-    "minimise_cube/hypercube": (lambda: minimise_cube(HYPERCUBE, 5), UnsupportedModelError,
-                                "the cube minimiser got a hypercube model"),
-    "minimise_quartic/not-a-model": (lambda: minimise_quartic("x^4", 2),
-                                     UnsupportedModelError,
-                                     "cannot minimise a model of kind <class 'str'>"),
+    "is_minimal_22/not-a-model": (lambda: is_minimal_22("x^4", 2), UnsupportedModelError,
+                                  "cannot minimise a model of kind <class 'str'>"),
 
     "level/singular": (lambda: level(ZERO_22, 2), SingularModelError, "singular model"),
     "level/singular-composite-prime": (lambda: level(ZERO_22, 6), RefusedInputError,

@@ -17,7 +17,7 @@ from g1min.residue import (
     binary_roots, repeated_root,
 )
 from g1min.exactnum import valuation
-from g1min.weierstrass import CurveMap, WeierstrassCurve, tate_minimal
+from g1min.weierstrass import CurveMap, WeierstrassCurve, minimal_model
 
 from conftest import kodaira_family
 
@@ -422,7 +422,7 @@ def test_tate_walk_against_exhaustive_rescaling(p):
     # takes the input there, and it rescales exactly when its input has one
     rescaled = 0
     for E in _tate_cases(p, random.Random(6000 + p)):
-        E_min, cmap, v = tate_minimal(E, p)
+        E_min, cmap, v = minimal_model(E, p)
         assert cmap.apply(E) == E_min, E
         assert v == valuation(E_min.disc, p)
         assert not _rescales_by_p(E_min, p), E

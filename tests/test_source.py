@@ -52,6 +52,66 @@ def test_library_uses_every_name_it_imports():
     assert found == []
 
 
+# definitions that no library code calls, each with the reason it stays
+UNCALLED_DEFINITIONS = {
+    "minimise.is_minimal": "public entry point: minimality without a certificate",
+    "models.TernaryCubic.from_dict": "public entry point: a cubic from its monomials",
+    "models.group_element_from_dict": "public entry point: reads a certificate back",
+    "models.GroupElement.chi": "reference for the fast path chi_valuation",
+    "minimise.minimise_hypercube": "bound by perfbench until ROADMAP item 1",
+    "minimise.is_minimal_22": "bound by perfbench until ROADMAP item 1",
+    "construct.inflate": "bound by perfbench until ROADMAP item 1",
+    "construct.WeightTuple.deficiency_vector": "census, bound by perfbench until ROADMAP item 1",
+    "weierstrass.minimal_discriminant_valuation": "bound by perfbench until ROADMAP item 1",
+}
+
+
+def _definitions_and_module_names():
+    """{"module.Qual.name": (name, names its body uses)} for every function,
+    method and class of the library, a nested one included, and the names its
+    module-level code uses.  A dunder method, which Python calls, counts as
+    part of its class's body; a nested definition's body is not its
+    encloser's."""
+    defs, module_names = {}, set()
+
+    def body_names(node, qual):
+        names, stack = set(), list(ast.iter_child_nodes(node))
+        while stack:
+            n = stack.pop()
+            if (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (n.name.startswith("__") and n.name.endswith("__"))):
+                defs[f"{qual}.{n.name}"] = (n.name, body_names(n, f"{qual}.{n.name}"))
+                continue
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                names.add(getattr(n, "id", None) or n.attr)
+            stack.extend(ast.iter_child_nodes(n))
+        return names
+
+    for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":  # re-exports are not calls
+            module_names |= body_names(ast.parse(path.read_text(), filename=str(path)),
+                                       path.stem)
+    return defs, module_names
+
+
+def test_every_library_definition_has_a_library_caller():
+    # code that only tests, tools or demos call is scaffolding, not engine: a
+    # definition counts as called when module-level code or the body of a
+    # called definition names it, the allow-listed ones standing as called
+    defs, module_names = _definitions_and_module_names()
+    named, called = set(module_names), set()
+    while new := {q for q, (name, _) in defs.items()
+                  if q not in called and (name in named or q in UNCALLED_DEFINITIONS)}:
+        called |= new
+        for q in new:
+            named |= defs[q][1]
+    assert sorted(set(defs) - called) == []
+    # every allow-listed definition exists, and none has gained a caller
+    assert sorted(set(UNCALLED_DEFINITIONS) - set(defs)) == []
+    assert sorted(q for q in UNCALLED_DEFINITIONS if defs[q][0] in module_names or any(
+        defs[q][0] in defs[c][1] for c in called if c != q)) == []
+
+
 # functions allowed to import inside their body: none
 LOCAL_IMPORTS = set()
 
@@ -164,8 +224,8 @@ def test_only_the_generator_compiles_source():
 
 
 # the one function allowed to build a GroupElement past its checked
-# constructor: the builder of products, inverses and scalings, whose parts
-# hold by construction
+# constructor: the builder of products and scalings, whose parts hold by
+# construction
 UNCHECKED_BUILDERS = {("models.py", "_trusted_element")}
 
 
