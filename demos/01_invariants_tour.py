@@ -24,7 +24,7 @@ print("(2,2)-form built from y^2 = x^3 + x:")
 print("  coefficient matrix:", form.rows)
 print("  c4, c6, Delta =", inv.c4, inv.c6, inv.disc)
 print("  recovered curve a-invariants:", inv.a_invariants)
-print("  marked point:", inv.point, " u, v =", inv.u, inv.v)
+print("  marked point:", (inv.xi, inv.eta), " u, v =", inv.u, inv.v)
 
 cube = construct_cube(0, 0, 0, 1)
 cinv = cube_invariants(cube)

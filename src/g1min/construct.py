@@ -238,18 +238,10 @@ class WeightTuple:
     entries: tuple  # (a21, a31, a22, a32, a23, a33)
     s: int
 
-    @property
-    def deficiency_vector(self):
-        a21, a31, a22, a32, a23, a33 = self.entries
-        return tuple(max(self.s - x - y - z, 0) for x in (0, a21, a31) for y in (0, a22, a32)
-                     for z in (0, a23, a33))
-
     def is_symmetric(self):
         a21, a31, a22, a32, a23, a33 = self.entries
         return a21 <= a31 and a22 <= a32 and a23 <= a33 and a31 >= a32 >= a33
 
-
-WEIGHT_SCALE_BOUND = 10  # minimal weights never need a larger scale
 
 # by scale s; tests/test_construct.py certifies it against all 643,467 weights
 _MINIMAL_WEIGHTS = (

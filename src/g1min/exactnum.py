@@ -27,11 +27,12 @@ INFINITY = inf
 def valuation(x, p):
     """p-adic valuation of an int or Fraction; INFINITY for x = 0.
 
-    One remainder answers the common case, v = 0.  Otherwise x is divided by
-    p, p^2, p^4, ... while each divides it, then by the same powers, largest
-    first, where they still divide it: O(log v) divisions in all.  A p < 2
-    that divides x would be divided out forever: it is refused after the
-    remainder."""
+    Every p < 2 is refused first, whatever x is.  Then one remainder answers
+    the common case, v = 0.  Otherwise x is divided by p, p^2, p^4, ... while
+    each divides it, then by the same powers, largest first, where they still
+    divide it: O(log v) divisions in all."""
+    if p < 2:
+        raise RefusedInputError(f"valuations need p >= 2, got {p}")
     if type(x) is Fraction:
         if x == 0:
             return INFINITY
@@ -40,8 +41,6 @@ def valuation(x, p):
         return INFINITY
     if x % p:
         return 0
-    if p < 2:
-        raise RefusedInputError(f"valuations need p >= 2, got {p}")
     v, powers, q = 0, [], p
     while True:
         y, r = divmod(x, q)
@@ -480,9 +479,10 @@ def _unimodular_with_row(vec, p, row):
 
 
 def form_to_last(ell, p):
-    """Unimodular A with A . ell = unit * e_last mod p: the substitution
-    (vars) -> (vars) A turns a form divisible by ell into one divisible by
-    the last variable.  Shared between callers, like unimodular_with_row."""
+    """Unimodular 3x3 A with A . ell = unit * e_last mod p, for a ternary
+    linear form ell: the substitution (x, y, z) -> (x, y, z) A turns a form
+    divisible by ell into one divisible by z.  Shared between callers, like
+    unimodular_with_row."""
     return _form_to_last(_residue_key(ell, p), p)
 
 
@@ -539,19 +539,16 @@ def mat_mul(a, b):
 
 
 def mat_adj(m):
-    """Adjugate of a 2x2 or 3x3 matrix, in closed form:
+    """Adjugate of a 3x3 matrix, in closed form:
     mat_mul(m, mat_adj(m)) == det_matrix(m) * identity, and integer for an
     integer m.  ValueError for any other size."""
     n = len(m)
-    if n == 2:
-        (a, b), (c, d) = m
-        return ((d, -b), (-c, a))
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return ((e * i - f * h, c * h - b * i, b * f - c * e),
                 (f * g - d * i, a * i - c * g, c * d - a * f),
                 (d * h - e * g, b * g - a * h, a * e - b * d))
-    raise ValueError(f"mat_adj takes 2x2 or 3x3 matrices, not {n}x{n}")
+    raise ValueError(f"mat_adj takes 3x3 matrices, not {n}x{n}")
 
 
 def _identity(n):

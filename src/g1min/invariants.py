@@ -251,10 +251,6 @@ class InvariantSet:
     u: int
     v: int
 
-    @property
-    def point(self):
-        return (self.xi, self.eta)
-
 
 def _invariant_set(kind, c4, c6, a1, a2, a3, xi, eta, v):
     """The InvariantSet of a model with these c4, c6, a1, a2, a3 and marked

@@ -18,7 +18,7 @@ Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
 scalar, one int matrix per tensor factor, and (for hypercubes only) a
 permutation of the four factors; their one constructor only validates, and
-only the certificate reader clears rational matrix entries into the scalar.
+it refuses a rational matrix entry, in a move or in a certificate alike.
 Every kind is a tensor space on which the group acts one factor at a time, so
 one routine, `act`, serves them all; the per-kind entry in SPECS records the
 tensor shape, the matrix sizes, the matrix each group matrix induces on its
@@ -288,10 +288,6 @@ class Hypercube(_Model):
 
     kind = "hypercube"
 
-    @property
-    def entries(self):
-        return _nest(self.coeffs, (2, 2, 2, 2))
-
     def at(self, i, j, k, l):
         return self.coeffs[8 * i + 4 * j + 2 * k + l]
 
@@ -420,13 +416,12 @@ class GroupElement:
     The constructor only validates: every matrix entry must be an int
     (ValueError otherwise) and every matrix nonsingular; the scalar is stored
     as a Fraction.  A move is built as it is stored, any denominators of its
-    matrices already in the scalar; `group_element_from_dict` clears the
-    rational entries of certificates written by earlier versions.  Every
-    element carries the determinants of its matrices (`_dets`, outside the
-    fields, so equality, hashing and repr ignore it): the constructor takes
-    them in its check, and `compose` and `scaling`, whose parts hold by
-    construction, build through `_trusted_element` with det(AB) = det A det B
-    and det(I) = 1."""
+    matrices already in the scalar, and a certificate is read as it was
+    written.  Every element carries the determinants of its matrices
+    (`_dets`, outside the fields, so equality, hashing and repr ignore it):
+    the constructor takes them in its check, and `compose` and `scaling`,
+    whose parts hold by construction, build through `_trusted_element` with
+    det(AB) = det A det B and det(I) = 1."""
 
     kind: str
     scalar: Fraction
@@ -688,18 +683,10 @@ def group_element_to_dict(g):
 
 
 def group_element_from_dict(d):
-    """The group element of a certificate.  A matrix with a Fraction entry
-    (certificates written by earlier versions hold them) is multiplied by the
-    lcm m of its denominators and the scalar divided by m ** (n / chi_power),
-    n the matrix size, which leaves the action and chi unchanged."""
-    scalar = Fraction(d["scalar"])
-    mats = []
-    for rows in d["matrices"]:
-        mat = tuple(tuple(_parse_coeff(x) for x in row) for row in rows)
-        if any(type(x) is Fraction for row in mat for x in row):
-            m = lcm(*(x.denominator for row in mat for x in row))
-            scalar /= m ** (len(mat) // SPECS[d["kind"]].chi_power)
-            mat = tuple(tuple(int(x * m) for x in row) for row in mat)
-        mats.append(mat)
+    """The group element of a certificate, read as `group_element_to_dict`
+    writes it: a rational matrix entry is refused by the constructor's
+    ValueError."""
+    mats = tuple(tuple(tuple(_parse_coeff(x) for x in row) for row in rows)
+                 for rows in d["matrices"])
     perm = tuple(d["perm"]) if "perm" in d else None
-    return GroupElement(d["kind"], scalar, tuple(mats), perm)
+    return GroupElement(d["kind"], Fraction(d["scalar"]), mats, perm)

@@ -81,22 +81,13 @@ class WeierstrassCurve:
 
 @dataclass(frozen=True)
 class Point:
-    """Affine point or the point at infinity (x = y = None)."""
+    """An affine point (x, y); the library never needs the point at infinity."""
 
-    x: object = None
-    y: object = None
-
-    @property
-    def is_infinity(self):
-        return self.x is None
-
-    def __iter__(self):
-        return iter((self.x, self.y))
+    x: object
+    y: object
 
 
 def on_curve(E, P):
-    if P.is_infinity:
-        return True
     x, y = P.x, P.y
     return y * y + E.a1 * x * y + E.a3 * y == E.rhs(x)
 
@@ -130,8 +121,6 @@ class CurveMap:
                                   for a, w in zip((a1, a2, a3, a4, a6), (1, 2, 3, 4, 6))))
 
     def apply_point(self, P):
-        if P.is_infinity:
-            return P
         u, r, s, t = self.u, self.r, self.s, self.t
         x, y = P.x, P.y
         return Point(quotient(x - r, u ** 2), quotient(y - s * (x - r) - t, u ** 3))
@@ -216,8 +205,6 @@ def minimal_discriminant_valuation(E, ctx):
 def kappa(P, E, ctx):
     """kappa of a point: denominator depth of P on a local minimal model."""
     ctx = as_context(ctx)
-    if P.is_infinity:
-        raise ValueError("kappa is undefined at the identity")
     if not on_curve(E, P):
         raise ValueError("point not on curve")
     if E.disc == 0:

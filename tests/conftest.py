@@ -59,20 +59,12 @@ def identity_hypercube():
 
 
 def perturb_entries(m, scale, rng, bound=2):
-    """m + scale * (random integer model of the same kind)."""
-    kind = m.kind
-    if kind == "cube":
-        e = m.entries
-        new = tuple(tuple(tuple(e[i][j][k] + scale * rng.randint(-bound, bound)
-                                for k in range(3)) for j in range(3)) for i in range(3))
-        return Cube(new)
-    if kind == "hypercube":
-        e = m.entries
-        new = tuple(tuple(tuple(tuple(e[i][j][k][l] + scale * rng.randint(-bound, bound)
-                                      for l in range(2)) for k in range(2))
-                          for j in range(2)) for i in range(2))
-        return Hypercube(new)
-    raise ValueError(kind)
+    """m + scale * (random integer model of the same kind), for cubes and
+    hypercubes.  The draws follow the flat coefficient order, outermost index
+    first, as the nested layouts list them."""
+    if m.kind not in ("cube", "hypercube"):
+        raise ValueError(m.kind)
+    return type(m).from_coeffs([c + scale * rng.randint(-bound, bound) for c in m.coeffs])
 
 
 def kodaira_family(p):

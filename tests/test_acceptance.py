@@ -62,14 +62,14 @@ def test_criterion_2_syzygy_suite():
         inv = form22_invariants(random_form22(rng, bound=20))
         assert (108 * inv.v) ** 2 == (3 * inv.u) ** 3 - 27 * inv.c4 * (3 * inv.u) - 54 * inv.c6
         a1, a2, a3, a4, a6 = inv.a_invariants
-        xi, eta = inv.point
+        xi, eta = inv.xi, inv.eta
         assert eta * eta + a1 * xi * eta + a3 * eta == xi ** 3 + a2 * xi * xi + a4 * xi + a6
         checked += 1
     for _ in range(1000):
         inv = cube_invariants(random_cube(rng, bound=20))
         assert (108 * inv.v) ** 2 == (3 * inv.u) ** 3 - 27 * inv.c4 * (3 * inv.u) - 54 * inv.c6
         a1, a2, a3, a4, a6 = inv.a_invariants
-        xi, eta = inv.point
+        xi, eta = inv.xi, inv.eta
         assert eta * eta + a1 * xi * eta + a3 * eta == xi ** 3 + a2 * xi * xi + a4 * xi + a6
         checked += 1
     _report(2, f"syzygy and curve membership exact on {checked} random models")

@@ -76,15 +76,21 @@ def test_valuation_matches_single_divisions(p):
     assert valuation(Fraction(0), p) is INFINITY
 
 
+# (x, p) with p < 2: every x is divisible by 1 and by -1, so a valuation
+# there would divide forever; p = 0 would divide by zero, and x = 0 or a
+# remainder would answer for a base that has no valuation
+BELOW_TWO_CALLS = ((5, 1), (-12, -1), (Fraction(1, 3), 1), (0, 1),
+                   *((x, p) for p in (0, -3) for x in (5, 0, Fraction(1, 3))))
+
+
 def test_valuation_refuses_bases_below_two():
-    # every x is divisible by 1 and by -1, so a valuation there would divide
-    # forever: it is refused once the remainder shows x divisible.  The calls
-    # run in a child process, so that a hang fails the test and stalls nothing
+    # every p < 2 is refused before x is read.  The calls run in a child
+    # process, so that a hang fails the test and stalls nothing
     code = ("from fractions import Fraction\n"
             "from g1min import BinaryQuartic, RefusedInputError, content_valuation, valuation\n"
-            "for call in (lambda: valuation(5, 1), lambda: valuation(-12, -1),\n"
-            "             lambda: valuation(Fraction(1, 3), 1),\n"
-            "             lambda: content_valuation(BinaryQuartic((2, 0, 0, 0, 4)), 1)):\n"
+            f"calls = [lambda x=x, p=p: valuation(x, p) for x, p in {BELOW_TWO_CALLS!r}]\n"
+            "calls.append(lambda: content_valuation(BinaryQuartic((2, 0, 0, 0, 4)), 1))\n"
+            "for call in calls:\n"
             "    try:\n"
             "        call()\n"
             "    except RefusedInputError as refusal:\n"
@@ -92,11 +98,12 @@ def test_valuation_refuses_bases_below_two():
     src = os.path.dirname(os.path.dirname(g1min.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=30)
-    assert out.stdout.splitlines() == [f"valuations need p >= 2, got {p}" for p in (1, -1, 1, 1)]
-    # the child returned, so the same call in process cannot hang
-    with pytest.raises(RefusedInputError, match="valuations need p >= 2, got 1"):
-        valuation(5, 1)
-    assert valuation(0, 1) is INFINITY
+    bases = [p for _, p in BELOW_TWO_CALLS] + [1]
+    assert out.stdout.splitlines() == [f"valuations need p >= 2, got {p}" for p in bases]
+    # the child returned, so the same calls in process cannot hang
+    for x, p in BELOW_TWO_CALLS:
+        with pytest.raises(RefusedInputError, match=f"^valuations need p >= 2, got {p}$"):
+            valuation(x, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 2 ** 61 - 1])
@@ -206,7 +213,8 @@ def _is_int_matrix(m):
 @pytest.mark.parametrize("p", MEMO_PRIMES)
 def test_memoised_moves_equal_their_uncached_builds(p):
     # the caches are keyed on residues mod p; the uncached builds reduce
-    # (lift_primitive) themselves, so they take the caller's vector as is
+    # (lift_primitive) themselves, so they take the caller's vector as is.
+    # form_to_last moves ternary lines only: its inverse is a 3x3 adjugate
     rng = random.Random(f"memo:{p}")
     for n in (2, 3):
         for vec in _random_residue_vectors(rng, n, p):
@@ -216,6 +224,8 @@ def test_memoised_moves_equal_their_uncached_builds(p):
                 assert _is_int_matrix(m)
                 assert det_matrix(m) in (1, -1)
                 assert [x % p for x in m[row]] == [x % p for x in vec]
+            if n == 2:
+                continue
             A = form_to_last(vec, p)
             assert A == _form_to_last.__wrapped__(vec, p)
             assert _is_int_matrix(A)
@@ -333,13 +343,13 @@ def test_left_kernel_vector_matches_gauss_jordan_reference(m, p):
 
 
 def test_mat_adj_exact():
-    m = ((3, 1), (5, 2))
-    assert mat_adj(m) == ((2, -1), (-5, 3))
-    assert mat_mul(m, mat_adj(m)) == ((1, 0), (0, 1))
     m = ((2, -1, 0), (1, 3, 4), (0, 5, -2))  # det -54
     adj = mat_adj(m)
     assert all(type(x) is int for row in adj for x in row)
     assert mat_mul(m, adj) == mat_mul(adj, m) == ((-54, 0, 0), (0, -54, 0), (0, 0, -54))
+    # the library inverts only 3x3 completions: a 2x2 adjugate is refused
+    with pytest.raises(ValueError, match=r"^mat_adj takes 3x3 matrices, not 2x2$"):
+        mat_adj(((3, 1), (5, 2)))
 
 
 # entry samplers for the closed-form det/adj against the Laplace oracle
@@ -362,11 +372,14 @@ def _random_matrix(entry, n, rng, singular=False):
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("entries", list(MATRIX_ENTRIES))
 def test_closed_form_det_and_adj_match_laplace_oracle(entries, n):
+    # det_matrix has a closed form at n = 2 and 3, mat_adj at n = 3 only; at
+    # n = 2 the Laplace oracle's adjugate checks the oracle's own identity
     rng = random.Random(f"{entries}:{n}")
     for trial in range(120):
         singular = trial % 3 == 0
         m = _random_matrix(MATRIX_ENTRIES[entries], n, rng, singular)
-        det, adj = det_matrix(m), mat_adj(m)
+        det = det_matrix(m)
+        adj = mat_adj(m) if n == 3 else matrix_oracle.mat_adj(m)
         assert det == matrix_oracle.det_matrix(m)
         assert adj == matrix_oracle.mat_adj(m)
         if singular:

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -18,13 +19,16 @@ from g1min.exactnum import identity_matrix, mat_mul, unimodular_with_row
 from g1min.minimise import (
     _STEPS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
 )
-from g1min.models import SPECS, group_element_from_dict, group_element_to_dict, model_from_dict
+from g1min.models import SPECS, form_of_hypercube, group_element_to_dict, model_from_dict
+from g1min.residue import TAG_OTHER, classify_22_residue, saturation_defect
 
 from derived_form_oracle import quartics_of_hypercube
+import matrix_oracle
+from table_oracle import _mode_product
 
 from conftest import (
     HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
-    random_hypercube, random_quartic,
+    random_cube, random_hypercube, random_quartic,
 )
 
 
@@ -175,7 +179,7 @@ def test_22_slender_valuation_patterns(rng):
     # non-minimal forms reducing to x2^2 y2^2 obey one of three valuation
     # patterns; check it on independently generated non-minimal samples
     from g1min.exactnum import det_matrix
-    from g1min.residue import TAG_PRODUCT_BOTH, classify_22_residue
+    from g1min.residue import TAG_PRODUCT_BOTH
     from g1min.minimise import _row_move
 
     p = 3
@@ -489,21 +493,26 @@ def test_hypercube_minimise_checks_invariants_once(monkeypatch):
             assert seen == ["hypercube"]
 
 
-def _with_rational_matrices(g, matrices):
-    """The certificate of g with its matrices replaced by rational ones."""
-    doc = group_element_to_dict(g)
-    doc["scalar"] = "1"
-    doc["matrices"] = [[[str(x) for x in row] for row in m] for m in matrices]
-    return doc
+def _acts_as_rational_form(g, matrices, m, p):
+    """Whether g acts on m, and has the chi valuation at p, of the element of
+    scalar 1 and these rational matrices: each axis contracted by the loop
+    mode product of the table oracle, chi the product of the determinants."""
+    t = m.coeffs
+    for fibres, A in zip(SPECS[m.kind].fibres, matrices):
+        t = _mode_product(t, A, fibres)
+    chi_valuation = sum(valuation(matrix_oracle.det_matrix(A), p) for A in matrices)
+    return list(act(g, m).coeffs) == t and g.chi_valuation(p) == chi_valuation
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 2 ** 61 - 1])
 def test_int_built_moves_equal_their_rational_forms(p):
     # the absorb diag(1, ..., 1, 1/p) u and the hypercube stretch
     # (diag(1/p, 1), diag(1, p), I, I) are built with int matrices and the
-    # scalar 1/p; the certificate reader clears their rational forms to the
-    # same elements
+    # scalar 1/p; each acts on a model, and has the chi valuation, of its
+    # rational form of scalar 1
     rng = random.Random(f"absorb:{p}")
+    model_rng = random.Random(f"absorb-model:{p}")
+    models = {"cube": random_cube(model_rng), "hypercube": random_hypercube(model_rng)}
     for kind in ("cube", "hypercube"):
         sizes = SPECS[kind].matrix_sizes
         for axis, n in enumerate(sizes):
@@ -518,11 +527,11 @@ def test_int_built_moves_equal_their_rational_forms(p):
                 divide_last = tuple(tuple(Fraction(1, p) if i == j == n - 1 else int(i == j)
                                           for j in range(n)) for i in range(n))
                 mats[axis] = mat_mul(divide_last, unimodular_with_row(ker, p, n - 1))
-                assert g == group_element_from_dict(_with_rational_matrices(g, mats))
+                assert _acts_as_rational_form(g, mats, models[kind], p)
     i2 = identity_matrix(2)
     stretch = GroupElement("hypercube", Fraction(1, p), (((1, 0), (0, p)),) * 2 + (i2, i2))
     rational = (((Fraction(1, p), 0), (0, 1)), ((1, 0), (0, p)), i2, i2)
-    assert stretch == group_element_from_dict(_with_rational_matrices(stretch, rational))
+    assert _acts_as_rational_form(stretch, rational, models["hypercube"], p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2 ** 61 - 1])
@@ -669,6 +678,30 @@ def test_hypercube_chain_overrun_raises(monkeypatch):
         minimise(Hypercube.from_coeffs(HYPERCUBE_CHAIN_2), LocalContext(2))
     with pytest.raises(InternalBoundError, match="ran thrice"):
         is_minimal(seen[1], LocalContext(2))
+
+
+def test_reorder_axes_is_unreachable_at_p2():
+    # _hypercube_step reorders the axes only for a saturated hypercube whose
+    # form F_01 is zero mod p, after none of its six forms proved minimal.
+    # Saturation, F_01 mod p and each form's residue tag depend only on H mod
+    # p, so the 2^16 residue hypercubes mod 2 cover every case at p = 2:
+    # exactly 72 are saturated with F_01 = 0, and each has a form tagged
+    # `other`.  A verdict-only run on such a form returns minimal (BELOW_12,
+    # or NO_RESIDUE_MOVE at its first step, the form being nonzero mod p), so
+    # the step returns ONE_FORM_MINIMAL before `reorder-axes`.  A scan of
+    # all 3^16 residues (a minute, too long for this suite) finds the same
+    # at p = 3; p >= 5 is open, so the branch stays
+    ctx = LocalContext(2)
+    reach = []
+    for coeffs in itertools.product((0, 1), repeat=16):
+        H = Hypercube.from_coeffs(coeffs)
+        if not any(c % 2 for c in form_of_hypercube(H, 0, 1).coeffs) \
+                and saturation_defect(H, ctx) is None:
+            reach.append(H)
+    assert len(reach) == 72
+    for H in reach:
+        tags = [classify_22_residue(F, ctx).tag for F in forms_of_hypercube(H).values()]
+        assert TAG_OTHER in tags, H.coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import random
 import sys
 from fractions import Fraction
 from math import prod
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +14,7 @@ from g1min import (
 )
 from g1min import models
 from g1min.exactnum import (
-    INFINITY, det_matrix, identity_matrix, mat_adj, mat_mul, quotient, valuation,
+    INFINITY, det_matrix, identity_matrix, mat_mul, quotient, valuation,
 )
 from g1min.invariants import quartic_invariants
 from g1min.models import (
@@ -23,6 +22,7 @@ from g1min.models import (
     scalar_multiply,
 )
 from derived_form_oracle import quartics_of_hypercube
+from matrix_oracle import mat_adj
 from substitution_oracle import binary_form_substitute, ternary_substitute
 
 from conftest import (
@@ -51,8 +51,8 @@ def _rand_element(kind, rng, with_perm=True):
 
 def _inverse(g):
     """The inverse of g, through the checked constructor: A^-1 = adj(A) / det(A),
-    each det(A) folded into the scalar as the certificate reader folds a
-    denominator."""
+    each det(A) folded into the scalar as det(A) ** (n / chi_power), n the
+    size of A, which leaves the action and chi unchanged."""
     mats, perm = g.matrices, None
     if g.perm is not None:
         perm = tuple(map(g.perm.index, range(4)))
@@ -372,42 +372,17 @@ def test_singular_group_element_rejected():
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_group_element_takes_int_entries_only(kind, rng):
-    # a move is built as it is stored; only the certificate reader clears
-    # rational matrix entries
+    # a move is built as it is stored, and a certificate is read as it was
+    # written: neither takes a rational matrix entry
     g = _rand_element(kind, rng)
     for entry in (Fraction(1, 2), Fraction(4, 2), 1.0):
         mats = list(g.matrices)
         mats[-1] = (((entry,) + mats[-1][0][1:]),) + mats[-1][1:]
         with pytest.raises(ValueError, match="group element matrices take int entries"):
             GroupElement(kind, g.scalar, tuple(mats), g.perm)
-
-
-def test_reads_rational_certificates(rng):
-    # certificates written with rational matrix entries still load: each
-    # matrix is cleared to integers and the scalar absorbs the denominators
-    eye2, eye3 = [["1", "0"], ["0", "1"]], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    doc = {"kind": "cube", "scalar": "1",
-           "matrices": [[["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1/2"]], eye3, eye3]}
-    g = group_element_from_dict(doc)
-    rational = SimpleNamespace(scalar=Fraction(1), matrices=tuple(
-        tuple(tuple(Fraction(x) for x in row) for row in m) for m in doc["matrices"]))
-    S = nonzero_disc(random_cube, rng)
-    assert act(g, S) == _explicit_cube_action(rational, S)
-    assert group_element_to_dict(g) == {
-        "kind": "cube", "scalar": "1/2",
-        "matrices": [[["0", "2", "0"], ["2", "0", "0"], ["0", "0", "1"]], eye3, eye3]}
-    # binary kinds: x1 -> x1 / 2 scales the coefficient of x1^k by 2^-k, and
-    # the scalar takes the square of the denominator
-    half = [["1/2", "0"], ["0", "1"]]
-    for m, degrees in ((nonzero_disc(random_quartic, rng), (4, 3, 2, 1, 0)),
-                       (nonzero_disc(random_form22, rng), (2, 2, 2, 1, 1, 1, 0, 0, 0))):
-        doc = {"kind": m.kind, "scalar": "1", "matrices": [half] + [eye2] * (m.kind == "form22")}
-        g = group_element_from_dict(doc)
-        assert act(g, m).coeffs == tuple(c * Fraction(1, 2 ** k) for c, k in zip(m.coeffs, degrees))
-        assert group_element_to_dict(g)["scalar"] == "1/4"
-        assert g.matrices[0] == ((1, 0), (0, 2))
-    doc["matrices"][0] = [["1/2", "1"], ["1", "2"]]
-    with pytest.raises(ValueError, match="singular matrix in group element"):
+    doc = group_element_to_dict(g)
+    doc["matrices"][-1][0][0] = "1/2"
+    with pytest.raises(ValueError, match="group element matrices take int entries"):
         group_element_from_dict(doc)
 
 
