@@ -9,14 +9,14 @@ y^2 + y = x^3 - x is (1/4, -5/8), whose x has 2-adic valuation -2 = -2 kappa.
 from fractions import Fraction
 
 from g1min import (
-    LocalContext, Point, WeierstrassCurve, construct_22, kappa, level,
-    minimal_discriminant_valuation, on_curve, scalar_multiply,
+    GroupElement, LocalContext, Point, WeierstrassCurve, act, construct_22, kappa, level,
+    minimal_discriminant_valuation, on_curve,
 )
 
 ctx = LocalContext(2)
 F = construct_22(0, 0, 0, 1)
 print("level report of the level-zero form:", level(F, ctx))
-print("after scaling the form by 2:", level(scalar_multiply(F, 2), ctx))
+print("after scaling the form by 2:", level(act(GroupElement.scaling("form22", 2), F), ctx))
 
 E = WeierstrassCurve(0, 0, 1, -1, 0)
 print("\ncurve y^2 + y = x^3 - x: Delta =", E.disc)

@@ -11,8 +11,8 @@ substitutions and diagonal stretches, with no reference to the minimiser.
 """
 
 from g1min import (
-    LocalContext, construct_22, enumerate_minimal_weights, is_minimal_22,
-    oracle_minimality_22, scalar_multiply, symmetric_minimal_weights,
+    GroupElement, LocalContext, act, construct_22, enumerate_minimal_weights, is_minimal_22,
+    oracle_minimality_22, symmetric_minimal_weights,
 )
 
 weights = enumerate_minimal_weights()
@@ -24,7 +24,7 @@ for w in sym:
 
 ctx = LocalContext(2)
 F = construct_22(0, 0, 0, 1)
+F2 = act(GroupElement.scaling("form22", 2), F)
 print("\noracle on the level-zero form:", oracle_minimality_22(F, ctx))
-print("oracle on its 2-scaling:", oracle_minimality_22(scalar_multiply(F, 2), ctx))
-print("minimiser agrees:", is_minimal_22(F, ctx),
-      is_minimal_22(scalar_multiply(F, 2), ctx))
+print("oracle on its 2-scaling:", oracle_minimality_22(F2, ctx))
+print("minimiser agrees:", is_minimal_22(F, ctx), is_minimal_22(F2, ctx))

@@ -2,16 +2,17 @@
 cubes and 2x2x2x2 hypercubes (with binary quartics as the prototype), their
 invariants, Jacobian Weierstrass data, marked points, and levels.
 
-All arithmetic is exact (ints and Fractions); every minimisation returns a
-transformation certificate g with act(g, input) == output.
+All arithmetic is exact: models hold ints, and a group element's scalar is a
+Fraction; every minimisation returns a transformation certificate g with
+act(g, input) == output.
 """
 
 from .exactnum import INFINITY, LocalContext, RefusedInputError, is_prime, valuation
 from .models import (
     BinaryQuartic, Cube, GroupElement, Hypercube, SingularModelError, TernaryCubic,
     TwoTwoForm, UnsupportedModelError, act, content_valuation, cubics_of_cube,
-    forms_of_hypercube, is_integral, model_from_dict, model_to_dict, quartics_of_22,
-    scalar_clear, scalar_multiply, group_element_from_dict, group_element_to_dict,
+    forms_of_hypercube, model_from_dict, model_to_dict, quartics_of_22,
+    group_element_from_dict, group_element_to_dict,
 )
 from .invariants import (
     InvariantSet, c4_c6, cube_invariants, cubic_invariants, discriminant,

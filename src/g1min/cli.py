@@ -2,27 +2,29 @@
 
 Subcommands: invariants, minimise, level, construct, convert, oracle.
 Model files are JSON documents {"kind": ..., "coeffs": [...]} with decimal
-string coefficients in the documented index order: integers or rationals for
-quartics and ternary cubics, integers for (2,2)-forms, cubes and hypercubes.
-A coefficient is any string fractions.Fraction accepts ("-12", "1_000",
-"1.5", "3/4", "1e3"; not "0x10"); integer strings are read by int().  The
-argument parser is built once per process, so repeated in-process main()
-calls pay only for parsing their argv.
+string coefficients in the documented index order.  They must be integers: a
+file with another coefficient is refused as it is read, before any other
+check, except by `invariants` of a quartic or ternary cubic, whose rational
+coefficients `_read_model` reads, the one place that does.  A coefficient is
+any string fractions.Fraction accepts ("-12", "1_000", "4/2", "3/4", "1e3";
+not "0x10"); integer strings are read by int().  The argument parser is built
+once per process, so repeated in-process main() calls pay only for parsing
+their argv.
 
 The library checks every model and prime it is given; the command line
 refuses only what it alone handles (files, JSON, model documents, options).
 Exit codes follow the type of the exception: 0 success; 2 RefusedInputError
 (an unreadable or unwritable file, a bad model document or option, a missing
 or composite --prime, a prime outside the oracle's or --critical's range, a
-non-integral model where integers are needed); 3 UnsupportedModelError (an
-operation not defined for the model's kind, or a conversion whose point
-condition fails); 4 SingularModelError; 5 FactorizationError (--global cannot
-split a composite part of gcd(c4, c6) above 2^80); 6 any other ValueError,
-AssertionError or ArithmeticError, a check inside the library that failed on
-accepted input, reported as "internal error: ...".  argparse's own errors
-exit 2 as well.  A report whose reader closes the pipe early exits 1, with
-no traceback.  Reports go to stdout, diagnostics to stderr.  Primes and the
-integers in model files and reports may have any number of digits.
+non-integral model file); 3 UnsupportedModelError (an operation not defined
+for the model's kind, or a conversion whose point condition fails); 4
+SingularModelError; 5 FactorizationError (--global cannot split a composite
+part of gcd(c4, c6) above 2^80); 6 any other ValueError, AssertionError or
+ArithmeticError, a check inside the library that failed on accepted input,
+reported as "internal error: ...".  argparse's own errors exit 2 as well.
+A report whose reader closes the pipe early exits 1, with no traceback.
+Reports go to stdout, diagnostics to stderr.  Primes and the integers in
+model files and reports may have any number of digits.
 """
 
 import argparse
@@ -30,6 +32,8 @@ import contextlib
 import functools
 import json
 import sys
+from fractions import Fraction
+from math import lcm
 
 from .construct import (
     construct_22, construct_cube, convert_2to3, convert_3to2, critical_model,
@@ -42,8 +46,8 @@ from .invariants import (
 )
 from .minimise import FactorizationError, minimise, minimise_global
 from .models import (
-    SingularModelError, UnsupportedModelError, group_element_to_dict, is_integral,
-    model_from_dict, model_to_dict,
+    SingularModelError, UnsupportedModelError, group_element_to_dict, model_from_dict,
+    model_to_dict,
 )
 from .weierstrass import level
 
@@ -61,7 +65,10 @@ _EXIT_CODES = {
     FactorizationError: EXIT_FACTOR,
 }
 
-def _load_model(path):
+def _read_model(path, rational=()):
+    """(model, 1) of a model file; for a kind in `rational`, the one place
+    rational coefficients are read, (mu times the file's model, mu), mu the
+    lcm of their denominators."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -69,19 +76,24 @@ def _load_model(path):
         raise RefusedInputError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise RefusedInputError(f"invalid JSON in {path}: {e}")
+    mu = 1
     try:
-        m = model_from_dict(doc)
+        rational_doc = isinstance(doc, dict) and doc.get("kind") in rational
+        if rational_doc and isinstance(doc.get("coeffs"), list):
+            values = [Fraction(str(s)) for s in doc["coeffs"]]
+            mu = lcm(*(x.denominator for x in values))
+            doc = {"kind": doc["kind"], "coeffs": [str(x * mu) for x in values]}
+        return model_from_dict(doc), mu
+    except RefusedInputError:  # a non-integral coefficient
+        raise
     except (ValueError, TypeError, ArithmeticError) as e:
         raise RefusedInputError(f"bad model file {path}: {e}")
-    return m
 
 
-def _refuse_rational(m):
-    """m, unless a rational (2,2)-form, cube or hypercube: model files give
-    these as integers, and only `invariants` and `convert` would take one."""
-    if m.kind in ("form22", "cube", "hypercube") and not is_integral(m):
-        raise RefusedInputError("model must be integral")
-    return m
+def _divided(invariants, mu, d):
+    """The invariants of weights 4, 6 and 12 of mu F as those of F, whose
+    weight-w invariants have degree w d / 2."""
+    return tuple(Fraction(x, mu ** (w * d // 2)) for x, w in zip(invariants, (4, 6, 12)))
 
 
 def _emit(doc, args, text_lines):
@@ -119,15 +131,15 @@ def _prime(args):
 
 
 def cmd_invariants(args):
-    m = _refuse_rational(_load_model(args.model))
+    m, mu = _read_model(args.model, rational=("quartic", "cubic"))
     doc = {"kind": m.kind}
     lines = [f"kind: {m.kind}"]
     if m.kind == "quartic":
-        i_inv, j_inv, disc = quartic_invariants(m)
+        i_inv, j_inv, disc = _divided(quartic_invariants(m), mu, 1)
         doc.update(I=str(i_inv), J=str(j_inv), Delta=str(disc))
         lines += [f"I = {i_inv}", f"J = {j_inv}", f"Delta = {disc}"]
     elif m.kind == "cubic":
-        c4, c6, disc = cubic_invariants(m)
+        c4, c6, disc = _divided(cubic_invariants(m), mu, 2)
         doc.update(c4=str(c4), c6=str(c6), Delta=str(disc))
         lines += [f"c4 = {c4}", f"c6 = {c6}", f"Delta = {disc}"]
     elif m.kind in ("form22", "cube"):
@@ -165,7 +177,7 @@ def _step_doc(step):
 
 
 def cmd_minimise(args):
-    m = _load_model(args.model)
+    m = _read_model(args.model)[0]
     if args.global_:
         rep = minimise_global(m)
         doc = {
@@ -209,7 +221,7 @@ def cmd_minimise(args):
 
 
 def cmd_level(args):
-    rep = level(_load_model(args.model), args.prime)
+    rep = level(_read_model(args.model)[0], args.prime)
     doc = {"vDelta": rep.v_disc, "vDeltaMin": rep.v_disc_min,
            "kappa": rep.kappa, "level": rep.level}
     _emit(doc, args, [
@@ -239,7 +251,7 @@ def cmd_construct(args):
 
 
 def cmd_convert(args):
-    m = _refuse_rational(_load_model(args.model))
+    m = _read_model(args.model)[0]
     _write_model(convert_2to3(m) if args.direction == "2to3" else convert_3to2(m), args)
     return EXIT_OK
 
@@ -263,7 +275,7 @@ def cmd_oracle(args):
         _emit(doc, args, lines)
         return EXIT_OK
     # min22
-    verdict = oracle_minimality_22(_load_model(args.model), args.prime)
+    verdict = oracle_minimality_22(_read_model(args.model)[0], args.prime)
     _emit({"minimal": verdict, "prime": args.prime}, args,
           [f"{'minimal' if verdict else 'not minimal'} at p = {args.prime} (exhaustive search)"])
     return EXIT_OK

@@ -7,7 +7,6 @@ runs are reproducible.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 import random
@@ -18,7 +17,7 @@ from .exactnum import (
 from .invariants import checked_invariants, discriminant
 from .models import (
     SPECS, Cube, GroupElement, SingularModelError, TwoTwoForm, UnsupportedModelError, act,
-    is_integral, sym_power_matrix,
+    sym_power_matrix,
 )
 from .weierstrass import WeierstrassCurve
 
@@ -210,7 +209,7 @@ def inflate(m, ctx, seed_or_rng, moves=3):
         g = GroupElement(kind, 1, tuple(mats))
         which = rng.randrange(len(sizes) + 1)
         if which == len(sizes):
-            stretch = GroupElement.scaling(kind, Fraction(p))
+            stretch = GroupElement.scaling(kind, p)
         else:
             n = sizes[which]
             diag = tuple(tuple((p if (i == j == n - 1) else (1 if i == j else 0))
@@ -220,7 +219,7 @@ def inflate(m, ctx, seed_or_rng, moves=3):
             stretch = GroupElement(kind, 1, tuple(dm))
         g = stretch.compose(g)
         cur = act(g, cur)
-        if not is_integral(cur):
+        if cur is None:
             raise AssertionError("a level-raising move produced a non-integral model")
         total = g.compose(total)
     return cur, total
@@ -431,8 +430,7 @@ def oracle_minimality_22(F, ctx):
     Only pairs that cannot pass are skipped, so the search stays exhaustive
     and returns what the unfiltered one returns (see `_oracle_reducer`).
     Restricted to small primes by cost.  Refusals come in the order kind,
-    prime, Delta = 0, integrality: a non-integral model's Delta = 0 is
-    decided on its primitive integral multiple (`refuse_non_integral`).
+    prime, Delta = 0.
     """
     if F.kind != "form22":
         raise UnsupportedModelError(

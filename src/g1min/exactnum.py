@@ -163,8 +163,8 @@ def fp_inv(a, p):
 
 class RefusedInputError(ValueError):
     """An input outside what the called function accepts: a number that is
-    not prime, a model that is not integral where integers are needed, or a
-    prime outside a search's range."""
+    not prime, a model coefficient or group matrix entry that is not an int,
+    or a prime outside a search's range."""
 
 
 class LocalContext:
@@ -482,7 +482,9 @@ def form_to_last(ell, p):
     """Unimodular 3x3 A with A . ell = unit * e_last mod p, for a ternary
     linear form ell: the substitution (x, y, z) -> (x, y, z) A turns a form
     divisible by ell into one divisible by z.  Shared between callers, like
-    unimodular_with_row."""
+    unimodular_with_row.  ValueError for a vector of another length."""
+    if len(ell) != 3:
+        raise ValueError(f"form_to_last moves ternary linear forms, got length {len(ell)}")
     return _form_to_last(_residue_key(ell, p), p)
 
 

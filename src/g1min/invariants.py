@@ -15,10 +15,9 @@ weight-2/3 invariants u = 12 xi + b2 and v = 2 eta + a1 xi + a3 satisfying
     (108 v)^2 = (3 u)^3 - 27 c4 (3 u) - 54 c6.
 
 a4 and a6 are recovered from c4 and c6 by exact divisions that double as
-integrality checks; on an integral model a division failure signals an
-implementation bug; a rational model's are those of an integral multiple,
-scaled back by homogeneity (`_homogeneous`).  `checked_invariants` is the
-input gate of the minimisers and the (2,2) oracle.
+integrality checks: models are integral, so a division failure signals an
+implementation bug.  `checked_invariants` is the input gate of the
+minimisers and the (2,2) oracle.
 
 `c4_c6` gives the weight-4/6 pair of every kind from one derived form, and
 `discriminant` derives Delta from that pair (`discriminant_from`, for a
@@ -26,20 +25,18 @@ caller that holds the pair already); the global minimiser takes its
 candidate primes from gcd(c4, c6).
 """
 
-from dataclasses import astuple, dataclass, is_dataclass
-from functools import wraps
+from dataclasses import dataclass
 
-from .exactnum import RefusedInputError, det_matrix, mat_adj, mat_mul
+from .exactnum import det_matrix, mat_adj, mat_mul
 from .models import (
-    HYPERCUBE_PAIRS, SingularModelError, _compiled, _num, _straight_line, cubic_of_cube,
-    cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral, quartics_of_22,
-    scalar_clear,
+    HYPERCUBE_PAIRS, SingularModelError, _compiled, _straight_line, cubic_of_cube,
+    cubics_of_cube, form_of_hypercube, forms_of_hypercube, quartics_of_22,
 )
 
 
 def _exact_div(num, den, what):
-    """num / den for ints, which must divide evenly.  Every caller passes ints:
-    invariants of an integral model, or of `_homogeneous`'s integral multiple."""
+    """num / den for ints, which must divide evenly: every caller passes
+    invariants of an integral model."""
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"{what}: division by {den} is not exact")
@@ -52,33 +49,6 @@ def discriminant_from(kind, c4, c6):
     if kind == "quartic":
         return _exact_div(4 * c4 ** 3 - c6 ** 2, 27, "quartic discriminant")
     return _exact_div(c4 ** 3 - c6 ** 2, 1728, f"{kind} discriminant")
-
-
-# an invariant of weight w (c4: 4, c6: 6, Delta: 12, a_i: i, xi, u: 2, eta,
-# v: 3) has degree w d / 2 in the coefficients (a quartic's I, J: 2, 3)
-_WEIGHT_2_DEGREE = {"quartic": 1, "cubic": 2, "form22": 2, "cube": 6, "hypercube": 4}
-_SET_WEIGHTS = (4, 6, 12, (1, 2, 3, 4, 6), 2, 3, 2, 3)  # InvariantSet's fields
-
-
-def _homogeneous(weights):
-    """Extend fn, whose divisions are exact on integral models, to rational
-    m: compute it on mu m = scalar_clear(m)[0] and divide each value of
-    weight w by mu^(w d / 2); `weights` has the shape of fn's result."""
-    def decorate(fn):
-        @wraps(fn)
-        def on_any_model(m):
-            if getattr(m, "kind", None) not in _WEIGHT_2_DEGREE or is_integral(m):
-                return fn(m)
-            cleared, mu = scalar_clear(m)
-            d = _WEIGHT_2_DEGREE[m.kind]
-
-            def back(x, w):
-                if is_dataclass(x):
-                    return InvariantSet(*back(astuple(x), w))
-                return tuple(map(back, x, w)) if type(w) is tuple else _num(x / mu ** (w * d // 2))
-            return back(fn(cleared), weights)
-        return on_any_model
-    return decorate
 
 
 def _quartic_i_j(G):
@@ -279,7 +249,6 @@ def _form22_c4_c6(g):
     return i_inv, _exact_div(j_inv, 2, "(2,2) second invariant")
 
 
-@_homogeneous(_SET_WEIGHTS)
 def form22_invariants(F):
     """InvariantSet of a (2,2)-form (exact; both derived quartics must agree)."""
     g1, g2 = quartics_of_22(F)
@@ -302,7 +271,6 @@ def _mat_add(a, b, sign=1):
     return tuple(tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-@_homogeneous(_SET_WEIGHTS)
 def cube_invariants(S):
     """InvariantSet of a 3x3x3 cube (marked-point data from the first slicing)."""
     f1, f2, f3 = cubics_of_cube(S)
@@ -372,7 +340,6 @@ _C4_C6 = {
 }
 
 
-@_homogeneous((4, 6))
 def c4_c6(m):
     """The weight-4 and weight-6 invariants of any model kind: (I, J) for
     binary quartics, (c4, c6) for the rest."""
@@ -382,27 +349,15 @@ def c4_c6(m):
     return fn(m)
 
 
-@_homogeneous(12)
 def discriminant(m):
     """Delta of any model kind, derived from c4_c6."""
     c4, c6 = c4_c6(m)
     return discriminant_from(m.kind, c4, c6)
 
 
-def refuse_non_integral(m):
-    """Refuse a non-integral model: SingularModelError when Delta = 0, else
-    RefusedInputError."""
-    if discriminant(m) == 0:
-        raise SingularModelError("singular model")
-    raise RefusedInputError("model must be integral")
-
-
 def checked_invariants(m):
-    """(c4, c6, Delta) of m once it passes the input checks: a singular
-    model raises SingularModelError, then a non-integral one
-    RefusedInputError (`refuse_non_integral`)."""
-    if not is_integral(m):
-        refuse_non_integral(m)
+    """(c4, c6, Delta) of m once it passes the input check: a singular model
+    raises SingularModelError."""
     c4, c6 = c4_c6(m)
     disc = discriminant_from(m.kind, c4, c6)
     if disc == 0:

@@ -57,7 +57,7 @@ from .exactnum import (
 from .invariants import checked_invariants
 from .models import (
     GroupElement, HYPERCUBE_PAIRS, SPECS, UnsupportedModelError, act, content_valuation,
-    cubics_of_cube, form_of_hypercube, forms_of_hypercube, is_integral,
+    cubics_of_cube, form_of_hypercube, forms_of_hypercube,
 )
 from .residue import (
     classify_22_residue, classify_cubic_residue, repeated_root, saturation_defect,
@@ -173,7 +173,7 @@ class _Driver:
             moved = move.model
             if isinstance(proposal, tuple):
                 move, moved = next(((c, x) for c in proposal for x in (act(c.g, self.cur),)
-                                    if is_integral(x)), (None, None))
+                                    if x is not None), (None, None))
                 if move is None:
                     return self.report(Verdict.NO_INTEGRAL_LANDING, max_chain)
             v_before = self.v
@@ -189,7 +189,7 @@ class _Driver:
         act(move, cur) when the caller has it already."""
         v_before = self.v
         new_model = act(move, self.cur) if model is None else model
-        if not is_integral(new_model):
+        if new_model is None:
             raise AssertionError(f"step {label} produced a non-integral model")
         v_new = self.v + 12 * move.chi_valuation(self.p)
         if expect_drop is not None and v_before - v_new != expect_drop:
@@ -355,7 +355,7 @@ def _cube_step(d):
     while (ker := fp_left_kernel_vector(landed.axis_slices(spare), p)) is not None:
         absorb = _absorb("cube", ker, p, spare)
         landed = act(absorb, landed)
-        if not is_integral(landed) or absorb.chi_valuation(p) != -1:
+        if landed is None or absorb.chi_valuation(p) != -1:
             raise AssertionError(f"step {mode}-absorb must land integrally, v(Delta) 12 lower")
         g = absorb.compose(g)
     return _Move(g, mode, tuple(axes), chained=True, model=landed)
@@ -540,7 +540,7 @@ def _hypercube_step(d):
         d.apply(_hyper_move(perm=_swap_axes_perm(axis, 3)), "relabel-axes", expect_drop=0)
     # keeps the level but leads to a desaturation, so it does not chain
     landed = act(stretch, d.cur)
-    if is_integral(landed) and saturation_defect(landed, ctx) is None:
+    if landed is not None and saturation_defect(landed, ctx) is None:
         raise InternalBoundError("doubly-degenerate step failed to desaturate")
     return _Move(stretch, "stretch-slender", drop=0, model=landed)
 
@@ -591,9 +591,8 @@ def _minimise(m, ctx, kind=None, certify=True):
 
 def minimise(m, ctx):
     """Minimise any supported model kind at one prime.  Refusals come in the
-    order kind (UnsupportedModelError), Delta = 0 (SingularModelError),
-    integrality, then the prime (both RefusedInputError); Delta = 0 of a
-    non-integral model is decided on its primitive integral multiple."""
+    order kind (UnsupportedModelError), Delta = 0 (SingularModelError), then
+    the prime (RefusedInputError)."""
     return _minimise(m, ctx)
 
 

@@ -12,7 +12,9 @@ format uses as well:
 * hypercube        -- 2x2x2x2 array h[i][j][k][l], i outermost
 
 The constructors take the nested layouts; `rows`, `entries`, `at` and
-`slices` are views that index the flat tuple.
+`slices` are views that index the flat tuple.  Coefficients are ints: the
+constructors refuse any other type (a bool, a Fraction) with
+RefusedInputError, and `model_from_dict` reads "4/2" or "1e3" as an int.
 
 Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
@@ -29,16 +31,13 @@ its discriminant scales by (mu det A)^12.  The one substitution,
 `sym_power_matrix(A, k)`, serves forms in n = len(A) variables from an index
 table of (coefficient, (flat positions of A...)) terms per (n, k).  `act` is
 integer: it contracts with the int matrices, multiplies by the scalar
-numerator's power and divides exactly by its denominator's, so a coefficient
-is a Fraction only where that division leaves a remainder; a model built
-from int coefficients (an integral action, a derived form of an integral
-model) skips the Fraction normalisation.  A factor equal to the identity
-costs nothing: `act` skips its contraction and `GroupElement.compose` its
-matrix product, so axis moves, permutations, scalings and the identity
-certificate do work only on the factors they change.  Products and scalings
-are not re-checked: they carry their matrices' determinants from their
-factors.  `scalar_clear` returns an integral primitive copy together
-with the multiplier.
+numerator's power and divides by its denominator's, and returns None where
+that division leaves a remainder, as the image is then not integral.  A
+factor equal to the identity costs nothing: `act` skips its contraction and
+`GroupElement.compose` its matrix product, so axis moves, permutations,
+scalings and the identity certificate do work only on the factors they
+change.  Products and scalings are not re-checked: they carry their
+matrices' determinants from their factors.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
 hypercube, two quartics of a (2,2)-form) come from index tables built at import.
@@ -51,11 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations, product, repeat
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import itemgetter, mul
 
 from .exactnum import (
-    _IDENTITIES, det_matrix, identity_matrix, mat_mul, quotient, valuation,
+    _IDENTITIES, RefusedInputError, det_matrix, identity_matrix, mat_mul, valuation,
 )
 
 
@@ -68,31 +67,30 @@ class UnsupportedModelError(TypeError, ValueError):
     (a conversion whose point condition fails)."""
 
 
-def _num(x):
-    """Collapse Fractions with denominator 1 back to int."""
-    # type(), not isinstance(): isinstance(int, Fraction) takes the slow ABC path
-    if type(x) is Fraction and x.denominator == 1:
-        return int(x)
-    return x
-
-
 _INT = {int}
 
 
-def _all_int(xs):
-    """Whether every entry of xs is an int, in one C pass over their types."""
-    return set(map(type, xs)) == _INT
+def _ints(xs):
+    """xs as a tuple, once every entry is an int (a bool or a Fraction, even
+    an integral one, is refused), checked in one C pass over their types."""
+    xs = tuple(xs)
+    if not set(map(type, xs)) <= _INT:
+        bad = next(x for x in xs if type(x) is not int)
+        raise RefusedInputError(f"model coefficients are ints, not {type(bad).__name__}")
+    return xs
 
 
 def _parse_coeff(s):
     # every string int() accepts is an integer string Fraction() accepts, with
-    # the same value; other inputs (floats, bytes) go to Fraction() as given
+    # the same value; other inputs (floats, bytes) go to Fraction() as given,
+    # and an integral value ("4/2", "1e3") comes back as an int
     if isinstance(s, str):
         try:
             return int(s)
         except ValueError:
             pass
-    return _num(Fraction(s))
+    x = Fraction(s)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _flatten(nested, shape, kind):
@@ -218,15 +216,13 @@ class _Model:
 
     def __init__(self, nested):
         flat = _flatten(nested, SPECS[self.kind].shape, self.kind)
-        object.__setattr__(self, "coeffs", tuple(_num(c) for c in flat))
+        object.__setattr__(self, "coeffs", _ints(flat))
 
     @classmethod
     def from_coeffs(cls, coeffs):
-        """The model with the given coefficients in the flat order."""
+        """The model with the given int coefficients in the flat order."""
         m = object.__new__(cls)
-        coeffs = tuple(coeffs)
-        if not _all_int(coeffs):
-            coeffs = tuple(map(_num, coeffs))
+        coeffs = _ints(coeffs)
         if len(coeffs) != SPECS[cls.kind].size:
             raise ValueError(f"{cls.kind} needs {SPECS[cls.kind].size} coefficients")
         object.__setattr__(m, "coeffs", coeffs)
@@ -351,40 +347,10 @@ SPECS = {
 # shared coefficient utilities
 
 
-def is_integral(m):
-    return Fraction not in set(map(type, m.coeffs))
-
-
 def content_valuation(m, p):
-    """min_p-valuation over the coefficients (INFINITY for the zero model):
-    of an integral model, the valuation of the gcd of its coefficients."""
-    if _all_int(m.coeffs):
-        return valuation(gcd(*m.coeffs), p)
-    return min(map(valuation, m.coeffs, repeat(p)))
-
-
-def scalar_multiply(m, c):
-    c = Fraction(c)
-    return type(m).from_coeffs([c * x for x in m.coeffs])
-
-
-def scalar_clear(m):
-    """Integral primitive copy of m.  Returns (model, mu) with model = mu * m.
-
-    This is ingestion-level normalisation; mu need not be realisable inside
-    the model's transformation group (for quartics only square scalings are).
-    """
-    coeffs = [Fraction(c) for c in m.coeffs]
-    if all(c == 0 for c in coeffs):
-        return m, Fraction(1)
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in coeffs:
-        num = gcd(num, c.numerator * (den // c.denominator))
-    mu = Fraction(den, num)
-    return scalar_multiply(m, mu), mu
+    """min_p-valuation over the coefficients, the valuation of their gcd
+    (INFINITY for the zero model)."""
+    return valuation(gcd(*m.coeffs), p)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +380,10 @@ class GroupElement:
     hypercubes an optional permutation of the four factors (applied first).
 
     The constructor only validates: every matrix entry must be an int
-    (ValueError otherwise) and every matrix nonsingular; the scalar is stored
-    as a Fraction.  A move is built as it is stored, any denominators of its
-    matrices already in the scalar, and a certificate is read as it was
-    written.  Every element carries the determinants of its matrices
+    (RefusedInputError otherwise) and every matrix nonsingular (ValueError
+    otherwise); the scalar is stored as a Fraction.  A move is built as it is
+    stored, any denominators of its matrices already in the scalar, and a
+    certificate is read as it was written.  Every element carries the determinants of its matrices
     (`_dets`, outside the fields, so equality, hashing and repr ignore it):
     the constructor takes them in its check, and `compose` and `scaling`,
     whose parts hold by construction, build through `_trusted_element` with
@@ -436,7 +402,7 @@ class GroupElement:
         dets = []
         for m in mats:
             if any(type(x) is not int for row in m for x in row):
-                raise ValueError("group element matrices take int entries")
+                raise RefusedInputError("group element matrices take int entries")
             dets.append(det_matrix(m))
             if dets[-1] == 0:
                 raise ValueError("singular matrix in group element")
@@ -523,11 +489,11 @@ def _mode_product(t, M, fibres):
 def act(g, m):
     """Apply a group element to a model, exactly: permute the tensor axes
     (hypercubes), apply each factor's matrix along its axis, then scale by
-    the scalar's act_power: multiply by the numerator's power and divide
-    exactly by the denominator's: one divmod pass over int coefficients,
-    and `quotient` of each coefficient instead when that pass leaves a
-    remainder or a coefficient is a Fraction.  A factor equal to the
-    identity is skipped: its axis matrix is neither built nor applied."""
+    the scalar's act_power: multiply by the numerator's power and divide by
+    the denominator's in one divmod pass.  None when that pass leaves a
+    remainder: the image is not integral, and no model holds it.  A factor
+    equal to the identity is skipped: its axis matrix is neither built nor
+    applied."""
     if g.kind != m.kind:
         raise ValueError(f"group element for {g.kind} applied to {m.kind}")
     spec = SPECS[m.kind]
@@ -542,11 +508,9 @@ def act(g, m):
     if num != 1:
         t = [num * x for x in t]
     if den != 1:
-        if _all_int(t):
-            quots, rems = zip(*map(divmod, t, repeat(den)))
-            t = quots if not any(rems) else [quotient(x, den) for x in t]
-        else:
-            t = [quotient(x, den) for x in t]
+        t, rems = zip(*map(divmod, t, repeat(den)))
+        if any(rems):
+            return None
     return spec.model.from_coeffs(t)
 
 
@@ -668,7 +632,10 @@ def model_from_dict(d):
     raw = d.get("coeffs")
     if not isinstance(raw, list) or len(raw) != size:
         raise ValueError(f"kind {kind} expects {size} coefficients")
-    return SPECS[kind].model.from_coeffs([_parse_coeff(str(s)) for s in raw])
+    coeffs = [_parse_coeff(str(s)) for s in raw]
+    if Fraction in set(map(type, coeffs)):
+        raise RefusedInputError("model must be integral")
+    return SPECS[kind].model.from_coeffs(coeffs)
 
 
 def group_element_to_dict(g):
@@ -684,8 +651,7 @@ def group_element_to_dict(g):
 
 def group_element_from_dict(d):
     """The group element of a certificate, read as `group_element_to_dict`
-    writes it: a rational matrix entry is refused by the constructor's
-    ValueError."""
+    writes it: a rational matrix entry is refused by the constructor."""
     mats = tuple(tuple(tuple(_parse_coeff(x) for x in row) for row in rows)
                  for rows in d["matrices"])
     perm = tuple(d["perm"]) if "perm" in d else None

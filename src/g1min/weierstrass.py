@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import as_context, quotient, valuation
-from .invariants import (
-    cube_invariants, form22_invariants, hypercube_invariants, refuse_non_integral,
-)
-from .models import SingularModelError, UnsupportedModelError, is_integral
+from .invariants import cube_invariants, form22_invariants, hypercube_invariants
+from .models import SingularModelError, UnsupportedModelError
 
 
 @dataclass(frozen=True)
@@ -241,17 +239,15 @@ _MARKED_INVARIANTS = {
 
 
 def level(m, ctx):
-    """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube.
-    Refusals come in the order kind, prime, Delta = 0, integrality.  Each
-    marked point, of invariants (u, v), is carried onto the first point's
-    model E as x = (u - b2)/12, y = (v - a1 x - a3)/2."""
+    """LevelReport of a nonsingular (2,2)-form, cube or hypercube.  Refusals
+    come in the order kind, prime, Delta = 0.  Each marked point, of
+    invariants (u, v), is carried onto the first point's model E as
+    x = (u - b2)/12, y = (v - a1 x - a3)/2."""
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
         raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
     ctx = as_context(ctx)
     p = ctx.p
-    if not is_integral(m):
-        refuse_non_integral(m)
     invs = marked(m)
     if invs[0].disc == 0:
         raise SingularModelError("singular model")

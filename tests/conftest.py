@@ -58,6 +58,12 @@ def identity_hypercube():
     return Hypercube(tuple(tuple(tuple(tuple(r) for r in pl) for pl in blk) for blk in h))
 
 
+def scaled_model(m, c):
+    """c m, coefficient by coefficient, for an int c (for quartics the group
+    scaling by c multiplies by c^2)."""
+    return type(m).from_coeffs(c * x for x in m.coeffs)
+
+
 def perturb_entries(m, scale, rng, bound=2):
     """m + scale * (random integer model of the same kind), for cubes and
     hypercubes.  The draws follow the flat coefficient order, outermost index

@@ -17,10 +17,8 @@ from g1min.construct import (
     _CRITICAL_22, _CRITICAL_CUBE, _CRITICAL_HYPER, _draw, _rng,
 )
 from g1min.exactnum import RefusedInputError, as_context, valuation
-from g1min.invariants import discriminant, refuse_non_integral
-from g1min.models import (
-    Cube, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError, is_integral,
-)
+from g1min.invariants import discriminant
+from g1min.models import Cube, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError
 from g1min.weierstrass import (
     _MARKED_INVARIANTS, CurveMap, LevelReport, Point, WeierstrassCurve, _kappa_on_minimal,
     minimal_model,
@@ -135,14 +133,12 @@ def closed_form_minimal(E, p):
 
 
 def level(m, ctx):
-    """LevelReport of an integral nonsingular (2,2)-form, cube or hypercube.
-    Refusals come in the order kind, prime, Delta = 0, integrality."""
+    """LevelReport of a nonsingular (2,2)-form, cube or hypercube.
+    Refusals come in the order kind, prime, Delta = 0."""
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
         raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
     p = as_context(ctx).p
-    if not is_integral(m):
-        refuse_non_integral(m)
     invs = marked(m)
     disc = invs[0].disc
     if disc == 0:

@@ -7,9 +7,11 @@ polynomial table was compiled on first use: Python loops over the terms of
 over the fibres of one axis, and the quartics of a (2,2)-form as products of
 binary quadratics.  Each reads its table at call time, as the library does.
 They serve only as the reference the differential tests compare the
-compiled functions against.
+compiled functions against; `act_values` composes them into the exact
+rational value of `act`.
 """
 
+from fractions import Fraction
 from operator import mul
 
 import g1min.invariants as invariants
@@ -93,3 +95,17 @@ def _eval_terms(terms, coeffs):
 def _cubic_c4_c6(F):
     return (_eval_terms(invariants._C4_TERMS, F.coeffs),
             _eval_terms(invariants._C6_TERMS, F.coeffs))
+
+
+def act_values(g, m):
+    """The coefficients of act(g, m) as exact Fractions, integral or not: the
+    axis permutation, the loop mode product along every axis, identity or
+    not, by the loop Sym^k of the kind's degree, then the scalar's power."""
+    spec = models.SPECS[m.kind]
+    t = [Fraction(c) for c in m.coeffs]
+    if g.perm is not None:
+        t = [t[n] for n in spec.perm_index[g.perm]]
+    degree = {"quartic": 4, "form22": 2, "cubic": 3}.get(m.kind)
+    for fibres, A in zip(spec.fibres, g.matrices):
+        t = _mode_product(t, sym_power_matrix(A, degree) if degree else A, fibres)
+    return [g.scalar ** spec.act_power * x for x in t]

@@ -12,11 +12,13 @@ import pytest
 from g1min import (
     FactorizationError, RefusedInputError, SingularModelError, TernaryCubic, TwoTwoForm,
     UnsupportedModelError, construct_22, construct_cube, cubic_invariants, discriminant,
-    critical_model, model_from_dict, model_to_dict, scalar_multiply,
+    critical_model, model_from_dict, model_to_dict,
 )
 from g1min.cli import main
 from g1min.exactnum import is_prime
 from g1min.minimise import InternalBoundError
+
+from conftest import scaled_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,6 +73,51 @@ def test_invariants_zero_model(tmp_path, capsys):
     assert "Delta = 0" in capsys.readouterr().out
 
 
+# model files `invariants` reads with rational coefficients (quartics and
+# ternary cubics, two of them with Delta = 0), and a (2,2)-form with integers
+# spelled as "4/2", "1e3" and "-1_000"; each with its text report after the
+# kind line, and the values its JSON report holds
+INVARIANT_FILES = {
+    "quartic": (
+        ["1/2", "-1", "3/4", "0", "-5/3"],
+        ["I = -151/16", "J = -27/32", "Delta = -107615/864"],
+        {"I": "-151/16", "J": "-27/32", "Delta": "-107615/864"}),
+    "singular-quartic": (
+        ["1/2", "0", "0", "0", "0"],
+        ["I = 0", "J = 0", "Delta = 0"],
+        {"I": "0", "J": "0", "Delta": "0"}),
+    "cubic": (
+        ["1/2", "0", "0", "-2/3", "3", "0", "1", "0", "0", "5/4"],
+        ["c4 = -324", "c6 = -62107/8", "Delta = -6034061785/110592"],
+        {"c4": "-324", "c6": "-62107/8", "Delta": "-6034061785/110592"}),
+    "singular-cubic": (
+        ["0", "0", "0", "0", "7/2", "0", "0", "0", "0", "0"],
+        ["c4 = 2401/16", "c6 = -117649/64", "Delta = 0"],
+        {"c4": "2401/16", "c6": "-117649/64", "Delta": "0"}),
+    "form22-spellings": (
+        ["4/2", "0", "1e3", "-1_000", "1", "0", "3", "0", "-6/3"],
+        ["c4 = 96141288289", "c6 = -3449732507104913",
+         "Delta = 507376988558889764822037748000",
+         "curve: y^2 + -1 xy + 0 y = x^3 + -2996 x^2 + -1999952000 x + 5991856204000",
+         "point: (2996, -4)", "u = 23969", "v = -3004"],
+        {"c4": "96141288289", "c6": "-3449732507104913",
+         "Delta": "507376988558889764822037748000",
+         "a_invariants": ["-1", "-2996", "0", "-1999952000", "5991856204000"],
+         "xi": "2996", "eta": "-4", "u": "23969", "v": "-3004"}),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANT_FILES)
+def test_invariants_of_rational_and_respelled_files(tmp_path, capsys, name):
+    coeffs, lines, values = INVARIANT_FILES[name]
+    kind = "form22" if name.startswith("form22") else name.split("-")[-1]
+    path = write_model(tmp_path, "m.json", {"kind": kind, "coeffs": coeffs})
+    assert main(["invariants", path]) == 0
+    assert capsys.readouterr() == ("\n".join([f"kind: {kind}", *lines]) + "\n", "")
+    assert main(["invariants", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": kind, **values}
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -110,7 +157,7 @@ def test_level_command(tmp_path, capsys):
 
 
 def test_level_scaled_model(tmp_path, capsys):
-    path = form22_file(tmp_path, scalar_multiply(construct_22(0, 0, 0, 1), 2))
+    path = form22_file(tmp_path, scaled_model(construct_22(0, 0, 0, 1), 2))
     assert main(["level", path, "--prime", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["level"] == 1
 
@@ -143,7 +190,7 @@ def test_level_singular_exit_4(tmp_path, capsys):
 
 
 def test_minimise_local_and_round_trip(tmp_path, capsys):
-    F = scalar_multiply(construct_22(0, 0, 0, 1), 2)
+    F = scaled_model(construct_22(0, 0, 0, 1), 2)
     path = form22_file(tmp_path, F)
     out_path = str(tmp_path / "min.json")
     assert main(["minimise", path, "--prime", "2", "--json", "--out", out_path]) == 0
@@ -161,7 +208,7 @@ def test_minimise_local_and_round_trip(tmp_path, capsys):
 def test_minimise_json_reports_the_verdict(tmp_path, capsys):
     # the first case drops v(Delta) from 18 to 6, the critical ones are
     # minimal: the text report ends with the verdict in both branches
-    cases = ((scalar_multiply(construct_22(0, 0, 0, 1), 2), "below-12"),
+    cases = ((scaled_model(construct_22(0, 0, 0, 1), 2), "below-12"),
              (critical_model("form22", 5, 0), "no-integral-landing"),
              (critical_model("cube", 5, 0), "neutral-chain-bound"),
              (critical_model("hypercube", 5, 0), "one-form-minimal"))
@@ -253,7 +300,7 @@ def test_rejected_inputs_keep_their_exit_codes(tmp_path, capsys, monkeypatch):
 
 
 def test_minimise_global(tmp_path, capsys):
-    F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
+    F = scaled_model(construct_22(0, 0, 0, 1), 6)
     path = form22_file(tmp_path, F)
     assert main(["minimise", path, "--global", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -425,7 +472,7 @@ def test_oracle_min22(tmp_path, capsys):
     path = form22_file(tmp_path, construct_22(0, 0, 0, 1))
     assert main(["oracle", "min22", path, "--prime", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["minimal"] is True
-    path = form22_file(tmp_path, scalar_multiply(construct_22(0, 0, 0, 1), 2), "g.json")
+    path = form22_file(tmp_path, scaled_model(construct_22(0, 0, 0, 1), 2), "g.json")
     assert main(["oracle", "min22", path, "--prime", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["minimal"] is False
 
@@ -506,7 +553,7 @@ class _GoneReader(io.StringIO):
 def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(tmp_path):
     # the report, about 185 KB, overfills the pipe, so a write after the
     # reader has gone fails in the child
-    F = scalar_multiply(construct_22(1, 2, 3, 4), 10 ** 5000)
+    F = scaled_model(construct_22(1, 2, 3, 4), 10 ** 5000)
     with _no_digit_limit():
         path = form22_file(tmp_path, F)
     with subprocess.Popen([sys.executable, "-m", "g1min", "invariants", path, "--json"],
@@ -546,7 +593,7 @@ def test_cli_runs_without_a_digit_limit_api(tmp_path, capsys, monkeypatch):
 
 def test_repeated_calls_give_identical_output(tmp_path, capsys):
     # the parser is built once per process; no call's options leak into the next
-    F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
+    F = scaled_model(construct_22(0, 0, 0, 1), 6)
     path = form22_file(tmp_path, F)
     for argv in (["invariants", path], ["invariants", path, "--json"],
                  ["minimise", path, "--global"], ["minimise", path, "--prime", "2", "--json"],
@@ -557,7 +604,7 @@ def test_repeated_calls_give_identical_output(tmp_path, capsys):
 
 
 def test_out_does_not_outlive_its_call(tmp_path, capsys):
-    path = form22_file(tmp_path, scalar_multiply(construct_22(0, 0, 0, 1), 2))
+    path = form22_file(tmp_path, scaled_model(construct_22(0, 0, 0, 1), 2))
     out_path = tmp_path / "min.json"
     assert main(["minimise", path, "--prime", "2", "--out", str(out_path)]) == 0
     assert capsys.readouterr().err == f"wrote {out_path}\n"
@@ -568,7 +615,7 @@ def test_out_does_not_outlive_its_call(tmp_path, capsys):
 
 
 def test_minimise_refuses_an_unwritable_out(tmp_path, capsys):
-    path = form22_file(tmp_path, scalar_multiply(construct_22(0, 0, 0, 1), 2))
+    path = form22_file(tmp_path, scaled_model(construct_22(0, 0, 0, 1), 2))
     out_path = tmp_path / "missing" / "min.json"
     assert main(["minimise", path, "--prime", "5", "--out", str(out_path)]) == 2
     assert capsys.readouterr().err == (f"error: cannot write {out_path}: [Errno 2] No such file"
@@ -608,7 +655,7 @@ def test_global_json_skips_the_text_only_discriminant(tmp_path, capsys, monkeypa
 
     seen = []
     monkeypatch.setattr(g1min.cli, "discriminant", lambda m: seen.append(m) or discriminant(m))
-    F = scalar_multiply(construct_22(0, 0, 0, 1), 6)
+    F = scaled_model(construct_22(0, 0, 0, 1), 6)
     path = form22_file(tmp_path, F)
     assert main(["minimise", path, "--global", "--json"]) == 0
     assert seen == []
@@ -649,7 +696,8 @@ _CUBIC = "ternary cubics are carried along, not minimised directly"
 _NO_FILE = "cannot read @missing.json: [Errno 2] No such file or directory: '@missing.json'"
 
 # id: (argv, exit code, stderr after "error: "); "@" stands for the file
-# directory.  An id naming two faults pins which check comes first.
+# directory.  An id naming two faults pins which check comes first: a
+# non-integral model file is refused as it is read, before any other check.
 REFUSALS = {
     "invariants/unreadable": (["invariants", "@missing.json"], 2, _NO_FILE),
     "invariants/bad-json": (["invariants", "@bad.json"], 2,
@@ -681,8 +729,8 @@ REFUSALS = {
                                           "singular model"),
     "minimise/non-integral": (["minimise", "@rational.json", "--prime", "3"], 2,
                               _NOT_INTEGRAL),
-    "minimise/singular-non-integral": (["minimise", "@rational0.json", "--prime", "3"], 4,
-                                       "singular model"),
+    "minimise/singular-non-integral": (["minimise", "@rational0.json", "--prime", "3"], 2,
+                                       _NOT_INTEGRAL),
     "minimise/non-integral-composite-prime": (["minimise", "@rational.json", "--prime", "6"],
                                               2, _NOT_INTEGRAL),
     "minimise/composite-prime": (["minimise", "@form22.json", "--prime", "6"], 2,
@@ -692,16 +740,16 @@ REFUSALS = {
     "minimise/singular-no-prime": (["minimise", "@zero22.json"], 4, "singular model"),
     "minimise/non-integral-no-prime": (["minimise", "@rational.json"], 2, _NOT_INTEGRAL),
     "minimise/singular-non-integral-form22": (["minimise", "@rational22-0.json", "--prime",
-                                               "5"], 4, "singular model"),
+                                               "5"], 2, _NOT_INTEGRAL),
 
     "global/cubic": (["minimise", "@cubic.json", "--global"], 3, _CUBIC),
     "global/singular-cubic": (["minimise", "@cubic0.json", "--global"], 3, _CUBIC),
     "global/singular": (["minimise", "@zero22.json", "--global"], 4, "singular model"),
     "global/non-integral": (["minimise", "@rational.json", "--global"], 2, _NOT_INTEGRAL),
-    "global/singular-non-integral": (["minimise", "@rational0.json", "--global"], 4,
-                                     "singular model"),
-    "global/singular-non-integral-form22": (["minimise", "@rational22-0.json", "--global"], 4,
-                                            "singular model"),
+    "global/singular-non-integral": (["minimise", "@rational0.json", "--global"], 2,
+                                     _NOT_INTEGRAL),
+    "global/singular-non-integral-form22": (["minimise", "@rational22-0.json", "--global"], 2,
+                                            _NOT_INTEGRAL),
     "global/unfactored": (["minimise", "@semiprime.json", "--global", "--json"], 5,
                           f"leftover cofactor {_PQ} is composite"),
     "global/with-prime": (["minimise", "@form22.json", "--global", "--prime", "6"], 2,
@@ -719,10 +767,10 @@ REFUSALS = {
     "level/singular": (["level", "@zero22.json", "--prime", "2"], 4, "singular model"),
     "level/singular-composite-prime": (["level", "@zero22.json", "--prime", "6"], 2,
                                        "6 is not prime"),
-    "level/singular-non-integral-form22": (["level", "@rational22-0.json", "--prime", "5"], 4,
-                                           "singular model"),
+    "level/singular-non-integral-form22": (["level", "@rational22-0.json", "--prime", "5"], 2,
+                                           _NOT_INTEGRAL),
     "level/non-integral-form22-composite-prime": (["level", "@rational22.json", "--prime",
-                                                   "6"], 2, "6 is not prime"),
+                                                   "6"], 2, _NOT_INTEGRAL),
 
     "construct/nothing": (["construct", "--type", "22"], 2,
                           "either --curve or --critical is required"),
@@ -774,7 +822,7 @@ REFUSALS = {
     "oracle/singular": (["oracle", "min22", "@zero22.json", "--prime", "5"], 4,
                         "singular model"),
     "oracle/singular-non-integral-form22": (["oracle", "min22", "@rational22-0.json",
-                                             "--prime", "5"], 4, "singular model"),
+                                             "--prime", "5"], 2, _NOT_INTEGRAL),
 }
 
 

@@ -1,7 +1,8 @@
 """Differential tests: the straight-line functions compiled from g1min's fixed
 polynomial tables against the loops that evaluated those tables before
 (tests/table_oracle.py), on every table and every mode-product axis, over
-small, {0, ±1}-sparse, singular, 300-digit and rational inputs."""
+small, {0, ±1}-sparse, singular and 300-digit inputs, and rational ones where
+a function takes raw tuples rather than a model."""
 
 import ast
 from fractions import Fraction
@@ -22,14 +23,15 @@ from g1min.models import HYPERCUBE_PAIRS, SPECS
 SRC = Path(g1min.__file__).resolve().parents[1]
 
 
-def _values(rng, count):
+def _values(rng, count, rational=True):
     """`count` entries of each sample family: small, {0, ±1}-sparse, 300-digit
-    and rational, in that order."""
+    and, unless `rational` is false, rational, in that order."""
     return [
         [rng.randint(-9, 9) for _ in range(count)],
         [rng.choice((0, 0, 0, 1, -1)) for _ in range(count)],
         [rng.randrange(-10 ** 300, 10 ** 300) for _ in range(count)],
-        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(count)],
+        *([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(count)]]
+          if rational else []),
     ]
 
 
@@ -48,13 +50,15 @@ def _matrices(rng, n, rounds=10):
     return out
 
 
-def _tensors(rng, size, rounds=10):
+def _tensors(rng, size, rounds=10, rational=True):
     """Flat coefficient tuples of every family, then singular ones: half of
-    the entries zero, and the zero tensor."""
+    the entries zero, and the zero tensor.  A model takes int coefficients
+    only: for one, `rational` is false."""
     out = []
     for _ in range(rounds):
-        out += _values(rng, size)
-        out.append(out[-4][:size // 2] + [0] * (size - size // 2))
+        families = _values(rng, size, rational)
+        out += families
+        out.append(families[0][:size // 2] + [0] * (size - size // 2))
     out.append([0] * size)
     return out
 
@@ -68,22 +72,22 @@ def test_sym_tables(n, k):
 
 def test_derived_form_tables():
     rng = random.Random(7100)
-    for coeffs in _tensors(rng, 27):
+    for coeffs in _tensors(rng, 27, rational=False):
         S = Cube.from_coeffs(coeffs)
         for axis in range(3):
             assert models.cubic_of_cube(S, axis) == oracle.cubic_of_cube(S, axis)
-    for coeffs in _tensors(rng, 16):
+    for coeffs in _tensors(rng, 16, rational=False):
         H = Hypercube.from_coeffs(coeffs)
         for pair in HYPERCUBE_PAIRS:
             assert models.form_of_hypercube(H, *pair) == oracle.form_of_hypercube(H, *pair)
-    for coeffs in _tensors(rng, 9):
+    for coeffs in _tensors(rng, 9, rational=False):
         F = TwoTwoForm.from_coeffs(coeffs)
         assert models.quartics_of_22(F) == oracle.quartics_of_22(F)
 
 
 def test_cubic_invariant_tables():
     rng = random.Random(7200)
-    for coeffs in _tensors(rng, 10):
+    for coeffs in _tensors(rng, 10, rational=False):
         F = TernaryCubic.from_coeffs(coeffs)
         assert invariants.c4_c6(F) == oracle._cubic_c4_c6(F)
         assert invariants.cubic_invariants(F)[:2] == oracle._cubic_c4_c6(F)
@@ -104,7 +108,7 @@ def test_act_matches_the_loop_mode_product(kind, monkeypatch):
     rng = random.Random(7400 + len(kind))
     spec = SPECS[kind]
     cases = []
-    for coeffs in _tensors(rng, spec.size, rounds=3):
+    for coeffs in _tensors(rng, spec.size, rounds=3, rational=False):
         while True:
             mats = tuple(tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
                          for n in spec.matrix_sizes)

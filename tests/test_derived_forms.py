@@ -3,6 +3,7 @@ the determinant expansions they replaced (tests/derived_form_oracle.py), on
 every cube slicing and every hypercube axis pair."""
 
 from fractions import Fraction
+from math import lcm
 import random
 
 import pytest
@@ -67,12 +68,20 @@ def test_tables_match_the_determinant_expansions():
 
 
 def test_tables_evaluate_rational_entries():
+    # the compiled functions take Fraction tuples, which no model holds: on
+    # entries with common denominator den they give the oracle forms of the
+    # integral den times them, divided by den^3 (cubics) or den^2 ((2,2)-forms)
     rng = random.Random(9102)
-    S = Cube.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                          for _ in range(27)])
-    H = Hypercube.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                               for _ in range(16)])
-    assert _mismatches([S], [H], _oracle_forms([S], [H])) == []
+    s, h = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for n in (27, 16))
+    den = lcm(*(x.denominator for x in s + h))
+    S, H = (kind.from_coeffs(int(den * x) for x in c) for kind, c in ((Cube, s), (Hypercube, h)))
+    (cubics,), (forms,) = _oracle_forms([S], [H])
+    for axis in range(3):
+        compiled = models._compiled(models._CUBE_TABLES[axis], models._det_kernel(27))
+        assert compiled(s) == tuple(Fraction(x, den ** 3) for x in cubics[axis].coeffs)
+    for pair in HYPERCUBE_PAIRS:
+        compiled = models._compiled(models._HYPERCUBE_TABLES[pair], models._det_kernel(16))
+        assert compiled(h) == tuple(Fraction(x, den ** 2) for x in forms[pair].coeffs)
 
 
 def _mutated(table, out, term, how, size):

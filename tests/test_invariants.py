@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+import json
 from math import lcm
 import random
 
@@ -8,13 +9,13 @@ import pytest
 
 from g1min import (
     BinaryQuartic, Cube, GroupElement, Hypercube, Point, TernaryCubic,
-    TwoTwoForm, WeierstrassCurve, act, c4_c6, cube_invariants, cubic_invariants,
-    discriminant, form22_invariants, hypercube_invariants, is_integral, on_curve,
-    quartic_invariants, scalar_multiply,
+    TwoTwoForm, WeierstrassCurve, act, cube_invariants, cubic_invariants,
+    discriminant, form22_invariants, hypercube_invariants, on_curve, quartic_invariants,
 )
+from g1min.cli import main
 from g1min.exactnum import det_matrix
 from g1min.invariants import _C4_TERMS, _C6_TERMS
-from g1min.models import CUBIC_MONOMIALS
+from g1min.models import CUBIC_MONOMIALS, SPECS
 
 from group_law import IDENTITY, point_add
 from substitution_oracle import ternary_substitute
@@ -180,62 +181,58 @@ def test_hypercube_invariants_zero():
     assert (hi.c4, hi.c6, hi.disc) == (0, 0, 0)
 
 
-def test_invariants_of_rational_models():
-    F = TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0)))
-    inv = form22_invariants(F)
-    assert inv.disc == discriminant(F)
+def _cli_invariants(tmp_path, capsys, kind, coeffs):
+    """The weight-4, 6 and 12 invariants `g1min invariants --json` reports
+    for a model file with these coefficients, as Fractions."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": kind, "coeffs": [str(c) for c in coeffs]}))
+    assert main(["invariants", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    return tuple(Fraction(doc[name]) for name in _NAMES[kind])
 
 
-# Delta's degree in the coefficients; an invariant of weight w of a (2,2)-form
-# has degree w, of a cube 3w
-_SAMPLERS = {"quartic": random_quartic, "cubic": random_cubic, "form22": random_form22,
-             "cube": random_cube, "hypercube": random_hypercube}
-_DISC_DEGREE = {"quartic": 6, "cubic": 12, "form22": 12, "cube": 36, "hypercube": 24}
-_SET_WEIGHTS = {"c4": 4, "c6": 6, "disc": 12, "xi": 2, "eta": 3, "u": 2, "v": 3}
+_NAMES = {"quartic": ("I", "J", "Delta"), "cubic": ("c4", "c6", "Delta")}
+
+
+def test_invariants_of_rational_models(tmp_path, capsys):
+    # the command line reads x^4/2 + 3 y^4 as twice itself, x^4 + 6 y^4, and
+    # divides each invariant back by 2^degree
+    i_inv, j_inv, disc = quartic_invariants(BinaryQuartic((1, 0, 0, 0, 6)))
+    assert _cli_invariants(tmp_path, capsys, "quartic", ("1/2", 0, 0, 0, 3)) == (
+        Fraction(i_inv, 2 ** 2), Fraction(j_inv, 2 ** 3), Fraction(disc, 2 ** 6))
+
+
+# the degrees in the coefficients of the invariants of weights 4, 6 and 12:
+# w / 2 for quartics, w for ternary cubics
+_SAMPLERS = {"quartic": random_quartic, "cubic": random_cubic}
+_DEGREES = {"quartic": (2, 3, 6), "cubic": (4, 6, 12)}
 
 
 def _one_rational_coefficient(kind, rng):
-    M = nonzero_disc(_SAMPLERS[kind], rng)
-    coeffs = list(M.coeffs)
+    coeffs = list(nonzero_disc(_SAMPLERS[kind], rng).coeffs)
     den = rng.randint(2, 7)
     coeffs[rng.randrange(len(coeffs))] += Fraction(rng.randint(1, den - 1), den)
-    return type(M).from_coeffs(coeffs)
+    return coeffs
 
 
 @pytest.mark.parametrize("kind", _SAMPLERS)
-def test_invariants_of_rational_models_follow_homogeneity(kind):
-    # Delta(m) = Delta(mu m) / mu^deg for any rational mu, the integral
-    # multiple den * m computed on the integral path; the formulas divide
-    # exactly only on integral models, so before homogeneity took over some
-    # rational (2,2)-forms and hypercubes raised ArithmeticError
+def test_invariants_of_rational_models_follow_homogeneity(kind, tmp_path, capsys):
+    # the invariants the command line reports for a rational model m are
+    # those of any integral multiple den m divided by den^degree, and those
+    # of mu m, mu rational, are mu^degree times them
     rng = random.Random(f"rational {kind}")
-    deg = _DISC_DEGREE[kind]
+    invariants = quartic_invariants if kind == "quartic" else cubic_invariants
     for _ in range(100):
-        m = _one_rational_coefficient(kind, rng)
-        assert not is_integral(m)
-        disc = discriminant(m)
-        den = lcm(*(Fraction(c).denominator for c in m.coeffs))
-        assert disc == Fraction(discriminant(scalar_multiply(m, den)), den ** deg)
+        coeffs = _one_rational_coefficient(kind, rng)
+        values = _cli_invariants(tmp_path, capsys, kind, coeffs)
+        den = rng.choice((1, -1)) * rng.randint(1, 3) * lcm(*(c.denominator for c in map(
+            Fraction, coeffs)))
+        multiple = SPECS[kind].model.from_coeffs(int(den * c) for c in coeffs)
+        assert values == tuple(Fraction(x, den ** d)
+                               for x, d in zip(invariants(multiple), _DEGREES[kind]))
         mu = Fraction(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
-        assert disc == Fraction(discriminant(scalar_multiply(m, mu))) / mu ** deg
-        c4, c6 = c4_c6(m)
-        if kind == "quartic":
-            assert quartic_invariants(m) == (c4, c6, disc) and 4 * c4 ** 3 - c6 ** 2 == 27 * disc
-        else:
-            assert c4 ** 3 - c6 ** 2 == 1728 * disc
-        if kind == "cubic":
-            assert cubic_invariants(m) == (c4, c6, disc)
-        if kind == "hypercube":
-            hi = hypercube_invariants(m)
-            assert (hi.c4, hi.c6, hi.disc) == (c4, c6, disc)
-        if kind in ("form22", "cube"):
-            inv = (form22_invariants if kind == "form22" else cube_invariants)(m)
-            scaled = (form22_invariants if kind == "form22" else cube_invariants)(
-                scalar_multiply(m, den))
-            k = 1 if kind == "form22" else 3
-            for name, w in _SET_WEIGHTS.items():
-                assert getattr(inv, name) == Fraction(getattr(scaled, name), den ** (w * k))
-            assert inv.a_invariants == tuple(Fraction(a, den ** (w * k)) for a, w in zip(
-                scaled.a_invariants, (1, 2, 3, 4, 6)))
-            assert (c4, c6, disc) == (inv.c4, inv.c6, inv.disc)
-            assert on_curve(WeierstrassCurve(*inv.a_invariants), Point(inv.xi, inv.eta))
+        assert _cli_invariants(tmp_path, capsys, kind, [mu * c for c in coeffs]) == tuple(
+            x * mu ** d for x, d in zip(values, _DEGREES[kind]))
+        c4, c6, disc = values
+        assert (4 * c4 ** 3 - c6 ** 2 == 27 * disc if kind == "quartic"
+                else c4 ** 3 - c6 ** 2 == 1728 * disc)

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from g1min import (
     BinaryQuartic, Cube, GroupElement, Hypercube, TernaryCubic, TwoTwoForm,
-    act, content_valuation, cubics_of_cube, discriminant, forms_of_hypercube,
-    model_from_dict, model_to_dict, quartics_of_22, scalar_clear,
+    RefusedInputError, act, content_valuation, cubics_of_cube, discriminant,
+    forms_of_hypercube, model_from_dict, model_to_dict, quartics_of_22,
 )
 from g1min import models
 from g1min.exactnum import (
@@ -18,16 +18,16 @@ from g1min.exactnum import (
 )
 from g1min.invariants import quartic_invariants
 from g1min.models import (
-    SPECS, _num, _parse_coeff, group_element_from_dict, group_element_to_dict, is_integral,
-    scalar_multiply,
+    SPECS, _parse_coeff, group_element_from_dict, group_element_to_dict,
 )
 from derived_form_oracle import quartics_of_hypercube
 from matrix_oracle import mat_adj
-from substitution_oracle import binary_form_substitute, ternary_substitute
+from table_oracle import act_values
+from substitution_oracle import ternary_substitute
 
 from conftest import (
     identity_hypercube, levi_civita_cube, nonzero_disc, random_cube, random_cubic,
-    random_form22, random_hypercube, random_quartic,
+    random_form22, random_hypercube, random_quartic, scaled_model,
 )
 
 
@@ -61,6 +61,13 @@ def _inverse(g):
     return GroupElement(g.kind, 1 / (g.scalar * fold), tuple(map(mat_adj, mats)), perm)
 
 
+def _landing(m, *elements):
+    """m times the act_power of the scalar denominators of the elements, so
+    that each of them, and each product of them, lands on an integral model."""
+    den = prod(g.scalar.denominator for g in elements)
+    return scaled_model(m, den ** SPECS[m.kind].act_power)
+
+
 KIND_SAMPLERS = {
     "quartic": random_quartic,
     "form22": random_form22,
@@ -86,7 +93,7 @@ def test_act_coordinate_swap_on_22():
 def test_hypercube_diagonal_scaling_pattern(rng):
     # [1/p, diag(1,p), diag(1,p), I, I]: corner blocks scale by p^{+-1}, mixed fixed
     p = 5
-    H = random_hypercube(rng)
+    H = scaled_model(random_hypercube(rng), p)
     g = GroupElement("hypercube", Fraction(1, p),
                      (((1, 0), (0, p)), ((1, 0), (0, p)),
                       ((1, 0), (0, 1)), ((1, 0), (0, 1))), (0, 1, 2, 3))
@@ -102,9 +109,9 @@ def test_hypercube_diagonal_scaling_pattern(rng):
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_compose_and_inverse(kind, rng):
     for _ in range(12):
-        m = KIND_SAMPLERS[kind](rng)
         g1 = _rand_element(kind, rng)
         g2 = _rand_element(kind, rng)
+        m = _landing(KIND_SAMPLERS[kind](rng), g1, g2)
         assert act(g2, act(g1, m)) == act(g2.compose(g1), m)
         assert act(_inverse(g1), act(g1, m)) == m
         for g in (g2.compose(g1), GroupElement.identity(kind),
@@ -123,36 +130,15 @@ def _element_with_identities(kind, rng):
     return GroupElement(kind, rng.choice((1, g.scalar)), mats, g.perm)
 
 
-def _contract_every_factor(g, m):
-    """The coefficients of act(g, m) as Fractions, every factor contracted
-    along its axis whether it is the identity or not."""
-    spec = SPECS[m.kind]
-    t = [Fraction(c) for c in m.coeffs]
-    if g.perm is not None:
-        t = [t[n] for n in spec.perm_index[g.perm]]
-    for fibres, A in zip(spec.fibres, g.matrices):
-        M = spec.axis_matrix(A) if spec.axis_matrix else A
-        out = [None] * len(t)
-        for fibre in fibres:
-            for pos, row in zip(fibre, M):
-                out[pos] = sum(c * t[n] for c, n in zip(row, fibre))
-        t = out
-    return [g.scalar ** spec.act_power * x for x in t]
-
-
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_act_and_compose_with_identity_factors(kind, rng):
     for _ in range(25):
-        m = KIND_SAMPLERS[kind](rng)
-        if rng.random() < 0.3:
-            m = scalar_multiply(m, Fraction(1, rng.choice((2, 3, 6))))
         g1 = _element_with_identities(kind, rng)
         g2 = _element_with_identities(kind, rng)
+        m = _landing(KIND_SAMPLERS[kind](rng), g1, g2)
         for g in (g1, g2):
-            out = act(g, m)
-            expected = SPECS[kind].model.from_coeffs(_contract_every_factor(g, m))
-            assert out == expected
-            assert list(map(type, out.coeffs)) == list(map(type, expected.coeffs))
+            # every factor contracted, whether it is the identity or not
+            assert list(act(g, m).coeffs) == act_values(g, m)
         # compose against factor-by-factor mat_mul, with the same axis bookkeeping
         if g2.perm is None:
             perm, mats = None, tuple(map(mat_mul, g2.matrices, g1.matrices))
@@ -214,61 +200,75 @@ def test_identity_factors_cost_no_contraction(kind, rng, monkeypatch):
     assert calls["mul"] == 1
 
 
-def _exact_values(coeffs):
-    return [Fraction(c) for c in coeffs], [type(c) is int for c in coeffs]
+def _landed(values):
+    """The int coefficients of exact values, or None when one is not integral."""
+    if any(x.denominator != 1 for x in values):
+        return None
+    return tuple(x.numerator for x in values)
+
+
+@pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_act_is_none_exactly_off_the_integral_models(kind, p, rng):
+    # the contract of act: for scalars 1/p, 1/p^2 and p, None exactly when the
+    # exact rational loop product is not integral, and that product otherwise
+    outcomes = set()
+    for _ in range(30):
+        h = _rand_element(kind, rng)
+        g = GroupElement(kind, rng.choice((Fraction(1, p), Fraction(1, p * p), p)),
+                         h.matrices, h.perm)
+        m = scaled_model(KIND_SAMPLERS[kind](rng), p ** rng.randrange(4))
+        out, expected = act(g, m), _landed(act_values(g, m))
+        assert (None if out is None else out.coeffs) == expected
+        outcomes.add(out is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_act_is_exact_for_non_integral_scalars(kind, rng):
-    # act divides exactly by the scalar denominator's power: a coefficient is
-    # an int exactly when its value is integral, and the values are those of
-    # Fraction(scalar) ** act_power times the integral contraction
+    # act divides by the scalar denominator's power: the model it returns
+    # holds Fraction(scalar) ** act_power times the integral contraction,
+    # and where one of those is not integral it returns None
     power = SPECS[kind].act_power
-    types = set()
+    outcomes = set()
     for _ in range(30):
         den = rng.choice((2, 3, 4, 6))
-        m = scalar_multiply(KIND_SAMPLERS[kind](rng), rng.choice((1, den, den ** power)))
+        m = scaled_model(KIND_SAMPLERS[kind](rng), rng.choice((1, den, den ** power)))
         h = _rand_element(kind, rng)
         g = GroupElement(kind, Fraction(rng.choice((-5, -1, 1, 7)), den), h.matrices, h.perm)
         contraction = act(GroupElement(kind, 1, h.matrices, h.perm), m).coeffs
-        expected = [Fraction(g.scalar) ** power * x for x in contraction]
-        values, is_int = _exact_values(act(g, m).coeffs)
-        assert values == expected
-        assert is_int == [e.denominator == 1 for e in expected]
-        types.update(is_int)
-    assert types == {True, False}
-
-
-def test_act_on_rational_quartics(rng):
-    for _ in range(30):
-        m = BinaryQuartic(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                                for _ in range(5)))
-        g = _rand_element("quartic", rng)
-        expected = [g.scalar ** 2 * c for c in binary_form_substitute(m.coeffs, g.matrices[0])]
-        values, is_int = _exact_values(act(g, m).coeffs)
-        assert values == expected
-        assert is_int == [e.denominator == 1 for e in expected]
+        out = act(g, m)
+        expected = _landed([g.scalar ** power * x for x in contraction])
+        assert (None if out is None else out.coeffs) == expected
+        outcomes.add(out is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_act_of_compose_through_rational_models(kind, rng):
-    # act(g.compose(h), m) == act(g, act(h, m)), also where act(h, m) has
-    # Fraction coefficients that act(g, .) must clear again
+    # act(g.compose(h), m) == act(g, act(h, m)) where act(h, m) lands; where
+    # it does not, no model holds the rational image between the two, and the
+    # product acts in one step with the exact value of the two loop products
     rational = 0
     for _ in range(20):
         m = KIND_SAMPLERS[kind](rng)
         g, h = _rand_element(kind, rng), _rand_element(kind, rng)
         h = GroupElement(kind, Fraction(rng.randint(1, 5), rng.choice((2, 3, 5))),
                          h.matrices, h.perm)
-        rational += not is_integral(act(h, m))
-        assert act(g.compose(h), m) == act(g, act(h, m))
+        m = _landing(m, g) if rng.random() < 0.5 else _landing(m, g, h)
+        between = act(h, m)
+        rational += between is None
+        if between is not None:
+            assert act(g.compose(h), m) == act(g, between)
+        out, expected = act(g.compose(h), m), _landed(act_values(g.compose(h), m))
+        assert (None if out is None else out.coeffs) == expected
     assert rational > 0
 
 
 def _act_by_quotient(g, m):
     """The coefficients of act(g, m) as act computed them before its divmod
-    pass: every factor contracted, then quotient(num * x, den) and _num of
-    each coefficient."""
+    pass: every factor contracted, then quotient(num * x, den) of each
+    coefficient, an int or a Fraction."""
     spec = SPECS[m.kind]
     t = m.coeffs
     if g.perm is not None:
@@ -277,45 +277,44 @@ def _act_by_quotient(g, m):
         t = models._mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
     num = g.scalar.numerator ** spec.act_power
     den = g.scalar.denominator ** spec.act_power
-    return tuple(_num(quotient(num * x, den)) for x in t)
+    return tuple(quotient(num * x, den) for x in t)
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
 def test_act_matches_the_quotient_path(kind, rng):
-    # int models under int, unit-fraction and other Fraction scalars, and
-    # non-integral models: the same values and the same types as quotient
-    # and _num of every coefficient; an int model under an integral scalar
-    # gives int coefficients
+    # int models under int, unit-fraction and other Fraction scalars: the
+    # values of quotient of every coefficient where all of them are ints,
+    # None where one is a Fraction
     seen = set()
     for trial in range(60):
         h = _element_with_identities(kind, rng)
         scalar = rng.choice((1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
         g = GroupElement(kind, scalar, h.matrices, h.perm)
         m = KIND_SAMPLERS[kind](rng)
-        if trial % 3 == 0:
-            m = scalar_multiply(m, Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3, 4))))
-        elif trial % 3 == 1:  # divisible by the denominator's power: no remainder
-            m = scalar_multiply(m, g.scalar.denominator ** SPECS[kind].act_power)
-        out = act(g, m).coeffs
+        if trial % 2:  # divisible by the denominator's power: no remainder
+            m = scaled_model(m, g.scalar.denominator ** SPECS[kind].act_power)
+        out = act(g, m)
         expected = _act_by_quotient(g, m)
-        assert out == expected
-        assert list(map(type, out)) == list(map(type, expected))
-        if is_integral(m) and g.scalar.denominator == 1:
-            assert all(type(c) is int for c in out)
-        seen.add((is_integral(m), g.scalar.denominator == 1, all(type(c) is int for c in out)))
-    assert {(True, True, True), (True, False, True), (True, False, False)} <= seen
-    assert any(not integral for integral, _, _ in seen)
+        landed = all(type(c) is int for c in expected)
+        assert (None if out is None else out.coeffs) == (expected if landed else None)
+        seen.add((g.scalar.denominator == 1, landed))
+    assert {(True, True), (False, True), (False, False)} <= seen
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
-def test_from_coeffs_normalises_only_fractions(kind, rng):
+def test_from_coeffs_takes_ints_only(kind, rng):
+    # a Fraction, even an integral one, or a bool is refused, from the flat
+    # tuple and from the nested layout alike
     m = KIND_SAMPLERS[kind](rng)
     assert SPECS[kind].model.from_coeffs(list(m.coeffs)) == m
-    mixed = [Fraction(c * 2, 2) if i % 2 else c for i, c in enumerate(m.coeffs)]
-    out = SPECS[kind].model.from_coeffs(mixed)
-    assert out == m and all(type(c) is int for c in out.coeffs)
-    half = SPECS[kind].model.from_coeffs([Fraction(1, 2)] + list(m.coeffs[1:]))
-    assert type(half.coeffs[0]) is Fraction and not is_integral(half)
+    assert SPECS[kind].model(models._nest(m.coeffs, SPECS[kind].shape)) == m
+    for bad in (Fraction(2), Fraction(1, 2), True):
+        coeffs = list(m.coeffs[:-1]) + [bad]
+        message = f"model coefficients are ints, not {type(bad).__name__}"
+        with pytest.raises(RefusedInputError, match=message):
+            SPECS[kind].model.from_coeffs(coeffs)
+        with pytest.raises(RefusedInputError, match=message):
+            SPECS[kind].model(models._nest(coeffs, SPECS[kind].shape))
 
 
 def _random_chain_element(kind, rng):
@@ -375,7 +374,7 @@ def test_group_element_takes_int_entries_only(kind, rng):
     # a move is built as it is stored, and a certificate is read as it was
     # written: neither takes a rational matrix entry
     g = _rand_element(kind, rng)
-    for entry in (Fraction(1, 2), Fraction(4, 2), 1.0):
+    for entry in (Fraction(1, 2), Fraction(4, 2), 1.0, True):
         mats = list(g.matrices)
         mats[-1] = (((entry,) + mats[-1][0][1:]),) + mats[-1][1:]
         with pytest.raises(ValueError, match="group element matrices take int entries"):
@@ -387,7 +386,8 @@ def test_group_element_takes_int_entries_only(kind, rng):
 
 
 def _explicit_cube_action(g, S):
-    """la * sum A[i][i'] B[j][j'] C[k][k'] s[i'][j'][k'], written out."""
+    """la * sum A[i][i'] B[j][j'] C[k][k'] s[i'][j'][k'], written out, in
+    the flat order."""
     A, B, C = g.matrices
     out = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
@@ -399,12 +399,13 @@ def _explicit_cube_action(g, S):
                         for k2 in range(3):
                             tot += A[i][i2] * B[j][j2] * C[k][k2] * S.entries[i2][j2][k2]
                 out[i][j][k] = g.scalar * tot
-    return Cube(out)
+    return [x for plane in out for row in plane for x in row]
 
 
 def _explicit_hypercube_action(g, H):
     """The permutation first, (perm . T)[j] = T[j_perm[0], ..., j_perm[3]],
-    then la * sum A[i][i'] B[j][j'] C[k][k'] D[l][l'] t[i'][j'][k'][l']."""
+    then la * sum A[i][i'] B[j][j'] C[k][k'] D[l][l'] t[i'][j'][k'][l'], in
+    the flat order."""
     rng2 = range(2)
     perm = g.perm
     t = [[[[0] * 2 for _ in rng2] for _ in rng2] for _ in rng2]
@@ -428,20 +429,20 @@ def _explicit_hypercube_action(g, H):
                                     tot += (A[i][i2] * B[j][j2] * C[k][k2] * D[l][l2]
                                             * t[i2][j2][k2][l2])
                     out[i][j][k][l] = g.scalar * tot
-    return Hypercube(out)
+    return [x for block in out for plane in block for row in plane for x in row]
 
 
 def test_act_matches_explicit_multilinear_sum(rng):
     for _ in range(10):
         g = _rand_element("cube", rng)
-        S = random_cube(rng)
-        assert act(g, S) == _explicit_cube_action(g, S)
+        S = _landing(random_cube(rng), g)
+        assert list(act(g, S).coeffs) == _explicit_cube_action(g, S)
     perms = set()
     for _ in range(30):
         g = _rand_element("hypercube", rng)
         perms.add(g.perm)
-        H = random_hypercube(rng)
-        assert act(g, H) == _explicit_hypercube_action(g, H)
+        H = _landing(random_hypercube(rng), g)
+        assert list(act(g, H).coeffs) == _explicit_hypercube_action(g, H)
     # non-involutive permutations tell the convention apart from its inverse
     assert any(p != tuple(p.index(a) for a in range(4)) for p in perms)
 
@@ -449,8 +450,8 @@ def test_act_matches_explicit_multilinear_sum(rng):
 def test_chi_matches_discriminant_scaling(rng):
     for kind in KIND_SAMPLERS:
         for _ in range(6):
-            m = nonzero_disc(KIND_SAMPLERS[kind], rng)
             g = _rand_element(kind, rng)
+            m = _landing(nonzero_disc(KIND_SAMPLERS[kind], rng), g)
             lhs = Fraction(discriminant(act(g, m)))
             assert lhs == g.chi() ** 12 * discriminant(m)
 
@@ -567,11 +568,14 @@ def test_json_round_trip(rng):
     assert model_from_dict(model_to_dict(cub)) == cub
 
 
-def test_json_accepts_rationals():
-    doc = {"kind": "quartic", "coeffs": ["1/2", "0", "0", "0", "-3/4"]}
+def test_json_reads_integral_spellings_as_ints():
+    doc = {"kind": "quartic", "coeffs": ["4/2", "1e3", "-1_000", "-6/3", "0"]}
     m = model_from_dict(doc)
-    assert m.coeffs == (Fraction(1, 2), 0, 0, 0, Fraction(-3, 4))
-    assert model_to_dict(m)["coeffs"] == ["1/2", "0", "0", "0", "-3/4"]
+    assert m.coeffs == (2, 1000, -1000, -2, 0)
+    assert model_to_dict(m)["coeffs"] == ["2", "1000", "-1000", "-2", "0"]
+    for coeff in ("1/2", "1.5", "1e-2"):
+        with pytest.raises(RefusedInputError, match="model must be integral"):
+            model_from_dict({"kind": "quartic", "coeffs": [coeff, "0", "0", "0", "1"]})
 
 
 def test_json_rejects_bad_documents():
@@ -594,11 +598,13 @@ def _outcome(parse, s):
 
 
 def _fraction_parse(s):
-    return _num(Fraction(s))
+    x = Fraction(s)
+    return x.numerator if x.denominator == 1 else x
 
 
 def test_parse_coeff_matches_fraction():
-    # the int() fast path must accept, value and reject exactly as Fraction
+    # the int() fast path must accept, value and reject exactly as Fraction,
+    # an integral value read as an int
     corpus = [
         "0", "7", "-7", "+7", "-0", " 12 ", "\t-3\n", "1_000", "-1_000_000", "1__0",
         "_1", "1_", "\u0663\u0664", "\uff11\uff12", "1.5", "-2.0", "3/4", "-6/3",
@@ -661,20 +667,7 @@ def test_content_valuation_is_the_least_coefficient_valuation(kind, p, data):
     coeffs = data.draw(st.lists(coefficient, min_size=size, max_size=size))
     model = SPECS[kind].model.from_coeffs
     assert content_valuation(model(coeffs), p) == min(valuation(c, p) for c in coeffs)
-    # a rational model keeps the per-coefficient minimum, the zero model INFINITY
-    rational = [Fraction(1, p ** data.draw(st.integers(1, 3)))] + coeffs[1:]
-    assert content_valuation(model(rational), p) == min(valuation(c, p) for c in rational)
     assert content_valuation(model([0] * size), p) == INFINITY
-
-
-def test_scalar_clear():
-    m = BinaryQuartic((Fraction(1, 2), 0, Fraction(3, 4), 0, 2))
-    cleared, mu = scalar_clear(m)
-    assert mu == 4
-    assert cleared == BinaryQuartic((2, 0, 3, 0, 8))
-    assert content_valuation(cleared, 2) == 0
-    zero = BinaryQuartic((0,) * 5)
-    assert scalar_clear(zero) == (zero, Fraction(1))
 
 
 def test_degenerate_zero_models_accepted():

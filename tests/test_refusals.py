@@ -12,14 +12,15 @@ from g1min import (
     SingularModelError, TernaryCubic, TwoTwoForm, UnsupportedModelError, WeierstrassCurve, act,
     c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model, inflate,
     is_minimal, is_minimal_22, kappa, level, minimal_model, minimise, minimise_global,
-    minimise_hypercube, oracle_minimality_22, saturation_defect, trial_division_factor,
+    minimise_hypercube, model_from_dict, oracle_minimality_22, saturation_defect,
+    trial_division_factor,
 )
-from g1min.exactnum import complete_primitive_row, fp_inv, fp_poly_divmod, fp_poly_roots
+from g1min.exactnum import (
+    complete_primitive_row, form_to_last, fp_inv, fp_poly_divmod, fp_poly_roots,
+)
 from g1min.residue import binary_roots
 
 QUARTIC = BinaryQuartic((1, 0, 0, 0, 1))
-RATIONAL_QUARTIC = BinaryQuartic((Fraction(1, 2), 0, 0, 0, 3))
-SINGULAR_RATIONAL_QUARTIC = BinaryQuartic((Fraction(1, 2), 0, 0, 0, 0))
 ZERO_22 = TwoTwoForm(((0, 0, 0),) * 3)
 FORM22 = construct_22(0, 0, 0, 1)
 CUBE = construct_cube(0, 0, 0, 1)
@@ -37,18 +38,25 @@ def _plus(m, position, fraction):
     return type(m).from_coeffs(coeffs)
 
 
-# non-integral models whose Delta the invariant formulas cannot divide out
-RATIONAL_22 = _plus(construct_22(1, 2, 3, 4), 0, Fraction(1, 2))
-RATIONAL_CUBE = _plus(construct_cube(1, 2, 3, 4), 13, Fraction(1, 3))
-RATIONAL_HYPERCUBE = _plus(critical_model("hypercube", 5, 1), 0, Fraction(1, 2))
-SINGULAR_RATIONAL_22 = TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
+# builders of non-integral models, which no model holds: whatever a caller
+# would do with one, the call is refused where it builds the model, by
+# model_from_dict, the constructor or from_coeffs, before any other check
+RATIONAL_QUARTIC = partial(model_from_dict, {"kind": "quartic",
+                                             "coeffs": ["1/2", "0", "0", "0", "3"]})
+SINGULAR_RATIONAL_QUARTIC = partial(BinaryQuartic, (Fraction(1, 2), 0, 0, 0, 0))
+RATIONAL_22 = partial(_plus, construct_22(1, 2, 3, 4), 0, Fraction(1, 2))
+RATIONAL_CUBE = partial(_plus, construct_cube(1, 2, 3, 4), 13, Fraction(1, 3))
+RATIONAL_HYPERCUBE = partial(_plus, critical_model("hypercube", 5, 1), 0, Fraction(1, 2))
+SINGULAR_RATIONAL_22 = partial(TwoTwoForm, ((Fraction(1, 2), 0, 0), (0, 0, 0), (0, 0, 0)))
+_NOT_INT = "model coefficients are ints, not Fraction"
 INFLATED_CUBE = inflate(CUBE, 3, 1)[0]
 CURVE = WeierstrassCurve(0, 0, 0, 256, 0)
 
 _CUBIC_REFUSAL = "ternary cubics are carried along, not minimised directly"
 
-# case: (model, prime, type, message) of minimise, which is_minimal mirrors
-# check for check; a case naming two faults pins which check comes first
+# case: (model or its builder, prime, type, message) of minimise, which
+# is_minimal mirrors check for check; a case naming two faults pins which
+# check comes first
 MINIMISE_REFUSALS = {
     "non-integral": (RATIONAL_QUARTIC, 3, RefusedInputError, "model must be integral"),
     "non-integral-composite-prime": (RATIONAL_QUARTIC, 6, RefusedInputError,
@@ -58,23 +66,26 @@ MINIMISE_REFUSALS = {
     "fraction-prime": (FORM22, Fraction(5), RefusedInputError,
                        "the prime must be an int, got Fraction(5, 1)"),
     "str-prime": (FORM22, "3", RefusedInputError, "the prime must be an int, got '3'"),
-    "non-integral-22": (RATIONAL_22, 5, RefusedInputError, "model must be integral"),
-    "non-integral-22-composite-prime": (RATIONAL_22, 6, RefusedInputError,
-                                        "model must be integral"),
+    "non-integral-22": (RATIONAL_22, 5, RefusedInputError, _NOT_INT),
+    "non-integral-22-composite-prime": (RATIONAL_22, 6, RefusedInputError, _NOT_INT),
     "cubic": (CUBIC, 2, UnsupportedModelError, _CUBIC_REFUSAL),
     "cubic-composite-prime": (CUBIC, 6, UnsupportedModelError, _CUBIC_REFUSAL),
     "not-a-model": ("x^4", 2, UnsupportedModelError,
                     "cannot minimise a model of kind <class 'str'>"),
-    "singular-non-integral": (SINGULAR_RATIONAL_QUARTIC, 3, SingularModelError,
-                              "singular model"),
+    "singular-non-integral": (SINGULAR_RATIONAL_QUARTIC, 3, RefusedInputError, _NOT_INT),
     "singular-composite-prime": (ZERO_22, 6, SingularModelError, "singular model"),
-    "singular-non-integral-22": (SINGULAR_RATIONAL_22, 5, SingularModelError,
-                                 "singular model"),
+    "singular-non-integral-22": (SINGULAR_RATIONAL_22, 5, RefusedInputError, _NOT_INT),
 }
+
+
+def _run(run, m, p):
+    """The call run(m, p), m built in it when it is a builder."""
+    return lambda: run(m() if callable(m) else m, p)
+
 
 # id: (call, type, message); an id naming two faults pins which check comes first
 REFUSALS = {
-    **{f"{name}/{case}": (partial(run, m, p), error, message)
+    **{f"{name}/{case}": (_run(run, m, p), error, message)
        for name, run in (("minimise", minimise), ("is_minimal", is_minimal))
        for case, (m, p, error, message) in MINIMISE_REFUSALS.items()},
     "context/composite": (lambda: LocalContext(6), RefusedInputError, "6 is not prime"),
@@ -82,23 +93,25 @@ REFUSALS = {
                       "the prime must be an int, got 3.0"),
     "context/fraction": (lambda: LocalContext(Fraction(5)), RefusedInputError,
                          "the prime must be an int, got Fraction(5, 1)"),
-    "global/non-integral": (lambda: minimise_global(RATIONAL_QUARTIC), RefusedInputError,
+    "global/non-integral": (lambda: minimise_global(RATIONAL_QUARTIC()), RefusedInputError,
                             "model must be integral"),
     "critical/small-prime": (lambda: critical_model("cube", 3), RefusedInputError,
                              "critical patterns are stated for p >= 5"),
     "oracle/prime-bound": (lambda: oracle_minimality_22(FORM22, 7), RefusedInputError,
                            "oracle limited to p <= 5"),
-    "global/non-integral-22": (lambda: minimise_global(RATIONAL_22), RefusedInputError,
-                               "model must be integral"),
-    "level/non-integral-22": (lambda: level(RATIONAL_22, 5), RefusedInputError,
-                              "model must be integral"),
-    "level/non-integral-cube": (lambda: level(RATIONAL_CUBE, 5), RefusedInputError,
-                                "model must be integral"),
-    "level/non-integral-hypercube": (lambda: level(RATIONAL_HYPERCUBE, 5), RefusedInputError,
-                                     "model must be integral"),
+    "global/non-integral-22": (lambda: minimise_global(RATIONAL_22()), RefusedInputError,
+                               _NOT_INT),
+    "level/non-integral-22": (lambda: level(RATIONAL_22(), 5), RefusedInputError, _NOT_INT),
+    "level/non-integral-cube": (lambda: level(RATIONAL_CUBE(), 5), RefusedInputError,
+                                _NOT_INT),
+    "level/non-integral-hypercube": (lambda: level(RATIONAL_HYPERCUBE(), 5), RefusedInputError,
+                                     _NOT_INT),
     "oracle/non-integral": (lambda: oracle_minimality_22(
         TwoTwoForm(((Fraction(1, 2), 0, 0), (0, 0, -1), (1, 0, 0))), 2),
-        RefusedInputError, "model must be integral"),
+        RefusedInputError, _NOT_INT),
+    # a bool is an int subclass, which a model refuses as it refuses a Fraction
+    "models/bool": (lambda: BinaryQuartic((True, 0, 0, 0, 1)), RefusedInputError,
+                    "model coefficients are ints, not bool"),
     # the prime is checked before the curve, so none of these starts a descent
     **{f"minimal_model/{case}": (partial(minimal_model, CURVE, p), RefusedInputError, message)
        for case, p, message in (("one", 1, "1 is not prime"),
@@ -142,22 +155,22 @@ REFUSALS = {
     "level/singular": (lambda: level(ZERO_22, 2), SingularModelError, "singular model"),
     "level/singular-composite-prime": (lambda: level(ZERO_22, 6), RefusedInputError,
                                        "6 is not prime"),
-    "level/non-integral-composite-prime": (lambda: level(RATIONAL_22, 6), RefusedInputError,
-                                           "6 is not prime"),
+    "level/non-integral-composite-prime": (lambda: level(RATIONAL_22(), 6), RefusedInputError,
+                                           _NOT_INT),
     "level/float-prime": (lambda: level(FORM22, 3.0), RefusedInputError,
                           "the prime must be an int, got 3.0"),
     "level/fraction-prime": (lambda: level(FORM22, Fraction(5)), RefusedInputError,
                              "the prime must be an int, got Fraction(5, 1)"),
     "level/str-prime": (lambda: level(FORM22, "3"), RefusedInputError,
                         "the prime must be an int, got '3'"),
-    "global/singular-non-integral-22": (lambda: minimise_global(SINGULAR_RATIONAL_22),
-                                        SingularModelError, "singular model"),
-    "level/singular-non-integral": (lambda: level(SINGULAR_RATIONAL_22, 5),
-                                    SingularModelError, "singular model"),
+    "global/singular-non-integral-22": (lambda: minimise_global(SINGULAR_RATIONAL_22()),
+                                        RefusedInputError, _NOT_INT),
+    "level/singular-non-integral": (lambda: level(SINGULAR_RATIONAL_22(), 5),
+                                    RefusedInputError, _NOT_INT),
     "oracle/singular-prime-bound": (lambda: oracle_minimality_22(ZERO_22, 7),
                                     RefusedInputError, "oracle limited to p <= 5"),
-    "oracle/singular-non-integral": (lambda: oracle_minimality_22(SINGULAR_RATIONAL_22, 5),
-                                     SingularModelError, "singular model"),
+    "oracle/singular-non-integral": (lambda: oracle_minimality_22(SINGULAR_RATIONAL_22(), 5),
+                                     RefusedInputError, _NOT_INT),
 
     "factor/zero": (lambda: trial_division_factor(0), FactorizationError,
                     "cannot factor zero"),
@@ -197,6 +210,9 @@ INPUT_CHECKS = {
     "exactnum/roots-of-zero": (lambda: fp_poly_roots([5], 5), ValueError, "zero polynomial"),
     "exactnum/non-primitive-row": (lambda: complete_primitive_row((2, 4)), ValueError,
                                    "(2, 4) is not primitive"),
+    **{f"exactnum/form-to-last-length-{n}": (
+        partial(form_to_last, tuple(range(1, n + 1)), 5), ValueError,
+        f"form_to_last moves ternary linear forms, got length {n}") for n in (2, 4)},
     "residue/zero-form": (lambda: binary_roots((5, 0, 10), 5), ValueError, "zero form"),
     "residue/saturation-of-quartic": (lambda: saturation_defect(QUARTIC, 5), TypeError,
                                       "saturation is defined for cubes and hypercubes"),

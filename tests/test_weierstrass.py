@@ -7,11 +7,11 @@ import pytest
 from g1min import (
     CurveMap, LocalContext, Point, WeierstrassCurve, construct_22, inflate,
     kappa, level, minimal_discriminant_valuation, minimal_model, on_curve,
-    scalar_multiply, valuation,
+    valuation,
 )
 from g1min.weierstrass import LevelReport, _kappa_on_minimal
 
-from conftest import kodaira_family
+from conftest import kodaira_family, scaled_model
 from group_law import IDENTITY, point_add, point_double, point_mul, point_neg
 from replaced_routines import closed_form_minimal
 
@@ -208,7 +208,7 @@ def test_level_of_construction_and_scaling():
     assert (rep.v_disc, rep.level) == (6, 0)
     assert rep.v_disc == rep.v_disc_min + 12 * rep.kappa + 12 * rep.level
 
-    scaled = scalar_multiply(F, 2)
+    scaled = scaled_model(F, 2)
     rep2 = level(scaled, ctx)
     assert rep2.level == 1
     assert (rep2.kappa, rep2.v_disc_min) == (rep.kappa, rep.v_disc_min)
