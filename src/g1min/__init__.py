@@ -2,9 +2,9 @@
 cubes and 2x2x2x2 hypercubes (with binary quartics as the prototype), their
 invariants, Jacobian Weierstrass data, marked points, and levels.
 
-All arithmetic is exact: models hold ints, and a group element's scalar is a
-Fraction; every minimisation returns a transformation certificate g with
-act(g, input) == output.
+All arithmetic is exact: models and Weierstrass curves hold ints, and a
+group element's scalar is a Fraction; every minimisation returns a
+transformation certificate g with act(g, input) == output.
 """
 
 from .exactnum import INFINITY, LocalContext, RefusedInputError, is_prime, valuation

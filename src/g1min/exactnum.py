@@ -1,9 +1,10 @@
 """Exact arithmetic kernel: p-adic valuations, F_p helpers, unimodular completions.
 
-Everything in this module works with Python ints and fractions.Fraction; the
-only float is math.inf, the valuation of zero, which compares above every int
-and absorbs addition.  Matrices are tuples of tuples of ints (or
-Fractions), vectors are tuples.  All functions are pure.
+Everything in this module works with Python ints; `valuation` also reads a
+fractions.Fraction (a group element's scalar, a point handed to `kappa`).
+The only float is math.inf, the valuation of zero, which compares above
+every int and absorbs addition.  Matrices are tuples of tuples of ints,
+vectors are tuples.  All functions are pure.
 
 Three move builders are memoised, each in a bounded `lru_cache` of
 `MOVE_CACHE_SIZE` entries, because their answer depends on residues alone:
@@ -58,16 +59,6 @@ def valuation(x, p):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def quotient(x, d):
-    """x / d, exactly: an int when the quotient is integral, else a Fraction."""
-    if isinstance(x, int) and isinstance(d, int):
-        q, r = divmod(x, d)
-        if not r:
-            return q
-    f = Fraction(x, d)
-    return f.numerator if f.denominator == 1 else f
 
 
 def _jacobi(a, n):

@@ -60,7 +60,8 @@ def _quartic_i_j(G):
 
 def quartic_invariants(G):
     """(I, J, Delta) of a binary quartic; exact (integral for integral input)."""
-    return (*c4_c6(G), discriminant(G))
+    i_inv, j_inv = c4_c6(G)
+    return i_inv, j_inv, discriminant_from(G.kind, i_inv, j_inv)
 
 
 # frozen invariant tables for ternary cubics: each term is (coefficient,
@@ -205,7 +206,8 @@ _C4_C6_TERMS = (_C4_TERMS, _C6_TERMS)  # one table: compiled into one function o
 
 def cubic_invariants(F):
     """(c4, c6, Delta) of a ternary cubic under the xyz normalisation."""
-    return (*c4_c6(F), discriminant(F))
+    c4, c6 = c4_c6(F)
+    return c4, c6, discriminant_from(F.kind, c4, c6)
 
 
 @dataclass(frozen=True)

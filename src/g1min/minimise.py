@@ -608,9 +608,9 @@ class FactorizationError(ArithmeticError):
 
 
 def trial_division_factor(n):
-    """Default factoriser: trial division to 2^20, then a primality check on
-    the rest.  A composite rest up to 2^80 is dropped: its primes exceed
-    2^20, so none divides it four times, as a candidate must."""
+    """`minimise_global`'s factoriser: trial division to 2^20, then a
+    primality check on the rest.  A composite rest up to 2^80 is dropped: its
+    primes exceed 2^20, so none divides it four times, as a candidate must."""
     n = abs(int(n))
     if n == 0:
         raise FactorizationError("cannot factor zero")
@@ -650,21 +650,21 @@ class GlobalReport:
         return tuple(p for p, _ in self.local_reports)
 
 
-def minimise_global(m, factor=trial_division_factor):
+def minimise_global(m):
     """Minimise at every prime where the model can be non-minimal.
 
     Minimising at p multiplies c4 by chi^4, c6 by chi^6 and Delta by
     chi^12, with chi = p^-k when k levels drop, and the result is still
     integral (for quartics, read I and J for c4 and c6).  So a prime where
-    a step exists has p^4 | c4, p^6 | c6 and p^12 | Delta, and `factor` is
-    called on g = gcd(c4, c6), not on Delta.  It returns [(prime, exponent),
-    ...], which may leave out primes dividing g less than four times, and
-    raises FactorizationError when what it cannot split could hide a
-    candidate.  The model is refused as by `minimise` before any factoring.
+    a step exists has p^4 | c4, p^6 | c6 and p^12 | Delta, and
+    `trial_division_factor` factors g = gcd(c4, c6), not Delta; it may
+    leave out primes dividing g less than four times, and raises
+    FactorizationError when what it cannot split could hide a candidate.
+    The model is refused as by `minimise` before any factoring.
     """
     _check_kind(m)
     c4, c6, disc = checked_invariants(m)
-    candidates = [(p, v) for p, _ in factor(gcd(c4, c6))
+    candidates = [(p, v) for p, _ in trial_division_factor(gcd(c4, c6))
                   if valuation(c4, p) >= 4 and valuation(c6, p) >= 6
                   and (v := valuation(disc, p)) >= 12]
     g = GroupElement.identity(m.kind)

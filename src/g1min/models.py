@@ -36,8 +36,8 @@ that division leaves a remainder, as the image is then not integral.  A
 factor equal to the identity costs nothing: `act` skips its contraction and
 `GroupElement.compose` its matrix product, so axis moves, permutations,
 scalings and the identity certificate do work only on the factors they
-change.  Products and scalings are not re-checked: they carry their
-matrices' determinants from their factors.
+change.  Products are not re-checked: they carry their matrices'
+determinants from their factors.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
 hypercube, two quartics of a (2,2)-form) come from index tables built at import.
@@ -381,13 +381,15 @@ class GroupElement:
 
     The constructor only validates: every matrix entry must be an int
     (RefusedInputError otherwise) and every matrix nonsingular (ValueError
-    otherwise); the scalar is stored as a Fraction.  A move is built as it is
-    stored, any denominators of its matrices already in the scalar, and a
-    certificate is read as it was written.  Every element carries the determinants of its matrices
+    otherwise); the scalar must be an int, not a bool, or a Fraction
+    (RefusedInputError otherwise), and is stored as a Fraction.  A move is
+    built as it is stored, any denominators of its matrices already in the
+    scalar, and a certificate is read as it was written.  `scaling` goes
+    through the same checks.  Every element carries the determinants of its matrices
     (`_dets`, outside the fields, so equality, hashing and repr ignore it):
-    the constructor takes them in its check, and `compose` and `scaling`,
-    whose parts hold by construction, build through `_trusted_element` with
-    det(AB) = det A det B and det(I) = 1."""
+    the constructor takes them in its check, and `compose`, whose parts hold
+    by construction, builds through `_trusted_element` with
+    det(AB) = det A det B."""
 
     kind: str
     scalar: Fraction
@@ -407,6 +409,9 @@ class GroupElement:
             if dets[-1] == 0:
                 raise ValueError("singular matrix in group element")
         if type(self.scalar) is not Fraction:
+            if type(self.scalar) is not int:
+                raise RefusedInputError("group element scalars are ints or Fractions, "
+                                        f"not {type(self.scalar).__name__}")
             object.__setattr__(self, "scalar", Fraction(self.scalar))
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_dets", tuple(dets))
@@ -427,10 +432,7 @@ class GroupElement:
 
     @classmethod
     def scaling(cls, kind, scalar):
-        sizes = SPECS[kind].matrix_sizes
-        return _trusted_element(kind, Fraction(scalar), tuple(map(identity_matrix, sizes)),
-                                (0, 1, 2, 3) if SPECS[kind].permutes_axes else None,
-                                (1,) * len(sizes))
+        return cls(kind, scalar, tuple(map(identity_matrix, SPECS[kind].matrix_sizes)))
 
     def chi(self):
         """The character: Delta(act(g, m)) = chi(g)^12 * Delta(m)."""
@@ -461,8 +463,8 @@ class GroupElement:
 
 def _trusted_element(kind, scalar, matrices, perm, dets):
     """The GroupElement with these fields and matrix determinants, built
-    without the constructor's checks, for the products and scalings whose
-    parts already hold them: a Fraction scalar, nonsingular int matrices as
+    without the constructor's checks, for the products whose parts already
+    hold them: a Fraction scalar, nonsingular int matrices as
     tuples of tuples, and a tuple perm for hypercubes (None otherwise)."""
     g = object.__new__(GroupElement)
     vars(g).update(kind=kind, scalar=scalar, matrices=matrices, perm=perm, _dets=dets)

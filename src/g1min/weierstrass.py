@@ -1,6 +1,10 @@
 """Integral Weierstrass equations and their points, local minimal models,
 kappa of a marked point, and the level of a genus-one model.
 
+Curves hold ints: a change of coordinates lands on an integral curve or
+gives None, as `models.act` does; only a point handed to `kappa` may be
+rational, and kappa reads it through valuations.
+
 The local minimal model at any prime p comes from one loop, Laska's descent
 (M. Laska, Math. Comp. 38, 1982): while a change of coordinates with u = p
 lands on an integral model, take it.  Integrality of a1', a2' and a3' fixes
@@ -21,10 +25,9 @@ point's own, since minimal models differ by integral changes of coordinates.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import as_context, quotient, valuation
-from .invariants import cube_invariants, form22_invariants, hypercube_invariants
+from .exactnum import as_context, valuation
+from .invariants import _exact_div, cube_invariants, form22_invariants, hypercube_invariants
 from .models import SingularModelError, UnsupportedModelError
 
 
@@ -70,9 +73,6 @@ class WeierstrassCurve:
     def a_invariants(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def is_integral(self):
-        return all(type(a) is not Fraction for a in self.a_invariants())
-
     def rhs(self, x):
         return x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
 
@@ -92,12 +92,11 @@ def on_curve(E, P):
 
 @dataclass(frozen=True)
 class CurveMap:
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, of ints.
 
-    The descent builds its maps from ints, with u a power of p; a caller may
-    pass Fractions.  `apply` and `apply_point` divide exactly, so an int
-    curve or point stays int wherever the division by the power of u leaves
-    no remainder."""
+    The descent builds its maps with u a power of p.  `apply` divides the
+    transformed a-invariants by u, u^2, u^3, u^4 and u^6 in one divmod pass,
+    and gives None when the image is not integral."""
 
     u: int
     r: int
@@ -115,13 +114,8 @@ class CurveMap:
         a3 = E.a3 + r * E.a1 + 2 * t
         a4 = E.a4 - s * E.a3 + 2 * r * E.a2 - (t + r * s) * E.a1 + 3 * r * r - 2 * s * t
         a6 = E.a6 + r * E.a4 + r * r * E.a2 + r ** 3 - t * E.a3 - t * t - r * t * E.a1
-        return WeierstrassCurve(*(quotient(a, u ** w)
-                                  for a, w in zip((a1, a2, a3, a4, a6), (1, 2, 3, 4, 6))))
-
-    def apply_point(self, P):
-        u, r, s, t = self.u, self.r, self.s, self.t
-        x, y = P.x, P.y
-        return Point(quotient(x - r, u ** 2), quotient(y - s * (x - r) - t, u ** 3))
+        qs, rems = zip(*map(divmod, (a1, a2, a3, a4, a6), (u, u ** 2, u ** 3, u ** 4, u ** 6)))
+        return None if any(rems) else WeierstrassCurve(*qs)
 
     def then(self, other):
         """The map applying self first, then other."""
@@ -159,7 +153,7 @@ def _landings_by_p(E, p):
             for t in _congruence_roots(2, -(E.a3 + r * E.a1), p, 3):
                 step = CurveMap(p, r, s, t)
                 image = step.apply(E)
-                if image.is_integral():
+                if image is not None:
                     yield step, image
 
 
@@ -180,7 +174,7 @@ def minimal_model(E, ctx):
     disc = E.disc
     if disc == 0:
         raise ValueError("singular curve")
-    if not E.is_integral():
+    if any(type(a) is not int for a in E.a_invariants()):
         raise ValueError("curve must be integral")
     total = CurveMap.identity()
     while E.c4 % p ** 4 == 0 and E.c6 % p ** 6 == 0 and disc % p ** 12 == 0:
@@ -211,10 +205,12 @@ def kappa(P, E, ctx):
 
 
 def _kappa_on_minimal(P, cmap, p):
-    """kappa of P, given a CurveMap from P's curve to a minimal model."""
-    Pm = cmap.apply_point(P)
-    vx = valuation(Pm.x, p)
-    vy = valuation(Pm.y, p)
+    """kappa of P, given a CurveMap from P's curve to a minimal model: with
+    k = v(u), P's image there has valuations v(x - r) - 2k, v(y - s(x - r) - t) - 3k."""
+    k = valuation(cmap.u, p)
+    dx = P.x - cmap.r
+    vx = valuation(dx, p) - 2 * k
+    vy = valuation(P.y - cmap.s * dx - cmap.t, p) - 3 * k
     if vx >= 0 and vy >= 0:
         return 0
     if not (vx < 0 and vx % 2 == 0 and vy == 3 * (vx // 2)):
@@ -242,7 +238,9 @@ def level(m, ctx):
     """LevelReport of a nonsingular (2,2)-form, cube or hypercube.  Refusals
     come in the order kind, prime, Delta = 0.  Each marked point, of
     invariants (u, v), is carried onto the first point's model E as
-    x = (u - b2)/12, y = (v - a1 x - a3)/2."""
+    x = (u - b2)/12, y = (v - a1 x - a3)/2, in ints: exactly E's (xi, eta)
+    for the first point, and for a hypercube's other two the numerators are
+    divisible by 12 and 2 as polynomials in its 16 entries."""
     marked = _MARKED_INVARIANTS.get(m.kind)
     if marked is None:
         raise UnsupportedModelError(f"level is not defined for kind {m.kind}")
@@ -254,8 +252,8 @@ def level(m, ctx):
     v_disc = valuation(invs[0].disc, p)
     E = WeierstrassCurve(*invs[0].a_invariants)
     _, cmap, v_min = minimal_model(E, ctx)
-    carried = (Point(x, quotient(inv.v - E.a1 * x - E.a3, 2))
-               for inv in invs for x in (quotient(inv.u - E.b2, 12),))
+    carried = (Point(x, _exact_div(inv.v - E.a1 * x - E.a3, 2, "carried point y"))
+               for inv in invs for x in (_exact_div(inv.u - E.b2, 12, "carried point x"),))
     kap = max(_kappa_on_minimal(P, cmap, p) for P in carried)
     lvl, rem = divmod(v_disc - v_min - 12 * kap, 12)
     if rem or lvl < 0:

@@ -4,6 +4,7 @@ import pytest
 
 from g1min import (
     BinaryQuartic, Cube, Hypercube, TernaryCubic, TwoTwoForm, WeierstrassCurve, discriminant,
+    marked_curve,
 )
 
 
@@ -18,6 +19,14 @@ def nonzero_disc(make, rng, tries=200):
         if discriminant(m) != 0:
             return m
     raise RuntimeError("could not sample a nonsingular model")
+
+
+def random_marked(rng, bound):
+    """Random (a1, a2, a3, a4) in [-bound, bound] with a nonsingular marked curve."""
+    while True:
+        a = [rng.randint(-bound, bound) for _ in range(4)]
+        if marked_curve(*a).disc != 0:
+            return a
 
 
 def random_quartic(rng, bound=8):

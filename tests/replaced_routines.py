@@ -114,7 +114,7 @@ def closed_form_minimal(E, p):
     disc = E.disc
     if disc == 0:
         raise ValueError("singular curve")
-    if not E.is_integral():
+    if any(type(a) is not int for a in E.a_invariants()):
         raise ValueError("curve must be integral")
     v_disc = valuation(disc, p)
     c4, c6 = E.c4, E.c6
@@ -127,7 +127,7 @@ def closed_form_minimal(E, p):
     t = (-E.a3 * pow(2, -1, q) + E.a1 * E.b2 * pow(24, -1, q)) % q
     cmap = CurveMap(p ** k, r, s, t)
     E_min = cmap.apply(E)
-    if not E_min.is_integral():
+    if E_min is None:
         raise AssertionError("the closed-form minimal model is not integral")
     return E_min, cmap, v_disc - 12 * k
 

@@ -19,19 +19,12 @@ from derived_form_oracle import quartics_of_hypercube
 
 from conftest import (
     identity_hypercube, levi_civita_cube, perturb_entries, random_cube,
-    random_form22, random_hypercube,
+    random_form22, random_hypercube, random_marked,
 )
 
 
 def _report(n, message):
     print(f"criterion {n}: PASS - {message}")
-
-
-def _random_marked(rng, bound=10):
-    while True:
-        a = [rng.randint(-bound, bound) for _ in range(4)]
-        if marked_curve(*a).disc != 0:
-            return a
 
 
 TAUS = (
@@ -86,7 +79,7 @@ _MOVE_X_TO_LAST = GroupElement("cube", 1, (
 def test_criterion_3_construction_discriminants():
     rng = random.Random(2026_03)
     for _ in range(100):
-        a = _random_marked(rng, bound=10)
+        a = random_marked(rng, 10)
         d = marked_curve(*a).disc
         F = construct_22(*a)
         S = construct_cube(*a)
@@ -112,9 +105,9 @@ def _round_trip_batch(kind, p, rng, trials):
             if d == 0 or valuation(d, p) >= 12:
                 continue
         elif kind == "form22":
-            base = construct_22(*_random_marked(rng, bound=6))
+            base = construct_22(*random_marked(rng, 6))
         elif kind == "cube":
-            base = construct_cube(*_random_marked(rng, bound=6))
+            base = construct_cube(*random_marked(rng, 6))
         else:
             cand = random_hypercube(rng)
             if discriminant(cand) == 0:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -315,7 +316,7 @@ FORM22_COMPOSITE_DELTA = ((674709, -735718, -6), (49676488, -69389349, -515),
                           (769799649, -1622243408, -10609))
 
 
-def test_minimise_global_factors_gcd_of_c4_c6(tmp_path, capsys):
+def test_minimise_global_factors_gcd_of_c4_c6(tmp_path, capsys, monkeypatch):
     from g1min import TwoTwoForm, act, c4_c6, group_element_from_dict, minimise_global
     from g1min.minimise import trial_division_factor
 
@@ -334,7 +335,9 @@ def test_minimise_global_factors_gcd_of_c4_c6(tmp_path, capsys):
         seen.append(n)
         return trial_division_factor(n)
 
-    assert minimise_global(F, factor=spy).primes == (19, 103)
+    # the package attribute g1min.minimise is the function: patch the module
+    monkeypatch.setattr(importlib.import_module("g1min.minimise"), "trial_division_factor", spy)
+    assert minimise_global(F).primes == (19, 103)
     c4, c6 = c4_c6(F)
     assert seen == [math.gcd(c4, c6)] == [3 * 19 ** 4 * 103 ** 4]
 

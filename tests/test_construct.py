@@ -15,14 +15,7 @@ from g1min import (
 )
 from g1min.construct import WeightTuple
 
-from conftest import random_form22, scaled_model
-
-
-def _random_marked(rng, bound=10):
-    while True:
-        a = [rng.randint(-bound, bound) for _ in range(4)]
-        if marked_curve(*a).disc != 0:
-            return a
+from conftest import random_form22, random_marked, scaled_model
 
 
 def test_construct_22_examples():
@@ -40,7 +33,7 @@ def test_construct_cube_examples():
 
 def test_construct_discriminants_agree(rng):
     for _ in range(30):
-        a = _random_marked(rng)
+        a = random_marked(rng, 10)
         d = marked_curve(*a).disc
         assert discriminant(construct_22(*a)) == d
         assert discriminant(construct_cube(*a)) == d
@@ -48,7 +41,7 @@ def test_construct_discriminants_agree(rng):
 
 def test_construct_recovers_curve_and_point(rng):
     for _ in range(20):
-        a = _random_marked(rng)
+        a = random_marked(rng, 10)
         E = marked_curve(*a)
         inv = form22_invariants(construct_22(*a))
         # the recovered model is the y-negated twin of the input curve: the
@@ -67,7 +60,7 @@ _SWAP_Y = GroupElement("form22", 1, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
 
 def test_convert_2to3(rng):
     for _ in range(15):
-        a = _random_marked(rng)
+        a = random_marked(rng, 10)
         F = act(_SWAP_Y, construct_22(*a))  # brings a11 to zero
         assert F.rows[0][0] == 0
         S = convert_2to3(F)
@@ -90,7 +83,7 @@ def test_convert_3to2(rng):
     # the marked point sits at ((1:0:0),(0:0:1)); cycling the x coordinates
     # moves it to ((0:0:1),(0:0:1)) where the conversion applies
     for _ in range(15):
-        a = _random_marked(rng)
+        a = random_marked(rng, 10)
         S = act(_MOVE_X_TO_LAST, construct_cube(*a))
         F = convert_3to2(S)
         assert discriminant(F) == discriminant(S) == marked_curve(*a).disc
@@ -112,7 +105,7 @@ def test_convert_round_trip_preserves_discriminant(rng):
     # 2 -> 3 places a rational point at ((1:0:0),(1:0:0)); reversing both
     # coordinate triples moves it where the 3 -> 2 conversion wants it
     for _ in range(10):
-        a = _random_marked(rng)
+        a = random_marked(rng, 10)
         F = act(_SWAP_Y, construct_22(*a))
         S = act(_REVERSE_XY, convert_2to3(F))
         back = convert_3to2(S)

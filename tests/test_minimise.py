@@ -10,7 +10,7 @@ import pytest
 from g1min import (
     BinaryQuartic, GroupElement, Hypercube, LocalContext, TwoTwoForm,
     act, c4_c6, construct_22, construct_cube, discriminant, forms_of_hypercube,
-    inflate, is_minimal, is_minimal_22, level, marked_curve, minimise, minimise_global,
+    inflate, is_minimal, is_minimal_22, level, minimise, minimise_global,
     minimise_hypercube,
     SingularModelError, Verdict, critical_model, oracle_minimality_22,
     valuation,
@@ -28,15 +28,8 @@ from table_oracle import _mode_product
 
 from conftest import (
     HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
-    random_cube, random_hypercube, random_quartic, scaled_model,
+    random_cube, random_hypercube, random_marked, random_quartic, scaled_model,
 )
-
-
-def _random_marked(rng, bound=5):
-    while True:
-        a = [rng.randint(-bound, bound) for _ in range(4)]
-        if marked_curve(*a).disc != 0:
-            return a
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +130,7 @@ def test_22_round_trips(rng):
     for p in (2, 3, 5):
         ctx = LocalContext(p)
         for _ in range(10):
-            F = construct_22(*_random_marked(rng))
+            F = construct_22(*random_marked(rng, 5))
             F2, _ = inflate(F, ctx, rng, moves=rng.randint(1, 3))
             rep = minimise(F2, ctx)
             assert level(rep.model, ctx).level == 0
@@ -147,7 +140,7 @@ def test_22_round_trips(rng):
 
 def test_22_certificate_and_monotone_trace(rng):
     ctx = LocalContext(3)
-    F, _ = inflate(construct_22(*_random_marked(rng)), ctx, rng, moves=2)
+    F, _ = inflate(construct_22(*random_marked(rng, 5)), ctx, rng, moves=2)
     rep = minimise(F, ctx)
     vs = [s.v_disc_before for s in rep.steps] + [rep.v_disc_final]
     assert all(a >= b for a, b in zip(vs, vs[1:]))
@@ -247,7 +240,7 @@ def test_cube_round_trips(rng):
     for p in (2, 3, 5):
         ctx = LocalContext(p)
         for _ in range(8):
-            S = construct_cube(*_random_marked(rng))
+            S = construct_cube(*random_marked(rng, 5))
             S2, _ = inflate(S, ctx, rng, moves=rng.randint(1, 3))
             rep = minimise(S2, ctx)
             assert level(rep.model, ctx).level == 0
@@ -308,9 +301,9 @@ def _level_zero_base(kind, ctx, rng):
             if valuation(discriminant(G), ctx.p) < 12:
                 return G
     if kind == "form22":
-        return construct_22(*_random_marked(rng))
+        return construct_22(*random_marked(rng, 5))
     if kind == "cube":
-        return construct_cube(*_random_marked(rng))
+        return construct_cube(*random_marked(rng, 5))
     return minimise_hypercube(nonzero_disc(random_hypercube, rng), ctx).model
 
 
@@ -852,7 +845,7 @@ def test_axis_perm_moving_to_front():
 def test_cube_trace_is_monotone(rng):
     ctx = LocalContext(2)
     for _ in range(6):
-        S = construct_cube(*_random_marked(rng))
+        S = construct_cube(*random_marked(rng, 5))
         S2, _ = inflate(S, ctx, rng, moves=3)
         rep = minimise(S2, ctx)
         vs = [s.v_disc_before for s in rep.steps] + [rep.v_disc_final]

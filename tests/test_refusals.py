@@ -112,6 +112,14 @@ REFUSALS = {
     # a bool is an int subclass, which a model refuses as it refuses a Fraction
     "models/bool": (lambda: BinaryQuartic((True, 0, 0, 0, 1)), RefusedInputError,
                     "model coefficients are ints, not bool"),
+    # a group element's scalar is an int or a Fraction: Fraction() would take
+    # a float or a bool as well
+    "models/float-scalar": (lambda: GroupElement("form22", 0.1, (I2, I2)), RefusedInputError,
+                            "group element scalars are ints or Fractions, not float"),
+    "models/bool-scalar": (lambda: GroupElement("form22", True, (I2, I2)), RefusedInputError,
+                           "group element scalars are ints or Fractions, not bool"),
+    "models/bool-scaling": (lambda: GroupElement.scaling("form22", True), RefusedInputError,
+                            "group element scalars are ints or Fractions, not bool"),
     # the prime is checked before the curve, so none of these starts a descent
     **{f"minimal_model/{case}": (partial(minimal_model, CURVE, p), RefusedInputError, message)
        for case, p, message in (("one", 1, "1 is not prime"),

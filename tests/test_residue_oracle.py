@@ -411,7 +411,7 @@ def _rescales_by_p(E, p):
         for r in range(p * p):
             if (E.a2 - s * E.a1 + 3 * r - s * s) % p ** 2:
                 continue
-            if any(CurveMap(p, r, s, t).apply(E).is_integral() for t in range(p ** 3)):
+            if any(CurveMap(p, r, s, t).apply(E) is not None for t in range(p ** 3)):
                 return True
     return False
 

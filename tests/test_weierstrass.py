@@ -11,7 +11,7 @@ from g1min import (
 )
 from g1min.weierstrass import LevelReport, _kappa_on_minimal
 
-from conftest import kodaira_family, scaled_model
+from conftest import kodaira_family, random_marked, scaled_model
 from group_law import IDENTITY, point_add, point_double, point_mul, point_neg
 from replaced_routines import closed_form_minimal
 
@@ -19,6 +19,19 @@ from replaced_routines import closed_form_minimal
 def scale_curve(E, u):
     return WeierstrassCurve(E.a1 * u, E.a2 * u ** 2, E.a3 * u ** 3,
                             E.a4 * u ** 4, E.a6 * u ** 6)
+
+
+def is_int_curve(E):
+    """Whether E is a curve that holds ints, as every curve `apply` returns does."""
+    return E is not None and all(type(a) is int for a in E.a_invariants())
+
+
+def image_point(cmap, P):
+    """P's image under cmap, x' = (x - r)/u^2 and y' = (y - s(x - r) - t)/u^3,
+    computed in Fractions, with its integral coordinates as ints."""
+    x = Fraction(P.x - cmap.r, cmap.u ** 2)
+    y = Fraction(P.y - cmap.s * (P.x - cmap.r) - cmap.t, cmap.u ** 3)
+    return Point(*(c.numerator if c.denominator == 1 else c for c in (x, y)))
 
 
 def random_curve(rng, bound=6):
@@ -93,7 +106,7 @@ def test_scaling_recovery_oracle(p, rng):
             v1, cmap = minimal_discriminant_valuation(Es, ctx)
             assert v1 == v0
             Emin = cmap.apply(Es)
-            assert Emin.is_integral()
+            assert is_int_curve(Emin)
             assert valuation(Emin.disc, p) == v0
 
 
@@ -104,7 +117,7 @@ def test_invariance_under_integral_changes(p, rng):
         E = random_curve(rng)
         v0, _ = minimal_discriminant_valuation(E, ctx)
         r, s, t = (rng.randint(-6, 6) for _ in range(3))
-        Ej = CurveMap(Fraction(1), Fraction(r), Fraction(s), Fraction(t)).apply(E)
+        Ej = CurveMap(1, r, s, t).apply(E)
         assert minimal_discriminant_valuation(Ej, ctx)[0] == v0
 
 
@@ -116,7 +129,7 @@ def test_obfuscated_scaling_recovery(p, rng):
         v0, _ = minimal_discriminant_valuation(E, ctx)
         Es = scale_curve(E, p)
         r, s, t = (rng.randint(0, p ** 3) for _ in range(3))
-        Ej = CurveMap(Fraction(1), Fraction(r), Fraction(s), Fraction(t)).apply(Es)
+        Ej = CurveMap(1, r, s, t).apply(Es)
         assert minimal_discriminant_valuation(Ej, ctx)[0] == v0
 
 
@@ -150,16 +163,59 @@ def test_tate_maps_are_integral(p):
 
 
 def test_curve_map_divides_exactly():
-    # apply returns ints where the division by the power of u is exact and
-    # Fractions only where it is not, for int and Fraction maps alike
+    # apply returns an int curve where every division by the power of u is
+    # exact, and None where one is not (16/81 and 64/729 at u = 3)
     E = WeierstrassCurve(0, 0, 0, 16, 64)
-    for u in (2, Fraction(2)):
-        assert CurveMap(u, 0, 0, 0).apply(E) == WeierstrassCurve(0, 0, 0, 1, 1)
-        assert all(type(a) is int for a in CurveMap(u, 0, 0, 0).apply(E).a_invariants())
-    E3 = CurveMap(3, 0, 0, 0).apply(E)
-    assert E3 == WeierstrassCurve(0, 0, 0, Fraction(16, 81), Fraction(64, 729))
-    back = CurveMap(Fraction(1, 3), 0, 0, 0).apply(E3)
-    assert back == E and all(type(a) is int for a in back.a_invariants())
+    assert CurveMap(2, 0, 0, 0).apply(E) == WeierstrassCurve(0, 0, 0, 1, 1)
+    assert is_int_curve(CurveMap(2, 0, 0, 0).apply(E))
+    assert CurveMap(3, 0, 0, 0).apply(E) is None
+
+
+def _fraction_image(cmap, E):
+    """The a-invariants of cmap's image of E in Fractions, read off the
+    substituted equation rather than the transformation formulas:
+    G(X, Y) = F(u^2 X + r, u^3 Y + s u^2 X + t) / u^6, for
+    F(x, y) = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6, is the image's
+    own F, so its values at (0, 0), (0, 1), (1, 0), (-1, 0) and (1, 1)
+    give a6', a3', a2' and a4', then a1'."""
+    u, r, s, t = cmap.u, cmap.r, cmap.s, cmap.t
+
+    def G(X, Y):
+        x, y = u * u * X + r, u ** 3 * Y + s * u * u * X + t
+        return Fraction(y * y + E.a1 * x * y + E.a3 * y - E.rhs(x), u ** 6)
+
+    a6 = -G(0, 0)
+    a3 = G(0, 1) - 1 + a6
+    a2 = -(G(1, 0) + G(-1, 0)) / 2 - a6
+    a4 = -(G(1, 0) - G(-1, 0)) / 2 - 1
+    a1 = G(1, 1) - a3 + a2 + a4 + a6
+    return a1, a2, a3, a4, a6
+
+
+def test_curve_map_lands_exactly_when_the_fraction_image_is_integral(rng):
+    # random curves and maps, and curves built to land: for each u, a random
+    # int curve E0 rescaled by u and moved by an integral (r, s, t), which
+    # CurveMap(u, -r, -s, r s - t) takes back to E0
+    seen = set()
+    for u in (1, 2, 3, 4, 9):
+        for trial in range(60):
+            if trial % 2:
+                E0 = random_curve(rng)
+                r, s, t = (rng.randint(-50, 50) for _ in range(3))
+                E = CurveMap(1, r, s, t).apply(scale_curve(E0, u))
+                cmap = CurveMap(u, -r, -s, r * s - t)
+            else:
+                E0, E = None, random_curve(rng, bound=40)
+                cmap = CurveMap(u, *(rng.randint(-u ** 3, u ** 3) for _ in range(3)))
+            image = _fraction_image(cmap, E)
+            landed = all(a.denominator == 1 for a in image)
+            out = cmap.apply(E)
+            assert out == (WeierstrassCurve(*map(int, image)) if landed else None), (u, E, cmap)
+            assert out is None or is_int_curve(out)
+            assert E0 is None or out == E0
+            seen.add((u, landed))
+    assert {(u, True) for u in (1, 2, 3, 4, 9)} <= seen
+    assert {(u, False) for u in (2, 3, 4, 9)} <= seen
 
 
 def test_tate_rejects_bad_input():
@@ -218,7 +274,7 @@ def test_level_decomposition_random(rng):
     ctx = LocalContext(3)
     seen = 0
     while seen < 10:
-        m, _ = inflate(construct_22(*_random_marked(rng)), ctx, rng, moves=1)
+        m, _ = inflate(construct_22(*random_marked(rng, 5)), ctx, rng, moves=1)
         rep = level(m, ctx)
         assert rep.level >= 0
         assert rep.v_disc == rep.v_disc_min + 12 * rep.kappa + 12 * rep.level
@@ -261,15 +317,6 @@ def test_a_carried_point_sets_kappa():
     assert level(H, 2) == LevelReport(24, 0, 1, 1)
 
 
-def _random_marked(rng):
-    from g1min import marked_curve
-
-    while True:
-        a = [rng.randint(-5, 5) for _ in range(4)]
-        if marked_curve(*a).disc != 0:
-            return a
-
-
 def test_level_rejects_wrong_kinds():
     from g1min import BinaryQuartic
 
@@ -291,8 +338,8 @@ def test_hypercube_level_is_minimum_of_form_levels(rng):
 
 
 def _fraction_kappa(P, E, p):
-    """kappa the way it was computed before marked points stayed int: map P
-    to minimal_model's minimal model in Fractions and read its denominators."""
+    """kappa from P's image on minimal_model's minimal model, mapped in
+    Fractions: the reference for `_kappa_on_minimal`, which reads valuations."""
     cmap = minimal_model(E, p)[1]
     x, y = Fraction(P.x), Fraction(P.y)
     xp = (x - cmap.r) / cmap.u ** 2
@@ -316,23 +363,53 @@ def _small_points(E, bound=40):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_marked_points_stay_int_through_tate(p):
-    # an integral image stays int, a rational point maps exactly, and kappa
-    # reads the same as with Fraction coordinates throughout
-    ints = fractions = 0
-    for E in kodaira_family(p):
+def test_kappa_on_minimal_matches_fraction_kappa(p):
+    # kappa from valuations of P's coordinates against kappa from its image
+    # in Fractions, on integral points and on their multiples 2P and 3P,
+    # whose images on the minimal model are integral for some and rational
+    # for others, over the Kodaira family and translated p^k-scaled curves
+    images = set()
+    for E, points in _closed_form_inputs(p, random.Random(7200 + p)):
         cmap = minimal_model(E, p)[1]
-        for P in _small_points(E):
-            Q = cmap.apply_point(P)
-            assert Q.x * cmap.u ** 2 + cmap.r == P.x
-            assert Q.y * cmap.u ** 3 + cmap.s * (P.x - cmap.r) + cmap.t == P.y
-            coords = (Q.x, Q.y)
-            for c in coords:
-                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
-            ints += all(type(c) is int for c in coords)
-            fractions += any(type(c) is Fraction for c in coords)
-            assert kappa(P, E, LocalContext(p)) == _fraction_kappa(P, E, p)
-    assert ints and fractions
+        for P in points:
+            kap = _kappa_on_minimal(P, cmap, p)
+            assert kap == _fraction_kappa(P, E, p) == kappa(P, E, LocalContext(p)), (E, P)
+            Q = image_point(cmap, P)
+            images.add((type(P.x), all(type(c) is int for c in (Q.x, Q.y)), kap > 0))
+    assert {(int, True, False), (Fraction, True, False), (Fraction, False, True)} <= images
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_marked_points_stay_int_through_tate(p, monkeypatch, rng):
+    # level carries every marked point onto the first point's curve in ints,
+    # for random and inflated (2,2)-forms, cubes and hypercubes, the three
+    # points of a hypercube included, and reads the same kappa there as on
+    # the point's own curve
+    import g1min.weierstrass as weierstrass
+    from conftest import nonzero_disc, random_hypercube
+    from g1min import construct_cube, hypercube_invariants
+
+    carried = []
+
+    def recorded(P, cmap, q):
+        carried.append(P)
+        return _kappa_on_minimal(P, cmap, q)
+
+    monkeypatch.setattr(weierstrass, "_kappa_on_minimal", recorded)
+    ctx = LocalContext(p)
+    for trial in range(12):
+        base = [construct_22(*random_marked(rng, 5)), construct_cube(*random_marked(rng, 5)),
+                nonzero_disc(random_hypercube, rng)][trial % 3]
+        for m in (base, inflate(base, ctx, rng, moves=1)[0]):
+            carried.clear()
+            rep = level(m, ctx)
+            points = list(carried)
+            assert len(points) == (3 if m.kind == "hypercube" else 1)
+            assert all(type(c) is int for P in points for c in (P.x, P.y))
+            if m.kind == "hypercube":
+                own = [kappa(Point(inv.xi, inv.eta), WeierstrassCurve(*inv.a_invariants), ctx)
+                       for inv in hypercube_invariants(m).pair_invariants]
+                assert rep.kappa == max(own)
 
 
 CLOSED_FORM_PRIMES = [5, 7, 11, 101, 1009, 65537, 2 ** 61 - 1]
@@ -347,9 +424,10 @@ def _closed_form_inputs(p, rng):
         for _ in range(10):
             E0 = random_curve(rng)
             r, s, t = (rng.randrange(-p ** 2, p ** 2) for _ in range(3))
-            scale, move = CurveMap(Fraction(1, p ** k), 0, 0, 0), CurveMap(1, r, s, t)
-            E = move.apply(scale.apply(E0))
-            points = [move.apply_point(scale.apply_point(P)) for P in _small_points(E0)]
+            move = CurveMap(1, r, s, t)
+            E = move.apply(scale_curve(E0, p ** k))
+            points = [image_point(move, Point(P.x * p ** (2 * k), P.y * p ** (3 * k)))
+                      for P in _small_points(E0)]
             cases.append((E, _small_points(E) + points))
     return cases
 
@@ -364,14 +442,14 @@ def test_closed_form_matches_the_walk(p):
     rng = random.Random(7100 + p % 1000)
     rescaled = positive = 0
     for E, pts in _closed_form_inputs(p, rng):
-        assert E.is_integral() and E.disc != 0
+        assert is_int_curve(E) and E.disc != 0
         Emin, cmap, vmin = minimal_model(E, p)
         _, closed_map, closed_vmin = closed_form_minimal(E, p)
         assert vmin == closed_vmin, E
         assert all(type(x) is int for x in (cmap.u, cmap.r, cmap.s, cmap.t)), E
         k, rem = divmod(valuation(E.disc, p) - vmin, 12)
         assert rem == 0 and cmap.u == p ** k == closed_map.u, E
-        assert cmap.apply(E) == Emin and Emin.is_integral()
+        assert cmap.apply(E) == Emin and is_int_curve(Emin)
         assert Emin.c4 % p ** 4 or Emin.c6 % p ** 6, E
         assert valuation(Emin.disc, p) == vmin
         for P in pts:
@@ -384,3 +462,80 @@ def test_closed_form_matches_the_walk(p):
     for bad in (WeierstrassCurve(0, 0, 0, 0, 0), WeierstrassCurve(Fraction(1, 2), 0, 0, 1, 0)):
         with pytest.raises(ValueError):
             minimal_model(bad, p)
+
+
+def _poly_mul(*fs):
+    """The product of polynomials held as {sorted tuple of variables: coefficient}."""
+    out = {(): 1}
+    for f in fs:
+        prod = {}
+        for m1, c1 in out.items():
+            for m2, c2 in f.items():
+                m = tuple(sorted(m1 + m2))
+                prod[m] = prod.get(m, 0) + c1 * c2
+        out = prod
+    return {m: c for m, c in out.items() if c}
+
+
+def _poly_sum(*terms):
+    """sum of c f over the (c, f) pairs given, as a polynomial dict."""
+    out = {}
+    for c, f in terms:
+        for m, x in f.items():
+            out[m] = out.get(m, 0) + c * x
+    return {m: c for m, c in out.items() if c}
+
+
+def _form22_point_polys(pair):
+    """(a1, a3, b2, u, v) of the (2,2)-form F_pair of a hypercube, as
+    polynomials in its 16 entries, by form22_invariants' formulas."""
+    from g1min.models import _HYPERCUBE_TABLES
+
+    a = [[_poly_sum(*((sign, {tuple(sorted(pos)): 1}) for sign, *pos in terms))
+          for terms in _HYPERCUBE_TABLES[pair][3 * i:3 * i + 3]] for i in range(3)]
+    a1 = _poly_sum((-1, a[1][1]))
+    a2 = _poly_sum(*((-1, _poly_mul(a[i][j], a[k][l]))
+                     for (i, j), (k, l) in (((0, 0), (2, 2)), ((0, 1), (2, 1)),
+                                            ((0, 2), (2, 0)), ((1, 0), (1, 2)))))
+    a3 = _poly_sum((1, _poly_mul(a[0][1], a[1][2], a[2][0])),
+                   (1, _poly_mul(a[0][2], a[1][0], a[2][1])),
+                   (-1, _poly_mul(a[0][0], a[1][2], a[2][1])),
+                   (-1, _poly_mul(a[0][1], a[1][0], a[2][2])))
+    b2 = _poly_sum((1, _poly_mul(a1, a1)), (4, a2))
+    xi = _poly_sum((1, _poly_mul(a[0][0], a[2][2])), (1, _poly_mul(a[0][2], a[2][0])))
+    det = _poly_sum(*((sign, _poly_mul(a[0][c0], a[1][c1], a[2][c2]))
+                      for sign, (c0, c1, c2) in ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
+                                                 (-1, (0, 2, 1)), (-1, (1, 0, 2)),
+                                                 (-1, (2, 1, 0)))))
+    return a1, a3, b2, _poly_sum((12, xi), (1, b2)), det  # v = det a
+
+
+def _poly_value(f, h):
+    return sum(c * math.prod(h[i] for i in m) for m, c in f.items())
+
+
+def test_hypercube_points_carry_in_ints(rng):
+    # level carries the points of F_02 and F_03 onto the curve of F_01 as
+    # x = (u - b2)/12 and y = (v - a1 x - a3)/2: as polynomials in the 16
+    # entries, u - b2(F_01) has every coefficient divisible by 12 and, with
+    # x that quotient, v - a1 x - a3 every coefficient even, so both
+    # divisions are exact on every integral hypercube
+    from conftest import nonzero_disc, random_hypercube
+    from g1min import hypercube_invariants
+
+    polys = {pair: _form22_point_polys(pair) for pair in ((0, 1), (0, 2), (0, 3))}
+    a1, a3, b2 = polys[0, 1][:3]
+    # the polynomials are the library's invariants, evaluated
+    for _ in range(5):
+        H = nonzero_disc(random_hypercube, rng)
+        for inv, pair in zip(hypercube_invariants(H).pair_invariants, polys):
+            pa1, pa3, _, pu, pv = (_poly_value(f, H.coeffs) for f in polys[pair])
+            assert (pa1, pa3, pu, pv) == (inv.a_invariants[0], inv.a_invariants[2], inv.u, inv.v)
+    for pair, (_, _, b2_own, u, v) in polys.items():
+        # b2 differs between the forms, so only the identity makes x integral
+        assert bool(_poly_sum((1, b2_own), (-1, b2))) == (pair != (0, 1))
+        num_x = _poly_sum((1, u), (-1, b2))
+        assert all(c % 12 == 0 for c in num_x.values()), pair
+        x = {m: c // 12 for m, c in num_x.items()}
+        num_y = _poly_sum((1, v), (-1, _poly_mul(a1, x)), (-1, a3))
+        assert all(c % 2 == 0 for c in num_y.values()), pair
