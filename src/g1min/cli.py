@@ -7,7 +7,9 @@ file with another coefficient is refused as it is read, before any other
 check, except by `invariants` of a quartic or ternary cubic, whose rational
 coefficients `_read_model` reads, the one place that does.  A coefficient is
 any string fractions.Fraction accepts ("-12", "1_000", "4/2", "3/4", "1e3";
-not "0x10"); integer strings are read by int().  The argument parser is built
+not "0x10"); integer strings are read by int(), and an exponent spelling whose
+value needs more than its length plus 4300 digits ("1e1000000") is refused
+before it is built.  The argument parser is built
 once per process, so repeated in-process main() calls pay only for parsing
 their argv.
 
@@ -46,8 +48,8 @@ from .invariants import (
 )
 from .minimise import FactorizationError, minimise, minimise_global
 from .models import (
-    SingularModelError, UnsupportedModelError, group_element_to_dict, model_from_dict,
-    model_to_dict,
+    SingularModelError, UnsupportedModelError, _parse_coeff, group_element_to_dict,
+    model_from_dict, model_to_dict,
 )
 from .weierstrass import level
 
@@ -80,7 +82,7 @@ def _read_model(path, rational=()):
     try:
         rational_doc = isinstance(doc, dict) and doc.get("kind") in rational
         if rational_doc and isinstance(doc.get("coeffs"), list):
-            values = [Fraction(str(s)) for s in doc["coeffs"]]
+            values = [_parse_coeff(str(s)) for s in doc["coeffs"]]
             mu = lcm(*(x.denominator for x in values))
             doc = {"kind": doc["kind"], "coeffs": [str(x * mu) for x in values]}
         return model_from_dict(doc), mu

@@ -6,7 +6,7 @@ Everything random takes an explicit random.Random (or a seed), so acceptance
 runs are reproducible.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 import random
@@ -230,12 +230,11 @@ def inflate(m, ctx, seed_or_rng, moves=3):
 # (ROADMAP item 1)
 
 
-@dataclass(frozen=True)
-class WeightTuple:
-    """A diagonal weight (a21, a31; a22, a32; a23, a33) with its scale s."""
+class WeightTuple(namedtuple("WeightTuple", "entries s")):
+    """A diagonal weight (a21, a31; a22, a32; a23, a33) with its scale s;
+    entries is (a21, a31, a22, a32, a23, a33)."""
 
-    entries: tuple  # (a21, a31, a22, a32, a23, a33)
-    s: int
+    __slots__ = ()
 
     def is_symmetric(self):
         a21, a31, a22, a32, a23, a33 = self.entries

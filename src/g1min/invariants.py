@@ -25,7 +25,7 @@ caller that holds the pair already); the global minimiser takes its
 candidate primes from gcd(c4, c6).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import det_matrix, mat_adj, mat_mul
 from .models import (
@@ -210,18 +210,11 @@ def cubic_invariants(F):
     return c4, c6, discriminant_from(F.kind, c4, c6)
 
 
-@dataclass(frozen=True)
-class InvariantSet:
-    """Full invariant data of a model with a marked point."""
+class InvariantSet(namedtuple("InvariantSet", "c4 c6 disc a_invariants xi eta u v")):
+    """Full invariant data of a model with a marked point; a_invariants is
+    (a1, a2, a3, a4, a6)."""
 
-    c4: int
-    c6: int
-    disc: int
-    a_invariants: tuple  # (a1, a2, a3, a4, a6)
-    xi: int
-    eta: int
-    u: int
-    v: int
+    __slots__ = ()
 
 
 def _invariant_set(kind, c4, c6, a1, a2, a3, xi, eta, v):
@@ -300,12 +293,9 @@ def cube_invariants(S):
 HYPERCUBE_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-@dataclass(frozen=True)
-class HypercubeInvariants:
-    c4: int
-    c6: int
-    disc: int
-    pair_invariants: tuple  # three InvariantSets, one per pairing (from the first form)
+class HypercubeInvariants(namedtuple("HypercubeInvariants", "c4 c6 disc pair_invariants")):
+    # pair_invariants: three InvariantSets, one per pairing (from the first form)
+    __slots__ = ()
 
     @property
     def points_on_common_model(self):

@@ -43,7 +43,7 @@ The module keeps its name, the same as the function's, while perfbench/
 binds `g1min.minimise` (ROADMAP item 1).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -79,43 +79,28 @@ class Verdict(Enum):
     ONE_FORM_MINIMAL = "one-form-minimal"
 
 
-@dataclass(frozen=True)
-class Step:
-    label: str
-    v_disc_before: int
-    v_disc_after: int
-    detail: tuple = ()
+class Step(namedtuple("Step", "label v_disc_before v_disc_after detail", defaults=((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MinimisationReport:
-    model: object
-    transformation: GroupElement
-    steps: tuple
-    v_disc_initial: int
-    v_disc_final: int
-    prime: int
-    verdict: Verdict
-    max_neutral_chain: int = 0
+class MinimisationReport(namedtuple(
+        "MinimisationReport", "model transformation steps v_disc_initial v_disc_final prime "
+        "verdict max_neutral_chain", defaults=(0,))):
+    __slots__ = ()
 
     @property
     def input_was_minimal(self):
         return self.v_disc_final == self.v_disc_initial
 
 
-@dataclass(frozen=True)
-class _Move:
+class _Move(namedtuple("_Move", "g label detail drop chained model",
+                       defaults=((), None, False, None))):
     """A move proposed by a step: one group element, recorded as one Step.
     `drop` is the fall of v(Delta) it must cause (None: unchecked);
     `chained` moves keep the level and count toward the neutral-chain bound;
     `model` is act(g, cur) when the step has it already."""
 
-    g: GroupElement
-    label: str
-    detail: tuple = ()
-    drop: int = None
-    chained: bool = False
-    model: object = None
+    __slots__ = ()
 
 
 class _Driver:
@@ -167,11 +152,11 @@ class _Driver:
             proposal = step(self)
             if isinstance(proposal, Verdict):
                 return self.report(proposal, max_chain)
-            move = proposal[0] if isinstance(proposal, tuple) else proposal
+            move = proposal[0] if type(proposal) is tuple else proposal
             if move.chained and self.at_chain_bound:
                 return self.report(Verdict.NEUTRAL_CHAIN_BOUND, max_chain)
             moved = move.model
-            if isinstance(proposal, tuple):
+            if type(proposal) is tuple:
                 move, moved = next(((c, x) for c in proposal for x in (act(c.g, self.cur),)
                                     if x is not None), (None, None))
                 if move is None:
@@ -639,11 +624,9 @@ def trial_division_factor(n):
     return out
 
 
-@dataclass(frozen=True)
-class GlobalReport:
-    model: object
-    transformation: GroupElement
-    local_reports: tuple  # (prime, MinimisationReport), primes ascending
+class GlobalReport(namedtuple("GlobalReport", "model transformation local_reports")):
+    # local_reports: (prime, MinimisationReport) pairs, primes ascending
+    __slots__ = ()
 
     @property
     def primes(self):

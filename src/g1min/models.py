@@ -15,6 +15,8 @@ The constructors take the nested layouts; `rows`, `entries`, `at` and
 `slices` are views that index the flat tuple.  Coefficients are ints: the
 constructors refuse any other type (a bool, a Fraction) with
 RefusedInputError, and `model_from_dict` reads "4/2" or "1e3" as an int.
+Models and group elements are namedtuple records, immutable, equal and
+hashed by their fields.
 
 Row vectors act on the right: a substitution by the matrix A replaces the
 variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
@@ -46,7 +48,7 @@ Every fixed table, Sym^k, the mode product of each axis and the c4, c6 of
 straight-line function, its sums Horner-factored over shared leading positions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations, product, repeat
@@ -80,15 +82,30 @@ def _ints(xs):
     return xs
 
 
+_SPELLED_DIGITS = 4300  # int()'s default limit on the digits of a string
+
+
 def _parse_coeff(s):
     # every string int() accepts is an integer string Fraction() accepts, with
     # the same value; other inputs (floats, bytes) go to Fraction() as given,
-    # and an integral value ("4/2", "1e3") comes back as an int
+    # and an integral value ("4/2", "1e3") comes back as an int.  Fraction()
+    # builds an exponent spelling as its mantissa's digits times 10^shift
+    # (shift: the exponent less the digits after the point); one that would
+    # need more than len(s) + _SPELLED_DIGITS digits is refused before it is
+    # built, as building "1e10000000" takes seconds
     if isinstance(s, str):
         try:
             return int(s)
         except ValueError:
             pass
+        mantissa, _, exp = s.lower().partition("e")
+        try:
+            shift = int(exp) - sum(map(str.isdigit, mantissa.partition(".")[2]))
+        except ValueError:  # no exponent, or a bad one, which Fraction() refuses
+            shift = 0
+        if sum(map(str.isdigit, mantissa)) + abs(shift) > len(s) + _SPELLED_DIGITS:
+            raise RefusedInputError(f"a coefficient needs more than {len(s) + _SPELLED_DIGITS} "
+                                    "digits")
     x = Fraction(s)
     return x.numerator if x.denominator == 1 else x
 
@@ -206,27 +223,26 @@ def sym_power_matrix(A, k):
 # model kinds
 
 
-@dataclass(frozen=True, init=False)
-class _Model:
+class _Model(namedtuple("_Model", "coeffs")):
     """A model of one kind: its coefficients as one flat tuple."""
 
-    coeffs: tuple
-
+    __slots__ = ()
     kind = None
 
-    def __init__(self, nested):
-        flat = _flatten(nested, SPECS[self.kind].shape, self.kind)
-        object.__setattr__(self, "coeffs", _ints(flat))
+    def __new__(cls, nested):
+        return tuple.__new__(cls, (_ints(_flatten(nested, SPECS[cls.kind].shape, cls.kind)),))
 
     @classmethod
     def from_coeffs(cls, coeffs):
         """The model with the given int coefficients in the flat order."""
-        m = object.__new__(cls)
         coeffs = _ints(coeffs)
         if len(coeffs) != SPECS[cls.kind].size:
             raise ValueError(f"{cls.kind} needs {SPECS[cls.kind].size} coefficients")
-        object.__setattr__(m, "coeffs", coeffs)
-        return m
+        return tuple.__new__(cls, (coeffs,))
+
+    def __reduce__(self):
+        # pickle and copy rebuild a model from its flat tuple, not the nested layout
+        return self.from_coeffs, (self.coeffs,)
 
     def axis_slices(self, axis):
         """The slices along one tensor axis, each flattened outermost index first."""
@@ -237,12 +253,14 @@ class _Model:
 class BinaryQuartic(_Model):
     """BinaryQuartic((a, b, c, d, e))."""
 
+    __slots__ = ()
     kind = "quartic"
 
 
 class TwoTwoForm(_Model):
     """TwoTwoForm(rows) with rows[r][c] the 3x3 coefficient matrix."""
 
+    __slots__ = ()
     kind = "form22"
 
     @property
@@ -258,6 +276,7 @@ _CUBIC_INDEX = {e: i for i, e in enumerate(CUBIC_MONOMIALS)}
 class TernaryCubic(_Model):
     """TernaryCubic(coeffs) with 10 coefficients in CUBIC_MONOMIALS order."""
 
+    __slots__ = ()
     kind = "cubic"
 
     @classmethod
@@ -268,6 +287,7 @@ class TernaryCubic(_Model):
 class Cube(_Model):
     """Cube(entries) with entries[i][j][k] a 3x3x3 array."""
 
+    __slots__ = ()
     kind = "cube"
 
     @property
@@ -282,6 +302,7 @@ class Cube(_Model):
 class Hypercube(_Model):
     """Hypercube(entries) with entries[i][j][k][l] a 2x2x2x2 array."""
 
+    __slots__ = ()
     kind = "hypercube"
 
     def at(self, i, j, k, l):
@@ -374,8 +395,7 @@ def _perm_inverse(perm):
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "kind scalar matrices perm", defaults=(None,))):
     """A transformation: scalar, one matrix per tensor factor, and for
     hypercubes an optional permutation of the four factors (applied first).
 
@@ -385,22 +405,18 @@ class GroupElement:
     (RefusedInputError otherwise), and is stored as a Fraction.  A move is
     built as it is stored, any denominators of its matrices already in the
     scalar, and a certificate is read as it was written.  `scaling` goes
-    through the same checks.  Every element carries the determinants of its matrices
-    (`_dets`, outside the fields, so equality, hashing and repr ignore it):
-    the constructor takes them in its check, and `compose`, whose parts hold
-    by construction, builds through `_trusted_element` with
+    through the same checks.  An element is an immutable record of its four
+    fields, and carries the determinants of its matrices besides (`_dets`,
+    an attribute outside the fields, so equality, hashing and repr ignore
+    it): the constructor takes them in its check, and `compose`, whose parts
+    hold by construction, builds through `_trusted_element` with
     det(AB) = det A det B."""
 
-    kind: str
-    scalar: Fraction
-    matrices: tuple
-    perm: tuple = None
-
-    def __post_init__(self):
-        spec = SPECS[self.kind]
-        if tuple(len(m) for m in self.matrices) != spec.matrix_sizes:
-            raise ValueError(f"wrong matrix sizes for kind {self.kind}")
-        mats = tuple(tuple(map(tuple, m)) for m in self.matrices)
+    def __new__(cls, kind, scalar, matrices, perm=None):
+        spec = SPECS[kind]
+        if tuple(len(m) for m in matrices) != spec.matrix_sizes:
+            raise ValueError(f"wrong matrix sizes for kind {kind}")
+        mats = tuple(tuple(map(tuple, m)) for m in matrices)
         dets = []
         for m in mats:
             if any(type(x) is not int for row in m for x in row):
@@ -408,21 +424,23 @@ class GroupElement:
             dets.append(det_matrix(m))
             if dets[-1] == 0:
                 raise ValueError("singular matrix in group element")
-        if type(self.scalar) is not Fraction:
-            if type(self.scalar) is not int:
+        if type(scalar) is not Fraction:
+            if type(scalar) is not int:
                 raise RefusedInputError("group element scalars are ints or Fractions, "
-                                        f"not {type(self.scalar).__name__}")
-            object.__setattr__(self, "scalar", Fraction(self.scalar))
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "_dets", tuple(dets))
+                                        f"not {type(scalar).__name__}")
+            scalar = Fraction(scalar)
         if not spec.permutes_axes:
-            if self.perm is not None:
+            if perm is not None:
                 raise ValueError("permutations only apply to hypercubes")
         else:
-            perm = self.perm if self.perm is not None else (0, 1, 2, 3)
+            perm = perm if perm is not None else (0, 1, 2, 3)
             if sorted(perm) != [0, 1, 2, 3]:
                 raise ValueError("bad axis permutation")
-            object.__setattr__(self, "perm", tuple(perm))
+            perm = tuple(perm)
+        return _trusted_element(kind, scalar, mats, perm, tuple(dets))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a GroupElement")
 
     @classmethod
     @cache
@@ -466,8 +484,8 @@ def _trusted_element(kind, scalar, matrices, perm, dets):
     without the constructor's checks, for the products whose parts already
     hold them: a Fraction scalar, nonsingular int matrices as
     tuples of tuples, and a tuple perm for hypercubes (None otherwise)."""
-    g = object.__new__(GroupElement)
-    vars(g).update(kind=kind, scalar=scalar, matrices=matrices, perm=perm, _dets=dets)
+    g = tuple.__new__(GroupElement, (kind, scalar, matrices, perm))
+    object.__setattr__(g, "_dets", dets)
     return g
 
 
@@ -657,4 +675,4 @@ def group_element_from_dict(d):
     mats = tuple(tuple(tuple(_parse_coeff(x) for x in row) for row in rows)
                  for rows in d["matrices"])
     perm = tuple(d["perm"]) if "perm" in d else None
-    return GroupElement(d["kind"], Fraction(d["scalar"]), mats, perm)
+    return GroupElement(d["kind"], _parse_coeff(d["scalar"]), mats, perm)

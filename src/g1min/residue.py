@@ -20,7 +20,7 @@ variable over the cubic's terms, and that of any other line the least
 z-exponent after one such substitution moves it to z = 0.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import mul
 
@@ -85,13 +85,9 @@ TAG_UNIQUE_SINGULAR = "unique_singular_point"
 TAG_OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Residue22Class:
-    tag: str
-    x_root: tuple = None
-    y_root: tuple = None
-    repeated_side: str = None
-    point: tuple = None
+class Residue22Class(namedtuple("Residue22Class", "tag x_root y_root repeated_side point",
+                                defaults=(None, None, None, None))):
+    __slots__ = ()
 
     def a_rational_singular_point(self):
         """Some F_p-point of the singular locus, when the tag guarantees one."""
@@ -192,11 +188,10 @@ def classify_22_residue(F, ctx):
 TAG_REPEATED_LINE = "repeated_linear_factor"
 
 
-@dataclass(frozen=True)
-class ResidueCubicClass:
-    tag: str
-    factor: tuple = None  # linear form (l1, l2, l3)
-    point: tuple = None   # projective point (a, b, c)
+class ResidueCubicClass(namedtuple("ResidueCubicClass", "tag factor point",
+                                   defaults=(None, None))):
+    # factor: a linear form (l1, l2, l3); point: a projective point (a, b, c)
+    __slots__ = ()
 
 
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

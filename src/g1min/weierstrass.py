@@ -24,20 +24,15 @@ and carries every point onto E; kappa on E's minimal model is kappa on the
 point's own, since minimal models differ by integral changes of coordinates.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import as_context, valuation
 from .invariants import _exact_div, cube_invariants, form22_invariants, hypercube_invariants
 from .models import SingularModelError, UnsupportedModelError
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
+    __slots__ = ()
 
     @property
     def b2(self):
@@ -77,12 +72,12 @@ class WeierstrassCurve:
         return x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
 
 
-@dataclass(frozen=True)
-class Point:
-    """An affine point (x, y); the library never needs the point at infinity."""
+class Point(namedtuple("Point", "x y")):
+    """An affine point (x, y); the library never needs the point at infinity.
+    A point is not a sequence: it does not iterate."""
 
-    x: object
-    y: object
+    __slots__ = ()
+    __iter__ = None
 
 
 def on_curve(E, P):
@@ -90,18 +85,14 @@ def on_curve(E, P):
     return y * y + E.a1 * x * y + E.a3 * y == E.rhs(x)
 
 
-@dataclass(frozen=True)
-class CurveMap:
+class CurveMap(namedtuple("CurveMap", "u r s t")):
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, of ints.
 
     The descent builds its maps with u a power of p.  `apply` divides the
     transformed a-invariants by u, u^2, u^3, u^4 and u^6 in one divmod pass,
     and gives None when the image is not integral."""
 
-    u: int
-    r: int
-    s: int
-    t: int
+    __slots__ = ()
 
     @classmethod
     def identity(cls):
@@ -218,12 +209,8 @@ def _kappa_on_minimal(P, cmap, p):
     return -(vx // 2)
 
 
-@dataclass(frozen=True)
-class LevelReport:
-    v_disc: int
-    v_disc_min: int
-    kappa: int
-    level: int
+class LevelReport(namedtuple("LevelReport", "v_disc v_disc_min kappa level")):
+    __slots__ = ()
 
 
 # the InvariantSets of a model kind, one per marked point

@@ -71,23 +71,40 @@ def test_a_single_seed_is_refused():
             paired_runs.parse_seeds(text)
 
 
-def test_each_run_gets_a_fresh_empty_bytecode_cache(monkeypatch, tmp_path):
-    # setup_s times cold imports: each run compiles into a cache directory of
-    # its own, empty when the run starts and gone after it
-    monkeypatch.setenv("PAIRED_RUNS_PROBE", "kept")
+def _fake_runs(monkeypatch):
+    """The (env, cwd) of every run, each of which reads one result."""
     seen = []
 
     def fake_run(cmd, cwd, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cache, cache.is_dir() and not any(cache.iterdir()),
-                     env["PAIRED_RUNS_PROBE"], cwd))
+        seen.append((env, cwd))
         result = {"metrics": {"throughput_jobs_s": {"value": 1.0}}, "attempted": 4, "failed": 1}
         return subprocess.CompletedProcess(cmd, 0, stdout=f"# meta\n{json.dumps(result)}\n",
                                            stderr="")
 
     monkeypatch.setattr(paired_runs.subprocess, "run", fake_run)
+    return seen
+
+
+def test_each_run_writes_no_bytecode(monkeypatch, tmp_path):
+    # setup_s times cold imports as the benchmark does on a fresh checkout:
+    # g1min compiled from source, the standard library from its own bytecode,
+    # so no cache prefix hides that
+    monkeypatch.setenv("PAIRED_RUNS_PROBE", "kept")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    seen = _fake_runs(monkeypatch)
+    (tmp_path / "src" / "g1min").mkdir(parents=True)
     assert paired_runs.run_once(tmp_path, "census_oracle", 3, 1) == ({"throughput_jobs_s": 1.0}, 0.25)
     paired_runs.run_once(tmp_path, "census_oracle", 4, 1)
-    assert [(empty, probe, cwd) for _, empty, probe, cwd in seen] == [(True, "kept", tmp_path)] * 2
-    assert seen[0][0] != seen[1][0]
-    assert not any(cache.exists() for cache, *_ in seen)
+    assert [(env["PYTHONDONTWRITEBYTECODE"], env["PAIRED_RUNS_PROBE"],
+             "PYTHONPYCACHEPREFIX" in env, cwd) for env, cwd in seen] == [
+        ("1", "kept", False, tmp_path)] * 2
+    assert not any(tmp_path.rglob("__pycache__"))
+
+
+def test_a_checkout_with_bytecode_is_refused(monkeypatch, tmp_path):
+    seen = _fake_runs(monkeypatch)
+    cache = tmp_path / "src" / "g1min" / "__pycache__"
+    cache.mkdir(parents=True)
+    with pytest.raises(SystemExit) as info:
+        paired_runs.run_once(tmp_path, "census_oracle", 3, 1)
+    assert f"{cache} holds bytecode" in str(info.value) and seen == []

@@ -4,17 +4,20 @@ command line's reach raise builtin types, each with its own message."""
 
 from fractions import Fraction
 from functools import partial
+import json
+import time
 
 import pytest
 
 from g1min import (
     BinaryQuartic, Cube, FactorizationError, GroupElement, LocalContext, Point, RefusedInputError,
     SingularModelError, TernaryCubic, TwoTwoForm, UnsupportedModelError, WeierstrassCurve, act,
-    c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model, inflate,
-    is_minimal, is_minimal_22, kappa, level, minimal_model, minimise, minimise_global,
-    minimise_hypercube, model_from_dict, oracle_minimality_22, saturation_defect,
-    trial_division_factor,
+    c4_c6, construct_22, construct_cube, convert_2to3, convert_3to2, critical_model,
+    group_element_from_dict, inflate, is_minimal, is_minimal_22, kappa, level, minimal_model,
+    minimise, minimise_global, minimise_hypercube, model_from_dict, oracle_minimality_22,
+    saturation_defect, trial_division_factor,
 )
+from g1min.cli import main
 from g1min.exactnum import (
     complete_primitive_row, form_to_last, fp_inv, fp_poly_divmod, fp_poly_roots,
 )
@@ -36,6 +39,10 @@ def _plus(m, position, fraction):
     coeffs = list(m.coeffs)
     coeffs[position] += fraction
     return type(m).from_coeffs(coeffs)
+
+
+def _quartic_doc(first):
+    return {"kind": "quartic", "coeffs": [first, "0", "0", "0", "1"]}
 
 
 # builders of non-integral models, which no model holds: whatever a caller
@@ -182,6 +189,21 @@ REFUSALS = {
 
     "factor/zero": (lambda: trial_division_factor(0), FactorizationError,
                     "cannot factor zero"),
+
+    # an exponent spelling is refused before Fraction() builds a value that
+    # needs more than the spelling's length plus 4300 digits
+    "models/huge-exponent": (partial(model_from_dict, _quartic_doc("1e1000000")),
+                             RefusedInputError, "a coefficient needs more than 4309 digits"),
+    "models/huge-negative-exponent": (partial(model_from_dict, _quartic_doc("1e-1000000")),
+                                      RefusedInputError,
+                                      "a coefficient needs more than 4310 digits"),
+    "models/exponent-past-the-bound": (partial(model_from_dict, _quartic_doc("1e4306")),
+                                       RefusedInputError,
+                                       "a coefficient needs more than 4306 digits"),
+    "models/huge-exponent-scalar": (
+        lambda: group_element_from_dict({"kind": "quartic", "scalar": "2.5e-1000000",
+                                         "matrices": [[["1", "0"], ["0", "1"]]]}),
+        RefusedInputError, "a coefficient needs more than 4312 digits"),
 }
 
 
@@ -237,6 +259,24 @@ def test_the_library_raises_each_refusal_typed(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_an_exponent_at_the_bound_still_reads():
+    # "1e4305" needs 4306 digits, its length plus 4300
+    assert model_from_dict(_quartic_doc("1e4305")).coeffs[0] == 10 ** 4305
+    assert model_from_dict(_quartic_doc("0.5e2")).coeffs[0] == 50
+
+
+def test_a_huge_exponent_is_refused_at_once(tmp_path):
+    # Fraction() alone takes seconds to build 10^(10^7); the library and the
+    # command line's rational path refuse it first
+    start = time.perf_counter()
+    with pytest.raises(RefusedInputError):
+        model_from_dict(_quartic_doc("1e10000000"))
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(_quartic_doc("0.75e-10000000")))
+    assert main(["invariants", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_refusal_types_keep_their_builtin_bases():

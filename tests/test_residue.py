@@ -341,8 +341,8 @@ def test_cubic_classification_builds_no_group_element(monkeypatch):
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(GroupElement, "__post_init__",
-                        counted("group element", GroupElement.__post_init__))
+    monkeypatch.setattr(GroupElement, "__new__",
+                        counted("group element", GroupElement.__new__))
     monkeypatch.setattr(residue, "_line_singular_point",
                         counted("line", residue._line_singular_point))
     monkeypatch.setattr(residue, "_lineless_singular_point",

@@ -1,7 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
 from pathlib import Path
+import subprocess
 import sys
 
 import g1min
@@ -17,22 +19,45 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
-def test_library_imports_only_the_standard_library():
-    # g1min has no third-party dependency: every import is relative or names
-    # a standard-library module
-    found = []
+def _library_imports():
+    """(file name, line, module) of every absolute import in the library."""
     for path in sorted(Path(g1min.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, node.lineno, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                if name.split(".")[0] not in sys.stdlib_module_names:
-                    found.append(f"{path.name}:{node.lineno} imports {name}")
+                yield path.name, node.lineno, node.module
+
+
+def test_library_imports_only_the_standard_library():
+    # g1min has no third-party dependency: every import is relative or names
+    # a standard-library module
+    found = [f"{name}:{line} imports {module}" for name, line, module in _library_imports()
+             if module.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+# what `import g1min` must not load: dataclasses brings inspect, ast, dis and
+# tokenize with it, and with typing they would cost every one-shot command
+# more time to import than the rest of the package; records are namedtuple
+# subclasses instead
+RECORD_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_library_imports_neither_dataclasses_nor_typing():
+    found = [f"{name}:{line} imports {module}" for name, line, module in _library_imports()
+             if module.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_a_cold_import_loads_no_record_machinery():
+    # -S: no site module, which may import typing itself; -B: no bytecode written
+    probe = f"import sys, g1min; print(sorted(set(sys.modules) & set({RECORD_MACHINERY!r})))"
+    src = Path(g1min.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                          timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_library_uses_every_name_it_imports():
@@ -70,8 +95,7 @@ def _definitions_and_module_names():
     """{"module.Qual.name": (keys, names its body uses)} for every function,
     method and class of the library, a nested one included, and the names its
     module-level code uses.  An ast.Name or an import alias gives a name as
-    itself, an ast.Attribute as ".name"; the target of an annotated
-    assignment in a class body (a dataclass field) gives none.  A module-level
+    itself, an ast.Attribute as ".name".  A module-level
     function or class has the key name, so `rep.kappa` does not name the
     function `kappa`; a method, property or nested function has name and
     ".name" both.  A dunder method, which Python calls, counts as part of its
@@ -80,12 +104,7 @@ def _definitions_and_module_names():
 
     def body_names(node, qual):
         module_level = isinstance(node, ast.Module)
-        names, stack = set(), []
-        for child in ast.iter_child_nodes(node):
-            if isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign):
-                stack += [n for n in (child.annotation, child.value) if n is not None]
-            else:
-                stack.append(child)
+        names, stack = set(), list(ast.iter_child_nodes(node))
         while stack:
             n = stack.pop()
             if (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -253,7 +272,7 @@ def _names_group_element(node):
 def test_group_elements_are_built_through_the_checked_constructor():
     # GroupElement(...) is the one checked public constructor.  Only
     # models._trusted_element calls __new__ on it, only models names that
-    # builder, and outside models no code writes past a frozen dataclass
+    # builder, and outside models no code writes past a frozen record
     # (object.__setattr__, vars() or __dict__), which could give an element
     # fields its constructor never checked
     found, builders = [], set()

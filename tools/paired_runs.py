@@ -5,9 +5,11 @@
 For each workload and each seed, runs `perfbench/run.py --workload NAME
 --seed N --seconds S` once in each checkout, one after the other; the side
 that runs first alternates from pair to pair, the parent first in the first
-pair.  Each run gets a fresh, empty PYTHONPYCACHEPREFIX, so the cold imports
-of setup_s read only bytecode that the run itself compiled from its checkout,
-whatever __pycache__ either tree holds.  Workloads, metrics, their better
+pair.  Each run has PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX, and a
+checkout whose src/ holds a __pycache__ is refused: the cold imports of setup_s
+then compile g1min from source, while the standard library, and so the
+reference import that setup_s is scaled by, reads its installed bytecode, as
+in the benchmark's own runs of fresh checkouts.  Workloads, metrics, their better
 direction and bound, and the run length S come from the change's
 BENCHMARK.json.  Each run's metrics and its
 failed share (failed jobs over attempted jobs) are printed as it finishes, as
@@ -37,7 +39,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 RUN_MARGIN_S = 600  # a run's set-up, census and answer checks, beyond its timed loop
@@ -66,12 +67,16 @@ def run_with_meta(checkout, workload, seed, seconds):
     '# meta' line ({} when it has none)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    # a fresh, empty bytecode cache per run: the cold imports of setup_s then
-    # read no cache that the checkout's tree happens to hold
-    with tempfile.TemporaryDirectory(prefix="paired-runs-pycache-") as cache:
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
-                              timeout=seconds + RUN_MARGIN_S)
+    # g1min's bytecode would make its cold imports in setup_s read a cache,
+    # and a cache prefix would hide the standard library's bytecode as well
+    cached = sorted((Path(checkout) / "src").rglob("__pycache__"))
+    if cached:
+        raise SystemExit(f"{checkout}: {cached[0]} holds bytecode; remove it, or use a "
+                         "fresh checkout")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env,
+                          timeout=seconds + RUN_MARGIN_S)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
