@@ -79,6 +79,10 @@ class Point(namedtuple("Point", "x y")):
     __slots__ = ()
     __iter__ = None
 
+    def __getnewargs__(self):
+        # pickle and copy: namedtuple's own version iterates the point
+        return self.x, self.y
+
 
 def on_curve(E, P):
     x, y = P.x, P.y

@@ -559,7 +559,7 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(tmp_pa
     F = scaled_model(construct_22(1, 2, 3, 4), 10 ** 5000)
     with _no_digit_limit():
         path = form22_file(tmp_path, F)
-    with subprocess.Popen([sys.executable, "-m", "g1min", "invariants", path, "--json"],
+    with subprocess.Popen([sys.executable, "-B", "-m", "g1min", "invariants", path, "--json"],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env={"PYTHONPATH": str(SRC)}) as child:
         assert child.stdout.read(10) == b'{\n  "Delta'

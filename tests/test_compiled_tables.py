@@ -142,12 +142,12 @@ def test_importing_compiles_no_table():
     probe = ("import gc, g1min, g1min.cli, g1min.models as m\n"
              "print(len(m._COMPILED), sum(getattr(getattr(f, '__code__', None), 'co_filename', '')"
              " == '<straight-line>' for f in gc.get_objects()))")
-    done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-B", "-c", probe], env={"PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["0", "0"]
     # ... while one use compiles exactly the table it reads
     probe = probe.replace("\nprint", "\nm.sym_power_matrix(((1, 2), (3, 4)), 2)\nprint")
-    done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-B", "-c", probe], env={"PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["1", "1"]
 

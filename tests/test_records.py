@@ -1,6 +1,5 @@
 """The library's records: immutable fields, equality and hashing by field, a
-`Name(field=value, ...)` repr, and models and group elements that survive
-pickle and deepcopy."""
+`Name(field=value, ...)` repr, and a round trip through pickle and deepcopy."""
 
 import copy
 from fractions import Fraction
@@ -84,11 +83,10 @@ def test_a_group_element_keeps_its_determinants_out_of_its_fields():
     assert "_dets" not in repr(g) and len(g) == 4
 
 
-@pytest.mark.parametrize("build", [*MODELS.values(), HYPER_ELEMENT],
-                         ids=[*MODELS, "hypercube-element"])
-def test_models_and_elements_survive_pickle_and_deepcopy(build):
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_records_survive_pickle_and_deepcopy(build):
     x = build()
-    # a model holds its coefficients alone, an element its determinants besides
+    # a record holds its fields alone, an element its determinants besides
     assert hasattr(x, "__dict__") == isinstance(x, GroupElement)
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
