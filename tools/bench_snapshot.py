@@ -5,10 +5,11 @@
 Runs `perfbench/run.py` once per workload of BENCHMARK.json and per seed in
 the checkout that holds this script, each run for the benchmark's
 run_seconds, writing no bytecode, in a checkout whose src/ holds no
-__pycache__ (tools/paired_runs.py's run_once).  Before them it runs the tier-1
-test command of ROADMAP.md once,
-in a fresh interpreter with a fresh bytecode cache, `-p no:cacheprovider`
-and `--durations=10`.  Writes OUT as JSON:
+__pycache__ (tools/paired_runs.py's run_once).  Before them it runs the
+tier-1 test command of ROADMAP.md once, in a fresh interpreter with a fresh
+bytecode cache, `-p no:cacheprovider` and `--durations=10`; a test that
+starts Python with an environment of its own passes -B, so the run leaves
+no __pycache__ in src/.  Writes OUT as JSON:
 
   meta       git rev and dirty flag, Python version and nproc, as the runs
              report them; the seeds and run_seconds
