@@ -26,9 +26,12 @@ The report's verdict names the loop exit:
     ONE_FORM_MINIMAL     a hypercube is minimal exactly when one of its six
                          (2,2)-forms is
 
-Hypercube minimality is decided up front by the six forms, so their bound
-(2 singular-point stretches in a row) is a theorem, and an overrun raises
-InternalBoundError instead of giving a verdict.
+Hypercube minimality is decided up front by the six forms.  A non-minimal
+hypercube is stretched on the two axes of a form at a rational singular point
+of its residue, with no normalisation first: moves on the other two axes
+commute with the stretch.  The bound of 2 stretch-singular moves in a row is
+kept from the paper's step, though this one was never seen to chain twice;
+an overrun raises InternalBoundError instead of giving a verdict.
 
 `is_minimal` runs the same loop for the verdict alone: it composes no
 transformation, checks no certificate, and stops at the first committed move
@@ -46,18 +49,17 @@ binds `g1min.minimise` (ROADMAP item 1).
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 
 from .exactnum import (
-    MOVE_CACHE_SIZE, LocalContext, as_context, form_to_last, fp_inv,
-    fp_left_kernel_vector, identity_matrix, is_prime, mat_mul, unimodular_with_row,
-    valuation,
+    MOVE_CACHE_SIZE, LocalContext, as_context, form_to_last, fp_left_kernel_vector,
+    identity_matrix, is_prime, mat_mul, unimodular_with_row, valuation,
 )
 from .invariants import checked_invariants
 from .models import (
     GroupElement, HYPERCUBE_PAIRS, SPECS, UnsupportedModelError, act, content_valuation,
-    cubics_of_cube, form_of_hypercube, forms_of_hypercube,
+    cubics_of_cube, forms_of_hypercube,
 )
 from .residue import (
     classify_22_residue, classify_cubic_residue, repeated_root, saturation_defect,
@@ -350,196 +352,49 @@ def _cube_step(d):
 # hypercubes
 
 
-def _hyper_move(matrices=(_I2, _I2, _I2, _I2), perm=None):
-    return GroupElement("hypercube", 1, matrices, perm)
-
-
-_hyper_axis_move = partial(_axis_move, "hypercube")
-
-
-def _axis_perm_moving_to_front(a, b):
-    """Permutation tuple after which old axis a sits at position 0, b at 1."""
-    order = [a, b] + [t for t in range(4) if t not in (a, b)]
-    perm = [0] * 4
-    for new_pos, old_axis in enumerate(order):
-        perm[old_axis] = new_pos
-    return tuple(perm)
-
-
-def _swap_axes_perm(a, b):
-    perm = list(range(4))
-    perm[a], perm[b] = perm[b], perm[a]
-    return tuple(perm)
-
-
-def _clear_axis_entry(d, axis, pivot_idx, target_idx):
-    """Row operation on one axis clearing the target entry mod p against a
-    pivot entry differing from it only in that axis."""
-    p = d.p
-    piv = d.cur.at(*pivot_idx) % p
-    tgt = d.cur.at(*target_idx) % p
-    if tgt == 0:
-        return
-    t = tgt * fp_inv(piv, p) % p
-    hi = target_idx[axis]
-    m = [[1, 0], [0, 1]]
-    m[hi][1 - hi] = -t
-    d.apply(_hyper_axis_move(tuple(tuple(r) for r in m), axis), "entry-clear", expect_drop=0)
-
-
 def _hypercube_step(d):
-    """Desaturate, or stop when one of the six associated (2,2)-forms is
-    minimal; otherwise one constructive step.
-
-    The step normalises so that the corner slice H[0][0][.][.] vanishes mod
-    p, the off-corner block H[0][1][.][.] is supported on its far corner,
-    and H[1][0][0][0] = 0 mod p; then a single diagonal stretch either keeps
-    the level with a unique singular point (the chained move) or produces a
-    non-saturated hypercube.
-    """
+    """Desaturate, or stop when one of the six (2,2)-forms is minimal, or
+    stretch: for each pair (a, b) in HYPERCUBE_PAIRS order, at the rational
+    singular point (x, y) of F_ab mod p, by (1/p; diag(1, p)·U_x on axis a,
+    diag(1, p)·U_y on axis b), U_z unimodular with first row z mod p.  Moves
+    on the other two axes commute with it and change a landing only by
+    GL2(Z) factors, which keep v(Delta), saturation and minimality, so none
+    is made first.  The first integral landing that is not saturated goes
+    unchained, a desaturation following it; failing one, the first integral
+    landing, chained.  The bound of 2 is the paper's step's; this one was
+    never seen to chain twice."""
     desaturate = _desaturation(d)
     if desaturate is not None:
         return desaturate
-    p = d.p
-    ctx = d.ctx
+    p, ctx = d.p, d.ctx
     forms = forms_of_hypercube(d.cur)
     # the forms share the hypercube's c4 and c6, hence its Delta and its checks
     if any(_Driver(forms[pair], ctx, certify=False, v=d.v).run() for pair in HYPERCUBE_PAIRS):
         return Verdict.ONE_FORM_MINIMAL
-
-    def h(i, j, k, l):
-        return d.cur.at(i, j, k, l) % p
-
-    pair = next((ab for ab in HYPERCUBE_PAIRS
-                 if any(c % p for c in forms[ab].coeffs)), None)
-    if pair is None:
-        raise InternalBoundError("saturated hypercube with every residue form zero")
-    if pair != (0, 1):
-        d.apply(_hyper_move(perm=_axis_perm_moving_to_front(*pair)), "reorder-axes",
-                detail=(pair,), expect_drop=0)
-    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
-    spt = cls.a_rational_singular_point()
-    if spt is None:
-        raise InternalBoundError("non-minimal residue form without a rational singular point")
-    d.apply(_hyper_move((_row_move(spt[0], p), _row_move(spt[1], p), _I2, _I2)),
-            "move-singular-point", expect_drop=0)
-
-    corner = [(k, l) for k in range(2) for l in range(2) if h(0, 0, k, l)]
-    if corner:
-        k0, l0 = corner[0]
-        swap = ((0, 1), (1, 0))
-        if k0 == 1:
-            d.apply(_hyper_axis_move(swap, 2), "corner-pivot", expect_drop=0)
-        if l0 == 1:
-            d.apply(_hyper_axis_move(swap, 3), "corner-pivot", expect_drop=0)
-        for axis, target in ((0, (1, 0, 0, 0)), (1, (0, 1, 0, 0)),
-                             (2, (0, 0, 1, 0)), (3, (0, 0, 0, 1))):
-            _clear_axis_entry(d, axis, (0, 0, 0, 0), target)
-        for idx in ((0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
-            if h(*idx):
-                raise InternalBoundError("corner clearing left an unexpected unit")
-        if h(0, 1, 0, 1) != 0:
-            if h(0, 1, 1, 0) == 0:
-                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
-            elif h(1, 0, 0, 1) == 0:
-                d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
-            elif h(1, 0, 1, 0) == 0:
-                d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
-                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
-            else:
-                raise InternalBoundError("no vanishing product across the corner slice")
-        if any(h(0, j, k, 1) for j in range(2) for k in range(2)):
-            raise InternalBoundError("the slice (first axis, last index) kept a unit")
-        d.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "relabel-axes", expect_drop=0)
-        d.apply(_hyper_axis_move(((0, 1), (1, 0)), 1), "relabel-axes", expect_drop=0)
-    if any(h(0, 0, k, l) for k in range(2) for l in range(2)):
-        raise InternalBoundError("corner slice is not zero mod p")
-
-    a13 = (h(0, 1, 0, 0) * h(0, 1, 1, 1) - h(0, 1, 0, 1) * h(0, 1, 1, 0)) % p
-    if a13:
-        a31 = (h(1, 0, 0, 0) * h(1, 0, 1, 1) - h(1, 0, 0, 1) * h(1, 0, 1, 0)) % p
-        if a31:
-            raise InternalBoundError("both off-corner block determinants are units")
-        d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
-
-    t_block = tuple(tuple(h(0, 1, k, l) for l in range(2)) for k in range(2))
-    if all(x == 0 for row in t_block for x in row):
-        raise InternalBoundError("saturation forbids a vanishing off-corner block")
-    ker = fp_left_kernel_vector(t_block, p)
-    if ker is None:
-        raise InternalBoundError("off-corner block must be singular mod p")
-    d.apply(_hyper_axis_move(unimodular_with_row(ker, p, 0), 2),
-            "block-rows", expect_drop=0)
-    row = (h(0, 1, 1, 0), h(0, 1, 1, 1))
-    z = (-row[1], row[0])
-    d.apply(_hyper_axis_move(unimodular_with_row(z, p, 0), 3), "block-columns", expect_drop=0)
-    if h(0, 1, 0, 0) or h(0, 1, 0, 1) or h(0, 1, 1, 0):
-        raise InternalBoundError("rank-one block reduction failed")
-    if h(0, 1, 1, 1) == 0:
-        raise InternalBoundError("saturation keeps the far block corner a unit")
-    if h(1, 0, 0, 0):
-        raise InternalBoundError("valuation pattern of a non-minimal form violated")
-
-    stretch = GroupElement("hypercube", Fraction(1, p), (_diag(1, p), _diag(1, p), _I2, _I2))
-    star = h(1, 1, 0, 0) == 0 and h(1, 0, 1, 0) == 0 and h(1, 0, 0, 1) == 0
-    if not star:
-        if h(1, 1, 0, 0) == 0:
-            if h(1, 0, 1, 0):
-                d.apply(_hyper_move(perm=_swap_axes_perm(1, 2)), "swap-axes", expect_drop=0)
-            else:
-                d.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)
-        _clear_axis_entry(d, 2, (1, 1, 0, 0), (1, 1, 1, 0))
-        _clear_axis_entry(d, 3, (1, 1, 0, 0), (1, 1, 0, 1))
-        _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
-        cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
-        if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
-            # residual case: the two off-pivot corner products vanish mod p.
-            # One more relabelling (swap the outer factors, flip the third
-            # index) trades the two unknown entries and restores the singular
-            # point, unless the hypercube was not saturated after all.
-            if h(1, 0, 1, 1) or h(1, 0, 1, 0) * h(1, 0, 0, 1) % p:
-                raise InternalBoundError("unexpected corner-product pattern")
-            if h(1, 0, 1, 0):
-                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
-            if h(1, 0, 0, 1) == 0:
-                raise InternalBoundError("saturation should keep this entry a unit")
-            d.apply(_hyper_axis_move(((0, 1), (1, 0)), 2), "relabel-axes", expect_drop=0)
-            d.apply(_hyper_move(perm=_swap_axes_perm(0, 3)), "relabel-axes", expect_drop=0)
-            cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
-        if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
-            raise InternalBoundError("expected a unique singular point at the corner pair")
-        return _Move(stretch, "stretch-singular", drop=0, chained=True)
-    _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
-    for idx in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
-        if h(*idx) == 0:
-            raise InternalBoundError("saturation keeps the weight-three corners units")
-    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
-    if cls.tag != TAG_PRODUCT_BOTH or cls.x_root != (1, 0) or cls.y_root != (1, 0):
-        raise InternalBoundError("expected the doubly-degenerate product residue")
-    deep = [idx for idx in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-            if valuation(d.cur.at(*idx), p) >= 2]
-    if not deep:
-        raise InternalBoundError("no depth-two entry beside the corner")
-    axis = deep[0].index(1)
-    if axis != 3:
-        d.apply(_hyper_move(perm=_swap_axes_perm(axis, 3)), "relabel-axes", expect_drop=0)
-    # keeps the level but leads to a desaturation, so it does not chain
-    landed = act(stretch, d.cur)
-    if landed is not None and saturation_defect(landed, ctx) is None:
-        raise InternalBoundError("doubly-degenerate step failed to desaturate")
-    return _Move(stretch, "stretch-slender", drop=0, model=landed)
+    singular = None
+    for a, b in HYPERCUBE_PAIRS:
+        point = classify_22_residue(forms[a, b], ctx).a_rational_singular_point()
+        if point is None:
+            continue
+        mats = [_I2] * 4
+        mats[a], mats[b] = (mat_mul(_diag(1, p), _row_move(z, p)) for z in point)
+        g = GroupElement("hypercube", Fraction(1, p), tuple(mats))
+        landed = act(g, d.cur)
+        if landed is None:
+            continue
+        if saturation_defect(landed, ctx) is not None:
+            return _Move(g, "stretch-slender", ((a, b),), 0, model=landed)
+        if singular is None:
+            singular = _Move(g, "stretch-singular", ((a, b),), 0, chained=True, model=landed)
+    if singular is None:
+        raise InternalBoundError("no stretch at a residue singular point lands integrally")
+    return singular
 
 
 # kept while perfbench/ binds it (ROADMAP item 1)
 def minimise_hypercube(H, ctx):
-    """Minimise a nonsingular integral hypercube at the context prime.
-
-    Minimality is equivalent to some associated (2,2)-form being minimal, so
-    the verdict is decided by verdict-only (2,2) runs on the six forms.
-    While all six are non-minimal, one constructive normalisation step plus a
-    diagonal stretch makes progress; the singular-point flavour can repeat at
-    most twice before desaturation or the doubly-degenerate flavour occurs.
-    """
+    """Minimise a nonsingular integral hypercube at the context prime: it is
+    minimal exactly when one of its six (2,2)-forms is (`_hypercube_step`)."""
     return _minimise(H, ctx, "hypercube")
 
 

@@ -11,8 +11,8 @@ format uses as well:
                       sum s_ijk x_i y_j z_k)
 * hypercube        -- 2x2x2x2 array h[i][j][k][l], i outermost
 
-The constructors take the nested layouts; `rows`, `entries`, `at` and
-`slices` are views that index the flat tuple.  Coefficients are ints: the
+The constructors take the nested layouts; `rows`, `entries` and `slices`
+are views that index the flat tuple.  Coefficients are ints: the
 constructors refuse any other type (a bool, a Fraction) with
 RefusedInputError, and `model_from_dict` reads "4/2" or "1e3" as an int.
 Models and group elements are namedtuple records, immutable, equal and
@@ -305,9 +305,6 @@ class Hypercube(_Model):
     __slots__ = ()
     kind = "hypercube"
 
-    def at(self, i, j, k, l):
-        return self.coeffs[8 * i + 4 * j + 2 * k + l]
-
 
 # ---------------------------------------------------------------------------
 # the per-kind spec
@@ -551,9 +548,9 @@ def _binary_mul(a, b):
 # per coefficient of G1 (in x), then of G2 (in y): the terms of q2^2 - 4 q1 q3,
 # (q1, q2, q3) the x-quadratics (entry i of q_j at 3 i + j), then the y-quadratics
 _QUARTICS_TABLE = tuple(
-    tuple((c, (at(j1, i), at(j2, n - i))) for (j1, j2), c in (((1, 1), 1), ((0, 2), -4))
+    tuple((c, (pos(j1, i), pos(j2, n - i))) for (j1, j2), c in (((1, 1), 1), ((0, 2), -4))
           for i in range(max(0, n - 2), min(n, 2) + 1))
-    for at in (lambda j, i: 3 * i + j, lambda j, i: 3 * j + i) for n in range(5))
+    for pos in (lambda j, i: 3 * i + j, lambda j, i: 3 * j + i) for n in range(5))
 
 
 def quartics_of_22(F):

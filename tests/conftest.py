@@ -8,9 +8,15 @@ from g1min import (
 )
 
 
-# a hypercube at p = 2 whose minimisation takes two singular-point stretches in a row
+# a hypercube at p = 2 whose minimisation takes one stretch-singular move; the
+# normalising step it replaced (tests/replaced_routines.py) took two in a row
 HYPERCUBE_CHAIN_2 = (2884, 2312, 3576, 2808, -2236, -1812, -2776, -2200,
                      3664, 2888, 4560, 3512, -2844, -2264, -3544, -2752)
+
+
+def hypercube_entry(H, i, j, k, l):
+    """The entry h[i][j][k][l] of a hypercube."""
+    return H.coeffs[8 * i + 4 * j + 2 * k + l]
 
 
 def nonzero_disc(make, rng, tries=200):

@@ -16,6 +16,8 @@ from itertools import permutations
 
 from g1min.models import TernaryCubic, TwoTwoForm, forms_of_hypercube, quartics_of_22
 
+from conftest import hypercube_entry
+
 
 def _det_linear_pencil(M, N, P):
     """det(M x + N y + P z) as a TernaryCubic."""
@@ -68,7 +70,7 @@ def form_of_hypercube(H, a, b):
             for j in range(2):
                 idx = [0, 0, 0, 0]
                 idx[a], idx[b], idx[c], idx[d] = i, j, k, l
-                row.append(H.at(*idx))
+                row.append(hypercube_entry(H, *idx))
             rows.append(tuple(row))
         return tuple(rows)
 

@@ -6,23 +6,44 @@ of bidegree-keyed coefficients over the six signed permutations;
 `critical_model` with one branch per kind, assembling the hypercube from its
 4x4 pattern layout through nested lists; the local minimal model at
 p >= 5 in closed form, which one u = p descent at every prime replaced (the
-closed form is the reference at primes far beyond an exhaustive search); and
+closed form is the reference at primes far beyond an exhaustive search);
 `level` with one descent per marked point, each on the point's own model,
-which one descent on the first point's model replaced.  They read the
-library's pattern tables, draw helper and descent at call time, and serve
-only as the reference the differential tests compare the library against.
+which one descent on the first point's model replaced; and the hypercube
+step that normalised the residues with recorded axis permutations and row
+operations before one stretch on axes 0 and 1, which one stretch at a
+residue singular point of each (2,2)-form replaced (the entries it reads
+come from `conftest.hypercube_entry`).  They read the library's pattern
+tables, draw helper, descent and driver at call time, and serve only as the
+reference the differential tests compare the library against.
 """
+
+from fractions import Fraction
+from functools import partial
 
 from g1min.construct import (
     _CRITICAL_22, _CRITICAL_CUBE, _CRITICAL_HYPER, _draw, _rng,
 )
-from g1min.exactnum import RefusedInputError, as_context, valuation
+from g1min.exactnum import (
+    RefusedInputError, as_context, fp_inv, fp_left_kernel_vector, unimodular_with_row, valuation,
+)
 from g1min.invariants import discriminant
-from g1min.models import Cube, Hypercube, SingularModelError, TwoTwoForm, UnsupportedModelError
+from g1min.minimise import (
+    _I2, InternalBoundError, Verdict, _axis_move, _desaturation, _diag, _Driver, _Move,
+    _row_move,
+)
+from g1min.models import (
+    HYPERCUBE_PAIRS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm,
+    UnsupportedModelError, act, form_of_hypercube, forms_of_hypercube,
+)
+from g1min.residue import (
+    TAG_PRODUCT_BOTH, TAG_UNIQUE_SINGULAR, classify_22_residue, saturation_defect,
+)
 from g1min.weierstrass import (
     _MARKED_INVARIANTS, CurveMap, LevelReport, Point, WeierstrassCurve, _kappa_on_minimal,
     minimal_model,
 )
+
+from conftest import hypercube_entry
 
 
 def convert_3to2(S):
@@ -158,3 +179,183 @@ def level(m, ctx):
     if rem or lvl < 0:
         raise AssertionError("level decomposition failed")
     return LevelReport(v_disc, v_min, kap, lvl)
+
+
+def _hyper_move(matrices=(_I2, _I2, _I2, _I2), perm=None):
+    return GroupElement("hypercube", 1, matrices, perm)
+
+
+_hyper_axis_move = partial(_axis_move, "hypercube")
+
+
+def _axis_perm_moving_to_front(a, b):
+    """Permutation tuple after which old axis a sits at position 0, b at 1."""
+    order = [a, b] + [t for t in range(4) if t not in (a, b)]
+    perm = [0] * 4
+    for new_pos, old_axis in enumerate(order):
+        perm[old_axis] = new_pos
+    return tuple(perm)
+
+
+def _swap_axes_perm(a, b):
+    perm = list(range(4))
+    perm[a], perm[b] = perm[b], perm[a]
+    return tuple(perm)
+
+
+def _clear_axis_entry(d, axis, pivot_idx, target_idx):
+    """Row operation on one axis clearing the target entry mod p against a
+    pivot entry differing from it only in that axis."""
+    p = d.p
+    piv = hypercube_entry(d.cur, *pivot_idx) % p
+    tgt = hypercube_entry(d.cur, *target_idx) % p
+    if tgt == 0:
+        return
+    t = tgt * fp_inv(piv, p) % p
+    hi = target_idx[axis]
+    m = [[1, 0], [0, 1]]
+    m[hi][1 - hi] = -t
+    d.apply(_hyper_axis_move(tuple(tuple(r) for r in m), axis), "entry-clear", expect_drop=0)
+
+
+def hypercube_step(d):
+    """Desaturate, or stop when one of the six associated (2,2)-forms is
+    minimal; otherwise one constructive step.
+
+    The step normalises so that the corner slice H[0][0][.][.] vanishes mod
+    p, the off-corner block H[0][1][.][.] is supported on its far corner,
+    and H[1][0][0][0] = 0 mod p; then a single diagonal stretch either keeps
+    the level with a unique singular point (the chained move) or produces a
+    non-saturated hypercube.
+    """
+    desaturate = _desaturation(d)
+    if desaturate is not None:
+        return desaturate
+    p = d.p
+    ctx = d.ctx
+    forms = forms_of_hypercube(d.cur)
+    # the forms share the hypercube's c4 and c6, hence its Delta and its checks
+    if any(_Driver(forms[pair], ctx, certify=False, v=d.v).run() for pair in HYPERCUBE_PAIRS):
+        return Verdict.ONE_FORM_MINIMAL
+
+    def h(i, j, k, l):
+        return hypercube_entry(d.cur, i, j, k, l) % p
+
+    pair = next((ab for ab in HYPERCUBE_PAIRS
+                 if any(c % p for c in forms[ab].coeffs)), None)
+    if pair is None:
+        raise InternalBoundError("saturated hypercube with every residue form zero")
+    if pair != (0, 1):
+        d.apply(_hyper_move(perm=_axis_perm_moving_to_front(*pair)), "reorder-axes",
+                detail=(pair,), expect_drop=0)
+    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+    spt = cls.a_rational_singular_point()
+    if spt is None:
+        raise InternalBoundError("non-minimal residue form without a rational singular point")
+    d.apply(_hyper_move((_row_move(spt[0], p), _row_move(spt[1], p), _I2, _I2)),
+            "move-singular-point", expect_drop=0)
+
+    corner = [(k, l) for k in range(2) for l in range(2) if h(0, 0, k, l)]
+    if corner:
+        k0, l0 = corner[0]
+        swap = ((0, 1), (1, 0))
+        if k0 == 1:
+            d.apply(_hyper_axis_move(swap, 2), "corner-pivot", expect_drop=0)
+        if l0 == 1:
+            d.apply(_hyper_axis_move(swap, 3), "corner-pivot", expect_drop=0)
+        for axis, target in ((0, (1, 0, 0, 0)), (1, (0, 1, 0, 0)),
+                             (2, (0, 0, 1, 0)), (3, (0, 0, 0, 1))):
+            _clear_axis_entry(d, axis, (0, 0, 0, 0), target)
+        for idx in ((0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
+            if h(*idx):
+                raise InternalBoundError("corner clearing left an unexpected unit")
+        if h(0, 1, 0, 1) != 0:
+            if h(0, 1, 1, 0) == 0:
+                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
+            elif h(1, 0, 0, 1) == 0:
+                d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
+            elif h(1, 0, 1, 0) == 0:
+                d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
+                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
+            else:
+                raise InternalBoundError("no vanishing product across the corner slice")
+        if any(h(0, j, k, 1) for j in range(2) for k in range(2)):
+            raise InternalBoundError("the slice (first axis, last index) kept a unit")
+        d.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "relabel-axes", expect_drop=0)
+        d.apply(_hyper_axis_move(((0, 1), (1, 0)), 1), "relabel-axes", expect_drop=0)
+    if any(h(0, 0, k, l) for k in range(2) for l in range(2)):
+        raise InternalBoundError("corner slice is not zero mod p")
+
+    a13 = (h(0, 1, 0, 0) * h(0, 1, 1, 1) - h(0, 1, 0, 1) * h(0, 1, 1, 0)) % p
+    if a13:
+        a31 = (h(1, 0, 0, 0) * h(1, 0, 1, 1) - h(1, 0, 0, 1) * h(1, 0, 1, 0)) % p
+        if a31:
+            raise InternalBoundError("both off-corner block determinants are units")
+        d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
+
+    t_block = tuple(tuple(h(0, 1, k, l) for l in range(2)) for k in range(2))
+    if all(x == 0 for row in t_block for x in row):
+        raise InternalBoundError("saturation forbids a vanishing off-corner block")
+    ker = fp_left_kernel_vector(t_block, p)
+    if ker is None:
+        raise InternalBoundError("off-corner block must be singular mod p")
+    d.apply(_hyper_axis_move(unimodular_with_row(ker, p, 0), 2),
+            "block-rows", expect_drop=0)
+    row = (h(0, 1, 1, 0), h(0, 1, 1, 1))
+    z = (-row[1], row[0])
+    d.apply(_hyper_axis_move(unimodular_with_row(z, p, 0), 3), "block-columns", expect_drop=0)
+    if h(0, 1, 0, 0) or h(0, 1, 0, 1) or h(0, 1, 1, 0):
+        raise InternalBoundError("rank-one block reduction failed")
+    if h(0, 1, 1, 1) == 0:
+        raise InternalBoundError("saturation keeps the far block corner a unit")
+    if h(1, 0, 0, 0):
+        raise InternalBoundError("valuation pattern of a non-minimal form violated")
+
+    stretch = GroupElement("hypercube", Fraction(1, p), (_diag(1, p), _diag(1, p), _I2, _I2))
+    star = h(1, 1, 0, 0) == 0 and h(1, 0, 1, 0) == 0 and h(1, 0, 0, 1) == 0
+    if not star:
+        if h(1, 1, 0, 0) == 0:
+            if h(1, 0, 1, 0):
+                d.apply(_hyper_move(perm=_swap_axes_perm(1, 2)), "swap-axes", expect_drop=0)
+            else:
+                d.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)
+        _clear_axis_entry(d, 2, (1, 1, 0, 0), (1, 1, 1, 0))
+        _clear_axis_entry(d, 3, (1, 1, 0, 0), (1, 1, 0, 1))
+        _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
+        cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+        if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
+            # residual case: the two off-pivot corner products vanish mod p.
+            # One more relabelling (swap the outer factors, flip the third
+            # index) trades the two unknown entries and restores the singular
+            # point, unless the hypercube was not saturated after all.
+            if h(1, 0, 1, 1) or h(1, 0, 1, 0) * h(1, 0, 0, 1) % p:
+                raise InternalBoundError("unexpected corner-product pattern")
+            if h(1, 0, 1, 0):
+                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
+            if h(1, 0, 0, 1) == 0:
+                raise InternalBoundError("saturation should keep this entry a unit")
+            d.apply(_hyper_axis_move(((0, 1), (1, 0)), 2), "relabel-axes", expect_drop=0)
+            d.apply(_hyper_move(perm=_swap_axes_perm(0, 3)), "relabel-axes", expect_drop=0)
+            cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+        if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
+            raise InternalBoundError("expected a unique singular point at the corner pair")
+        return _Move(stretch, "stretch-singular", drop=0, chained=True)
+    _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
+    for idx in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
+        if h(*idx) == 0:
+            raise InternalBoundError("saturation keeps the weight-three corners units")
+    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+    if cls.tag != TAG_PRODUCT_BOTH or cls.x_root != (1, 0) or cls.y_root != (1, 0):
+        raise InternalBoundError("expected the doubly-degenerate product residue")
+    deep = [idx for idx in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+            if valuation(hypercube_entry(d.cur, *idx), p) >= 2]
+    if not deep:
+        raise InternalBoundError("no depth-two entry beside the corner")
+    axis = deep[0].index(1)
+    if axis != 3:
+        d.apply(_hyper_move(perm=_swap_axes_perm(axis, 3)), "relabel-axes", expect_drop=0)
+    # keeps the level but leads to a desaturation, so it does not chain
+    landed = act(stretch, d.cur)
+    if landed is not None and saturation_defect(landed, ctx) is None:
+        raise InternalBoundError("doubly-degenerate step failed to desaturate")
+    return _Move(stretch, "stretch-slender", drop=0, model=landed)

@@ -268,7 +268,8 @@ def test_hypercube_chain_overrun_exits_6(tmp_path, capsys, monkeypatch):
 
     from conftest import HYPERCUBE_CHAIN_2
 
-    monkeypatch.setitem(_STEPS, "hypercube", (_STEPS["hypercube"][0], 1))
+    # with the bound at 0 the input's stretch-singular move overruns it
+    monkeypatch.setitem(_STEPS, "hypercube", (_STEPS["hypercube"][0], 0))
     path = form22_file(tmp_path, Hypercube.from_coeffs(HYPERCUBE_CHAIN_2))
     assert main(["minimise", path, "--prime", "2"]) == 6
     assert capsys.readouterr().err == (

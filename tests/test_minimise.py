@@ -1,4 +1,3 @@
-import importlib
 import inspect
 import itertools
 import random
@@ -24,11 +23,12 @@ from g1min.residue import TAG_OTHER, classify_22_residue, saturation_defect
 
 from derived_form_oracle import quartics_of_hypercube
 import matrix_oracle
+import replaced_routines as old
 from table_oracle import _mode_product
 
 from conftest import (
-    HYPERCUBE_CHAIN_2, identity_hypercube, levi_civita_cube, nonzero_disc, perturb_entries,
-    random_cube, random_hypercube, random_marked, random_quartic, scaled_model,
+    HYPERCUBE_CHAIN_2, hypercube_entry, identity_hypercube, levi_civita_cube, nonzero_disc,
+    perturb_entries, random_cube, random_hypercube, random_marked, random_quartic, scaled_model,
 )
 
 
@@ -354,10 +354,10 @@ _VERDICT_CASES = [
               1, 0, 2), 2, "NEUTRAL_CHAIN_BOUND", 3),
     ("hypercube", (-3, -1, 0, -3, 0, 9, 0, 2, 0, 3, -3, 27, -1, -3, 9, -1), 3, "BELOW_12", 0),
     ("hypercube", (-3, -1, -25, 1, 25, 0, 125, 0, -25, 125, 1, -1, 125, -3, 25, 5), 5,
-     "BELOW_12", 2),
+     "BELOW_12", 1),
     ("hypercube", (0, 4, 8, -1, 2, 2, 2, -1, -4, 2, 1, 0, 2, -3, 4, -4), 2,
      "ONE_FORM_MINIMAL", 0),
-    ("hypercube", HYPERCUBE_CHAIN_2, 2, "ONE_FORM_MINIMAL", 2),
+    ("hypercube", HYPERCUBE_CHAIN_2, 2, "ONE_FORM_MINIMAL", 1),
 ]
 
 
@@ -550,7 +550,8 @@ def test_memoised_absorb_equals_its_uncached_build(p):
 
 # hypercubes whose minimisation reaches the stretch-slender move, found by
 # scanning random hypercubes with coefficients in {0, +-1, +-p, p^2} and in
-# [-3, 3] + {+-p, p^2}: 4 in 3000 reach it at p = 3, and 4 in 3000 at p = 5
+# [-3, 3] + {+-p, p^2} for the normalising step (tests/replaced_routines.py):
+# 4 in 3000 reach it at p = 3, and 4 in 3000 at p = 5
 _SLENDER_HYPERCUBES = {
     2: (0, -2, -2, 0, 0, 0, 0, -1, -2, 0, 4, -1, 2, 1, 1, 1),
     3: (-3, -3, 9, 1, 9, 9, -3, 3, 0, -1, -1, 3, 0, -3, 0, 1),
@@ -560,20 +561,31 @@ _SLENDER_HYPERCUBES = {
 
 @pytest.mark.parametrize("p", sorted(_SLENDER_HYPERCUBES))
 def test_hypercube_slender_stretch_desaturates(monkeypatch, p):
-    # the doubly-degenerate stretch keeps the level and lands on an
-    # unsaturated hypercube, which the step checks before proposing it
-    H = Hypercube.from_coeffs(_SLENDER_HYPERCUBES[p])
-    rep = minimise(H, LocalContext(p))
+    # the stretch-slender move keeps the level, lands on an unsaturated
+    # hypercube and does not chain, so the desaturation follows it
+    H, ctx = Hypercube.from_coeffs(_SLENDER_HYPERCUBES[p]), LocalContext(p)
+    step = _STEPS["hypercube"][0]
+    slender = []
+
+    def spy(d):
+        move = step(d)
+        if getattr(move, "label", None) == "stretch-slender":
+            slender.append((d.cur, move))
+        return move
+
+    monkeypatch.setitem(_STEPS, "hypercube", (spy, _STEPS["hypercube"][1]))
+    rep = minimise(H, ctx)
     labels = [s.label for s in rep.steps]
     assert labels[labels.index("stretch-slender") + 1] == "desaturate"
     assert act(rep.transformation, H) == rep.model
-    minimise_module = importlib.import_module("g1min.minimise")
-    monkeypatch.setattr(minimise_module, "saturation_defect", lambda m, ctx: None)
-    with pytest.raises(InternalBoundError, match="failed to desaturate"):
-        minimise(H, LocalContext(p))
+    (cur, move), = slender
+    assert move.model == act(move.g, cur) and not move.chained
+    assert move.g.chi_valuation(p) == 0
+    assert saturation_defect(move.model, ctx) is not None
 
 
-# hypercubes whose minimisation swaps axes where nothing else does: after the
+# hypercubes whose minimisation by the normalising step
+# (tests/replaced_routines.py) swaps axes where nothing else does: after the
 # corner clearing, with H[0][1][1][0] a unit and H[1][0][0][1] = 0 mod p
 # (axes 0 and 1), and before the stretch, with H[1][1][0][0] and H[1][0][1][0]
 # both 0 mod p (axes 1 and 3)
@@ -594,7 +606,8 @@ def _certificate(scalar, matrices, perm):
             "matrices": [[[str(x) for x in row] for row in m] for m in matrices]}
 
 
-# each input's Step labels, v(Delta) before and after, and certificate
+# each input's Step labels, v(Delta) before and after, and certificate under
+# the normalising step
 _SWAP_AXES_REPORTS = {
     _SWAP_AXES_BRANCHES[0][1]: (
         ("move-singular-point", "corner-pivot", "entry-clear", "entry-clear", "swap-axes",
@@ -621,10 +634,12 @@ _SWAP_AXES_REPORTS = {
 }
 
 
-def _hypercube_step_lines(H, p):
-    """The report of minimising H at p, the stripped source lines of
-    `_hypercube_step`, and the positions among them of the lines it ran."""
-    step = importlib.import_module("g1min.minimise")._hypercube_step
+def _hypercube_step_lines(monkeypatch, H, p):
+    """The report of minimising H at p with the normalising step, the
+    stripped source lines of that step, and the positions among them of the
+    lines it ran."""
+    step = old.hypercube_step
+    monkeypatch.setitem(_STEPS, "hypercube", (step, _STEPS["hypercube"][1]))
     lines, first = inspect.getsourcelines(step)
     ran = set()
 
@@ -645,11 +660,11 @@ def _hypercube_step_lines(H, p):
 
 
 @pytest.mark.parametrize("p, coeffs, branch", _SWAP_AXES_BRANCHES)
-def test_hypercube_swap_axes_branches(p, coeffs, branch):
+def test_hypercube_swap_axes_branches(monkeypatch, p, coeffs, branch):
     # the branch is the swap itself, or the condition on the line before it;
     # either text occurs once in the step
     H = Hypercube.from_coeffs(coeffs)
-    rep, lines, ran = _hypercube_step_lines(H, p)
+    rep, lines, ran = _hypercube_step_lines(monkeypatch, H, p)
     assert lines.count(branch) == 1
     at = lines.index(branch) + branch.endswith(":")
     assert "swap-axes" in lines[at] and at in ran
@@ -663,29 +678,31 @@ def test_hypercube_swap_axes_branches(p, coeffs, branch):
 
 def test_hypercube_chain_overrun_raises(monkeypatch):
     # hypercube minimality is decided by its forms, so the chain bound is a
-    # theorem: reaching it is a bug, not a verdict
+    # theorem: reaching it is a bug, not a verdict.  With the bound at 0 the
+    # pinned input's stretch-singular move (its third) overruns it
     # a verdict-only run keeps the check: it stops at the first drop of
     # v(Delta), so it starts from the model that the chain leaves unchanged
     step = _STEPS["hypercube"][0]
     seen = []
-    monkeypatch.setitem(_STEPS, "hypercube", (lambda d: seen.append(d.cur) or step(d), 1))
+    monkeypatch.setitem(_STEPS, "hypercube", (lambda d: seen.append(d.cur) or step(d), 0))
     with pytest.raises(InternalBoundError, match="ran thrice"):
         minimise(Hypercube.from_coeffs(HYPERCUBE_CHAIN_2), LocalContext(2))
     with pytest.raises(InternalBoundError, match="ran thrice"):
-        is_minimal(seen[1], LocalContext(2))
+        is_minimal(seen[-1], LocalContext(2))
 
 
 def test_reorder_axes_is_unreachable_at_p2():
-    # _hypercube_step reorders the axes only for a saturated hypercube whose
-    # form F_01 is zero mod p, after none of its six forms proved minimal.
-    # Saturation, F_01 mod p and each form's residue tag depend only on H mod
-    # p, so the 2^16 residue hypercubes mod 2 cover every case at p = 2:
-    # exactly 72 are saturated with F_01 = 0, and each has a form tagged
-    # `other`.  A verdict-only run on such a form returns minimal (BELOW_12,
-    # or NO_RESIDUE_MOVE at its first step, the form being nonzero mod p), so
-    # the step returns ONE_FORM_MINIMAL before `reorder-axes`.  A scan of
-    # all 3^16 residues (a minute, too long for this suite) finds the same
-    # at p = 3; p >= 5 is open, so the branch stays
+    # the normalising step (tests/replaced_routines.py) reorders the axes
+    # only for a saturated hypercube whose form F_01 is zero mod p, after none
+    # of its six forms proved minimal.  Saturation, F_01 mod p and each form's
+    # residue tag depend only on H mod p, so the 2^16 residue hypercubes mod 2
+    # cover every case at p = 2: exactly 72 are saturated with F_01 = 0, and
+    # each has a form tagged `other`.  A verdict-only run on such a form
+    # returns minimal (BELOW_12, or NO_RESIDUE_MOVE at its first step, the
+    # form being nonzero mod p), so the step returns ONE_FORM_MINIMAL before
+    # `reorder-axes`.  A scan of all 3^16 residues (a minute, too long for
+    # this suite) finds the same at p = 3; p >= 5 is open, and moot for the
+    # library, whose step reorders no axes
     ctx = LocalContext(2)
     reach = []
     for coeffs in itertools.product((0, 1), repeat=16):
@@ -697,6 +714,55 @@ def test_reorder_axes_is_unreachable_at_p2():
     for H in reach:
         tags = [classify_22_residue(F, ctx).tag for F in forms_of_hypercube(H).values()]
         assert TAG_OTHER in tags, H.coeffs
+
+
+# the library's hypercube step against the normalising step it replaced
+# (tests/replaced_routines.py): the Step lists and certificates differ, the
+# verdict, v(Delta) out, minimality and level report may not.  The random
+# hypercubes are those whose normalising run takes a stretch, drawn with
+# coefficients in {0, +-1, +-p, p^2} and inflated by three moves
+_DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 101, 65537, 2 ** 61 - 1)
+_STRETCHING_PER_PRIME = 43
+
+
+def _hypercube_outcome(monkeypatch, step, H, ctx, rep=None):
+    """What may not change when H is minimised with `step` (`rep`, when
+    given, is its report)."""
+    monkeypatch.setitem(_STEPS, "hypercube", (step, 2))
+    rep = rep or minimise(H, ctx)
+    assert act(rep.transformation, H) == rep.model
+    return rep.verdict, rep.v_disc_final, is_minimal(H, ctx), level(rep.model, ctx)
+
+
+def _stretching_hypercubes(monkeypatch, p, count, rng):
+    """`count` random hypercubes whose normalising run at p takes a stretch,
+    each with the outcome of that run."""
+    ctx, pool = LocalContext(p), (0, 1, -1, p, -p, p * p)
+    monkeypatch.setitem(_STEPS, "hypercube", (old.hypercube_step, 2))
+    while count:
+        H = Hypercube.from_coeffs([rng.choice(pool) for _ in range(16)])
+        if discriminant(H) == 0:
+            continue
+        H = inflate(H, ctx, rng, moves=3)[0]
+        rep = minimise(H, ctx)
+        if any(s.label.startswith("stretch") for s in rep.steps):
+            count -= 1
+            yield H, ctx, _hypercube_outcome(monkeypatch, old.hypercube_step, H, ctx, rep)
+
+
+def test_hypercube_step_agrees_with_the_normalising_step(monkeypatch):
+    library, rng = _STEPS["hypercube"][0], random.Random(3701)
+    pinned = ([(HYPERCUBE_CHAIN_2, 2)] + [(c, p) for p, c in _SLENDER_HYPERCUBES.items()]
+              + [(c, p) for p, c, _ in _SWAP_AXES_BRANCHES]
+              + [(c, p) for kind, c, p, *_ in _VERDICT_CASES if kind == "hypercube"])
+    cases = []
+    for c, p in pinned:
+        H, ctx = Hypercube.from_coeffs(c), LocalContext(p)
+        cases.append((H, ctx, _hypercube_outcome(monkeypatch, old.hypercube_step, H, ctx)))
+    for p in _DIFFERENTIAL_PRIMES:
+        cases += _stretching_hypercubes(monkeypatch, p, _STRETCHING_PER_PRIME, rng)
+    for H, ctx, outcome in cases:
+        assert _hypercube_outcome(monkeypatch, library, H, ctx) == outcome, (H, ctx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -825,21 +891,20 @@ def test_minimise_dispatch_rejects_cubics():
 
 
 def test_axis_perm_moving_to_front():
-    from g1min.minimise import _axis_perm_moving_to_front
     from g1min.models import GroupElement, act
 
     marked = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
     marked[1][0][1][0] = 7  # axis0 -> 1, axis2 -> 1
     H = Hypercube(tuple(tuple(tuple(tuple(r) for r in pl) for pl in blk) for blk in marked))
     for (a, b) in ((0, 2), (1, 3), (2, 3), (1, 2), (0, 3)):
-        perm = _axis_perm_moving_to_front(a, b)
+        perm = old._axis_perm_moving_to_front(a, b)
         out = act(GroupElement("hypercube", 1, (((1, 0), (0, 1)),) * 4, perm), H)
         idx = [0, 0, 0, 0]
-        old = {0: 1, 1: 0, 2: 1, 3: 0}  # the marked position in old axes
+        marked_at = {0: 1, 1: 0, 2: 1, 3: 0}  # the marked position in old axes
         order = [a, b] + [t for t in range(4) if t not in (a, b)]
         for new_pos, old_axis in enumerate(order):
-            idx[new_pos] = old[old_axis]
-        assert out.at(*idx) == 7
+            idx[new_pos] = marked_at[old_axis]
+        assert hypercube_entry(out, *idx) == 7
 
 
 def test_cube_trace_is_monotone(rng):

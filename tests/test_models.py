@@ -26,8 +26,8 @@ from table_oracle import act_values
 from substitution_oracle import ternary_substitute
 
 from conftest import (
-    identity_hypercube, levi_civita_cube, nonzero_disc, random_cube, random_cubic,
-    random_form22, random_hypercube, random_quartic, scaled_model,
+    hypercube_entry, identity_hypercube, levi_civita_cube, nonzero_disc, random_cube,
+    random_cubic, random_form22, random_hypercube, random_quartic, scaled_model,
 )
 
 
@@ -102,8 +102,8 @@ def test_hypercube_diagonal_scaling_pattern(rng):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    expect = Fraction(H.at(i, j, k, l)) * Fraction(p) ** (i + j - 1)
-                    assert Fraction(out.at(i, j, k, l)) == expect
+                    expect = hypercube_entry(H, i, j, k, l) * Fraction(p) ** (i + j - 1)
+                    assert hypercube_entry(out, i, j, k, l) == expect
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
@@ -420,7 +420,7 @@ def _explicit_hypercube_action(g, H):
             for j2 in rng2:
                 for j3 in rng2:
                     j = (j0, j1, j2, j3)
-                    t[j0][j1][j2][j3] = H.at(j[perm[0]], j[perm[1]], j[perm[2]], j[perm[3]])
+                    t[j0][j1][j2][j3] = hypercube_entry(H, *(j[a] for a in perm))
     A, B, C, D = g.matrices
     out = [[[[0] * 2 for _ in rng2] for _ in rng2] for _ in rng2]
     for i in rng2:
