@@ -192,8 +192,6 @@ class _Driver:
     def report(self, verdict, max_neutral_chain):
         """The MinimisationReport of the best landing; a verdict-only run's
         bool, whether the input was minimal."""
-        if self.input.kind == "hypercube" and verdict is Verdict.NEUTRAL_CHAIN_BOUND:
-            raise InternalBoundError("hypercube singular-point procedure ran thrice")
         v_final, kept, model, g = self.best
         if not self.certify:
             return v_final == self.v_initial
@@ -362,7 +360,8 @@ def _hypercube_step(d):
     is made first.  The first integral landing that is not saturated goes
     unchained, a desaturation following it; failing one, the first integral
     landing, chained.  The bound of 2 is the paper's step's; this one was
-    never seen to chain twice."""
+    never seen to chain twice.  The forms decide minimality, so a chained
+    move at the bound is a fault: it raises InternalBoundError, not a verdict."""
     desaturate = _desaturation(d)
     if desaturate is not None:
         return desaturate
@@ -388,6 +387,8 @@ def _hypercube_step(d):
             singular = _Move(g, "stretch-singular", ((a, b),), 0, chained=True, model=landed)
     if singular is None:
         raise InternalBoundError("no stretch at a residue singular point lands integrally")
+    if d.at_chain_bound:
+        raise InternalBoundError("hypercube singular-point procedure ran thrice")
     return singular
 
 

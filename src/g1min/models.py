@@ -19,10 +19,10 @@ Models and group elements are namedtuple records, immutable, equal and
 hashed by their fields.
 
 Row vectors act on the right: a substitution by the matrix A replaces the
-variable row (x1, x2) with (x1, x2) A.  Group elements carry a Fraction
-scalar, one int matrix per tensor factor, and (for hypercubes only) a
-permutation of the four factors; their one constructor only validates, and
-it refuses a rational matrix entry, in a move or in a certificate alike.
+variable row (x1, x2) with (x1, x2) A.  Group elements are one int matrix
+per tensor factor and one Fraction scalar; their one constructor only
+validates, and it refuses a rational matrix entry, in a move or in a
+certificate alike.
 Every kind is a tensor space on which the group acts one factor at a time, so
 one routine, `act`, serves them all; the per-kind entry in SPECS records the
 tensor shape, the matrix sizes, the matrix each group matrix induces on its
@@ -36,10 +36,10 @@ integer: it contracts with the int matrices, multiplies by the scalar
 numerator's power and divides by its denominator's, and returns None where
 that division leaves a remainder, as the image is then not integral.  A
 factor equal to the identity costs nothing: `act` skips its contraction and
-`GroupElement.compose` its matrix product, so axis moves, permutations,
-scalings and the identity certificate do work only on the factors they
-change.  Products are not re-checked: they carry their matrices'
-determinants from their factors.
+`GroupElement.compose` its matrix product, so axis moves, scalings and
+the identity certificate do work only on the factors they change.
+Products are not re-checked: they carry their matrices' determinants from
+their factors.
 
 The derived forms (three determinantal cubics of a cube, six (2,2)-forms of a
 hypercube, two quartics of a (2,2)-form) come from index tables built at import.
@@ -320,14 +320,11 @@ class KindSpec:
                      (None: the group matrix itself)
     act_power     -- act multiplies every coefficient by scalar ** act_power
     chi_power     -- chi(g) = scalar ** chi_power * product of the determinants
-    permutes_axes -- group elements also permute the tensor axes
     """
 
-    def __init__(self, model, shape, matrix_sizes, axis_matrix=None,
-                 act_power=1, chi_power=1, permutes_axes=False):
+    def __init__(self, model, shape, matrix_sizes, axis_matrix=None, act_power=1, chi_power=1):
         self.model, self.shape, self.matrix_sizes = model, shape, matrix_sizes
         self.axis_matrix, self.act_power, self.chi_power = axis_matrix, act_power, chi_power
-        self.permutes_axes = permutes_axes
         self.size = prod(shape)
         index = list(product(*(range(d) for d in shape)))  # multi-index of each flat position
         # slices[a][m]: flat positions with index m on axis a, in flat order
@@ -342,12 +339,7 @@ class KindSpec:
         # fibres[a]: position tuples along which axis a varies alone
         self.fibres = tuple(tuple(zip(*sl)) for sl in self.slices)
         # position[multi-index]: its flat position
-        self.position = position = {idx: n for n, idx in enumerate(index)}
-        # perm_index[perm][n]: source position of (perm . T) at position n, where
-        # (perm . T)[j_0, ..., j_{d-1}] = T[j_perm[0], ..., j_perm[d-1]]
-        self.perm_index = {
-            perm: tuple(position[tuple(idx[a] for a in perm)] for idx in index)
-            for perm in (permutations(range(len(shape))) if permutes_axes else ())}
+        self.position = {idx: n for n, idx in enumerate(index)}
 
 
 SPECS = {
@@ -356,8 +348,7 @@ SPECS = {
     "form22": KindSpec(TwoTwoForm, (3, 3), (2, 2), partial(sym_power_matrix, k=2)),
     "cubic": KindSpec(TernaryCubic, (10,), (3,), partial(sym_power_matrix, k=3)),
     "cube": KindSpec(Cube, (3, 3, 3), (3, 3, 3), chi_power=3),
-    "hypercube": KindSpec(Hypercube, (2, 2, 2, 2), (2, 2, 2, 2), chi_power=2,
-                          permutes_axes=True),
+    "hypercube": KindSpec(Hypercube, (2, 2, 2, 2), (2, 2, 2, 2), chi_power=2),
 }
 
 
@@ -385,16 +376,9 @@ def _product(a, b):
     return mat_mul(a, b)
 
 
-def _perm_inverse(perm):
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return tuple(inv)
-
-
-class GroupElement(namedtuple("GroupElement", "kind scalar matrices perm", defaults=(None,))):
-    """A transformation: scalar, one matrix per tensor factor, and for
-    hypercubes an optional permutation of the four factors (applied first).
+class GroupElement(namedtuple("GroupElement", "kind scalar matrices")):
+    """A transformation: one rational scalar and one integer matrix per
+    tensor factor.
 
     The constructor only validates: every matrix entry must be an int
     (RefusedInputError otherwise) and every matrix nonsingular (ValueError
@@ -402,14 +386,14 @@ class GroupElement(namedtuple("GroupElement", "kind scalar matrices perm", defau
     (RefusedInputError otherwise), and is stored as a Fraction.  A move is
     built as it is stored, any denominators of its matrices already in the
     scalar, and a certificate is read as it was written.  `scaling` goes
-    through the same checks.  An element is an immutable record of its four
+    through the same checks.  An element is an immutable record of its three
     fields, and carries the determinants of its matrices besides (`_dets`,
     an attribute outside the fields, so equality, hashing and repr ignore
     it): the constructor takes them in its check, and `compose`, whose parts
     hold by construction, builds through `_trusted_element` with
     det(AB) = det A det B."""
 
-    def __new__(cls, kind, scalar, matrices, perm=None):
+    def __new__(cls, kind, scalar, matrices):
         spec = SPECS[kind]
         if tuple(len(m) for m in matrices) != spec.matrix_sizes:
             raise ValueError(f"wrong matrix sizes for kind {kind}")
@@ -426,15 +410,7 @@ class GroupElement(namedtuple("GroupElement", "kind scalar matrices perm", defau
                 raise RefusedInputError("group element scalars are ints or Fractions, "
                                         f"not {type(scalar).__name__}")
             scalar = Fraction(scalar)
-        if not spec.permutes_axes:
-            if perm is not None:
-                raise ValueError("permutations only apply to hypercubes")
-        else:
-            perm = perm if perm is not None else (0, 1, 2, 3)
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise ValueError("bad axis permutation")
-            perm = tuple(perm)
-        return _trusted_element(kind, scalar, mats, perm, tuple(dets))
+        return _trusted_element(kind, scalar, mats, tuple(dets))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r} of a GroupElement")
@@ -463,25 +439,17 @@ class GroupElement(namedtuple("GroupElement", "kind scalar matrices perm", defau
         """Element acting as self after other: act(result, m) = act(self, act(other, m))."""
         if self.kind != other.kind:
             raise ValueError("kind mismatch")
-        if self.perm is not None:
-            s2, s1 = self.perm, other.perm
-            perm = tuple(s2[s1[a]] for a in range(4))
-            inv2 = _perm_inverse(s2)
-            mats = tuple(_product(self.matrices[a], other.matrices[inv2[a]]) for a in range(4))
-            dets = tuple(self._dets[a] * other._dets[inv2[a]] for a in range(4))
-        else:
-            perm = None
-            mats = tuple(map(_product, self.matrices, other.matrices))
-            dets = tuple(map(mul, self._dets, other._dets))
-        return _trusted_element(self.kind, self.scalar * other.scalar, mats, perm, dets)
+        return _trusted_element(self.kind, self.scalar * other.scalar,
+                                tuple(map(_product, self.matrices, other.matrices)),
+                                tuple(map(mul, self._dets, other._dets)))
 
 
-def _trusted_element(kind, scalar, matrices, perm, dets):
+def _trusted_element(kind, scalar, matrices, dets):
     """The GroupElement with these fields and matrix determinants, built
     without the constructor's checks, for the products whose parts already
-    hold them: a Fraction scalar, nonsingular int matrices as
-    tuples of tuples, and a tuple perm for hypercubes (None otherwise)."""
-    g = tuple.__new__(GroupElement, (kind, scalar, matrices, perm))
+    hold them: a Fraction scalar and nonsingular int matrices as tuples of
+    tuples."""
+    g = tuple.__new__(GroupElement, (kind, scalar, matrices))
     object.__setattr__(g, "_dets", dets)
     return g
 
@@ -504,19 +472,16 @@ def _mode_product(t, M, fibres):
 
 
 def act(g, m):
-    """Apply a group element to a model, exactly: permute the tensor axes
-    (hypercubes), apply each factor's matrix along its axis, then scale by
-    the scalar's act_power: multiply by the numerator's power and divide by
-    the denominator's in one divmod pass.  None when that pass leaves a
-    remainder: the image is not integral, and no model holds it.  A factor
-    equal to the identity is skipped: its axis matrix is neither built nor
-    applied."""
+    """Apply a group element to a model, exactly: apply each factor's
+    matrix along its axis, then scale by the scalar's act_power: multiply by
+    the numerator's power and divide by the denominator's in one divmod
+    pass.  None when that pass leaves a remainder: the image is not integral,
+    and no model holds it.  A factor equal to the identity is skipped: its
+    axis matrix is neither built nor applied."""
     if g.kind != m.kind:
         raise ValueError(f"group element for {g.kind} applied to {m.kind}")
     spec = SPECS[m.kind]
     t = m.coeffs
-    if g.perm is not None:
-        t = [t[n] for n in spec.perm_index[g.perm]]
     for fibres, A in zip(spec.fibres, g.matrices):
         if A != _IDENTITIES[len(A)]:
             t = _mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
@@ -661,15 +626,19 @@ def group_element_to_dict(g):
         "scalar": str(g.scalar),
         "matrices": [[[str(x) for x in row] for row in m] for m in g.matrices],
     }
-    if g.perm is not None:
-        d["perm"] = list(g.perm)
+    if g.kind == "hypercube":  # a fixed key of the format: no element permutes the axes
+        d["perm"] = [0, 1, 2, 3]
     return d
 
 
 def group_element_from_dict(d):
     """The group element of a certificate, read as `group_element_to_dict`
-    writes it: a rational matrix entry is refused by the constructor."""
+    writes it: a rational matrix entry is refused by the constructor, and a
+    "perm" key other than a hypercube's identity [0, 1, 2, 3] (a permuted
+    certificate of an earlier version) with RefusedInputError."""
+    if "perm" in d and (d["kind"] != "hypercube" or d["perm"] != [0, 1, 2, 3]):
+        raise RefusedInputError("certificates permute no axes: \"perm\" is [0, 1, 2, 3] "
+                                "on a hypercube and absent otherwise")
     mats = tuple(tuple(tuple(_parse_coeff(x) for x in row) for row in rows)
                  for rows in d["matrices"])
-    perm = tuple(d["perm"]) if "perm" in d else None
-    return GroupElement(d["kind"], _parse_coeff(d["scalar"]), mats, perm)
+    return GroupElement(d["kind"], _parse_coeff(d["scalar"]), mats)

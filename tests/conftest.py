@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,14 @@ HYPERCUBE_CHAIN_2 = (2884, 2312, 3576, 2808, -2236, -1812, -2776, -2200,
 def hypercube_entry(H, i, j, k, l):
     """The entry h[i][j][k][l] of a hypercube."""
     return H.coeffs[8 * i + 4 * j + 2 * k + l]
+
+
+def relabel_axes(H, perm):
+    """The hypercube perm . H, (perm . H)[j] = H[j_perm[0], ..., j_perm[3]]:
+    axis a of H becomes axis perm[a].  perm2 . (perm1 . H) is perm . H with
+    perm[a] = perm2[perm1[a]]."""
+    return Hypercube.from_coeffs(hypercube_entry(H, *(j[a] for a in perm))
+                                 for j in itertools.product((0, 1), repeat=4))
 
 
 def nonzero_disc(make, rng, tries=200):

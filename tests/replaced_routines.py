@@ -11,9 +11,17 @@ closed form is the reference at primes far beyond an exhaustive search);
 which one descent on the first point's model replaced; and the hypercube
 step that normalised the residues with recorded axis permutations and row
 operations before one stretch on axes 0 and 1, which one stretch at a
-residue singular point of each (2,2)-form replaced (the entries it reads
-come from `conftest.hypercube_entry`).  They read the library's pattern
-tables, draw helper, descent and driver at call time, and serve only as the
+residue singular point of each (2,2)-form replaced.  Group elements no
+longer permute axes, so that step keeps its own axis order on the driver,
+`d.frame`: it reads entries, forms, saturation and residues through the
+view `_view(d)`, d.cur with its axes relabelled by the frame
+(`conftest.relabel_axes`), and commits each axis move and stretch on the
+axes of d.cur by reordering its matrices (`_physical`).  Each permutation
+it made is recorded as an identity Step with its former label and detail,
+so its Steps, v(Delta) values and verdicts are those it always had; its
+certificates and output model differ from the old ones by an axis
+relabelling.  They read the library's pattern tables, draw helper,
+descent, driver and absorbing move at call time, and serve only as the
 reference the differential tests compare the library against.
 """
 
@@ -28,8 +36,7 @@ from g1min.exactnum import (
 )
 from g1min.invariants import discriminant
 from g1min.minimise import (
-    _I2, InternalBoundError, Verdict, _axis_move, _desaturation, _diag, _Driver, _Move,
-    _row_move,
+    _I2, InternalBoundError, Verdict, _absorb, _axis_move, _diag, _Driver, _Move, _row_move,
 )
 from g1min.models import (
     HYPERCUBE_PAIRS, Cube, GroupElement, Hypercube, SingularModelError, TwoTwoForm,
@@ -43,7 +50,7 @@ from g1min.weierstrass import (
     minimal_model,
 )
 
-from conftest import hypercube_entry
+from conftest import hypercube_entry, relabel_axes
 
 
 def convert_3to2(S):
@@ -181,11 +188,43 @@ def level(m, ctx):
     return LevelReport(v_disc, v_min, kap, lvl)
 
 
-def _hyper_move(matrices=(_I2, _I2, _I2, _I2), perm=None):
-    return GroupElement("hypercube", 1, matrices, perm)
-
-
 _hyper_axis_move = partial(_axis_move, "hypercube")
+
+
+def _view(d):
+    """The hypercube as the step sees it: d.cur with its axes relabelled by
+    the step's own axis order d.frame."""
+    return relabel_axes(d.cur, d.frame)
+
+
+def _entry(d, *j):
+    """The entry j of the view: axis frame[a] of the view is axis a of d.cur."""
+    return hypercube_entry(d.cur, *(j[v] for v in d.frame))
+
+
+def _physical(d, g):
+    """The element acting on d.cur as g, read on the view's axes, acts on the view."""
+    return GroupElement("hypercube", g.scalar, tuple(g.matrices[v] for v in d.frame))
+
+
+def _apply(d, g, label):
+    """Commit g, read on the view's axes, as a level-keeping Step."""
+    d.apply(_physical(d, g), label, expect_drop=0)
+
+
+def _relabel(d, perm, label, detail=()):
+    """Relabel the view's axes, axis a going to perm[a]: the frame changes,
+    and the model does not, so the Step the permuting move made is recorded
+    with the identity element."""
+    d.frame = tuple(perm[v] for v in d.frame)
+    d.apply(GroupElement.identity("hypercube"), label, detail, expect_drop=0)
+
+
+def _swap(d, a, b, label):
+    """Swap axes a and b of the view."""
+    perm = list(range(4))
+    perm[a], perm[b] = b, a
+    _relabel(d, perm, label)
 
 
 def _axis_perm_moving_to_front(a, b):
@@ -197,25 +236,19 @@ def _axis_perm_moving_to_front(a, b):
     return tuple(perm)
 
 
-def _swap_axes_perm(a, b):
-    perm = list(range(4))
-    perm[a], perm[b] = perm[b], perm[a]
-    return tuple(perm)
-
-
 def _clear_axis_entry(d, axis, pivot_idx, target_idx):
     """Row operation on one axis clearing the target entry mod p against a
     pivot entry differing from it only in that axis."""
     p = d.p
-    piv = hypercube_entry(d.cur, *pivot_idx) % p
-    tgt = hypercube_entry(d.cur, *target_idx) % p
+    piv = _entry(d, *pivot_idx) % p
+    tgt = _entry(d, *target_idx) % p
     if tgt == 0:
         return
     t = tgt * fp_inv(piv, p) % p
     hi = target_idx[axis]
     m = [[1, 0], [0, 1]]
     m[hi][1 - hi] = -t
-    d.apply(_hyper_axis_move(tuple(tuple(r) for r in m), axis), "entry-clear", expect_drop=0)
+    _apply(d, _hyper_axis_move(tuple(tuple(r) for r in m), axis), "entry-clear")
 
 
 def hypercube_step(d):
@@ -226,43 +259,46 @@ def hypercube_step(d):
     p, the off-corner block H[0][1][.][.] is supported on its far corner,
     and H[1][0][0][0] = 0 mod p; then a single diagonal stretch either keeps
     the level with a unique singular point (the chained move) or produces a
-    non-saturated hypercube.
+    non-saturated hypercube.  H is the view (`_view`): the step keeps its own
+    axis order in d.frame, reads every entry, form and residue through it,
+    and commits each move on the axes of d.cur (`_physical`).
     """
-    desaturate = _desaturation(d)
-    if desaturate is not None:
-        return desaturate
+    d.frame = getattr(d, "frame", (0, 1, 2, 3))
     p = d.p
     ctx = d.ctx
-    forms = forms_of_hypercube(d.cur)
+    defect = saturation_defect(_view(d), ctx)
+    if defect is not None:
+        axis, ker = defect
+        return _Move(_physical(d, _absorb("hypercube", ker, p, axis)), "desaturate", (axis,), 12)
+    forms = forms_of_hypercube(_view(d))
     # the forms share the hypercube's c4 and c6, hence its Delta and its checks
     if any(_Driver(forms[pair], ctx, certify=False, v=d.v).run() for pair in HYPERCUBE_PAIRS):
         return Verdict.ONE_FORM_MINIMAL
 
     def h(i, j, k, l):
-        return hypercube_entry(d.cur, i, j, k, l) % p
+        return _entry(d, i, j, k, l) % p
 
     pair = next((ab for ab in HYPERCUBE_PAIRS
                  if any(c % p for c in forms[ab].coeffs)), None)
     if pair is None:
         raise InternalBoundError("saturated hypercube with every residue form zero")
     if pair != (0, 1):
-        d.apply(_hyper_move(perm=_axis_perm_moving_to_front(*pair)), "reorder-axes",
-                detail=(pair,), expect_drop=0)
-    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+        _relabel(d, _axis_perm_moving_to_front(*pair), "reorder-axes", (pair,))
+    cls = classify_22_residue(form_of_hypercube(_view(d), 0, 1), ctx)
     spt = cls.a_rational_singular_point()
     if spt is None:
         raise InternalBoundError("non-minimal residue form without a rational singular point")
-    d.apply(_hyper_move((_row_move(spt[0], p), _row_move(spt[1], p), _I2, _I2)),
-            "move-singular-point", expect_drop=0)
+    _apply(d, GroupElement("hypercube", 1, (_row_move(spt[0], p), _row_move(spt[1], p), _I2, _I2)),
+           "move-singular-point")
 
     corner = [(k, l) for k in range(2) for l in range(2) if h(0, 0, k, l)]
     if corner:
         k0, l0 = corner[0]
         swap = ((0, 1), (1, 0))
         if k0 == 1:
-            d.apply(_hyper_axis_move(swap, 2), "corner-pivot", expect_drop=0)
+            _apply(d, _hyper_axis_move(swap, 2), "corner-pivot")
         if l0 == 1:
-            d.apply(_hyper_axis_move(swap, 3), "corner-pivot", expect_drop=0)
+            _apply(d, _hyper_axis_move(swap, 3), "corner-pivot")
         for axis, target in ((0, (1, 0, 0, 0)), (1, (0, 1, 0, 0)),
                              (2, (0, 0, 1, 0)), (3, (0, 0, 0, 1))):
             _clear_axis_entry(d, axis, (0, 0, 0, 0), target)
@@ -271,18 +307,18 @@ def hypercube_step(d):
                 raise InternalBoundError("corner clearing left an unexpected unit")
         if h(0, 1, 0, 1) != 0:
             if h(0, 1, 1, 0) == 0:
-                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
+                _swap(d, 2, 3, "swap-axes")
             elif h(1, 0, 0, 1) == 0:
-                d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
+                _swap(d, 0, 1, "swap-axes")
             elif h(1, 0, 1, 0) == 0:
-                d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
-                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
+                _swap(d, 0, 1, "swap-axes")
+                _swap(d, 2, 3, "swap-axes")
             else:
                 raise InternalBoundError("no vanishing product across the corner slice")
         if any(h(0, j, k, 1) for j in range(2) for k in range(2)):
             raise InternalBoundError("the slice (first axis, last index) kept a unit")
-        d.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "relabel-axes", expect_drop=0)
-        d.apply(_hyper_axis_move(((0, 1), (1, 0)), 1), "relabel-axes", expect_drop=0)
+        _swap(d, 1, 3, "relabel-axes")
+        _apply(d, _hyper_axis_move(((0, 1), (1, 0)), 1), "relabel-axes")
     if any(h(0, 0, k, l) for k in range(2) for l in range(2)):
         raise InternalBoundError("corner slice is not zero mod p")
 
@@ -291,7 +327,7 @@ def hypercube_step(d):
         a31 = (h(1, 0, 0, 0) * h(1, 0, 1, 1) - h(1, 0, 0, 1) * h(1, 0, 1, 0)) % p
         if a31:
             raise InternalBoundError("both off-corner block determinants are units")
-        d.apply(_hyper_move(perm=_swap_axes_perm(0, 1)), "swap-axes", expect_drop=0)
+        _swap(d, 0, 1, "swap-axes")
 
     t_block = tuple(tuple(h(0, 1, k, l) for l in range(2)) for k in range(2))
     if all(x == 0 for row in t_block for x in row):
@@ -299,11 +335,10 @@ def hypercube_step(d):
     ker = fp_left_kernel_vector(t_block, p)
     if ker is None:
         raise InternalBoundError("off-corner block must be singular mod p")
-    d.apply(_hyper_axis_move(unimodular_with_row(ker, p, 0), 2),
-            "block-rows", expect_drop=0)
+    _apply(d, _hyper_axis_move(unimodular_with_row(ker, p, 0), 2), "block-rows")
     row = (h(0, 1, 1, 0), h(0, 1, 1, 1))
     z = (-row[1], row[0])
-    d.apply(_hyper_axis_move(unimodular_with_row(z, p, 0), 3), "block-columns", expect_drop=0)
+    _apply(d, _hyper_axis_move(unimodular_with_row(z, p, 0), 3), "block-columns")
     if h(0, 1, 0, 0) or h(0, 1, 0, 1) or h(0, 1, 1, 0):
         raise InternalBoundError("rank-one block reduction failed")
     if h(0, 1, 1, 1) == 0:
@@ -316,13 +351,13 @@ def hypercube_step(d):
     if not star:
         if h(1, 1, 0, 0) == 0:
             if h(1, 0, 1, 0):
-                d.apply(_hyper_move(perm=_swap_axes_perm(1, 2)), "swap-axes", expect_drop=0)
+                _swap(d, 1, 2, "swap-axes")
             else:
-                d.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)
+                _swap(d, 1, 3, "swap-axes")
         _clear_axis_entry(d, 2, (1, 1, 0, 0), (1, 1, 1, 0))
         _clear_axis_entry(d, 3, (1, 1, 0, 0), (1, 1, 0, 1))
         _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
-        cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+        cls = classify_22_residue(form_of_hypercube(_view(d), 0, 1), ctx)
         if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
             # residual case: the two off-pivot corner products vanish mod p.
             # One more relabelling (swap the outer factors, flip the third
@@ -331,30 +366,33 @@ def hypercube_step(d):
             if h(1, 0, 1, 1) or h(1, 0, 1, 0) * h(1, 0, 0, 1) % p:
                 raise InternalBoundError("unexpected corner-product pattern")
             if h(1, 0, 1, 0):
-                d.apply(_hyper_move(perm=_swap_axes_perm(2, 3)), "swap-axes", expect_drop=0)
+                _swap(d, 2, 3, "swap-axes")
             if h(1, 0, 0, 1) == 0:
                 raise InternalBoundError("saturation should keep this entry a unit")
-            d.apply(_hyper_axis_move(((0, 1), (1, 0)), 2), "relabel-axes", expect_drop=0)
-            d.apply(_hyper_move(perm=_swap_axes_perm(0, 3)), "relabel-axes", expect_drop=0)
-            cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+            _apply(d, _hyper_axis_move(((0, 1), (1, 0)), 2), "relabel-axes")
+            _swap(d, 0, 3, "relabel-axes")
+            cls = classify_22_residue(form_of_hypercube(_view(d), 0, 1), ctx)
         if cls.tag != TAG_UNIQUE_SINGULAR or cls.point != ((1, 0), (1, 0)):
             raise InternalBoundError("expected a unique singular point at the corner pair")
-        return _Move(stretch, "stretch-singular", drop=0, chained=True)
+        if d.at_chain_bound:
+            raise InternalBoundError("hypercube singular-point procedure ran thrice")
+        return _Move(_physical(d, stretch), "stretch-singular", drop=0, chained=True)
     _clear_axis_entry(d, 0, (0, 1, 1, 1), (1, 1, 1, 1))
     for idx in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
         if h(*idx) == 0:
             raise InternalBoundError("saturation keeps the weight-three corners units")
-    cls = classify_22_residue(form_of_hypercube(d.cur, 0, 1), ctx)
+    cls = classify_22_residue(form_of_hypercube(_view(d), 0, 1), ctx)
     if cls.tag != TAG_PRODUCT_BOTH or cls.x_root != (1, 0) or cls.y_root != (1, 0):
         raise InternalBoundError("expected the doubly-degenerate product residue")
     deep = [idx for idx in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-            if valuation(hypercube_entry(d.cur, *idx), p) >= 2]
+            if valuation(_entry(d, *idx), p) >= 2]
     if not deep:
         raise InternalBoundError("no depth-two entry beside the corner")
     axis = deep[0].index(1)
     if axis != 3:
-        d.apply(_hyper_move(perm=_swap_axes_perm(axis, 3)), "relabel-axes", expect_drop=0)
+        _swap(d, axis, 3, "relabel-axes")
     # keeps the level but leads to a desaturation, so it does not chain
+    stretch = _physical(d, stretch)
     landed = act(stretch, d.cur)
     if landed is not None and saturation_defect(landed, ctx) is None:
         raise InternalBoundError("doubly-degenerate step failed to desaturate")

@@ -99,12 +99,10 @@ def _cubic_c4_c6(F):
 
 def act_values(g, m):
     """The coefficients of act(g, m) as exact Fractions, integral or not: the
-    axis permutation, the loop mode product along every axis, identity or
-    not, by the loop Sym^k of the kind's degree, then the scalar's power."""
+    loop mode product along every axis, identity or not, by the loop Sym^k
+    of the kind's degree, then the scalar's power."""
     spec = models.SPECS[m.kind]
     t = [Fraction(c) for c in m.coeffs]
-    if g.perm is not None:
-        t = [t[n] for n in spec.perm_index[g.perm]]
     degree = {"quartic": 4, "form22": 2, "cubic": 3}.get(m.kind)
     for fibres, A in zip(spec.fibres, g.matrices):
         t = _mode_product(t, sym_power_matrix(A, degree) if degree else A, fibres)

@@ -16,7 +16,7 @@ from g1min import (
 )
 from g1min.exactnum import identity_matrix, mat_mul, unimodular_with_row
 from g1min.minimise import (
-    _STEPS, FactorizationError, InternalBoundError, _absorb, trial_division_factor,
+    _STEPS, FactorizationError, InternalBoundError, Step, _absorb, _Driver, trial_division_factor,
 )
 from g1min.models import SPECS, form_of_hypercube, group_element_to_dict, model_from_dict
 from g1min.residue import TAG_OTHER, classify_22_residue, saturation_defect
@@ -28,7 +28,8 @@ from table_oracle import _mode_product
 
 from conftest import (
     HYPERCUBE_CHAIN_2, hypercube_entry, identity_hypercube, levi_civita_cube, nonzero_disc,
-    perturb_entries, random_cube, random_hypercube, random_marked, random_quartic, scaled_model,
+    perturb_entries, random_cube, random_hypercube, random_marked, random_quartic, relabel_axes,
+    scaled_model,
 )
 
 
@@ -593,44 +594,46 @@ _SWAP_AXES_BRANCHES = [
     (7, (-1, 49, 1, 3, 0, 0, -1, 49, -1, 49, -7, 1, -7, 49, 3, 0),
      "elif h(1, 0, 0, 1) == 0:"),
     (2, (-2, 16, -2, -1, -1, 4, 0, 16, -2, 4, 4, 4, 4, 3, 16, 2),
-     'd.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)'),
+     '_swap(d, 1, 3, "swap-axes")'),
     (2, (296, 472, 80, 124, -992, -1876, -272, -512, 176, 288, 48, 76, -576, -1136, -160, -312),
      "elif h(1, 0, 0, 1) == 0:"),
     (2, (176, 40, 880, 200, 80, 20, 392, 96, -640, -160, -3264, -824, -296, -80, -1472, -392),
-     'd.apply(_hyper_move(perm=_swap_axes_perm(1, 3)), "swap-axes", expect_drop=0)'),
+     '_swap(d, 1, 3, "swap-axes")'),
 ]
 
 
-def _certificate(scalar, matrices, perm):
-    return {"kind": "hypercube", "scalar": scalar, "perm": perm,
+def _certificate(scalar, matrices):
+    return {"kind": "hypercube", "scalar": scalar, "perm": [0, 1, 2, 3],
             "matrices": [[[str(x) for x in row] for row in m] for m in matrices]}
 
 
 # each input's Step labels, v(Delta) before and after, and certificate under
-# the normalising step
+# the normalising step.  Its axis relabellings no longer reach the
+# certificate: each holds the matrices of the one the step wrote when group
+# elements permuted axes, in the order of that one's permutation
 _SWAP_AXES_REPORTS = {
     _SWAP_AXES_BRANCHES[0][1]: (
         ("move-singular-point", "corner-pivot", "entry-clear", "entry-clear", "swap-axes",
          "relabel-axes", "relabel-axes", "block-rows", "block-columns", "entry-clear",
          "entry-clear", "entry-clear", "stretch-singular", "desaturate"), 12, 0,
-        _certificate("1/49", (((0, 1), (7, -84)), ((0, 1), (7, 0)), ((-7, 7), (1, 0)),
-                              ((-17, 6), (65, -23))), [3, 0, 2, 1])),
+        _certificate("1/49", (((-17, 6), (65, -23)), ((0, 1), (7, -84)), ((-7, 7), (1, 0)),
+                              ((0, 1), (7, 0))))),
     _SWAP_AXES_BRANCHES[1][1]: (
         ("move-singular-point", "block-rows", "block-columns", "swap-axes", "stretch-singular",
          "desaturate"), 14, 2,
-        _certificate("1/4", (((0, 1), (2, 0)), ((1, 0), (0, 2)), ((2, 0), (0, 1)),
-                             ((1, 0), (0, 1))), [0, 3, 2, 1])),
+        _certificate("1/4", (((0, 1), (2, 0)), ((1, 0), (0, 1)), ((2, 0), (0, 1)),
+                             ((1, 0), (0, 2))))),
     _SWAP_AXES_BRANCHES[2][1]: (
         ("content", "desaturate", "move-singular-point", "swap-axes", "relabel-axes",
          "relabel-axes", "block-rows", "block-columns", "entry-clear", "stretch-singular",
          "desaturate"), 72, 0,
-        _certificate("1/32", (((0, 1), (2, 0)), ((1, 0), (0, 4)), ((0, 1), (1, 0)),
-                              ((2, -2), (0, 1))), [3, 0, 2, 1])),
+        _certificate("1/32", (((2, -2), (0, 1)), ((0, 1), (2, 0)), ((0, 1), (1, 0)),
+                              ((1, 0), (0, 4))))),
     _SWAP_AXES_BRANCHES[3][1]: (
         ("content", "desaturate", "move-singular-point", "block-rows", "block-columns",
          "swap-axes", "entry-clear", "stretch-singular", "desaturate"), 74, 2,
-        _certificate("1/32", (((2, 0), (0, 2)), ((1, 0), (0, 2)), ((0, 1), (1, 0)),
-                              ((-2, 2), (1, 0))), [0, 3, 2, 1])),
+        _certificate("1/32", (((2, 0), (0, 2)), ((-2, 2), (1, 0)), ((0, 1), (1, 0)),
+                              ((1, 0), (0, 2))))),
 }
 
 
@@ -891,20 +894,31 @@ def test_minimise_dispatch_rejects_cubics():
 
 
 def test_axis_perm_moving_to_front():
-    from g1min.models import GroupElement, act
-
+    # the normalising step's relabelling, through its frame on the driver:
+    # the model and certificate stay, the view moves axes a and b to the front
     marked = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
     marked[1][0][1][0] = 7  # axis0 -> 1, axis2 -> 1
     H = Hypercube(tuple(tuple(tuple(tuple(r) for r in pl) for pl in blk) for blk in marked))
     for (a, b) in ((0, 2), (1, 3), (2, 3), (1, 2), (0, 3)):
-        perm = old._axis_perm_moving_to_front(a, b)
-        out = act(GroupElement("hypercube", 1, (((1, 0), (0, 1)),) * 4, perm), H)
+        d = _Driver(H, LocalContext(2), v=0)
+        d.frame = (0, 1, 2, 3)
+        old._relabel(d, old._axis_perm_moving_to_front(a, b), "reorder-axes", ((a, b),))
+        assert d.cur == H and d.g == GroupElement.identity("hypercube")
+        assert d.steps[-1] == Step("reorder-axes", 0, 0, ((a, b),))
         idx = [0, 0, 0, 0]
         marked_at = {0: 1, 1: 0, 2: 1, 3: 0}  # the marked position in old axes
         order = [a, b] + [t for t in range(4) if t not in (a, b)]
         for new_pos, old_axis in enumerate(order):
             idx[new_pos] = marked_at[old_axis]
-        assert hypercube_entry(out, *idx) == 7
+        assert hypercube_entry(old._view(d), *idx) == 7
+        assert old._entry(d, *idx) == 7
+    # relabellings in a row compose in the frame as they would on the model
+    d, view = _Driver(H, LocalContext(2), v=0), H
+    d.frame = (0, 1, 2, 3)
+    for (a, b) in ((0, 2), (1, 3), (2, 3), (1, 2), (0, 3)):
+        old._relabel(d, old._axis_perm_moving_to_front(a, b), "reorder-axes")
+        view = relabel_axes(view, old._axis_perm_moving_to_front(a, b))
+        assert old._view(d) == view
 
 
 def test_cube_trace_is_monotone(rng):

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, strategies as st
 
 from g1min import (
     BinaryQuartic, Cube, GroupElement, Hypercube, TernaryCubic, TwoTwoForm,
-    RefusedInputError, act, content_valuation, cubics_of_cube, discriminant,
-    forms_of_hypercube, model_from_dict, model_to_dict, quartics_of_22,
+    RefusedInputError, act, c4_c6, content_valuation, critical_model, cubics_of_cube,
+    discriminant, forms_of_hypercube, inflate, level, model_from_dict, model_to_dict,
+    quartics_of_22,
 )
 from g1min import models
 from g1min.exactnum import (
@@ -27,7 +29,7 @@ from substitution_oracle import ternary_substitute
 
 from conftest import (
     hypercube_entry, identity_hypercube, levi_civita_cube, nonzero_disc, random_cube,
-    random_cubic, random_form22, random_hypercube, random_quartic, scaled_model,
+    random_cubic, random_form22, random_hypercube, random_quartic, relabel_axes, scaled_model,
 )
 
 
@@ -38,27 +40,19 @@ def _rand_gl(n, rng, bound=3):
             return m
 
 
-def _rand_element(kind, rng, with_perm=True):
+def _rand_element(kind, rng):
     sizes = {"quartic": (2,), "form22": (2, 2), "cubic": (3,), "cube": (3, 3, 3),
              "hypercube": (2, 2, 2, 2)}[kind]
     la = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-    mats = tuple(_rand_gl(n, rng) for n in sizes)
-    perm = None
-    if kind == "hypercube":
-        perm = tuple(rng.sample(range(4), 4)) if with_perm else (0, 1, 2, 3)
-    return GroupElement(kind, la, mats, perm)
+    return GroupElement(kind, la, tuple(_rand_gl(n, rng) for n in sizes))
 
 
 def _inverse(g):
     """The inverse of g, through the checked constructor: A^-1 = adj(A) / det(A),
     each det(A) folded into the scalar as det(A) ** (n / chi_power), n the
     size of A, which leaves the action and chi unchanged."""
-    mats, perm = g.matrices, None
-    if g.perm is not None:
-        perm = tuple(map(g.perm.index, range(4)))
-        mats = tuple(mats[g.perm[a]] for a in range(4))
-    fold = prod(det_matrix(m) ** (len(m) // SPECS[g.kind].chi_power) for m in mats)
-    return GroupElement(g.kind, 1 / (g.scalar * fold), tuple(map(mat_adj, mats)), perm)
+    fold = prod(det_matrix(m) ** (len(m) // SPECS[g.kind].chi_power) for m in g.matrices)
+    return GroupElement(g.kind, 1 / (g.scalar * fold), tuple(map(mat_adj, g.matrices)))
 
 
 def _landing(m, *elements):
@@ -96,7 +90,7 @@ def test_hypercube_diagonal_scaling_pattern(rng):
     H = scaled_model(random_hypercube(rng), p)
     g = GroupElement("hypercube", Fraction(1, p),
                      (((1, 0), (0, p)), ((1, 0), (0, p)),
-                      ((1, 0), (0, 1)), ((1, 0), (0, 1))), (0, 1, 2, 3))
+                      ((1, 0), (0, 1)), ((1, 0), (0, 1))))
     out = act(g, H)
     for i in range(2):
         for j in range(2):
@@ -116,18 +110,17 @@ def test_compose_and_inverse(kind, rng):
         assert act(_inverse(g1), act(g1, m)) == m
         for g in (g2.compose(g1), GroupElement.identity(kind),
                   GroupElement.scaling(kind, 3)):
-            assert g == GroupElement(g.kind, g.scalar, g.matrices, g.perm)
+            assert g == GroupElement(g.kind, g.scalar, g.matrices)
             assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
             assert type(g.scalar) is Fraction
 
 
 def _element_with_identities(kind, rng):
     """A random element with a random subset of its factors set to the
-    identity, a Fraction or unit scalar, and for hypercubes a random or no
-    permutation."""
-    g = _rand_element(kind, rng, with_perm=rng.random() < 0.7)
+    identity, and a Fraction or unit scalar."""
+    g = _rand_element(kind, rng)
     mats = tuple(identity_matrix(len(A)) if rng.random() < 0.5 else A for A in g.matrices)
-    return GroupElement(kind, rng.choice((1, g.scalar)), mats, g.perm)
+    return GroupElement(kind, rng.choice((1, g.scalar)), mats)
 
 
 @pytest.mark.parametrize("kind", list(KIND_SAMPLERS))
@@ -139,15 +132,10 @@ def test_act_and_compose_with_identity_factors(kind, rng):
         for g in (g1, g2):
             # every factor contracted, whether it is the identity or not
             assert list(act(g, m).coeffs) == act_values(g, m)
-        # compose against factor-by-factor mat_mul, with the same axis bookkeeping
-        if g2.perm is None:
-            perm, mats = None, tuple(map(mat_mul, g2.matrices, g1.matrices))
-        else:
-            perm = tuple(g2.perm[g1.perm[a]] for a in range(4))
-            mats = tuple(mat_mul(g2.matrices[a], g1.matrices[g2.perm.index(a)])
-                         for a in range(4))
+        # compose against factor-by-factor mat_mul
+        mats = tuple(map(mat_mul, g2.matrices, g1.matrices))
         composed = g2.compose(g1)
-        assert composed == GroupElement(kind, g2.scalar * g1.scalar, mats, perm)
+        assert composed == GroupElement(kind, g2.scalar * g1.scalar, mats)
         assert act(composed, m) == act(g2, act(g1, m))
 
 
@@ -186,7 +174,7 @@ def test_identity_factors_cost_no_contraction(kind, rng, monkeypatch):
     g = _rand_element(kind, rng)
     sizes = SPECS[kind].matrix_sizes
     one_axis = GroupElement(kind, Fraction(1, 2), (g.matrices[0],) + tuple(
-        identity_matrix(n) for n in sizes[1:]), g.perm)
+        identity_matrix(n) for n in sizes[1:]))
     identity = GroupElement.identity(kind)
     for h, contractions in ((identity, 0), (GroupElement.scaling(kind, Fraction(-3, 2)), 0),
                             (one_axis, 1)):
@@ -215,8 +203,7 @@ def test_act_is_none_exactly_off_the_integral_models(kind, p, rng):
     outcomes = set()
     for _ in range(30):
         h = _rand_element(kind, rng)
-        g = GroupElement(kind, rng.choice((Fraction(1, p), Fraction(1, p * p), p)),
-                         h.matrices, h.perm)
+        g = GroupElement(kind, rng.choice((Fraction(1, p), Fraction(1, p * p), p)), h.matrices)
         m = scaled_model(KIND_SAMPLERS[kind](rng), p ** rng.randrange(4))
         out, expected = act(g, m), _landed(act_values(g, m))
         assert (None if out is None else out.coeffs) == expected
@@ -235,8 +222,8 @@ def test_act_is_exact_for_non_integral_scalars(kind, rng):
         den = rng.choice((2, 3, 4, 6))
         m = scaled_model(KIND_SAMPLERS[kind](rng), rng.choice((1, den, den ** power)))
         h = _rand_element(kind, rng)
-        g = GroupElement(kind, Fraction(rng.choice((-5, -1, 1, 7)), den), h.matrices, h.perm)
-        contraction = act(GroupElement(kind, 1, h.matrices, h.perm), m).coeffs
+        g = GroupElement(kind, Fraction(rng.choice((-5, -1, 1, 7)), den), h.matrices)
+        contraction = act(GroupElement(kind, 1, h.matrices), m).coeffs
         out = act(g, m)
         expected = _landed([g.scalar ** power * x for x in contraction])
         assert (None if out is None else out.coeffs) == expected
@@ -253,8 +240,7 @@ def test_act_of_compose_through_rational_models(kind, rng):
     for _ in range(20):
         m = KIND_SAMPLERS[kind](rng)
         g, h = _rand_element(kind, rng), _rand_element(kind, rng)
-        h = GroupElement(kind, Fraction(rng.randint(1, 5), rng.choice((2, 3, 5))),
-                         h.matrices, h.perm)
+        h = GroupElement(kind, Fraction(rng.randint(1, 5), rng.choice((2, 3, 5))), h.matrices)
         m = _landing(m, g) if rng.random() < 0.5 else _landing(m, g, h)
         between = act(h, m)
         rational += between is None
@@ -277,8 +263,6 @@ def _act_by_quotient(g, m):
     coefficient, an int or a Fraction."""
     spec = SPECS[m.kind]
     t = m.coeffs
-    if g.perm is not None:
-        t = [t[n] for n in spec.perm_index[g.perm]]
     for fibres, A in zip(spec.fibres, g.matrices):
         t = models._mode_product(t, spec.axis_matrix(A) if spec.axis_matrix else A, fibres)
     num = g.scalar.numerator ** spec.act_power
@@ -295,7 +279,7 @@ def test_act_matches_the_quotient_path(kind, rng):
     for trial in range(60):
         h = _element_with_identities(kind, rng)
         scalar = rng.choice((1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
-        g = GroupElement(kind, scalar, h.matrices, h.perm)
+        g = GroupElement(kind, scalar, h.matrices)
         m = KIND_SAMPLERS[kind](rng)
         if trial % 2:  # divisible by the denominator's power: no remainder
             m = scaled_model(m, g.scalar.denominator ** SPECS[kind].act_power)
@@ -352,7 +336,7 @@ def test_products_and_inverses_carry_their_determinants(kind, rng):
         g = _random_chain_element(kind, rng)
         assert g._dets == tuple(map(det_matrix, g.matrices))
         assert g.chi() == g.scalar ** chi_power * prod(map(det_matrix, g.matrices))
-        checked = GroupElement(g.kind, g.scalar, g.matrices, g.perm)
+        checked = GroupElement(g.kind, g.scalar, g.matrices)
         assert checked._dets == g._dets
         assert g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
         assert group_element_to_dict(g) == group_element_to_dict(checked)
@@ -360,9 +344,6 @@ def test_products_and_inverses_carry_their_determinants(kind, rng):
         assert all(type(x) is int for mat in g.matrices for row in mat for x in row)
         assert all(type(mat) is tuple and all(type(row) is tuple for row in mat)
                    for mat in g.matrices)
-        assert (g.perm is None) == (kind != "hypercube")
-        if g.perm is not None:
-            assert type(g.perm) is tuple and sorted(g.perm) == [0, 1, 2, 3]
 
 
 def test_singular_group_element_rejected():
@@ -384,7 +365,7 @@ def test_group_element_takes_int_entries_only(kind, rng):
         mats = list(g.matrices)
         mats[-1] = (((entry,) + mats[-1][0][1:]),) + mats[-1][1:]
         with pytest.raises(ValueError, match="group element matrices take int entries"):
-            GroupElement(kind, g.scalar, tuple(mats), g.perm)
+            GroupElement(kind, g.scalar, tuple(mats))
     doc = group_element_to_dict(g)
     doc["matrices"][-1][0][0] = "1/2"
     with pytest.raises(ValueError, match="group element matrices take int entries"):
@@ -409,18 +390,9 @@ def _explicit_cube_action(g, S):
 
 
 def _explicit_hypercube_action(g, H):
-    """The permutation first, (perm . T)[j] = T[j_perm[0], ..., j_perm[3]],
-    then la * sum A[i][i'] B[j][j'] C[k][k'] D[l][l'] t[i'][j'][k'][l'], in
+    """la * sum A[i][i'] B[j][j'] C[k][k'] D[l][l'] h[i'][j'][k'][l'], in
     the flat order."""
     rng2 = range(2)
-    perm = g.perm
-    t = [[[[0] * 2 for _ in rng2] for _ in rng2] for _ in rng2]
-    for j0 in rng2:
-        for j1 in rng2:
-            for j2 in rng2:
-                for j3 in rng2:
-                    j = (j0, j1, j2, j3)
-                    t[j0][j1][j2][j3] = hypercube_entry(H, *(j[a] for a in perm))
     A, B, C, D = g.matrices
     out = [[[[0] * 2 for _ in rng2] for _ in rng2] for _ in rng2]
     for i in rng2:
@@ -433,7 +405,7 @@ def _explicit_hypercube_action(g, H):
                             for k2 in rng2:
                                 for l2 in rng2:
                                     tot += (A[i][i2] * B[j][j2] * C[k][k2] * D[l][l2]
-                                            * t[i2][j2][k2][l2])
+                                            * hypercube_entry(H, i2, j2, k2, l2))
                     out[i][j][k][l] = g.scalar * tot
     return [x for block in out for plane in block for row in plane for x in row]
 
@@ -443,14 +415,10 @@ def test_act_matches_explicit_multilinear_sum(rng):
         g = _rand_element("cube", rng)
         S = _landing(random_cube(rng), g)
         assert list(act(g, S).coeffs) == _explicit_cube_action(g, S)
-    perms = set()
     for _ in range(30):
         g = _rand_element("hypercube", rng)
-        perms.add(g.perm)
         H = _landing(random_hypercube(rng), g)
         assert list(act(g, H).coeffs) == _explicit_hypercube_action(g, H)
-    # non-involutive permutations tell the convention apart from its inverse
-    assert any(p != tuple(p.index(a) for a in range(4)) for p in perms)
 
 
 def test_chi_matches_discriminant_scaling(rng):
@@ -552,11 +520,24 @@ def test_quartics_of_hypercube_agree(rng):
         quartics_of_hypercube(random_hypercube(rng))
 
 
-def test_axis_permutation_preserves_form_set(rng):
-    H = random_hypercube(rng)
-    g = GroupElement("hypercube", 1, (((1, 0), (0, 1)),) * 4, (1, 0, 3, 2))
-    H2 = act(g, H)
-    assert discriminant(H2) == discriminant(H)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_axis_relabelling_keeps_invariants_and_level(p, rng):
+    # the normalising step of tests/replaced_routines.py reads its hypercube
+    # with the axes relabelled: c4, c6, Delta and the level at p are the same
+    # under each of the 24 relabellings, on random, inflated and (p >= 5)
+    # critical hypercubes
+    hypercubes = [nonzero_disc(random_hypercube, rng) for _ in range(2)]
+    hypercubes += [inflate(H, p, rng)[0] for H in hypercubes]
+    if p >= 5:
+        hypercubes += [critical_model("hypercube", p, rng) for _ in range(2)]
+    levels = []
+    for H in hypercubes:
+        expected = c4_c6(H), discriminant(H), level(H, p)
+        levels.append(expected[2].level)
+        for perm in permutations(range(4)):
+            G = relabel_axes(H, perm)
+            assert (c4_c6(G), discriminant(G), level(G, p)) == expected
+    assert max(levels) > 0
 
 
 def test_json_round_trip(rng):
@@ -570,6 +551,13 @@ def test_json_round_trip(rng):
         doc = group_element_to_dict(g)
         assert json.loads(json.dumps(doc)) == doc
         assert group_element_from_dict(doc) == g
+        # a hypercube certificate carries the identity "perm" as a fixed key,
+        # and reads back with it or without it
+        assert ("perm" in doc) == (kind == "hypercube")
+        if kind == "hypercube":
+            assert doc["perm"] == [0, 1, 2, 3]
+            del doc["perm"]
+            assert group_element_from_dict(doc) == g
     cub = TernaryCubic(tuple(range(10)))
     assert model_from_dict(model_to_dict(cub)) == cub
 
@@ -642,16 +630,14 @@ VALUATION_PRIMES = (2, 3, 5, 7, 65537)
 @given(st.sampled_from(sorted(SPECS)), st.sampled_from(VALUATION_PRIMES),
        st.integers(0, 2 ** 32), st.lists(st.integers(0, 3), min_size=6, max_size=6))
 def test_chi_valuation_is_the_valuation_of_chi(kind, p, seed, exponents):
-    # chains of compose and inverse of every kind, permuted hypercubes among
-    # them, and an element whose Fraction scalar and determinants carry
-    # powers of p
+    # chains of compose and inverse of every kind, and an element whose
+    # Fraction scalar and determinants carry powers of p
     rng = random.Random(seed)
     num, den, *diagonal = exponents
     spec = SPECS[kind]
     mats = tuple(tuple(tuple(p ** e if i == j == 0 else int(i == j) for j in range(n))
                        for i in range(n)) for n, e in zip(spec.matrix_sizes, diagonal))
-    perm = tuple(rng.sample(range(4), 4)) if spec.permutes_axes else None
-    deep = GroupElement(kind, Fraction(p ** num, p ** den * rng.randint(1, 4)), mats, perm)
+    deep = GroupElement(kind, Fraction(p ** num, p ** den * rng.randint(1, 4)), mats)
     chain = _random_chain_element(kind, rng)
     for g in (chain, deep, deep.compose(chain), chain.compose(deep), _inverse(deep)):
         assert g.chi_valuation(p) == valuation(g.chi(), p)

@@ -20,7 +20,7 @@ INFLATED_22 = inflate(FORM22, 3, 2)[0]
 HYPERCUBE = critical_model("hypercube", 5, 1)
 HYPER_ELEMENT = (lambda: GroupElement("hypercube", Fraction(3, 2),
                                       (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (0, 1)),
-                                       ((0, 1), (1, 0))), (2, 0, 3, 1)))
+                                       ((0, 1), (1, 0)))))
 
 MODELS = {
     "quartic": lambda: BinaryQuartic((1, -2, 3, 0, 5)),
@@ -80,7 +80,8 @@ def test_a_group_element_keeps_its_determinants_out_of_its_fields():
     with pytest.raises(AttributeError):
         g._dets = (1, 1, 1, 1)
     assert g._dets == (1, 2, 1, -1)
-    assert "_dets" not in repr(g) and len(g) == 4
+    assert "_dets" not in repr(g) and len(g) == 3
+    assert GroupElement._fields == ("kind", "scalar", "matrices")
 
 
 @pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)

@@ -60,6 +60,8 @@ INFLATED_CUBE = inflate(CUBE, 3, 1)[0]
 CURVE = WeierstrassCurve(0, 0, 0, 256, 0)
 
 _CUBIC_REFUSAL = "ternary cubics are carried along, not minimised directly"
+_PERM_REFUSAL = ('certificates permute no axes: "perm" is [0, 1, 2, 3] on a hypercube and '
+                 'absent otherwise')
 
 # case: (model or its builder, prime, type, message) of minimise, which
 # is_minimal mirrors check for check; a case naming two faults pins which
@@ -204,6 +206,15 @@ REFUSALS = {
         lambda: group_element_from_dict({"kind": "quartic", "scalar": "2.5e-1000000",
                                          "matrices": [[["1", "0"], ["0", "1"]]]}),
         RefusedInputError, "a coefficient needs more than 4312 digits"),
+    # certificates of earlier versions could permute a hypercube's axes
+    "models/bad-permutation": (
+        lambda: group_element_from_dict({"kind": "hypercube", "scalar": "1", "perm": [1, 0, 2, 3],
+                                         "matrices": [[["1", "0"], ["0", "1"]]] * 4}),
+        RefusedInputError, _PERM_REFUSAL),
+    "models/permutation-off-hypercube": (
+        lambda: group_element_from_dict({"kind": "form22", "scalar": "1", "perm": [0, 1, 2, 3],
+                                         "matrices": [[["1", "0"], ["0", "1"]]] * 2}),
+        RefusedInputError, _PERM_REFUSAL),
 }
 
 
@@ -224,12 +235,6 @@ INPUT_CHECKS = {
                                  "quartic needs 5 coefficients"),
     "models/matrix-sizes": (lambda: GroupElement("form22", 1, (I2,)), ValueError,
                             "wrong matrix sizes for kind form22"),
-    "models/permutation-off-hypercube": (lambda: GroupElement("form22", 1, (I2, I2),
-                                                              perm=(0, 1, 2, 3)),
-                                         ValueError, "permutations only apply to hypercubes"),
-    "models/bad-permutation": (lambda: GroupElement("hypercube", 1, (I2,) * 4,
-                                                    perm=(0, 0, 1, 2)),
-                               ValueError, "bad axis permutation"),
     "models/compose-across-kinds": (lambda: FORM22_ID.compose(GroupElement("quartic", 1, (I2,))),
                                     ValueError, "kind mismatch"),
     "models/act-across-kinds": (lambda: act(FORM22_ID, CUBE), ValueError,
